@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .hypercube import (
     TruthTable,
     parity_sign_u64,
     popcount_u64,
-    restriction_indices,
 )
 from .walk import LabeledWalk, RefreshPairs
 
@@ -41,41 +41,77 @@ def _check_power_of_two(size: int) -> int:
     return n
 
 
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """Unnormalized transform along the last axis; ``v`` is consumed as scratch.
+
+    Level h maps each pair (a, b) of entries h apart to (a + b, a - b),
+    writing into a second buffer so no level allocates.
+    """
+    size = v.shape[-1]
+    out = np.empty_like(v)
+    h = 1
+    while h < size:
+        a = v.reshape(*v.shape[:-1], -1, 2, h)
+        o = out.reshape(a.shape)
+        np.add(a[..., 0, :], a[..., 1, :], out=o[..., 0, :])
+        np.subtract(a[..., 0, :], a[..., 1, :], out=o[..., 1, :])
+        v, out = out, v
+        h *= 2
+    return v
+
+
 def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
     """Walsh-Hadamard transform.
 
     On a TruthTable, returns its Spectrum (coefficients fhat(S) = <f, chi_S>).
     On a raw array, returns the unnormalized transform
-    out[S] = sum_x v[x] chi_S(x).
+    out[S] = sum_x v[x] chi_S(x): int64 and exact for integer (or boolean)
+    input, float64 otherwise.  The transform is its own inverse up to a
+    factor 2^n.
     """
     if isinstance(values, TruthTable):
         return Spectrum.from_table(values)
-    v = np.array(values, dtype=np.float64)
-    size = v.size
-    _check_power_of_two(size)
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h] + v[:, h:]
-        right = v[:, :h] - v[:, h:]
-        v = np.concatenate([left, right], axis=1)
-        h *= 2
-    return v.reshape(size)
+    v = np.asarray(values)
+    dtype = np.int64 if v.dtype.kind in "biu" else np.float64
+    v = np.array(v, dtype=dtype).reshape(-1)
+    _check_power_of_two(v.size)
+    return _butterfly(v)
 
 
-def wht_int(values: np.ndarray) -> np.ndarray:
-    """Integer-exact Walsh-Hadamard transform for +-1 tables and count vectors."""
-    v = np.array(values, dtype=np.int64)
-    size = v.size
-    _check_power_of_two(size)
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h] + v[:, h:]
-        right = v[:, :h] - v[:, h:]
-        v = np.concatenate([left, right], axis=1)
-        h *= 2
-    return v.reshape(size)
+# Cells (supports x 2^k) gathered per table in one step of subcube_sums, 8 MiB
+# of int64, so memory stays bounded however large C(p, k) 2^k is
+# (C(16, 11) 2^11 is 8.9 M cells).
+_SUBCUBE_CHUNK_CELLS = 1 << 20
+
+
+def subcube_sums(
+    tables: Sequence[np.ndarray], supports: Iterable[Sequence[int]], k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact bucket sums of integer tables over the subcubes of many supports.
+
+    Each table holds 2^p integer cell values indexed by a p-bit word (a truth
+    table, or a histogram of a sample binned onto p coordinates).  A support
+    is k distinct bit positions in increasing order; its bucket r sums the
+    cells whose bits at the support spell r, bit j of r being the j-th
+    position.  By the restriction/projection identity those sums are 2^-k
+    times the size-2^k transform of the table's transform restricted to the
+    subsets of the support, so each table is transformed once and each
+    support costs one 2^k butterfly, never a pass over all cells.
+
+    Yields ``(positions, sums)`` per chunk of supports, in the order given:
+    ``positions`` is (S, k) and ``sums`` is (len(tables), S, 2^k) int64.
+    """
+    coeffs = np.stack([wht(t) for t in tables])
+    supports = iter(supports)
+    chunk = max(1, _SUBCUBE_CHUNK_CELLS >> k)
+    while batch := list(islice(supports, chunk)):
+        positions = np.array(batch, dtype=np.int64).reshape(len(batch), k)
+        # subset masks of each support: entry t holds position j iff bit j of t
+        subsets = np.zeros((len(batch), 1), dtype=np.int64)
+        for j in range(k):
+            subsets = np.hstack([subsets, subsets | (1 << positions[:, j : j + 1])])
+        # exact: every bucket sum times 2^k is what the butterfly returns
+        yield positions, _butterfly(coeffs[:, subsets]) >> k
 
 
 @dataclass(frozen=True)
@@ -119,11 +155,6 @@ class Spectrum:
         return [
             (IndexSet(self.n, int(m)), float(self.coeffs[m])) for m in order[:count]
         ]
-
-
-def inverse_wht(coeffs: np.ndarray) -> np.ndarray:
-    """Point values out[x] = sum_S c_S chi_S(x); the same butterfly, no scaling."""
-    return wht(coeffs)
 
 
 def project_spectrum(spec: Spectrum, J: IndexSet) -> Spectrum:
@@ -180,9 +211,8 @@ def subcube_averages(f: TruthTable, J: IndexSet) -> np.ndarray:
     if J.n != f.n:
         raise ValueError(f"index set over n={J.n}, table over n={f.n}")
     k = len(J)
-    ridx = restriction_indices(J, np.arange(1 << f.n, dtype=np.uint64))
-    sums = np.bincount(ridx, weights=f.values.astype(np.float64), minlength=1 << k)
-    return sums / (1 << (f.n - k))
+    _, sums = next(subcube_sums([f.values], [[c - 1 for c in J]], k))
+    return sums[0, 0] / (1 << (f.n - k))
 
 
 def spectrum_to_csv(spec: Spectrum, fh: TextIO) -> None:

@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .fourier import BULK_WHT_MAX_N, subcube_sums
 from .hypercube import IndexSet, JuntaHypothesis, TruthTable, restriction_indices
 from .sieve import SieveBudgets, SieveParams, SieveResult, bounded_sieve
 from .walk import RandomWalkOracle, SampleSizePlan, practical_plan, sample_size_erm
@@ -155,7 +156,8 @@ def subcube_tally(points: np.ndarray, labels: np.ndarray, J: IndexSet) -> Subcub
 
 
 def _as_sample(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a LabeledWalk or a (points, labels) pair; reject empty samples."""
+    """Accept a LabeledWalk or a (points, labels) pair; reject empty samples
+    and labels outside {-1, +1}."""
     if hasattr(sample, "points") and hasattr(sample, "labels"):
         points, labels = sample.points, sample.labels
     else:
@@ -166,6 +168,8 @@ def _as_sample(sample) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty sample")
     if points.shape != labels.shape:
         raise ValueError(f"{points.size} points but {labels.size} labels")
+    if not np.all((labels == 1) | (labels == -1)):
+        raise ValueError("sample labels must all be +1 or -1")
     return points, labels
 
 
@@ -186,21 +190,37 @@ def best_junta(
 ) -> tuple[JuntaHypothesis, int]:
     """Empirical-disagreement minimizer over all k-subsets of the pool.
 
-    Ties go to the smallest coordinate-set mask, so reruns on the same sample
-    are reproducible.
+    Pools of at most BULK_WHT_MAX_N coordinates bin the sample onto the pool
+    once and take every support's +1/-1 counts from ``subcube_sums``; larger
+    pools tally each support on the sample.  Ties go to the smallest
+    coordinate-set mask, so reruns on the same sample are reproducible.
     """
+    points, labels = _as_sample((points, labels))
     coords = sorted(pool.coords())
     if len(coords) < k:
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
-    best: tuple[int, int, SubcubeTally] | None = None
-    for combo in combinations(coords, k):
-        J = IndexSet.of(pool.n, combo)
-        tally = subcube_tally(points, labels, J)
-        key = (tally.disagreements(), J.mask)
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], tally)
+    best: tuple[tuple[int, int], SubcubeTally] | None = None
+    if len(coords) > BULK_WHT_MAX_N:
+        for combo in combinations(coords, k):
+            tally = subcube_tally(points, labels, IndexSet.of(pool.n, combo))
+            key = (tally.disagreements(), tally.J.mask)
+            if best is None or key < best[0]:
+                best = (key, tally)
+    else:
+        cells = restriction_indices(pool, points)
+        size = 1 << len(coords)
+        hist = [np.bincount(cells[labels == y], minlength=size) for y in (1, -1)]
+        coord_bits = np.array([1 << (c - 1) for c in coords], dtype=np.uint64)
+        supports = combinations(range(len(coords)), k)
+        for positions, (plus, minus) in subcube_sums(hist, supports, k):
+            errs = np.minimum(plus, minus).sum(axis=1)
+            masks = coord_bits[positions].sum(axis=1)
+            i = np.lexsort((masks, errs))[0]
+            key = (int(errs[i]), int(masks[i]))
+            if best is None or key < best[0]:
+                best = (key, SubcubeTally(IndexSet(pool.n, key[1]), plus[i], minus[i]))
     assert best is not None
-    return best[2].hypothesis(), best[0]
+    return best[1].hypothesis(), best[0][0]
 
 
 @dataclass(frozen=True)

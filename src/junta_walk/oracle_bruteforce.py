@@ -16,14 +16,14 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .fourier import wht_int
+from .fourier import subcube_sums, wht
 from .functions import and_table
 from .hypercube import (
     IndexSet,
     JuntaHypothesis,
     TruthTable,
     popcount_u64,
-    restriction_indices,
+    restriction_indices,  # noqa: F401 - kept importable from this module
 )
 from .learner import GAP_CONSTANT
 
@@ -41,6 +41,11 @@ class OptResult:
     per_set: dict[int, Fraction] | None = None
 
 
+def _majority(sums: np.ndarray) -> np.ndarray:
+    """Majority label per bucket from its label sum; ties go to +1."""
+    return np.where(sums >= 0, 1, -1).astype(np.int8)
+
+
 def exact_opt_for(f: TruthTable, J: IndexSet) -> tuple[TruthTable, Fraction]:
     """Best J-junta for f: majority label on every subcube (ties to +1).
 
@@ -50,36 +55,43 @@ def exact_opt_for(f: TruthTable, J: IndexSet) -> tuple[TruthTable, Fraction]:
     if J.n != f.n:
         raise ValueError(f"index set over n={J.n}, table over n={f.n}")
     k = len(J)
-    ridx = restriction_indices(J, np.arange(1 << f.n, dtype=np.uint64))
-    sums = np.bincount(ridx, weights=f.values.astype(np.float64), minlength=1 << k)
-    sums = sums.astype(np.int64)
-    table = TruthTable(k, np.where(sums >= 0, 1, -1).astype(np.int8))
+    _, sums = next(subcube_sums([f.values], [[c - 1 for c in J]], k))
+    sums = sums[0, 0]
     disagree = ((1 << f.n) - int(np.abs(sums).sum())) // 2
-    return table, Fraction(disagree, 1 << f.n)
+    return TruthTable(k, _majority(sums)), Fraction(disagree, 1 << f.n)
 
 
 def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult:
     """Exhaustive optimum of the distance to f over all k-juntas, n <= 16.
 
-    Ties between coordinate sets resolve to the smallest set mask, matching the
-    learner's determinism rule.
+    One exact transform of f yields the subcube label sums of every support
+    (see ``subcube_sums``), so all C(n, k) supports are scored exactly without
+    a pass over the cube per support.  Ties between coordinate sets resolve to
+    the smallest set mask, matching the learner's determinism rule.
     """
     if f.n > MAX_OPT_N:
         raise ValueError(f"n={f.n} exceeds the exact-opt cap {MAX_OPT_N}")
     if not 1 <= k <= f.n:
         raise ValueError(f"k={k} outside 1..{f.n}")
-    best: tuple[Fraction, int, TruthTable] | None = None
+    size = 1 << f.n
+    best: tuple[tuple[int, int], np.ndarray] | None = None
     per_set: dict[int, Fraction] | None = {} if include_per_set else None
-    for combo in combinations(range(1, f.n + 1), k):
-        J = IndexSet.of(f.n, combo)
-        table, dist = exact_opt_for(f, J)
+    for positions, sums in subcube_sums([f.values], combinations(range(f.n), k), k):
+        sums = sums[0]
+        disagree = (size - np.abs(sums).sum(axis=1)) // 2
+        masks = (1 << positions).sum(axis=1)
         if per_set is not None:
-            per_set[J.mask] = dist
-        if best is None or (dist, J.mask) < (best[0], best[1]):
-            best = (dist, J.mask, table)
+            per_set.update(
+                (m, Fraction(d, size)) for m, d in zip(masks.tolist(), disagree.tolist())
+            )
+        i = np.lexsort((masks, disagree))[0]
+        key = (int(disagree[i]), int(masks[i]))
+        if best is None or key < best[0]:
+            best = (key, sums[i])
     assert best is not None
-    witness = JuntaHypothesis(IndexSet(f.n, best[1]), best[2].values)
-    return OptResult(opt=best[0], witness=witness, per_set=per_set)
+    (disagree_best, mask), sums_best = best
+    witness = JuntaHypothesis(IndexSet(f.n, mask), _majority(sums_best))
+    return OptResult(opt=Fraction(disagree_best, size), witness=witness, per_set=per_set)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +106,7 @@ def coefficient_bound(k: int, epsilon: float) -> float:
 
 def relevant_coords(f: TruthTable) -> IndexSet:
     """Coordinates f genuinely depends on: the support union of its spectrum."""
-    coeffs = wht_int(f.values)
+    coeffs = wht(f.values)
     mask = 0
     for m in np.nonzero(coeffs)[0]:
         mask |= int(m)
@@ -170,7 +182,7 @@ def verify_spectrum_lemma(
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
 
     size = 1 << f.n
-    coeffs_f = wht_int(f.values)  # 2^n * fhat, exact
+    coeffs_f = wht(f.values)  # 2^n * fhat, exact
     bound = coefficient_bound(max(k, 1), epsilon)
     masks = np.arange(size, dtype=np.uint64)
     small = popcount_u64(masks) <= k
@@ -252,7 +264,7 @@ def counterexample_fixtures(k: int) -> FixtureReport:
     detail: dict[str, str] = {}
 
     f1 = and_table(k, range(1, k + 1))
-    w1 = wht_int(f1.values)  # 2^k * fhat
+    w1 = wht(f1.values)  # 2^k * fhat
     nonempty = np.abs(w1[1:])
     facts["tight_coefficients"] = bool(
         np.all(nonempty <= 2) and np.all(nonempty == 2) and int(w1[0]) == (1 << k) - 2
@@ -269,7 +281,7 @@ def counterexample_fixtures(k: int) -> FixtureReport:
     facts["shifted_inner_product"] = dot == (1 << n2) - 4
     detail["shifted_inner_product"] = f"2^n <f,g> = {dot}, expected {(1 << n2) - 4}"
 
-    w2 = wht_int(f2.values)
+    w2 = wht(f2.values)
     top = np.arange(1 << n2) >= (1 << k)  # sets containing coordinate k+1
     facts["vanishing_coefficients"] = bool(np.all(w2[top] == 0))
     detail["vanishing_coefficients"] = (

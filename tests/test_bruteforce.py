@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_walk.functions import and_table, constant_table, parity_table, random_table
-from junta_walk.hypercube import IndexSet, TruthTable, distance_exact
+from junta_walk.hypercube import (
+    IndexSet,
+    TruthTable,
+    distance_exact,
+    restriction_indices,
+)
 from junta_walk.oracle_bruteforce import (
     LemmaWitness,
     OptResult,
@@ -89,6 +95,50 @@ def test_exact_opt_validation():
     big = TruthTable(17, np.ones(1 << 17, dtype=np.int8))
     with pytest.raises(ValueError):
         exact_opt(big, 1)
+
+
+def _per_support_opt(f: TruthTable, k: int):
+    """Reference exact opt: restriction indices and a bincount over the whole
+    cube for every support, keeping the smallest (distance, mask)."""
+    cube = np.arange(1 << f.n, dtype=np.uint64)
+    best, per_set = None, {}
+    for combo in combinations(range(1, f.n + 1), k):
+        J = IndexSet.of(f.n, combo)
+        ridx = restriction_indices(J, cube)
+        weights = f.values.astype(np.float64)
+        sums = np.bincount(ridx, weights=weights, minlength=1 << k).astype(np.int64)
+        dist = Fraction(((1 << f.n) - int(np.abs(sums).sum())) // 2, 1 << f.n)
+        per_set[J.mask] = dist
+        if best is None or (dist, J.mask) < best[:2]:
+            best = (dist, J.mask, np.where(sums >= 0, 1, -1))
+    return best, per_set
+
+
+def _opt_reference_tables(n: int):
+    rng = np.random.default_rng(100 + n)
+    yield random_table(n, rng)
+    yield TruthTable(n, np.where(rng.random(1 << n) < 0.1, -1, 1))  # sparse minus
+    yield constant_table(n, 1)
+    yield constant_table(n, -1)
+    yield parity_table(n, range(1, n + 1))
+    yield parity_table(n, [n])
+    yield and_table(n, range(1, min(n, 3) + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exact_opt_matches_per_support_reference(n):
+    for f in _opt_reference_tables(n):
+        for k in range(1, n + 1):
+            (dist, mask, table), per_set = _per_support_opt(f, k)
+            res = exact_opt(f, k, include_per_set=True)
+            assert (res.opt, res.witness.J.mask) == (dist, mask)
+            np.testing.assert_array_equal(res.witness.table, table)
+            assert res.per_set == per_set
+            assert list(res.per_set) == list(per_set)  # same support order
+            J = IndexSet(n, mask)
+            h_table, h_dist = exact_opt_for(f, J)
+            assert h_dist == dist
+            np.testing.assert_array_equal(h_table.values, table)
 
 
 def test_exact_opt_for_dimension_mismatch():

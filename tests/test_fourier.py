@@ -2,12 +2,14 @@
 
 import io
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from junta_walk import fourier
 from junta_walk.fourier import (
     BULK_WHT_MAX_N,
     EstimatorParams,
@@ -22,16 +24,15 @@ from junta_walk.fourier import (
     expected_sq_estimate,
     fourier_weight,
     inner_product,
-    inverse_wht,
     project_spectrum,
     spectrum_to_csv,
     subcube_averages,
     subcube_projection_exact,
+    subcube_sums,
     wht,
-    wht_int,
 )
 from junta_walk.functions import and_table, parity_table, random_table
-from junta_walk.hypercube import IndexSet, TruthTable
+from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
 from junta_walk.walk import RefreshPairs, WalkConfig, generate_walk, harvest_refresh_pairs
 
 sign_tables = st.integers(min_value=1, max_value=6).flatmap(
@@ -59,11 +60,43 @@ def test_wht_on_table_returns_spectrum():
     np.testing.assert_allclose(spec.coeffs, expected, atol=1e-12)
 
 
-def test_wht_int_matches_float_butterfly():
+def _concatenating_wht(values: np.ndarray) -> np.ndarray:
+    """Reference butterfly: a fresh (a + b, a - b) concatenation per level."""
+    v = np.array(values)
+    size = v.size
+    h = 1
+    while h < size:
+        v = v.reshape(-1, 2 * h)
+        v = np.concatenate([v[:, :h] + v[:, h:], v[:, :h] - v[:, h:]], axis=1)
+        h *= 2
+    return v.reshape(size)
+
+
+def test_wht_integer_input_matches_float_butterfly():
     rng = np.random.default_rng(0)
     v = rng.integers(-3, 4, size=64)
-    np.testing.assert_array_equal(wht_int(v), wht(v.astype(float)).astype(np.int64))
-    assert wht_int(v).dtype == np.int64
+    out = wht(v)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, wht(v.astype(float)).astype(np.int64))
+    np.testing.assert_array_equal(wht(v.astype(np.int8)), out)
+    assert wht(np.ones(4, dtype=bool)).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+def test_wht_matches_concatenating_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=1 << n) * 10.0 ** rng.integers(-8, 8, size=1 << n)
+    kept = floats.copy()
+    out = wht(floats)
+    assert out.dtype == np.float64
+    assert out.tobytes() == _concatenating_wht(floats).tobytes()
+    np.testing.assert_array_equal(floats, kept)  # the input is not overwritten
+    ints = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
+    np.testing.assert_array_equal(wht(ints), _concatenating_wht(ints))
+    if n:
+        f = random_table(n, rng)
+        float_coeffs = _concatenating_wht(f.values.astype(np.float64)) / (1 << n)
+        assert Spectrum.from_table(f).coeffs.tobytes() == float_coeffs.tobytes()
 
 
 def test_and2_coefficients():
@@ -89,10 +122,11 @@ def test_spectrum_table_round_trip(f):
     np.testing.assert_array_equal(g.values, f.values)
 
 
-def test_inverse_wht_reproduces_values():
+def test_wht_inverts_itself_up_to_scale():
     f = random_table(6, np.random.default_rng(4))
     spec = Spectrum.from_table(f)
-    np.testing.assert_allclose(inverse_wht(spec.coeffs), f.values, atol=1e-9)
+    np.testing.assert_allclose(wht(spec.coeffs), f.values, atol=1e-9)
+    np.testing.assert_array_equal(wht(wht(f.values)), f.values.astype(np.int64) << 6)
 
 
 def test_to_table_rejects_non_boolean_spectrum():
@@ -175,6 +209,29 @@ def test_subcube_averages_on_and():
     avg = subcube_averages(f, IndexSet.of(2, [1]))
     # coordinate 1 = +1: f is constant +1; coordinate 1 = -1: mean of {+1, -1}
     np.testing.assert_allclose(avg, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 16, 1 << 20])
+def test_subcube_sums_match_per_support_bincount(monkeypatch, chunk_cells):
+    monkeypatch.setattr(fourier, "_SUBCUBE_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(9)
+    p = 7
+    tables = [rng.integers(0, 50, size=1 << p), random_table(p, rng).values]
+    cells = np.arange(1 << p, dtype=np.uint64)
+    for k in range(p + 1):
+        supports = list(combinations(range(p), k))
+        got_positions, got_sums = [], []
+        for positions, sums in subcube_sums(tables, supports, k):
+            assert sums.dtype == np.int64
+            got_positions.extend(map(tuple, positions.tolist()))
+            got_sums.append(sums)
+        assert got_positions == supports
+        got = np.concatenate(got_sums, axis=1)
+        for s, support in enumerate(supports):
+            ridx = restriction_indices(IndexSet.of(p, [c + 1 for c in support]), cells)
+            for t, table in enumerate(tables):
+                ref = np.bincount(ridx, weights=table, minlength=1 << k)
+                np.testing.assert_array_equal(got[t, s], ref.astype(np.int64))
 
 
 def test_spectrum_to_csv():

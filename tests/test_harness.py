@@ -408,6 +408,25 @@ def test_run_suite_is_thread_invariant(tmp_path, monkeypatch):
     assert [stable(r) for r in serial.reports] == [stable(r) for r in threaded.reports]
 
 
+def test_run_suite_trials_json_is_thread_invariant_at_n16(tmp_path, monkeypatch):
+    cell = Cell(
+        instance=InstanceSpec(n=16, k=3, corruption=Corruption(kind="iid", rate=0.1)),
+        learn=small_params(16, 3, screen=20_000, blocks=2_000, sample=4_000),
+    )
+    config = ExperimentConfig(cells=(cell,), repetitions=4, master_seed=23)
+
+    def trials_without_wall_time(threads):
+        monkeypatch.setenv("JUNTA_WALK_THREADS", str(threads))
+        with open(run_suite(config, tmp_path / str(threads)).json_path) as fh:
+            trials = json.load(fh)
+        for trial in trials:
+            assert trial["error"] is None
+            del trial["wall_ms"]
+        return trials
+
+    assert trials_without_wall_time(1) == trials_without_wall_time(2)
+
+
 def test_run_suite_survives_a_failing_trial(tmp_path, caplog):
     bad = Cell(
         instance=InstanceSpec(n=2, k=1),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from junta_walk.fourier import BULK_WHT_MAX_N
 from junta_walk.functions import and_table, flip_labels_iid, parity_table, random_junta
 from junta_walk.hypercube import (
     IndexSet,
@@ -209,6 +210,55 @@ def test_best_junta_tie_breaks_to_smallest_mask():
     h, err = best_junta(points, labels, IndexSet.full(4), 2)
     assert err == 0
     assert h.J.coords() == (1, 2)
+
+
+def _per_support_best_junta(points, labels, pool, k):
+    """Reference ERM: one subcube tally per support, smallest (err, mask) wins."""
+    best = None
+    for combo in combinations(pool.coords(), k):
+        tally = subcube_tally(points, labels, IndexSet.of(pool.n, combo))
+        key = (tally.disagreements(), tally.J.mask)
+        if best is None or key < best[0]:
+            best = (key, tally.hypothesis())
+    return best[1], best[0][0]
+
+
+@pytest.mark.parametrize(
+    "pool_size, k, m",
+    [
+        (4, 2, 3),  # most buckets see no point
+        (8, 1, 500),
+        (9, 3, 40),
+        (12, 3, 2_000),
+        (BULK_WHT_MAX_N, 2, 300),  # the largest pool binned onto 2^|pool| cells
+        (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool tallied per support
+    ],
+)
+def test_best_junta_matches_per_support_tallies(pool_size, k, m):
+    n = 24
+    rng = np.random.default_rng(pool_size * 100 + k)
+    coords = rng.choice(np.arange(1, n + 1), pool_size, replace=False)
+    pool = IndexSet.of(n, (int(c) for c in coords))
+    points = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+    target = IndexSet.of(n, sorted(pool.coords())[-k:])
+    planted = JuntaHypothesis(target, rng.choice([-1, 1], 1 << k))
+    noisy = np.where(rng.random(m) < 0.2, -1, 1) * planted.label_bits(points)
+    ones = np.ones(m, dtype=np.int8)
+    for labels in (noisy.astype(np.int8), ones, -ones):
+        h, err = best_junta(points, labels, pool, k)
+        ref_h, ref_err = _per_support_best_junta(points, labels, pool, k)
+        assert (err, h.J.mask) == (ref_err, ref_h.J.mask)
+        np.testing.assert_array_equal(h.table, ref_h.table)
+        assert int(np.count_nonzero(h.label_bits(points) != labels)) == err
+
+
+def test_erm_rejects_labels_outside_plus_minus_one():
+    points = np.array([0, 1, 2], dtype=np.uint64)
+    labels = np.array([1, 0, -1], dtype=np.int8)
+    with pytest.raises(ValueError, match="labels"):
+        best_junta(points, labels, IndexSet.full(3), 1)
+    with pytest.raises(ValueError, match="labels"):
+        tally_and_best_junta(IndexSet.of(3, [1]), (points, labels))
 
 
 def test_best_junta_needs_enough_coordinates():
