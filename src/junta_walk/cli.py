@@ -18,12 +18,13 @@ from .harness import (
     ExperimentConfig,
     InstanceSpec,
     default_learn_params,
+    json_field,
     make_instance,
     resolve_instance,
     run_suite,
 )
 from .hypercube import TruthTable, distance_exact
-from .learner import LearnParams, learn_outcome, theta_for
+from .learner import LearnParams, learn_outcome
 from .oracle_bruteforce import counterexample_fixtures, exact_opt, verify_spectrum_lemma
 from .sieve import SieveError, SieveParams, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle
@@ -32,7 +33,8 @@ from .walk import RandomWalkOracle
 def _load_instance(path: str) -> tuple[TruthTable, dict]:
     with open(path) as fh:
         obj = json.load(fh)
-    table = TruthTable(int(obj["n"]), obj["values"])
+    what = f"instance file {path}"
+    table = TruthTable(int(json_field(obj, "n", what)), json_field(obj, "values", what))
     return table, obj
 
 

@@ -246,29 +246,20 @@ def blocks_for(accuracy: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Lag, pair count, and spacing for the squared-coefficient estimator.
-
-    ``tolerance`` and ``confidence`` are advisory metadata recording what the
-    certified constructor aimed for; they do not change the computation.
-    """
+    """Lag and block count for the squared-coefficient estimator."""
 
     lag: int
     pair_count: int
-    block_spacing: int = 0
-    tolerance: float | None = None
-    confidence: float | None = None
 
     def __post_init__(self) -> None:
         if self.lag < 1:
             raise ValueError(f"lag={self.lag} must be >= 1")
         if self.pair_count < 1:
             raise ValueError(f"pair_count={self.pair_count} must be >= 1")
-        if self.block_spacing < 0:
-            raise ValueError(f"block_spacing={self.block_spacing} must be >= 0")
 
     @property
     def stride(self) -> int:
-        return self.lag + 1 + self.block_spacing
+        return self.lag + 1
 
     @property
     def required_walk_length(self) -> int:
@@ -278,12 +269,7 @@ class EstimatorParams:
     @classmethod
     def certified(cls, n: int, theta: float, delta: float) -> "EstimatorParams":
         """Lag for bias theta/8 and pair count for sampling error theta/8."""
-        return cls(
-            lag=default_lag(n, theta),
-            pair_count=blocks_for(theta / 8.0, delta),
-            tolerance=theta / 4.0,
-            confidence=1.0 - delta,
-        )
+        return cls(lag=default_lag(n, theta), pair_count=blocks_for(theta / 8.0, delta))
 
 
 def _lag_samples(
@@ -359,19 +345,15 @@ def estimator_bias_bound(n: int, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def estimate_bounded_influence(
-    pairs: RefreshPairs, i: int, p: float | None = None
-) -> float:
+def estimate_bounded_influence(pairs: RefreshPairs, i: int) -> float:
     """Contrast the label product over pairs that did/did not refresh coordinate i.
 
     Writing l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R empty} fhat(T)^2,
     and with coordinates refreshed independently at density p, the contrast has
     expectation exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a screened
-    influence that is large for every member of a heavy low-degree set.  ``p``
-    is the density used by callers for thresholds; it does not enter the
-    estimate itself.
+    influence that is large for every member of a heavy low-degree set.  The
+    density only sets callers' thresholds; it does not enter the estimate.
     """
-    del p
     if not 1 <= i <= pairs.n:
         raise ValueError(f"coordinate {i} outside 1..{pairs.n}")
     products = pairs.label_x.astype(np.float64) * pairs.label_y

@@ -26,9 +26,9 @@ import numpy as np
 
 from .functions import flip_labels_iid, flip_labels_region, random_junta
 from .hypercube import JuntaHypothesis, TruthTable, distance_exact
-from .learner import LearnOutcome, LearnParams, learn_outcome, theta_for
+from .learner import LearnOutcome, LearnParams, learn_outcome, sieve_params_for
 from .oracle_bruteforce import OptResult, exact_opt
-from .sieve import SieveParams, practical_budgets
+from .sieve import practical_budgets
 from .walk import RandomWalkOracle
 
 logger = logging.getLogger(__name__)
@@ -50,6 +50,14 @@ CSV_COLUMNS = [
     "wall_ms",
     "walk_steps",
 ]
+
+
+def json_field(obj, key: str, what: str):
+    """``obj[key]`` from parsed JSON; ValueError naming the key when ``obj``
+    is not an object or lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} must be a JSON object with key {key!r}")
+    return obj[key]
 
 
 def thread_count() -> int:
@@ -138,8 +146,8 @@ class InstanceSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
         return cls(
-            n=int(d["n"]),
-            k=int(d["k"]),
+            n=int(json_field(d, "n", "instance spec")),
+            k=int(json_field(d, "k", "instance spec")),
             corruption=Corruption.from_dict(d.get("corruption", {})),
             junta_seed=d.get("junta_seed"),
             instance_seed=d.get("instance_seed"),
@@ -382,13 +390,11 @@ class ExperimentConfig:
                 "k": c.learn.k,
                 "epsilon": c.learn.epsilon,
                 "delta": c.learn.delta,
+                "mode": c.learn.mode,
             }
-            if c.learn.sieve_budgets is None:
-                learn["mode"] = "certified"
-            else:
+            if c.learn.sieve_budgets is not None:
                 b = c.learn.sieve_budgets
                 learn.update(
-                    mode="practical",
                     screen_pairs=b.screen_pairs,
                     estimate_blocks=b.estimate_blocks,
                     lag=b.lag,
@@ -410,18 +416,23 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
         cells = []
         for cd in obj.get("cells", []):
-            instance = InstanceSpec.from_dict(cd["instance"])
+            instance = InstanceSpec.from_dict(json_field(cd, "instance", "config cell"))
             ld = cd.get("learn", {})
             k = int(ld.get("k", instance.k))
             eps = float(ld.get("epsilon", 0.25))
             delta = float(ld.get("delta", 0.2))
-            if ld.get("mode") == "certified":
+            mode = ld.get("mode")
+            if mode not in (None, "certified", "practical"):
+                raise ValueError(f"learn mode {mode!r} not certified/practical")
+            if mode == "certified":
                 params = LearnParams(k, eps, delta)
             elif "screen_pairs" in ld:
                 budgets = practical_budgets(
-                    SieveParams(level=k, theta=theta_for(k, eps), delta=delta / 2.0),
+                    sieve_params_for(k, eps, delta),
                     instance.n,
                     screen_pairs=int(ld["screen_pairs"]),
                     estimate_blocks=int(ld["estimate_blocks"]),
@@ -430,6 +441,8 @@ class ExperimentConfig:
                 params = LearnParams(
                     k, eps, delta, sieve_budgets=budgets, erm_sample=ld.get("erm_sample")
                 )
+            elif mode == "practical" and "erm_sample" in ld:
+                params = LearnParams(k, eps, delta, erm_sample=int(ld["erm_sample"]))
             else:
                 params = default_learn_params(instance.n, k, eps, delta)
                 if "erm_sample" in ld:
@@ -453,7 +466,7 @@ def default_learn_params(
 ) -> LearnParams:
     """Practical budgets sized by pilot variance runs at n <= 16, k <= 3."""
     budgets = practical_budgets(
-        SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0),
+        sieve_params_for(k, epsilon, delta),
         n,
         screen_pairs=screen_pairs,
         estimate_blocks=estimate_blocks,

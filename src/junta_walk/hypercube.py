@@ -171,6 +171,15 @@ def restriction_indices(J: IndexSet, bits: np.ndarray | int) -> np.ndarray:
     return idx
 
 
+def _point_bits(x: Point | int, n: int) -> int:
+    """Packed bits of x, refusing a Point of another dimension than n."""
+    if not isinstance(x, Point):
+        return x
+    if x.n != n:
+        raise ValueError(f"dimension mismatch: point over n={x.n}, function over n={n}")
+    return x.bits
+
+
 def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int8)
     if not np.all(np.abs(arr) == 1):
@@ -194,8 +203,7 @@ class TruthTable:
             raise ValueError(f"expected {1 << self.n} values, got {len(self.values)}")
 
     def __call__(self, x: Point | int) -> int:
-        bits = x.bits if isinstance(x, Point) else x
-        return int(self.values[bits])
+        return int(self.values[_point_bits(x, self.n)])
 
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an array of packed points."""
@@ -244,22 +252,17 @@ class JuntaHypothesis:
             idx |= ((bits >> (c - 1)) & 1) << j
         return idx
 
-    def restriction_index_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorized restriction index over packed points."""
-        return restriction_indices(self.J, bits)
-
     def __call__(self, x: Point | int) -> int:
-        bits = x.bits if isinstance(x, Point) else x
-        return int(self.table[self.restriction_index(bits)])
+        return int(self.table[self.restriction_index(_point_bits(x, self.n))])
 
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
-        return self.table[self.restriction_index_bits(bits)]
+        return self.table[restriction_indices(self.J, bits)]
 
     def to_truth_table(self) -> TruthTable:
         if self.n > MAX_TABLE_N:
             raise ValueError(f"n={self.n} too large to materialize")
         all_bits = np.arange(1 << self.n, dtype=np.uint64)
-        return TruthTable(self.n, self.table[self.restriction_index_bits(all_bits)])
+        return TruthTable(self.n, self.table[restriction_indices(self.J, all_bits)])
 
     def to_json(self) -> str:
         return json.dumps({"J": list(self.J), "table": [int(v) for v in self.table]})
@@ -271,13 +274,6 @@ class JuntaHypothesis:
 
 
 BooleanFunction = Union[TruthTable, JuntaHypothesis]
-
-
-def eval_junta(h: JuntaHypothesis, x: Point) -> int:
-    """h(x); depends only on the coordinates in h.J."""
-    if h.n != x.n:
-        raise ValueError(f"dimension mismatch: {h.n} != {x.n}")
-    return h(x)
 
 
 def _materialize(g: BooleanFunction, n: int) -> np.ndarray:

@@ -56,9 +56,8 @@ class LearnParams:
 
     Leaving the budget fields at None requests certified sample sizes, which
     are only feasible for very small k; practical runs supply their own sieve
-    budgets and ERM walk length.  ``mode`` is derived from the budget fields
-    when omitted; a budget field left at None in practical mode falls back to
-    the certified formula for that phase.
+    budgets and/or ERM walk length.  A budget field left at None in practical
+    mode falls back to the certified formula for that phase.
     """
 
     k: int
@@ -66,7 +65,6 @@ class LearnParams:
     delta: float
     sieve_budgets: SieveBudgets | None = None
     erm_sample: int | None = None
-    mode: str | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -75,15 +73,19 @@ class LearnParams:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
-        any_budget = self.sieve_budgets is not None or self.erm_sample is not None
-        if self.mode is None:
-            object.__setattr__(self, "mode", "practical" if any_budget else "certified")
-        elif self.mode not in ("certified", "practical"):
-            raise ValueError(f"mode={self.mode!r} not certified/practical")
-        elif self.mode == "certified" and any_budget:
-            raise ValueError("certified mode does not take explicit budgets")
-        elif self.mode == "practical" and not any_budget:
-            raise ValueError("practical mode needs sieve_budgets and/or erm_sample")
+
+    @property
+    def mode(self) -> str:
+        """``"practical"`` when any budget field is set, else ``"certified"``."""
+        if self.sieve_budgets is None and self.erm_sample is None:
+            return "certified"
+        return "practical"
+
+
+def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
+    """The learner's sieve: level k, threshold theta_for(k, epsilon), and half
+    of the failure probability delta."""
+    return SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0)
 
 
 def relevant_pool(
@@ -245,8 +247,7 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
     n = oracle.n
     if params.k > n:
         raise ValueError(f"k={params.k} exceeds dimension n={n}")
-    theta = theta_for(params.k, params.epsilon)
-    sieve_params = SieveParams(level=params.k, theta=theta, delta=params.delta / 2.0)
+    sieve_params = sieve_params_for(params.k, params.epsilon, params.delta)
     result = bounded_sieve(oracle, sieve_params, params.sieve_budgets)
 
     pool = pad_pool(relevant_pool(result), params.k)

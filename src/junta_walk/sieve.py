@@ -50,7 +50,7 @@ from .walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 logger = logging.getLogger(__name__)
 
 KEEP_FRACTION = 0.75  # accept candidates whose estimate clears (3/4) theta
-DEFAULT_BUDGET_CEILING = 100_000_000  # certified mode refuses beyond this many steps
+BUDGET_CEILING = 100_000_000  # certified mode refuses beyond this many steps
 
 _warned_budgets: set[tuple] = set()
 
@@ -88,16 +88,12 @@ class SieveParams:
 
     ``strategy`` selects coordinate screening ("pooled") or a direct scan of
     all sets up to the level ("exhaustive", a desk-scale cross-check).
-    ``budgets`` may carry pre-built phase budgets; when absent, certified ones
-    are derived at run time.
     """
 
     level: int
     theta: float
     delta: float
-    refresh_density: float | None = None
     strategy: str = "pooled"
-    budgets: SieveBudgets | None = None
 
     def __post_init__(self) -> None:
         if self.level < 1:
@@ -106,16 +102,12 @@ class SieveParams:
             raise ValueError(f"theta={self.theta} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
-        if self.refresh_density is not None and not 0.0 < self.refresh_density < 1.0:
-            raise ValueError(f"refresh_density={self.refresh_density} outside (0, 1)")
         if self.strategy not in ("pooled", "exhaustive"):
             raise ValueError(f"strategy={self.strategy!r} not pooled/exhaustive")
 
     @property
     def density(self) -> float:
         """Refresh density for screening; 1/level clamped into (0, 1/2]."""
-        if self.refresh_density is not None:
-            return self.refresh_density
         return min(1.0 / self.level, 0.5)
 
     @property
@@ -132,9 +124,7 @@ def _candidate_bound(pool_size: int, level: int) -> int:
     return sum(math.comb(pool_size, j) for j in range(min(level, pool_size) + 1))
 
 
-def certified_budgets(
-    params: SieveParams, n: int, budget_ceiling: int = DEFAULT_BUDGET_CEILING
-) -> SieveBudgets:
+def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     """Budgets under which the contract holds by Hoeffding + union bounds.
 
     The failure probability splits three ways: coordinate screening, pool-size
@@ -154,17 +144,17 @@ def certified_budgets(
         screen_pairs = math.ceil(
             (64.0 / (q * tau * tau)) * max(math.log(12.0 * n / params.delta), 1.0)
         )
-    pool_cap = _pool_cap(params, p_eff)
+    pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
     delta_set = params.delta / (3.0 * cand_bound)
     lag = default_lag(n, params.theta)
     est = EstimatorParams(lag=lag, pair_count=blocks_for(params.theta / 8.0, delta_set))
     total = screen_pairs * gap + est.required_walk_length
-    if total > budget_ceiling:
+    if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
             f"(screen {screen_pairs} pairs x gap {gap}, estimate walk "
-            f"{est.required_walk_length}); ceiling is {budget_ceiling}"
+            f"{est.required_walk_length}); ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
         screen_pairs=screen_pairs,
@@ -204,7 +194,7 @@ def practical_budgets(
     )
 
 
-def _pool_cap(params: SieveParams, p_eff: float) -> int:
+def _pool_cap(params: SieveParams) -> int:
     """Pool size implied by Parseval when every pooled contrast is genuine.
 
     Sum_i J_i <= max_t t (1-p)^(t-1) <= 1/(e p), and each pooled coordinate
@@ -212,7 +202,6 @@ def _pool_cap(params: SieveParams, p_eff: float) -> int:
     default density, bounding the pool by 2/(p theta); the cap doubles that
     for estimation slack.
     """
-    del p_eff
     return math.ceil(4.0 / (params.density * params.theta))
 
 
@@ -272,14 +261,12 @@ def bounded_sieve(
 ) -> SieveResult:
     """Run the two-phase search against a walk oracle.
 
-    Budgets resolve from the explicit argument, then ``params.budgets``, then
-    the certified formulas (which may raise :class:`BudgetInfeasible`).
+    Without explicit ``budgets`` the certified formulas apply (and may raise
+    :class:`BudgetInfeasible`).
     Raises :class:`PoolOverflow` when the screened pool exceeds its certified
     cap, which signals that the screening estimates missed their tolerance.
     """
     n = oracle.n
-    if budgets is None:
-        budgets = params.budgets
     if budgets is None:
         budgets = certified_budgets(params, n)
     p_eff = effective_refresh_density(n, budgets.gap_steps)
@@ -298,7 +285,7 @@ def bounded_sieve(
                 # no contrast sample for i; keep it rather than risk dropping
                 influences.append(math.inf)
         pool_coords = [i for i in range(1, n + 1) if influences[i - 1] >= tau]
-        cap = _pool_cap(params, p_eff)
+        cap = _pool_cap(params)
         if len(pool_coords) > cap:
             raise PoolOverflow(
                 f"screened pool has {len(pool_coords)} coordinates, cap {cap}; "

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TextIO, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -93,6 +93,23 @@ class LabeledWalk:
         return Point(self.n, int(self.points[t]))
 
 
+def _draw_steps(
+    rng: np.random.Generator, n: int, shape, lazy: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw walk steps: coordinates, their bits, and the bits each step changes.
+
+    Coordinates are uniform over 1..n (int16) and ``bits`` holds each one's
+    uint64 bit.  A plain step changes its bit; an updating (``lazy``) step
+    changes it only when a fair bit, drawn after all the coordinates, is 1.
+    """
+    coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
+    bits = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
+    if not lazy:
+        return coords, bits, bits
+    act = rng.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
+    return coords, bits, np.where(act, bits, np.uint64(0))
+
+
 def _walk_arrays(
     rng: np.random.Generator, n: int, count: int, lazy: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,12 +120,8 @@ def _walk_arrays(
     points[0] = start
     flipped = np.zeros(count, dtype=np.int16)
     if steps > 0:
-        coords = rng.integers(1, n + 1, size=steps, dtype=np.int16)
-        masks = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
-        if lazy:
-            act = rng.integers(0, 2, size=steps, dtype=np.uint8).astype(bool)
-            masks = np.where(act, masks, np.uint64(0))
-        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(masks)
+        coords, _, changes = _draw_steps(rng, n, steps, lazy)
+        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(changes)
         flipped[1:] = coords
     return points, flipped
 
@@ -134,7 +147,7 @@ def generate_walk(f: LabelSource, config: WalkConfig) -> LabeledWalk:
 
 @dataclass(frozen=True)
 class UpdatingSimulation:
-    """Outcome of embedding a plain walk into an updating walk.
+    """Outcome of embedding a plain walk into an updating walk over [n].
 
     ``schedule`` lists (coordinate, taken-from-walk) slots in update order.
     ``completed`` means the fair-bit stream produced enough ones before the
@@ -142,9 +155,8 @@ class UpdatingSimulation:
     ``accepted`` requires both.
     """
 
-    accepted: bool
+    n: int
     completed: bool
-    covered: bool
     schedule: tuple[tuple[int, bool], ...]
 
     @property
@@ -153,6 +165,34 @@ class UpdatingSimulation:
         for coord, _ in self.schedule:
             mask |= 1 << (coord - 1)
         return mask
+
+    @property
+    def covered(self) -> bool:
+        return self.refreshed_mask == (1 << self.n) - 1
+
+    @property
+    def accepted(self) -> bool:
+        return self.completed and self.covered
+
+
+def _embedding_schedule(
+    rng: np.random.Generator, n: int, ell: int, cutoff: int, trials: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fair bits and fresh coordinates of the embedding experiment, per trial.
+
+    Returns (from_walk, fresh, fresh_bits, ones, completed, active), each with
+    a trailing axis of ``cutoff`` slots where it has one.  Slot j takes the
+    walk's ones[j]-th flip when from_walk[j] and fresh[j] otherwise; the
+    schedule is the active slots, which end at the ell-th one, or run to the
+    cutoff when the trial did not complete.
+    """
+    fair = rng.integers(0, 2, size=(*trials, cutoff), dtype=np.uint8)
+    fresh, fresh_bits, _ = _draw_steps(rng, n, fair.shape, lazy=False)
+    ones = np.cumsum(fair, axis=-1)
+    completed = ones[..., -1] >= ell
+    used = np.where(completed, np.argmax(ones >= ell, axis=-1) + 1, cutoff)
+    active = np.arange(cutoff) < used[..., None]
+    return fair.astype(bool), fresh, fresh_bits, ones, completed, active
 
 
 def simulate_updating(
@@ -164,29 +204,17 @@ def simulate_updating(
     if cutoff < target_ones:
         raise ValueError(f"cutoff {cutoff} below target ones {target_ones}")
     rng = np.random.default_rng(seed)
-    fair = rng.integers(0, 2, size=cutoff, dtype=np.uint8)
-    fresh = rng.integers(1, walk.n + 1, size=cutoff, dtype=np.int16)
-    ones = np.cumsum(fair)
-    completed = bool(ones[-1] >= target_ones)
-    used = cutoff if not completed else int(np.argmax(ones >= target_ones)) + 1
-    walk_flips = walk.flipped[1 : target_ones + 1]
-    schedule: list[tuple[int, bool]] = []
-    taken = 0
-    for j in range(used):
-        if fair[j]:
-            schedule.append((int(walk_flips[taken]), True))
-            taken += 1
-        else:
-            schedule.append((int(fresh[j]), False))
-    mask = 0
-    for coord, _ in schedule:
-        mask |= 1 << (coord - 1)
-    covered = mask == (1 << walk.n) - 1
+    from_walk, fresh, _, ones, completed, active = _embedding_schedule(
+        rng, walk.n, target_ones, cutoff, ()
+    )
+    used = int(np.count_nonzero(active))
+    from_walk = from_walk[:used]
+    # walk.flipped[t] is the t-th flip, so the j-th one takes flipped[ones[j]]
+    coords = np.where(from_walk, walk.flipped[ones[:used]], fresh[:used])
     return UpdatingSimulation(
-        accepted=completed and covered,
-        completed=completed,
-        covered=covered,
-        schedule=tuple(schedule),
+        n=walk.n,
+        completed=bool(completed),
+        schedule=tuple(zip(coords.tolist(), from_walk.tolist())),
     )
 
 
@@ -197,38 +225,30 @@ def refresh_steps(n: int, delta: float) -> int:
     return math.ceil(n * math.log(2 * n / delta))
 
 
-def _batch_experiment(
-    rng: np.random.Generator, n: int, ell: int, cutoff: int, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized experiment over independent trials.
+# Trials per chunk of the vectorized embedding and endpoint experiments.
+_TRIAL_CHUNK = 20_000
 
-    Returns (completed, covered, x0_bits, xl_bits); each trial draws its own
-    fresh walk of ell steps.
-    """
-    starts = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
-    coords = rng.integers(1, n + 1, size=(trials, ell), dtype=np.int16)
-    masks = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
-    ends = starts ^ np.bitwise_xor.reduce(masks, axis=1)
-    walk_cover = np.bitwise_or.reduce(masks, axis=1)
 
-    fair = rng.integers(0, 2, size=(trials, cutoff), dtype=np.uint8)
-    fresh = rng.integers(1, n + 1, size=(trials, cutoff), dtype=np.int16)
-    ones = np.cumsum(fair, axis=1)
-    completed = ones[:, -1] >= ell
-    # used-slot count: position of the ell-th one (1-based); irrelevant when not completed
-    used = np.argmax(ones >= ell, axis=1) + 1
-    col = np.arange(cutoff)
-    fresh_active = (col[None, :] < used[:, None]) & (fair == 0)
-    fresh_masks = np.where(
-        fresh_active, np.uint64(1) << (fresh.astype(np.uint64) - np.uint64(1)), np.uint64(0)
-    )
-    cover = walk_cover | np.bitwise_or.reduce(fresh_masks, axis=1)
-    covered = cover == np.uint64((1 << n) - 1)
-    return completed, covered, starts, ends
+def _kept_cells(
+    n: int, trials: int, draw: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[int, np.ndarray]:
+    """Run ``draw(t) -> (kept, x0_bits, xl_bits)`` over chunks of at most
+    ``_TRIAL_CHUNK`` trials; returns the kept count and the kept trials'
+    cell indices x0 * 2^n + xl."""
+    kept_total = 0
+    cells: list[np.ndarray] = []
+    done = 0
+    while done < trials:
+        t = min(_TRIAL_CHUNK, trials - done)
+        kept, x0, xl = draw(t)
+        kept_total += int(np.count_nonzero(kept))
+        cells.append((x0[kept].astype(np.int64) << n) | xl[kept].astype(np.int64))
+        done += t
+    return kept_total, np.concatenate(cells)
 
 
 def updating_walk_endpoints(
-    n: int, ell: int, trials: int, seed: int, chunk: int = 20_000
+    n: int, ell: int, trials: int, seed: int
 ) -> tuple[int, np.ndarray]:
     """Endpoint pairs of genuine updating walks, conditioned on full coverage.
 
@@ -239,24 +259,34 @@ def updating_walk_endpoints(
     conditional on coverage the pair is uniform over all 4^n cells.
     """
     rng = np.random.default_rng(seed)
-    covered_total = 0
-    cells: list[np.ndarray] = []
     full = np.uint64((1 << n) - 1)
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
+
+    def draw(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         starts = rng.integers(0, 1 << n, size=t, dtype=np.uint64)
-        coords = rng.integers(1, n + 1, size=(t, ell), dtype=np.int16)
-        act = rng.integers(0, 2, size=(t, ell), dtype=np.uint8).astype(bool)
-        bit = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
-        ends = starts ^ np.bitwise_xor.reduce(np.where(act, bit, np.uint64(0)), axis=1)
-        covered = np.bitwise_or.reduce(bit, axis=1) == full
-        covered_total += int(np.count_nonzero(covered))
-        cells.append(
-            (starts[covered].astype(np.int64) << n) | ends[covered].astype(np.int64)
-        )
-        done += t
-    return covered_total, np.concatenate(cells)
+        _, bits, changes = _draw_steps(rng, n, (t, ell), lazy=True)
+        ends = starts ^ np.bitwise_xor.reduce(changes, axis=1)
+        return np.bitwise_or.reduce(bits, axis=1) == full, starts, ends
+
+    return _kept_cells(n, trials, draw)
+
+
+def _batch_experiment(
+    rng: np.random.Generator, n: int, ell: int, cutoff: int, trials: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized experiment over independent trials.
+
+    Returns (accepted, x0_bits, xl_bits); each trial draws its own fresh plain
+    walk of ell steps and accepts when its schedule completes and covers [n].
+    """
+    starts = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
+    _, bits, _ = _draw_steps(rng, n, (trials, ell), lazy=False)
+    ends = starts ^ np.bitwise_xor.reduce(bits, axis=1)
+    from_walk, _, fresh_bits, _, completed, active = _embedding_schedule(
+        rng, n, ell, cutoff, (trials,)
+    )
+    fresh_masks = np.where(active & ~from_walk, fresh_bits, np.uint64(0))
+    cover = np.bitwise_or.reduce(bits, axis=1) | np.bitwise_or.reduce(fresh_masks, axis=1)
+    return completed & (cover == np.uint64((1 << n) - 1)), starts, ends
 
 
 def updating_acceptance_trials(
@@ -266,7 +296,6 @@ def updating_acceptance_trials(
     trials: int,
     seed: int,
     collect_pairs: bool = False,
-    chunk: int = 20_000,
 ) -> tuple[int, np.ndarray | None]:
     """Repeat the embedding experiment on fresh walks; count acceptances.
 
@@ -274,19 +303,10 @@ def updating_acceptance_trials(
     an array of cell indices x0 * 2^n + xl, for endpoint-distribution tests.
     """
     rng = np.random.default_rng(seed)
-    accepted_total = 0
-    cells: list[np.ndarray] = []
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        completed, covered, x0, xl = _batch_experiment(rng, n, ell, cutoff, t)
-        acc = completed & covered
-        accepted_total += int(np.count_nonzero(acc))
-        if collect_pairs:
-            cells.append((x0[acc].astype(np.int64) << n) | xl[acc].astype(np.int64))
-        done += t
-    pairs = np.concatenate(cells) if collect_pairs else None
-    return accepted_total, pairs
+    accepted, cells = _kept_cells(
+        n, trials, lambda t: _batch_experiment(rng, n, ell, cutoff, t)
+    )
+    return accepted, cells if collect_pairs else None
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +368,13 @@ class RefreshPairs(Sequence):
             refreshed=IndexSet(self.n, int(self.refreshed_masks[idx])),
         )
 
-    def __iter__(self) -> Iterator[RefreshPair]:
-        for i in range(len(self)):
-            yield self[i]
+
+# Walk steps drawn per chunk of refresh-pair harvesting.
+_HARVEST_CHUNK_STEPS = 200_000
 
 
 def harvest_refresh_pairs(
-    f: LabelSource, n: int, pair_count: int, gap_steps: int, seed: int, chunk: int = 200_000
+    f: LabelSource, n: int, pair_count: int, gap_steps: int, seed: int
 ) -> RefreshPairs:
     """Cut one fresh updating walk into consecutive blocks of Poisson
     (``gap_steps``) mean length and emit each block's endpoint pair with its
@@ -387,14 +407,11 @@ def harvest_refresh_pairs(
     done = 0
     steps_used = 0
     while done < pair_count:
-        blocks = min(max(1, chunk // gap_steps), pair_count - done)
+        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
         lengths = rng.poisson(gap_steps, size=blocks)
         total = int(lengths.sum())
         steps_used += total
-        coords = rng.integers(1, n + 1, size=total, dtype=np.int16)
-        bit = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
-        act = rng.integers(0, 2, size=total, dtype=np.uint8).astype(bool)
-        act_bit = np.where(act, bit, np.uint64(0))
+        _, bit, act_bit = _draw_steps(rng, n, total, lazy=True)
         # reduceat over ragged segments; pad one identity element so empty
         # tail segments stay in range, then zero out empty blocks explicitly
         starts = np.zeros(blocks, dtype=np.int64)

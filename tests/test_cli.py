@@ -267,6 +267,31 @@ def test_malformed_instance_json(tmp_path, capsys):
     assert "junta-walk:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("opt", {"values": [1, -1]}, "'n'"),
+        ("gen", {"k": 1}, "'n'"),
+        ("suite", {"cells": [{"learn": {"k": 1}}]}, "'instance'"),
+        ("wht", [1, -1], "JSON object"),
+    ],
+)
+def test_malformed_json_fields_are_clean_errors(tmp_path, capsys, command, payload, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "opt": ["opt", "--instance", str(path), "-k", "1"],
+        "gen": ["gen", "--spec", str(path)],
+        "suite": ["suite", "--config", str(path), "--out-dir", str(tmp_path / "out")],
+        "wht": ["wht", "--instance", str(path)],
+    }[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("junta-walk:") and key in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -255,22 +255,18 @@ def test_estimator_params_validation():
         EstimatorParams(lag=0, pair_count=5)
     with pytest.raises(ValueError):
         EstimatorParams(lag=3, pair_count=0)
-    with pytest.raises(ValueError):
-        EstimatorParams(lag=3, pair_count=5, block_spacing=-1)
 
 
 def test_estimator_params_geometry():
-    params = EstimatorParams(lag=4, pair_count=3, block_spacing=2)
-    assert params.stride == 7
-    assert params.required_walk_length == 2 * 7 + 4 + 2
+    params = EstimatorParams(lag=4, pair_count=3)
+    assert params.stride == 5
+    assert params.required_walk_length == 2 * 5 + 4 + 2
 
 
 def test_certified_params():
     params = EstimatorParams.certified(8, theta=0.1, delta=0.05)
     assert params.lag == default_lag(8, 0.1)
     assert params.pair_count == blocks_for(0.1 / 8, 0.05)
-    assert params.tolerance == pytest.approx(0.025)
-    assert params.confidence == pytest.approx(0.95)
 
 
 def test_default_lag_and_blocks_frozen_values():
@@ -368,8 +364,8 @@ def test_bulk_matches_per_set_estimates():
 
 def test_bulk_rejects_large_n():
     params = EstimatorParams(lag=1, pair_count=1)
-    walk = generate_walk(parity_table(4, [1]), WalkConfig(4, 10, seed=0))
-    object.__setattr__(walk, "n", BULK_WHT_MAX_N + 1)
+    n = BULK_WHT_MAX_N + 1
+    walk = generate_walk(lambda bits: np.ones(bits.shape, np.int8), WalkConfig(n, 10, seed=0))
     with pytest.raises(ValueError):
         estimate_sq_coeff_bulk(walk, params)
 

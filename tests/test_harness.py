@@ -322,9 +322,28 @@ def test_config_json_round_trip_practical_and_certified():
         instance=InstanceSpec(n=4, k=1),
         learn=LearnParams(1, 0.3, 0.2),
     )
-    config = ExperimentConfig(cells=(practical, certified), repetitions=2, master_seed=31)
-    restored = ExperimentConfig.from_json(config.to_json())
+    erm_only = Cell(
+        instance=InstanceSpec(n=6, k=2),
+        learn=LearnParams(2, 0.25, 0.2, erm_sample=5000),
+    )
+    cells = (practical, certified, erm_only)
+    config = ExperimentConfig(cells=cells, repetitions=2, master_seed=31)
+    text = config.to_json()
+    assert [c["learn"]["mode"] for c in json.loads(text)["cells"]] == [
+        "practical",
+        "certified",
+        "practical",
+    ]
+    restored = ExperimentConfig.from_json(text)
     assert restored == config
+    assert [c.learn.mode for c in restored.cells] == ["practical", "certified", "practical"]
+    assert restored.cells[2].learn.sieve_budgets is None
+
+
+def test_config_from_json_rejects_unknown_mode():
+    text = '{"cells": [{"instance": {"n": 6, "k": 2}, "learn": {"mode": "exact"}}]}'
+    with pytest.raises(ValueError, match="exact"):
+        ExperimentConfig.from_json(text)
 
 
 def test_config_from_json_fills_defaults():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import junta_walk
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
@@ -14,7 +15,6 @@ from junta_walk.hypercube import (
     TruthTable,
     chi,
     distance_exact,
-    eval_junta,
     flip,
     parity_sign_u64,
     popcount_u64,
@@ -232,8 +232,8 @@ def test_junta_ignores_coordinates_outside_J():
     h = JuntaHypothesis(IndexSet.of(5, [2]), [1, -1])
     x = Point.from_signs([1, -1, 1, 1, 1])
     for j in (1, 3, 4, 5):
-        assert eval_junta(h, flip(x, j)) == eval_junta(h, x)
-    assert eval_junta(h, flip(x, 2)) != eval_junta(h, x)
+        assert h(flip(x, j)) == h(x)
+    assert h(flip(x, 2)) != h(x)
 
 
 def test_junta_json_round_trip():
@@ -243,10 +243,14 @@ def test_junta_json_round_trip():
     np.testing.assert_array_equal(g.table, h.table)
 
 
-def test_eval_junta_dimension_mismatch():
+def test_call_rejects_point_of_other_dimension():
     h = JuntaHypothesis(IndexSet.of(4, [1]), [1, -1])
-    with pytest.raises(ValueError):
-        eval_junta(h, Point(5))
+    f = h.to_truth_table()
+    for g in (h, f):
+        assert g(Point(4, 0b0001)) == -1
+        for other in (Point(5), Point(3), Point(5, 3)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                g(other)
 
 
 def test_restriction_indices_matches_scalar():
@@ -305,3 +309,12 @@ def test_sample_distance_rejects_empty():
     h = JuntaHypothesis(IndexSet.of(3, [1]), [1, -1])
     with pytest.raises(ValueError):
         sample_distance(h, (np.array([], dtype=np.uint64), np.array([])))
+
+
+def test_every_package_export_resolves():
+    assert len(set(junta_walk.__all__)) == len(junta_walk.__all__)
+    for name in junta_walk.__all__:
+        assert getattr(junta_walk, name) is not None, name
+    namespace: dict = {}
+    exec("from junta_walk import *", namespace)
+    assert set(junta_walk.__all__) <= set(namespace)

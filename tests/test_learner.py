@@ -81,12 +81,11 @@ def test_mode_derivation():
 
 
 def test_mode_conflicts_rejected():
-    with pytest.raises(ValueError):
+    # the mode follows from the budget fields, so it cannot be set against them
+    with pytest.raises(TypeError):
         LearnParams(k=2, epsilon=0.2, delta=0.1, mode="certified", erm_sample=10)
-    with pytest.raises(ValueError):
-        LearnParams(k=2, epsilon=0.2, delta=0.1, mode="practical")
-    with pytest.raises(ValueError):
-        LearnParams(k=2, epsilon=0.2, delta=0.1, mode="exact")
+    with pytest.raises(AttributeError):
+        LearnParams(k=2, epsilon=0.2, delta=0.1).mode = "practical"
     with pytest.raises(ValueError):
         LearnParams(k=0, epsilon=0.2, delta=0.1)
 

@@ -42,8 +42,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SieveParams(level=2, theta=0.1, delta=1.0)
     with pytest.raises(ValueError):
-        SieveParams(level=2, theta=0.1, delta=0.1, refresh_density=1.0)
-    with pytest.raises(ValueError):
         SieveParams(level=2, theta=0.1, delta=0.1, strategy="greedy")
 
 
@@ -51,8 +49,6 @@ def test_default_density_is_clamped_inverse_level():
     assert SieveParams(level=1, theta=0.1, delta=0.1).density == 0.5
     assert SieveParams(level=2, theta=0.1, delta=0.1).density == 0.5
     assert SieveParams(level=4, theta=0.1, delta=0.1).density == 0.25
-    custom = SieveParams(level=4, theta=0.1, delta=0.1, refresh_density=0.4)
-    assert custom.density == 0.4
 
 
 def test_result_cap():
@@ -76,7 +72,7 @@ def test_certified_budgets_small_case():
 def test_certified_budgets_can_refuse():
     params = SieveParams(level=3, theta=1e-3, delta=0.1)
     with pytest.raises(BudgetInfeasible):
-        certified_budgets(params, 12, budget_ceiling=10_000)
+        certified_budgets(params, 12)
 
 
 def test_practical_budgets_warn_once(caplog):
@@ -179,15 +175,32 @@ def test_pool_stays_inside_relevant_coordinates():
 def test_budget_resolution_precedence():
     n = 6
     f = parity_table(n, [1])
-    quick = practical_budgets(
-        SieveParams(level=1, theta=0.5, delta=0.1), n, screen_pairs=500, estimate_blocks=200
-    )
-    params = SieveParams(level=1, theta=0.5, delta=0.1, budgets=quick)
-    res = bounded_sieve(RandomWalkOracle(f, n, seed=12), params)
+    params = SieveParams(level=1, theta=0.5, delta=0.1)
+    quick = practical_budgets(params, n, screen_pairs=500, estimate_blocks=200)
+    res = bounded_sieve(RandomWalkOracle(f, n, seed=12), params, budgets=quick)
     assert res.budgets is quick
-    slower = practical_budgets(params, n, screen_pairs=1_000, estimate_blocks=300)
-    res2 = bounded_sieve(RandomWalkOracle(f, n, seed=12), params, budgets=slower)
-    assert res2.budgets is slower
+    res2 = bounded_sieve(RandomWalkOracle(f, n, seed=12), params)
+    assert res2.budgets == certified_budgets(params, n)
+
+
+def test_per_set_estimation_above_bulk_cap(monkeypatch):
+    # n = 21 is past BULK_WHT_MAX_N, so every candidate is estimated on its own
+    n = 21
+    assert n > sieve_mod.BULK_WHT_MAX_N
+
+    def no_bulk(*args):
+        raise AssertionError("bulk estimation used above its cap")
+
+    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", no_bulk)
+    f = parity_table(n, [4, 17])
+    params = SieveParams(level=2, theta=0.5, delta=0.1)
+    budgets = practical_budgets(params, n, screen_pairs=20_000, estimate_blocks=2_000)
+    res = run_sieve(f, n, params, budgets, seed=31)
+    assert res.pool.coords() == (4, 17)
+    assert res.candidates == 4
+    assert res.masks() == [IndexSet.of(n, [4, 17]).mask]
+    assert res.estimates == (1.0,)  # chi_S samples of chi_S itself are all +1
+    assert certify_result(res, Spectrum.from_table(f), 0.5, 2).passed
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +210,7 @@ def test_budget_resolution_precedence():
 def test_pool_overflow_guard(monkeypatch):
     # if screening claims every coordinate is heavy, the Parseval cap trips
     monkeypatch.setattr(
-        sieve_mod, "estimate_bounded_influence", lambda pairs, i, p=None: 1.0
+        sieve_mod, "estimate_bounded_influence", lambda pairs, i: 1.0
     )
     n = 12
     params = SieveParams(level=1, theta=0.9, delta=0.2)  # cap = ceil(4/0.45) = 9 < 12

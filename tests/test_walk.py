@@ -73,6 +73,35 @@ def test_lazy_walk_moves_only_on_the_recorded_coordinate():
     assert abs(holds - 0.5) < 5 * 0.5 / math.sqrt(len(diffs))
 
 
+def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
+    # the packed-word cap: bit 62 is coordinate 63, and labels come from a callable
+    n = 63
+    top = np.uint64(62)
+
+    def f(bits):
+        return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
+
+    oracle = RandomWalkOracle(f, n, seed=63)
+    for lazy in (False, True):
+        w = oracle.walk(20_000, lazy=lazy)
+        diffs = w.points[1:] ^ w.points[:-1]
+        allowed = np.uint64(1) << (w.flipped[1:].astype(np.uint64) - np.uint64(1))
+        if lazy:
+            assert np.all((diffs == 0) | (diffs == allowed))
+        else:
+            np.testing.assert_array_equal(diffs, allowed)
+        assert w.flipped[1:].min() == 1 and w.flipped[1:].max() == n
+        np.testing.assert_array_equal(w.labels, f(w.points))
+        assert np.any(w.labels == 1) and np.any(w.labels == -1)
+    pairs = oracle.refresh_pairs(5_000, gap_steps=40)
+    assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.refreshed_masks == 0)
+    assert np.all(pairs.y_bits[:-1] == pairs.x_bits[1:])  # one walk, cut into blocks
+    np.testing.assert_array_equal(pairs.label_x, f(pairs.x_bits))
+    np.testing.assert_array_equal(pairs.label_y, f(pairs.y_bits))
+    assert np.any(pairs.refreshed_masks >> top)
+    assert oracle.steps_served == 2 * 19_999 + pairs.walk_steps
+
+
 def test_n1_plain_walk_alternates():
     f = parity_table(1, [1])
     w = generate_walk(f, WalkConfig(n=1, length=64, seed=9))
