@@ -34,7 +34,7 @@ def _load_instance(path: str) -> tuple[TruthTable, dict]:
     with open(path) as fh:
         obj = json.load(fh)
     what = f"instance file {path}"
-    table = TruthTable(int(json_field(obj, "n", what)), json_field(obj, "values", what))
+    table = TruthTable(json_field(obj, "n", what, int), json_field(obj, "values", what, list))
     return table, obj
 
 

@@ -345,25 +345,31 @@ def estimator_bias_bound(n: int, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def estimate_bounded_influence(pairs: RefreshPairs, i: int) -> float:
-    """Contrast the label product over pairs that did/did not refresh coordinate i.
+def estimate_bounded_influence(pairs: RefreshPairs) -> np.ndarray:
+    """Contrast of the label product over pairs that kept/refreshed each coordinate.
 
-    Writing l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R empty} fhat(T)^2,
-    and with coordinates refreshed independently at density p, the contrast has
-    expectation exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a screened
-    influence that is large for every member of a heavy low-degree set.  The
-    density only sets callers' thresholds; it does not enter the estimate.
+    Entry i-1 is E[f(x) f(y) | i kept] - E[f(x) f(y) | i refreshed].  Writing
+    l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R empty} fhat(T)^2, and
+    with coordinates refreshed independently at density p, it has expectation
+    exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a screened influence that
+    is large for every member of a heavy low-degree set.  The density only
+    sets callers' thresholds; it does not enter the estimate.
+
+    The products are +-1, so each conditional mean is an exact integer sum,
+    (pairs - 2 disagreeing pairs), divided once by its pair count; all n
+    contrasts come from one pass of counts.  A coordinate refreshed in none
+    or all of the pairs has no contrast sample and reads +inf.
     """
-    if not 1 <= i <= pairs.n:
-        raise ValueError(f"coordinate {i} outside 1..{pairs.n}")
-    products = pairs.label_x.astype(np.float64) * pairs.label_y
-    hit = (pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1) == 1
-    if not hit.any() or hit.all():
-        raise ValueError(
-            f"coordinate {i} refreshed in {int(np.count_nonzero(hit))} of "
-            f"{len(pairs)} pairs; contrast undefined"
-        )
-    return float(np.mean(products[~hit]) - np.mean(products[hit]))
+    masks = pairs.refreshed_masks
+    disagree = masks[pairs.label_x != pairs.label_y]
+    bits = np.uint64(1) << np.arange(pairs.n, dtype=np.uint64)
+    hit = np.array([np.count_nonzero(masks & b) for b in bits])
+    hit_dis = np.array([np.count_nonzero(disagree & b) for b in bits])
+    kept, kept_dis = len(masks) - hit, len(disagree) - hit_dis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
+    contrasts[(hit == 0) | (kept == 0)] = np.inf
+    return contrasts
 
 
 def expected_bounded_influence(spec: Spectrum, i: int, p: float) -> float:

@@ -52,12 +52,35 @@ CSV_COLUMNS = [
 ]
 
 
-def json_field(obj, key: str, what: str):
-    """``obj[key]`` from parsed JSON; ValueError naming the key when ``obj``
-    is not an object or lacks it."""
-    if not isinstance(obj, dict) or key not in obj:
+_REQUIRED = object()
+_JSON_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    dict: (dict, "an object"),
+    list: (list, "an array"),
+}
+
+
+def json_field(obj, key: str, what: str, kind: type | None = None, default=_REQUIRED):
+    """``obj[key]`` from parsed JSON, or ``default`` when the key is absent.
+
+    ``kind`` (int, float, dict or list) is the JSON type the value must have;
+    a float field also takes an integer and returns it as a float, and a null
+    passes as None only where the default is None.  Raises ValueError naming
+    the key when ``obj`` is not an object, lacks a required key, or holds a
+    value of another type.
+    """
+    if not isinstance(obj, dict) or (default is _REQUIRED and key not in obj):
         raise ValueError(f"{what} must be a JSON object with key {key!r}")
-    return obj[key]
+    if key not in obj:
+        return default
+    value = obj[key]
+    if kind is None or (value is None and default is None):
+        return value
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def thread_count() -> int:
@@ -111,10 +134,10 @@ class Corruption:
     @classmethod
     def from_dict(cls, d: dict) -> "Corruption":
         return cls(
-            kind=d.get("kind", "none"),
-            rate=float(d.get("rate", 0.0)),
-            fraction=float(d.get("fraction", 0.0)),
-            adversary_seed=d.get("adversary_seed"),
+            kind=json_field(d, "kind", "corruption", default="none"),
+            rate=json_field(d, "rate", "corruption", float, 0.0),
+            fraction=json_field(d, "fraction", "corruption", float, 0.0),
+            adversary_seed=json_field(d, "adversary_seed", "corruption", int, None),
         )
 
 
@@ -145,12 +168,13 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
+        what = "instance spec"
         return cls(
-            n=int(json_field(d, "n", "instance spec")),
-            k=int(json_field(d, "k", "instance spec")),
-            corruption=Corruption.from_dict(d.get("corruption", {})),
-            junta_seed=d.get("junta_seed"),
-            instance_seed=d.get("instance_seed"),
+            n=json_field(d, "n", what, int),
+            k=json_field(d, "k", what, int),
+            corruption=Corruption.from_dict(json_field(d, "corruption", what, dict, {})),
+            junta_seed=json_field(d, "junta_seed", what, int, None),
+            instance_seed=json_field(d, "instance_seed", what, int, None),
         )
 
 
@@ -419,12 +443,13 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
         cells = []
-        for cd in obj.get("cells", []):
+        for cd in json_field(obj, "cells", "config", list, []):
             instance = InstanceSpec.from_dict(json_field(cd, "instance", "config cell"))
-            ld = cd.get("learn", {})
-            k = int(ld.get("k", instance.k))
-            eps = float(ld.get("epsilon", 0.25))
-            delta = float(ld.get("delta", 0.2))
+            ld = json_field(cd, "learn", "config cell", dict, {})
+            k = json_field(ld, "k", "learn", int, instance.k)
+            eps = json_field(ld, "epsilon", "learn", float, 0.25)
+            delta = json_field(ld, "delta", "learn", float, 0.2)
+            erm_sample = json_field(ld, "erm_sample", "learn", int, None)
             mode = ld.get("mode")
             if mode not in (None, "certified", "practical"):
                 raise ValueError(f"learn mode {mode!r} not certified/practical")
@@ -434,45 +459,44 @@ class ExperimentConfig:
                 budgets = practical_budgets(
                     sieve_params_for(k, eps, delta),
                     instance.n,
-                    screen_pairs=int(ld["screen_pairs"]),
-                    estimate_blocks=int(ld["estimate_blocks"]),
-                    lag=int(ld["lag"]) if "lag" in ld else None,
+                    screen_pairs=json_field(ld, "screen_pairs", "learn", int),
+                    estimate_blocks=json_field(ld, "estimate_blocks", "learn", int),
+                    lag=json_field(ld, "lag", "learn", int, None),
                 )
                 params = LearnParams(
-                    k, eps, delta, sieve_budgets=budgets, erm_sample=ld.get("erm_sample")
+                    k, eps, delta, sieve_budgets=budgets, erm_sample=erm_sample
                 )
-            elif mode == "practical" and "erm_sample" in ld:
-                params = LearnParams(k, eps, delta, erm_sample=int(ld["erm_sample"]))
+            elif mode == "practical" and erm_sample is not None:
+                params = LearnParams(k, eps, delta, erm_sample=erm_sample)
             else:
                 params = default_learn_params(instance.n, k, eps, delta)
-                if "erm_sample" in ld:
-                    params = replace(params, erm_sample=int(ld["erm_sample"]))
+                if erm_sample is not None:
+                    params = replace(params, erm_sample=erm_sample)
             cells.append(Cell(instance=instance, learn=params))
         return cls(
             cells=tuple(cells),
-            repetitions=int(obj.get("repetitions", 1)),
-            master_seed=int(obj.get("master_seed", 0)),
+            repetitions=json_field(obj, "repetitions", "config", int, 1),
+            master_seed=json_field(obj, "master_seed", "config", int, 0),
         )
 
 
-def default_learn_params(
-    n: int,
-    k: int,
-    epsilon: float,
-    delta: float,
-    screen_pairs: int = 300_000,
-    estimate_blocks: int = 20_000,
-    erm_sample: int = 40_000,
-) -> LearnParams:
-    """Practical budgets sized by pilot variance runs at n <= 16, k <= 3."""
+# Practical budgets of default_learn_params, sized by pilot variance runs at
+# n <= 16, k <= 3.
+DEFAULT_SCREEN_PAIRS = 300_000
+DEFAULT_ESTIMATE_BLOCKS = 20_000
+DEFAULT_ERM_SAMPLE = 40_000
+
+
+def default_learn_params(n: int, k: int, epsilon: float, delta: float) -> LearnParams:
+    """The practical preset: the learner's sieve at the default budgets."""
     budgets = practical_budgets(
         sieve_params_for(k, epsilon, delta),
         n,
-        screen_pairs=screen_pairs,
-        estimate_blocks=estimate_blocks,
+        screen_pairs=DEFAULT_SCREEN_PAIRS,
+        estimate_blocks=DEFAULT_ESTIMATE_BLOCKS,
     )
     return LearnParams(
-        k, epsilon, delta, sieve_budgets=budgets, erm_sample=erm_sample
+        k, epsilon, delta, sieve_budgets=budgets, erm_sample=DEFAULT_ERM_SAMPLE
     )
 
 

@@ -172,8 +172,11 @@ def restriction_indices(J: IndexSet, bits: np.ndarray | int) -> np.ndarray:
 
 
 def _point_bits(x: Point | int, n: int) -> int:
-    """Packed bits of x, refusing a Point of another dimension than n."""
+    """Packed bits of x, refusing a Point of another dimension than n and an
+    int outside [0, 2^n)."""
     if not isinstance(x, Point):
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"packed point {x} outside [0, 2^{n})")
         return x
     if x.n != n:
         raise ValueError(f"dimension mismatch: point over n={x.n}, function over n={n}")
@@ -181,9 +184,13 @@ def _point_bits(x: Point | int, n: int) -> int:
 
 
 def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8)
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("truth table values must all be +1 or -1")
+    problem = "truth table values must be a flat sequence of +1 and -1"
+    try:
+        arr = np.asarray(values, dtype=np.int8)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(problem) from exc
+    if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
+        raise ValueError(problem)
     arr.setflags(write=False)
     return arr
 

@@ -181,10 +181,10 @@ def tally_and_best_junta(J: IndexSet, sample) -> tuple[JuntaHypothesis, int]:
     Returns the majority hypothesis (ties and unseen subcubes labeled +1) and
     err = total minority counts, the fewest sample disagreements any J-junta
     can achieve.  ``sample`` is a LabeledWalk or a (points, labels) pair.
+    This is :func:`best_junta` with J as the pool and its only support.
     """
     points, labels = _as_sample(sample)
-    tally = subcube_tally(points, labels, J)
-    return tally.hypothesis(), tally.disagreements()
+    return best_junta(points, labels, J, len(J))
 
 
 def best_junta(

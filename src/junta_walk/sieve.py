@@ -272,19 +272,14 @@ def bounded_sieve(
     p_eff = effective_refresh_density(n, budgets.gap_steps)
     tau = _screen_signal(params, p_eff) / 2.0
 
-    influences: list[float] = []
     if params.strategy == "exhaustive" or n <= max(params.level, 2):
+        influences = np.full(n, np.inf)
         pool_coords = list(range(1, n + 1))
-        influences = [math.inf] * n
     else:
         pairs = oracle.refresh_pairs(budgets.screen_pairs, budgets.gap_steps)
-        for i in range(1, n + 1):
-            try:
-                influences.append(estimate_bounded_influence(pairs, i))
-            except ValueError:
-                # no contrast sample for i; keep it rather than risk dropping
-                influences.append(math.inf)
-        pool_coords = [i for i in range(1, n + 1) if influences[i - 1] >= tau]
+        # a coordinate without contrast samples reads +inf and stays pooled
+        influences = estimate_bounded_influence(pairs)
+        pool_coords = (np.flatnonzero(influences >= tau) + 1).tolist()
         cap = _pool_cap(params)
         if len(pool_coords) > cap:
             raise PoolOverflow(
@@ -325,7 +320,7 @@ def bounded_sieve(
         sets=tuple(IndexSet(n, m) for m, _ in keep),
         estimates=tuple(e for _, e in keep),
         pool=pool,
-        influences=tuple(influences),
+        influences=tuple(influences.tolist()),
         candidates=len(candidates),
         truncated=truncated,
         walk_steps=oracle.steps_served,

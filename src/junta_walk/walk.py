@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -586,73 +586,3 @@ class RandomWalkOracle:
         pairs = harvest_refresh_pairs(self.f, self.n, pair_count, gap_steps, seed)
         self.steps_served += pairs.walk_steps
         return pairs
-
-
-# ---------------------------------------------------------------------------
-# Dump formats
-# ---------------------------------------------------------------------------
-
-
-def dump_walk(walk: LabeledWalk, fh: TextIO) -> None:
-    """Text dump: header ``n m seed lazy``, one ``hex label flip`` line per point."""
-    seed = walk.seed if walk.seed is not None else 0
-    fh.write(f"{walk.n} {walk.steps} {seed} {int(walk.lazy)}\n")
-    for bits, label, flip in zip(walk.points, walk.labels, walk.flipped):
-        fh.write(f"{int(bits):x} {int(label):+d} {int(flip)}\n")
-
-
-def load_walk(fh: TextIO) -> LabeledWalk:
-    header = fh.readline().split()
-    n, steps, seed, lazy = int(header[0]), int(header[1]), int(header[2]), bool(int(header[3]))
-    points = np.empty(steps + 1, dtype=np.uint64)
-    labels = np.empty(steps + 1, dtype=np.int8)
-    flipped = np.empty(steps + 1, dtype=np.int16)
-    for t in range(steps + 1):
-        parts = fh.readline().split()
-        points[t] = int(parts[0], 16)
-        labels[t] = int(parts[1])
-        flipped[t] = int(parts[2])
-    return LabeledWalk(n=n, points=points, labels=labels, flipped=flipped, seed=seed, lazy=lazy)
-
-
-def dump_pairs(pairs: RefreshPairs, fh: TextIO) -> None:
-    """JSON-lines dump of refresh pairs with hex-packed masks."""
-    import json
-
-    for i in range(len(pairs)):
-        fh.write(
-            json.dumps(
-                {
-                    "x": format(int(pairs.x_bits[i]), "x"),
-                    "y": format(int(pairs.y_bits[i]), "x"),
-                    "lx": int(pairs.label_x[i]),
-                    "ly": int(pairs.label_y[i]),
-                    "refreshed": format(int(pairs.refreshed_masks[i]), "x"),
-                }
-            )
-            + "\n"
-        )
-
-
-def load_pairs(fh: TextIO, n: int) -> RefreshPairs:
-    import json
-
-    xs, ys, lxs, lys, rs = [], [], [], [], []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        xs.append(int(obj["x"], 16))
-        ys.append(int(obj["y"], 16))
-        lxs.append(int(obj["lx"]))
-        lys.append(int(obj["ly"]))
-        rs.append(int(obj["refreshed"], 16))
-    return RefreshPairs(
-        n=n,
-        x_bits=np.array(xs, dtype=np.uint64),
-        y_bits=np.array(ys, dtype=np.uint64),
-        label_x=np.array(lxs, dtype=np.int8),
-        label_y=np.array(lys, dtype=np.int8),
-        refreshed_masks=np.array(rs, dtype=np.uint64),
-    )

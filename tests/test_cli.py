@@ -13,6 +13,8 @@ from junta_walk import cli
 from junta_walk.functions import and_table, parity_table
 from junta_walk.harness import Cell, Corruption, ExperimentConfig, InstanceSpec
 from junta_walk.hypercube import TruthTable
+from junta_walk.learner import LearnParams, sieve_params_for
+from junta_walk.sieve import practical_budgets
 
 
 def write_instance(path, table: TruthTable) -> str:
@@ -229,8 +231,16 @@ def test_suite_runs_config_and_prints_paths(tmp_path, capsys):
         cells=(
             Cell(
                 instance=InstanceSpec(n=5, k=1),
-                learn=cli.default_learn_params(
-                    5, 1, 0.25, 0.2, screen_pairs=10_000, estimate_blocks=2_000,
+                learn=LearnParams(
+                    1,
+                    0.25,
+                    0.2,
+                    sieve_budgets=practical_budgets(
+                        sieve_params_for(1, 0.25, 0.2),
+                        5,
+                        screen_pairs=10_000,
+                        estimate_blocks=2_000,
+                    ),
                     erm_sample=4_000,
                 ),
             ),
@@ -274,6 +284,12 @@ def test_malformed_instance_json(tmp_path, capsys):
         ("gen", {"k": 1}, "'n'"),
         ("suite", {"cells": [{"learn": {"k": 1}}]}, "'instance'"),
         ("wht", [1, -1], "JSON object"),
+        ("opt", {"n": None, "values": [1, -1]}, "'n'"),
+        ("gen", {"n": 4, "k": 1, "corruption": "iid"}, "'corruption'"),
+        ("suite", {"cells": [{"instance": {"n": 4, "k": 1}, "learn": [1]}]}, "'learn'"),
+        ("gen", {"n": 4.5, "k": 1}, "'n'"),
+        ("opt", {"n": 1, "values": [[1], [-1]]}, "values"),
+        ("wht", {"n": 1, "values": [None, 1]}, "values"),
     ],
 )
 def test_malformed_json_fields_are_clean_errors(tmp_path, capsys, command, payload, key):

@@ -394,6 +394,16 @@ def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RefreshPairs:
     )
 
 
+def _concat_pairs(*parts: RefreshPairs) -> RefreshPairs:
+    return RefreshPairs(
+        n=parts[0].n,
+        **{
+            field: np.concatenate([getattr(p, field) for p in parts])
+            for field in ("x_bits", "y_bits", "label_x", "label_y", "refreshed_masks")
+        },
+    )
+
+
 def test_contrast_on_exhaustive_refresh_sets():
     # mixing exhaustive R and complement-of-R pair sets realizes the contrast
     # exactly: l(R without i) - l(R with i) for each coordinate i
@@ -403,17 +413,7 @@ def test_contrast_on_exhaustive_refresh_sets():
     for r_mask in (0b0011, 0b1010, 0b0110):
         with_i = _exhaustive_pairs(f, r_mask | 0b0001)
         without_i = _exhaustive_pairs(f, r_mask & ~0b0001)
-        merged = RefreshPairs(
-            n=n,
-            x_bits=np.concatenate([with_i.x_bits, without_i.x_bits]),
-            y_bits=np.concatenate([with_i.y_bits, without_i.y_bits]),
-            label_x=np.concatenate([with_i.label_x, without_i.label_x]),
-            label_y=np.concatenate([with_i.label_y, without_i.label_y]),
-            refreshed_masks=np.concatenate(
-                [with_i.refreshed_masks, without_i.refreshed_masks]
-            ),
-        )
-        got = estimate_bounded_influence(merged, 1)
+        got = estimate_bounded_influence(_concat_pairs(with_i, without_i))[0]
         want = subcube_projection_exact(
             spec, IndexSet(n, r_mask & ~0b0001)
         ) - subcube_projection_exact(spec, IndexSet(n, r_mask | 0b0001))
@@ -428,12 +428,13 @@ def test_contrast_examples_from_harvested_pairs():
     tol = 6 / math.sqrt(m / 4)
 
     pairs = harvest_refresh_pairs(parity_table(n, [1]), n, m, gap, seed=20)
-    assert estimate_bounded_influence(pairs, 1) == pytest.approx(1.0, abs=tol)
-    assert estimate_bounded_influence(pairs, 2) == pytest.approx(0.0, abs=tol)
+    contrasts = estimate_bounded_influence(pairs)
+    assert contrasts[0] == pytest.approx(1.0, abs=tol)
+    assert contrasts[1] == pytest.approx(0.0, abs=tol)
 
     pairs = harvest_refresh_pairs(and_table(n, [1, 2]), n, m, gap, seed=21)
     want = 0.25 + 0.25 * (1 - p)
-    assert estimate_bounded_influence(pairs, 1) == pytest.approx(want, abs=tol)
+    assert estimate_bounded_influence(pairs)[0] == pytest.approx(want, abs=tol)
 
 
 def test_contrast_matches_exact_value_statistically():
@@ -444,23 +445,58 @@ def test_contrast_matches_exact_value_statistically():
     spec = Spectrum.from_table(f)
     p = effective_refresh_density(n, gap)
     pairs = harvest_refresh_pairs(f, n, m, gap, seed=23)
+    contrasts = estimate_bounded_influence(pairs)
     for i in (1, 3, 5):
-        got = estimate_bounded_influence(pairs, i)
+        got = contrasts[i - 1]
         want = expected_bounded_influence(spec, i, p)
         assert got == pytest.approx(want, abs=6 / math.sqrt(m / 4))
 
 
 def test_contrast_requires_both_buckets():
+    # a coordinate refreshed in every pair, or in none, has no contrast: +inf
     f = parity_table(3, [1])
-    pairs = _exhaustive_pairs(f, 0b111)  # every pair refreshes every coordinate
-    with pytest.raises(ValueError):
-        estimate_bounded_influence(pairs, 2)
+    for r_mask in (0b111, 0b010):
+        pairs = _exhaustive_pairs(f, r_mask)
+        assert estimate_bounded_influence(pairs).tolist() == [math.inf] * 3
+    assert estimate_bounded_influence(pairs[:0]).tolist() == [math.inf] * 3
+    got = estimate_bounded_influence(_concat_pairs(pairs, _exhaustive_pairs(f, 0b011)))
+    assert got[0] < math.inf and got[1] == got[2] == math.inf
+
+
+def _reference_contrast(pairs: RefreshPairs, i: int) -> float:
+    """The per-coordinate float formula: mean label product over the pairs
+    that kept i minus the mean over those that refreshed it."""
+    products = pairs.label_x.astype(np.float64) * pairs.label_y
+    hit = (pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1) == 1
+    if not hit.any() or hit.all():
+        return math.inf
+    return float(np.mean(products[~hit]) - np.mean(products[hit]))
+
+
+def _assert_contrasts_bit_identical(pairs: RefreshPairs) -> None:
+    got = estimate_bounded_influence(pairs)
+    want = np.array([_reference_contrast(pairs, i) for i in range(1, pairs.n + 1)])
+    assert got.dtype == np.float64 and got.shape == (pairs.n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_contrasts_match_per_coordinate_reference_bit_for_bit():
+    from junta_walk.walk import gap_for_density
+
+    for n in range(4, 21):
+        f = random_table(n, np.random.default_rng(300 + n))
+        gap = gap_for_density(n, 1 / 3)
+        _assert_contrasts_bit_identical(harvest_refresh_pairs(f, n, 20_000, gap, seed=n))
+    # exhaustive sets: alone every coordinate is undefined, merged all defined
+    f = random_table(4, np.random.default_rng(13))
+    parts = [_exhaustive_pairs(f, r_mask) for r_mask in (0b0000, 0b0011, 0b1010, 0b1111)]
+    for pairs in parts:
+        _assert_contrasts_bit_identical(pairs)
+    _assert_contrasts_bit_identical(_concat_pairs(*parts))
+    _assert_contrasts_bit_identical(_concat_pairs(*parts[1:3]))
 
 
 def test_contrast_coordinate_range():
     f = parity_table(3, [1])
-    pairs = harvest_refresh_pairs(f, 3, 100, 2, seed=1)
-    with pytest.raises(ValueError):
-        estimate_bounded_influence(pairs, 4)
     with pytest.raises(ValueError):
         expected_bounded_influence(Spectrum.from_table(f), 0, 0.5)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from junta_walk.harness import (
     CSV_COLUMNS,
+    DEFAULT_ERM_SAMPLE,
+    DEFAULT_ESTIMATE_BLOCKS,
     Cell,
     Corruption,
     ExperimentConfig,
@@ -316,7 +318,9 @@ def test_trial_seed_is_deterministic_and_collision_free():
 def test_config_json_round_trip_practical_and_certified():
     practical = Cell(
         instance=InstanceSpec(n=8, k=2, corruption=Corruption(kind="iid", rate=0.1)),
-        learn=default_learn_params(8, 2, 0.25, 0.2, screen_pairs=50_000),
+        learn=small_params(
+            8, 2, screen=50_000, blocks=DEFAULT_ESTIMATE_BLOCKS, sample=DEFAULT_ERM_SAMPLE
+        ),
     )
     certified = Cell(
         instance=InstanceSpec(n=4, k=1),

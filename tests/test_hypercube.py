@@ -251,6 +251,10 @@ def test_call_rejects_point_of_other_dimension():
         for other in (Point(5), Point(3), Point(5, 3)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 g(other)
+        assert g(0b1111) == -1
+        for packed in (1 << 4, 1 << 10, -1):
+            with pytest.raises(ValueError, match="outside"):
+                g(packed)
 
 
 def test_restriction_indices_matches_scalar():

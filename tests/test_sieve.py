@@ -210,7 +210,7 @@ def test_per_set_estimation_above_bulk_cap(monkeypatch):
 def test_pool_overflow_guard(monkeypatch):
     # if screening claims every coordinate is heavy, the Parseval cap trips
     monkeypatch.setattr(
-        sieve_mod, "estimate_bounded_influence", lambda pairs, i: 1.0
+        sieve_mod, "estimate_bounded_influence", lambda pairs: np.ones(pairs.n)
     )
     n = 12
     params = SieveParams(level=1, theta=0.9, delta=0.2)  # cap = ceil(4/0.45) = 9 < 12

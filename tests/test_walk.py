@@ -1,6 +1,5 @@
 """Labeled walks, the updating-walk embedding, refresh pairs, sample sizes."""
 
-import io
 import math
 
 import numpy as np
@@ -12,20 +11,15 @@ from hypothesis import strategies as st
 from junta_walk.functions import parity_table, random_table
 from junta_walk.hypercube import IndexSet
 from junta_walk.walk import (
-    LabeledWalk,
     RandomWalkOracle,
     RefreshPair,
     RefreshPairs,
     WalkConfig,
-    dump_pairs,
-    dump_walk,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
     harvest_refresh_pairs,
     labels_for,
-    load_pairs,
-    load_walk,
     practical_plan,
     refresh_steps,
     sample_size_concentration,
@@ -390,34 +384,3 @@ def test_oracle_counts_steps():
     assert a.steps_served == 100
     pairs = a.refresh_pairs(50, 4)
     assert a.steps_served == 100 + pairs.walk_steps
-
-
-# ---------------------------------------------------------------------------
-# Dump formats
-
-
-def test_walk_dump_round_trip():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=30, seed=77, lazy=True))
-    buf = io.StringIO()
-    dump_walk(w, buf)
-    buf.seek(0)
-    assert buf.readline().split() == ["6", "29", "77", "1"]
-    buf.seek(0)
-    loaded = load_walk(buf)
-    assert isinstance(loaded, LabeledWalk)
-    assert loaded.n == 6 and loaded.lazy and loaded.seed == 77
-    np.testing.assert_array_equal(loaded.points, w.points)
-    np.testing.assert_array_equal(loaded.labels, w.labels)
-    np.testing.assert_array_equal(loaded.flipped, w.flipped)
-
-
-def test_pairs_dump_round_trip():
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=40, gap_steps=3, seed=13)
-    buf = io.StringIO()
-    dump_pairs(pairs, buf)
-    buf.seek(0)
-    loaded = load_pairs(buf, 6)
-    np.testing.assert_array_equal(loaded.x_bits, pairs.x_bits)
-    np.testing.assert_array_equal(loaded.y_bits, pairs.y_bits)
-    np.testing.assert_array_equal(loaded.label_x, pairs.label_x)
-    np.testing.assert_array_equal(loaded.refreshed_masks, pairs.refreshed_masks)
