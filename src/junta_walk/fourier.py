@@ -28,10 +28,13 @@ from .hypercube import (
     TruthTable,
     parity_sign_u64,
     popcount_u64,
+    restriction_indices,
 )
 from .walk import LabeledWalk, RefreshPairs
 
-BULK_WHT_MAX_N = 20  # above this the dense 2^n binning path is off the table
+# Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
+# and the learner's ERM; a larger pool is handled set by set or support by support.
+BULK_WHT_MAX_N = 20
 
 
 def _check_power_of_two(size: int) -> int:
@@ -301,20 +304,30 @@ def estimate_sq_coeff(walk: LabeledWalk, S: IndexSet, params: EstimatorParams) -
     return float(np.mean(0.5 * (prod_t * chi_t + prod_t1 * chi_t1)))
 
 
-def estimate_sq_coeff_bulk(walk: LabeledWalk, params: EstimatorParams) -> np.ndarray:
-    """Estimates of fhat(S)^2 for every S at once.
+def estimate_sq_coeff_bulk(
+    walk: LabeledWalk, params: EstimatorParams, pool: IndexSet
+) -> np.ndarray:
+    """Estimates of fhat(S)^2 for every S inside the pool at once.
 
-    Bins the weighted label products by endpoint xor word and applies one
-    transform, so the cost is one pass over the walk plus an n 2^n butterfly
-    rather than 4^n character evaluations.  Requires n <= 20.
+    Entry r is for the set of pool coordinates picked by the bits of r, in
+    the restriction-index order of ``JuntaHypothesis.table``.  chi_S of a
+    lag-pair xor word depends only on its pool bits, so the +-1 label
+    products of both lags are binned on the pool as signed integer counts and
+    one exact transform of 2^|pool| cells gives every sum; each entry equals
+    :func:`estimate_sq_coeff` bit for bit.  Requires |pool| <= BULK_WHT_MAX_N.
     """
-    if walk.n > BULK_WHT_MAX_N:
-        raise ValueError(f"bulk estimation needs n <= {BULK_WHT_MAX_N}, got {walk.n}")
+    if pool.n != walk.n:
+        raise ValueError(f"pool over n={pool.n}, walk over n={walk.n}")
+    if len(pool) > BULK_WHT_MAX_N:
+        raise ValueError(
+            f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
+            f"got {len(pool)}"
+        )
     diff_t, diff_t1, prod_t, prod_t1 = _lag_samples(walk, params)
-    size = 1 << walk.n
-    bins_t = np.bincount(diff_t.astype(np.int64), weights=prod_t, minlength=size)
-    bins_t1 = np.bincount(diff_t1.astype(np.int64), weights=prod_t1, minlength=size)
-    return 0.5 * (wht(bins_t) + wht(bins_t1)) / params.pair_count
+    cells = restriction_indices(pool, np.concatenate((diff_t, diff_t1)))
+    signs = np.concatenate((prod_t, prod_t1))
+    counts = np.bincount(cells, weights=signs, minlength=1 << len(pool))
+    return 0.5 * wht(counts.astype(np.int64)) / params.pair_count
 
 
 def expected_sq_estimate(

@@ -60,39 +60,12 @@ class Point:
                 raise ValueError(f"coordinate value {s} not in {{-1,+1}}")
         return cls(len(signs), bits)
 
-    @classmethod
-    def basis(cls, n: int, i: int) -> "Point":
-        """e_i: all +1 except coordinate i."""
-        _check_coord(i, n)
-        return cls(n, 1 << (i - 1))
-
     def signs(self) -> tuple[int, ...]:
         return tuple(_SIGN[(self.bits >> i) & 1] for i in range(self.n))
 
     def coord(self, i: int) -> int:
         _check_coord(i, self.n)
         return _SIGN[(self.bits >> (i - 1)) & 1]
-
-    def mul(self, other: "Point") -> "Point":
-        """Coordinatewise product x (*) y; XOR of packed words."""
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return Point(self.n, self.bits ^ other.bits)
-
-    def to_text(self) -> str:
-        """'+'/'-' characters in coordinate order 1..n."""
-        return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.n))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Point":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch in "-−":
-                bits |= 1 << i
-            elif ch != "+":
-                raise ValueError(f"bad point character {ch!r}")
-        return cls(len(text), bits)
-
 
 def _check_coord(i: int, n: int) -> None:
     if not 1 <= i <= n:
@@ -186,11 +159,13 @@ def _point_bits(x: Point | int, n: int) -> int:
 def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
     problem = "truth table values must be a flat sequence of +1 and -1"
     try:
-        arr = np.asarray(values, dtype=np.int8)
-    except (TypeError, OverflowError) as exc:
+        arr = np.asarray(values)
+    except ValueError as exc:
         raise ValueError(problem) from exc
-    if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
+    # checked before the int8 cast, which would truncate 1.5 to 1
+    if arr.ndim != 1 or not np.all((arr == 1) | (arr == -1)):
         raise ValueError(problem)
+    arr = arr.astype(np.int8, copy=False)
     arr.setflags(write=False)
     return arr
 
@@ -215,9 +190,6 @@ class TruthTable:
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an array of packed points."""
         return self.values[bits.astype(np.int64)]
-
-    def negate(self) -> "TruthTable":
-        return TruthTable(self.n, -self.values)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "values": [int(v) for v in self.values]})
@@ -299,22 +271,3 @@ def distance_exact(f: TruthTable, g: BooleanFunction) -> Fraction:
     gv = _materialize(g, f.n)
     disagree = int(np.count_nonzero(f.values != gv))
     return Fraction(disagree, 1 << f.n)
-
-
-def sample_distance(h: BooleanFunction, sample) -> Fraction:
-    """Fraction of sample examples whose label disagrees with h.
-
-    ``sample`` is anything with ``points`` (packed uint64 array) and ``labels``
-    (+1/-1 array) attributes, or a (points, labels) pair.
-    """
-    if isinstance(sample, tuple):
-        points, labels = sample
-    else:
-        points, labels = sample.points, sample.labels
-    points = np.asarray(points, dtype=np.uint64)
-    labels = np.asarray(labels)
-    m = len(points)
-    if m == 0:
-        raise ValueError("empty sample")
-    disagree = int(np.count_nonzero(h.label_bits(points) != labels))
-    return Fraction(disagree, m)

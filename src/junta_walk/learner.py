@@ -278,7 +278,3 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
         walk_steps=oracle.steps_served,
     )
 
-
-def learn_juntas(oracle: RandomWalkOracle, params: LearnParams) -> JuntaHypothesis:
-    """Learn a k-junta within epsilon of the best one, from walk access alone."""
-    return learn_outcome(oracle, params).hypothesis

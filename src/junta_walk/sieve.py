@@ -44,7 +44,7 @@ from .fourier import (
     estimate_sq_coeff,
     estimate_sq_coeff_bulk,
 )
-from .hypercube import IndexSet, popcount_u64
+from .hypercube import IndexSet, popcount_u64, restriction_indices
 from .walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 
 logger = logging.getLogger(__name__)
@@ -222,22 +222,6 @@ class SieveResult:
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
 
-    @property
-    def diagnostics(self) -> dict:
-        """Per-phase sample counts and thresholds, for logs and reports."""
-        return {
-            "pool_size": len(self.pool),
-            "candidates": self.candidates,
-            "kept": len(self.sets),
-            "truncated": self.truncated,
-            "walk_steps": self.walk_steps,
-            "screen_pairs": self.budgets.screen_pairs,
-            "estimate_blocks": self.budgets.estimate_blocks,
-            "lag": self.budgets.lag,
-            "gap_steps": self.budgets.gap_steps,
-            "mode": self.budgets.mode,
-        }
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -245,12 +229,14 @@ class SieveResult:
                 "sets": [sorted(s.coords()) for s in self.sets],
                 "estimates": list(self.estimates),
                 "pool": sorted(self.pool.coords()),
-                "influences": list(self.influences),
+                # a coordinate without contrast samples (+inf) has no value
+                "influences": [v if math.isfinite(v) else None for v in self.influences],
                 "candidates": self.candidates,
                 "truncated": self.truncated,
                 "walk_steps": self.walk_steps,
                 "mode": self.budgets.mode,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -295,9 +281,10 @@ def bounded_sieve(
 
     est_params = EstimatorParams(lag=budgets.lag, pair_count=budgets.estimate_blocks)
     walk = oracle.walk(est_params.required_walk_length)
-    if n <= BULK_WHT_MAX_N:
-        bulk = estimate_sq_coeff_bulk(walk, est_params)
-        scored = [(mask, float(bulk[mask])) for mask in candidates]
+    if len(pool) <= BULK_WHT_MAX_N:
+        bulk = estimate_sq_coeff_bulk(walk, est_params, pool)
+        cells = restriction_indices(pool, np.array(candidates, dtype=np.uint64))
+        scored = list(zip(candidates, bulk[cells].tolist()))
     else:
         scored = [
             (mask, estimate_sq_coeff(walk, IndexSet(n, mask), est_params))

@@ -125,6 +125,25 @@ def test_sieve_finds_parity_support(tmp_path, capsys):
     assert obj["pool"] == [2, 5]
 
 
+def test_sieve_prints_strict_json(tmp_path, capsys):
+    # at n <= level nothing is screened, so every influence is +inf in memory
+    inst = write_instance(tmp_path / "and.json", and_table(2, [1, 2]))
+    code, out = run(
+        capsys,
+        "sieve", "--instance", str(inst),
+        "--theta", "0.2", "--level", "2", "--delta", "0.1",
+        "--screen-pairs", "100", "--estimate-blocks", "2000",
+    )
+    assert code == 0
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name} in sieve output")
+
+    obj = json.loads(out, parse_constant=reject)
+    assert obj["influences"] == [None, None]
+    assert obj["pool"] == [1, 2]
+
+
 def test_sieve_requires_both_budget_flags(tmp_path, capsys):
     inst = write_instance(tmp_path / "parity.json", parity_table(4, [1]))
     code = cli.main(
@@ -290,6 +309,7 @@ def test_malformed_instance_json(tmp_path, capsys):
         ("gen", {"n": 4.5, "k": 1}, "'n'"),
         ("opt", {"n": 1, "values": [[1], [-1]]}, "values"),
         ("wht", {"n": 1, "values": [None, 1]}, "values"),
+        ("wht", {"n": 1, "values": [1.5, -1]}, "values"),
     ],
 )
 def test_malformed_json_fields_are_clean_errors(tmp_path, capsys, command, payload, key):

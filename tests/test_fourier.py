@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -356,18 +357,85 @@ def test_bulk_matches_per_set_estimates():
     f = random_table(n, np.random.default_rng(6))
     params = EstimatorParams(lag=6, pair_count=500)
     walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=2))
-    bulk = estimate_sq_coeff_bulk(walk, params)
+    bulk = estimate_sq_coeff_bulk(walk, params, IndexSet.full(n))
     for mask in range(1 << n):
-        single = estimate_sq_coeff(walk, IndexSet(n, mask), params)
-        assert bulk[mask] == pytest.approx(single, abs=1e-9)
+        assert bulk[mask] == estimate_sq_coeff(walk, IndexSet(n, mask), params)
+
+
+def _dense_bulk_reference(walk, params):
+    """The former bulk path: both lags binned on all 2^n xor words."""
+    diff_t, diff_t1, prod_t, prod_t1 = fourier._lag_samples(walk, params)
+    size = 1 << walk.n
+    bins_t = np.bincount(diff_t.astype(np.int64), weights=prod_t, minlength=size)
+    bins_t1 = np.bincount(diff_t1.astype(np.int64), weights=prod_t1, minlength=size)
+    return 0.5 * (wht(bins_t) + wht(bins_t1)) / params.pair_count
+
+
+def _subset_masks(pool):
+    coords = pool.coords()
+    return np.array(
+        [
+            IndexSet.of(pool.n, combo).mask
+            for size in range(len(coords) + 1)
+            for combo in combinations(coords, size)
+        ],
+        dtype=np.uint64,
+    )
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 16])
+def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    f = random_table(n, rng)
+    params = EstimatorParams(lag=default_lag(n, 0.1), pair_count=2_000)
+    walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=n))
+    dense = _dense_bulk_reference(walk, params)
+    partial = sorted(rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist())
+    for pool in (
+        IndexSet(n, 0),
+        IndexSet.of(n, [n]),
+        IndexSet.of(n, partial),
+        IndexSet.full(n),
+    ):
+        bulk = estimate_sq_coeff_bulk(walk, params, pool)
+        assert bulk.shape == (1 << len(pool),)
+        masks = _subset_masks(pool)
+        assert bulk[restriction_indices(pool, masks)].tobytes() == dense[masks].tobytes()
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_bulk_on_pool_matches_per_set_above_n_cap(n):
+    def label(bits):  # a deterministic +-1 label depending on every coordinate
+        top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
+        return (1 - 2 * top).astype(np.int8)
+
+    params = EstimatorParams(lag=default_lag(n, 0.2), pair_count=1_500)
+    walk = generate_walk(label, WalkConfig(n, params.required_walk_length, seed=n))
+    pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
+    tracemalloc.start()
+    try:
+        bulk = estimate_sq_coeff_bulk(walk, params, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lag samples and 2^6 cells take ~150 KiB; one 2^21-entry array is 16 MiB
+    assert peak < 1 << 20
+    masks = _subset_masks(pool)
+    per_set = [estimate_sq_coeff(walk, IndexSet(n, int(m)), params) for m in masks]
+    assert bulk[restriction_indices(pool, masks)].tobytes() == np.array(per_set).tobytes()
 
 
 def test_bulk_rejects_large_n():
+    # the cap is on the binned pool, whatever n is; the pool must match the walk
     params = EstimatorParams(lag=1, pair_count=1)
     n = BULK_WHT_MAX_N + 1
     walk = generate_walk(lambda bits: np.ones(bits.shape, np.int8), WalkConfig(n, 10, seed=0))
-    with pytest.raises(ValueError):
-        estimate_sq_coeff_bulk(walk, params)
+    with pytest.raises(ValueError, match="pool of <= 20"):
+        estimate_sq_coeff_bulk(walk, params, IndexSet.full(n))
+    largest = IndexSet.of(n, range(2, n + 1))
+    assert estimate_sq_coeff_bulk(walk, params, largest).size == 1 << BULK_WHT_MAX_N
+    with pytest.raises(ValueError, match="pool over n=20"):
+        estimate_sq_coeff_bulk(walk, params, IndexSet(BULK_WHT_MAX_N, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from junta_walk.hypercube import (
     parity_sign_u64,
     popcount_u64,
     restriction_indices,
-    sample_distance,
 )
 from junta_walk.functions import and_table, parity_table
 
@@ -42,7 +41,7 @@ def test_point_all_plus_is_zero_word():
 
 
 def test_basis_point_sets_single_bit():
-    e3 = Point.basis(6, 3)
+    e3 = Point(6, 1 << 2)  # e_3: all +1 except coordinate 3
     assert e3.bits == 0b100
     assert e3.coord(3) == -1
     assert all(e3.coord(i) == 1 for i in (1, 2, 4, 5, 6))
@@ -53,31 +52,6 @@ def test_signs_round_trip(nm):
     n, bits = nm
     p = Point(n, bits)
     assert Point.from_signs(p.signs()) == p
-
-
-@given(dim_and_masks(count=1))
-def test_text_round_trip(nm):
-    n, bits = nm
-    p = Point(n, bits)
-    text = p.to_text()
-    assert len(text) == n
-    assert set(text) <= {"+", "-"}
-    assert Point.from_text(text) == p
-
-
-def test_text_example():
-    # coordinate 1 is the leftmost character
-    p = Point.from_signs([1, -1, 1, -1])
-    assert p.to_text() == "+-+-"
-
-
-@given(dim_and_masks(count=2))
-def test_mul_is_xor(nmm):
-    n, a, b = nmm
-    x, y = Point(n, a), Point(n, b)
-    assert x.mul(y).bits == a ^ b
-    assert x.mul(y) == y.mul(x)
-    assert x.mul(x) == Point(n)  # every point is its own inverse
 
 
 def test_point_rejects_out_of_range_bits():
@@ -133,14 +107,14 @@ def test_chi_multiplicative(nmmm):
     n, s, a, b = nmmm
     S = IndexSet(n, s)
     x, y = Point(n, a), Point(n, b)
-    assert chi(S, x.mul(y)) == chi(S, x) * chi(S, y)
+    assert chi(S, Point(n, a ^ b)) == chi(S, x) * chi(S, y)
 
 
 def test_chi_on_basis_points():
     S = IndexSet.of(7, [1, 4])
     for i in range(1, 8):
         expected = -1 if i in S else 1
-        assert chi(S, Point.basis(7, i)) == expected
+        assert chi(S, Point(7, 1 << (i - 1))) == expected
 
 
 def test_chi_empty_set_is_constant_one():
@@ -172,6 +146,10 @@ def test_truth_table_rejects_bad_values():
         TruthTable(2, [1, 1, 0, -1])
     with pytest.raises(ValueError):
         TruthTable(2, [1, 1, -1])  # wrong length
+    for values in ([1.5, -1], [1, -0.5], [0.999, -1], [257, -1]):
+        with pytest.raises(ValueError, match="values"):  # not truncated to +-1
+            TruthTable(1, values)
+    assert TruthTable(1, [1.0, -1.0]).values.tolist() == [1, -1]
 
 
 def test_truth_table_call_and_vectorized_agree():
@@ -193,11 +171,6 @@ def test_truth_table_values_read_only():
     f = parity_table(3, [2])
     with pytest.raises(ValueError):
         f.values[0] = -1
-
-
-def test_negate():
-    f = and_table(3, [1, 2])
-    np.testing.assert_array_equal(f.negate().values, -f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +246,7 @@ def test_restriction_indices_matches_scalar():
 def test_distance_to_self_and_negation():
     f = parity_table(5, [1, 2, 5])
     assert distance_exact(f, f) == 0
-    assert distance_exact(f, f.negate()) == 1
+    assert distance_exact(f, TruthTable(f.n, -f.values)) == 1
 
 
 def test_distance_between_shifted_ands():
@@ -299,20 +272,6 @@ def test_distance_via_inner_product(n, data):
 def test_distance_accepts_junta_argument():
     h = JuntaHypothesis(IndexSet.of(3, [2]), [1, -1])
     assert distance_exact(h.to_truth_table(), h) == 0
-
-
-def test_sample_distance_counts_exactly():
-    h = JuntaHypothesis(IndexSet.of(3, [1]), [1, -1])
-    points = np.array([0b000, 0b001, 0b010, 0b011], dtype=np.uint64)
-    labels = np.array([1, -1, -1, -1], dtype=np.int8)
-    # h disagrees only at 0b010 (coordinate 1 is +1 there but label is -1)
-    assert sample_distance(h, (points, labels)) == Fraction(1, 4)
-
-
-def test_sample_distance_rejects_empty():
-    h = JuntaHypothesis(IndexSet.of(3, [1]), [1, -1])
-    with pytest.raises(ValueError):
-        sample_distance(h, (np.array([], dtype=np.uint64), np.array([])))
 
 
 def test_every_package_export_resolves():

@@ -19,7 +19,6 @@ from junta_walk.learner import (
     GAP_CONSTANT,
     LearnParams,
     best_junta,
-    learn_juntas,
     learn_outcome,
     log_junta_class_size,
     pad_pool,
@@ -296,19 +295,6 @@ def test_learn_recovers_noiseless_and():
     assert outcome.walk_steps > 0
     assert outcome.sample_size == 20_000
     assert outcome.empirical_error == outcome.disagreements / 20_000
-
-
-def test_learn_juntas_returns_proper_hypothesis():
-    n, k = 8, 2
-    f = and_table(n, [3, 6])
-    params = practical_params(n, k, 0.25, 0.2)
-    h = learn_juntas(RandomWalkOracle(f, n, seed=17), params)
-    assert isinstance(h, JuntaHypothesis)
-    assert h.k == k and h.n == n
-    # same oracle seed, same request sequence: identical to the rich pipeline
-    outcome = learn_outcome(RandomWalkOracle(f, n, seed=17), params)
-    assert h.J == outcome.hypothesis.J
-    np.testing.assert_array_equal(h.table, outcome.hypothesis.table)
 
 
 def test_learn_under_noise_stays_close():

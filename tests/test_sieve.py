@@ -183,15 +183,16 @@ def test_budget_resolution_precedence():
     assert res2.budgets == certified_budgets(params, n)
 
 
-def test_per_set_estimation_above_bulk_cap(monkeypatch):
-    # n = 21 is past BULK_WHT_MAX_N, so every candidate is estimated on its own
+def _fail(*args):
+    raise AssertionError("estimation path not expected here")
+
+
+def test_pooled_run_above_n_cap_bins_onto_pool(monkeypatch):
+    # n = 21 is past BULK_WHT_MAX_N, but the screened pool holds 2 coordinates,
+    # so the bulk path bins onto 2^2 cells and no candidate is estimated alone
     n = 21
     assert n > sieve_mod.BULK_WHT_MAX_N
-
-    def no_bulk(*args):
-        raise AssertionError("bulk estimation used above its cap")
-
-    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", no_bulk)
+    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff", _fail)
     f = parity_table(n, [4, 17])
     params = SieveParams(level=2, theta=0.5, delta=0.1)
     budgets = practical_budgets(params, n, screen_pairs=20_000, estimate_blocks=2_000)
@@ -203,8 +204,24 @@ def test_per_set_estimation_above_bulk_cap(monkeypatch):
     assert certify_result(res, Spectrum.from_table(f), 0.5, 2).passed
 
 
+def test_per_set_estimation_above_bulk_cap(monkeypatch):
+    # the exhaustive pool is all 21 coordinates, past BULK_WHT_MAX_N, so every
+    # candidate is estimated on its own
+    n = 21
+    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", _fail)
+    f = parity_table(n, [4, 17])
+    params = SieveParams(level=2, theta=0.5, delta=0.1, strategy="exhaustive")
+    budgets = practical_budgets(params, n, screen_pairs=1, estimate_blocks=2_000)
+    res = run_sieve(f, n, params, budgets, seed=31)
+    assert len(res.pool) == n
+    assert res.candidates == 1 + n + math.comb(n, 2)
+    assert res.masks() == [IndexSet.of(n, [4, 17]).mask]
+    assert res.estimates == (1.0,)
+    assert certify_result(res, Spectrum.from_table(f), 0.5, 2).passed
+
+
 # ---------------------------------------------------------------------------
-# Failure modes and diagnostics
+# Failure modes and JSON output
 
 
 def test_pool_overflow_guard(monkeypatch):
@@ -233,29 +250,6 @@ def test_truncation_at_result_cap(caplog):
     assert any("dropping the lowest" in r.message for r in caplog.records)
 
 
-def test_diagnostics_keys():
-    f = parity_table(4, [2])
-    params = SieveParams(level=1, theta=0.5, delta=0.2)
-    budgets = practical_budgets(params, 4, screen_pairs=2_000, estimate_blocks=1_000)
-    res = run_sieve(f, 4, params, budgets, seed=14)
-    d = res.diagnostics
-    assert d["mode"] == "practical"
-    assert d["kept"] == len(res.sets)
-    assert d["walk_steps"] == res.walk_steps
-    assert set(d) == {
-        "pool_size",
-        "candidates",
-        "kept",
-        "truncated",
-        "walk_steps",
-        "screen_pairs",
-        "estimate_blocks",
-        "lag",
-        "gap_steps",
-        "mode",
-    }
-
-
 def test_result_to_json():
     f = and_table(5, [1, 2])
     params = SieveParams(level=2, theta=0.2, delta=0.1)
@@ -265,6 +259,7 @@ def test_result_to_json():
     assert obj["n"] == 5
     assert [sorted(s.coords()) for s in res.sets] == obj["sets"]
     assert obj["mode"] == "practical"
+    assert obj["influences"] == list(res.influences)
 
 
 # ---------------------------------------------------------------------------
