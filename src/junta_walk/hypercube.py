@@ -162,10 +162,10 @@ def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
         arr = np.asarray(values)
     except ValueError as exc:
         raise ValueError(problem) from exc
-    # checked before the int8 cast, which would truncate 1.5 to 1
-    if arr.ndim != 1 or not np.all((arr == 1) | (arr == -1)):
+    # checked before the int8 cast, which would truncate 1.5 or True to 1
+    if arr.ndim != 1 or arr.dtype == bool or not np.all((arr == 1) | (arr == -1)):
         raise ValueError(problem)
-    arr = arr.astype(np.int8, copy=False)
+    arr = arr.astype(np.int8)  # always a copy, so no caller's array is aliased or frozen
     arr.setflags(write=False)
     return arr
 

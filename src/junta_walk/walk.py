@@ -30,7 +30,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .hypercube import IndexSet, JuntaHypothesis, Point, TruthTable
+from .hypercube import IndexSet, JuntaHypothesis, Point, TruthTable, _check_dim
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +45,11 @@ def labels_for(f: LabelSource, bits: np.ndarray) -> np.ndarray:
         out = f.label_bits(bits)
     else:
         out = np.asarray(f(bits))
-    out = out.astype(np.int8)
-    if out.shape != bits.shape or not np.all(np.abs(out) == 1):
+    # checked before the int8 cast, which would truncate 1.5, 257 or True to a sign
+    signs = out.dtype != bool and np.all((out == 1) | (out == -1))
+    if out.shape != bits.shape or not signs:
         raise ValueError("label source must map packed points to +1/-1 labels")
-    return out
+    return out.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,7 @@ class WalkConfig:
     lazy: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
+        _check_dim(self.n)
         if self.length < 1:
             raise ValueError(f"length={self.length} must be >= 1")
 
@@ -99,15 +99,18 @@ def _draw_steps(
     """Draw walk steps: coordinates, their bits, and the bits each step changes.
 
     Coordinates are uniform over 1..n (int16) and ``bits`` holds each one's
-    uint64 bit.  A plain step changes its bit; an updating (``lazy``) step
-    changes it only when a fair bit, drawn after all the coordinates, is 1.
+    bit in the narrowest unsigned word with n bits (uint8 up to uint64).  A
+    plain step changes its bit; an updating (``lazy``) step changes it only
+    when a fair bit, drawn after all the coordinates, is 1.
     """
     coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
-    bits = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
+    words = (np.uint8, np.uint16, np.uint32, np.uint64)
+    word = next(w for w in words if np.iinfo(w).bits >= n)
+    # coords - 1 lies in [0, n), so the unsafe int16 -> word cast is exact
+    bits = np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
     if not lazy:
         return coords, bits, bits
-    act = rng.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
-    return coords, bits, np.where(act, bits, np.uint64(0))
+    return coords, bits, bits * rng.integers(0, 2, size=shape, dtype=np.uint8)
 
 
 def _walk_arrays(
@@ -121,7 +124,8 @@ def _walk_arrays(
     flipped = np.zeros(count, dtype=np.int16)
     if steps > 0:
         coords, _, changes = _draw_steps(rng, n, steps, lazy)
-        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(changes)
+        np.bitwise_xor.accumulate(changes, dtype=np.uint64, out=points[1:])
+        points[1:] ^= np.uint64(start)
         flipped[1:] = coords
     return points, flipped
 
@@ -393,17 +397,18 @@ def harvest_refresh_pairs(
     coordinate; conditional statistics over R then factorize exactly, which is
     what calibrates the screening contrasts downstream.  A zero-length block
     (probability e^-gap_steps) legitimately emits refreshed = empty and y = x.
+    The returned arrays are read-only: ``x_bits``/``y_bits`` and the two label
+    arrays are overlapping views of one chain of block boundaries.
     """
+    _check_dim(n)
     if gap_steps < 1:
         raise ValueError(f"gap_steps={gap_steps} must be >= 1")
     if pair_count < 1:
         raise ValueError(f"pair_count={pair_count} must be >= 1")
     rng = np.random.default_rng(seed)
 
-    out_x: list[np.ndarray] = []
-    out_y: list[np.ndarray] = []
+    chain = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r: list[np.ndarray] = []
-    state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
     done = 0
     steps_used = 0
     while done < pair_count:
@@ -412,36 +417,30 @@ def harvest_refresh_pairs(
         total = int(lengths.sum())
         steps_used += total
         _, bit, act_bit = _draw_steps(rng, n, total, lazy=True)
-        # reduceat over ragged segments; pad one identity element so empty
-        # tail segments stay in range, then zero out empty blocks explicitly
-        starts = np.zeros(blocks, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        pad_act = np.append(act_bit, np.uint64(0))
-        pad_sel = np.append(bit, np.uint64(0))
-        block_xor = np.bitwise_xor.reduceat(pad_act, starts)
-        block_sel = np.bitwise_or.reduceat(pad_sel, starts)
-        empty = lengths == 0
-        block_xor[empty] = 0
-        block_sel[empty] = 0
-        bounds = np.empty(blocks + 1, dtype=np.uint64)
-        bounds[0] = state
-        bounds[1:] = state ^ np.bitwise_xor.accumulate(block_xor)
-        state = bounds[-1]
-        out_x.append(bounds[:-1])
-        out_y.append(bounds[1:])
+        ends = np.cumsum(lengths)
+        # the non-empty blocks' segments tile the steps, so reduceat needs no padding
+        nonempty = lengths > 0
+        block_sel = np.zeros(blocks, dtype=np.uint64)
+        block_sel[nonempty] = np.bitwise_or.reduceat(bit, (ends - lengths)[nonempty])
+        # walked[t] xors the first t changes; walked[0] serves blocks ending before step 1
+        walked = np.zeros(total + 1, dtype=act_bit.dtype)
+        np.bitwise_xor.accumulate(act_bit, out=walked[1:])
+        chain.append(chain[-1][-1] ^ walked[ends])
         out_r.append(block_sel)
         done += blocks
 
-    x_bits = np.concatenate(out_x)
-    y_bits = np.concatenate(out_y)
-    refreshed_masks = np.concatenate(out_r)
+    bounds = np.concatenate(chain)
+    labels = labels_for(f, bounds)
+    masks = np.concatenate(out_r)
+    for arr in (bounds, labels, masks):
+        arr.setflags(write=False)
     return RefreshPairs(
         n=n,
-        x_bits=x_bits,
-        y_bits=y_bits,
-        label_x=labels_for(f, x_bits),
-        label_y=labels_for(f, y_bits),
-        refreshed_masks=refreshed_masks,
+        x_bits=bounds[:-1],
+        y_bits=bounds[1:],
+        label_x=labels[:-1],
+        label_y=labels[1:],
+        refreshed_masks=masks,
         walk_steps=steps_used,
     )
 
@@ -557,6 +556,7 @@ class RandomWalkOracle:
     """
 
     def __init__(self, f: LabelSource, n: int, seed: int) -> None:
+        _check_dim(n)
         self.f = f
         self.n = n
         self.seed = seed

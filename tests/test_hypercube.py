@@ -149,7 +149,23 @@ def test_truth_table_rejects_bad_values():
     for values in ([1.5, -1], [1, -0.5], [0.999, -1], [257, -1]):
         with pytest.raises(ValueError, match="values"):  # not truncated to +-1
             TruthTable(1, values)
+    with pytest.raises(ValueError, match="values"):  # True is not the sign +1
+        TruthTable(1, [True, True])
     assert TruthTable(1, [1.0, -1.0]).values.tolist() == [1, -1]
+
+
+def test_tables_copy_the_callers_array():
+    make = (lambda v: TruthTable(1, v), lambda v: JuntaHypothesis(IndexSet.of(3, [2]), v))
+    for build in make:
+        v = np.array([1, -1], dtype=np.int8)
+        h = build(v)
+        assert v.flags.writeable  # the caller's array is not frozen
+        v[0] = -1
+        assert h(0) == 1
+        base = np.ones(4, dtype=np.int8)
+        h = build(base[:2])
+        base[0] = 7  # writing through the base cannot reach the table
+        assert h(0) == 1
 
 
 def test_truth_table_call_and_vectorized_agree():

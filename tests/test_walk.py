@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from junta_walk.functions import parity_table, random_table
 from junta_walk.hypercube import IndexSet
 from junta_walk.walk import (
+    _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
     RefreshPair,
     RefreshPairs,
     WalkConfig,
+    _walk_arrays,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
@@ -41,6 +43,21 @@ def test_walk_config_validation():
         WalkConfig(n=0, length=5, seed=1)
     with pytest.raises(ValueError):
         WalkConfig(n=4, length=0, seed=1)
+
+
+def test_walk_layer_enforces_the_packed_cap():
+    def f(bits):
+        return np.ones(bits.shape, dtype=np.int8)
+
+    for n in (0, 64):
+        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
+            WalkConfig(n=n, length=5, seed=1)
+        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
+            RandomWalkOracle(f, n, seed=1)
+        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
+            harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
+    assert len(generate_walk(f, WalkConfig(n=63, length=5, seed=1))) == 5
+    assert len(RandomWalkOracle(f, 63, seed=1).refresh_pairs(5, gap_steps=3)) == 5
 
 
 def test_length_counts_points_not_steps():
@@ -272,6 +289,96 @@ def test_refresh_memberships_are_independent_across_coordinates():
     assert abs(joint - a.mean() * b.mean()) < 5 / math.sqrt(60_000)
 
 
+def _reference_draw_steps(rng, n, shape, lazy):
+    # the uint64 step kernel the narrow-word one must reproduce bit for bit
+    coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
+    bits = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
+    if not lazy:
+        return coords, bits, bits
+    act = rng.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
+    return coords, bits, np.where(act, bits, np.uint64(0))
+
+
+def _reference_walk_arrays(rng, n, count, lazy):
+    start = int(rng.integers(0, 1 << n, dtype=np.uint64))
+    points = np.empty(count, dtype=np.uint64)
+    points[0] = start
+    flipped = np.zeros(count, dtype=np.int16)
+    if count > 1:
+        coords, _, changes = _reference_draw_steps(rng, n, count - 1, lazy)
+        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(changes)
+        flipped[1:] = coords
+    return points, flipped
+
+
+def _reference_harvest(f, n, pair_count, gap_steps, seed):
+    # padded reduceats per chunk, and every block endpoint labelled twice
+    rng = np.random.default_rng(seed)
+    out_x, out_y, out_r = [], [], []
+    state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
+    done = steps_used = 0
+    while done < pair_count:
+        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
+        lengths = rng.poisson(gap_steps, size=blocks)
+        total = int(lengths.sum())
+        steps_used += total
+        _, bit, act_bit = _reference_draw_steps(rng, n, total, lazy=True)
+        starts = np.zeros(blocks, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        block_xor = np.bitwise_xor.reduceat(np.append(act_bit, np.uint64(0)), starts)
+        block_sel = np.bitwise_or.reduceat(np.append(bit, np.uint64(0)), starts)
+        block_xor[lengths == 0] = 0
+        block_sel[lengths == 0] = 0
+        bounds = np.empty(blocks + 1, dtype=np.uint64)
+        bounds[0] = state
+        bounds[1:] = state ^ np.bitwise_xor.accumulate(block_xor)
+        state = bounds[-1]
+        out_x.append(bounds[:-1])
+        out_y.append(bounds[1:])
+        out_r.append(block_sel)
+        done += blocks
+    x_bits, y_bits = np.concatenate(out_x), np.concatenate(out_y)
+    return {
+        "x_bits": x_bits,
+        "y_bits": y_bits,
+        "label_x": labels_for(f, x_bits),
+        "label_y": labels_for(f, y_bits),
+        "refreshed_masks": np.concatenate(out_r),
+        "walk_steps": steps_used,
+    }
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
+def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
+    top = np.uint64(n - 1)
+
+    def f(bits):
+        return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
+
+    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n}):
+        # gap 1 leaves empty blocks at the head and the tail of a chunk
+        for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
+            seed = 1000 * n + gap + count
+            pairs = harvest_refresh_pairs(f, n, count, gap, seed)
+            want = _reference_harvest(f, n, count, gap, seed)
+            assert pairs.walk_steps == want.pop("walk_steps")
+            for name, ref in want.items():
+                got = getattr(pairs, name)
+                _assert_same_bytes(got, ref)
+                assert not got.flags.writeable
+    for lazy in (False, True):
+        for count in (1, 2, 5_000):
+            got = _walk_arrays(np.random.default_rng(n), n, count, lazy)
+            want = _reference_walk_arrays(np.random.default_rng(n), n, count, lazy)
+            for g, w in zip(got, want):
+                _assert_same_bytes(g, w)
+
+
 def test_refresh_pairs_sequence_protocol():
     pairs = harvest_refresh_pairs(XOR2, 6, pair_count=50, gap_steps=3, seed=9)
     one = pairs[7]
@@ -307,6 +414,16 @@ def test_labels_for_accepts_callables_and_validates():
     np.testing.assert_array_equal(out, [1, -1] * 4)
     with pytest.raises(ValueError):
         labels_for(lambda b: np.zeros_like(b, dtype=np.int8), bits)
+    bad_sources = (
+        lambda b: np.full(b.shape, 1.5),
+        lambda b: np.full(b.shape, 257),
+        lambda b: np.full(b.shape, True),
+        lambda b: np.where(b & 1, -1.2, 1.9),
+    )
+    for source in bad_sources:  # none may be truncated to +-1 by the int8 cast
+        with pytest.raises(ValueError):
+            labels_for(source, bits)
+    assert labels_for(lambda b: np.where(b & 1, -1.0, 1.0), bits).dtype == np.int8
 
 
 # ---------------------------------------------------------------------------
