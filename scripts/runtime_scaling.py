@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Measure how learner wall time grows with n at fixed k and eps.
+"""Measure how learner wall time and walk steps grow with n at fixed k and eps.
 
 Runs seeded trials at each requested n, takes the median learner-only wall
-time per n, and fits a log-log slope.  At the stock budgets the dominant costs
-are walk generation and screening, so the slope should land well under 3;
+time and the median walk steps (the paper's cost measure) per n, and fits a
+log-log slope to the wall times.  At the stock budgets the dominant costs are
+walk generation and screening, so the slope should land well under 3;
 anything above that flags a vectorization regression.
 """
 
@@ -40,10 +41,12 @@ def main(argv=None) -> int:
     for n in args.ns:
         spec = InstanceSpec(n=n, k=args.k, corruption=corruption)
         params = default_learn_params(n, args.k, args.eps, args.delta)
-        walls = sorted(
-            run_trial(spec, params, trial_seed=args.seed + 31 * n + i).wall_ms
+        reports = [
+            run_trial(spec, params, trial_seed=args.seed + 31 * n + i)
             for i in range(args.trials)
-        )
+        ]
+        walls = sorted(r.wall_ms for r in reports)
+        steps = sorted(r.walk_steps for r in reports)
         rows.append(
             {
                 "n": n,
@@ -51,6 +54,7 @@ def main(argv=None) -> int:
                 "median_wall_ms": walls[len(walls) // 2],
                 "min_wall_ms": walls[0],
                 "max_wall_ms": walls[-1],
+                "median_walk_steps": steps[len(steps) // 2],
             }
         )
 

@@ -4,7 +4,9 @@ Coefficients use the character convention chi_S(x) = prod_{i in S} x_i with
 packed points, so chi_S(x) = (-1)^popcount(mask_S & bits_x) and the dense
 transform is the standard Walsh-Hadamard butterfly.
 
-The squared-coefficient estimator works from a plain labeled walk.  One lag-t
+The squared-coefficient estimator works from the lag pairs of a plain labeled
+walk, a :class:`~junta_walk.walk.LagSamples` record that
+``RandomWalkOracle.lag_samples`` draws without building the walk.  One lag-t
 sample is f(x) f(x') chi_S(x (+) x') for walk positions t apart; averaging the
 lag-t and lag-(t+1) samples cancels the alternating-sign contribution of the
 full set [n] and leaves expectation
@@ -30,7 +32,7 @@ from .hypercube import (
     popcount_u64,
     restriction_indices,
 )
-from .walk import LabeledWalk, RefreshPairs
+from .walk import LagSamples, RefreshPairs, _check_positive
 
 # Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
 # and the learner's ERM; a larger pool is handled set by set or support by support.
@@ -74,11 +76,15 @@ def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
     """
     if isinstance(values, TruthTable):
         return Spectrum.from_table(values)
-    v = np.asarray(values)
-    dtype = np.int64 if v.dtype.kind in "biu" else np.float64
-    v = np.array(v, dtype=dtype).reshape(-1)
+    v = np.asarray(values).reshape(-1)
     _check_power_of_two(v.size)
-    return _butterfly(v)
+    if v.dtype.kind not in "biu":
+        return _butterfly(v.astype(np.float64))
+    # every partial sum is bounded by size * max|v|, so int32 is exact below 2^31
+    bound = v.size * max(int(v.max()), -int(v.min()))
+    if bound < 1 << 31:
+        return _butterfly(v.astype(np.int32)).astype(np.int64)
+    return _butterfly(v.astype(np.int64))
 
 
 # Cells (supports x 2^k) gathered per table in one step of subcube_sums, 8 MiB
@@ -255,10 +261,7 @@ class EstimatorParams:
     pair_count: int
 
     def __post_init__(self) -> None:
-        if self.lag < 1:
-            raise ValueError(f"lag={self.lag} must be >= 1")
-        if self.pair_count < 1:
-            raise ValueError(f"pair_count={self.pair_count} must be >= 1")
+        _check_positive(lag=self.lag, pair_count=self.pair_count)
 
     @property
     def stride(self) -> int:
@@ -275,38 +278,17 @@ class EstimatorParams:
         return cls(lag=default_lag(n, theta), pair_count=blocks_for(theta / 8.0, delta))
 
 
-def _lag_samples(
-    walk: LabeledWalk, params: EstimatorParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if len(walk.points) < params.required_walk_length:
-        raise ValueError(
-            f"walk has {len(walk.points)} points, estimator needs "
-            f"{params.required_walk_length}"
-        )
-    base = np.arange(params.pair_count) * params.stride
-    xb = walk.points[base]
-    diff_t = xb ^ walk.points[base + params.lag]
-    diff_t1 = xb ^ walk.points[base + params.lag + 1]
-    lb = walk.labels[base].astype(np.float64)
-    prod_t = lb * walk.labels[base + params.lag]
-    prod_t1 = lb * walk.labels[base + params.lag + 1]
-    return diff_t, diff_t1, prod_t, prod_t1
-
-
-def estimate_sq_coeff(walk: LabeledWalk, S: IndexSet, params: EstimatorParams) -> float:
-    """Estimate fhat(S)^2 from a plain labeled walk."""
-    if S.n != walk.n:
-        raise ValueError(f"index set over n={S.n}, walk over n={walk.n}")
-    diff_t, diff_t1, prod_t, prod_t1 = _lag_samples(walk, params)
+def estimate_sq_coeff(samples: LagSamples, S: IndexSet) -> float:
+    """Estimate fhat(S)^2 from the lag pairs of a plain labeled walk."""
+    if S.n != samples.n:
+        raise ValueError(f"index set over n={S.n}, samples over n={samples.n}")
     mask = np.uint64(S.mask)
-    chi_t = parity_sign_u64(diff_t, mask)
-    chi_t1 = parity_sign_u64(diff_t1, mask)
-    return float(np.mean(0.5 * (prod_t * chi_t + prod_t1 * chi_t1)))
+    chi_t = parity_sign_u64(samples.diff_t, mask)
+    chi_t1 = parity_sign_u64(samples.diff_t1, mask)
+    return float(np.mean(0.5 * (samples.prod_t * chi_t + samples.prod_t1 * chi_t1)))
 
 
-def estimate_sq_coeff_bulk(
-    walk: LabeledWalk, params: EstimatorParams, pool: IndexSet
-) -> np.ndarray:
+def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     """Estimates of fhat(S)^2 for every S inside the pool at once.
 
     Entry r is for the set of pool coordinates picked by the bits of r, in
@@ -316,18 +298,17 @@ def estimate_sq_coeff_bulk(
     one exact transform of 2^|pool| cells gives every sum; each entry equals
     :func:`estimate_sq_coeff` bit for bit.  Requires |pool| <= BULK_WHT_MAX_N.
     """
-    if pool.n != walk.n:
-        raise ValueError(f"pool over n={pool.n}, walk over n={walk.n}")
+    if pool.n != samples.n:
+        raise ValueError(f"pool over n={pool.n}, samples over n={samples.n}")
     if len(pool) > BULK_WHT_MAX_N:
         raise ValueError(
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    diff_t, diff_t1, prod_t, prod_t1 = _lag_samples(walk, params)
-    cells = restriction_indices(pool, np.concatenate((diff_t, diff_t1)))
-    signs = np.concatenate((prod_t, prod_t1))
+    cells = restriction_indices(pool, np.concatenate((samples.diff_t, samples.diff_t1)))
+    signs = np.concatenate((samples.prod_t, samples.prod_t1))
     counts = np.bincount(cells, weights=signs, minlength=1 << len(pool))
-    return 0.5 * wht(counts.astype(np.int64)) / params.pair_count
+    return 0.5 * wht(counts.astype(np.int64)) / len(samples)
 
 
 def expected_sq_estimate(

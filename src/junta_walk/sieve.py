@@ -279,16 +279,14 @@ def bounded_sieve(
         for combo in itertools.combinations(pool_coords, size):
             candidates.append(IndexSet.of(n, combo).mask)
 
-    est_params = EstimatorParams(lag=budgets.lag, pair_count=budgets.estimate_blocks)
-    walk = oracle.walk(est_params.required_walk_length)
+    samples = oracle.lag_samples(budgets.lag, budgets.estimate_blocks)
     if len(pool) <= BULK_WHT_MAX_N:
-        bulk = estimate_sq_coeff_bulk(walk, est_params, pool)
+        bulk = estimate_sq_coeff_bulk(samples, pool)
         cells = restriction_indices(pool, np.array(candidates, dtype=np.uint64))
         scored = list(zip(candidates, bulk[cells].tolist()))
     else:
         scored = [
-            (mask, estimate_sq_coeff(walk, IndexSet(n, mask), est_params))
-            for mask in candidates
+            (mask, estimate_sq_coeff(samples, IndexSet(n, mask))) for mask in candidates
         ]
 
     keep = [(m, e) for m, e in scored if e >= KEEP_FRACTION * params.theta]
@@ -335,6 +333,8 @@ def certify_result(
     level.  Completeness: every set with size <= level and coeff^2 >= theta is
     returned.  Cardinality: at most ceil(2/theta) sets.
     """
+    if truth.n != result.n:
+        raise ValueError(f"spectrum over n={truth.n}, sieve result over n={result.n}")
     failures: list[str] = []
     returned = set(result.masks())
     masks = np.arange(1 << truth.n, dtype=np.uint64)

@@ -52,6 +52,12 @@ def labels_for(f: LabelSource, bits: np.ndarray) -> np.ndarray:
     return out.astype(np.int8)
 
 
+def _check_positive(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name}={value} must be >= 1")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk parameters: ``length`` counts labeled examples, so length-1 steps."""
@@ -63,8 +69,7 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
-        if self.length < 1:
-            raise ValueError(f"length={self.length} must be >= 1")
+        _check_positive(length=self.length)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,25 @@ class LabeledWalk:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def point(self, t: int) -> Point:
-        return Point(self.n, int(self.points[t]))
+
+@dataclass(frozen=True)
+class LagSamples:
+    """The lag pairs of a plain walk that the squared-coefficient estimator reads.
+
+    Block b starts at walk point x = b (lag + 1) and pairs it with the points
+    lag and lag + 1 steps later: ``diff_t[b]``/``diff_t1[b]`` are the xors of
+    x with those points and ``prod_t[b]``/``prod_t1[b]`` the +-1 (int8) label
+    products.  The arrays are read-only.
+    """
+
+    n: int
+    diff_t: np.ndarray
+    diff_t1: np.ndarray
+    prod_t: np.ndarray
+    prod_t1: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.diff_t)
 
 
 def _draw_steps(
@@ -231,14 +253,17 @@ def refresh_steps(n: int, delta: float) -> int:
 
 # Trials per chunk of the vectorized embedding and endpoint experiments.
 _TRIAL_CHUNK = 20_000
+CELL_MAX_N = 31  # endpoint cells x0 * 2^n + xl fit an int64 only while 2n <= 63
 
 
 def _kept_cells(
-    n: int, trials: int, draw: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> tuple[int, np.ndarray]:
+    n: int, trials: int, draw: Callable[[int], tuple], pack: bool
+) -> tuple[int, np.ndarray | None]:
     """Run ``draw(t) -> (kept, x0_bits, xl_bits)`` over chunks of at most
-    ``_TRIAL_CHUNK`` trials; returns the kept count and the kept trials'
-    cell indices x0 * 2^n + xl."""
+    ``_TRIAL_CHUNK`` trials; returns the kept count and, with ``pack``, the
+    kept trials' cell indices x0 * 2^n + xl (n <= CELL_MAX_N)."""
+    if pack and n > CELL_MAX_N:
+        raise ValueError(f"endpoint cells x0 * 2^n + xl need n <= {CELL_MAX_N}, got {n}")
     kept_total = 0
     cells: list[np.ndarray] = []
     done = 0
@@ -246,9 +271,10 @@ def _kept_cells(
         t = min(_TRIAL_CHUNK, trials - done)
         kept, x0, xl = draw(t)
         kept_total += int(np.count_nonzero(kept))
-        cells.append((x0[kept].astype(np.int64) << n) | xl[kept].astype(np.int64))
+        if pack:
+            cells.append((x0[kept].astype(np.int64) << n) | xl[kept].astype(np.int64))
         done += t
-    return kept_total, np.concatenate(cells)
+    return kept_total, np.concatenate(cells) if pack else None
 
 
 def updating_walk_endpoints(
@@ -258,9 +284,10 @@ def updating_walk_endpoints(
 
     Each trial draws an updating walk of ``ell`` steps (uniform coordinate,
     resampled by a fair bit).  Trials whose chosen coordinates cover [n] are
-    kept; returns (covered_count, cell indices x0 * 2^n + xl of kept trials).
-    Unlike plain-walk endpoints, these carry no step-parity constraint, so
-    conditional on coverage the pair is uniform over all 4^n cells.
+    kept; returns (covered_count, cell indices x0 * 2^n + xl of kept trials),
+    so n must be <= CELL_MAX_N.  Unlike plain-walk endpoints, these carry no
+    step-parity constraint, so conditional on coverage the pair is uniform
+    over all 4^n cells.
     """
     rng = np.random.default_rng(seed)
     full = np.uint64((1 << n) - 1)
@@ -271,7 +298,7 @@ def updating_walk_endpoints(
         ends = starts ^ np.bitwise_xor.reduce(changes, axis=1)
         return np.bitwise_or.reduce(bits, axis=1) == full, starts, ends
 
-    return _kept_cells(n, trials, draw)
+    return _kept_cells(n, trials, draw, pack=True)
 
 
 def _batch_experiment(
@@ -304,13 +331,13 @@ def updating_acceptance_trials(
     """Repeat the embedding experiment on fresh walks; count acceptances.
 
     With ``collect_pairs`` the accepted trials' endpoint pairs are returned as
-    an array of cell indices x0 * 2^n + xl, for endpoint-distribution tests.
+    an array of cell indices x0 * 2^n + xl (n <= CELL_MAX_N), for
+    endpoint-distribution tests.
     """
     rng = np.random.default_rng(seed)
-    accepted, cells = _kept_cells(
-        n, trials, lambda t: _batch_experiment(rng, n, ell, cutoff, t)
+    return _kept_cells(
+        n, trials, lambda t: _batch_experiment(rng, n, ell, cutoff, t), collect_pairs
     )
-    return accepted, cells if collect_pairs else None
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +428,7 @@ def harvest_refresh_pairs(
     arrays are overlapping views of one chain of block boundaries.
     """
     _check_dim(n)
-    if gap_steps < 1:
-        raise ValueError(f"gap_steps={gap_steps} must be >= 1")
-    if pair_count < 1:
-        raise ValueError(f"pair_count={pair_count} must be >= 1")
+    _check_positive(pair_count=pair_count, gap_steps=gap_steps)
     rng = np.random.default_rng(seed)
 
     chain = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
@@ -569,6 +593,7 @@ class RandomWalkOracle:
         return ss
 
     def walk(self, length: int, lazy: bool = False) -> LabeledWalk:
+        _check_positive(length=length)
         rng = np.random.default_rng(self._child_seed())
         points, flipped = _walk_arrays(rng, self.n, length, lazy)
         self.steps_served += length - 1
@@ -582,7 +607,28 @@ class RandomWalkOracle:
         )
 
     def refresh_pairs(self, pair_count: int, gap_steps: int) -> RefreshPairs:
+        _check_positive(pair_count=pair_count, gap_steps=gap_steps)
         seed = int(self._child_seed().generate_state(1, np.uint64)[0])
         pairs = harvest_refresh_pairs(self.f, self.n, pair_count, gap_steps, seed)
         self.steps_served += pairs.walk_steps
         return pairs
+
+    def lag_samples(self, lag: int, blocks: int) -> LagSamples:
+        """The lag pairs of the walk that ``walk(blocks * (lag + 1) + 1)`` would
+        draw, with only the 2 blocks + 1 points read labelled: each block's row
+        of step bits xors to its two lag words; the row xors chain the starts."""
+        _check_positive(lag=lag, blocks=blocks)
+        rng = np.random.default_rng(self._child_seed())
+        start = rng.integers(0, 1 << self.n, dtype=np.uint64)
+        _, bits, _ = _draw_steps(rng, self.n, blocks * (lag + 1), lazy=False)
+        rows = bits.reshape(blocks, lag + 1)
+        diff_t = np.bitwise_xor.reduce(rows[:, :lag], axis=1).astype(np.uint64)
+        diff_t1 = diff_t ^ rows[:, lag]
+        starts = np.bitwise_xor.accumulate(np.concatenate(([start], diff_t1)))
+        labels = labels_for(self.f, np.concatenate((starts, starts[:-1] ^ diff_t)))
+        prod_t = labels[:blocks] * labels[blocks + 1 :]
+        prod_t1 = labels[:blocks] * labels[1 : blocks + 1]
+        for arr in (diff_t, diff_t1, prod_t, prod_t1):
+            arr.setflags(write=False)
+        self.steps_served += blocks * (lag + 1)
+        return LagSamples(self.n, diff_t, diff_t1, prod_t, prod_t1)

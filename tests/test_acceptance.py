@@ -157,8 +157,8 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
         else:
             mask = int(rng.integers(0, 256))
         oracle = RandomWalkOracle(table, 8, seed=40_000 + i)
-        walk = oracle.walk(params.required_walk_length)
-        est = estimate_sq_coeff(walk, IndexSet(8, mask), params)
+        samples = oracle.lag_samples(params.lag, params.pair_count)
+        est = estimate_sq_coeff(samples, IndexSet(8, mask))
         hits += abs(est - float(sq[mask])) <= theta / 4
     assert hits >= 297
     assert elapsed_since(t0) <= 120.0

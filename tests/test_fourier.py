@@ -34,7 +34,14 @@ from junta_walk.fourier import (
 )
 from junta_walk.functions import and_table, parity_table, random_table
 from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
-from junta_walk.walk import RefreshPairs, WalkConfig, generate_walk, harvest_refresh_pairs
+from junta_walk.walk import (
+    RandomWalkOracle,
+    RefreshPairs,
+    WalkConfig,
+    generate_walk,
+    harvest_refresh_pairs,
+)
+from lag_reference import lag_samples_from_walk
 
 sign_tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
@@ -98,6 +105,34 @@ def test_wht_matches_concatenating_reference_bit_for_bit(n):
         f = random_table(n, rng)
         float_coeffs = _concatenating_wht(f.values.astype(np.float64)) / (1 << n)
         assert Spectrum.from_table(f).coeffs.tobytes() == float_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypatch):
+    # int32 runs only while size * max|v| < 2^31, which bounds every partial sum
+    butterfly, words = fourier._butterfly, []
+
+    def spy(v):
+        words.append(v.dtype)
+        return butterfly(v)
+
+    monkeypatch.setattr(fourier, "_butterfly", spy)
+    size, rng = 1 << n, np.random.default_rng(n)
+    top = (1 << 31) // size  # size * top == 2^31
+    for peak, word in ((top - 1, np.int32), (top, np.int64)):
+        for v in (
+            np.full(size, peak),
+            np.full(size, -peak),
+            rng.integers(-peak, peak + 1, size=size),
+            np.where(rng.integers(0, 2, size=size) == 1, peak, -peak),
+        ):
+            v[0] = peak if v[0] >= 0 else -peak  # the bound is met exactly
+            words.clear()
+            out = wht(v)
+            assert words == [word]
+            assert out.dtype == np.int64
+            assert out.tobytes() == butterfly(v.astype(np.int64)).tobytes()
+    assert wht(np.full(size, top))[0] == 1 << 31  # past int32, so the int64 path
 
 
 def test_and2_coefficients():
@@ -295,7 +330,8 @@ def test_estimate_on_own_parity_is_exactly_one():
     f = parity_table(6, [2, 5])
     params = EstimatorParams(lag=5, pair_count=200)
     walk = generate_walk(f, WalkConfig(6, params.required_walk_length, seed=3))
-    assert estimate_sq_coeff(walk, S, params) == 1.0
+    samples = lag_samples_from_walk(walk, params)
+    assert estimate_sq_coeff(samples, S) == 1.0
 
 
 def test_lag_averaging_cancels_full_set_alternation():
@@ -305,24 +341,18 @@ def test_lag_averaging_cancels_full_set_alternation():
     f = parity_table(n, range(1, n + 1))
     params = EstimatorParams(lag=7, pair_count=300)
     walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=8))
-    assert estimate_sq_coeff(walk, IndexSet(n, 0), params) == 0.0
+    samples = lag_samples_from_walk(walk, params)
+    assert estimate_sq_coeff(samples, IndexSet(n, 0)) == 0.0
     spec = Spectrum.from_table(f)
     assert expected_sq_estimate(spec, IndexSet(n, 0), lag=7) == 0.0
-
-
-def test_estimate_needs_long_enough_walk():
-    f = parity_table(4, [1])
-    params = EstimatorParams(lag=5, pair_count=100)
-    walk = generate_walk(f, WalkConfig(4, params.required_walk_length - 1, seed=1))
-    with pytest.raises(ValueError):
-        estimate_sq_coeff(walk, IndexSet(4, 0), params)
 
 
 def test_estimate_dimension_mismatch():
     f = parity_table(4, [1])
     walk = generate_walk(f, WalkConfig(4, 50, seed=1))
-    with pytest.raises(ValueError):
-        estimate_sq_coeff(walk, IndexSet(5, 0), EstimatorParams(lag=2, pair_count=5))
+    samples = lag_samples_from_walk(walk, EstimatorParams(lag=2, pair_count=5))
+    with pytest.raises(ValueError, match="samples over n=4"):
+        estimate_sq_coeff(samples, IndexSet(5, 0))
 
 
 def test_expected_estimate_within_bias_bound_of_truth():
@@ -346,7 +376,8 @@ def test_estimator_concentrates_near_expectation(seed):
     S = IndexSet.of(n, [1, 3])
     params = EstimatorParams(lag=default_lag(n, 0.2), pair_count=4000)
     walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=seed + 1))
-    est = estimate_sq_coeff(walk, S, params)
+    samples = lag_samples_from_walk(walk, params)
+    est = estimate_sq_coeff(samples, S)
     # terms are means of [-1, 1] samples; walk correlation inflates variance
     # by a small constant, so test at a generous 8 / sqrt(m)
     assert abs(est - expected_sq_estimate(spec, S, params.lag)) < 8 / math.sqrt(4000)
@@ -357,18 +388,20 @@ def test_bulk_matches_per_set_estimates():
     f = random_table(n, np.random.default_rng(6))
     params = EstimatorParams(lag=6, pair_count=500)
     walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=2))
-    bulk = estimate_sq_coeff_bulk(walk, params, IndexSet.full(n))
+    samples = lag_samples_from_walk(walk, params)
+    bulk = estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     for mask in range(1 << n):
-        assert bulk[mask] == estimate_sq_coeff(walk, IndexSet(n, mask), params)
+        assert bulk[mask] == estimate_sq_coeff(samples, IndexSet(n, mask))
 
 
-def _dense_bulk_reference(walk, params):
+def _dense_bulk_reference(samples):
     """The former bulk path: both lags binned on all 2^n xor words."""
-    diff_t, diff_t1, prod_t, prod_t1 = fourier._lag_samples(walk, params)
-    size = 1 << walk.n
-    bins_t = np.bincount(diff_t.astype(np.int64), weights=prod_t, minlength=size)
-    bins_t1 = np.bincount(diff_t1.astype(np.int64), weights=prod_t1, minlength=size)
-    return 0.5 * (wht(bins_t) + wht(bins_t1)) / params.pair_count
+    size = 1 << samples.n
+    bins_t, bins_t1 = (
+        np.bincount(diff.astype(np.int64), weights=prod, minlength=size)
+        for diff, prod in ((samples.diff_t, samples.prod_t), (samples.diff_t1, samples.prod_t1))
+    )
+    return 0.5 * (wht(bins_t) + wht(bins_t1)) / len(samples)
 
 
 def _subset_masks(pool):
@@ -389,7 +422,8 @@ def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
     f = random_table(n, rng)
     params = EstimatorParams(lag=default_lag(n, 0.1), pair_count=2_000)
     walk = generate_walk(f, WalkConfig(n, params.required_walk_length, seed=n))
-    dense = _dense_bulk_reference(walk, params)
+    samples = lag_samples_from_walk(walk, params)
+    dense = _dense_bulk_reference(samples)
     partial = sorted(rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist())
     for pool in (
         IndexSet(n, 0),
@@ -397,7 +431,7 @@ def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
         IndexSet.of(n, partial),
         IndexSet.full(n),
     ):
-        bulk = estimate_sq_coeff_bulk(walk, params, pool)
+        bulk = estimate_sq_coeff_bulk(samples, pool)
         assert bulk.shape == (1 << len(pool),)
         masks = _subset_masks(pool)
         assert bulk[restriction_indices(pool, masks)].tobytes() == dense[masks].tobytes()
@@ -411,17 +445,18 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
 
     params = EstimatorParams(lag=default_lag(n, 0.2), pair_count=1_500)
     walk = generate_walk(label, WalkConfig(n, params.required_walk_length, seed=n))
+    samples = lag_samples_from_walk(walk, params)
     pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
     tracemalloc.start()
     try:
-        bulk = estimate_sq_coeff_bulk(walk, params, pool)
+        bulk = estimate_sq_coeff_bulk(samples, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the lag samples and 2^6 cells take ~150 KiB; one 2^21-entry array is 16 MiB
     assert peak < 1 << 20
     masks = _subset_masks(pool)
-    per_set = [estimate_sq_coeff(walk, IndexSet(n, int(m)), params) for m in masks]
+    per_set = [estimate_sq_coeff(samples, IndexSet(n, int(m))) for m in masks]
     assert bulk[restriction_indices(pool, masks)].tobytes() == np.array(per_set).tobytes()
 
 
@@ -430,12 +465,31 @@ def test_bulk_rejects_large_n():
     params = EstimatorParams(lag=1, pair_count=1)
     n = BULK_WHT_MAX_N + 1
     walk = generate_walk(lambda bits: np.ones(bits.shape, np.int8), WalkConfig(n, 10, seed=0))
+    samples = lag_samples_from_walk(walk, params)
     with pytest.raises(ValueError, match="pool of <= 20"):
-        estimate_sq_coeff_bulk(walk, params, IndexSet.full(n))
+        estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     largest = IndexSet.of(n, range(2, n + 1))
-    assert estimate_sq_coeff_bulk(walk, params, largest).size == 1 << BULK_WHT_MAX_N
+    assert estimate_sq_coeff_bulk(samples, largest).size == 1 << BULK_WHT_MAX_N
     with pytest.raises(ValueError, match="pool over n=20"):
-        estimate_sq_coeff_bulk(walk, params, IndexSet(BULK_WHT_MAX_N, 1))
+        estimate_sq_coeff_bulk(samples, IndexSet(BULK_WHT_MAX_N, 1))
+
+
+@pytest.mark.parametrize("n", [8, 21])
+def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
+    # a twin oracle's whole walk, read by the reference reader, is the
+    # estimator's former input; bulk and per-set estimates must not move
+    f = random_table(8, np.random.default_rng(3)) if n == 8 else parity_table(n, [4, 17])
+    params = EstimatorParams(lag=default_lag(n, 0.1), pair_count=3_000)
+    drawn = RandomWalkOracle(f, n, seed=77).lag_samples(params.lag, params.pair_count)
+    walk = RandomWalkOracle(f, n, seed=77).walk(params.required_walk_length)
+    read = lag_samples_from_walk(walk, params)
+    pool = IndexSet.of(n, [1, 3, 4, 6, 8] if n == 8 else [2, 4, 9, 17, n])
+    assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
+        estimate_sq_coeff_bulk(read, pool).tobytes()
+    )
+    for mask in _subset_masks(pool):
+        S = IndexSet(n, int(mask))
+        assert estimate_sq_coeff(drawn, S) == estimate_sq_coeff(read, S)
 
 
 # ---------------------------------------------------------------------------

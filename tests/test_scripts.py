@@ -1,0 +1,47 @@
+"""Smoke test: every script under scripts/ runs end to end at tiny sizes."""
+
+import importlib.util
+import json
+import logging
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(name, argv):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    try:
+        assert module.main(argv) == 0
+    finally:  # the scripts configure the root logger for a command-line run
+        root.handlers[:], root.level = handlers, level
+
+
+def test_walk_endpoint_laws(tmp_path):
+    out = tmp_path / "laws.json"
+    _run(
+        "walk_endpoint_laws",
+        ["--ns", "2", "--trials", "200", "--endpoint-trials", "500", "--out", str(out)],
+    )
+    report = json.loads(out.read_text())
+    assert [row["n"] for row in report["acceptance"]] == [2]
+    assert report["endpoints"]["updating"]["pairs"] > 0
+
+
+def test_runtime_scaling(tmp_path):
+    out = tmp_path / "scaling.json"
+    _run("runtime_scaling", ["--ns", "6", "8", "--trials", "1", "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["n"] for row in rows] == [6, 8]
+    assert all(row["median_walk_steps"] > 0 for row in rows)
+
+
+def test_run_default_battery(tmp_path, capsys):
+    _run("run_default_battery", ["--repetitions", "1", "--out-dir", str(tmp_path)])
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["trials"] == 18
+    for key in ("csv", "json", "summary"):
+        assert Path(printed[key]).is_file()

@@ -304,6 +304,13 @@ def test_certify_flags_spurious_and_oversized_sets():
     assert any("oversized" in v for v in report.violations)
 
 
+def test_certify_refuses_a_spectrum_of_another_dimension():
+    # auditing a 6-variable result against a 4-variable spectrum is meaningless
+    spec = Spectrum.from_table(parity_table(4, [1, 2]))
+    with pytest.raises(ValueError, match="spectrum over n=4, sieve result over n=6"):
+        certify_result(_fake_result(6, []), spec, theta=0.5, level=2)
+
+
 def test_certify_accepts_exact_answer():
     spec = Spectrum.from_table(and_table(4, [1, 2]))
     masks = [0, 0b01, 0b10, 0b11]

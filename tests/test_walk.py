@@ -8,10 +8,12 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from junta_walk.fourier import EstimatorParams, default_lag
 from junta_walk.functions import parity_table, random_table
 from junta_walk.hypercube import IndexSet
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
+    CELL_MAX_N,
     RandomWalkOracle,
     RefreshPair,
     RefreshPairs,
@@ -30,6 +32,7 @@ from junta_walk.walk import (
     updating_acceptance_trials,
     updating_walk_endpoints,
 )
+from lag_reference import lag_samples_from_walk
 
 XOR2 = parity_table(6, [1, 2])
 
@@ -218,6 +221,28 @@ def test_updating_walk_endpoints_hit_both_parities():
     parities = np.unique(np.bitwise_count(diff.astype(np.uint64)) & 1)
     assert parities.tolist() == [0, 1]
     assert cells.min() >= 0 and cells.max() < 64
+
+
+@pytest.mark.parametrize("n", [CELL_MAX_N - 1, CELL_MAX_N])
+def test_endpoint_cells_decode_up_to_the_cap(n):
+    for cells in (
+        updating_walk_endpoints(n, 4 * n, trials=50, seed=1)[1],
+        updating_acceptance_trials(n, 4 * n, 16 * n, 50, seed=1, collect_pairs=True)[1],
+    ):
+        assert cells.size > 0 and cells.min() >= 0
+        x0, xl = cells >> n, cells & ((1 << n) - 1)
+        assert x0.max() < 1 << n and xl.max() < 1 << n
+
+
+def test_endpoint_cells_refuse_dimensions_past_the_cap():
+    n = CELL_MAX_N + 1
+    with pytest.raises(ValueError, match="need n <= 31"):
+        updating_walk_endpoints(n, 40, trials=10, seed=1)
+    with pytest.raises(ValueError, match="need n <= 31"):
+        updating_acceptance_trials(n, 40, 160, 10, seed=1, collect_pairs=True)
+    # the count alone packs no cell, so any packed dimension works
+    accepted, cells = updating_acceptance_trials(40, 400, 1600, 10, seed=1)
+    assert 0 <= accepted <= 10 and cells is None
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +526,51 @@ def test_oracle_counts_steps():
     assert a.steps_served == 100
     pairs = a.refresh_pairs(50, 4)
     assert a.steps_served == 100 + pairs.walk_steps
+
+
+def test_rejected_requests_do_not_consume_a_seed():
+    f = random_table(8, np.random.default_rng(1))
+    bad_requests = (
+        ("walk", (0,), "length=0"),
+        ("walk", (-3,), "length=-3"),
+        ("refresh_pairs", (0, 3), "pair_count=0"),
+        ("refresh_pairs", (5, 0), "gap_steps=0"),
+        ("lag_samples", (0, 5), "lag=0"),
+        ("lag_samples", (2, 0), "blocks=0"),
+    )
+    for name, args, message in bad_requests:
+        oracle = RandomWalkOracle(f, 8, seed=99)
+        with pytest.raises(ValueError, match=message):
+            getattr(oracle, name)(*args)
+        assert oracle.steps_served == 0
+        fresh = RandomWalkOracle(f, 8, seed=99)
+        np.testing.assert_array_equal(oracle.walk(50).points, fresh.walk(50).points)
+
+
+def _hash_label(bits):
+    # a deterministic +-1 label that depends on every coordinate
+    top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
+    return (1 - 2 * top).astype(np.int8)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
+def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
+    for lag in sorted({1, 2, default_lag(n, 0.05)}):
+        for blocks in (1, 7, 20_000):
+            seed = 100 * n + lag
+            drawn_from = RandomWalkOracle(_hash_label, n, seed)
+            walked = RandomWalkOracle(_hash_label, n, seed)
+            got = drawn_from.lag_samples(lag, blocks)
+            params = EstimatorParams(lag=lag, pair_count=blocks)
+            want = lag_samples_from_walk(walked.walk(params.required_walk_length), params)
+            assert (got.n, len(got)) == (n, blocks)
+            _assert_same_bytes(got.diff_t, want.diff_t)
+            _assert_same_bytes(got.diff_t1, want.diff_t1)
+            for g, w in ((got.prod_t, want.prod_t), (got.prod_t1, want.prod_t1)):
+                assert g.dtype == np.int8 and np.array_equal(g, w)
+            assert all(
+                not a.flags.writeable
+                for a in (got.diff_t, got.diff_t1, got.prod_t, got.prod_t1)
+            )
+            assert drawn_from.steps_served == walked.steps_served == blocks * (lag + 1)
+            _assert_same_bytes(drawn_from.walk(9).points, walked.walk(9).points)
