@@ -2,7 +2,8 @@
 
 Coefficients use the character convention chi_S(x) = prod_{i in S} x_i with
 packed points, so chi_S(x) = (-1)^popcount(mask_S & bits_x) and the dense
-transform is the standard Walsh-Hadamard butterfly.
+transform is the Walsh-Hadamard transform: a few Hadamard-matrix products in
+an exact float word for integer input, the butterfly for float input.
 
 The squared-coefficient estimator works from the lag pairs of a plain labeled
 walk, a :class:`~junta_walk.walk.LagSamples` record that
@@ -39,18 +40,13 @@ from .walk import LagSamples, RefreshPairs, _check_positive
 BULK_WHT_MAX_N = 20
 
 
-def _check_power_of_two(size: int) -> int:
-    n = size.bit_length() - 1
-    if size <= 0 or (1 << n) != size:
-        raise ValueError(f"array length {size} is not a power of two")
-    return n
-
-
 def _butterfly(v: np.ndarray) -> np.ndarray:
     """Unnormalized transform along the last axis; ``v`` is consumed as scratch.
 
     Level h maps each pair (a, b) of entries h apart to (a + b, a - b),
-    writing into a second buffer so no level allocates.
+    writing into a second buffer so no level allocates.  It serves float
+    input, whose rounding it fixes level by level, and integer input past
+    :func:`_exact_wht`'s float words, where int64 adds beat int64 matmul.
     """
     size = v.shape[-1]
     out = np.empty_like(v)
@@ -65,6 +61,43 @@ def _butterfly(v: np.ndarray) -> np.ndarray:
     return v
 
 
+# H[i, j] = (-1)^popcount(i & j); its top-left 2^g corner does g levels
+_HADAMARD = np.where(np.bitwise_count(np.arange(32)[:, None] & np.arange(32)) % 2, -1, 1)
+
+
+def _gemm_wht(v: np.ndarray) -> np.ndarray:
+    """Transform of float ``v`` along its last axis as BLAS products: the
+    first (up to) five levels are one product with H, and each further group
+    is one batched product on the middle axis of a (-1, 2^g, 2^done) view."""
+    size, hadamard = v.shape[-1], _HADAMARD.astype(v.dtype)
+    out, done = v, 0
+    while 1 << done < size:
+        g = min(5, size.bit_length() - 1 - done)
+        h = hadamard[: 1 << g, : 1 << g]
+        if done:
+            out = np.matmul(h, out.reshape(-1, 1 << g, 1 << done))
+        else:
+            out = out.reshape(-1, 1 << g) @ h
+        done += g
+    return out.reshape(v.shape)
+
+
+def _exact_wht(v: np.ndarray) -> np.ndarray:
+    """Exact int64 transform of integer ``v`` along its last axis.
+
+    With bound = size * max|v|, runs :func:`_gemm_wht` in float32 below 2^24,
+    in float64 below 2^53 and the int64 butterfly past that.  Every partial
+    sum of every product is a signed subset sum of the inputs, so it is at
+    most the bound in magnitude and the word holds it exactly, whatever the
+    summation order, blocking, FMA use or BLAS thread count.
+    """
+    bound = v.shape[-1] * max(int(v.max()), -int(v.min()))
+    if bound >= 1 << 53:
+        return _butterfly(v.astype(np.int64))
+    word = np.float32 if bound < 1 << 24 else np.float64
+    return _gemm_wht(v.astype(word)).astype(np.int64)
+
+
 def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
     """Walsh-Hadamard transform.
 
@@ -77,14 +110,11 @@ def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
     if isinstance(values, TruthTable):
         return Spectrum.from_table(values)
     v = np.asarray(values).reshape(-1)
-    _check_power_of_two(v.size)
+    if v.size == 0 or v.size & (v.size - 1):
+        raise ValueError(f"array length {v.size} is not a power of two")
     if v.dtype.kind not in "biu":
         return _butterfly(v.astype(np.float64))
-    # every partial sum is bounded by size * max|v|, so int32 is exact below 2^31
-    bound = v.size * max(int(v.max()), -int(v.min()))
-    if bound < 1 << 31:
-        return _butterfly(v.astype(np.int32)).astype(np.int64)
-    return _butterfly(v.astype(np.int64))
+    return _exact_wht(v)
 
 
 # Cells (supports x 2^k) gathered per table in one step of subcube_sums, 8 MiB
@@ -105,7 +135,8 @@ def subcube_sums(
     position.  By the restriction/projection identity those sums are 2^-k
     times the size-2^k transform of the table's transform restricted to the
     subsets of the support, so each table is transformed once and each
-    support costs one 2^k butterfly, never a pass over all cells.
+    support costs one exact size-2^k transform (batched into matrix
+    products per chunk), never a pass over all cells.
 
     Yields ``(positions, sums)`` per chunk of supports, in the order given:
     ``positions`` is (S, k) and ``sums`` is (len(tables), S, 2^k) int64.
@@ -119,8 +150,8 @@ def subcube_sums(
         subsets = np.zeros((len(batch), 1), dtype=np.int64)
         for j in range(k):
             subsets = np.hstack([subsets, subsets | (1 << positions[:, j : j + 1])])
-        # exact: every bucket sum times 2^k is what the butterfly returns
-        yield positions, _butterfly(coeffs[:, subsets]) >> k
+        # exact: every bucket sum times 2^k is what the transform returns
+        yield positions, _exact_wht(coeffs[:, subsets]) >> k
 
 
 @dataclass(frozen=True)
@@ -339,6 +370,18 @@ def estimator_bias_bound(n: int, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# _BYTE_BITS[b, j] is bit j of the byte value b
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    """Entry i counts the masks with bit i set: one histogram per byte in
+    use, times the bits of each byte value."""
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    hists = [np.bincount(octets[:, b], minlength=256) for b in range((n + 7) // 8)]
+    return (np.stack(hists) @ _BYTE_BITS).reshape(-1)[:n]
+
+
 def estimate_bounded_influence(pairs: RefreshPairs) -> np.ndarray:
     """Contrast of the label product over pairs that kept/refreshed each coordinate.
 
@@ -351,14 +394,12 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> np.ndarray:
 
     The products are +-1, so each conditional mean is an exact integer sum,
     (pairs - 2 disagreeing pairs), divided once by its pair count; all n
-    contrasts come from one pass of counts.  A coordinate refreshed in none
-    or all of the pairs has no contrast sample and reads +inf.
+    counts come from byte histograms of the masks.  A coordinate refreshed
+    in none or all of the pairs has no contrast sample and reads +inf.
     """
     masks = pairs.refreshed_masks
     disagree = masks[pairs.label_x != pairs.label_y]
-    bits = np.uint64(1) << np.arange(pairs.n, dtype=np.uint64)
-    hit = np.array([np.count_nonzero(masks & b) for b in bits])
-    hit_dis = np.array([np.count_nonzero(disagree & b) for b in bits])
+    hit, hit_dis = _bit_counts(masks, pairs.n), _bit_counts(disagree, pairs.n)
     kept, kept_dis = len(masks) - hit, len(disagree) - hit_dis
     with np.errstate(divide="ignore", invalid="ignore"):
         contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit

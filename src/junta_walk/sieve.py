@@ -44,7 +44,7 @@ from .fourier import (
     estimate_sq_coeff,
     estimate_sq_coeff_bulk,
 )
-from .hypercube import IndexSet, popcount_u64, restriction_indices
+from .hypercube import IndexSet, restriction_indices
 from .walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 
 logger = logging.getLogger(__name__)
@@ -335,23 +335,27 @@ def certify_result(
     """
     if truth.n != result.n:
         raise ValueError(f"spectrum over n={truth.n}, sieve result over n={result.n}")
+    if level < 0:
+        raise ValueError(f"level={level} is negative")
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta={theta} outside (0, 1]")
     failures: list[str] = []
     returned = set(result.masks())
-    masks = np.arange(1 << truth.n, dtype=np.uint64)
-    sizes = popcount_u64(masks)
-    sq = np.asarray(truth.coeffs) ** 2
-    for mask in np.nonzero((sizes <= level) & (sq >= theta))[0]:
-        if int(mask) not in returned:
-            failures.append(
-                f"missing set mask={int(mask)} with coeff^2={sq[mask]:.6f} >= theta"
-            )
+    # only the sets of size <= level can be missing, so only they are read
+    low = sorted(
+        sum(1 << i for i in combo)
+        for size in range(min(level, truth.n) + 1)
+        for combo in itertools.combinations(range(truth.n), size)
+    )
+    for mask, sq in zip(low, truth.coeffs[low] ** 2):
+        if sq >= theta and mask not in returned:
+            failures.append(f"missing set mask={mask} with coeff^2={sq:.6f} >= theta")
     for mask in returned:
-        if sq[mask] < theta / 2.0:
-            failures.append(
-                f"spurious set mask={mask} with coeff^2={sq[mask]:.6f} < theta/2"
-            )
-        if int(sizes[mask]) > level:
-            failures.append(f"oversized set mask={mask} (|S|={int(sizes[mask])})")
+        sq = truth.coeffs[mask] ** 2
+        if sq < theta / 2.0:
+            failures.append(f"spurious set mask={mask} with coeff^2={sq:.6f} < theta/2")
+        if mask.bit_count() > level:
+            failures.append(f"oversized set mask={mask} (|S|={mask.bit_count()})")
     cap = math.ceil(2.0 / theta)
     if len(result.sets) > cap:
         failures.append(f"returned {len(result.sets)} sets, cap {cap}")

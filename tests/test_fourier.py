@@ -109,17 +109,27 @@ def test_wht_matches_concatenating_reference_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypatch):
-    # int32 runs only while size * max|v| < 2^31, which bounds every partial sum
-    butterfly, words = fourier._butterfly, []
+    # every partial sum is bounded by size * max|v|: float32 runs below 2^24,
+    # float64 below 2^53, and the int64 butterfly from there on
+    butterfly, gemm, words = fourier._butterfly, fourier._gemm_wht, []
 
-    def spy(v):
-        words.append(v.dtype)
-        return butterfly(v)
+    def spy(inner):
+        def run(v):
+            words.append(v.dtype)
+            return inner(v)
 
-    monkeypatch.setattr(fourier, "_butterfly", spy)
+        return run
+
+    monkeypatch.setattr(fourier, "_butterfly", spy(butterfly))
+    monkeypatch.setattr(fourier, "_gemm_wht", spy(gemm))
     size, rng = 1 << n, np.random.default_rng(n)
-    top = (1 << 31) // size  # size * top == 2^31
-    for peak, word in ((top - 1, np.int32), (top, np.int64)):
+    f32_top, f64_top = (1 << 24) // size, (1 << 53) // size  # size * top == bound
+    for peak, word in (
+        (f32_top - 1, np.float32),
+        (f32_top, np.float64),
+        (f64_top - 1, np.float64),
+        (f64_top, np.int64),
+    ):
         for v in (
             np.full(size, peak),
             np.full(size, -peak),
@@ -132,7 +142,21 @@ def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypa
             assert words == [word]
             assert out.dtype == np.int64
             assert out.tobytes() == butterfly(v.astype(np.int64)).tobytes()
-    assert wht(np.full(size, top))[0] == 1 << 31  # past int32, so the int64 path
+    assert wht(np.full(size, f32_top))[0] == 1 << 24  # past float32's exact range
+    # subcube_sums transforms (1, S, 2^k) coefficient blocks the same way
+    k, table = min(n, 3), rng.integers(-f32_top + 1, f32_top, size=size)
+    supports = list(combinations(range(n), k))
+    words.clear()
+    got = list(subcube_sums([table], supports, k))
+    coeffs = butterfly(table.astype(np.int64))
+    block_word = np.float32 if (max(abs(coeffs)) << k) < 1 << 24 else np.float64
+    assert words == [np.float32, block_word]
+    monkeypatch.setattr(fourier, "_exact_wht", lambda v: butterfly(v.astype(np.int64)))
+    for (pos, sums), (ref_pos, ref_sums) in zip(
+        got, subcube_sums([table], supports, k), strict=True
+    ):
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert sums.tobytes() == ref_sums.tobytes()
 
 
 def test_and2_coefficients():
@@ -616,6 +640,17 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
         _assert_contrasts_bit_identical(pairs)
     _assert_contrasts_bit_identical(_concat_pairs(*parts))
     _assert_contrasts_bit_identical(_concat_pairs(*parts[1:3]))
+    # byte boundaries of the mask words, up to the packed cap
+    rng = np.random.default_rng(310)
+    for n in (1, 7, 8, 9, 16, 33, 63):
+        m = 5_000
+        masks = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+        masks &= rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+        for label_y in (rng.choice(np.array([-1, 1], dtype=np.int8), size=m), -labels):
+            pairs = RefreshPairs(n, masks, masks, labels, label_y, masks)
+            _assert_contrasts_bit_identical(pairs)
+            _assert_contrasts_bit_identical(pairs[:0])
 
 
 def test_contrast_coordinate_range():

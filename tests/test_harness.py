@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import junta_walk
 from junta_walk.harness import (
     CSV_COLUMNS,
     DEFAULT_ERM_SAMPLE,
@@ -429,6 +434,50 @@ def test_run_suite_is_thread_invariant(tmp_path, monkeypatch):
         return row
 
     assert [stable(r) for r in serial.reports] == [stable(r) for r in threaded.reports]
+
+
+_BLAS_SNIPPET = """
+import hashlib
+import numpy as np
+from junta_walk.fourier import Spectrum, wht
+from junta_walk.functions import random_table
+from junta_walk.harness import Corruption, InstanceSpec, default_learn_params, run_trial
+
+f = random_table(20, np.random.default_rng(41))
+report = run_trial(
+    InstanceSpec(n=16, k=3, corruption=Corruption(kind="iid", rate=0.1)),
+    default_learn_params(16, 3, 0.25, 0.1),
+    trial_seed=42,
+)
+h = report.hypothesis
+for part in (
+    wht(f.values).tobytes(),
+    Spectrum.from_table(f).coeffs.tobytes(),
+    repr((h.J.mask, h.table.tobytes(), report.pool, report.walk_steps)).encode(),
+    repr((report.opt, report.delta_hf, report.disagreements)).encode(),
+):
+    print(hashlib.sha256(part).hexdigest())
+"""
+
+
+def test_transforms_and_trials_are_blas_thread_invariant():
+    # the exact transforms run as BLAS products; no thread count may change them
+    src = str(Path(junta_walk.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, JUNTA_WALK_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_SNIPPET],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 def test_run_suite_trials_json_is_thread_invariant_at_n16(tmp_path, monkeypatch):

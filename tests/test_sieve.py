@@ -10,7 +10,7 @@ import pytest
 import junta_walk.sieve as sieve_mod
 from junta_walk.fourier import Spectrum
 from junta_walk.functions import and_table, constant_table, parity_table, random_junta
-from junta_walk.hypercube import IndexSet
+from junta_walk.hypercube import IndexSet, popcount_u64
 from junta_walk.sieve import (
     BudgetInfeasible,
     CertifyReport,
@@ -309,6 +309,59 @@ def test_certify_refuses_a_spectrum_of_another_dimension():
     spec = Spectrum.from_table(parity_table(4, [1, 2]))
     with pytest.raises(ValueError, match="spectrum over n=4, sieve result over n=6"):
         certify_result(_fake_result(6, []), spec, theta=0.5, level=2)
+
+
+def _full_scan_violations(result, truth, theta, level):
+    """Reference audit: scans all 2^n coefficients for the missing sets."""
+    failures = []
+    returned = set(result.masks())
+    masks = np.arange(1 << truth.n, dtype=np.uint64)
+    sizes = popcount_u64(masks)
+    sq = np.asarray(truth.coeffs) ** 2
+    for mask in np.nonzero((sizes <= level) & (sq >= theta))[0]:
+        if int(mask) not in returned:
+            failures.append(
+                f"missing set mask={int(mask)} with coeff^2={sq[mask]:.6f} >= theta"
+            )
+    for mask in returned:
+        if sq[mask] < theta / 2.0:
+            failures.append(
+                f"spurious set mask={mask} with coeff^2={sq[mask]:.6f} < theta/2"
+            )
+        if int(sizes[mask]) > level:
+            failures.append(f"oversized set mask={mask} (|S|={int(sizes[mask])})")
+    cap = math.ceil(2.0 / theta)
+    if len(result.sets) > cap:
+        failures.append(f"returned {len(result.sets)} sets, cap {cap}")
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certify_matches_full_scan_reference(n):
+    rng = np.random.default_rng(500 + n)
+    for level in range(n + 2):
+        for theta in (0.02, 0.1, 0.5, 1.0):
+            spec = Spectrum(n, rng.normal(size=1 << n) * rng.uniform(0.05, 0.6))
+            sq = np.asarray(spec.coeffs) ** 2
+            # returned sets miss some heavy sets, add light ones and large ones
+            picks = rng.permutation(1 << n)[: rng.integers(0, min(1 << n, 12) + 1)]
+            heavy = np.flatnonzero(sq >= theta)
+            keep = heavy[rng.random(heavy.size) < 0.7]
+            masks = sorted(set(picks.tolist()) | set(keep.tolist()))
+            result = _fake_result(n, masks)
+            report = certify_result(result, spec, theta, level)
+            expected = _full_scan_violations(result, spec, theta, level)
+            assert report.violations == expected
+            assert report.passed == (not expected)
+
+
+def test_certify_rejects_negative_level_and_theta_outside_unit_interval():
+    spec = Spectrum.from_table(parity_table(4, [1, 2]))
+    with pytest.raises(ValueError, match="level=-1"):
+        certify_result(_fake_result(4, []), spec, theta=0.5, level=-1)
+    for theta in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            certify_result(_fake_result(4, []), spec, theta=theta, level=2)
 
 
 def test_certify_accepts_exact_answer():
