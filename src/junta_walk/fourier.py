@@ -31,7 +31,7 @@ from .hypercube import (
     TruthTable,
     parity_sign_u64,
     popcount_u64,
-    restriction_indices,
+    signed_sums,
 )
 from .walk import LagSamples, RefreshPairs, _check_positive
 
@@ -117,31 +117,31 @@ def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
     return _exact_wht(v)
 
 
-# Cells (supports x 2^k) gathered per table in one step of subcube_sums, 8 MiB
-# of int64, so memory stays bounded however large C(p, k) 2^k is
-# (C(16, 11) 2^11 is 8.9 M cells).
+# Cells (supports x 2^k) gathered in one step of subcube_sums, 8 MiB of int64,
+# so memory stays bounded however large C(p, k) 2^k is (C(16, 11) 2^11 is
+# 8.9 M cells).
 _SUBCUBE_CHUNK_CELLS = 1 << 20
 
 
 def subcube_sums(
-    tables: Sequence[np.ndarray], supports: Iterable[Sequence[int]], k: int
+    table: np.ndarray, supports: Iterable[Sequence[int]], k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exact bucket sums of integer tables over the subcubes of many supports.
+    """Exact bucket sums of an integer table over the subcubes of many supports.
 
-    Each table holds 2^p integer cell values indexed by a p-bit word (a truth
-    table, or a histogram of a sample binned onto p coordinates).  A support
-    is k distinct bit positions in increasing order; its bucket r sums the
-    cells whose bits at the support spell r, bit j of r being the j-th
-    position.  By the restriction/projection identity those sums are 2^-k
-    times the size-2^k transform of the table's transform restricted to the
-    subsets of the support, so each table is transformed once and each
+    The table holds 2^p integer cell values indexed by a p-bit word (a truth
+    table, or the signed label sums of a sample binned onto p coordinates).
+    A support is k distinct bit positions in increasing order; its bucket r
+    sums the cells whose bits at the support spell r, bit j of r being the
+    j-th position.  By the restriction/projection identity those sums are
+    2^-k times the size-2^k transform of the table's transform restricted to
+    the subsets of the support, so the table is transformed once and each
     support costs one exact size-2^k transform (batched into matrix
     products per chunk), never a pass over all cells.
 
     Yields ``(positions, sums)`` per chunk of supports, in the order given:
-    ``positions`` is (S, k) and ``sums`` is (len(tables), S, 2^k) int64.
+    ``positions`` is (S, k) and ``sums`` is (S, 2^k) int64.
     """
-    coeffs = np.stack([wht(t) for t in tables])
+    coeffs = wht(table)
     supports = iter(supports)
     chunk = max(1, _SUBCUBE_CHUNK_CELLS >> k)
     while batch := list(islice(supports, chunk)):
@@ -151,7 +151,7 @@ def subcube_sums(
         for j in range(k):
             subsets = np.hstack([subsets, subsets | (1 << positions[:, j : j + 1])])
         # exact: every bucket sum times 2^k is what the transform returns
-        yield positions, _exact_wht(coeffs[:, subsets]) >> k
+        yield positions, _exact_wht(coeffs[subsets]) >> k
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,8 @@ def subcube_averages(f: TruthTable, J: IndexSet) -> np.ndarray:
     if J.n != f.n:
         raise ValueError(f"index set over n={J.n}, table over n={f.n}")
     k = len(J)
-    _, sums = next(subcube_sums([f.values], [[c - 1 for c in J]], k))
-    return sums[0, 0] / (1 << (f.n - k))
+    _, sums = next(subcube_sums(f.values, [[c - 1 for c in J]], k))
+    return sums[0] / (1 << (f.n - k))
 
 
 def spectrum_to_csv(spec: Spectrum, fh: TextIO) -> None:
@@ -336,10 +336,9 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    cells = restriction_indices(pool, np.concatenate((samples.diff_t, samples.diff_t1)))
-    signs = np.concatenate((samples.prod_t, samples.prod_t1))
-    counts = np.bincount(cells, weights=signs, minlength=1 << len(pool))
-    return 0.5 * wht(counts.astype(np.int64)) / len(samples)
+    diffs = np.concatenate((samples.diff_t, samples.diff_t1))
+    counts = signed_sums(pool, diffs, np.concatenate((samples.prod_t, samples.prod_t1)))
+    return 0.5 * wht(counts) / len(samples)
 
 
 def expected_sq_estimate(

@@ -144,6 +144,13 @@ def restriction_indices(J: IndexSet, bits: np.ndarray | int) -> np.ndarray:
     return idx
 
 
+def signed_sums(J: IndexSet, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Exact int64 sum of the +-1 ``signs`` of the packed points ``bits`` in
+    each of the 2^|J| subcubes J cuts, indexed as by restriction_indices."""
+    cells = restriction_indices(J, bits)
+    return np.bincount(cells, weights=signs, minlength=1 << len(J)).astype(np.int64)
+
+
 def _point_bits(x: Point | int, n: int) -> int:
     """Packed bits of x, refusing a Point of another dimension than n and an
     int outside [0, 2^n)."""

@@ -4,7 +4,9 @@ Pipeline: pick a squared-coefficient threshold from (k, epsilon), run the
 bounded sieve at level k to find every heavy set, pool the returned
 coordinates, then minimize empirical disagreement over all k-subsets of the
 pool on a fresh walk whose length makes disagreement means concentrate
-uniformly over the finite hypothesis class.
+uniformly over the finite hypothesis class.  :func:`best_support` scores
+every support from the walk's signed subcube label sums, and exact opt in
+``oracle_bruteforce`` from the truth table's.
 
 The threshold theta = (1 - 1/sqrt(2))^2 * 2^(1-k) * eps^2 guarantees that the
 best k-junta's coordinate set survives the sieve whenever its distance
@@ -22,7 +24,12 @@ from typing import Iterable
 import numpy as np
 
 from .fourier import BULK_WHT_MAX_N, subcube_sums
-from .hypercube import IndexSet, JuntaHypothesis, TruthTable, restriction_indices
+from .hypercube import (
+    IndexSet,
+    JuntaHypothesis,
+    restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
+    signed_sums,
+)
 from .sieve import SieveBudgets, SieveParams, SieveResult, bounded_sieve
 from .walk import RandomWalkOracle, SampleSizePlan, practical_plan, sample_size_erm
 
@@ -126,37 +133,6 @@ def pad_pool(pool: IndexSet, k: int) -> IndexSet:
     return IndexSet.of(pool.n, padded)
 
 
-@dataclass(frozen=True)
-class SubcubeTally:
-    """Label counts of a sample, bucketed by assignment to the J coordinates."""
-
-    J: IndexSet
-    plus: np.ndarray
-    minus: np.ndarray
-
-    def disagreements(self) -> int:
-        """Sample points any J-junta must get wrong: the minority count per bucket."""
-        return int(np.minimum(self.plus, self.minus).sum())
-
-    def majority_table(self) -> TruthTable:
-        """Per-bucket majority label; ties and unseen buckets default to +1."""
-        values = np.where(self.plus >= self.minus, 1, -1).astype(np.int8)
-        return TruthTable(len(self.J), values)
-
-    def hypothesis(self) -> JuntaHypothesis:
-        return JuntaHypothesis(self.J, self.majority_table().values)
-
-
-def subcube_tally(points: np.ndarray, labels: np.ndarray, J: IndexSet) -> SubcubeTally:
-    """Count +1/-1 labels in each of the 2^|J| subcubes determined by J."""
-    k = len(J)
-    ridx = restriction_indices(J, np.asarray(points, dtype=np.uint64))
-    labels = np.asarray(labels)
-    plus = np.bincount(ridx[labels == 1], minlength=1 << k)
-    minus = np.bincount(ridx[labels == -1], minlength=1 << k)
-    return SubcubeTally(J=J, plus=plus, minus=minus)
-
-
 def _as_sample(sample) -> tuple[np.ndarray, np.ndarray]:
     """Accept a LabeledWalk or a (points, labels) pair; reject empty samples
     and labels outside {-1, +1}."""
@@ -187,42 +163,62 @@ def tally_and_best_junta(J: IndexSet, sample) -> tuple[JuntaHypothesis, int]:
     return best_junta(points, labels, J, len(J))
 
 
+def best_support(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+    pool: IndexSet,
+    total: int,
+    per_set: dict[int, int] | None = None,
+) -> tuple[JuntaHypothesis, int]:
+    """Best junta over the supports of ``(positions, sums)`` chunks.
+
+    Each support is given by positions into the pool's coordinates in
+    increasing order, with its subcube sums s of ``total`` +-1 labels.  Its
+    best junta is the sign of s (ties and empty subcubes +1), which disagrees
+    with (total - sum |s|) / 2 labels, and the smallest (disagreements, mask)
+    wins.  ``per_set``, when given, receives every support's mask and
+    disagreement count.  Returns the winner and its disagreement count.
+    """
+    coord_bits = np.array([1 << (c - 1) for c in pool], dtype=np.uint64)
+    best: tuple[tuple[int, int], np.ndarray] | None = None
+    for positions, sums in chunks:
+        errs = (total - np.abs(sums).sum(axis=1)) // 2
+        masks = coord_bits[positions].sum(axis=1)
+        if per_set is not None:
+            per_set.update(zip(masks.tolist(), errs.tolist()))
+        i = np.lexsort((masks, errs))[0]
+        key = (int(errs[i]), int(masks[i]))
+        if best is None or key < best[0]:
+            best = (key, sums[i])
+    assert best is not None
+    (err, mask), sums = best
+    return JuntaHypothesis(IndexSet(pool.n, mask), np.where(sums >= 0, 1, -1)), err
+
+
 def best_junta(
     points: np.ndarray, labels: np.ndarray, pool: IndexSet, k: int
 ) -> tuple[JuntaHypothesis, int]:
     """Empirical-disagreement minimizer over all k-subsets of the pool.
 
-    Pools of at most BULK_WHT_MAX_N coordinates bin the sample onto the pool
-    once and take every support's +1/-1 counts from ``subcube_sums``; larger
-    pools tally each support on the sample.  Ties go to the smallest
+    The sample is binned as signed label sums.  Pools of at most
+    BULK_WHT_MAX_N coordinates bin it onto the pool once and take every
+    support's sums from ``subcube_sums``; larger pools bin it onto each
+    support.  :func:`best_support` scores them, ties going to the smallest
     coordinate-set mask, so reruns on the same sample are reproducible.
     """
     points, labels = _as_sample((points, labels))
-    coords = sorted(pool.coords())
+    coords = pool.coords()
     if len(coords) < k:
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
-    best: tuple[tuple[int, int], SubcubeTally] | None = None
+    supports = combinations(range(len(coords)), k)
     if len(coords) > BULK_WHT_MAX_N:
-        for combo in combinations(coords, k):
-            tally = subcube_tally(points, labels, IndexSet.of(pool.n, combo))
-            key = (tally.disagreements(), tally.J.mask)
-            if best is None or key < best[0]:
-                best = (key, tally)
+        chunks = (
+            (np.array([s], dtype=np.int64), signed_sums(J, points, labels)[None])
+            for s in supports
+            for J in [IndexSet.of(pool.n, [coords[i] for i in s])]
+        )
     else:
-        cells = restriction_indices(pool, points)
-        size = 1 << len(coords)
-        hist = [np.bincount(cells[labels == y], minlength=size) for y in (1, -1)]
-        coord_bits = np.array([1 << (c - 1) for c in coords], dtype=np.uint64)
-        supports = combinations(range(len(coords)), k)
-        for positions, (plus, minus) in subcube_sums(hist, supports, k):
-            errs = np.minimum(plus, minus).sum(axis=1)
-            masks = coord_bits[positions].sum(axis=1)
-            i = np.lexsort((masks, errs))[0]
-            key = (int(errs[i]), int(masks[i]))
-            if best is None or key < best[0]:
-                best = (key, SubcubeTally(IndexSet(pool.n, key[1]), plus[i], minus[i]))
-    assert best is not None
-    return best[1].hypothesis(), best[0][0]
+        chunks = subcube_sums(signed_sums(pool, points, labels), supports, k)
+    return best_support(chunks, pool, len(labels))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ for heavy coefficients, and the tightness fixtures around the AND function.
 
 Everything here works on full truth tables with integer or rational
 arithmetic; these oracles are what the sampling-based pipeline is audited
-against in the test suite.
+against in the test suite.  Exact opt scores the subcube label sums of f
+with the learner's ``best_support``, the rule ERM applies to a sample.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .hypercube import (
     JuntaHypothesis,
     TruthTable,
     popcount_u64,
-    restriction_indices,  # noqa: F401 - kept importable from this module
+    restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
 )
-from .learner import GAP_CONSTANT
+from .learner import GAP_CONSTANT, best_support
 
 MAX_OPT_N = 16
 MAX_LEMMA_N = 12
@@ -41,57 +42,39 @@ class OptResult:
     per_set: dict[int, Fraction] | None = None
 
 
-def _majority(sums: np.ndarray) -> np.ndarray:
-    """Majority label per bucket from its label sum; ties go to +1."""
-    return np.where(sums >= 0, 1, -1).astype(np.int8)
-
-
 def exact_opt_for(f: TruthTable, J: IndexSet) -> tuple[TruthTable, Fraction]:
     """Best J-junta for f: majority label on every subcube (ties to +1).
 
-    Returns the 2^|J| majority table and its exact distance.  With bucket label
-    sums s, the unavoidable disagreement count is (2^n - sum |s|) / 2.
+    Returns the 2^|J| majority table and its exact distance, scored by
+    ``best_support`` from the subcube label sums of f.
     """
     if J.n != f.n:
         raise ValueError(f"index set over n={J.n}, table over n={f.n}")
-    k = len(J)
-    _, sums = next(subcube_sums([f.values], [[c - 1 for c in J]], k))
-    sums = sums[0, 0]
-    disagree = ((1 << f.n) - int(np.abs(sums).sum())) // 2
-    return TruthTable(k, _majority(sums)), Fraction(disagree, 1 << f.n)
+    chunks = subcube_sums(f.values, [[c - 1 for c in J]], len(J))
+    h, disagree = best_support(chunks, IndexSet.full(f.n), 1 << f.n)
+    return TruthTable(len(J), h.table), Fraction(disagree, 1 << f.n)
 
 
 def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult:
     """Exhaustive optimum of the distance to f over all k-juntas, n <= 16.
 
     One exact transform of f yields the subcube label sums of every support
-    (see ``subcube_sums``), so all C(n, k) supports are scored exactly without
-    a pass over the cube per support.  Ties between coordinate sets resolve to
-    the smallest set mask, matching the learner's determinism rule.
+    (see ``subcube_sums``), so all C(n, k) supports are scored exactly by
+    ``best_support`` without a pass over the cube per support.  Ties between
+    coordinate sets resolve to the smallest set mask, the learner's rule.
     """
     if f.n > MAX_OPT_N:
         raise ValueError(f"n={f.n} exceeds the exact-opt cap {MAX_OPT_N}")
     if not 1 <= k <= f.n:
         raise ValueError(f"k={k} outside 1..{f.n}")
     size = 1 << f.n
-    best: tuple[tuple[int, int], np.ndarray] | None = None
-    per_set: dict[int, Fraction] | None = {} if include_per_set else None
-    for positions, sums in subcube_sums([f.values], combinations(range(f.n), k), k):
-        sums = sums[0]
-        disagree = (size - np.abs(sums).sum(axis=1)) // 2
-        masks = (1 << positions).sum(axis=1)
-        if per_set is not None:
-            per_set.update(
-                (m, Fraction(d, size)) for m, d in zip(masks.tolist(), disagree.tolist())
-            )
-        i = np.lexsort((masks, disagree))[0]
-        key = (int(disagree[i]), int(masks[i]))
-        if best is None or key < best[0]:
-            best = (key, sums[i])
-    assert best is not None
-    (disagree_best, mask), sums_best = best
-    witness = JuntaHypothesis(IndexSet(f.n, mask), _majority(sums_best))
-    return OptResult(opt=Fraction(disagree_best, size), witness=witness, per_set=per_set)
+    counts: dict[int, int] | None = {} if include_per_set else None
+    chunks = subcube_sums(f.values, combinations(range(f.n), k), k)
+    witness, disagree = best_support(chunks, IndexSet.full(f.n), size, counts)
+    per_set = None
+    if counts is not None:
+        per_set = {m: Fraction(d, size) for m, d in counts.items()}
+    return OptResult(opt=Fraction(disagree, size), witness=witness, per_set=per_set)
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,10 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
     tau = _screen_signal(params, p_eff) / 2.0
-    q = min(p_eff, 1.0 - p_eff)
-    if q <= 0.0:
-        screen_pairs = 1  # screening is skipped entirely for such n
-    else:
-        screen_pairs = math.ceil(
-            (64.0 / (q * tau * tau)) * max(math.log(12.0 * n / params.delta), 1.0)
-        )
+    q = min(p_eff, 1.0 - p_eff)  # > 0: the density and gap keep p_eff inside (0, 1)
+    screen_pairs = math.ceil(
+        (64.0 / (q * tau * tau)) * max(math.log(12.0 * n / params.delta), 1.0)
+    )
     pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
     delta_set = params.delta / (3.0 * cand_bound)

@@ -52,6 +52,13 @@ def labels_for(f: LabelSource, bits: np.ndarray) -> np.ndarray:
     return out.astype(np.int8)
 
 
+def _check_source(f: LabelSource, n: int) -> None:
+    """Refuse n outside [1, 63] and a table or hypothesis over another n."""
+    _check_dim(n)
+    if isinstance(f, (TruthTable, JuntaHypothesis)) and f.n != n:
+        raise ValueError(f"label source over n={f.n}, walk over n={n}")
+
+
 def _check_positive(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
@@ -154,6 +161,7 @@ def _walk_arrays(
 
 def generate_walk(f: LabelSource, config: WalkConfig) -> LabeledWalk:
     """Run the labeled-walk oracle: uniform start, one coordinate changed per step."""
+    _check_source(f, config.n)
     rng = np.random.default_rng(config.seed)
     points, flipped = _walk_arrays(rng, config.n, config.length, config.lazy)
     return LabeledWalk(
@@ -427,7 +435,7 @@ def harvest_refresh_pairs(
     The returned arrays are read-only: ``x_bits``/``y_bits`` and the two label
     arrays are overlapping views of one chain of block boundaries.
     """
-    _check_dim(n)
+    _check_source(f, n)
     _check_positive(pair_count=pair_count, gap_steps=gap_steps)
     rng = np.random.default_rng(seed)
 
@@ -580,7 +588,7 @@ class RandomWalkOracle:
     """
 
     def __init__(self, f: LabelSource, n: int, seed: int) -> None:
-        _check_dim(n)
+        _check_source(f, n)
         self.f = f
         self.n = n
         self.seed = seed

@@ -16,6 +16,7 @@ from junta_walk.hypercube import (
     distance_exact,
     restriction_indices,
 )
+from junta_walk.learner import best_junta
 from junta_walk.oracle_bruteforce import (
     LemmaWitness,
     OptResult,
@@ -123,6 +124,19 @@ def _opt_reference_tables(n: int):
     yield parity_table(n, range(1, n + 1))
     yield parity_table(n, [n])
     yield and_table(n, range(1, min(n, 3) + 1))
+
+
+def test_erm_over_the_whole_cube_is_exact_opt():
+    # the learner's ERM on every point of the cube, labelled by f, is exact opt
+    for n in range(1, 11):
+        cube = np.arange(1 << n, dtype=np.uint64)
+        for f in _opt_reference_tables(n):
+            for k in range(1, min(n, 3) + 1):
+                res = exact_opt(f, k)
+                h, err = best_junta(cube, f.values, IndexSet.full(n), k)
+                assert h.J.mask == res.witness.J.mask
+                assert err == res.opt * (1 << n)
+                np.testing.assert_array_equal(h.table, res.witness.table)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -3,7 +3,7 @@
 import io
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -143,17 +143,17 @@ def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypa
             assert out.dtype == np.int64
             assert out.tobytes() == butterfly(v.astype(np.int64)).tobytes()
     assert wht(np.full(size, f32_top))[0] == 1 << 24  # past float32's exact range
-    # subcube_sums transforms (1, S, 2^k) coefficient blocks the same way
+    # subcube_sums transforms (S, 2^k) coefficient blocks the same way
     k, table = min(n, 3), rng.integers(-f32_top + 1, f32_top, size=size)
     supports = list(combinations(range(n), k))
     words.clear()
-    got = list(subcube_sums([table], supports, k))
+    got = list(subcube_sums(table, supports, k))
     coeffs = butterfly(table.astype(np.int64))
     block_word = np.float32 if (max(abs(coeffs)) << k) < 1 << 24 else np.float64
     assert words == [np.float32, block_word]
     monkeypatch.setattr(fourier, "_exact_wht", lambda v: butterfly(v.astype(np.int64)))
     for (pos, sums), (ref_pos, ref_sums) in zip(
-        got, subcube_sums([table], supports, k), strict=True
+        got, subcube_sums(table, supports, k), strict=True
     ):
         assert pos.tobytes() == ref_pos.tobytes()
         assert sums.tobytes() == ref_sums.tobytes()
@@ -278,20 +278,19 @@ def test_subcube_sums_match_per_support_bincount(monkeypatch, chunk_cells):
     p = 7
     tables = [rng.integers(0, 50, size=1 << p), random_table(p, rng).values]
     cells = np.arange(1 << p, dtype=np.uint64)
-    for k in range(p + 1):
+    for table, k in product(tables, range(p + 1)):
         supports = list(combinations(range(p), k))
         got_positions, got_sums = [], []
-        for positions, sums in subcube_sums(tables, supports, k):
+        for positions, sums in subcube_sums(table, supports, k):
             assert sums.dtype == np.int64
             got_positions.extend(map(tuple, positions.tolist()))
             got_sums.append(sums)
         assert got_positions == supports
-        got = np.concatenate(got_sums, axis=1)
+        got = np.concatenate(got_sums)
         for s, support in enumerate(supports):
             ridx = restriction_indices(IndexSet.of(p, [c + 1 for c in support]), cells)
-            for t, table in enumerate(tables):
-                ref = np.bincount(ridx, weights=table, minlength=1 << k)
-                np.testing.assert_array_equal(got[t, s], ref.astype(np.int64))
+            ref = np.bincount(ridx, weights=table, minlength=1 << k)
+            np.testing.assert_array_equal(got[s], ref.astype(np.int64))
 
 
 def test_spectrum_to_csv():

@@ -14,6 +14,7 @@ from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
     distance_exact,
+    restriction_indices,
 )
 from junta_walk.learner import (
     GAP_CONSTANT,
@@ -24,7 +25,6 @@ from junta_walk.learner import (
     pad_pool,
     pool_bound,
     relevant_pool,
-    subcube_tally,
     tally_and_best_junta,
     theta_for,
 )
@@ -129,11 +129,9 @@ def test_pad_pool():
 def test_subcube_tally_counts():
     points = np.array([0b000, 0b001, 0b000, 0b011], dtype=np.uint64)
     labels = np.array([1, -1, 1, -1], dtype=np.int8)
-    tally = subcube_tally(points, labels, IndexSet.of(3, [1]))
-    np.testing.assert_array_equal(tally.plus, [2, 0])
-    np.testing.assert_array_equal(tally.minus, [0, 2])
-    assert tally.disagreements() == 0
-    np.testing.assert_array_equal(tally.majority_table().values, [1, -1])
+    h, err = tally_and_best_junta(IndexSet.of(3, [1]), (points, labels))
+    assert err == 0
+    np.testing.assert_array_equal(h.table, [1, -1])
 
 
 def test_tally_majority_with_conflict():
@@ -211,13 +209,17 @@ def test_best_junta_tie_breaks_to_smallest_mask():
 
 
 def _per_support_best_junta(points, labels, pool, k):
-    """Reference ERM: one subcube tally per support, smallest (err, mask) wins."""
+    """Reference ERM: +1 and -1 label counts per subcube of each support, the
+    minority count as its error, smallest (err, mask) wins."""
     best = None
     for combo in combinations(pool.coords(), k):
-        tally = subcube_tally(points, labels, IndexSet.of(pool.n, combo))
-        key = (tally.disagreements(), tally.J.mask)
+        J = IndexSet.of(pool.n, combo)
+        ridx = restriction_indices(J, points)
+        plus = np.bincount(ridx[labels == 1], minlength=1 << k)
+        minus = np.bincount(ridx[labels == -1], minlength=1 << k)
+        key = (int(np.minimum(plus, minus).sum()), J.mask)
         if best is None or key < best[0]:
-            best = (key, tally.hypothesis())
+            best = (key, JuntaHypothesis(J, np.where(plus >= minus, 1, -1)))
     return best[1], best[0][0]
 
 
@@ -229,25 +231,27 @@ def _per_support_best_junta(points, labels, pool, k):
         (9, 3, 40),
         (12, 3, 2_000),
         (BULK_WHT_MAX_N, 2, 300),  # the largest pool binned onto 2^|pool| cells
-        (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool tallied per support
+        (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool binned per support
     ],
 )
 def test_best_junta_matches_per_support_tallies(pool_size, k, m):
-    n = 24
-    rng = np.random.default_rng(pool_size * 100 + k)
-    coords = rng.choice(np.arange(1, n + 1), pool_size, replace=False)
-    pool = IndexSet.of(n, (int(c) for c in coords))
-    points = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
-    target = IndexSet.of(n, sorted(pool.coords())[-k:])
-    planted = JuntaHypothesis(target, rng.choice([-1, 1], 1 << k))
-    noisy = np.where(rng.random(m) < 0.2, -1, 1) * planted.label_bits(points)
-    ones = np.ones(m, dtype=np.int8)
-    for labels in (noisy.astype(np.int8), ones, -ones):
-        h, err = best_junta(points, labels, pool, k)
-        ref_h, ref_err = _per_support_best_junta(points, labels, pool, k)
-        assert (err, h.J.mask) == (ref_err, ref_h.J.mask)
-        np.testing.assert_array_equal(h.table, ref_h.table)
-        assert int(np.count_nonzero(h.label_bits(points) != labels)) == err
+    for n in (24, 63):
+        rng = np.random.default_rng(pool_size * 100 + k)
+        coords = rng.choice(np.arange(1, n + 1), pool_size, replace=False)
+        if n == 63 and n not in coords:
+            coords[0] = n  # the top coordinate, bit 62 of the packed word
+        pool = IndexSet.of(n, (int(c) for c in coords))
+        points = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+        target = IndexSet.of(n, sorted(pool.coords())[-k:])
+        planted = JuntaHypothesis(target, rng.choice([-1, 1], 1 << k))
+        noisy = np.where(rng.random(m) < 0.2, -1, 1) * planted.label_bits(points)
+        ones = np.ones(m, dtype=np.int8)
+        for labels in (noisy.astype(np.int8), ones, -ones):
+            h, err = best_junta(points, labels, pool, k)
+            ref_h, ref_err = _per_support_best_junta(points, labels, pool, k)
+            assert (err, h.J.mask) == (ref_err, ref_h.J.mask)
+            np.testing.assert_array_equal(h.table, ref_h.table)
+            assert int(np.count_nonzero(h.label_bits(points) != labels)) == err
 
 
 def test_erm_rejects_labels_outside_plus_minus_one():

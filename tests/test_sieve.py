@@ -23,7 +23,7 @@ from junta_walk.sieve import (
     certify_result,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle
+from junta_walk.walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 
 
 def run_sieve(f, n, params, budgets, seed):
@@ -67,6 +67,15 @@ def test_certified_budgets_small_case():
     assert b.mode == "certified"
     assert b.screen_pairs > 1000  # Hoeffding at tau/2 is not cheap
     assert b.gap_steps >= 1 and b.lag >= 1
+
+
+def test_screening_refresh_density_is_strictly_inside_the_unit_interval():
+    # certified_budgets divides by min(p_eff, 1 - p_eff) with no zero guard
+    for level in range(1, 64):
+        density = SieveParams(level=level, theta=0.1, delta=0.1).density
+        for n in range(1, 64):
+            p_eff = effective_refresh_density(n, gap_for_density(n, density))
+            assert 0.0 < p_eff < 1.0
 
 
 def test_certified_budgets_can_refuse():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from junta_walk.fourier import EstimatorParams, default_lag
 from junta_walk.functions import parity_table, random_table
-from junta_walk.hypercube import IndexSet
+from junta_walk.hypercube import IndexSet, JuntaHypothesis
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     CELL_MAX_N,
@@ -61,6 +61,22 @@ def test_walk_layer_enforces_the_packed_cap():
             harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
     assert len(generate_walk(f, WalkConfig(n=63, length=5, seed=1))) == 5
     assert len(RandomWalkOracle(f, 63, seed=1).refresh_pairs(5, gap_steps=3)) == 5
+
+
+@pytest.mark.parametrize("delta", [-4, -1, 1, 4])
+@pytest.mark.parametrize("entry", ["oracle", "harvest", "walk"])
+def test_label_source_of_another_dimension_is_refused(entry, delta):
+    n = 8
+    table = random_table(n + delta, np.random.default_rng(n + delta))
+    hypothesis = JuntaHypothesis(IndexSet.of(n + delta, [1, 2]), [1, -1, -1, 1])
+    for f in (table, hypothesis):
+        with pytest.raises(ValueError, match=f"n={n + delta}.*n={n}"):
+            if entry == "oracle":
+                RandomWalkOracle(f, n, seed=1)
+            elif entry == "harvest":
+                harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
+            else:
+                generate_walk(f, WalkConfig(n=n, length=5, seed=1))
 
 
 def test_length_counts_points_not_steps():
