@@ -98,17 +98,13 @@ def _exact_wht(v: np.ndarray) -> np.ndarray:
     return _gemm_wht(v.astype(word)).astype(np.int64)
 
 
-def wht(values: "np.ndarray | TruthTable") -> "np.ndarray | Spectrum":
-    """Walsh-Hadamard transform.
+def wht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform out[S] = sum_x v[x] chi_S(x).
 
-    On a TruthTable, returns its Spectrum (coefficients fhat(S) = <f, chi_S>).
-    On a raw array, returns the unnormalized transform
-    out[S] = sum_x v[x] chi_S(x): int64 and exact for integer (or boolean)
-    input, float64 otherwise.  The transform is its own inverse up to a
-    factor 2^n.
+    int64 and exact for integer (or boolean) input, float64 otherwise.  The
+    transform is its own inverse up to a factor 2^n; ``Spectrum.from_table``
+    gives a table's normalized coefficients.
     """
-    if isinstance(values, TruthTable):
-        return Spectrum.from_table(values)
     v = np.asarray(values).reshape(-1)
     if v.size == 0 or v.size & (v.size - 1):
         raise ValueError(f"array length {v.size} is not a power of two")
@@ -181,15 +177,6 @@ class Spectrum:
         """Total squared mass; equals 1 for +-1 valued functions (Parseval)."""
         return float(np.dot(self.coeffs, self.coeffs))
 
-    def to_table(self) -> TruthTable:
-        values = wht(self.coeffs)
-        rounded = np.rint(values)
-        if not np.allclose(values, rounded, atol=1e-9) or not np.all(
-            np.abs(rounded) == 1
-        ):
-            raise ValueError("spectrum does not invert to a +-1 valued table")
-        return TruthTable(self.n, rounded.astype(np.int8))
-
     def largest(self, count: int) -> list[tuple[IndexSet, float]]:
         order = np.lexsort((np.arange(self.coeffs.size), -np.abs(self.coeffs)))
         return [
@@ -240,19 +227,6 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
     if R.n != s.n:
         raise ValueError(f"index set over n={R.n}, spectrum over n={s.n}")
     return fourier_weight(s, R.complement())
-
-
-def subcube_averages(f: TruthTable, J: IndexSet) -> np.ndarray:
-    """Conditional means of f over each assignment to the J coordinates.
-
-    Indexed by restriction index (bit j of the index is the sign of the j-th
-    smallest coordinate of J); equals the J-projection evaluated on the subcube.
-    """
-    if J.n != f.n:
-        raise ValueError(f"index set over n={J.n}, table over n={f.n}")
-    k = len(J)
-    _, sums = next(subcube_sums(f.values, [[c - 1 for c in J]], k))
-    return sums[0] / (1 << (f.n - k))
 
 
 def spectrum_to_csv(spec: Spectrum, fh: TextIO) -> None:

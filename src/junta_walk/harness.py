@@ -83,6 +83,13 @@ def json_field(obj, key: str, what: str, kind: type | None = None, default=_REQU
     return float(value) if kind is float else value
 
 
+def _check_keys(obj: dict, what: str, keys) -> None:
+    """Refuse a key of the JSON object ``obj`` outside ``keys``, naming it."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
+
+
 def thread_count() -> int:
     """Worker cap from JUNTA_WALK_THREADS; defaults to 1."""
     raw = os.environ.get("JUNTA_WALK_THREADS", "1")
@@ -133,12 +140,14 @@ class Corruption:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Corruption":
-        return cls(
+        fields = dict(
             kind=json_field(d, "kind", "corruption", default="none"),
             rate=json_field(d, "rate", "corruption", float, 0.0),
             fraction=json_field(d, "fraction", "corruption", float, 0.0),
             adversary_seed=json_field(d, "adversary_seed", "corruption", int, None),
         )
+        _check_keys(d, "corruption", fields)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -169,13 +178,15 @@ class InstanceSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
         what = "instance spec"
-        return cls(
+        fields = dict(
             n=json_field(d, "n", what, int),
             k=json_field(d, "k", what, int),
             corruption=Corruption.from_dict(json_field(d, "corruption", what, dict, {})),
             junta_seed=json_field(d, "junta_seed", what, int, None),
             instance_seed=json_field(d, "instance_seed", what, int, None),
         )
+        _check_keys(d, what, fields)
+        return cls(**fields)
 
 
 def _derived_seed(entropy: int, *key: int) -> int:
@@ -244,22 +255,28 @@ class TrialReport:
     disagreements: int = 0
     error: str | None = None
 
-    def to_row(self) -> "TrialRow":
-        return TrialRow(
-            trial_id=self.trial_id,
-            n=self.spec.n,
-            k=self.k,
-            eps=self.eps,
-            delta=self.delta,
-            gamma=self.spec.corruption.gamma,
-            opt=self.opt,
-            delta_hf=self.delta_hf,
-            excess=self.excess,
-            passed=self.passed,
-            seed=self.seed,
-            wall_ms=self.wall_ms,
-            walk_steps=self.walk_steps,
-        )
+    def to_csv(self) -> list[str]:
+        """The CSV_COLUMNS fields as text: exact fractions ("nan" when
+        absent), floats by repr, and ``passed`` as 1 or 0."""
+
+        def frac(x: Fraction | None) -> str:
+            return "nan" if x is None else str(x)
+
+        return [
+            str(self.trial_id),
+            str(self.spec.n),
+            str(self.k),
+            repr(self.eps),
+            repr(self.delta),
+            repr(self.spec.corruption.gamma),
+            frac(self.opt),
+            frac(self.delta_hf),
+            frac(self.excess),
+            "1" if self.passed else "0",
+            str(self.seed),
+            repr(self.wall_ms),
+            str(self.walk_steps),
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -282,66 +299,6 @@ class TrialReport:
             "disagreements": self.disagreements,
             "error": self.error,
         }
-
-
-@dataclass(frozen=True)
-class TrialRow:
-    """The CSV-visible view of a trial; round-trips losslessly through text."""
-
-    trial_id: int
-    n: int
-    k: int
-    eps: float
-    delta: float
-    gamma: float
-    opt: Fraction | None
-    delta_hf: Fraction | None
-    excess: Fraction | None
-    passed: bool
-    seed: int
-    wall_ms: float
-    walk_steps: int
-
-    def to_csv(self) -> list[str]:
-        def frac(x: Fraction | None) -> str:
-            return "nan" if x is None else str(x)
-
-        return [
-            str(self.trial_id),
-            str(self.n),
-            str(self.k),
-            repr(self.eps),
-            repr(self.delta),
-            repr(self.gamma),
-            frac(self.opt),
-            frac(self.delta_hf),
-            frac(self.excess),
-            "1" if self.passed else "0",
-            str(self.seed),
-            repr(self.wall_ms),
-            str(self.walk_steps),
-        ]
-
-    @classmethod
-    def from_csv(cls, row: list[str]) -> "TrialRow":
-        def frac(s: str) -> Fraction | None:
-            return None if s == "nan" else Fraction(s)
-
-        return cls(
-            trial_id=int(row[0]),
-            n=int(row[1]),
-            k=int(row[2]),
-            eps=float(row[3]),
-            delta=float(row[4]),
-            gamma=float(row[5]),
-            opt=frac(row[6]),
-            delta_hf=frac(row[7]),
-            excess=frac(row[8]),
-            passed=row[9] == "1",
-            seed=int(row[10]),
-            wall_ms=float(row[11]),
-            walk_steps=int(row[12]),
-        )
 
 
 def run_trial(
@@ -439,13 +396,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse ``to_json`` output.  Unknown keys, budget keys in a certified
+        cell, sieve budgets without ``screen_pairs`` and a ``gap_steps`` other
+        than the screening density's raise ValueError naming the key."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        _check_keys(obj, "config", ("cells", "repetitions", "master_seed"))
         cells = []
         for cd in json_field(obj, "cells", "config", list, []):
             instance = InstanceSpec.from_dict(json_field(cd, "instance", "config cell"))
             ld = json_field(cd, "learn", "config cell", dict, {})
+            _check_keys(cd, "config cell", ("instance", "learn"))
+            _check_keys(ld, "learn", ("k", "epsilon", "delta", "mode", *_BUDGET_KEYS))
             k = json_field(ld, "k", "learn", int, instance.k)
             eps = json_field(ld, "epsilon", "learn", float, 0.25)
             delta = json_field(ld, "delta", "learn", float, 0.2)
@@ -453,6 +416,11 @@ class ExperimentConfig:
             mode = ld.get("mode")
             if mode not in (None, "certified", "practical"):
                 raise ValueError(f"learn mode {mode!r} not certified/practical")
+            for key in _BUDGET_KEYS:
+                if key in ld and mode == "certified":
+                    raise ValueError(f"learn key {key!r} sets a budget in certified mode")
+                if key in _SIEVE_KEYS and key in ld and "screen_pairs" not in ld:
+                    raise ValueError(f"learn key {key!r} needs 'screen_pairs'")
             if mode == "certified":
                 params = LearnParams(k, eps, delta)
             elif "screen_pairs" in ld:
@@ -463,6 +431,12 @@ class ExperimentConfig:
                     estimate_blocks=json_field(ld, "estimate_blocks", "learn", int),
                     lag=json_field(ld, "lag", "learn", int, None),
                 )
+                gap = json_field(ld, "gap_steps", "learn", int, budgets.gap_steps)
+                if gap != budgets.gap_steps:
+                    raise ValueError(
+                        f"learn key 'gap_steps' is {gap}, but the screening density "
+                        f"gives {budgets.gap_steps}"
+                    )
                 params = LearnParams(
                     k, eps, delta, sieve_budgets=budgets, erm_sample=erm_sample
                 )
@@ -479,6 +453,11 @@ class ExperimentConfig:
             master_seed=json_field(obj, "master_seed", "config", int, 0),
         )
 
+
+# Budget keys of a config cell's "learn" object: the sieve's, of which all
+# but "screen_pairs" need it, and the ERM sample size.
+_SIEVE_KEYS = ("estimate_blocks", "lag", "gap_steps")
+_BUDGET_KEYS = ("screen_pairs", *_SIEVE_KEYS, "erm_sample")
 
 # Practical budgets of default_learn_params, sized by pilot variance runs at
 # n <= 16, k <= 3.
@@ -621,7 +600,7 @@ def run_suite(config: ExperimentConfig, out_dir: str | Path) -> SuiteResult:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in reports:
-            writer.writerow(r.to_row().to_csv())
+            writer.writerow(r.to_csv())
     json_path = out / "trials.json"
     with open(json_path, "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)

@@ -10,7 +10,7 @@ is the popcount parity of (S_mask AND x_bits).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -49,19 +49,6 @@ class Point:
         _check_dim(self.n)
         if self.bits >> self.n:
             raise ValueError(f"bits 0x{self.bits:x} has set bits above position {self.n}")
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "Point":
-        bits = 0
-        for i, s in enumerate(signs):
-            if s == -1:
-                bits |= 1 << i
-            elif s != 1:
-                raise ValueError(f"coordinate value {s} not in {{-1,+1}}")
-        return cls(len(signs), bits)
-
-    def signs(self) -> tuple[int, ...]:
-        return tuple(_SIGN[(self.bits >> i) & 1] for i in range(self.n))
 
     def coord(self, i: int) -> int:
         _check_coord(i, self.n)
@@ -198,14 +185,6 @@ class TruthTable:
         """Vectorized evaluation over an array of packed points."""
         return self.values[bits.astype(np.int64)]
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "values": [int(v) for v in self.values]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruthTable":
-        obj = json.loads(text)
-        return cls(int(obj["n"]), obj["values"])
-
 
 @dataclass(frozen=True)
 class JuntaHypothesis:
@@ -252,11 +231,6 @@ class JuntaHypothesis:
 
     def to_json(self) -> str:
         return json.dumps({"J": list(self.J), "table": [int(v) for v in self.table]})
-
-    @classmethod
-    def from_json(cls, text: str, n: int) -> "JuntaHypothesis":
-        obj = json.loads(text)
-        return cls(IndexSet.of(n, obj["J"]), obj["table"])
 
 
 BooleanFunction = Union[TruthTable, JuntaHypothesis]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -95,27 +95,12 @@ def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
     return SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0)
 
 
-def relevant_pool(
-    sieve_sets: "Iterable[IndexSet] | SieveResult", n: int | None = None
-) -> IndexSet:
-    """Union of the sets a sieve run returned.
-
-    Accepts the SieveResult itself or any iterable of IndexSet.  ``n`` is only
-    needed when the iterable is empty (the union is then the empty set).
-    """
-    if isinstance(sieve_sets, SieveResult):
-        n = sieve_sets.n
-        sieve_sets = sieve_sets.sets
+def relevant_pool(result: SieveResult) -> IndexSet:
+    """Union of the sets a sieve run returned."""
     mask = 0
-    for s in sieve_sets:
-        if n is None:
-            n = s.n
-        elif s.n != n:
-            raise ValueError(f"mixed dimensions in sieve sets: {s.n} != {n}")
+    for s in result.sets:
         mask |= s.mask
-    if n is None:
-        raise ValueError("empty set list needs an explicit dimension n")
-    return IndexSet(n, mask)
+    return IndexSet(result.n, mask)
 
 
 def pad_pool(pool: IndexSet, k: int) -> IndexSet:
@@ -194,6 +179,22 @@ def best_support(
     return JuntaHypothesis(IndexSet(pool.n, mask), np.where(sums >= 0, 1, -1)), err
 
 
+def _per_support_sums(
+    points: np.ndarray, labels: np.ndarray, pool: IndexSet, supports: Iterable[tuple]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(positions, sums)`` of one support at a time, binned on its own
+    2^k subcubes: each pool coordinate's bit is extracted from the points
+    once, and a support's subcube index combines k of those columns."""
+    columns = [(points >> np.uint64(c - 1) & np.uint64(1)).astype(np.int64) for c in pool]
+    weights = labels.astype(np.float64)
+    for s in supports:
+        cells = np.zeros(len(points), dtype=np.int64)
+        for j, i in enumerate(s):
+            cells |= columns[i] << j
+        sums = np.bincount(cells, weights=weights, minlength=1 << len(s))
+        yield np.array([s], dtype=np.int64), sums.astype(np.int64)[None]
+
+
 def best_junta(
     points: np.ndarray, labels: np.ndarray, pool: IndexSet, k: int
 ) -> tuple[JuntaHypothesis, int]:
@@ -202,8 +203,9 @@ def best_junta(
     The sample is binned as signed label sums.  Pools of at most
     BULK_WHT_MAX_N coordinates bin it onto the pool once and take every
     support's sums from ``subcube_sums``; larger pools bin it onto each
-    support.  :func:`best_support` scores them, ties going to the smallest
-    coordinate-set mask, so reruns on the same sample are reproducible.
+    support from bit columns extracted once.  :func:`best_support` scores
+    them, ties going to the smallest coordinate-set mask, so reruns on the
+    same sample are reproducible.
     """
     points, labels = _as_sample((points, labels))
     coords = pool.coords()
@@ -211,11 +213,7 @@ def best_junta(
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
     supports = combinations(range(len(coords)), k)
     if len(coords) > BULK_WHT_MAX_N:
-        chunks = (
-            (np.array([s], dtype=np.int64), signed_sums(J, points, labels)[None])
-            for s in supports
-            for J in [IndexSet.of(pool.n, [coords[i] for i in s])]
-        )
+        chunks = _per_support_sums(points, labels, pool, supports)
     else:
         chunks = subcube_sums(signed_sums(pool, points, labels), supports, k)
     return best_support(chunks, pool, len(labels))
@@ -232,10 +230,6 @@ class LearnOutcome:
     disagreements: int
     sample_size: int
     walk_steps: int
-
-    @property
-    def empirical_error(self) -> float:
-        return self.disagreements / self.sample_size
 
 
 def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome:

@@ -10,7 +10,6 @@ with the learner's ``best_support``, the rule ERM applies to a sample.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -40,19 +39,6 @@ class OptResult:
     opt: Fraction
     witness: JuntaHypothesis
     per_set: dict[int, Fraction] | None = None
-
-
-def exact_opt_for(f: TruthTable, J: IndexSet) -> tuple[TruthTable, Fraction]:
-    """Best J-junta for f: majority label on every subcube (ties to +1).
-
-    Returns the 2^|J| majority table and its exact distance, scored by
-    ``best_support`` from the subcube label sums of f.
-    """
-    if J.n != f.n:
-        raise ValueError(f"index set over n={J.n}, table over n={f.n}")
-    chunks = subcube_sums(f.values, [[c - 1 for c in J]], len(J))
-    h, disagree = best_support(chunks, IndexSet.full(f.n), 1 << f.n)
-    return TruthTable(len(J), h.table), Fraction(disagree, 1 << f.n)
 
 
 def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult:

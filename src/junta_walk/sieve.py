@@ -38,7 +38,6 @@ from .fourier import (
     BULK_WHT_MAX_N,
     EstimatorParams,
     Spectrum,
-    blocks_for,
     default_lag,
     estimate_bounded_influence,
     estimate_sq_coeff,
@@ -84,16 +83,11 @@ class SieveBudgets:
 
 @dataclass(frozen=True)
 class SieveParams:
-    """Search level, squared-coefficient threshold, and failure probability.
-
-    ``strategy`` selects coordinate screening ("pooled") or a direct scan of
-    all sets up to the level ("exhaustive", a desk-scale cross-check).
-    """
+    """Search level, squared-coefficient threshold, and failure probability."""
 
     level: int
     theta: float
     delta: float
-    strategy: str = "pooled"
 
     def __post_init__(self) -> None:
         if self.level < 1:
@@ -102,8 +96,6 @@ class SieveParams:
             raise ValueError(f"theta={self.theta} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
-        if self.strategy not in ("pooled", "exhaustive"):
-            raise ValueError(f"strategy={self.strategy!r} not pooled/exhaustive")
 
     @property
     def density(self) -> float:
@@ -143,9 +135,7 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     )
     pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
-    delta_set = params.delta / (3.0 * cand_bound)
-    lag = default_lag(n, params.theta)
-    est = EstimatorParams(lag=lag, pair_count=blocks_for(params.theta / 8.0, delta_set))
+    est = EstimatorParams.certified(n, params.theta, params.delta / (3.0 * cand_bound))
     total = screen_pairs * gap + est.required_walk_length
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
@@ -156,7 +146,7 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     return SieveBudgets(
         screen_pairs=screen_pairs,
         estimate_blocks=est.pair_count,
-        lag=lag,
+        lag=est.lag,
         gap_steps=gap,
         mode="certified",
     )
@@ -255,7 +245,7 @@ def bounded_sieve(
     p_eff = effective_refresh_density(n, budgets.gap_steps)
     tau = _screen_signal(params, p_eff) / 2.0
 
-    if params.strategy == "exhaustive" or n <= max(params.level, 2):
+    if n <= max(params.level, 2):
         influences = np.full(n, np.inf)
         pool_coords = list(range(1, n + 1))
     else:

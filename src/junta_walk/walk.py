@@ -26,17 +26,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .hypercube import IndexSet, JuntaHypothesis, Point, TruthTable, _check_dim
+from .hypercube import JuntaHypothesis, TruthTable, _check_dim
 
 logger = logging.getLogger(__name__)
 
 LabelSource = Union[TruthTable, JuntaHypothesis, Callable[[np.ndarray], np.ndarray]]
-
-DEFAULT_CUTOFF_FACTOR = 4  # L = 4*ell; shortfall probability decays like exp(-ell/16)
 
 
 def labels_for(f: LabelSource, bits: np.ndarray) -> np.ndarray:
@@ -91,8 +89,6 @@ class LabeledWalk:
     points: np.ndarray
     labels: np.ndarray
     flipped: np.ndarray
-    seed: int | None = None
-    lazy: bool = False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -169,8 +165,6 @@ def generate_walk(f: LabelSource, config: WalkConfig) -> LabeledWalk:
         points=points,
         labels=labels_for(f, points),
         flipped=flipped,
-        seed=config.seed,
-        lazy=config.lazy,
     )
 
 
@@ -353,19 +347,9 @@ def updating_acceptance_trials(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefreshPair:
-    """Endpoints of one accepted block with its refreshed coordinate set."""
-
-    x: Point
-    y: Point
-    label_x: int
-    label_y: int
-    refreshed: IndexSet
-
-
-class RefreshPairs(Sequence):
-    """Array-backed sequence of RefreshPair records."""
+class RefreshPairs:
+    """Harvested block endpoints (packed x and y, their int8 labels) with each
+    block's refreshed coordinate mask, as parallel arrays."""
 
     def __init__(
         self,
@@ -387,25 +371,6 @@ class RefreshPairs(Sequence):
 
     def __len__(self) -> int:
         return len(self.x_bits)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return RefreshPairs(
-                self.n,
-                self.x_bits[idx],
-                self.y_bits[idx],
-                self.label_x[idx],
-                self.label_y[idx],
-                self.refreshed_masks[idx],
-                self.walk_steps,
-            )
-        return RefreshPair(
-            x=Point(self.n, int(self.x_bits[idx])),
-            y=Point(self.n, int(self.y_bits[idx])),
-            label_x=int(self.label_x[idx]),
-            label_y=int(self.label_y[idx]),
-            refreshed=IndexSet(self.n, int(self.refreshed_masks[idx])),
-        )
 
 
 # Walk steps drawn per chunk of refresh-pair harvesting.
@@ -610,8 +575,6 @@ class RandomWalkOracle:
             points=points,
             labels=labels_for(self.f, points),
             flipped=flipped,
-            seed=None,
-            lazy=lazy,
         )
 
     def refresh_pairs(self, pair_count: int, gap_steps: int) -> RefreshPairs:

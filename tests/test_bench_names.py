@@ -1,30 +1,36 @@
-"""The benchmark's span names still resolve in the library.
+"""The benchmark's span names and workloads still run against the library.
 
-``bench/`` is not in the default test run, so a renamed library function
-would otherwise break only ``pytest bench``.  ``bench/tracing.py`` is read
-and executed from its file; nothing is written next to it.
+``bench/`` is not in the default test run, so a renamed or deleted library
+name would otherwise break only ``pytest bench`` or ``bench/run.py``.
+``bench/tracing.py`` and ``bench/workloads.py`` are read and executed from
+their files; nothing is written next to them.
 """
 
 import importlib
 import math
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 from junta_walk.harness import InstanceSpec, run_trial
 from junta_walk.learner import LearnParams, theta_for
 from junta_walk.sieve import SieveParams, practical_budgets
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing() -> types.ModuleType:
-    module = types.ModuleType("bench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _bench_module(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_span_name_resolves_to_a_library_function():
-    for name in _tracing().SPANS:
+    for name in _bench_module("tracing").SPANS:
         module_name, *path = name.split(".")
         owner = importlib.import_module(f"junta_walk.{module_name}")
         for part in path:
@@ -33,7 +39,7 @@ def test_every_span_name_resolves_to_a_library_function():
 
 
 def test_traced_trial_counts_erm_and_exact_opt_work():
-    tracing = _tracing()
+    tracing = _bench_module("tracing")
     n, k, epsilon, delta = 6, 2, 0.25, 0.2
     sieve = SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0)
     budgets = practical_budgets(sieve, n, screen_pairs=20_000, estimate_blocks=4_000)
@@ -47,3 +53,13 @@ def test_traced_trial_counts_erm_and_exact_opt_work():
     assert erm["supports"] >= 1 and erm["point_visits"] == 8_000 * erm["supports"]
     assert opt["supports"] == math.comb(n, k)
     assert opt["point_visits"] == math.comb(n, k) << n
+
+
+@pytest.mark.parametrize("name", ["battery_small", "battery_n16_k3", "sieve_wide"])
+def test_first_workload_op_passes_its_audit_and_repeats(name):
+    workload = _bench_module("workloads").WORKLOADS[name]
+    op_input = workload.op_input(7, 0)
+    first, again = workload.run(op_input), workload.run(op_input)
+    assert first.violations == ()
+    assert first.walk_steps > 0
+    assert again.fingerprint == first.fingerprint

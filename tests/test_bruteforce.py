@@ -16,14 +16,13 @@ from junta_walk.hypercube import (
     distance_exact,
     restriction_indices,
 )
-from junta_walk.learner import best_junta
+from junta_walk.learner import best_junta, tally_and_best_junta
 from junta_walk.oracle_bruteforce import (
     LemmaWitness,
     OptResult,
     coefficient_bound,
     counterexample_fixtures,
     exact_opt,
-    exact_opt_for,
     relevant_coords,
     verify_spectrum_lemma,
 )
@@ -33,19 +32,27 @@ from junta_walk.oracle_bruteforce import (
 # Exact optima
 
 
+def _best_on_support(f, J):
+    """The best J-junta for f and its exact distance: ERM over the whole cube."""
+    cube = np.arange(1 << f.n, dtype=np.uint64)
+    h, disagree = tally_and_best_junta(J, (cube, f.values))
+    return h.table, Fraction(disagree, 1 << f.n)
+
+
 def test_exact_opt_for_parity_on_wrong_coordinate():
     f = parity_table(2, [1, 2])
-    table, dist = exact_opt_for(f, IndexSet.of(2, [1]))
+    table, dist = _best_on_support(f, IndexSet.of(2, [1]))
     assert dist == Fraction(1, 2)
-    np.testing.assert_array_equal(table.values, [1, 1])  # all buckets tie to +1
+    np.testing.assert_array_equal(table, [1, 1])  # all buckets tie to +1
+    assert exact_opt(f, 1, include_per_set=True).per_set[0b01] == dist
 
 
 def test_exact_opt_for_own_support_is_exact():
     f = and_table(4, [2, 3])
-    table, dist = exact_opt_for(f, IndexSet.of(4, [2, 3]))
+    table, dist = _best_on_support(f, IndexSet.of(4, [2, 3]))
     assert dist == 0
-    h_values = table.values
-    np.testing.assert_array_equal(h_values, [1, 1, 1, -1])
+    np.testing.assert_array_equal(table, [1, 1, 1, -1])
+    assert exact_opt(f, 2, include_per_set=True).per_set[0b0110] == 0
 
 
 def test_exact_opt_and2_best_dictator():
@@ -150,14 +157,9 @@ def test_exact_opt_matches_per_support_reference(n):
             assert res.per_set == per_set
             assert list(res.per_set) == list(per_set)  # same support order
             J = IndexSet(n, mask)
-            h_table, h_dist = exact_opt_for(f, J)
+            h_table, h_dist = _best_on_support(f, J)
             assert h_dist == dist
-            np.testing.assert_array_equal(h_table.values, table)
-
-
-def test_exact_opt_for_dimension_mismatch():
-    with pytest.raises(ValueError):
-        exact_opt_for(parity_table(3, [1]), IndexSet.of(4, [1]))
+            np.testing.assert_array_equal(h_table, table)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from junta_walk.fourier import (
     inner_product,
     project_spectrum,
     spectrum_to_csv,
-    subcube_averages,
     subcube_projection_exact,
     subcube_sums,
     wht,
@@ -60,9 +59,11 @@ def test_wht_rejects_non_power_of_two():
 
 
 def test_wht_on_table_returns_spectrum():
+    # a table's spectrum is the transform of its values, scaled by 2^-n
     f = parity_table(5, [2, 4])
-    spec = wht(f)
-    assert isinstance(spec, Spectrum)
+    assert wht(f.values).dtype == np.int64
+    spec = Spectrum.from_table(f)
+    np.testing.assert_array_equal(spec.coeffs, wht(f.values) / 32)
     expected = np.zeros(32)
     expected[IndexSet.of(5, [2, 4]).mask] = 1.0
     np.testing.assert_allclose(spec.coeffs, expected, atol=1e-12)
@@ -178,7 +179,8 @@ def test_parseval(f):
 
 @given(sign_tables)
 def test_spectrum_table_round_trip(f):
-    g = Spectrum.from_table(f).to_table()
+    # coefficients are multiples of 2^-n, so the float inverse is exact
+    g = TruthTable(f.n, wht(Spectrum.from_table(f).coeffs).astype(np.int8))
     np.testing.assert_array_equal(g.values, f.values)
 
 
@@ -187,11 +189,6 @@ def test_wht_inverts_itself_up_to_scale():
     spec = Spectrum.from_table(f)
     np.testing.assert_allclose(wht(spec.coeffs), f.values, atol=1e-9)
     np.testing.assert_array_equal(wht(wht(f.values)), f.values.astype(np.int64) << 6)
-
-
-def test_to_table_rejects_non_boolean_spectrum():
-    with pytest.raises(ValueError):
-        Spectrum(2, [0.3, 0.0, 0.0, 0.0]).to_table()
 
 
 def test_largest_orders_by_magnitude():
@@ -266,7 +263,8 @@ def test_subcube_projection_exact_brute_force():
 
 def test_subcube_averages_on_and():
     f = and_table(2, [1, 2])
-    avg = subcube_averages(f, IndexSet.of(2, [1]))
+    _, sums = next(subcube_sums(f.values, [[0]], 1))  # support {1}
+    avg = sums[0] / 2
     # coordinate 1 = +1: f is constant +1; coordinate 1 = -1: mean of {+1, -1}
     np.testing.assert_allclose(avg, [1.0, 0.0])
 
@@ -539,6 +537,11 @@ def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RefreshPairs:
     )
 
 
+def _no_pairs(n: int) -> RefreshPairs:
+    empty = np.empty(0, dtype=np.uint64)
+    return RefreshPairs(n, empty, empty, empty, empty, empty)
+
+
 def _concat_pairs(*parts: RefreshPairs) -> RefreshPairs:
     return RefreshPairs(
         n=parts[0].n,
@@ -603,7 +606,7 @@ def test_contrast_requires_both_buckets():
     for r_mask in (0b111, 0b010):
         pairs = _exhaustive_pairs(f, r_mask)
         assert estimate_bounded_influence(pairs).tolist() == [math.inf] * 3
-    assert estimate_bounded_influence(pairs[:0]).tolist() == [math.inf] * 3
+    assert estimate_bounded_influence(_no_pairs(3)).tolist() == [math.inf] * 3
     got = estimate_bounded_influence(_concat_pairs(pairs, _exhaustive_pairs(f, 0b011)))
     assert got[0] < math.inf and got[1] == got[2] == math.inf
 
@@ -649,7 +652,7 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
         for label_y in (rng.choice(np.array([-1, 1], dtype=np.int8), size=m), -labels):
             pairs = RefreshPairs(n, masks, masks, labels, label_y, masks)
             _assert_contrasts_bit_identical(pairs)
-            _assert_contrasts_bit_identical(pairs[:0])
+            _assert_contrasts_bit_identical(_no_pairs(n))
 
 
 def test_contrast_coordinate_range():

@@ -23,7 +23,7 @@ from junta_walk.harness import (
     Corruption,
     ExperimentConfig,
     InstanceSpec,
-    TrialRow,
+    TrialReport,
     default_battery,
     default_learn_params,
     make_instance,
@@ -218,11 +218,47 @@ fractions = st.one_of(
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def _read_row(text):
+    """Reference reader of a trials.csv row: each column's text back to its value."""
+
+    def frac(s):
+        return None if s == "nan" else Fraction(s)
+
+    assert text[9] in ("0", "1")
+    return (
+        *(int(v) for v in text[0:3]),
+        *(float(v) for v in text[3:6]),
+        *(frac(v) for v in text[6:9]),
+        text[9] == "1",
+        int(text[10]),
+        float(text[11]),
+        int(text[12]),
+    )
+
+
+def _report(gamma, opt, delta_hf, excess, passed, trial_id=0, eps=0.25, delta=0.2,
+            seed=9, wall_ms=1.5, walk_steps=100):
+    return TrialReport(
+        trial_id=trial_id,
+        spec=InstanceSpec(n=12, k=3, corruption=Corruption(kind="iid", rate=gamma)),
+        k=3,
+        eps=eps,
+        delta=delta,
+        seed=seed,
+        opt=opt,
+        delta_hf=delta_hf,
+        excess=excess,
+        passed=passed,
+        wall_ms=wall_ms,
+        walk_steps=walk_steps,
+    )
+
+
 @given(
     trial_id=st.integers(min_value=0, max_value=10**6),
     eps=finite,
     delta=finite,
-    gamma=finite,
+    gamma=st.floats(min_value=0.0, max_value=0.5),  # an iid rate
     opt=fractions,
     delta_hf=fractions,
     excess=fractions,
@@ -234,34 +270,35 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 def test_trial_row_text_round_trip(
     trial_id, eps, delta, gamma, opt, delta_hf, excess, passed, seed, wall_ms, walk_steps
 ):
-    row = TrialRow(
+    report = _report(
+        gamma,
+        opt,
+        delta_hf,
+        excess,
+        passed,
         trial_id=trial_id,
-        n=12,
-        k=3,
         eps=eps,
         delta=delta,
-        gamma=gamma,
-        opt=opt,
-        delta_hf=delta_hf,
-        excess=excess,
-        passed=passed,
         seed=seed,
         wall_ms=wall_ms,
         walk_steps=walk_steps,
     )
-    text = row.to_csv()
+    want = (
+        trial_id, 12, 3, eps, delta, gamma, opt, delta_hf, excess, passed, seed,
+        wall_ms, walk_steps,
+    )
+    text = report.to_csv()
     assert len(text) == len(CSV_COLUMNS)
-    assert TrialRow.from_csv(text) == row
+    assert _read_row(text) == want
 
     buf = io.StringIO()
     csv.writer(buf).writerow(text)
     (read,) = csv.reader(io.StringIO(buf.getvalue()))
-    assert TrialRow.from_csv(read) == row
+    assert read == text
 
 
 def test_trial_row_none_prints_as_nan():
-    row = TrialRow(0, 4, 1, 0.25, 0.2, 0.0, None, None, None, False, 9, 1.5, 100)
-    text = row.to_csv()
+    text = _report(0.0, None, None, None, False).to_csv()
     assert text[6] == text[7] == text[8] == "nan"
     assert text[9] == "0"
 
@@ -294,11 +331,10 @@ def test_run_trial_noiseless_and_reproducible():
 
 def test_run_trial_row_matches_report():
     report = run_trial(InstanceSpec(n=5, k=1), small_params(5, 1), trial_seed=2)
-    row = report.to_row()
-    assert row.n == 5 and row.k == 1
-    assert row.opt == report.opt and row.excess == report.excess
-    assert row.gamma == 0.0
-    assert TrialRow.from_csv(row.to_csv()) == row
+    row = _read_row(report.to_csv())
+    assert row[1:3] == (5, 1)
+    assert row[6] == report.opt and row[8] == report.excess
+    assert row[5] == 0.0
     json.dumps(report.to_dict())  # must already be JSON-clean
 
 
@@ -335,17 +371,22 @@ def test_config_json_round_trip_practical_and_certified():
         instance=InstanceSpec(n=6, k=2),
         learn=LearnParams(2, 0.25, 0.2, erm_sample=5000),
     )
-    cells = (practical, certified, erm_only)
+    sieve = SieveParams(level=2, theta=theta_for(2, 0.25), delta=0.1)
+    lagged = Cell(
+        instance=InstanceSpec(n=9, k=2),
+        learn=LearnParams(
+            2, 0.25, 0.2, sieve_budgets=practical_budgets(sieve, 9, 1000, 100, lag=7)
+        ),
+    )
+    cells = (practical, certified, erm_only, lagged)
     config = ExperimentConfig(cells=cells, repetitions=2, master_seed=31)
     text = config.to_json()
-    assert [c["learn"]["mode"] for c in json.loads(text)["cells"]] == [
-        "practical",
-        "certified",
-        "practical",
-    ]
+    modes = ["practical", "certified", "practical", "practical"]
+    assert [c["learn"]["mode"] for c in json.loads(text)["cells"]] == modes
     restored = ExperimentConfig.from_json(text)
     assert restored == config
-    assert [c.learn.mode for c in restored.cells] == ["practical", "certified", "practical"]
+    assert [c.learn.mode for c in restored.cells] == modes
+    assert restored.cells[3].learn.sieve_budgets.lag == 7
     assert restored.cells[2].learn.sieve_budgets is None
 
 
@@ -361,6 +402,76 @@ def test_config_from_json_fills_defaults():
     (cell,) = config.cells
     assert cell.learn.k == 2
     assert cell.learn.sieve_budgets is not None  # defaults are the practical preset
+
+
+def _config_text(instance=None, learn=None, **top):
+    cell = {"instance": instance or {"n": 6, "k": 2}}
+    if learn is not None:
+        cell["learn"] = learn
+    return json.dumps({"cells": [cell], **top})
+
+
+_PRACTICAL = {"screen_pairs": 1000, "estimate_blocks": 100}
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param(json.dumps({"cels": []}), "cels", id="config"),
+        pytest.param(
+            json.dumps({"cells": [{"instance": {"n": 6, "k": 2}, "lern": {}}]}),
+            "lern",
+            id="cell",
+        ),
+        pytest.param(
+            _config_text(instance={"n": 6, "k": 2, "corrupton": {"kind": "iid"}}),
+            "corrupton",
+            id="instance",
+        ),
+        pytest.param(
+            _config_text(instance={"n": 6, "k": 2, "corruption": {"rat": 0.1}}),
+            "rat",
+            id="corruption",
+        ),
+        pytest.param(
+            _config_text(learn={"erm_samples": 5000}), "erm_samples", id="learn"
+        ),
+        pytest.param(
+            _config_text(learn={"mode": "certified", **_PRACTICAL}),
+            "screen_pairs",
+            id="certified-sieve-budget",
+        ),
+        pytest.param(
+            _config_text(learn={"mode": "certified", "erm_sample": 5000}),
+            "erm_sample",
+            id="certified-erm-sample",
+        ),
+        pytest.param(
+            _config_text(learn={"estimate_blocks": 100}),
+            "estimate_blocks",
+            id="blocks-without-screen-pairs",
+        ),
+        pytest.param(
+            _config_text(learn={"lag": 7, "erm_sample": 5000}),
+            "lag",
+            id="lag-without-screen-pairs",
+        ),
+        pytest.param(
+            _config_text(learn={"gap_steps": 5}),
+            "gap_steps",
+            id="gap-without-screen-pairs",
+        ),
+        # the screening density at n = 6, level 2 gives 5 steps per block
+        pytest.param(
+            _config_text(learn={**_PRACTICAL, "gap_steps": 6}),
+            "gap_steps",
+            id="gap-off-the-density",
+        ),
+    ],
+)
+def test_config_from_json_refuses_keys_it_would_drop(text, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        ExperimentConfig.from_json(text)
 
 
 def test_default_learn_params_budgets():
@@ -380,6 +491,7 @@ def test_default_battery_shape():
     assert sorted({c.learn.epsilon for c in battery.cells}) == [0.2, 0.3]
     assert all(c.instance.corruption == Corruption(kind="iid", rate=0.1) for c in battery.cells)
     assert all(c.instance.k == c.learn.k for c in battery.cells)
+    assert ExperimentConfig.from_json(battery.to_json()) == battery
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +519,7 @@ def test_run_suite_writes_matching_artifacts(tmp_path):
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 5
     for text, report in zip(rows[1:], result.reports):
-        assert TrialRow.from_csv(text) == report.to_row()
+        assert text == report.to_csv()
 
     with open(result.json_path) as fh:
         dumped = json.load(fh)
@@ -429,7 +541,7 @@ def test_run_suite_is_thread_invariant(tmp_path, monkeypatch):
     threaded = run_suite(tiny_config(), tmp_path / "threaded")
 
     def stable(report):
-        row = report.to_row().to_csv()
+        row = report.to_csv()
         del row[11]  # wall time is the one legitimately noisy column
         return row
 

@@ -1,5 +1,6 @@
 """Bit-packed points, parities, truth tables, and exact distances."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import junta_walk
+from junta_walk.cli import _load_instance
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
@@ -37,7 +39,7 @@ def dim_and_masks(draw, max_n=10, count=1):
 def test_point_all_plus_is_zero_word():
     p = Point(5)
     assert p.bits == 0
-    assert p.signs() == (1, 1, 1, 1, 1)
+    assert [p.coord(i) for i in range(1, 6)] == [1, 1, 1, 1, 1]
 
 
 def test_basis_point_sets_single_bit():
@@ -50,8 +52,9 @@ def test_basis_point_sets_single_bit():
 @given(dim_and_masks(count=1))
 def test_signs_round_trip(nm):
     n, bits = nm
-    p = Point(n, bits)
-    assert Point.from_signs(p.signs()) == p
+    signs = [Point(n, bits).coord(i) for i in range(1, n + 1)]
+    assert set(signs) <= {1, -1}
+    assert sum(1 << i for i, s in enumerate(signs) if s == -1) == bits
 
 
 def test_point_rejects_out_of_range_bits():
@@ -59,8 +62,6 @@ def test_point_rejects_out_of_range_bits():
         Point(3, 0b1000)
     with pytest.raises(ValueError):
         Point(0, 0)
-    with pytest.raises(ValueError):
-        Point.from_signs([1, 0, -1])
 
 
 @given(dim_and_masks(count=1), st.data())
@@ -176,9 +177,12 @@ def test_truth_table_call_and_vectorized_agree():
     np.testing.assert_array_equal(f.label_bits(bits), [f(int(b)) for b in bits])
 
 
-def test_truth_table_json_round_trip():
+def test_truth_table_json_round_trip(tmp_path):
+    # the instance-file form that `junta-walk gen` writes and every command loads
     f = parity_table(4, [1, 3])
-    g = TruthTable.from_json(f.to_json())
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": f.n, "values": [int(v) for v in f.values]}))
+    g, _ = _load_instance(str(path))
     assert g.n == f.n
     np.testing.assert_array_equal(g.values, f.values)
 
@@ -196,9 +200,9 @@ def test_truth_table_values_read_only():
 def test_restriction_index_uses_increasing_coordinate_order():
     # J = {2, 5}: bit 0 of the index comes from coordinate 2, bit 1 from 5
     h = JuntaHypothesis(IndexSet.of(6, [2, 5]), [1, -1, 1, -1])
-    x = Point.from_signs([1, -1, 1, 1, 1, 1])  # coordinate 2 is -1
+    x = Point(6, 0b000010)  # coordinate 2 is -1
     assert h.restriction_index(x.bits) == 0b01
-    y = Point.from_signs([1, 1, 1, 1, -1, 1])  # coordinate 5 is -1
+    y = Point(6, 0b010000)  # coordinate 5 is -1
     assert h.restriction_index(y.bits) == 0b10
 
 
@@ -219,7 +223,7 @@ def test_junta_table_round_trip(n, data):
 
 def test_junta_ignores_coordinates_outside_J():
     h = JuntaHypothesis(IndexSet.of(5, [2]), [1, -1])
-    x = Point.from_signs([1, -1, 1, 1, 1])
+    x = Point(5, 0b00010)  # coordinate 2 is -1
     for j in (1, 3, 4, 5):
         assert h(flip(x, j)) == h(x)
     assert h(flip(x, 2)) != h(x)
@@ -227,7 +231,9 @@ def test_junta_ignores_coordinates_outside_J():
 
 def test_junta_json_round_trip():
     h = JuntaHypothesis(IndexSet.of(6, [1, 4]), [1, -1, -1, 1])
-    g = JuntaHypothesis.from_json(h.to_json(), 6)
+    obj = json.loads(h.to_json())
+    assert obj == {"J": [1, 4], "table": [1, -1, -1, 1]}
+    g = JuntaHypothesis(IndexSet.of(6, obj["J"]), obj["table"])
     assert g.J == h.J
     np.testing.assert_array_equal(g.table, h.table)
 

@@ -28,7 +28,13 @@ from junta_walk.learner import (
     tally_and_best_junta,
     theta_for,
 )
-from junta_walk.sieve import SieveParams, bounded_sieve, practical_budgets
+from junta_walk.sieve import (
+    SieveBudgets,
+    SieveParams,
+    SieveResult,
+    bounded_sieve,
+    practical_budgets,
+)
 from junta_walk.walk import RandomWalkOracle, WalkConfig, generate_walk
 
 
@@ -93,17 +99,31 @@ def test_mode_conflicts_rejected():
 # Pool assembly
 
 
+def _sieve_result(n, sets):
+    budgets = SieveBudgets(
+        screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1, mode="practical"
+    )
+    return SieveResult(
+        n=n,
+        sets=tuple(sets),
+        estimates=tuple(1.0 for _ in sets),
+        pool=IndexSet.full(n),
+        influences=(),
+        candidates=len(sets),
+        truncated=False,
+        walk_steps=0,
+        budgets=budgets,
+    )
+
+
 def test_relevant_pool_unions_sets():
     sets = [IndexSet.of(6, [1, 3]), IndexSet.of(6, [3, 5])]
-    assert relevant_pool(sets).coords() == (1, 3, 5)
+    assert relevant_pool(_sieve_result(6, sets)).coords() == (1, 3, 5)
 
 
 def test_relevant_pool_empty_needs_dimension():
-    assert relevant_pool([], n=4).coords() == ()
-    with pytest.raises(ValueError):
-        relevant_pool([])
-    with pytest.raises(ValueError):
-        relevant_pool([IndexSet.of(4, [1]), IndexSet.of(5, [1])])
+    # the result carries the dimension, so an empty family still has one
+    assert relevant_pool(_sieve_result(4, [])) == IndexSet(4, 0)
 
 
 def test_relevant_pool_accepts_sieve_result():
@@ -232,6 +252,7 @@ def _per_support_best_junta(points, labels, pool, k):
         (12, 3, 2_000),
         (BULK_WHT_MAX_N, 2, 300),  # the largest pool binned onto 2^|pool| cells
         (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool binned per support
+        (BULK_WHT_MAX_N + 2, 3, 500),
     ],
 )
 def test_best_junta_matches_per_support_tallies(pool_size, k, m):
@@ -298,7 +319,7 @@ def test_learn_recovers_noiseless_and():
     assert set(outcome.hypothesis.J.coords()) == {3, 6}
     assert outcome.walk_steps > 0
     assert outcome.sample_size == 20_000
-    assert outcome.empirical_error == outcome.disagreements / 20_000
+    assert outcome.disagreements == 0  # an exact hypothesis on a noiseless sample
 
 
 def test_learn_under_noise_stays_close():
@@ -312,7 +333,7 @@ def test_learn_under_noise_stays_close():
     achieved = distance_exact(noisy, outcome.hypothesis)
     assert float(achieved) <= float(opt) + 0.25
     # empirical error tracks true error at this sample size
-    assert abs(outcome.empirical_error - float(achieved)) < 0.05
+    assert abs(outcome.disagreements / outcome.sample_size - float(achieved)) < 0.05
 
 
 def test_learn_pads_pool_for_degenerate_targets():

@@ -41,8 +41,6 @@ def test_params_validation():
         SieveParams(level=2, theta=0.0, delta=0.1)
     with pytest.raises(ValueError):
         SieveParams(level=2, theta=0.1, delta=1.0)
-    with pytest.raises(ValueError):
-        SieveParams(level=2, theta=0.1, delta=0.1, strategy="greedy")
 
 
 def test_default_density_is_clamped_inverse_level():
@@ -155,19 +153,19 @@ def test_deterministic_given_oracle_seed():
     assert a.walk_steps == b.walk_steps
 
 
-def test_pooled_and_exhaustive_strategies_agree():
+def test_pooled_run_returns_the_exact_heavy_family():
     # a 3-junta's squared coefficients are multiples of 1/16, so theta = 3/64
-    # keeps every candidate far from the keep threshold and both strategies
-    # resolve the same family despite using different walks
+    # keeps every candidate far from the keep threshold, and the screened run
+    # returns exactly the sets of size <= 3 with fhat(S)^2 >= theta
     n = 8
     rng = np.random.default_rng(15)
     f = random_junta(n, 3, rng).to_truth_table()
-    pooled = SieveParams(level=3, theta=3 / 64, delta=0.1)
-    exhaustive = SieveParams(level=3, theta=3 / 64, delta=0.1, strategy="exhaustive")
-    budgets = practical_budgets(pooled, n, screen_pairs=60_000, estimate_blocks=20_000)
-    res_p = run_sieve(f, n, pooled, budgets, seed=10)
-    res_e = run_sieve(f, n, exhaustive, budgets, seed=10)
-    assert sorted(res_p.masks()) == sorted(res_e.masks())
+    params = SieveParams(level=3, theta=3 / 64, delta=0.1)
+    budgets = practical_budgets(params, n, screen_pairs=60_000, estimate_blocks=20_000)
+    res = run_sieve(f, n, params, budgets, seed=10)
+    sq = Spectrum.from_table(f).coeffs ** 2
+    heavy = [m for m in range(1 << n) if m.bit_count() <= 3 and sq[m] >= 3 / 64]
+    assert sorted(res.masks()) == heavy
 
 
 def test_pool_stays_inside_relevant_coordinates():
@@ -214,14 +212,17 @@ def test_pooled_run_above_n_cap_bins_onto_pool(monkeypatch):
 
 
 def test_per_set_estimation_above_bulk_cap(monkeypatch):
-    # the exhaustive pool is all 21 coordinates, past BULK_WHT_MAX_N, so every
-    # candidate is estimated on its own
+    # one screening pair gives every coordinate a +inf contrast, so all 21
+    # stay pooled (theta = 3/8 puts the pool cap at 22), past BULK_WHT_MAX_N,
+    # and every candidate is estimated on its own
     n = 21
     monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", _fail)
     f = parity_table(n, [4, 17])
-    params = SieveParams(level=2, theta=0.5, delta=0.1, strategy="exhaustive")
+    params = SieveParams(level=2, theta=3 / 8, delta=0.1)
+    assert sieve_mod._pool_cap(params) >= n
     budgets = practical_budgets(params, n, screen_pairs=1, estimate_blocks=2_000)
     res = run_sieve(f, n, params, budgets, seed=31)
+    assert res.influences == (math.inf,) * n
     assert len(res.pool) == n
     assert res.candidates == 1 + n + math.comb(n, 2)
     assert res.masks() == [IndexSet.of(n, [4, 17]).mask]
@@ -246,12 +247,14 @@ def test_pool_overflow_guard(monkeypatch):
 
 
 def test_truncation_at_result_cap(caplog):
-    # starved estimation budgets produce spurious keeps; the cap trims them
+    # starved estimation budgets produce spurious keeps; the cap trims them.
+    # One screening pair pools every coordinate (+inf contrasts).
     f = parity_table(6, [1])
-    params = SieveParams(level=2, theta=0.4, delta=0.2, strategy="exhaustive")
-    budgets = practical_budgets(params, 6, screen_pairs=10, estimate_blocks=2, lag=3)
+    params = SieveParams(level=2, theta=0.4, delta=0.2)
+    budgets = practical_budgets(params, 6, screen_pairs=1, estimate_blocks=2, lag=3)
     with caplog.at_level(logging.WARNING, logger="junta_walk.sieve"):
         res = run_sieve(f, 6, params, budgets, seed=0)
+    assert len(res.pool) == 6
     assert res.truncated
     assert len(res.sets) == params.result_cap == 5
     # the kept list is sorted by estimate, so the true parity survives the cut

@@ -15,8 +15,6 @@ from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     CELL_MAX_N,
     RandomWalkOracle,
-    RefreshPair,
-    RefreshPairs,
     WalkConfig,
     _walk_arrays,
     effective_refresh_density,
@@ -418,17 +416,6 @@ def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
             want = _reference_walk_arrays(np.random.default_rng(n), n, count, lazy)
             for g, w in zip(got, want):
                 _assert_same_bytes(g, w)
-
-
-def test_refresh_pairs_sequence_protocol():
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=50, gap_steps=3, seed=9)
-    one = pairs[7]
-    assert isinstance(one, RefreshPair)
-    assert one.x.n == 6 and isinstance(one.refreshed, IndexSet)
-    assert one.label_x in (-1, 1)
-    sub = pairs[10:20]
-    assert isinstance(sub, RefreshPairs) and len(sub) == 10
-    assert sub[0].x.bits == pairs[10].x.bits
 
 
 @given(
