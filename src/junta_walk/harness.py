@@ -147,6 +147,11 @@ class Corruption:
             adversary_seed=json_field(d, "adversary_seed", "corruption", int, None),
         )
         _check_keys(d, "corruption", fields)
+        for key, kind in (("rate", "iid"), ("fraction", "planted")):
+            if fields[key] != 0.0 and fields["kind"] != kind:
+                raise ValueError(
+                    f"corruption {key!r} applies to kind {kind!r}, not {fields['kind']!r}"
+                )
         return cls(**fields)
 
 

@@ -15,10 +15,16 @@ coordinate sets.  It cuts a single updating walk into Poisson-length blocks:
 the coordinates selected inside a block are resampled uniformly and
 independently between its endpoints, all others are frozen, which is the exact
 statistical model the refresh annotation promises, and the Poisson lengths
-decouple the per-coordinate refresh events from one another.  (The embedded
-plain-walk experiment cannot deliver that exactness: a plain walk always
-changes parity each step, so its endpoints carry a deterministic parity
-constraint however the schedule is conditioned.)
+decouple the per-coordinate refresh events from one another.  It draws that
+law per block rather than per step: a Poisson step total per chunk of blocks,
+a uniform (block, coordinate) cell per step, and a uniform n-bit word per
+block for the refreshed coordinates' new values.  (The embedded plain-walk experiment
+cannot deliver that exactness: a plain walk always changes parity each step,
+so its endpoints carry a deterministic parity constraint however the schedule
+is conditioned.)
+
+Walks, lag samples and the embedding experiments draw their steps through one
+kernel, ``_draw_steps``, in the narrowest unsigned word that holds n bits.
 """
 
 from __future__ import annotations
@@ -118,6 +124,11 @@ class LagSamples:
         return len(self.diff_t)
 
 
+def _word(n: int) -> type:
+    """The narrowest unsigned integer type with n bits."""
+    return next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
+
+
 def _draw_steps(
     rng: np.random.Generator, n: int, shape, lazy: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,8 +140,7 @@ def _draw_steps(
     when a fair bit, drawn after all the coordinates, is 1.
     """
     coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
-    words = (np.uint8, np.uint16, np.uint32, np.uint64)
-    word = next(w for w in words if np.iinfo(w).bits >= n)
+    word = _word(n)
     # coords - 1 lies in [0, n), so the unsafe int16 -> word cast is exact
     bits = np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
     if not lazy:
@@ -179,8 +189,7 @@ class UpdatingSimulation:
 
     ``schedule`` lists (coordinate, taken-from-walk) slots in update order.
     ``completed`` means the fair-bit stream produced enough ones before the
-    cutoff; ``covered`` means the scheduled coordinates exhaust [n];
-    ``accepted`` requires both.
+    cutoff; ``covered`` means the scheduled coordinates exhaust [n].
     """
 
     n: int
@@ -197,10 +206,6 @@ class UpdatingSimulation:
     @property
     def covered(self) -> bool:
         return self.refreshed_mask == (1 << self.n) - 1
-
-    @property
-    def accepted(self) -> bool:
-        return self.completed and self.covered
 
 
 def _embedding_schedule(
@@ -373,7 +378,9 @@ class RefreshPairs:
         return len(self.x_bits)
 
 
-# Walk steps drawn per chunk of refresh-pair harvesting.
+# Mean walk steps per chunk of refresh-pair harvesting: a chunk of B =
+# _HARVEST_CHUNK_STEPS // gap_steps blocks holds its T ~ Poisson(B gap_steps)
+# int32 cells and B word-wide rows of bools: about 0.8 MB plus <= 64 B per block.
 _HARVEST_CHUNK_STEPS = 200_000
 
 
@@ -397,12 +404,23 @@ def harvest_refresh_pairs(
     coordinate; conditional statistics over R then factorize exactly, which is
     what calibrates the screening contrasts downstream.  A zero-length block
     (probability e^-gap_steps) legitimately emits refreshed = empty and y = x.
-    The returned arrays are read-only: ``x_bits``/``y_bits`` and the two label
-    arrays are overlapping views of one chain of block boundaries.
+
+    The walk is drawn by that law a chunk of B blocks at a time, without its
+    steps.  By Poisson splitting, T ~ Poisson(B gap_steps) steps in uniform
+    (block, coordinate) cells give every cell an independent
+    Poisson(gap_steps/n) count, as B independent Poisson(gap_steps) blocks of
+    uniform coordinates do; a block's R is the coordinates of its hit cells.
+    Only the last fair bit of a selected coordinate survives the block, so
+    y xor x is a uniform word W masked to R, independent of the rest.
+    ``walk_steps`` sums the T.  The returned arrays are read-only:
+    ``x_bits``/``y_bits`` and the two label arrays are overlapping views of
+    one chain of block boundaries.
     """
     _check_source(f, n)
     _check_positive(pair_count=pair_count, gap_steps=gap_steps)
     rng = np.random.default_rng(seed)
+    word = _word(n)
+    width = np.iinfo(word).bits
 
     chain = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r: list[np.ndarray] = []
@@ -410,20 +428,20 @@ def harvest_refresh_pairs(
     steps_used = 0
     while done < pair_count:
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
-        lengths = rng.poisson(gap_steps, size=blocks)
-        total = int(lengths.sum())
+        total = int(rng.poisson(blocks * gap_steps))
         steps_used += total
-        _, bit, act_bit = _draw_steps(rng, n, total, lazy=True)
-        ends = np.cumsum(lengths)
-        # the non-empty blocks' segments tile the steps, so reduceat needs no padding
-        nonempty = lengths > 0
-        block_sel = np.zeros(blocks, dtype=np.uint64)
-        block_sel[nonempty] = np.bitwise_or.reduceat(bit, (ends - lengths)[nonempty])
-        # walked[t] xors the first t changes; walked[0] serves blocks ending before step 1
-        walked = np.zeros(total + 1, dtype=act_bit.dtype)
-        np.bitwise_xor.accumulate(act_bit, out=walked[1:])
-        chain.append(chain[-1][-1] ^ walked[ends])
-        out_r.append(block_sel)
+        # cell c selects coordinate c % n + 1 of block c // n, which is bit
+        # c % n of row c // n once the rows of ``hit`` are one word wide
+        cells = rng.integers(0, blocks * n, size=total, dtype=np.int32)
+        if n != width:
+            cells += (cells // n) * (width - n)
+        hit = np.zeros(blocks * width, dtype=bool)
+        hit[cells] = True
+        # little-endian bits and bytes: element j of a row is bit j of its word
+        sel = np.packbits(hit, bitorder="little").view(np.dtype(word).newbyteorder("<"))
+        changes = sel & rng.integers(0, 1 << n, size=blocks, dtype=word)
+        chain.append(chain[-1][-1] ^ np.bitwise_xor.accumulate(changes))
+        out_r.append(sel.astype(np.uint64))
         done += blocks
 
     bounds = np.concatenate(chain)

@@ -108,6 +108,20 @@ def test_corruption_dict_round_trip():
         assert Corruption.from_dict(c.to_dict()) == c
 
 
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ({"kind": "iid", "fraction": 0.1}, "fraction"),
+        ({"kind": "planted", "rate": 0.1}, "rate"),
+        ({"rate": 0.1}, "rate"),
+    ],
+)
+def test_corruption_dict_refuses_the_other_models_field(d, key):
+    # read as given, each would build an uncorrupted instance
+    with pytest.raises(ValueError, match=repr(key)):
+        Corruption.from_dict(d)
+
+
 def test_instance_spec_validation():
     with pytest.raises(ValueError, match="n >= k"):
         InstanceSpec(n=3, k=4)

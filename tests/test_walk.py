@@ -350,8 +350,21 @@ def _reference_walk_arrays(rng, n, count, lazy):
     return points, flipped
 
 
+def _reference_pairs(f, out_x, out_y, out_r, steps_used):
+    x_bits, y_bits = np.concatenate(out_x), np.concatenate(out_y)
+    return {
+        "x_bits": x_bits,
+        "y_bits": y_bits,
+        "label_x": labels_for(f, x_bits),
+        "label_y": labels_for(f, y_bits),
+        "refreshed_masks": np.concatenate(out_r),
+        "walk_steps": steps_used,
+    }
+
+
 def _reference_harvest(f, n, pair_count, gap_steps, seed):
-    # padded reduceats per chunk, and every block endpoint labelled twice
+    # the per-step walk: Poisson block lengths, then a uniform coordinate and
+    # a fair bit per step, each block's steps reduced with padded reduceats
     rng = np.random.default_rng(seed)
     out_x, out_y, out_r = [], [], []
     state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
@@ -376,15 +389,36 @@ def _reference_harvest(f, n, pair_count, gap_steps, seed):
         out_y.append(bounds[1:])
         out_r.append(block_sel)
         done += blocks
-    x_bits, y_bits = np.concatenate(out_x), np.concatenate(out_y)
-    return {
-        "x_bits": x_bits,
-        "y_bits": y_bits,
-        "label_x": labels_for(f, x_bits),
-        "label_y": labels_for(f, y_bits),
-        "refreshed_masks": np.concatenate(out_r),
-        "walk_steps": steps_used,
-    }
+    return _reference_pairs(f, out_x, out_y, out_r, steps_used)
+
+
+def _reference_cell_harvest(f, n, pair_count, gap_steps, seed):
+    # the per-block draw one cell at a time in uint64: a chunk's Poisson step
+    # total, cell c selecting coordinate c % n + 1 of block c // n, and one
+    # uniform n-bit word per block masked to the block's selected coordinates
+    rng = np.random.default_rng(seed)
+    word = next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
+    out_x, out_y, out_r = [], [], []
+    state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
+    done = steps_used = 0
+    while done < pair_count:
+        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
+        total = int(rng.poisson(blocks * gap_steps))
+        steps_used += total
+        cells = rng.integers(0, blocks * n, size=total, dtype=np.int32)
+        block_sel = np.zeros(blocks, dtype=np.uint64)
+        coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
+        np.bitwise_or.at(block_sel, cells // n, coord_bits)
+        block_word = rng.integers(0, 1 << n, size=blocks, dtype=word)
+        bounds = np.empty(blocks + 1, dtype=np.uint64)
+        bounds[0] = state
+        bounds[1:] = state ^ np.bitwise_xor.accumulate(block_sel & block_word.astype(np.uint64))
+        state = bounds[-1]
+        out_x.append(bounds[:-1])
+        out_y.append(bounds[1:])
+        out_r.append(block_sel)
+        done += blocks
+    return _reference_pairs(f, out_x, out_y, out_r, steps_used)
 
 
 def _assert_same_bytes(got, want):
@@ -392,30 +426,64 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
-def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
+def _top_bit_labels(n):
     top = np.uint64(n - 1)
 
     def f(bits):
         return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
 
-    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n}):
-        # gap 1 leaves empty blocks at the head and the tail of a chunk
-        for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
-            seed = 1000 * n + gap + count
-            pairs = harvest_refresh_pairs(f, n, count, gap, seed)
-            want = _reference_harvest(f, n, count, gap, seed)
-            assert pairs.walk_steps == want.pop("walk_steps")
-            for name, ref in want.items():
-                got = getattr(pairs, name)
-                _assert_same_bytes(got, ref)
-                assert not got.flags.writeable
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
+def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
     for lazy in (False, True):
         for count in (1, 2, 5_000):
             got = _walk_arrays(np.random.default_rng(n), n, count, lazy)
             want = _reference_walk_arrays(np.random.default_rng(n), n, count, lazy)
             for g, w in zip(got, want):
                 _assert_same_bytes(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
+def test_harvest_matches_per_cell_reference_bit_for_bit(n):
+    f = _top_bit_labels(n)
+    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n}):
+        # gap 1 leaves empty blocks at the head and the tail of a chunk
+        for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
+            seed = 1000 * n + gap + count
+            pairs = harvest_refresh_pairs(f, n, count, gap, seed)
+            want = _reference_cell_harvest(f, n, count, gap, seed)
+            assert pairs.walk_steps == want.pop("walk_steps")
+            for name, ref in want.items():
+                got = getattr(pairs, name)
+                _assert_same_bytes(got, ref)
+                assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("kernel", ["blocks", "steps"])
+@pytest.mark.parametrize("gap", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_harvest_follows_the_refresh_law(n, gap, kernel):
+    # the block kernel and the per-step walk it replaces, held to one law:
+    # R is a Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap) per pair
+    count, seed = 200_000, 100 * n + gap
+    f = _top_bit_labels(n)
+    if kernel == "blocks":
+        pairs = harvest_refresh_pairs(f, n, count, gap, seed)
+        r, d, steps = pairs.refreshed_masks, pairs.x_bits ^ pairs.y_bits, pairs.walk_steps
+    else:
+        want = _reference_harvest(f, n, count, gap, seed)
+        r, d, steps = want["refreshed_masks"], want["x_bits"] ^ want["y_bits"], want["walk_steps"]
+    assert r.max() < 1 << n and np.all(d & ~r == 0)
+    freq = np.bincount((r << np.uint64(n) | d).astype(np.int64), minlength=4**n) / count
+    q = 1.0 - math.exp(-gap / n)
+    for cell in range(4**n):
+        rr, dd = divmod(cell, 1 << n)
+        size = bin(rr).count("1")
+        p = q**size * (1 - q) ** (n - size) / 2**size if dd & ~rr == 0 else 0.0
+        assert abs(freq[cell] - p) <= 5 * math.sqrt(p * (1 - p) / count)
+    assert abs(steps / count - gap) <= 5 * math.sqrt(gap / count)
 
 
 @given(
