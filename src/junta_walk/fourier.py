@@ -169,19 +169,9 @@ class Spectrum:
     def from_table(cls, f: TruthTable) -> "Spectrum":
         return cls(f.n, wht(f.values) / (1 << f.n))
 
-    def coeff(self, S: IndexSet | int) -> float:
-        mask = S.mask if isinstance(S, IndexSet) else int(S)
-        return float(self.coeffs[mask])
-
     def sq_weight(self) -> float:
         """Total squared mass; equals 1 for +-1 valued functions (Parseval)."""
         return float(np.dot(self.coeffs, self.coeffs))
-
-    def largest(self, count: int) -> list[tuple[IndexSet, float]]:
-        order = np.lexsort((np.arange(self.coeffs.size), -np.abs(self.coeffs)))
-        return [
-            (IndexSet(self.n, int(m)), float(self.coeffs[m])) for m in order[:count]
-        ]
 
 
 def project_spectrum(spec: Spectrum, J: IndexSet) -> Spectrum:
@@ -315,20 +305,18 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     return 0.5 * wht(counts) / len(samples)
 
 
-def expected_sq_estimate(
-    spec: Spectrum, S: IndexSet, lag: int, lazy: bool = False
-) -> float:
+def expected_sq_estimate(spec: Spectrum, S: IndexSet, lag: int) -> float:
     """Closed-form expectation of the estimator under a known spectrum.
 
-    A plain walk damps the set-U contribution by (1-2d/n)^t with d = |U xor S|;
-    an updating walk damps by (1-d/n)^t.  The estimator averages lags t, t+1.
+    A plain walk damps the set-U contribution by (1-2d/n)^t with d = |U xor S|,
+    and the estimator averages lags t, t+1.
     """
     if S.n != spec.n:
         raise ValueError(f"index set over n={S.n}, spectrum over n={spec.n}")
     n = spec.n
     masks = np.arange(1 << n, dtype=np.uint64)
     d = popcount_u64(masks ^ np.uint64(S.mask)).astype(np.float64)
-    base = 1.0 - (1.0 if lazy else 2.0) * d / n
+    base = 1.0 - 2.0 * d / n
     weight = 0.5 * base**lag * (1.0 + base)
     return float(np.dot(spec.coeffs**2, weight))
 

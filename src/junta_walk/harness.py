@@ -90,6 +90,13 @@ def _check_keys(obj: dict, what: str, keys) -> None:
             raise ValueError(f"{what} has unknown key {key!r}")
 
 
+def _check_seeds(**seeds: int | None) -> None:
+    """Refuse a negative seed, naming its field (None means derived later)."""
+    for name, seed in seeds.items():
+        if seed is not None and seed < 0:
+            raise ValueError(f"{name}={seed} must be >= 0")
+
+
 def thread_count() -> int:
     """Worker cap from JUNTA_WALK_THREADS; defaults to 1."""
     raw = os.environ.get("JUNTA_WALK_THREADS", "1")
@@ -120,6 +127,7 @@ class Corruption:
             raise ValueError(f"iid rate {self.rate} outside [0, 1/2]")
         if self.kind == "planted" and not 0.0 <= self.fraction <= 0.5:
             raise ValueError(f"planted fraction {self.fraction} outside [0, 1/2]")
+        _check_seeds(adversary_seed=self.adversary_seed)
 
     @property
     def gamma(self) -> float:
@@ -170,6 +178,7 @@ class InstanceSpec:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         if self.n > MAX_INSTANCE_N:
             raise ValueError(f"n={self.n} exceeds the instance cap {MAX_INSTANCE_N}")
+        _check_seeds(junta_seed=self.junta_seed, instance_seed=self.instance_seed)
 
     def to_dict(self) -> dict:
         return {
@@ -366,6 +375,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError(f"repetitions={self.repetitions} must be >= 1")
+        _check_seeds(master_seed=self.master_seed)
 
     def trial_seed(self, cell_index: int, rep: int) -> int:
         return _derived_seed(self.master_seed, cell_index, rep)

@@ -105,11 +105,6 @@ class IndexSet:
     def coords(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return IndexSet(self.n, self.mask | other.mask)
-
     def complement(self) -> "IndexSet":
         return IndexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
 

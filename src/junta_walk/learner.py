@@ -118,36 +118,6 @@ def pad_pool(pool: IndexSet, k: int) -> IndexSet:
     return IndexSet.of(pool.n, padded)
 
 
-def _as_sample(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a LabeledWalk or a (points, labels) pair; reject empty samples
-    and labels outside {-1, +1}."""
-    if hasattr(sample, "points") and hasattr(sample, "labels"):
-        points, labels = sample.points, sample.labels
-    else:
-        points, labels = sample
-    points = np.asarray(points, dtype=np.uint64)
-    labels = np.asarray(labels)
-    if points.size == 0:
-        raise ValueError("empty sample")
-    if points.shape != labels.shape:
-        raise ValueError(f"{points.size} points but {labels.size} labels")
-    if not np.all((labels == 1) | (labels == -1)):
-        raise ValueError("sample labels must all be +1 or -1")
-    return points, labels
-
-
-def tally_and_best_junta(J: IndexSet, sample) -> tuple[JuntaHypothesis, int]:
-    """Best J-junta on a sample: per-subcube majority votes and their cost.
-
-    Returns the majority hypothesis (ties and unseen subcubes labeled +1) and
-    err = total minority counts, the fewest sample disagreements any J-junta
-    can achieve.  ``sample`` is a LabeledWalk or a (points, labels) pair.
-    This is :func:`best_junta` with J as the pool and its only support.
-    """
-    points, labels = _as_sample(sample)
-    return best_junta(points, labels, J, len(J))
-
-
 def best_support(
     chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     pool: IndexSet,
@@ -207,7 +177,14 @@ def best_junta(
     them, ties going to the smallest coordinate-set mask, so reruns on the
     same sample are reproducible.
     """
-    points, labels = _as_sample((points, labels))
+    points = np.asarray(points, dtype=np.uint64)
+    labels = np.asarray(labels)
+    if points.size == 0:
+        raise ValueError("empty sample")
+    if points.shape != labels.shape:
+        raise ValueError(f"{points.size} points but {labels.size} labels")
+    if not np.all((labels == 1) | (labels == -1)):
+        raise ValueError("sample labels must all be +1 or -1")
     coords = pool.coords()
     if len(coords) < k:
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")

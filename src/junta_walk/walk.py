@@ -1,14 +1,16 @@
 """Labeled random walks on the hypercube and independence-harvesting machinery.
 
 Two walk flavours are supported.  The plain walk flips one uniformly random
-coordinate per step.  The updating (lazy) walk picks a uniform coordinate and
+coordinate per step; it is the learner's oracle, and both of its entry
+points, ``generate_walk`` and ``RandomWalkOracle.walk``, draw through
+``generate_walk``.  The updating (lazy) walk picks a uniform coordinate and
 resamples it, i.e. flips it with probability 1/2.
 
 A plain walk of length ell can be embedded into an updating walk by an
 auxiliary experiment: draw fair bits F_1, F_2, ... until ell ones appear (give
 up after a cutoff L); the j-th one receives the walk's j-th flipped coordinate,
-every zero receives a fresh uniform coordinate.  ``simulate_updating`` runs
-that experiment on one walk and reports whether the schedule covered [n].
+every zero receives a fresh uniform coordinate.  ``updating_acceptance_trials``
+repeats that experiment on fresh walks and counts the schedules that cover [n].
 
 ``harvest_refresh_pairs`` mass-produces endpoint pairs annotated with refreshed
 coordinate sets.  It cuts a single updating walk into Poisson-length blocks:
@@ -70,38 +72,18 @@ def _check_positive(**counts: int) -> None:
 
 
 @dataclass(frozen=True)
-class WalkConfig:
-    """Walk parameters: ``length`` counts labeled examples, so length-1 steps."""
-
-    n: int
-    length: int
-    seed: int
-    lazy: bool = False
-
-    def __post_init__(self) -> None:
-        _check_dim(self.n)
-        _check_positive(length=self.length)
-
-
-@dataclass(frozen=True)
 class LabeledWalk:
-    """A labeled walk: packed points, labels, and the per-step changed coordinate.
+    """A labeled plain walk: packed points and their +-1 (int8) labels.
 
-    ``flipped[t]`` is the coordinate flipped (plain) or updated (lazy) between
-    points t-1 and t; ``flipped[0] = 0`` marks the initial uniform draw.
+    Step t flips the single coordinate set in ``points[t] ^ points[t - 1]``.
     """
 
     n: int
     points: np.ndarray
     labels: np.ndarray
-    flipped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
 
 
 @dataclass(frozen=True)
@@ -131,51 +113,38 @@ def _word(n: int) -> type:
 
 def _draw_steps(
     rng: np.random.Generator, n: int, shape, lazy: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw walk steps: coordinates, their bits, and the bits each step changes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw walk steps: each step's coordinate bit and the bits it changes.
 
-    Coordinates are uniform over 1..n (int16) and ``bits`` holds each one's
-    bit in the narrowest unsigned word with n bits (uint8 up to uint64).  A
-    plain step changes its bit; an updating (``lazy``) step changes it only
-    when a fair bit, drawn after all the coordinates, is 1.
+    Coordinates are drawn uniform over 1..n (int16), and ``bits`` holds each
+    one's bit in the narrowest unsigned word with n bits (uint8 up to
+    uint64).  A plain step changes its bit; an updating (``lazy``) step
+    changes it only when a fair bit, drawn after all the coordinates, is 1.
     """
     coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
     word = _word(n)
     # coords - 1 lies in [0, n), so the unsafe int16 -> word cast is exact
     bits = np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
     if not lazy:
-        return coords, bits, bits
-    return coords, bits, bits * rng.integers(0, 2, size=shape, dtype=np.uint8)
+        return bits, bits
+    return bits, bits * rng.integers(0, 2, size=shape, dtype=np.uint8)
 
 
-def _walk_arrays(
-    rng: np.random.Generator, n: int, count: int, lazy: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` packed points of a walk plus the changed-coordinate record."""
-    start = int(rng.integers(0, 1 << n, dtype=np.uint64))
-    steps = count - 1
-    points = np.empty(count, dtype=np.uint64)
-    points[0] = start
-    flipped = np.zeros(count, dtype=np.int16)
-    if steps > 0:
-        coords, _, changes = _draw_steps(rng, n, steps, lazy)
-        np.bitwise_xor.accumulate(changes, dtype=np.uint64, out=points[1:])
-        points[1:] ^= np.uint64(start)
-        flipped[1:] = coords
-    return points, flipped
-
-
-def generate_walk(f: LabelSource, config: WalkConfig) -> LabeledWalk:
-    """Run the labeled-walk oracle: uniform start, one coordinate changed per step."""
-    _check_source(f, config.n)
-    rng = np.random.default_rng(config.seed)
-    points, flipped = _walk_arrays(rng, config.n, config.length, config.lazy)
-    return LabeledWalk(
-        n=config.n,
-        points=points,
-        labels=labels_for(f, points),
-        flipped=flipped,
-    )
+def generate_walk(
+    f: LabelSource, n: int, length: int, seed: int | np.random.SeedSequence
+) -> LabeledWalk:
+    """Run the labeled-walk oracle: ``length`` points (so length - 1 steps)
+    from a uniform start, each step flipping one uniform coordinate."""
+    _check_source(f, n)
+    _check_positive(length=length)
+    rng = np.random.default_rng(seed)
+    points = np.empty(length, dtype=np.uint64)
+    points[0] = rng.integers(0, 1 << n, dtype=np.uint64)
+    if length > 1:
+        bits, _ = _draw_steps(rng, n, length - 1, lazy=False)
+        np.bitwise_xor.accumulate(bits, dtype=np.uint64, out=points[1:])
+        points[1:] ^= points[0]
+    return LabeledWalk(n=n, points=points, labels=labels_for(f, points))
 
 
 # ---------------------------------------------------------------------------
@@ -183,76 +152,9 @@ def generate_walk(f: LabelSource, config: WalkConfig) -> LabeledWalk:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpdatingSimulation:
-    """Outcome of embedding a plain walk into an updating walk over [n].
-
-    ``schedule`` lists (coordinate, taken-from-walk) slots in update order.
-    ``completed`` means the fair-bit stream produced enough ones before the
-    cutoff; ``covered`` means the scheduled coordinates exhaust [n].
-    """
-
-    n: int
-    completed: bool
-    schedule: tuple[tuple[int, bool], ...]
-
-    @property
-    def refreshed_mask(self) -> int:
-        mask = 0
-        for coord, _ in self.schedule:
-            mask |= 1 << (coord - 1)
-        return mask
-
-    @property
-    def covered(self) -> bool:
-        return self.refreshed_mask == (1 << self.n) - 1
-
-
-def _embedding_schedule(
-    rng: np.random.Generator, n: int, ell: int, cutoff: int, trials: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fair bits and fresh coordinates of the embedding experiment, per trial.
-
-    Returns (from_walk, fresh, fresh_bits, ones, completed, active), each with
-    a trailing axis of ``cutoff`` slots where it has one.  Slot j takes the
-    walk's ones[j]-th flip when from_walk[j] and fresh[j] otherwise; the
-    schedule is the active slots, which end at the ell-th one, or run to the
-    cutoff when the trial did not complete.
-    """
-    fair = rng.integers(0, 2, size=(*trials, cutoff), dtype=np.uint8)
-    fresh, fresh_bits, _ = _draw_steps(rng, n, fair.shape, lazy=False)
-    ones = np.cumsum(fair, axis=-1)
-    completed = ones[..., -1] >= ell
-    used = np.where(completed, np.argmax(ones >= ell, axis=-1) + 1, cutoff)
-    active = np.arange(cutoff) < used[..., None]
-    return fair.astype(bool), fresh, fresh_bits, ones, completed, active
-
-
-def simulate_updating(
-    walk: LabeledWalk, target_ones: int, cutoff: int, seed: int
-) -> UpdatingSimulation:
-    """Run the embedding experiment against the first ``target_ones`` walk flips."""
-    if walk.steps < target_ones:
-        raise ValueError(f"walk has {walk.steps} steps, need >= {target_ones}")
-    if cutoff < target_ones:
-        raise ValueError(f"cutoff {cutoff} below target ones {target_ones}")
-    rng = np.random.default_rng(seed)
-    from_walk, fresh, _, ones, completed, active = _embedding_schedule(
-        rng, walk.n, target_ones, cutoff, ()
-    )
-    used = int(np.count_nonzero(active))
-    from_walk = from_walk[:used]
-    # walk.flipped[t] is the t-th flip, so the j-th one takes flipped[ones[j]]
-    coords = np.where(from_walk, walk.flipped[ones[:used]], fresh[:used])
-    return UpdatingSimulation(
-        n=walk.n,
-        completed=bool(completed),
-        schedule=tuple(zip(coords.tolist(), from_walk.tolist())),
-    )
-
-
 def refresh_steps(n: int, delta: float) -> int:
     """Walk length making the embedding experiment accept w.p. >= 1-delta."""
+    _check_dim(n)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} outside (0, 1)")
     return math.ceil(n * math.log(2 * n / delta))
@@ -296,12 +198,14 @@ def updating_walk_endpoints(
     step-parity constraint, so conditional on coverage the pair is uniform
     over all 4^n cells.
     """
+    _check_dim(n)
+    _check_positive(ell=ell, trials=trials)
     rng = np.random.default_rng(seed)
     full = np.uint64((1 << n) - 1)
 
     def draw(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         starts = rng.integers(0, 1 << n, size=t, dtype=np.uint64)
-        _, bits, changes = _draw_steps(rng, n, (t, ell), lazy=True)
+        bits, changes = _draw_steps(rng, n, (t, ell), lazy=True)
         ends = starts ^ np.bitwise_xor.reduce(changes, axis=1)
         return np.bitwise_or.reduce(bits, axis=1) == full, starts, ends
 
@@ -314,15 +218,21 @@ def _batch_experiment(
     """Vectorized experiment over independent trials.
 
     Returns (accepted, x0_bits, xl_bits); each trial draws its own fresh plain
-    walk of ell steps and accepts when its schedule completes and covers [n].
+    walk of ell steps, then ``cutoff`` fair bits and as many fresh coordinates.
+    Slot j takes the walk's next flip on a one and its fresh coordinate on a
+    zero; the schedule ends at the ell-th one (completed) or at the cutoff.
+    A trial accepts when its schedule completes and covers [n].
     """
     starts = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
-    _, bits, _ = _draw_steps(rng, n, (trials, ell), lazy=False)
+    bits, _ = _draw_steps(rng, n, (trials, ell), lazy=False)
     ends = starts ^ np.bitwise_xor.reduce(bits, axis=1)
-    from_walk, _, fresh_bits, _, completed, active = _embedding_schedule(
-        rng, n, ell, cutoff, (trials,)
-    )
-    fresh_masks = np.where(active & ~from_walk, fresh_bits, np.uint64(0))
+    fair = rng.integers(0, 2, size=(trials, cutoff), dtype=np.uint8)
+    fresh_bits, _ = _draw_steps(rng, n, fair.shape, lazy=False)
+    ones = np.cumsum(fair, axis=-1)
+    completed = ones[:, -1] >= ell
+    used = np.where(completed, np.argmax(ones >= ell, axis=-1) + 1, cutoff)
+    active = np.arange(cutoff) < used[:, None]
+    fresh_masks = np.where(active & (fair == 0), fresh_bits, np.uint64(0))
     cover = np.bitwise_or.reduce(bits, axis=1) | np.bitwise_or.reduce(fresh_masks, axis=1)
     return completed & (cover == np.uint64((1 << n) - 1)), starts, ends
 
@@ -341,6 +251,10 @@ def updating_acceptance_trials(
     an array of cell indices x0 * 2^n + xl (n <= CELL_MAX_N), for
     endpoint-distribution tests.
     """
+    _check_dim(n)
+    _check_positive(ell=ell, cutoff=cutoff, trials=trials)
+    if cutoff < ell:
+        raise ValueError(f"cutoff={cutoff} below ell={ell}")
     rng = np.random.default_rng(seed)
     return _kept_cells(
         n, trials, lambda t: _batch_experiment(rng, n, ell, cutoff, t), collect_pairs
@@ -583,17 +497,11 @@ class RandomWalkOracle:
         self._requests += 1
         return ss
 
-    def walk(self, length: int, lazy: bool = False) -> LabeledWalk:
+    def walk(self, length: int) -> LabeledWalk:
         _check_positive(length=length)
-        rng = np.random.default_rng(self._child_seed())
-        points, flipped = _walk_arrays(rng, self.n, length, lazy)
+        walk = generate_walk(self.f, self.n, length, self._child_seed())
         self.steps_served += length - 1
-        return LabeledWalk(
-            n=self.n,
-            points=points,
-            labels=labels_for(self.f, points),
-            flipped=flipped,
-        )
+        return walk
 
     def refresh_pairs(self, pair_count: int, gap_steps: int) -> RefreshPairs:
         _check_positive(pair_count=pair_count, gap_steps=gap_steps)
@@ -609,7 +517,7 @@ class RandomWalkOracle:
         _check_positive(lag=lag, blocks=blocks)
         rng = np.random.default_rng(self._child_seed())
         start = rng.integers(0, 1 << self.n, dtype=np.uint64)
-        _, bits, _ = _draw_steps(rng, self.n, blocks * (lag + 1), lazy=False)
+        bits, _ = _draw_steps(rng, self.n, blocks * (lag + 1), lazy=False)
         rows = bits.reshape(blocks, lag + 1)
         diff_t = np.bitwise_xor.reduce(rows[:, :lag], axis=1).astype(np.uint64)
         diff_t1 = diff_t ^ rows[:, lag]

@@ -30,7 +30,7 @@ from junta_walk.harness import (
     run_trial,
 )
 from junta_walk.hypercube import IndexSet, restriction_indices
-from junta_walk.learner import tally_and_best_junta
+from junta_walk.learner import best_junta
 from junta_walk.oracle_bruteforce import (
     counterexample_fixtures,
     exact_opt,
@@ -39,7 +39,6 @@ from junta_walk.oracle_bruteforce import (
 from junta_walk.sieve import SieveParams, bounded_sieve, certify_result, practical_budgets
 from junta_walk.walk import (
     RandomWalkOracle,
-    WalkConfig,
     generate_walk,
     refresh_steps,
     sample_size_concentration,
@@ -229,7 +228,7 @@ def test_gate_06_walk_mean_concentrates_at_planned_length():
     exact = float(disagree.mean())
     within = 0
     for i in range(100):
-        walk = generate_walk(clean, WalkConfig(n=16, length=plan.m, seed=6000 + i))
+        walk = generate_walk(clean, 16, plan.m, 6000 + i)
         within += abs(float(disagree[walk.points].mean()) - exact) <= 0.1
     assert within >= 95
     assert elapsed_since(t0) <= 180.0
@@ -274,7 +273,7 @@ def test_gate_08_and_construction_fixtures_exact():
 
 
 def test_gate_09_subcube_tally_matches_exhaustive_erm():
-    """tally_and_best_junta equals brute force over all 2^(2^k) tables on
+    """best_junta on a single support equals brute force over all 2^(2^k) tables on
     500 random samples, k <= 3."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(5150)
@@ -287,7 +286,7 @@ def test_gate_09_subcube_tally_matches_exhaustive_erm():
         points = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
         labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
 
-        hyp, err = tally_and_best_junta(J, (points, labels))
+        hyp, err = best_junta(points, labels, J, len(J))
 
         idx = restriction_indices(J, points)
         tables = np.array(list(product((-1, 1), repeat=1 << k)), dtype=np.int8)

@@ -16,7 +16,7 @@ from junta_walk.hypercube import (
     distance_exact,
     restriction_indices,
 )
-from junta_walk.learner import best_junta, tally_and_best_junta
+from junta_walk.learner import best_junta
 from junta_walk.oracle_bruteforce import (
     LemmaWitness,
     OptResult,
@@ -35,7 +35,7 @@ from junta_walk.oracle_bruteforce import (
 def _best_on_support(f, J):
     """The best J-junta for f and its exact distance: ERM over the whole cube."""
     cube = np.arange(1 << f.n, dtype=np.uint64)
-    h, disagree = tally_and_best_junta(J, (cube, f.values))
+    h, disagree = best_junta(cube, f.values, J, len(J))
     return h.table, Fraction(disagree, 1 << f.n)
 
 

@@ -488,6 +488,26 @@ def test_config_from_json_refuses_keys_it_would_drop(text, key):
         ExperimentConfig.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_config_text(instance={"n": 6, "k": 2, "junta_seed": -5}), "junta_seed=-5"),
+        (_config_text(instance={"n": 6, "k": 2, "instance_seed": -1}), "instance_seed=-1"),
+        (
+            _config_text(
+                instance={"n": 6, "k": 2, "corruption": {"kind": "planted", "adversary_seed": -2}}
+            ),
+            "adversary_seed=-2",
+        ),
+        (_config_text(master_seed=-1), "master_seed=-1"),
+    ],
+    ids=["junta", "instance", "adversary", "master"],
+)
+def test_config_from_json_refuses_negative_seeds_by_name(text, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_json(text)
+
+
 def test_default_learn_params_budgets():
     params = default_learn_params(12, 3, 0.25, 0.2)
     assert params.mode == "practical"

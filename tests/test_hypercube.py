@@ -97,12 +97,6 @@ def test_complement_partitions(nmm):
     assert len(S) + len(C) == n
 
 
-@given(dim_and_masks(count=2))
-def test_union_matches_or(nmm):
-    n, a, b = nmm
-    assert IndexSet(n, a).union(IndexSet(n, b)).mask == a | b
-
-
 @given(dim_and_masks(max_n=12, count=3))
 def test_chi_multiplicative(nmmm):
     n, s, a, b = nmmm

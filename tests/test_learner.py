@@ -25,7 +25,6 @@ from junta_walk.learner import (
     pad_pool,
     pool_bound,
     relevant_pool,
-    tally_and_best_junta,
     theta_for,
 )
 from junta_walk.sieve import (
@@ -35,7 +34,7 @@ from junta_walk.sieve import (
     bounded_sieve,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle, WalkConfig, generate_walk
+from junta_walk.walk import RandomWalkOracle, generate_walk
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ def test_pad_pool():
 def test_subcube_tally_counts():
     points = np.array([0b000, 0b001, 0b000, 0b011], dtype=np.uint64)
     labels = np.array([1, -1, 1, -1], dtype=np.int8)
-    h, err = tally_and_best_junta(IndexSet.of(3, [1]), (points, labels))
+    h, err = best_junta(points, labels, IndexSet.of(3, [1]), 1)
     assert err == 0
     np.testing.assert_array_equal(h.table, [1, -1])
 
@@ -158,7 +157,7 @@ def test_tally_majority_with_conflict():
     # bucket x1=+1 sees labels {+1, -1}: tie goes to +1 and costs one point
     points = np.array([0b000, 0b000, 0b001], dtype=np.uint64)
     labels = np.array([1, -1, -1], dtype=np.int8)
-    h, err = tally_and_best_junta(IndexSet.of(3, [1]), (points, labels))
+    h, err = best_junta(points, labels, IndexSet.of(3, [1]), 1)
     assert err == 1
     np.testing.assert_array_equal(h.table, [1, -1])
     assert isinstance(h, JuntaHypothesis)
@@ -167,15 +166,15 @@ def test_tally_majority_with_conflict():
 def test_tally_unseen_buckets_default_positive():
     points = np.array([0b00], dtype=np.uint64)
     labels = np.array([-1], dtype=np.int8)
-    h, err = tally_and_best_junta(IndexSet.of(2, [1, 2]), (points, labels))
+    h, err = best_junta(points, labels, IndexSet.of(2, [1, 2]), 2)
     np.testing.assert_array_equal(h.table, [-1, 1, 1, 1])
     assert err == 0
 
 
 def test_tally_accepts_labeled_walk():
     f = parity_table(5, [2])
-    walk = generate_walk(f, WalkConfig(5, 200, seed=4))
-    h, err = tally_and_best_junta(IndexSet.of(5, [2]), walk)
+    walk = generate_walk(f, 5, 200, 4)
+    h, err = best_junta(walk.points, walk.labels, IndexSet.of(5, [2]), 1)
     assert err == 0
     assert distance_exact(f, h) == 0
 
@@ -183,10 +182,10 @@ def test_tally_accepts_labeled_walk():
 def test_tally_rejects_bad_samples():
     J = IndexSet.of(3, [1])
     with pytest.raises(ValueError):
-        tally_and_best_junta(J, (np.array([], dtype=np.uint64), np.array([])))
+        best_junta(np.array([], dtype=np.uint64), np.array([]), J, len(J))
     with pytest.raises(ValueError):
-        tally_and_best_junta(
-            J, (np.array([1], dtype=np.uint64), np.array([1, -1], dtype=np.int8))
+        best_junta(
+            np.array([1], dtype=np.uint64), np.array([1, -1], dtype=np.int8), J, len(J)
         )
 
 
@@ -281,7 +280,7 @@ def test_erm_rejects_labels_outside_plus_minus_one():
     with pytest.raises(ValueError, match="labels"):
         best_junta(points, labels, IndexSet.full(3), 1)
     with pytest.raises(ValueError, match="labels"):
-        tally_and_best_junta(IndexSet.of(3, [1]), (points, labels))
+        best_junta(points, labels, IndexSet.of(3, [1]), 1)
 
 
 def test_best_junta_needs_enough_coordinates():

@@ -15,8 +15,7 @@ from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     CELL_MAX_N,
     RandomWalkOracle,
-    WalkConfig,
-    _walk_arrays,
+    _draw_steps,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
@@ -26,7 +25,6 @@ from junta_walk.walk import (
     refresh_steps,
     sample_size_concentration,
     sample_size_erm,
-    simulate_updating,
     updating_acceptance_trials,
     updating_walk_endpoints,
 )
@@ -35,15 +33,15 @@ from lag_reference import lag_samples_from_walk
 XOR2 = parity_table(6, [1, 2])
 
 
+def _step_coords(w):
+    """Each step's coordinate: the single set bit of consecutive point xors."""
+    diffs = w.points[1:] ^ w.points[:-1]
+    assert np.all(np.bitwise_count(diffs) == 1)
+    return np.bitwise_count(diffs - np.uint64(1)).astype(np.int64) + 1
+
+
 # ---------------------------------------------------------------------------
 # Walk generation
-
-
-def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(n=0, length=5, seed=1)
-    with pytest.raises(ValueError):
-        WalkConfig(n=4, length=0, seed=1)
 
 
 def test_walk_layer_enforces_the_packed_cap():
@@ -52,12 +50,12 @@ def test_walk_layer_enforces_the_packed_cap():
 
     for n in (0, 64):
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
-            WalkConfig(n=n, length=5, seed=1)
+            generate_walk(f, n, 5, 1)
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
             RandomWalkOracle(f, n, seed=1)
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
             harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
-    assert len(generate_walk(f, WalkConfig(n=63, length=5, seed=1))) == 5
+    assert len(generate_walk(f, 63, 5, 1)) == 5
     assert len(RandomWalkOracle(f, 63, seed=1).refresh_pairs(5, gap_steps=3)) == 5
 
 
@@ -74,31 +72,34 @@ def test_label_source_of_another_dimension_is_refused(entry, delta):
             elif entry == "harvest":
                 harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
             else:
-                generate_walk(f, WalkConfig(n=n, length=5, seed=1))
+                generate_walk(f, n, 5, 1)
 
 
 def test_length_counts_points_not_steps():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=1, seed=3))
-    assert len(w) == 1 and w.steps == 0
-    assert w.flipped[0] == 0
-    w = generate_walk(XOR2, WalkConfig(n=6, length=10, seed=3))
-    assert len(w) == 10 and w.steps == 9
+    w = generate_walk(XOR2, 6, 1, 3)
+    assert len(w) == 1 and _step_coords(w).size == 0
+    w = generate_walk(XOR2, 6, 10, 3)
+    assert len(w) == 10 and _step_coords(w).size == 9
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="length"):
+            generate_walk(XOR2, 6, length, 3)
 
 
 def test_plain_walk_changes_exactly_the_recorded_coordinate():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=500, seed=11))
-    diffs = w.points[1:] ^ w.points[:-1]
-    expected = np.uint64(1) << (w.flipped[1:].astype(np.uint64) - np.uint64(1))
-    np.testing.assert_array_equal(diffs, expected)
+    # every step flips exactly one coordinate, and all six occur
+    w = generate_walk(XOR2, 6, 500, 11)
+    assert set(_step_coords(w).tolist()) == set(range(1, 7))
 
 
-def test_lazy_walk_moves_only_on_the_recorded_coordinate():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=2000, seed=11, lazy=True))
-    diffs = w.points[1:] ^ w.points[:-1]
-    allowed = np.uint64(1) << (w.flipped[1:].astype(np.uint64) - np.uint64(1))
-    assert np.all((diffs == 0) | (diffs == allowed))
-    holds = float(np.mean(diffs == 0))
-    assert abs(holds - 0.5) < 5 * 0.5 / math.sqrt(len(diffs))
+def test_oracle_walk_is_generate_walk_at_the_child_seed():
+    f = random_table(7, np.random.default_rng(3))
+    oracle = RandomWalkOracle(f, 7, seed=41)
+    got = oracle.walk(1_000)
+    want = generate_walk(f, 7, 1_000, np.random.SeedSequence(41, spawn_key=(0,)))
+    assert got.n == want.n == 7
+    for g, w in ((got.points, want.points), (got.labels, want.labels)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert oracle.steps_served == 999
 
 
 def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
@@ -110,15 +111,11 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
         return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
 
     oracle = RandomWalkOracle(f, n, seed=63)
-    for lazy in (False, True):
-        w = oracle.walk(20_000, lazy=lazy)
-        diffs = w.points[1:] ^ w.points[:-1]
-        allowed = np.uint64(1) << (w.flipped[1:].astype(np.uint64) - np.uint64(1))
-        if lazy:
-            assert np.all((diffs == 0) | (diffs == allowed))
-        else:
-            np.testing.assert_array_equal(diffs, allowed)
-        assert w.flipped[1:].min() == 1 and w.flipped[1:].max() == n
+    walks = [oracle.walk(20_000) for _ in range(2)]
+    assert not np.array_equal(walks[0].points, walks[1].points)  # fresh child seeds
+    for w in walks:
+        coords = _step_coords(w)
+        assert coords.min() == 1 and coords.max() == n
         np.testing.assert_array_equal(w.labels, f(w.points))
         assert np.any(w.labels == 1) and np.any(w.labels == -1)
     pairs = oracle.refresh_pairs(5_000, gap_steps=40)
@@ -132,40 +129,37 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
 
 def test_n1_plain_walk_alternates():
     f = parity_table(1, [1])
-    w = generate_walk(f, WalkConfig(n=1, length=64, seed=9))
+    w = generate_walk(f, 1, 64, 9)
     assert np.all(w.points[1:] != w.points[:-1])
     assert set(np.unique(w.points).tolist()) <= {0, 1}
 
 
 def test_walk_labels_match_function():
     f = random_table(7, np.random.default_rng(2))
-    w = generate_walk(f, WalkConfig(n=7, length=300, seed=5))
+    w = generate_walk(f, 7, 300, 5)
     np.testing.assert_array_equal(w.labels, f.values[w.points.astype(np.int64)])
 
 
 def test_same_seed_reproduces_walk():
-    a = generate_walk(XOR2, WalkConfig(n=6, length=100, seed=21))
-    b = generate_walk(XOR2, WalkConfig(n=6, length=100, seed=21))
+    a = generate_walk(XOR2, 6, 100, 21)
+    b = generate_walk(XOR2, 6, 100, 21)
     np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.flipped, b.flipped)
-    c = generate_walk(XOR2, WalkConfig(n=6, length=100, seed=22))
+    np.testing.assert_array_equal(a.labels, b.labels)
+    c = generate_walk(XOR2, 6, 100, 22)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_flip_coordinate_frequencies_uniform():
     f = parity_table(8, [1])
-    w = generate_walk(f, WalkConfig(n=8, length=100_001, seed=1))
-    counts = np.bincount(w.flipped[1:], minlength=9)[1:]
+    w = generate_walk(f, 8, 100_001, 1)
+    counts = np.bincount(_step_coords(w), minlength=9)[1:]
     expect = 100_000 / 8
     sigma = math.sqrt(100_000 * (1 / 8) * (7 / 8))
     assert np.all(np.abs(counts - expect) < 5 * sigma)
 
 
 def test_start_points_uniform():
-    starts = [
-        int(generate_walk(parity_table(2, [1]), WalkConfig(n=2, length=1, seed=s)).points[0])
-        for s in range(2000)
-    ]
+    starts = [int(generate_walk(parity_table(2, [1]), 2, 1, s).points[0]) for s in range(2000)]
     _, pvalue = scipy.stats.chisquare(np.bincount(starts, minlength=4))
     assert pvalue > 1e-4
 
@@ -174,31 +168,31 @@ def test_start_points_uniform():
 # Updating-walk embedding
 
 
-def test_simulate_updating_replays_walk_flips_in_order():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=40, seed=8))
-    sim = simulate_updating(w, target_ones=12, cutoff=96, seed=17)
-    if sim.completed:
-        taken = [coord for coord, from_walk in sim.schedule if from_walk]
-        np.testing.assert_array_equal(taken, w.flipped[1:13])
-        assert sum(1 for _, fw in sim.schedule if fw) == 12
-
-
-def test_simulate_updating_validation():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=5, seed=8))
-    with pytest.raises(ValueError):
-        simulate_updating(w, target_ones=10, cutoff=40, seed=0)  # walk too short
-    with pytest.raises(ValueError):
-        simulate_updating(w, target_ones=4, cutoff=3, seed=0)  # cutoff below target
-
-
-def test_simulate_updating_refreshed_mask_covers_schedule():
-    w = generate_walk(XOR2, WalkConfig(n=6, length=60, seed=4))
-    sim = simulate_updating(w, target_ones=20, cutoff=160, seed=5)
-    mask = 0
-    for coord, _ in sim.schedule:
-        mask |= 1 << (coord - 1)
-    assert sim.refreshed_mask == mask
-    assert sim.covered == (mask == 0b111111)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: refresh_steps(0, 0.1), "n=0"),
+        (lambda: refresh_steps(64, 0.1), "n=64"),
+        (lambda: updating_acceptance_trials(0, 13, 52, 10, seed=1), "n=0"),
+        (lambda: updating_acceptance_trials(64, 13, 52, 10, seed=1), "n=64"),
+        (lambda: updating_acceptance_trials(3, 0, 52, 10, seed=1), "ell=0"),
+        (lambda: updating_acceptance_trials(3, 13, 0, 10, seed=1), "cutoff=0"),
+        (lambda: updating_acceptance_trials(3, 13, 12, 10, seed=1), "cutoff=12"),
+        (lambda: updating_acceptance_trials(3, 13, 52, -5, seed=1), "trials=-5"),
+        (
+            lambda: updating_acceptance_trials(3, 13, 52, 0, seed=1, collect_pairs=True),
+            "trials=0",
+        ),
+        (lambda: updating_walk_endpoints(0, 13, 10, seed=1), "n=0"),
+        (lambda: updating_walk_endpoints(64, 13, 10, seed=1), "n=64"),
+        (lambda: updating_walk_endpoints(3, 0, 10, seed=1), "ell=0"),
+        (lambda: updating_walk_endpoints(3, 13, 0, seed=1), "trials=0"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_embedding_experiments_refuse_bad_sizes_by_name(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_refresh_steps_values():
@@ -338,16 +332,14 @@ def _reference_draw_steps(rng, n, shape, lazy):
     return coords, bits, np.where(act, bits, np.uint64(0))
 
 
-def _reference_walk_arrays(rng, n, count, lazy):
+def _reference_walk_points(rng, n, count):
     start = int(rng.integers(0, 1 << n, dtype=np.uint64))
     points = np.empty(count, dtype=np.uint64)
     points[0] = start
-    flipped = np.zeros(count, dtype=np.int16)
     if count > 1:
-        coords, _, changes = _reference_draw_steps(rng, n, count - 1, lazy)
+        _, _, changes = _reference_draw_steps(rng, n, count - 1, lazy=False)
         points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(changes)
-        flipped[1:] = coords
-    return points, flipped
+    return points
 
 
 def _reference_pairs(f, out_x, out_y, out_r, steps_used):
@@ -437,12 +429,15 @@ def _top_bit_labels(n):
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
-    for lazy in (False, True):
-        for count in (1, 2, 5_000):
-            got = _walk_arrays(np.random.default_rng(n), n, count, lazy)
-            want = _reference_walk_arrays(np.random.default_rng(n), n, count, lazy)
-            for g, w in zip(got, want):
-                _assert_same_bytes(g, w)
+    f = _top_bit_labels(n)
+    for count in (1, 2, 5_000):
+        got = generate_walk(f, n, count, n).points
+        _assert_same_bytes(got, _reference_walk_points(np.random.default_rng(n), n, count))
+        # the updating steps of updating_walk_endpoints; bits widened from the narrow word
+        got = _draw_steps(np.random.default_rng(n), n, count, lazy=True)
+        want = _reference_draw_steps(np.random.default_rng(n), n, count, lazy=True)
+        for g, w in zip(got, want[1:]):
+            _assert_same_bytes(g.astype(np.uint64), w)
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
