@@ -22,6 +22,7 @@ from .harness import (
     make_instance,
     resolve_instance,
     run_suite,
+    warn_practical,
 )
 from .hypercube import TruthTable, distance_exact
 from .learner import LearnParams, learn_outcome
@@ -71,6 +72,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         params = LearnParams(args.k, args.eps, args.delta)
     else:
         params = default_learn_params(f.n, args.k, args.eps, args.delta)
+        warn_practical(f"learn runs {params.sieve_budgets} and erm_sample={params.erm_sample}")
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
     outcome = learn_outcome(oracle, params)
     opt_result = exact_opt(f, args.k)
@@ -105,9 +107,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     if args.screen_pairs is not None or args.estimate_blocks is not None:
         if args.screen_pairs is None or args.estimate_blocks is None:
             raise ValueError("--screen-pairs and --estimate-blocks go together")
-        budgets = practical_budgets(
-            params, f.n, screen_pairs=args.screen_pairs, estimate_blocks=args.estimate_blocks
-        )
+        budgets = practical_budgets(params, f.n, args.screen_pairs, args.estimate_blocks)
+        warn_practical(f"sieve runs {budgets}")
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
     result = bounded_sieve(oracle, params, budgets)
     text = result.to_json()

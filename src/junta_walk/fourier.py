@@ -83,19 +83,19 @@ def _gemm_wht(v: np.ndarray) -> np.ndarray:
 
 
 def _exact_wht(v: np.ndarray) -> np.ndarray:
-    """Exact int64 transform of integer ``v`` along its last axis.
+    """Exact transform of integer ``v`` along its last axis.
 
     With bound = size * max|v|, runs :func:`_gemm_wht` in float32 below 2^24,
-    in float64 below 2^53 and the int64 butterfly past that.  Every partial
-    sum of every product is a signed subset sum of the inputs, so it is at
-    most the bound in magnitude and the word holds it exactly, whatever the
-    summation order, blocking, FMA use or BLAS thread count.
+    in float64 below 2^53 and the int64 butterfly past that, in that word.
+    Every partial sum of every product is a signed subset sum of the inputs,
+    so it is at most the bound in magnitude and the word holds it exactly,
+    whatever the summation order, blocking, FMA use or BLAS thread count.
     """
     bound = v.shape[-1] * max(int(v.max()), -int(v.min()))
     if bound >= 1 << 53:
         return _butterfly(v.astype(np.int64))
     word = np.float32 if bound < 1 << 24 else np.float64
-    return _gemm_wht(v.astype(word)).astype(np.int64)
+    return _gemm_wht(v.astype(word))
 
 
 def wht(values: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def wht(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"array length {v.size} is not a power of two")
     if v.dtype.kind not in "biu":
         return _butterfly(v.astype(np.float64))
-    return _exact_wht(v)
+    return _exact_wht(v).astype(np.int64, copy=False)
 
 
 # Cells (supports x 2^k) gathered in one step of subcube_sums, 8 MiB of int64,
@@ -147,7 +147,7 @@ def subcube_sums(
         for j in range(k):
             subsets = np.hstack([subsets, subsets | (1 << positions[:, j : j + 1])])
         # exact: every bucket sum times 2^k is what the transform returns
-        yield positions, _exact_wht(coeffs[subsets]) >> k
+        yield positions, _exact_wht(coeffs[subsets]).astype(np.int64, copy=False) >> k
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,19 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64)
+        arr = np.array(self.coeffs, dtype=np.float64)  # always a copy
         if arr.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} coefficients, got {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
     def from_table(cls, f: TruthTable) -> "Spectrum":
-        return cls(f.n, wht(f.values) / (1 << f.n))
+        # a +-1 table's transform is bounded by 2^n <= 2^24, so it comes back
+        # in a float word, and scaling its integers by 2^-n is exact there
+        coeffs = _exact_wht(f.values)
+        coeffs *= 2.0**-f.n
+        return cls(f.n, coeffs)
 
     def sq_weight(self) -> float:
         """Total squared mass; equals 1 for +-1 valued functions (Parseval)."""

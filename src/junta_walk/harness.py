@@ -97,6 +97,11 @@ def _check_seeds(**seeds: int | None) -> None:
             raise ValueError(f"{name}={seed} must be >= 0")
 
 
+def warn_practical(what: str) -> None:
+    """Log, for an entry point, that ``what`` uses practical sample sizes."""
+    logger.warning("%s at practical sizes; the guarantee is not certified there", what)
+
+
 def thread_count() -> int:
     """Worker cap from JUNTA_WALK_THREADS; defaults to 1."""
     raw = os.environ.get("JUNTA_WALK_THREADS", "1")
@@ -388,16 +393,15 @@ class ExperimentConfig:
                 "delta": c.learn.delta,
                 "mode": c.learn.mode,
             }
-            if c.learn.sieve_budgets is not None:
+            if c.learn.mode == "practical":
                 b = c.learn.sieve_budgets
                 learn.update(
                     screen_pairs=b.screen_pairs,
                     estimate_blocks=b.estimate_blocks,
                     lag=b.lag,
                     gap_steps=b.gap_steps,
+                    erm_sample=c.learn.erm_sample,
                 )
-            if c.learn.erm_sample is not None:
-                learn["erm_sample"] = c.learn.erm_sample
             return {"instance": c.instance.to_dict(), "learn": learn}
 
         return json.dumps(
@@ -411,9 +415,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Parse ``to_json`` output.  Unknown keys, budget keys in a certified
-        cell, sieve budgets without ``screen_pairs`` and a ``gap_steps`` other
-        than the screening density's raise ValueError naming the key."""
+        """Parse ``to_json`` output.  A ``"certified"`` cell takes no budget
+        key; any other cell is practical, at the default budgets with
+        ``screen_pairs``, ``estimate_blocks`` and ``erm_sample`` overriding
+        them.  Unknown keys, budget keys in a certified cell, and a ``lag``
+        or ``gap_steps`` other than the budgets derive raise ValueError
+        naming the key."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
@@ -427,40 +434,28 @@ class ExperimentConfig:
             k = json_field(ld, "k", "learn", int, instance.k)
             eps = json_field(ld, "epsilon", "learn", float, 0.25)
             delta = json_field(ld, "delta", "learn", float, 0.2)
-            erm_sample = json_field(ld, "erm_sample", "learn", int, None)
             mode = ld.get("mode")
             if mode not in (None, "certified", "practical"):
                 raise ValueError(f"learn mode {mode!r} not certified/practical")
             for key in _BUDGET_KEYS:
                 if key in ld and mode == "certified":
                     raise ValueError(f"learn key {key!r} sets a budget in certified mode")
-                if key in _SIEVE_KEYS and key in ld and "screen_pairs" not in ld:
-                    raise ValueError(f"learn key {key!r} needs 'screen_pairs'")
+            params = default_learn_params(instance.n, k, eps, delta)
+            b = params.sieve_budgets
+            for key in ("lag", "gap_steps"):
+                if json_field(ld, key, "learn", int, getattr(b, key)) != getattr(b, key):
+                    raise ValueError(
+                        f"learn key {key!r} is {ld[key]}, but the budgets derive {getattr(b, key)}"
+                    )
             if mode == "certified":
                 params = LearnParams(k, eps, delta)
-            elif "screen_pairs" in ld:
-                budgets = practical_budgets(
-                    sieve_params_for(k, eps, delta),
-                    instance.n,
-                    screen_pairs=json_field(ld, "screen_pairs", "learn", int),
-                    estimate_blocks=json_field(ld, "estimate_blocks", "learn", int),
-                    lag=json_field(ld, "lag", "learn", int, None),
-                )
-                gap = json_field(ld, "gap_steps", "learn", int, budgets.gap_steps)
-                if gap != budgets.gap_steps:
-                    raise ValueError(
-                        f"learn key 'gap_steps' is {gap}, but the screening density "
-                        f"gives {budgets.gap_steps}"
-                    )
-                params = LearnParams(
-                    k, eps, delta, sieve_budgets=budgets, erm_sample=erm_sample
-                )
-            elif mode == "practical" and erm_sample is not None:
-                params = LearnParams(k, eps, delta, erm_sample=erm_sample)
             else:
-                params = default_learn_params(instance.n, k, eps, delta)
-                if erm_sample is not None:
-                    params = replace(params, erm_sample=erm_sample)
+                sizes = {
+                    key: json_field(ld, key, "learn", int, getattr(b, key))
+                    for key in ("screen_pairs", "estimate_blocks")
+                }
+                erm_sample = json_field(ld, "erm_sample", "learn", int, params.erm_sample)
+                params = replace(params, sieve_budgets=replace(b, **sizes), erm_sample=erm_sample)
             cells.append(Cell(instance=instance, learn=params))
         return cls(
             cells=tuple(cells),
@@ -469,10 +464,9 @@ class ExperimentConfig:
         )
 
 
-# Budget keys of a config cell's "learn" object: the sieve's, of which all
-# but "screen_pairs" need it, and the ERM sample size.
-_SIEVE_KEYS = ("estimate_blocks", "lag", "gap_steps")
-_BUDGET_KEYS = ("screen_pairs", *_SIEVE_KEYS, "erm_sample")
+# Budget keys of a config cell's "learn" object: the phase sizes a practical
+# cell may override, and the lag and gap its budgets derive.
+_BUDGET_KEYS = ("screen_pairs", "estimate_blocks", "lag", "gap_steps", "erm_sample")
 
 # Practical budgets of default_learn_params, sized by pilot variance runs at
 # n <= 16, k <= 3.
@@ -562,6 +556,7 @@ def _summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
                 "delta": cell.learn.delta,
                 "gamma": cell.instance.corruption.gamma,
                 "kind": cell.instance.corruption.kind,
+                "mode": cell.learn.mode,
                 "repetitions": len(mine),
                 "passes": passes,
                 "pass_rate": passes / len(mine) if mine else 0.0,
@@ -594,8 +589,12 @@ def run_suite(config: ExperimentConfig, out_dir: str | Path) -> SuiteResult:
     """Execute every (cell, repetition) trial and write CSV/JSON artifacts.
 
     Trials run independently (thread pool capped by JUNTA_WALK_THREADS); the
-    collector writes all files from this thread, in trial order.
+    collector writes all files from this thread, in trial order.  One warning
+    per call reports the cells whose budgets are practical, not certified.
     """
+    practical = sum(cell.learn.mode == "practical" for cell in config.cells)
+    if practical:
+        warn_practical(f"{practical} of {len(config.cells)} cells run")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [

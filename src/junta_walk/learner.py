@@ -31,7 +31,7 @@ from .hypercube import (
     signed_sums,
 )
 from .sieve import SieveBudgets, SieveParams, SieveResult, bounded_sieve
-from .walk import RandomWalkOracle, SampleSizePlan, practical_plan, sample_size_erm
+from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
 
@@ -61,10 +61,10 @@ def log_junta_class_size(pool_size: int, k: int) -> float:
 class LearnParams:
     """Target junta arity and the (epsilon, delta) agnostic guarantee.
 
-    Leaving the budget fields at None requests certified sample sizes, which
-    are only feasible for very small k; practical runs supply their own sieve
-    budgets and/or ERM walk length.  A budget field left at None in practical
-    mode falls back to the certified formula for that phase.
+    A run is certified or practical as a whole.  Leaving both budget fields
+    at None requests certified sample sizes for every phase, which are only
+    feasible for very small k; a practical run sets both its sieve budgets
+    and its ERM walk length.  Setting only one raises ValueError.
     """
 
     k: int
@@ -80,13 +80,16 @@ class LearnParams:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
+        if (self.sieve_budgets is None) != (self.erm_sample is None):
+            missing = "erm_sample" if self.erm_sample is None else "sieve_budgets"
+            raise ValueError(f"a practical run needs both budgets; {missing} is missing")
+        if self.erm_sample is not None and self.erm_sample < 1:
+            raise ValueError(f"erm_sample={self.erm_sample} must be >= 1")
 
     @property
     def mode(self) -> str:
-        """``"practical"`` when any budget field is set, else ``"certified"``."""
-        if self.sieve_budgets is None and self.erm_sample is None:
-            return "certified"
-        return "practical"
+        """``"certified"`` when the budget fields are None, else ``"practical"``."""
+        return "certified" if self.sieve_budgets is None else "practical"
 
 
 def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
@@ -198,12 +201,11 @@ def best_junta(
 
 @dataclass(frozen=True)
 class LearnOutcome:
-    """Learned hypothesis with the run's pool, plans, and accounting."""
+    """Learned hypothesis with the run's pool, sieve result, and accounting."""
 
     hypothesis: JuntaHypothesis
     pool: IndexSet
     sieve: SieveResult
-    erm_plan: SampleSizePlan
     disagreements: int
     sample_size: int
     walk_steps: int
@@ -225,23 +227,19 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
             f"12 k 2^k / eps^2 = {cap} bound; sieve output is inconsistent"
         )
 
-    log_size = log_junta_class_size(len(pool), params.k)
-    if params.erm_sample is not None:
-        plan = practical_plan(
-            params.erm_sample, params.epsilon / 2.0, params.delta / 2.0, n, log_size
-        )
-    else:
-        plan = sample_size_erm(params.epsilon / 2.0, params.delta / 2.0, n, log_size)
+    m = params.erm_sample
+    if m is None:
+        log_size = log_junta_class_size(len(pool), params.k)
+        m = sample_size_erm(params.epsilon / 2.0, params.delta / 2.0, n, log_size).m
 
-    walk = oracle.walk(plan.m)
+    walk = oracle.walk(m)
     hypothesis, disagreements = best_junta(walk.points, walk.labels, pool, params.k)
     return LearnOutcome(
         hypothesis=hypothesis,
         pool=pool,
         sieve=result,
-        erm_plan=plan,
         disagreements=disagreements,
-        sample_size=plan.m,
+        sample_size=m,
         walk_steps=oracle.steps_served,
     )
 

@@ -122,12 +122,19 @@ def _restrict_table(g: TruthTable, fixed: dict[int, int]) -> TruthTable:
     return TruthTable(g.n, g.values[forced])
 
 
+def _clears_floor(c: int, k: int, scale: Fraction) -> bool:
+    """|c| >= (1 - 1/sqrt(2)) 2^(-(k-1)/2) * scale, decided exactly: squared,
+    it is t^2 2^k >= 3 - 2 sqrt(2) with t = |c| / scale, so with
+    q = 3 - t^2 2^k it holds iff q <= 0 or q^2 <= 8."""
+    q = 3 - (abs(c) / scale) ** 2 * 2**k
+    return q <= 0 or q * q <= 8
+
+
 def verify_spectrum_lemma(
     f: TruthTable,
     g: TruthTable,
     epsilon: float,
     k: int | None = None,
-    slack: float = 1e-9,
 ) -> LemmaWitness | None:
     """Search for a restriction g' of g with <f,g'> >= <f,g> - epsilon whose
     every relevant variable belongs to a set S, |S| <= k, with
@@ -136,7 +143,8 @@ def verify_spectrum_lemma(
     Candidates fix each relevant variable of g to free, +1 or -1 (at most 3^k
     sub-functions) and are scanned with the fewest variables fixed first, then
     by assignment encoding; the first certified candidate is returned, or None
-    if the whole space fails.
+    if the whole space fails.  Both tests are exact, the coefficient floor
+    by :func:`_clears_floor`.
     """
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
@@ -152,11 +160,14 @@ def verify_spectrum_lemma(
 
     size = 1 << f.n
     coeffs_f = wht(f.values)  # 2^n * fhat, exact
-    bound = coefficient_bound(max(k, 1), epsilon)
     masks = np.arange(size, dtype=np.uint64)
     small = popcount_u64(masks) <= k
-    heavy = small & (np.abs(coeffs_f) >= bound * size - slack)
-    heavy_masks = masks[heavy]
+    # the floor is monotone in |c|: find the smallest magnitude clearing it
+    mags = np.abs(coeffs_f)
+    scale = Fraction(epsilon) * size  # epsilon * 2^n, exact
+    levels = np.unique(mags[small]).tolist()
+    floor = next((c for c in levels if _clears_floor(c, max(k, 1), scale)), size + 1)
+    heavy_masks = masks[small & (mags >= floor)]
 
     def witness_for(i: int) -> tuple[IndexSet, Fraction] | None:
         holding = heavy_masks[(heavy_masks >> np.uint64(i - 1)) & np.uint64(1) == 1]
@@ -175,7 +186,7 @@ def verify_spectrum_lemma(
                 fixed = dict(zip(combo, signs))
                 gp = _restrict_table(g, fixed)
                 dot_gp = int(np.dot(fv, gp.values))
-                if dot_gp < dot_g - epsilon * size - slack:
+                if dot_g - dot_gp > epsilon * size:
                     continue
                 certificate: dict[int, tuple[IndexSet, Fraction]] = {}
                 ok = True
@@ -192,7 +203,7 @@ def verify_spectrum_lemma(
                         witnesses=certificate,
                         inner_original=Fraction(dot_g, size),
                         inner_restricted=Fraction(dot_gp, size),
-                        bound=bound,
+                        bound=coefficient_bound(max(k, 1), epsilon),
                     )
     return None
 

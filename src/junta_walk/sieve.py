@@ -51,8 +51,6 @@ logger = logging.getLogger(__name__)
 KEEP_FRACTION = 0.75  # accept candidates whose estimate clears (3/4) theta
 BUDGET_CEILING = 100_000_000  # certified mode refuses beyond this many steps
 
-_warned_budgets: set[tuple] = set()
-
 
 class SieveError(Exception):
     """Base class for sieve failures."""
@@ -153,30 +151,15 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
 
 
 def practical_budgets(
-    params: SieveParams,
-    n: int,
-    screen_pairs: int,
-    estimate_blocks: int,
-    lag: int | None = None,
+    params: SieveParams, n: int, screen_pairs: int, estimate_blocks: int
 ) -> SieveBudgets:
-    """User-chosen budgets; the contract becomes heuristic and a warning is logged."""
-    gap = gap_for_density(n, params.density)
-    key = (screen_pairs, estimate_blocks, params.theta, params.delta)
-    if key not in _warned_budgets:
-        _warned_budgets.add(key)
-        logger.warning(
-            "practical sieve budgets (screen_pairs=%d, estimate_blocks=%d); the "
-            "(theta=%g, delta=%g) contract is not certified at these sizes",
-            screen_pairs,
-            estimate_blocks,
-            params.theta,
-            params.delta,
-        )
+    """User-chosen phase sizes at the certified lag and gap; the contract is
+    then heuristic, which the entry points that choose these sizes report."""
     return SieveBudgets(
         screen_pairs=screen_pairs,
         estimate_blocks=estimate_blocks,
-        lag=lag if lag is not None else default_lag(n, params.theta),
-        gap_steps=gap,
+        lag=default_lag(n, params.theta),
+        gap_steps=gap_for_density(n, params.density),
         mode="practical",
     )
 

@@ -31,7 +31,6 @@ kernel, ``_draw_steps``, in the narrowest unsigned word that holds n bits.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -39,8 +38,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .hypercube import JuntaHypothesis, TruthTable, _check_dim
-
-logger = logging.getLogger(__name__)
 
 LabelSource = Union[TruthTable, JuntaHypothesis, Callable[[np.ndarray], np.ndarray]]
 
@@ -405,7 +402,6 @@ class SampleSizePlan:
     log_class_size: float
     N: int
     m: int
-    mode: str  # "certified" | "practical"
 
 
 def _check_eps_delta(epsilon: float, delta: float) -> None:
@@ -423,7 +419,7 @@ def sample_size_concentration(epsilon: float, delta: float, n: int) -> SampleSiz
     _check_eps_delta(epsilon, delta)
     N = math.ceil(n * math.log(n / delta))
     m = math.ceil((2 * N / epsilon**2) * math.log(2 * N / delta))
-    return SampleSizePlan(n, epsilon, delta, 0.0, N, m, "certified")
+    return SampleSizePlan(n, epsilon, delta, 0.0, N, m)
 
 
 def sample_size_erm(
@@ -439,37 +435,7 @@ def sample_size_erm(
         raise ValueError(f"log_class_size={log_class_size} must be >= 0")
     N = math.ceil(n * (math.log(2 * n / delta) + log_class_size))
     m = math.ceil((8 * N / epsilon**2) * (math.log(2 * N / delta) + log_class_size))
-    return SampleSizePlan(n, epsilon, delta, log_class_size, N, m, "certified")
-
-
-_warned_plans: set[tuple] = set()
-
-
-def practical_plan(
-    m: int, epsilon: float, delta: float, n: int, log_class_size: float = 0.0
-) -> SampleSizePlan:
-    """Wrap a user-supplied walk length; certified guarantees do not apply."""
-    _check_eps_delta(epsilon, delta)
-    if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
-    certified = (
-        sample_size_erm(epsilon, delta, n, log_class_size)
-        if log_class_size > 0
-        else sample_size_concentration(epsilon, delta, n)
-    )
-    key = (m, certified.m, epsilon, delta, n)
-    if m < certified.m and key not in _warned_plans:
-        _warned_plans.add(key)
-        logger.warning(
-            "practical sample size m=%d is below the certified m=%d for "
-            "(eps=%g, delta=%g, n=%d); guarantees are heuristic",
-            m,
-            certified.m,
-            epsilon,
-            delta,
-            n,
-        )
-    return SampleSizePlan(n, epsilon, delta, log_class_size, certified.N, m, "practical")
+    return SampleSizePlan(n, epsilon, delta, log_class_size, N, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact optima, the restriction certificate search, and the AND fixtures."""
 
 import json
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from junta_walk.learner import best_junta
 from junta_walk.oracle_bruteforce import (
     LemmaWitness,
     OptResult,
+    _clears_floor,
     coefficient_bound,
     counterexample_fixtures,
     exact_opt,
@@ -175,6 +177,22 @@ def test_relevant_coords():
 def test_coefficient_bound_value():
     assert coefficient_bound(1, 0.5) == pytest.approx((1 - 2 ** -0.5) * 0.5)
     assert coefficient_bound(3, 0.5) == pytest.approx((1 - 2 ** -0.5) * 0.25)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.3, 0.5, 1.0])
+def test_coefficient_floor_is_decided_exactly(k, epsilon):
+    # the smallest integer |c| clearing (1 - 1/sqrt(2)) 2^(-(k-1)/2) eps 2^n,
+    # from a 60-digit reference; the floor is irrational, so never equal to c
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for n in (4, 8, 12):
+            scale = Fraction(epsilon) * (1 << n)
+            floor = (1 - 1 / Decimal(2).sqrt()) / Decimal(2) ** (Decimal(k - 1) / 2)
+            floor *= Decimal(scale.numerator) / Decimal(scale.denominator)
+            c = int(floor.to_integral_value(rounding=ROUND_CEILING))
+            assert _clears_floor(c, k, scale) and _clears_floor(-c, k, scale)
+            assert not _clears_floor(c - 1, k, scale)
 
 
 def test_lemma_trivial_self_certificate():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,19 +74,27 @@ def test_gen_same_seed_reproduces(tmp_path, capsys):
 # learn
 
 
-def test_learn_recovers_generated_instance(tmp_path, capsys):
+def practical_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "not certified" in r.getMessage()]
+
+
+def test_learn_recovers_generated_instance(tmp_path, capsys, caplog):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(InstanceSpec(n=6, k=2).to_dict()))
     inst = tmp_path / "instance.json"
     run(capsys, "gen", "--spec", str(spec), "--out", str(inst), "--seed", "4")
     out = tmp_path / "learn.json"
-    code, _ = run(
-        capsys,
-        "learn", "--instance", str(inst),
-        "-k", "2", "--eps", "0.25", "--delta", "0.2",
-        "--seed", "1", "--out", str(out),
-    )
+    with caplog.at_level(logging.WARNING):
+        code, _ = run(
+            capsys,
+            "learn", "--instance", str(inst),
+            "-k", "2", "--eps", "0.25", "--delta", "0.2",
+            "--seed", "1", "--out", str(out),
+        )
     assert code == 0
+    # the stock budgets are practical, and the entry point says so once
+    (warning,) = practical_warnings(caplog)
+    assert "erm_sample=40000" in warning
     obj = json.loads(out.read_text())
     assert obj["passed"] is True
     assert obj["opt"] == "0"
@@ -94,14 +103,16 @@ def test_learn_recovers_generated_instance(tmp_path, capsys):
     assert obj["walk_steps"] > 0
 
 
-def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys):
+def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     inst = write_instance(tmp_path / "dictator.json", parity_table(2, [1]))
-    code, out = run(
-        capsys,
-        "learn", "--instance", str(inst),
-        "-k", "1", "--eps", "0.4", "--delta", "0.3", "--certified",
-    )
+    with caplog.at_level(logging.WARNING):
+        code, out = run(
+            capsys,
+            "learn", "--instance", str(inst),
+            "-k", "1", "--eps", "0.4", "--delta", "0.3", "--certified",
+        )
     assert code == 0
+    assert practical_warnings(caplog) == []
     obj = json.loads(out)
     assert obj["excess"] == "0"
     assert obj["hypothesis"]["J"] == [1]
@@ -111,15 +122,18 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys):
 # sieve
 
 
-def test_sieve_finds_parity_support(tmp_path, capsys):
+def test_sieve_finds_parity_support(tmp_path, capsys, caplog):
     inst = write_instance(tmp_path / "parity.json", parity_table(6, [2, 5]))
-    code, out = run(
-        capsys,
-        "sieve", "--instance", str(inst),
-        "--theta", "0.5", "--level", "2", "--delta", "0.1",
-        "--screen-pairs", "20000", "--estimate-blocks", "4000",
-    )
+    with caplog.at_level(logging.WARNING):
+        code, out = run(
+            capsys,
+            "sieve", "--instance", str(inst),
+            "--theta", "0.5", "--level", "2", "--delta", "0.1",
+            "--screen-pairs", "20000", "--estimate-blocks", "4000",
+        )
     assert code == 0
+    (warning,) = practical_warnings(caplog)  # explicit budgets are practical
+    assert "screen_pairs=20000" in warning
     obj = json.loads(out)
     assert obj["sets"] == [[2, 5]]
     assert obj["pool"] == [2, 5]

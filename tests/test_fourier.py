@@ -107,6 +107,21 @@ def test_wht_matches_concatenating_reference_bit_for_bit(n):
         assert Spectrum.from_table(f).coeffs.tobytes() == float_coeffs.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 5, 12, 20])
+def test_spectrum_from_table_is_the_exact_transform_exactly_scaled(n):
+    f = random_table(n, np.random.default_rng(100 + n))
+    exact = wht(f.values) / (1 << n)  # int64 transform, correctly rounded quotient
+    assert Spectrum.from_table(f).coeffs.tobytes() == exact.tobytes()
+
+
+def test_spectrum_copies_the_callers_array():
+    coeffs = np.array([0.5, 0.5, 0.5, -0.5])
+    spec = Spectrum(2, coeffs)
+    coeffs[0] = 7.0
+    assert spec.coeffs[0] == 0.5 and not spec.coeffs.flags.writeable
+    assert coeffs.flags.writeable  # the caller's array stays theirs
+
+
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypatch):
     # every partial sum is bounded by size * max|v|: float32 runs below 2^24,

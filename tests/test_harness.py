@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from junta_walk.harness import (
     run_trial,
     thread_count,
 )
+from junta_walk.fourier import default_lag
 from junta_walk.hypercube import distance_exact
 from junta_walk.learner import LearnParams, theta_for
 from junta_walk.sieve import SieveParams, practical_budgets
@@ -383,16 +385,20 @@ def test_config_json_round_trip_practical_and_certified():
     )
     erm_only = Cell(
         instance=InstanceSpec(n=6, k=2),
-        learn=LearnParams(2, 0.25, 0.2, erm_sample=5000),
+        learn=replace(default_learn_params(6, 2, 0.25, 0.2), erm_sample=5000),
     )
     sieve = SieveParams(level=2, theta=theta_for(2, 0.25), delta=0.1)
-    lagged = Cell(
+    sized = Cell(
         instance=InstanceSpec(n=9, k=2),
         learn=LearnParams(
-            2, 0.25, 0.2, sieve_budgets=practical_budgets(sieve, 9, 1000, 100, lag=7)
+            2,
+            0.25,
+            0.2,
+            sieve_budgets=practical_budgets(sieve, 9, 1000, 100),
+            erm_sample=DEFAULT_ERM_SAMPLE,
         ),
     )
-    cells = (practical, certified, erm_only, lagged)
+    cells = (practical, certified, erm_only, sized)
     config = ExperimentConfig(cells=cells, repetitions=2, master_seed=31)
     text = config.to_json()
     modes = ["practical", "certified", "practical", "practical"]
@@ -400,8 +406,34 @@ def test_config_json_round_trip_practical_and_certified():
     restored = ExperimentConfig.from_json(text)
     assert restored == config
     assert [c.learn.mode for c in restored.cells] == modes
-    assert restored.cells[3].learn.sieve_budgets.lag == 7
-    assert restored.cells[2].learn.sieve_budgets is None
+    assert restored.cells[3].learn.sieve_budgets.lag == default_lag(9, sieve.theta)
+    assert restored.cells[2].learn.sieve_budgets == erm_only.learn.sieve_budgets
+
+
+def test_config_erm_sample_cell_is_practical_with_or_without_mode():
+    # both cells are practical as a whole: default sieve budgets, 5000 ERM steps
+    bare, named = (
+        ExperimentConfig.from_json(_config_text(learn=learn)).cells[0]
+        for learn in ({"erm_sample": 5000}, {"mode": "practical", "erm_sample": 5000})
+    )
+    assert bare == named
+    assert named.learn == replace(default_learn_params(6, 2, 0.25, 0.2), erm_sample=5000)
+    for cell in (bare, named):
+        report = run_trial(cell.instance, cell.learn, trial_seed=5)
+        assert report.error is None and report.erm_sample == 5000
+
+
+def test_config_budget_keys_override_the_defaults():
+    default = default_learn_params(6, 2, 0.25, 0.2)
+    (cell,) = ExperimentConfig.from_json(_config_text(learn={"estimate_blocks": 100})).cells
+    assert cell.learn == replace(
+        default, sieve_budgets=replace(default.sieve_budgets, estimate_blocks=100)
+    )
+    # a lag or gap equal to the derived one is what to_json writes, and loads
+    b = default.sieve_budgets
+    derived = {"lag": b.lag, "gap_steps": b.gap_steps}
+    (cell,) = ExperimentConfig.from_json(_config_text(learn=derived)).cells
+    assert cell.learn == default
 
 
 def test_config_from_json_rejects_unknown_mode():
@@ -460,20 +492,16 @@ _PRACTICAL = {"screen_pairs": 1000, "estimate_blocks": 100}
             "erm_sample",
             id="certified-erm-sample",
         ),
-        pytest.param(
-            _config_text(learn={"estimate_blocks": 100}),
-            "estimate_blocks",
-            id="blocks-without-screen-pairs",
-        ),
+        # the budgets at n = 6, level 2 derive lag 25; there is no lag override
         pytest.param(
             _config_text(learn={"lag": 7, "erm_sample": 5000}),
             "lag",
-            id="lag-without-screen-pairs",
+            id="lag-off-the-derived-value",
         ),
         pytest.param(
-            _config_text(learn={"gap_steps": 5}),
-            "gap_steps",
-            id="gap-without-screen-pairs",
+            _config_text(learn={**_PRACTICAL, "lag": 7}),
+            "lag",
+            id="lag-beside-explicit-sizes",
         ),
         # the screening density at n = 6, level 2 gives 5 steps per block
         pytest.param(
@@ -565,7 +593,17 @@ def test_run_suite_writes_matching_artifacts(tmp_path):
     assert summary["trials"] == 4
     assert len(summary["cells"]) == 2
     assert summary["cells"][0]["repetitions"] == 2
+    assert [c["mode"] for c in summary["cells"]] == ["practical", "practical"]
     assert {"excess_vs_gamma", "pass_rate_vs_eps"} <= set(summary["series"])
+
+
+def test_run_suite_warns_once_per_call_about_practical_cells(tmp_path, caplog):
+    with caplog.at_level("WARNING", logger="junta_walk"):
+        run_suite(tiny_config(), tmp_path / "first")
+        run_suite(tiny_config(), tmp_path / "second")
+    warnings = [r.getMessage() for r in caplog.records if "not certified" in r.getMessage()]
+    assert len(warnings) == 2
+    assert all(w.startswith("2 of 2 cells run at practical sizes") for w in warnings)
 
 
 def test_run_suite_is_thread_invariant(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Threshold choices, subcube tallies, ERM, and the full learning pipeline."""
 
+import logging
 import math
 from itertools import combinations, product
 
@@ -34,7 +35,7 @@ from junta_walk.sieve import (
     bounded_sieve,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle, generate_walk
+from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,30 @@ def test_log_class_size():
 # Parameter modes
 
 
+TINY_BUDGETS = SieveBudgets(
+    screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1, mode="practical"
+)
+
+
 def test_mode_derivation():
     assert LearnParams(k=2, epsilon=0.2, delta=0.1).mode == "certified"
-    assert LearnParams(k=2, epsilon=0.2, delta=0.1, erm_sample=1000).mode == "practical"
+    practical = LearnParams(2, 0.2, 0.1, sieve_budgets=TINY_BUDGETS, erm_sample=1000)
+    assert practical.mode == "practical"
+
+
+@pytest.mark.parametrize("missing", ["erm_sample", "sieve_budgets"])
+def test_a_practical_run_sets_both_budgets(missing):
+    # a run is certified or practical as a whole, never a mix of the two
+    fields = {"sieve_budgets": TINY_BUDGETS, "erm_sample": 1000}
+    del fields[missing]
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        LearnParams(k=2, epsilon=0.2, delta=0.1, **fields)
+
+
+def test_erm_sample_is_refused_below_one():
+    # checked when the run is configured, not after its sieve has run
+    with pytest.raises(ValueError, match="erm_sample=0"):
+        LearnParams(2, 0.2, 0.1, sieve_budgets=TINY_BUDGETS, erm_sample=0)
 
 
 def test_mode_conflicts_rejected():
@@ -99,9 +121,6 @@ def test_mode_conflicts_rejected():
 
 
 def _sieve_result(n, sets):
-    budgets = SieveBudgets(
-        screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1, mode="practical"
-    )
     return SieveResult(
         n=n,
         sets=tuple(sets),
@@ -111,7 +130,7 @@ def _sieve_result(n, sets):
         candidates=len(sets),
         truncated=False,
         walk_steps=0,
-        budgets=budgets,
+        budgets=TINY_BUDGETS,
     )
 
 
@@ -335,6 +354,14 @@ def test_learn_under_noise_stays_close():
     assert abs(outcome.disagreements / outcome.sample_size - float(achieved)) < 0.05
 
 
+def test_learn_logs_nothing(caplog):
+    # budget warnings come from the entry points, so threaded trials stay silent
+    params = practical_params(6, 2, 0.5, 0.2, screen=5_000, blocks=2_000, sample=4_000)
+    with caplog.at_level(logging.DEBUG):
+        learn_outcome(RandomWalkOracle(parity_table(6, [2, 5]), 6, seed=22), params)
+    assert caplog.records == []
+
+
 def test_learn_pads_pool_for_degenerate_targets():
     # a constant function gives an empty pool; padding must still yield k coords
     from junta_walk.functions import constant_table
@@ -354,21 +381,21 @@ def test_learn_certified_tiny_case():
     params = LearnParams(k=1, epsilon=0.5, delta=0.25)
     assert params.mode == "certified"
     outcome = learn_outcome(RandomWalkOracle(f, 2, seed=20), params)
-    assert outcome.erm_plan.mode == "certified"
+    assert outcome.sieve.budgets.mode == "certified"
+    log_size = log_junta_class_size(len(outcome.pool), 1)
+    assert outcome.sample_size == sample_size_erm(0.25, 0.125, 2, log_size).m
     assert distance_exact(f, outcome.hypothesis) == 0
 
 
 def test_learn_rejects_k_above_n():
     f = parity_table(3, [1])
-    params = LearnParams(k=4, epsilon=0.5, delta=0.2, erm_sample=100)
-    with pytest.raises(ValueError):
+    params = LearnParams(k=4, epsilon=0.5, delta=0.2)
+    with pytest.raises(ValueError, match="k=4 exceeds"):
         learn_outcome(RandomWalkOracle(f, 3, seed=21), params)
 
 
 def test_learn_epsilon_controls_certified_cost():
     # smaller epsilon must never shrink the certified ERM walk
-    from junta_walk.walk import sample_size_erm
-
     loose = sample_size_erm(0.3 / 2, 0.05, 10, 5.0)
     tight = sample_size_erm(0.1 / 2, 0.05, 10, 5.0)
     assert tight.m > loose.m

@@ -16,10 +16,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "junta_walk"
 
-# Exact references the gates compare estimators against, and the factories
-# that build the tests' tables.
+# Exact references the gates compare estimators against (gate 6 reads the
+# paper's walk-concentration length from sample_size_concentration), and the
+# factories that build the tests' tables.
 ALLOWED = {
     "chi",
+    "sample_size_concentration",
     "Point.coord",
     "flip",
     "inner_product",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import junta_walk.sieve as sieve_mod
-from junta_walk.fourier import Spectrum
+from junta_walk.fourier import Spectrum, default_lag
 from junta_walk.functions import and_table, constant_table, parity_table, random_junta
 from junta_walk.hypercube import IndexSet, popcount_u64
 from junta_walk.sieve import (
@@ -82,13 +82,19 @@ def test_certified_budgets_can_refuse():
         certified_budgets(params, 12)
 
 
-def test_practical_budgets_warn_once(caplog):
+def test_practical_budgets_log_nothing(caplog):
+    # the entry points that choose practical sizes report them, not the library
     params = SieveParams(level=2, theta=0.123457, delta=0.1)
-    with caplog.at_level(logging.WARNING, logger="junta_walk.sieve"):
-        b = practical_budgets(params, 8, screen_pairs=100, estimate_blocks=50)
-        practical_budgets(params, 8, screen_pairs=100, estimate_blocks=50)
-    assert b.mode == "practical"
-    assert sum("not certified" in r.message for r in caplog.records) == 1
+    with caplog.at_level(logging.DEBUG):
+        b = practical_budgets(params, 8, 100, 50)
+    assert caplog.records == []
+    assert b == SieveBudgets(
+        screen_pairs=100,
+        estimate_blocks=50,
+        lag=default_lag(8, params.theta),
+        gap_steps=gap_for_density(8, params.density),
+        mode="practical",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,10 @@ def test_truncation_at_result_cap(caplog):
     # One screening pair pools every coordinate (+inf contrasts).
     f = parity_table(6, [1])
     params = SieveParams(level=2, theta=0.4, delta=0.2)
-    budgets = practical_budgets(params, 6, screen_pairs=1, estimate_blocks=2, lag=3)
+    gap = gap_for_density(6, params.density)
+    budgets = SieveBudgets(
+        screen_pairs=1, estimate_blocks=2, lag=3, gap_steps=gap, mode="practical"
+    )
     with caplog.at_level(logging.WARNING, logger="junta_walk.sieve"):
         res = run_sieve(f, 6, params, budgets, seed=0)
     assert len(res.pool) == 6

@@ -21,7 +21,6 @@ from junta_walk.walk import (
     generate_walk,
     harvest_refresh_pairs,
     labels_for,
-    practical_plan,
     refresh_steps,
     sample_size_concentration,
     sample_size_erm,
@@ -524,7 +523,6 @@ def test_labels_for_accepts_callables_and_validates():
 def test_concentration_plan_values():
     plan = sample_size_concentration(0.1, 0.1, 16)
     assert (plan.N, plan.m) == (82, 121401)
-    assert plan.mode == "certified"
 
 
 def test_erm_plan_values():
@@ -553,15 +551,6 @@ def test_plan_validation():
         sample_size_concentration(0.1, 1.0, 8)
     with pytest.raises(ValueError):
         sample_size_erm(0.1, 0.1, 8, -1.0)
-
-
-def test_practical_plan_warns_when_short(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="junta_walk.walk"):
-        plan = practical_plan(1000, 0.05, 0.05, 14)
-    assert plan.m == 1000 and plan.mode == "practical"
-    assert any("heuristic" in rec.message for rec in caplog.records)
 
 
 # ---------------------------------------------------------------------------
