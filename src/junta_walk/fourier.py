@@ -346,20 +346,26 @@ def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
     return (np.stack(hists) @ _BYTE_BITS).reshape(-1)[:n]
 
 
-def estimate_bounded_influence(pairs: RefreshPairs) -> np.ndarray:
-    """Contrast of the label product over pairs that kept/refreshed each coordinate.
+def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
+    """Contrast of the label product over pairs that kept/refreshed each
+    coordinate, and its standard-error bound.
 
-    Entry i-1 is E[f(x) f(y) | i kept] - E[f(x) f(y) | i refreshed].  Writing
-    l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R empty} fhat(T)^2, and
-    with coordinates refreshed independently at density p, it has expectation
-    exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a screened influence that
-    is large for every member of a heavy low-degree set.  The density only
-    sets callers' thresholds; it does not enter the estimate.
+    Entry i-1 of the contrasts is E[f(x) f(y) | i kept] - E[f(x) f(y) | i
+    refreshed].  Writing l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R
+    empty} fhat(T)^2, and with coordinates refreshed independently at density
+    p, it has expectation exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a
+    screened influence that is large for every member of a heavy low-degree
+    set.  The density only sets callers' thresholds; it does not enter the
+    estimate.
 
     The products are +-1, so each conditional mean is an exact integer sum,
     (pairs - 2 disagreeing pairs), divided once by its pair count; all n
-    counts come from byte histograms of the masks.  A coordinate refreshed
-    in none or all of the pairs has no contrast sample and reads +inf.
+    counts come from byte histograms of the masks.  The same counts give
+    sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the contrast's standard
+    deviation when the pairs are iid: each mean averages values in [-1, 1].
+    Consecutive walk pairs are not iid, so for the chain sigma_i is an
+    estimate, not a bound.  A coordinate refreshed in none or all of the
+    pairs has no contrast sample and reads +inf in both arrays.
     """
     masks = pairs.refreshed_masks
     disagree = masks[pairs.label_x != pairs.label_y]
@@ -367,8 +373,11 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> np.ndarray:
     kept, kept_dis = len(masks) - hit, len(disagree) - hit_dis
     with np.errstate(divide="ignore", invalid="ignore"):
         contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
-    contrasts[(hit == 0) | (kept == 0)] = np.inf
-    return contrasts
+        sigmas = np.sqrt(1.0 / kept + 1.0 / hit)
+    empty = (hit == 0) | (kept == 0)
+    contrasts[empty] = np.inf
+    sigmas[empty] = np.inf
+    return contrasts, sigmas
 
 
 def expected_bounded_influence(spec: Spectrum, i: int, p: float) -> float:

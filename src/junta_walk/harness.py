@@ -417,9 +417,10 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse ``to_json`` output.  A ``"certified"`` cell takes no budget
         key; any other cell is practical, at the default budgets with
-        ``screen_pairs``, ``estimate_blocks`` and ``erm_sample`` overriding
-        them.  Unknown keys, budget keys in a certified cell, and a ``lag``
-        or ``gap_steps`` other than the budgets derive raise ValueError
+        ``screen_pairs`` and ``erm_sample`` overriding them.  Unknown keys,
+        budget keys in a certified cell, and an ``estimate_blocks``, ``lag``
+        or ``gap_steps`` other than the budgets derive (a practical learner
+        never estimates, so these only echo the default) raise ValueError
         naming the key."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
@@ -442,7 +443,7 @@ class ExperimentConfig:
                     raise ValueError(f"learn key {key!r} sets a budget in certified mode")
             params = default_learn_params(instance.n, k, eps, delta)
             b = params.sieve_budgets
-            for key in ("lag", "gap_steps"):
+            for key in ("estimate_blocks", "lag", "gap_steps"):
                 if json_field(ld, key, "learn", int, getattr(b, key)) != getattr(b, key):
                     raise ValueError(
                         f"learn key {key!r} is {ld[key]}, but the budgets derive {getattr(b, key)}"
@@ -450,12 +451,13 @@ class ExperimentConfig:
             if mode == "certified":
                 params = LearnParams(k, eps, delta)
             else:
-                sizes = {
-                    key: json_field(ld, key, "learn", int, getattr(b, key))
-                    for key in ("screen_pairs", "estimate_blocks")
-                }
+                screen_pairs = json_field(ld, "screen_pairs", "learn", int, b.screen_pairs)
                 erm_sample = json_field(ld, "erm_sample", "learn", int, params.erm_sample)
-                params = replace(params, sieve_budgets=replace(b, **sizes), erm_sample=erm_sample)
+                params = replace(
+                    params,
+                    sieve_budgets=replace(b, screen_pairs=screen_pairs),
+                    erm_sample=erm_sample,
+                )
             cells.append(Cell(instance=instance, learn=params))
         return cls(
             cells=tuple(cells),
@@ -465,11 +467,12 @@ class ExperimentConfig:
 
 
 # Budget keys of a config cell's "learn" object: the phase sizes a practical
-# cell may override, and the lag and gap its budgets derive.
+# cell may override, and the estimation size, lag and gap its budgets derive.
 _BUDGET_KEYS = ("screen_pairs", "estimate_blocks", "lag", "gap_steps", "erm_sample")
 
 # Practical budgets of default_learn_params, sized by pilot variance runs at
-# n <= 16, k <= 3.
+# n <= 16, k <= 3.  A practical learner never draws the estimation walk; the
+# block count stays in its budgets because to_json writes it.
 DEFAULT_SCREEN_PAIRS = 300_000
 DEFAULT_ESTIMATE_BLOCKS = 20_000
 DEFAULT_ERM_SAMPLE = 40_000

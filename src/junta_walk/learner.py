@@ -4,7 +4,11 @@ Pipeline: pick a squared-coefficient threshold from (k, epsilon), run the
 bounded sieve at level k to find every heavy set, pool the returned
 coordinates, then minimize empirical disagreement over all k-subsets of the
 pool on a fresh walk whose length makes disagreement means concentrate
-uniformly over the finite hypothesis class.  :func:`best_support` scores
+uniformly over the finite hypothesis class.  That is the certified run.  A
+practical run stops the sieve after its screen and minimizes over the
+screened pool: estimating theta-sized coefficients within theta/8 takes a
+Hoeffding count of lag blocks far past any practical budget, and below it the
+keep rule decides on noise.  :func:`best_support` scores
 every support from the walk's signed subcube label sums, and exact opt in
 ``oracle_bruteforce`` from the truth table's.
 
@@ -64,7 +68,8 @@ class LearnParams:
     A run is certified or practical as a whole.  Leaving both budget fields
     at None requests certified sample sizes for every phase, which are only
     feasible for very small k; a practical run sets both its sieve budgets
-    and its ERM walk length.  Setting only one raises ValueError.
+    and its ERM walk length.  Setting only one, or sieve budgets whose mode
+    is not ``"practical"``, raises ValueError.
     """
 
     k: int
@@ -83,6 +88,11 @@ class LearnParams:
         if (self.sieve_budgets is None) != (self.erm_sample is None):
             missing = "erm_sample" if self.erm_sample is None else "sieve_budgets"
             raise ValueError(f"a practical run needs both budgets; {missing} is missing")
+        if self.sieve_budgets is not None and self.sieve_budgets.mode != "practical":
+            raise ValueError(
+                f"sieve_budgets mode is {self.sieve_budgets.mode!r}; a practical run "
+                "needs practical budgets (leave both budget fields None to certify)"
+            )
         if self.erm_sample is not None and self.erm_sample < 1:
             raise ValueError(f"erm_sample={self.erm_sample} must be >= 1")
 
@@ -212,14 +222,19 @@ class LearnOutcome:
 
 
 def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome:
-    """Run the full sieve-then-ERM pipeline, keeping all run diagnostics."""
+    """Run the sieve-then-ERM pipeline, keeping all run diagnostics.
+
+    A certified run pools the sets the full sieve keeps; a practical run
+    stops the sieve after its screen, never draws the estimation walk, and
+    pools the screened coordinates.
+    """
     n = oracle.n
     if params.k > n:
         raise ValueError(f"k={params.k} exceeds dimension n={n}")
     sieve_params = sieve_params_for(params.k, params.epsilon, params.delta)
-    result = bounded_sieve(oracle, sieve_params, params.sieve_budgets)
-
-    pool = pad_pool(relevant_pool(result), params.k)
+    certified = params.mode == "certified"
+    result = bounded_sieve(oracle, sieve_params, params.sieve_budgets, estimate=certified)
+    pool = pad_pool(relevant_pool(result) if certified else result.pool, params.k)
     cap = pool_bound(params.k, params.epsilon)
     if len(pool) > cap:
         raise RuntimeError(

@@ -13,8 +13,10 @@ contrast J_i = E[l_x l_y | i kept] - E[l_x l_y | i refreshed], whose exact
 value is sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) because the harvester
 refreshes coordinates independently.  Any member i of a qualifying
 set S therefore has J_i >= theta (1-p)^(ell-1), so pooling the coordinates
-whose estimated contrast clears half that signal keeps every relevant
-coordinate while Parseval caps the pool size near 2/(p tau).  Phase two
+whose estimated contrast clears tau, half that signal, keeps every relevant
+coordinate while Parseval caps the pool size near 2/(p tau).  A contrast must
+also clear z sigma_i, its noise floor (see :func:`bounded_sieve`), so a
+budget too small to resolve tau does not pool coordinates on noise.  Phase two
 enumerates all subsets of the pool up to size ell and keeps those whose
 estimated squared coefficient clears (3/4) theta.
 
@@ -31,6 +33,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -75,8 +78,9 @@ class SieveBudgets:
     mode: str  # "certified" | "practical"
 
     def __post_init__(self) -> None:
-        if min(self.screen_pairs, self.estimate_blocks, self.lag, self.gap_steps) < 1:
-            raise ValueError("all budget fields must be >= 1")
+        for name in ("screen_pairs", "estimate_blocks", "lag", "gap_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget {name}={getattr(self, name)} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -214,19 +218,33 @@ def bounded_sieve(
     oracle: RandomWalkOracle,
     params: SieveParams,
     budgets: SieveBudgets | None = None,
+    *,
+    estimate: bool = True,
 ) -> SieveResult:
     """Run the two-phase search against a walk oracle.
 
     Without explicit ``budgets`` the certified formulas apply (and may raise
     :class:`BudgetInfeasible`).
-    Raises :class:`PoolOverflow` when the screened pool exceeds its certified
-    cap, which signals that the screening estimates missed their tolerance.
+
+    Phase one pools coordinate i when J_i >= max(tau, z sigma_i), where tau
+    is half the signal of a member of a qualifying set, sigma_i comes from
+    :func:`estimate_bounded_influence`, and z = Phi^-1(1 - delta/(2n)) is a
+    union bound over the n coordinates at two-sided level delta.  sigma_i is
+    the iid bound; the walk's pairs are not iid, and the bound was measured
+    within sampling error on one n = 16 instance, not proven for the chain.
+    Budgets sized to resolve tau give z sigma_i < tau, so the floor only acts
+    when they do not.  At n <= max(level, 2) every coordinate is pooled
+    without drawing pairs.  Raises :class:`PoolOverflow` when the pool
+    exceeds its certified cap, which signals that the screening estimates
+    missed their tolerance.
+
+    With ``estimate=False`` the search stops after phase one: no lag walk is
+    drawn and no set is kept, so the screened pool is the result, and
+    ``candidates`` counts the subsets phase two would have scored.
     """
     n = oracle.n
     if budgets is None:
         budgets = certified_budgets(params, n)
-    p_eff = effective_refresh_density(n, budgets.gap_steps)
-    tau = _screen_signal(params, p_eff) / 2.0
 
     if n <= max(params.level, 2):
         influences = np.full(n, np.inf)
@@ -234,8 +252,10 @@ def bounded_sieve(
     else:
         pairs = oracle.refresh_pairs(budgets.screen_pairs, budgets.gap_steps)
         # a coordinate without contrast samples reads +inf and stays pooled
-        influences = estimate_bounded_influence(pairs)
-        pool_coords = (np.flatnonzero(influences >= tau) + 1).tolist()
+        influences, sigmas = estimate_bounded_influence(pairs)
+        tau = _screen_signal(params, effective_refresh_density(n, budgets.gap_steps)) / 2.0
+        z = NormalDist().inv_cdf(1.0 - params.delta / (2.0 * n))
+        pool_coords = (np.flatnonzero(influences >= np.maximum(tau, z * sigmas)) + 1).tolist()
         cap = _pool_cap(params)
         if len(pool_coords) > cap:
             raise PoolOverflow(
@@ -243,6 +263,18 @@ def bounded_sieve(
                 "screening estimates out of tolerance"
             )
     pool = IndexSet.of(n, pool_coords)
+    if not estimate:
+        return SieveResult(
+            n=n,
+            sets=(),
+            estimates=(),
+            pool=pool,
+            influences=tuple(influences.tolist()),
+            candidates=_candidate_bound(len(pool_coords), params.level),
+            truncated=False,
+            walk_steps=oracle.steps_served,
+            budgets=budgets,
+        )
 
     candidates: list[int] = []
     for size in range(0, min(params.level, len(pool_coords)) + 1):

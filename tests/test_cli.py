@@ -1,6 +1,7 @@
 """End-to-end checks of every ``junta-walk`` subcommand through ``main``."""
 
 import csv
+import hashlib
 import json
 import logging
 import sys
@@ -12,7 +13,13 @@ import pytest
 
 from junta_walk import cli
 from junta_walk.functions import and_table, parity_table
-from junta_walk.harness import Cell, Corruption, ExperimentConfig, InstanceSpec
+from junta_walk.harness import (
+    DEFAULT_ESTIMATE_BLOCKS,
+    Cell,
+    Corruption,
+    ExperimentConfig,
+    InstanceSpec,
+)
 from junta_walk.hypercube import TruthTable
 from junta_walk.learner import LearnParams, sieve_params_for
 from junta_walk.sieve import practical_budgets
@@ -116,6 +123,11 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     obj = json.loads(out)
     assert obj["excess"] == "0"
     assert obj["hypothesis"]["J"] == [1]
+    # a certified run estimates, so its stdout is the one recorded before the
+    # learner could skip estimation (26 033 966 walk steps, erm_sample 12 559)
+    assert obj["walk_steps"] == 26_033_966
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "fb08ecc5f393420d8d673b0ddd62be40dee8e875a5b01ae63e4091f4f1899263"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +284,7 @@ def test_suite_runs_config_and_prints_paths(tmp_path, capsys):
                         sieve_params_for(1, 0.25, 0.2),
                         5,
                         screen_pairs=10_000,
-                        estimate_blocks=2_000,
+                        estimate_blocks=DEFAULT_ESTIMATE_BLOCKS,
                     ),
                     erm_sample=4_000,
                 ),

@@ -568,7 +568,7 @@ def test_contrast_on_exhaustive_refresh_sets():
     for r_mask in (0b0011, 0b1010, 0b0110):
         with_i = _exhaustive_pairs(f, r_mask | 0b0001)
         without_i = _exhaustive_pairs(f, r_mask & ~0b0001)
-        got = estimate_bounded_influence(_concat_pairs(with_i, without_i))[0]
+        got = estimate_bounded_influence(_concat_pairs(with_i, without_i))[0][0]
         want = subcube_projection_exact(
             spec, IndexSet(n, r_mask & ~0b0001)
         ) - subcube_projection_exact(spec, IndexSet(n, r_mask | 0b0001))
@@ -583,13 +583,13 @@ def test_contrast_examples_from_harvested_pairs():
     tol = 6 / math.sqrt(m / 4)
 
     pairs = harvest_refresh_pairs(parity_table(n, [1]), n, m, gap, seed=20)
-    contrasts = estimate_bounded_influence(pairs)
+    contrasts, _ = estimate_bounded_influence(pairs)
     assert contrasts[0] == pytest.approx(1.0, abs=tol)
     assert contrasts[1] == pytest.approx(0.0, abs=tol)
 
     pairs = harvest_refresh_pairs(and_table(n, [1, 2]), n, m, gap, seed=21)
     want = 0.25 + 0.25 * (1 - p)
-    assert estimate_bounded_influence(pairs)[0] == pytest.approx(want, abs=tol)
+    assert estimate_bounded_influence(pairs)[0][0] == pytest.approx(want, abs=tol)
 
 
 def test_contrast_matches_exact_value_statistically():
@@ -600,7 +600,7 @@ def test_contrast_matches_exact_value_statistically():
     spec = Spectrum.from_table(f)
     p = effective_refresh_density(n, gap)
     pairs = harvest_refresh_pairs(f, n, m, gap, seed=23)
-    contrasts = estimate_bounded_influence(pairs)
+    contrasts, _ = estimate_bounded_influence(pairs)
     for i in (1, 3, 5):
         got = contrasts[i - 1]
         want = expected_bounded_influence(spec, i, p)
@@ -612,10 +612,13 @@ def test_contrast_requires_both_buckets():
     f = parity_table(3, [1])
     for r_mask in (0b111, 0b010):
         pairs = _exhaustive_pairs(f, r_mask)
-        assert estimate_bounded_influence(pairs).tolist() == [math.inf] * 3
-    assert estimate_bounded_influence(_no_pairs(3)).tolist() == [math.inf] * 3
-    got = estimate_bounded_influence(_concat_pairs(pairs, _exhaustive_pairs(f, 0b011)))
-    assert got[0] < math.inf and got[1] == got[2] == math.inf
+        for values in estimate_bounded_influence(pairs):
+            assert values.tolist() == [math.inf] * 3
+    for values in estimate_bounded_influence(_no_pairs(3)):
+        assert values.tolist() == [math.inf] * 3
+    mixed = _concat_pairs(pairs, _exhaustive_pairs(f, 0b011))
+    for values in estimate_bounded_influence(mixed):
+        assert values[0] < math.inf and values[1] == values[2] == math.inf
 
 
 def _reference_contrast(pairs: RefreshPairs, i: int) -> float:
@@ -629,7 +632,7 @@ def _reference_contrast(pairs: RefreshPairs, i: int) -> float:
 
 
 def _assert_contrasts_bit_identical(pairs: RefreshPairs) -> None:
-    got = estimate_bounded_influence(pairs)
+    got, _ = estimate_bounded_influence(pairs)
     want = np.array([_reference_contrast(pairs, i) for i in range(1, pairs.n + 1)])
     assert got.dtype == np.float64 and got.shape == (pairs.n,)
     assert got.tobytes() == want.tobytes()
@@ -660,6 +663,30 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
             pairs = RefreshPairs(n, masks, masks, labels, label_y, masks)
             _assert_contrasts_bit_identical(pairs)
             _assert_contrasts_bit_identical(_no_pairs(n))
+
+
+def _reference_sigma(pairs: RefreshPairs, i: int) -> float:
+    """sqrt(1/kept + 1/hit) from a direct count of the masks that refresh i."""
+    hit = int(np.count_nonzero((pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1)))
+    kept = len(pairs.refreshed_masks) - hit
+    if hit == 0 or kept == 0:
+        return math.inf
+    return math.sqrt(1.0 / kept + 1.0 / hit)
+
+
+def test_sigmas_match_per_coordinate_counts():
+    from junta_walk.walk import gap_for_density
+
+    f4 = random_table(4, np.random.default_rng(13))
+    exhaustive = [_exhaustive_pairs(f4, r_mask) for r_mask in (0b0000, 0b0011, 0b1010)]
+    cases = [_no_pairs(5), exhaustive[1], _concat_pairs(*exhaustive)]
+    for n in (5, 12, 20):
+        f = random_table(n, np.random.default_rng(320 + n))
+        cases.append(harvest_refresh_pairs(f, n, 10_000, gap_for_density(n, 1 / 3), seed=n))
+    for pairs in cases:
+        _, sigmas = estimate_bounded_influence(pairs)
+        want = [_reference_sigma(pairs, i) for i in range(1, pairs.n + 1)]
+        assert sigmas.tolist() == want
 
 
 def test_contrast_coordinate_range():

@@ -394,7 +394,7 @@ def test_config_json_round_trip_practical_and_certified():
             2,
             0.25,
             0.2,
-            sieve_budgets=practical_budgets(sieve, 9, 1000, 100),
+            sieve_budgets=practical_budgets(sieve, 9, 1000, DEFAULT_ESTIMATE_BLOCKS),
             erm_sample=DEFAULT_ERM_SAMPLE,
         ),
     )
@@ -425,13 +425,14 @@ def test_config_erm_sample_cell_is_practical_with_or_without_mode():
 
 def test_config_budget_keys_override_the_defaults():
     default = default_learn_params(6, 2, 0.25, 0.2)
-    (cell,) = ExperimentConfig.from_json(_config_text(learn={"estimate_blocks": 100})).cells
+    (cell,) = ExperimentConfig.from_json(_config_text(learn={"screen_pairs": 1000})).cells
     assert cell.learn == replace(
-        default, sieve_budgets=replace(default.sieve_budgets, estimate_blocks=100)
+        default, sieve_budgets=replace(default.sieve_budgets, screen_pairs=1000)
     )
-    # a lag or gap equal to the derived one is what to_json writes, and loads
+    # a block count, lag or gap equal to the derived one is what to_json
+    # writes, and loads
     b = default.sieve_budgets
-    derived = {"lag": b.lag, "gap_steps": b.gap_steps}
+    derived = {"estimate_blocks": b.estimate_blocks, "lag": b.lag, "gap_steps": b.gap_steps}
     (cell,) = ExperimentConfig.from_json(_config_text(learn=derived)).cells
     assert cell.learn == default
 
@@ -457,7 +458,7 @@ def _config_text(instance=None, learn=None, **top):
     return json.dumps({"cells": [cell], **top})
 
 
-_PRACTICAL = {"screen_pairs": 1000, "estimate_blocks": 100}
+_PRACTICAL = {"screen_pairs": 1000, "erm_sample": 100}
 
 
 @pytest.mark.parametrize(
@@ -509,6 +510,12 @@ _PRACTICAL = {"screen_pairs": 1000, "estimate_blocks": 100}
             "gap_steps",
             id="gap-off-the-density",
         ),
+        # a practical learner never estimates, so the block count is not a knob
+        pytest.param(
+            _config_text(learn={**_PRACTICAL, "estimate_blocks": 100}),
+            "estimate_blocks",
+            id="estimate-blocks-off-the-default",
+        ),
     ],
 )
 def test_config_from_json_refuses_keys_it_would_drop(text, key):
@@ -534,6 +541,11 @@ def test_config_from_json_refuses_keys_it_would_drop(text, key):
 def test_config_from_json_refuses_negative_seeds_by_name(text, field):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_json(text)
+
+
+def test_config_from_json_names_a_refused_budget():
+    with pytest.raises(ValueError, match="screen_pairs=0"):
+        ExperimentConfig.from_json(_config_text(learn={"screen_pairs": 0}))
 
 
 def test_default_learn_params_budgets():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from junta_walk.fourier import BULK_WHT_MAX_N
 from junta_walk.functions import and_table, flip_labels_iid, parity_table, random_junta
+from junta_walk.harness import default_learn_params
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
@@ -26,6 +27,7 @@ from junta_walk.learner import (
     pad_pool,
     pool_bound,
     relevant_pool,
+    sieve_params_for,
     theta_for,
 )
 from junta_walk.sieve import (
@@ -33,6 +35,7 @@ from junta_walk.sieve import (
     SieveParams,
     SieveResult,
     bounded_sieve,
+    certified_budgets,
     practical_budgets,
 )
 from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
@@ -104,6 +107,13 @@ def test_erm_sample_is_refused_below_one():
     # checked when the run is configured, not after its sieve has run
     with pytest.raises(ValueError, match="erm_sample=0"):
         LearnParams(2, 0.2, 0.1, sieve_budgets=TINY_BUDGETS, erm_sample=0)
+
+
+def test_certified_sieve_budgets_are_refused_in_a_practical_run():
+    # one run records one mode: LearnParams.mode and its budgets' mode agree
+    budgets = certified_budgets(sieve_params_for(1, 1.0, 0.9), 3)
+    with pytest.raises(ValueError, match="sieve_budgets mode is 'certified'"):
+        LearnParams(1, 1.0, 0.9, sieve_budgets=budgets, erm_sample=100)
 
 
 def test_mode_conflicts_rejected():
@@ -385,6 +395,36 @@ def test_learn_certified_tiny_case():
     log_size = log_junta_class_size(len(outcome.pool), 1)
     assert outcome.sample_size == sample_size_erm(0.25, 0.125, 2, log_size).m
     assert distance_exact(f, outcome.hypothesis) == 0
+    # a certified run estimates, so its outputs are the ones recorded before
+    # practical runs stopped the sieve after its screen
+    assert outcome.sieve.estimates == (1.0,)
+    assert outcome.hypothesis.to_json() == '{"J": [2], "table": [1, -1]}'
+    assert outcome.pool.coords() == (2,)
+    assert (outcome.disagreements, outcome.sample_size) == (0, 8271)
+    assert outcome.walk_steps == 9_689_508
+    assert outcome.sieve.to_json() == (
+        '{"n": 2, "sets": [[2]], "estimates": [1.0], "pool": [1, 2], '
+        '"influences": [null, null], "candidates": 3, "truncated": false, '
+        '"walk_steps": 9681238, "mode": "certified"}'
+    )
+
+
+def _fail(*args):
+    raise AssertionError("the estimation walk is not expected here")
+
+
+def test_stock_preset_skips_the_estimation_walk(monkeypatch):
+    # a practical run stops the sieve after its screen, so its walk steps are
+    # the screen's plus the ERM walk's
+    monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
+    n, k = 12, 2
+    f = flip_labels_iid(and_table(n, [4, 9]), 0.1, np.random.default_rng(40))
+    params = default_learn_params(n, k, 0.25, 0.2)
+    outcome = learn_outcome(RandomWalkOracle(f, n, seed=41), params)
+    assert outcome.sieve.sets == () and outcome.sieve.estimates == ()
+    assert outcome.pool == pad_pool(outcome.sieve.pool, k)
+    assert outcome.walk_steps == outcome.sieve.walk_steps + params.erm_sample - 1
+    assert set(outcome.hypothesis.J.coords()) == {4, 9}
 
 
 def test_learn_rejects_k_above_n():
