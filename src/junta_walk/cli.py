@@ -72,7 +72,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         params = LearnParams(args.k, args.eps, args.delta)
     else:
         params = default_learn_params(f.n, args.k, args.eps, args.delta)
-        warn_practical(f"learn runs {params.sieve_budgets} and erm_sample={params.erm_sample}")
+        warn_practical(
+            f"learn runs screen_pairs={params.screen_pairs} and erm_sample={params.erm_sample}"
+        )
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
     outcome = learn_outcome(oracle, params)
     opt_result = exact_opt(f, args.k)
@@ -85,6 +87,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             "eps": args.eps,
             "delta": args.delta,
             "seed": args.seed,
+            "mode": params.mode,
             "hypothesis": json.loads(outcome.hypothesis.to_json()),
             "pool": sorted(outcome.pool.coords()),
             "opt": str(opt_result.opt),

@@ -26,9 +26,8 @@ import numpy as np
 
 from .functions import flip_labels_iid, flip_labels_region, random_junta
 from .hypercube import JuntaHypothesis, TruthTable, distance_exact
-from .learner import LearnOutcome, LearnParams, learn_outcome, sieve_params_for
+from .learner import LearnOutcome, LearnParams, learn_outcome
 from .oracle_bruteforce import OptResult, exact_opt
-from .sieve import practical_budgets
 from .walk import RandomWalkOracle
 
 logger = logging.getLogger(__name__)
@@ -394,14 +393,7 @@ class ExperimentConfig:
                 "mode": c.learn.mode,
             }
             if c.learn.mode == "practical":
-                b = c.learn.sieve_budgets
-                learn.update(
-                    screen_pairs=b.screen_pairs,
-                    estimate_blocks=b.estimate_blocks,
-                    lag=b.lag,
-                    gap_steps=b.gap_steps,
-                    erm_sample=c.learn.erm_sample,
-                )
+                learn.update({key: getattr(c.learn, key) for key in _BUDGET_KEYS})
             return {"instance": c.instance.to_dict(), "learn": learn}
 
         return json.dumps(
@@ -418,10 +410,8 @@ class ExperimentConfig:
         """Parse ``to_json`` output.  A ``"certified"`` cell takes no budget
         key; any other cell is practical, at the default budgets with
         ``screen_pairs`` and ``erm_sample`` overriding them.  Unknown keys,
-        budget keys in a certified cell, and an ``estimate_blocks``, ``lag``
-        or ``gap_steps`` other than the budgets derive (a practical learner
-        never estimates, so these only echo the default) raise ValueError
-        naming the key."""
+        budget keys in a certified cell, and a learn ``k`` above the
+        instance's ``n`` raise ValueError naming the key."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
@@ -433,31 +423,22 @@ class ExperimentConfig:
             _check_keys(cd, "config cell", ("instance", "learn"))
             _check_keys(ld, "learn", ("k", "epsilon", "delta", "mode", *_BUDGET_KEYS))
             k = json_field(ld, "k", "learn", int, instance.k)
+            if k > instance.n:
+                raise ValueError(f"learn key 'k' is {k}, above the instance's n={instance.n}")
             eps = json_field(ld, "epsilon", "learn", float, 0.25)
             delta = json_field(ld, "delta", "learn", float, 0.2)
             mode = ld.get("mode")
             if mode not in (None, "certified", "practical"):
                 raise ValueError(f"learn mode {mode!r} not certified/practical")
-            for key in _BUDGET_KEYS:
-                if key in ld and mode == "certified":
-                    raise ValueError(f"learn key {key!r} sets a budget in certified mode")
-            params = default_learn_params(instance.n, k, eps, delta)
-            b = params.sieve_budgets
-            for key in ("estimate_blocks", "lag", "gap_steps"):
-                if json_field(ld, key, "learn", int, getattr(b, key)) != getattr(b, key):
-                    raise ValueError(
-                        f"learn key {key!r} is {ld[key]}, but the budgets derive {getattr(b, key)}"
-                    )
             if mode == "certified":
+                for key in _BUDGET_KEYS:
+                    if key in ld:
+                        raise ValueError(f"learn key {key!r} sets a budget in certified mode")
                 params = LearnParams(k, eps, delta)
             else:
-                screen_pairs = json_field(ld, "screen_pairs", "learn", int, b.screen_pairs)
-                erm_sample = json_field(ld, "erm_sample", "learn", int, params.erm_sample)
-                params = replace(
-                    params,
-                    sieve_budgets=replace(b, screen_pairs=screen_pairs),
-                    erm_sample=erm_sample,
-                )
+                screen_pairs = json_field(ld, "screen_pairs", "learn", int, DEFAULT_SCREEN_PAIRS)
+                erm_sample = json_field(ld, "erm_sample", "learn", int, DEFAULT_ERM_SAMPLE)
+                params = LearnParams(k, eps, delta, screen_pairs, erm_sample)
             cells.append(Cell(instance=instance, learn=params))
         return cls(
             cells=tuple(cells),
@@ -466,28 +447,23 @@ class ExperimentConfig:
         )
 
 
-# Budget keys of a config cell's "learn" object: the phase sizes a practical
-# cell may override, and the estimation size, lag and gap its budgets derive.
-_BUDGET_KEYS = ("screen_pairs", "estimate_blocks", "lag", "gap_steps", "erm_sample")
+# Budget keys of a config cell's "learn" object: the LearnParams fields a
+# practical cell sets.
+_BUDGET_KEYS = ("screen_pairs", "erm_sample")
 
 # Practical budgets of default_learn_params, sized by pilot variance runs at
-# n <= 16, k <= 3.  A practical learner never draws the estimation walk; the
-# block count stays in its budgets because to_json writes it.
+# n <= 16, k <= 3.
 DEFAULT_SCREEN_PAIRS = 300_000
-DEFAULT_ESTIMATE_BLOCKS = 20_000
 DEFAULT_ERM_SAMPLE = 40_000
 
 
 def default_learn_params(n: int, k: int, epsilon: float, delta: float) -> LearnParams:
-    """The practical preset: the learner's sieve at the default budgets."""
-    budgets = practical_budgets(
-        sieve_params_for(k, epsilon, delta),
-        n,
-        screen_pairs=DEFAULT_SCREEN_PAIRS,
-        estimate_blocks=DEFAULT_ESTIMATE_BLOCKS,
-    )
+    """The practical preset at the default budgets, for a k-junta over n
+    coordinates; raises ValueError when k exceeds n."""
+    if k > n:
+        raise ValueError(f"k={k} exceeds dimension n={n}")
     return LearnParams(
-        k, epsilon, delta, sieve_budgets=budgets, erm_sample=DEFAULT_ERM_SAMPLE
+        k, epsilon, delta, screen_pairs=DEFAULT_SCREEN_PAIRS, erm_sample=DEFAULT_ERM_SAMPLE
     )
 
 

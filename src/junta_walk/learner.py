@@ -34,7 +34,7 @@ from .hypercube import (
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveBudgets, SieveParams, SieveResult, bounded_sieve
+from .sieve import SieveParams, SieveResult, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -67,15 +67,15 @@ class LearnParams:
 
     A run is certified or practical as a whole.  Leaving both budget fields
     at None requests certified sample sizes for every phase, which are only
-    feasible for very small k; a practical run sets both its sieve budgets
-    and its ERM walk length.  Setting only one, or sieve budgets whose mode
-    is not ``"practical"``, raises ValueError.
+    feasible for very small k; a practical run sets both the refresh pairs
+    its sieve screens and its ERM walk length.  Setting only one raises
+    ValueError.
     """
 
     k: int
     epsilon: float
     delta: float
-    sieve_budgets: SieveBudgets | None = None
+    screen_pairs: int | None = None
     erm_sample: int | None = None
 
     def __post_init__(self) -> None:
@@ -85,21 +85,18 @@ class LearnParams:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside (0, 1)")
-        if (self.sieve_budgets is None) != (self.erm_sample is None):
-            missing = "erm_sample" if self.erm_sample is None else "sieve_budgets"
+        if (self.screen_pairs is None) != (self.erm_sample is None):
+            missing = "erm_sample" if self.erm_sample is None else "screen_pairs"
             raise ValueError(f"a practical run needs both budgets; {missing} is missing")
-        if self.sieve_budgets is not None and self.sieve_budgets.mode != "practical":
-            raise ValueError(
-                f"sieve_budgets mode is {self.sieve_budgets.mode!r}; a practical run "
-                "needs practical budgets (leave both budget fields None to certify)"
-            )
-        if self.erm_sample is not None and self.erm_sample < 1:
-            raise ValueError(f"erm_sample={self.erm_sample} must be >= 1")
+        for name in ("screen_pairs", "erm_sample"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name}={value} must be >= 1")
 
     @property
     def mode(self) -> str:
         """``"certified"`` when the budget fields are None, else ``"practical"``."""
-        return "certified" if self.sieve_budgets is None else "practical"
+        return "certified" if self.screen_pairs is None else "practical"
 
 
 def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
@@ -224,17 +221,23 @@ class LearnOutcome:
 def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome:
     """Run the sieve-then-ERM pipeline, keeping all run diagnostics.
 
-    A certified run pools the sets the full sieve keeps; a practical run
-    stops the sieve after its screen, never draws the estimation walk, and
-    pools the screened coordinates.
+    A certified run pools the sets the full sieve keeps at certified budgets;
+    a practical run screens ``screen_pairs`` refresh pairs, stops the sieve
+    there (zero estimate blocks, so no estimation walk), and pools the
+    screened coordinates.
     """
     n = oracle.n
     if params.k > n:
         raise ValueError(f"k={params.k} exceeds dimension n={n}")
     sieve_params = sieve_params_for(params.k, params.epsilon, params.delta)
-    certified = params.mode == "certified"
-    result = bounded_sieve(oracle, sieve_params, params.sieve_budgets, estimate=certified)
-    pool = pad_pool(relevant_pool(result) if certified else result.pool, params.k)
+    if params.mode == "certified":
+        result = bounded_sieve(oracle, sieve_params)
+        pool = relevant_pool(result)
+    else:
+        budgets = practical_budgets(sieve_params, n, params.screen_pairs, estimate_blocks=0)
+        result = bounded_sieve(oracle, sieve_params, budgets)
+        pool = result.pool
+    pool = pad_pool(pool, params.k)
     cap = pool_bound(params.k, params.epsilon)
     if len(pool) > cap:
         raise RuntimeError(

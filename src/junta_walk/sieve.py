@@ -69,7 +69,8 @@ class BudgetInfeasible(SieveError):
 
 @dataclass(frozen=True)
 class SieveBudgets:
-    """Concrete sample sizes for the two phases."""
+    """Concrete sample sizes for the two phases; zero ``estimate_blocks``
+    stops the search after phase one."""
 
     screen_pairs: int
     estimate_blocks: int
@@ -78,9 +79,11 @@ class SieveBudgets:
     mode: str  # "certified" | "practical"
 
     def __post_init__(self) -> None:
-        for name in ("screen_pairs", "estimate_blocks", "lag", "gap_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"budget {name}={getattr(self, name)} must be >= 1")
+        for name, least in (
+            ("screen_pairs", 1), ("estimate_blocks", 0), ("lag", 1), ("gap_steps", 1)
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"budget {name}={getattr(self, name)} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,6 @@ def bounded_sieve(
     oracle: RandomWalkOracle,
     params: SieveParams,
     budgets: SieveBudgets | None = None,
-    *,
-    estimate: bool = True,
 ) -> SieveResult:
     """Run the two-phase search against a walk oracle.
 
@@ -238,8 +239,8 @@ def bounded_sieve(
     exceeds its certified cap, which signals that the screening estimates
     missed their tolerance.
 
-    With ``estimate=False`` the search stops after phase one: no lag walk is
-    drawn and no set is kept, so the screened pool is the result, and
+    With zero ``estimate_blocks`` the search stops after phase one: no lag
+    walk is drawn and no set is kept, so the screened pool is the result, and
     ``candidates`` counts the subsets phase two would have scored.
     """
     n = oracle.n
@@ -263,7 +264,7 @@ def bounded_sieve(
                 "screening estimates out of tolerance"
             )
     pool = IndexSet.of(n, pool_coords)
-    if not estimate:
+    if budgets.estimate_blocks == 0:
         return SieveResult(
             n=n,
             sets=(),

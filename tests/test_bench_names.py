@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from junta_walk.harness import InstanceSpec, run_trial
-from junta_walk.learner import LearnParams, theta_for
-from junta_walk.sieve import SieveParams, practical_budgets
+from junta_walk.learner import LearnParams
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,9 +40,7 @@ def test_every_span_name_resolves_to_a_library_function():
 def test_traced_trial_counts_erm_and_exact_opt_work():
     tracing = _bench_module("tracing")
     n, k, epsilon, delta = 6, 2, 0.25, 0.2
-    sieve = SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0)
-    budgets = practical_budgets(sieve, n, screen_pairs=20_000, estimate_blocks=4_000)
-    params = LearnParams(k, epsilon, delta, sieve_budgets=budgets, erm_sample=8_000)
+    params = LearnParams(k, epsilon, delta, screen_pairs=20_000, erm_sample=8_000)
     tracer = tracing.Tracer()
     with tracer, tracer.op(0):
         run_trial(InstanceSpec(n=n, k=k), params, trial_seed=3)

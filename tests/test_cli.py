@@ -14,15 +14,13 @@ import pytest
 from junta_walk import cli
 from junta_walk.functions import and_table, parity_table
 from junta_walk.harness import (
-    DEFAULT_ESTIMATE_BLOCKS,
     Cell,
     Corruption,
     ExperimentConfig,
     InstanceSpec,
 )
 from junta_walk.hypercube import TruthTable
-from junta_walk.learner import LearnParams, sieve_params_for
-from junta_walk.sieve import practical_budgets
+from junta_walk.learner import LearnParams
 
 
 def write_instance(path, table: TruthTable) -> str:
@@ -126,7 +124,10 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     # a certified run estimates, so its stdout is the one recorded before the
     # learner could skip estimation (26 033 966 walk steps, erm_sample 12 559)
     assert obj["walk_steps"] == 26_033_966
-    digest = hashlib.sha256(out.encode()).hexdigest()
+    # the run's mode is the one line added to that record
+    assert obj["mode"] == "certified"
+    recorded = out.replace('  "mode": "certified",\n', "")
+    digest = hashlib.sha256(recorded.encode()).hexdigest()
     assert digest == "fb08ecc5f393420d8d673b0ddd62be40dee8e875a5b01ae63e4091f4f1899263"
 
 
@@ -179,6 +180,23 @@ def test_sieve_requires_both_budget_flags(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "go together" in err
+
+
+def test_sieve_with_zero_estimate_blocks_prints_its_screen(tmp_path, capsys):
+    inst = write_instance(tmp_path / "parity.json", parity_table(6, [2, 5]))
+    argv = ["sieve", "--instance", inst, "--theta", "0.5", "--level", "2",
+            "--delta", "0.1", "--screen-pairs", "20000", "--estimate-blocks"]
+    code, out = run(capsys, *argv, "0")
+    assert code == 0
+    screened = json.loads(out)
+    full = json.loads(run(capsys, *argv, "4000")[1])
+    assert (screened["sets"], screened["estimates"]) == ([], [])
+    assert screened["pool"] == full["pool"] == [2, 5]
+    # the subsets phase two scores: {}, {2}, {5} and {2, 5}
+    assert screened["candidates"] == full["candidates"] == 4
+    assert screened["walk_steps"] < full["walk_steps"]
+    assert cli.main([*argv, "-1"]) == 2
+    assert "estimate_blocks=-1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +294,7 @@ def test_suite_runs_config_and_prints_paths(tmp_path, capsys):
         cells=(
             Cell(
                 instance=InstanceSpec(n=5, k=1),
-                learn=LearnParams(
-                    1,
-                    0.25,
-                    0.2,
-                    sieve_budgets=practical_budgets(
-                        sieve_params_for(1, 0.25, 0.2),
-                        5,
-                        screen_pairs=10_000,
-                        estimate_blocks=DEFAULT_ESTIMATE_BLOCKS,
-                    ),
-                    erm_sample=4_000,
-                ),
+                learn=LearnParams(1, 0.25, 0.2, screen_pairs=10_000, erm_sample=4_000),
             ),
         ),
         repetitions=2,

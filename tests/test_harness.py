@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ import junta_walk
 from junta_walk.harness import (
     CSV_COLUMNS,
     DEFAULT_ERM_SAMPLE,
-    DEFAULT_ESTIMATE_BLOCKS,
     Cell,
     Corruption,
     ExperimentConfig,
@@ -33,20 +32,12 @@ from junta_walk.harness import (
     run_trial,
     thread_count,
 )
-from junta_walk.fourier import default_lag
 from junta_walk.hypercube import distance_exact
-from junta_walk.learner import LearnParams, theta_for
-from junta_walk.sieve import SieveParams, practical_budgets
+from junta_walk.learner import LearnParams
 
 
-def small_params(n, k, epsilon=0.25, delta=0.2, screen=20_000, blocks=4_000, sample=8_000):
-    budgets = practical_budgets(
-        SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0),
-        n,
-        screen_pairs=screen,
-        estimate_blocks=blocks,
-    )
-    return LearnParams(k, epsilon, delta, sieve_budgets=budgets, erm_sample=sample)
+def small_params(k, epsilon=0.25, delta=0.2, screen=20_000, sample=8_000):
+    return LearnParams(k, epsilon, delta, screen_pairs=screen, erm_sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +316,7 @@ def test_trial_row_none_prints_as_nan():
 
 def test_run_trial_noiseless_and_reproducible():
     spec = InstanceSpec(n=6, k=2)
-    params = small_params(6, 2)
+    params = small_params(2)
     first = run_trial(spec, params, trial_seed=77, trial_id=5)
     again = run_trial(spec, params, trial_seed=77, trial_id=5)
 
@@ -346,7 +337,7 @@ def test_run_trial_noiseless_and_reproducible():
 
 
 def test_run_trial_row_matches_report():
-    report = run_trial(InstanceSpec(n=5, k=1), small_params(5, 1), trial_seed=2)
+    report = run_trial(InstanceSpec(n=5, k=1), small_params(1), trial_seed=2)
     row = _read_row(report.to_csv())
     assert row[1:3] == (5, 1)
     assert row[6] == report.opt and row[8] == report.excess
@@ -375,9 +366,7 @@ def test_trial_seed_is_deterministic_and_collision_free():
 def test_config_json_round_trip_practical_and_certified():
     practical = Cell(
         instance=InstanceSpec(n=8, k=2, corruption=Corruption(kind="iid", rate=0.1)),
-        learn=small_params(
-            8, 2, screen=50_000, blocks=DEFAULT_ESTIMATE_BLOCKS, sample=DEFAULT_ERM_SAMPLE
-        ),
+        learn=small_params(2, screen=50_000, sample=DEFAULT_ERM_SAMPLE),
     )
     certified = Cell(
         instance=InstanceSpec(n=4, k=1),
@@ -387,16 +376,9 @@ def test_config_json_round_trip_practical_and_certified():
         instance=InstanceSpec(n=6, k=2),
         learn=replace(default_learn_params(6, 2, 0.25, 0.2), erm_sample=5000),
     )
-    sieve = SieveParams(level=2, theta=theta_for(2, 0.25), delta=0.1)
     sized = Cell(
         instance=InstanceSpec(n=9, k=2),
-        learn=LearnParams(
-            2,
-            0.25,
-            0.2,
-            sieve_budgets=practical_budgets(sieve, 9, 1000, DEFAULT_ESTIMATE_BLOCKS),
-            erm_sample=DEFAULT_ERM_SAMPLE,
-        ),
+        learn=LearnParams(2, 0.25, 0.2, screen_pairs=1000, erm_sample=DEFAULT_ERM_SAMPLE),
     )
     cells = (practical, certified, erm_only, sized)
     config = ExperimentConfig(cells=cells, repetitions=2, master_seed=31)
@@ -406,8 +388,13 @@ def test_config_json_round_trip_practical_and_certified():
     restored = ExperimentConfig.from_json(text)
     assert restored == config
     assert [c.learn.mode for c in restored.cells] == modes
-    assert restored.cells[3].learn.sieve_budgets.lag == default_lag(9, sieve.theta)
-    assert restored.cells[2].learn.sieve_budgets == erm_only.learn.sieve_budgets
+
+
+def test_config_learn_keys_are_the_learn_params_fields():
+    # a key to_json writes that LearnParams does not hold would be a dead knob
+    cell = Cell(instance=InstanceSpec(n=6, k=2), learn=default_learn_params(6, 2, 0.25, 0.2))
+    (written,) = json.loads(ExperimentConfig(cells=(cell,)).to_json())["cells"]
+    assert set(written["learn"]) == {f.name for f in fields(LearnParams)} | {"mode"}
 
 
 def test_config_erm_sample_cell_is_practical_with_or_without_mode():
@@ -426,15 +413,7 @@ def test_config_erm_sample_cell_is_practical_with_or_without_mode():
 def test_config_budget_keys_override_the_defaults():
     default = default_learn_params(6, 2, 0.25, 0.2)
     (cell,) = ExperimentConfig.from_json(_config_text(learn={"screen_pairs": 1000})).cells
-    assert cell.learn == replace(
-        default, sieve_budgets=replace(default.sieve_budgets, screen_pairs=1000)
-    )
-    # a block count, lag or gap equal to the derived one is what to_json
-    # writes, and loads
-    b = default.sieve_budgets
-    derived = {"estimate_blocks": b.estimate_blocks, "lag": b.lag, "gap_steps": b.gap_steps}
-    (cell,) = ExperimentConfig.from_json(_config_text(learn=derived)).cells
-    assert cell.learn == default
+    assert cell.learn == replace(default, screen_pairs=1000)
 
 
 def test_config_from_json_rejects_unknown_mode():
@@ -448,7 +427,7 @@ def test_config_from_json_fills_defaults():
     assert config.repetitions == 1 and config.master_seed == 0
     (cell,) = config.cells
     assert cell.learn.k == 2
-    assert cell.learn.sieve_budgets is not None  # defaults are the practical preset
+    assert cell.learn.mode == "practical"  # defaults are the practical preset
 
 
 def _config_text(instance=None, learn=None, **top):
@@ -493,28 +472,57 @@ _PRACTICAL = {"screen_pairs": 1000, "erm_sample": 100}
             "erm_sample",
             id="certified-erm-sample",
         ),
-        # the budgets at n = 6, level 2 derive lag 25; there is no lag override
+        # a practical learner never estimates, so the estimation walk's block
+        # count, lag and gap are not config keys
         pytest.param(
             _config_text(learn={"lag": 7, "erm_sample": 5000}),
             "lag",
-            id="lag-off-the-derived-value",
+            id="retired-lag",
         ),
         pytest.param(
             _config_text(learn={**_PRACTICAL, "lag": 7}),
             "lag",
             id="lag-beside-explicit-sizes",
         ),
-        # the screening density at n = 6, level 2 gives 5 steps per block
         pytest.param(
             _config_text(learn={**_PRACTICAL, "gap_steps": 6}),
             "gap_steps",
-            id="gap-off-the-density",
+            id="retired-gap-steps",
         ),
-        # a practical learner never estimates, so the block count is not a knob
         pytest.param(
             _config_text(learn={**_PRACTICAL, "estimate_blocks": 100}),
             "estimate_blocks",
-            id="estimate-blocks-off-the-default",
+            id="retired-estimate-blocks",
+        ),
+        # a learn object as to_json wrote it while practical budgets carried
+        # the estimation walk's sizes (lag 25 and gap 5 at n = 6, level 2)
+        pytest.param(
+            _config_text(
+                learn={
+                    "k": 2,
+                    "epsilon": 0.25,
+                    "delta": 0.2,
+                    "mode": "practical",
+                    "screen_pairs": 300_000,
+                    "estimate_blocks": 20_000,
+                    "lag": 25,
+                    "gap_steps": 5,
+                    "erm_sample": 40_000,
+                }
+            ),
+            "estimate_blocks",
+            id="old-to-json-learn-object",
+        ),
+        # every trial of such a cell would fail at run time
+        pytest.param(
+            _config_text(instance={"n": 3, "k": 2}, learn={"k": 5}),
+            "k",
+            id="learn-k-above-n",
+        ),
+        pytest.param(
+            _config_text(instance={"n": 3, "k": 2}, learn={"k": 5, "mode": "certified"}),
+            "k",
+            id="certified-learn-k-above-n",
         ),
     ],
 )
@@ -551,9 +559,10 @@ def test_config_from_json_names_a_refused_budget():
 def test_default_learn_params_budgets():
     params = default_learn_params(12, 3, 0.25, 0.2)
     assert params.mode == "practical"
-    assert params.sieve_budgets.screen_pairs == 300_000
-    assert params.sieve_budgets.estimate_blocks == 20_000
+    assert params.screen_pairs == 300_000
     assert params.erm_sample == 40_000
+    with pytest.raises(ValueError, match="k=5 exceeds dimension n=3"):
+        default_learn_params(3, 5, 0.25, 0.2)
 
 
 def test_default_battery_shape():
@@ -574,10 +583,10 @@ def test_default_battery_shape():
 
 def tiny_config():
     cells = (
-        Cell(instance=InstanceSpec(n=5, k=1), learn=small_params(5, 1, screen=10_000, blocks=2_000, sample=4_000)),
+        Cell(instance=InstanceSpec(n=5, k=1), learn=small_params(1, screen=10_000, sample=4_000)),
         Cell(
             instance=InstanceSpec(n=6, k=2, corruption=Corruption(kind="iid", rate=0.05)),
-            learn=small_params(6, 2, screen=10_000, blocks=2_000, sample=4_000),
+            learn=small_params(2, screen=10_000, sample=4_000),
         ),
     )
     return ExperimentConfig(cells=cells, repetitions=2, master_seed=17)
@@ -679,7 +688,7 @@ def test_transforms_and_trials_are_blas_thread_invariant():
 def test_run_suite_trials_json_is_thread_invariant_at_n16(tmp_path, monkeypatch):
     cell = Cell(
         instance=InstanceSpec(n=16, k=3, corruption=Corruption(kind="iid", rate=0.1)),
-        learn=small_params(16, 3, screen=20_000, blocks=2_000, sample=4_000),
+        learn=small_params(3, screen=20_000, sample=4_000),
     )
     config = ExperimentConfig(cells=(cell,), repetitions=4, master_seed=23)
 

@@ -27,7 +27,6 @@ from junta_walk.learner import (
     pad_pool,
     pool_bound,
     relevant_pool,
-    sieve_params_for,
     theta_for,
 )
 from junta_walk.sieve import (
@@ -35,7 +34,6 @@ from junta_walk.sieve import (
     SieveParams,
     SieveResult,
     bounded_sieve,
-    certified_budgets,
     practical_budgets,
 )
 from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
@@ -90,14 +88,14 @@ TINY_BUDGETS = SieveBudgets(
 
 def test_mode_derivation():
     assert LearnParams(k=2, epsilon=0.2, delta=0.1).mode == "certified"
-    practical = LearnParams(2, 0.2, 0.1, sieve_budgets=TINY_BUDGETS, erm_sample=1000)
+    practical = LearnParams(2, 0.2, 0.1, screen_pairs=1, erm_sample=1000)
     assert practical.mode == "practical"
 
 
-@pytest.mark.parametrize("missing", ["erm_sample", "sieve_budgets"])
+@pytest.mark.parametrize("missing", ["erm_sample", "screen_pairs"])
 def test_a_practical_run_sets_both_budgets(missing):
     # a run is certified or practical as a whole, never a mix of the two
-    fields = {"sieve_budgets": TINY_BUDGETS, "erm_sample": 1000}
+    fields = {"screen_pairs": 1, "erm_sample": 1000}
     del fields[missing]
     with pytest.raises(ValueError, match=f"{missing} is missing"):
         LearnParams(k=2, epsilon=0.2, delta=0.1, **fields)
@@ -106,14 +104,9 @@ def test_a_practical_run_sets_both_budgets(missing):
 def test_erm_sample_is_refused_below_one():
     # checked when the run is configured, not after its sieve has run
     with pytest.raises(ValueError, match="erm_sample=0"):
-        LearnParams(2, 0.2, 0.1, sieve_budgets=TINY_BUDGETS, erm_sample=0)
-
-
-def test_certified_sieve_budgets_are_refused_in_a_practical_run():
-    # one run records one mode: LearnParams.mode and its budgets' mode agree
-    budgets = certified_budgets(sieve_params_for(1, 1.0, 0.9), 3)
-    with pytest.raises(ValueError, match="sieve_budgets mode is 'certified'"):
-        LearnParams(1, 1.0, 0.9, sieve_budgets=budgets, erm_sample=100)
+        LearnParams(2, 0.2, 0.1, screen_pairs=1, erm_sample=0)
+    with pytest.raises(ValueError, match="screen_pairs=0"):
+        LearnParams(2, 0.2, 0.1, screen_pairs=0, erm_sample=1000)
 
 
 def test_mode_conflicts_rejected():
@@ -326,22 +319,14 @@ def test_best_junta_needs_enough_coordinates():
 # Full pipeline
 
 
-def practical_params(n, k, epsilon, delta, screen=40_000, blocks=8_000, sample=20_000):
-    theta = theta_for(k, epsilon)
-    sp = SieveParams(level=k, theta=theta, delta=delta / 2)
-    return LearnParams(
-        k=k,
-        epsilon=epsilon,
-        delta=delta,
-        sieve_budgets=practical_budgets(sp, n, screen_pairs=screen, estimate_blocks=blocks),
-        erm_sample=sample,
-    )
+def practical_params(k, epsilon, delta, screen=40_000, sample=20_000):
+    return LearnParams(k, epsilon, delta, screen_pairs=screen, erm_sample=sample)
 
 
 def test_learn_recovers_noiseless_and():
     n, k = 8, 2
     f = and_table(n, [3, 6])
-    params = practical_params(n, k, 0.25, 0.2)
+    params = practical_params(k, 0.25, 0.2)
     outcome = learn_outcome(RandomWalkOracle(f, n, seed=17), params)
     assert distance_exact(f, outcome.hypothesis) == 0
     assert set(outcome.hypothesis.J.coords()) == {3, 6}
@@ -355,7 +340,7 @@ def test_learn_under_noise_stays_close():
     rng = np.random.default_rng(30)
     clean = and_table(n, [2, 7])
     noisy = flip_labels_iid(clean, 0.1, rng)
-    params = practical_params(n, k, 0.25, 0.2)
+    params = practical_params(k, 0.25, 0.2)
     outcome = learn_outcome(RandomWalkOracle(noisy, n, seed=18), params)
     opt = distance_exact(noisy, clean)  # the planted junta's own error
     achieved = distance_exact(noisy, outcome.hypothesis)
@@ -366,7 +351,7 @@ def test_learn_under_noise_stays_close():
 
 def test_learn_logs_nothing(caplog):
     # budget warnings come from the entry points, so threaded trials stay silent
-    params = practical_params(6, 2, 0.5, 0.2, screen=5_000, blocks=2_000, sample=4_000)
+    params = practical_params(2, 0.5, 0.2, screen=5_000, sample=4_000)
     with caplog.at_level(logging.DEBUG):
         learn_outcome(RandomWalkOracle(parity_table(6, [2, 5]), 6, seed=22), params)
     assert caplog.records == []
@@ -378,7 +363,7 @@ def test_learn_pads_pool_for_degenerate_targets():
 
     n, k = 6, 2
     f = constant_table(n, 1)
-    params = practical_params(n, k, 0.5, 0.2, screen=5_000, blocks=2_000, sample=4_000)
+    params = practical_params(k, 0.5, 0.2, screen=5_000, sample=4_000)
     outcome = learn_outcome(RandomWalkOracle(f, n, seed=19), params)
     assert outcome.hypothesis.k == k
     assert outcome.pool.coords() == (1, 2)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -28,9 +29,9 @@ from junta_walk.sieve import (
 from junta_walk.walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 
 
-def run_sieve(f, n, params, budgets, seed, estimate=True):
+def run_sieve(f, n, params, budgets, seed):
     oracle = RandomWalkOracle(f, n, seed=seed)
-    return bounded_sieve(oracle, params, budgets=budgets, estimate=estimate)
+    return bounded_sieve(oracle, params, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,10 @@ def test_budget_field_validation():
         SieveBudgets(screen_pairs=0, estimate_blocks=5, lag=3, gap_steps=2, mode="practical")
     with pytest.raises(ValueError, match="gap_steps=-1"):
         SieveBudgets(screen_pairs=1, estimate_blocks=5, lag=3, gap_steps=-1, mode="practical")
+    # zero estimation blocks stop the search after its screen; fewer are refused
+    with pytest.raises(ValueError, match="estimate_blocks=-1 must be >= 0"):
+        SieveBudgets(screen_pairs=1, estimate_blocks=-1, lag=3, gap_steps=2, mode="practical")
+    SieveBudgets(screen_pairs=1, estimate_blocks=0, lag=3, gap_steps=2, mode="practical")
 
 
 def test_certified_budgets_small_case():
@@ -211,7 +216,7 @@ def test_pool_stays_inside_relevant_coordinates_across_seeds():
 def test_screen_pools_at_the_larger_of_tau_and_the_noise_floor(monkeypatch):
     n = 8
     params = SieveParams(level=2, theta=0.2, delta=0.1)
-    budgets = practical_budgets(params, n, screen_pairs=50, estimate_blocks=5)
+    budgets = practical_budgets(params, n, screen_pairs=50, estimate_blocks=0)
     p_eff = effective_refresh_density(n, budgets.gap_steps)
     tau = params.theta * (1 - p_eff) / 2
     z = NormalDist().inv_cdf(1 - params.delta / (2 * n))
@@ -224,7 +229,7 @@ def test_screen_pools_at_the_larger_of_tau_and_the_noise_floor(monkeypatch):
     )
     monkeypatch.setattr(sieve_mod, "estimate_bounded_influence", lambda pairs: (contrasts, sigmas))
     oracle = RandomWalkOracle(parity_table(n, [1]), n, seed=3)
-    screened = bounded_sieve(oracle, params, budgets, estimate=False)
+    screened = bounded_sieve(oracle, params, budgets)
     assert screened.pool.coords() == (1, 2, 4, 8)
     assert screened.influences == tuple(contrasts.tolist())
     assert screened.walk_steps == oracle.steps_served > 0
@@ -239,7 +244,7 @@ def test_screen_only_run_matches_the_full_sieves_screen(monkeypatch):
     budgets = practical_budgets(params, n, screen_pairs=40_000, estimate_blocks=4_000)
     full = run_sieve(f, n, params, budgets, 12)
     monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
-    screened = run_sieve(f, n, params, budgets, 12, estimate=False)
+    screened = run_sieve(f, n, params, replace(budgets, estimate_blocks=0), 12)
     assert (screened.sets, screened.estimates, screened.truncated) == ((), (), False)
     assert (screened.pool, screened.influences) == (full.pool, full.influences)
     assert screened.candidates == full.candidates
