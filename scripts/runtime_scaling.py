@@ -11,6 +11,7 @@ anything above that flags a vectorization regression.
 import argparse
 import json
 import logging
+import statistics
 import sys
 
 import numpy as np
@@ -45,16 +46,15 @@ def main(argv=None) -> int:
             run_trial(spec, params, trial_seed=args.seed + 31 * n + i)
             for i in range(args.trials)
         ]
-        walls = sorted(r.wall_ms for r in reports)
-        steps = sorted(r.walk_steps for r in reports)
+        walls = [r.wall_ms for r in reports]
         rows.append(
             {
                 "n": n,
                 "trials": args.trials,
-                "median_wall_ms": walls[len(walls) // 2],
-                "min_wall_ms": walls[0],
-                "max_wall_ms": walls[-1],
-                "median_walk_steps": steps[len(steps) // 2],
+                "median_wall_ms": statistics.median(walls),
+                "min_wall_ms": min(walls),
+                "max_wall_ms": max(walls),
+                "median_walk_steps": statistics.median(r.walk_steps for r in reports),
             }
         )
 

@@ -33,10 +33,11 @@ from .hypercube import (
     popcount_u64,
     signed_sums,
 )
-from .walk import LagSamples, RefreshPairs, _check_positive
+from .walk import LagSamples, RefreshPairs
 
 # Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
-# and the learner's ERM; a larger pool is handled set by set or support by support.
+# and the learner's ERM.  The sieve refuses a larger pool with PoolOverflow
+# before it estimates; the learner's ERM scores a larger pool support by support.
 BULK_WHT_MAX_N = 20
 
 
@@ -251,33 +252,9 @@ def blocks_for(accuracy: float, delta: float) -> int:
     return math.ceil((2.0 / accuracy**2) * math.log(2.0 / delta))
 
 
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Lag and block count for the squared-coefficient estimator."""
-
-    lag: int
-    pair_count: int
-
-    def __post_init__(self) -> None:
-        _check_positive(lag=self.lag, pair_count=self.pair_count)
-
-    @property
-    def stride(self) -> int:
-        return self.lag + 1
-
-    @property
-    def required_walk_length(self) -> int:
-        """Points consumed: block b reads positions b*stride, +lag, +lag+1."""
-        return (self.pair_count - 1) * self.stride + self.lag + 2
-
-    @classmethod
-    def certified(cls, n: int, theta: float, delta: float) -> "EstimatorParams":
-        """Lag for bias theta/8 and pair count for sampling error theta/8."""
-        return cls(lag=default_lag(n, theta), pair_count=blocks_for(theta / 8.0, delta))
-
-
 def estimate_sq_coeff(samples: LagSamples, S: IndexSet) -> float:
-    """Estimate fhat(S)^2 from the lag pairs of a plain labeled walk."""
+    """Estimate fhat(S)^2 from the lag pairs of a plain labeled walk: the
+    per-set reference that :func:`estimate_sq_coeff_bulk` matches."""
     if S.n != samples.n:
         raise ValueError(f"index set over n={S.n}, samples over n={samples.n}")
     mask = np.uint64(S.mask)

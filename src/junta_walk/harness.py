@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import os
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -105,10 +106,14 @@ def thread_count() -> int:
     """Worker cap from JUNTA_WALK_THREADS; defaults to 1."""
     raw = os.environ.get("JUNTA_WALK_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         logger.warning("ignoring non-integer JUNTA_WALK_THREADS=%r", raw)
         return 1
+    if threads < 1:
+        logger.warning("ignoring JUNTA_WALK_THREADS=%r below 1", raw)
+        return 1
+    return threads
 
 
 @dataclass(frozen=True)
@@ -525,7 +530,7 @@ def _summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
         mine = [r for r in reports if r.trial_id // config.repetitions == ci]
         passes = sum(r.passed for r in mine)
         excesses = [float(r.excess) for r in mine if r.excess is not None]
-        walls = sorted(r.wall_ms for r in mine)
+        walls = [r.wall_ms for r in mine]
         cells_out.append(
             {
                 "cell": ci,
@@ -540,7 +545,7 @@ def _summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
                 "passes": passes,
                 "pass_rate": passes / len(mine) if mine else 0.0,
                 "mean_excess": sum(excesses) / len(excesses) if excesses else None,
-                "median_wall_ms": walls[len(walls) // 2] if walls else 0.0,
+                "median_wall_ms": statistics.median(walls) if walls else 0.0,
                 "errors": sum(r.error is not None for r in mine),
             }
         )

@@ -18,7 +18,9 @@ coordinate while Parseval caps the pool size near 2/(p tau).  A contrast must
 also clear z sigma_i, its noise floor (see :func:`bounded_sieve`), so a
 budget too small to resolve tau does not pool coordinates on noise.  Phase two
 enumerates all subsets of the pool up to size ell and keeps those whose
-estimated squared coefficient clears (3/4) theta.
+estimated squared coefficient clears (3/4) theta; one exact transform over the
+pool gives every estimate, so the pool may hold at most BULK_WHT_MAX_N
+coordinates.
 
 Cost: the enumeration visits sum_{j<=ell} C(|pool|, j) candidates, and the
 pool can hold up to ~4 (1-p)^(1-ell) / (p theta) coordinates, so the phase-two
@@ -39,11 +41,10 @@ import numpy as np
 
 from .fourier import (
     BULK_WHT_MAX_N,
-    EstimatorParams,
     Spectrum,
+    blocks_for,
     default_lag,
     estimate_bounded_influence,
-    estimate_sq_coeff,
     estimate_sq_coeff_bulk,
 )
 from .hypercube import IndexSet, restriction_indices
@@ -60,7 +61,8 @@ class SieveError(Exception):
 
 
 class PoolOverflow(SieveError):
-    """The screened coordinate pool exceeded its certified size cap."""
+    """The screened coordinate pool exceeded its certified size cap, or, in a
+    run that estimates, the BULK_WHT_MAX_N coordinates estimation bins onto."""
 
 
 class BudgetInfeasible(SieveError):
@@ -76,7 +78,6 @@ class SieveBudgets:
     estimate_blocks: int
     lag: int
     gap_steps: int
-    mode: str  # "certified" | "practical"
 
     def __post_init__(self) -> None:
         for name, least in (
@@ -140,20 +141,18 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     )
     pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
-    est = EstimatorParams.certified(n, params.theta, params.delta / (3.0 * cand_bound))
-    total = screen_pairs * gap + est.required_walk_length
+    # lag for bias theta/8, blocks for sampling error theta/8 on every candidate
+    lag = default_lag(n, params.theta)
+    blocks = blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
+    total = screen_pairs * gap + blocks * (lag + 1)
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
             f"(screen {screen_pairs} pairs x gap {gap}, estimate walk "
-            f"{est.required_walk_length}); ceiling is {BUDGET_CEILING}"
+            f"{blocks} blocks x {lag + 1}); ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
-        screen_pairs=screen_pairs,
-        estimate_blocks=est.pair_count,
-        lag=est.lag,
-        gap_steps=gap,
-        mode="certified",
+        screen_pairs=screen_pairs, estimate_blocks=blocks, lag=lag, gap_steps=gap
     )
 
 
@@ -167,7 +166,6 @@ def practical_budgets(
         estimate_blocks=estimate_blocks,
         lag=default_lag(n, params.theta),
         gap_steps=gap_for_density(n, params.density),
-        mode="practical",
     )
 
 
@@ -195,6 +193,7 @@ class SieveResult:
     truncated: bool
     walk_steps: int
     budgets: SieveBudgets
+    mode: str  # "certified" when bounded_sieve derived the budgets, else "practical"
 
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
@@ -211,7 +210,7 @@ class SieveResult:
                 "candidates": self.candidates,
                 "truncated": self.truncated,
                 "walk_steps": self.walk_steps,
-                "mode": self.budgets.mode,
+                "mode": self.mode,
             },
             allow_nan=False,
         )
@@ -239,11 +238,16 @@ def bounded_sieve(
     exceeds its certified cap, which signals that the screening estimates
     missed their tolerance.
 
-    With zero ``estimate_blocks`` the search stops after phase one: no lag
-    walk is drawn and no set is kept, so the screened pool is the result, and
-    ``candidates`` counts the subsets phase two would have scored.
+    Phase two bins one lag walk onto the pool and scores every subset of
+    size <= level with one exact transform.  A run that estimates raises
+    :class:`PoolOverflow` right after its screen if the pool holds more than
+    BULK_WHT_MAX_N coordinates, before any candidate or lag walk.  With zero
+    ``estimate_blocks`` the search stops after phase one: no lag walk is
+    drawn and no set is kept, so the screened pool is the result.
+    ``candidates`` counts the subsets phase two scores, or would have scored.
     """
     n = oracle.n
+    mode = "certified" if budgets is None else "practical"
     if budgets is None:
         budgets = certified_budgets(params, n)
 
@@ -264,35 +268,27 @@ def bounded_sieve(
                 "screening estimates out of tolerance"
             )
     pool = IndexSet.of(n, pool_coords)
-    if budgets.estimate_blocks == 0:
-        return SieveResult(
-            n=n,
-            sets=(),
-            estimates=(),
-            pool=pool,
-            influences=tuple(influences.tolist()),
-            candidates=_candidate_bound(len(pool_coords), params.level),
-            truncated=False,
-            walk_steps=oracle.steps_served,
-            budgets=budgets,
-        )
 
-    candidates: list[int] = []
-    for size in range(0, min(params.level, len(pool_coords)) + 1):
-        for combo in itertools.combinations(pool_coords, size):
-            candidates.append(IndexSet.of(n, combo).mask)
-
-    samples = oracle.lag_samples(budgets.lag, budgets.estimate_blocks)
-    if len(pool) <= BULK_WHT_MAX_N:
-        bulk = estimate_sq_coeff_bulk(samples, pool)
-        cells = restriction_indices(pool, np.array(candidates, dtype=np.uint64))
-        scored = list(zip(candidates, bulk[cells].tolist()))
-    else:
-        scored = [
-            (mask, estimate_sq_coeff(samples, IndexSet(n, mask))) for mask in candidates
+    keep: list[tuple[int, float]] = []
+    if budgets.estimate_blocks:
+        if len(pool_coords) > BULK_WHT_MAX_N:
+            raise PoolOverflow(
+                f"screened pool has {len(pool_coords)} coordinates; estimation "
+                f"bins onto at most BULK_WHT_MAX_N = {BULK_WHT_MAX_N}"
+            )
+        masks = [
+            IndexSet.of(n, combo).mask
+            for size in range(min(params.level, len(pool_coords)) + 1)
+            for combo in itertools.combinations(pool_coords, size)
         ]
-
-    keep = [(m, e) for m, e in scored if e >= KEEP_FRACTION * params.theta]
+        samples = oracle.lag_samples(budgets.lag, budgets.estimate_blocks)
+        bulk = estimate_sq_coeff_bulk(samples, pool)
+        cells = restriction_indices(pool, np.array(masks, dtype=np.uint64))
+        keep = [
+            (m, e)
+            for m, e in zip(masks, bulk[cells].tolist())
+            if e >= KEEP_FRACTION * params.theta
+        ]
     keep.sort(key=lambda me: (-me[1], me[0]))
     truncated = len(keep) > params.result_cap
     if truncated:
@@ -309,10 +305,11 @@ def bounded_sieve(
         estimates=tuple(e for _, e in keep),
         pool=pool,
         influences=tuple(influences.tolist()),
-        candidates=len(candidates),
+        candidates=_candidate_bound(len(pool_coords), params.level),
         truncated=truncated,
         walk_steps=oracle.steps_served,
         budgets=budgets,
+        mode=mode,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from junta_walk.fourier import EstimatorParams, Spectrum, estimate_sq_coeff
+from junta_walk.fourier import Spectrum, blocks_for, default_lag, estimate_sq_coeff
 from junta_walk.functions import (
     and_table,
     flip_labels_iid,
@@ -134,7 +134,8 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
     """|estimate - truth| <= theta/4 in >= 99% of 300 runs at stock budgets."""
     t0 = time.perf_counter()
     theta = 1 / 16
-    params = EstimatorParams.certified(8, theta, 0.05)
+    # lag for bias theta/8, blocks for sampling error theta/8 w.p. 0.95
+    lag, blocks = default_lag(8, theta), blocks_for(theta / 8, 0.05)
     rng = np.random.default_rng(606060)
     hits = 0
     for i in range(300):
@@ -156,7 +157,7 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
         else:
             mask = int(rng.integers(0, 256))
         oracle = RandomWalkOracle(table, 8, seed=40_000 + i)
-        samples = oracle.lag_samples(params.lag, params.pair_count)
+        samples = oracle.lag_samples(lag, blocks)
         est = estimate_sq_coeff(samples, IndexSet(8, mask))
         hits += abs(est - float(sq[mask])) <= theta / 4
     assert hits >= 297

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from junta_walk import fourier
 from junta_walk.fourier import (
     BULK_WHT_MAX_N,
-    EstimatorParams,
     Spectrum,
     blocks_for,
     default_lag,
@@ -311,26 +310,12 @@ def test_spectrum_to_csv():
 
 
 # ---------------------------------------------------------------------------
-# Estimator parameters
+# Estimator lag and block count
 
 
-def test_estimator_params_validation():
-    with pytest.raises(ValueError):
-        EstimatorParams(lag=0, pair_count=5)
-    with pytest.raises(ValueError):
-        EstimatorParams(lag=3, pair_count=0)
-
-
-def test_estimator_params_geometry():
-    params = EstimatorParams(lag=4, pair_count=3)
-    assert params.stride == 5
-    assert params.required_walk_length == 2 * 5 + 4 + 2
-
-
-def test_certified_params():
-    params = EstimatorParams.certified(8, theta=0.1, delta=0.05)
-    assert params.lag == default_lag(8, 0.1)
-    assert params.pair_count == blocks_for(0.1 / 8, 0.05)
+def _walk_points(lag, blocks):
+    """Points of the walk whose lag pairs ``blocks`` blocks read."""
+    return blocks * (lag + 1) + 1
 
 
 def test_default_lag_and_blocks_frozen_values():
@@ -356,9 +341,8 @@ def test_estimate_on_own_parity_is_exactly_one():
     # for f = chi_S each sample is chi_S(x)chi_S(y)chi_S(x xor y) = +1
     S = IndexSet.of(6, [2, 5])
     f = parity_table(6, [2, 5])
-    params = EstimatorParams(lag=5, pair_count=200)
-    walk = generate_walk(f, 6, params.required_walk_length, 3)
-    samples = lag_samples_from_walk(walk, params)
+    walk = generate_walk(f, 6, _walk_points(5, 200), 3)
+    samples = lag_samples_from_walk(walk, 5, 200)
     assert estimate_sq_coeff(samples, S) == 1.0
 
 
@@ -367,9 +351,8 @@ def test_lag_averaging_cancels_full_set_alternation():
     # two-lag average is identically zero
     n = 5
     f = parity_table(n, range(1, n + 1))
-    params = EstimatorParams(lag=7, pair_count=300)
-    walk = generate_walk(f, n, params.required_walk_length, 8)
-    samples = lag_samples_from_walk(walk, params)
+    walk = generate_walk(f, n, _walk_points(7, 300), 8)
+    samples = lag_samples_from_walk(walk, 7, 300)
     assert estimate_sq_coeff(samples, IndexSet(n, 0)) == 0.0
     spec = Spectrum.from_table(f)
     assert expected_sq_estimate(spec, IndexSet(n, 0), lag=7) == 0.0
@@ -378,7 +361,7 @@ def test_lag_averaging_cancels_full_set_alternation():
 def test_estimate_dimension_mismatch():
     f = parity_table(4, [1])
     walk = generate_walk(f, 4, 50, 1)
-    samples = lag_samples_from_walk(walk, EstimatorParams(lag=2, pair_count=5))
+    samples = lag_samples_from_walk(walk, 2, 5)
     with pytest.raises(ValueError, match="samples over n=4"):
         estimate_sq_coeff(samples, IndexSet(5, 0))
 
@@ -402,21 +385,20 @@ def test_estimator_concentrates_near_expectation(seed):
     f = random_table(n, np.random.default_rng(seed))
     spec = Spectrum.from_table(f)
     S = IndexSet.of(n, [1, 3])
-    params = EstimatorParams(lag=default_lag(n, 0.2), pair_count=4000)
-    walk = generate_walk(f, n, params.required_walk_length, seed + 1)
-    samples = lag_samples_from_walk(walk, params)
+    lag = default_lag(n, 0.2)
+    walk = generate_walk(f, n, _walk_points(lag, 4000), seed + 1)
+    samples = lag_samples_from_walk(walk, lag, 4000)
     est = estimate_sq_coeff(samples, S)
     # terms are means of [-1, 1] samples; walk correlation inflates variance
     # by a small constant, so test at a generous 8 / sqrt(m)
-    assert abs(est - expected_sq_estimate(spec, S, params.lag)) < 8 / math.sqrt(4000)
+    assert abs(est - expected_sq_estimate(spec, S, lag)) < 8 / math.sqrt(4000)
 
 
 def test_bulk_matches_per_set_estimates():
     n = 5
     f = random_table(n, np.random.default_rng(6))
-    params = EstimatorParams(lag=6, pair_count=500)
-    walk = generate_walk(f, n, params.required_walk_length, 2)
-    samples = lag_samples_from_walk(walk, params)
+    walk = generate_walk(f, n, _walk_points(6, 500), 2)
+    samples = lag_samples_from_walk(walk, 6, 500)
     bulk = estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     for mask in range(1 << n):
         assert bulk[mask] == estimate_sq_coeff(samples, IndexSet(n, mask))
@@ -448,9 +430,9 @@ def _subset_masks(pool):
 def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     f = random_table(n, rng)
-    params = EstimatorParams(lag=default_lag(n, 0.1), pair_count=2_000)
-    walk = generate_walk(f, n, params.required_walk_length, n)
-    samples = lag_samples_from_walk(walk, params)
+    lag = default_lag(n, 0.1)
+    walk = generate_walk(f, n, _walk_points(lag, 2_000), n)
+    samples = lag_samples_from_walk(walk, lag, 2_000)
     dense = _dense_bulk_reference(samples)
     partial = sorted(rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist())
     for pool in (
@@ -471,9 +453,9 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
         top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
         return (1 - 2 * top).astype(np.int8)
 
-    params = EstimatorParams(lag=default_lag(n, 0.2), pair_count=1_500)
-    walk = generate_walk(label, n, params.required_walk_length, n)
-    samples = lag_samples_from_walk(walk, params)
+    lag = default_lag(n, 0.2)
+    walk = generate_walk(label, n, _walk_points(lag, 1_500), n)
+    samples = lag_samples_from_walk(walk, lag, 1_500)
     pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
     tracemalloc.start()
     try:
@@ -490,10 +472,9 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
 
 def test_bulk_rejects_large_n():
     # the cap is on the binned pool, whatever n is; the pool must match the walk
-    params = EstimatorParams(lag=1, pair_count=1)
     n = BULK_WHT_MAX_N + 1
     walk = generate_walk(lambda bits: np.ones(bits.shape, np.int8), n, 10, 0)
-    samples = lag_samples_from_walk(walk, params)
+    samples = lag_samples_from_walk(walk, 1, 1)
     with pytest.raises(ValueError, match="pool of <= 20"):
         estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     largest = IndexSet.of(n, range(2, n + 1))
@@ -507,10 +488,10 @@ def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
     # a twin oracle's whole walk, read by the reference reader, is the
     # estimator's former input; bulk and per-set estimates must not move
     f = random_table(8, np.random.default_rng(3)) if n == 8 else parity_table(n, [4, 17])
-    params = EstimatorParams(lag=default_lag(n, 0.1), pair_count=3_000)
-    drawn = RandomWalkOracle(f, n, seed=77).lag_samples(params.lag, params.pair_count)
-    walk = RandomWalkOracle(f, n, seed=77).walk(params.required_walk_length)
-    read = lag_samples_from_walk(walk, params)
+    lag = default_lag(n, 0.1)
+    drawn = RandomWalkOracle(f, n, seed=77).lag_samples(lag, 3_000)
+    walk = RandomWalkOracle(f, n, seed=77).walk(_walk_points(lag, 3_000))
+    read = lag_samples_from_walk(walk, lag, 3_000)
     pool = IndexSet.of(n, [1, 3, 4, 6, 8] if n == 8 else [2, 4, 9, 17, n])
     assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
         estimate_sq_coeff_bulk(read, pool).tobytes()

@@ -30,6 +30,7 @@ from junta_walk.harness import (
     resolve_instance,
     run_suite,
     run_trial,
+    _summarize,
     thread_count,
 )
 from junta_walk.hypercube import distance_exact
@@ -54,9 +55,13 @@ def test_thread_count_reads_env(monkeypatch):
     assert thread_count() == 4
 
 
-def test_thread_count_floors_at_one(monkeypatch):
-    monkeypatch.setenv("JUNTA_WALK_THREADS", "0")
-    assert thread_count() == 1
+def test_thread_count_floors_at_one(monkeypatch, caplog):
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("JUNTA_WALK_THREADS", raw)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="junta_walk.harness"):
+            assert thread_count() == 1
+        assert f"JUNTA_WALK_THREADS={raw!r}" in caplog.text
 
 
 def test_thread_count_warns_on_garbage(monkeypatch, caplog):
@@ -616,6 +621,33 @@ def test_run_suite_writes_matching_artifacts(tmp_path):
     assert summary["cells"][0]["repetitions"] == 2
     assert [c["mode"] for c in summary["cells"]] == ["practical", "practical"]
     assert {"excess_vs_gamma", "pass_rate_vs_eps"} <= set(summary["series"])
+
+
+def _timed_report(trial_id, wall_ms):
+    return TrialReport(
+        trial_id=trial_id,
+        spec=InstanceSpec(n=5, k=1),
+        k=1,
+        eps=0.25,
+        delta=0.2,
+        seed=0,
+        opt=None,
+        delta_hf=None,
+        excess=None,
+        passed=False,
+        wall_ms=wall_ms,
+        walk_steps=0,
+    )
+
+
+def test_summary_median_wall_is_the_median():
+    # two repetitions report the mean of their wall times, not the larger one
+    cell = tiny_config().cells[0]
+    for walls, median in (((10.0, 30.0), 20.0), ((50.0, 10.0, 30.0), 30.0)):
+        config = ExperimentConfig(cells=(cell,), repetitions=len(walls))
+        reports = [_timed_report(i, w) for i, w in enumerate(walls)]
+        (summary,) = _summarize(config, reports)["cells"]
+        assert summary["median_wall_ms"] == median
 
 
 def test_run_suite_warns_once_per_call_about_practical_cells(tmp_path, caplog):

@@ -81,9 +81,7 @@ def test_log_class_size():
 # Parameter modes
 
 
-TINY_BUDGETS = SieveBudgets(
-    screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1, mode="practical"
-)
+TINY_BUDGETS = SieveBudgets(screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1)
 
 
 def test_mode_derivation():
@@ -134,6 +132,7 @@ def _sieve_result(n, sets):
         truncated=False,
         walk_steps=0,
         budgets=TINY_BUDGETS,
+        mode="practical",
     )
 
 
@@ -376,7 +375,7 @@ def test_learn_certified_tiny_case():
     params = LearnParams(k=1, epsilon=0.5, delta=0.25)
     assert params.mode == "certified"
     outcome = learn_outcome(RandomWalkOracle(f, 2, seed=20), params)
-    assert outcome.sieve.budgets.mode == "certified"
+    assert outcome.sieve.mode == "certified"
     log_size = log_junta_class_size(len(outcome.pool), 1)
     assert outcome.sample_size == sample_size_erm(0.25, 0.125, 2, log_size).m
     assert distance_exact(f, outcome.hypothesis) == 0

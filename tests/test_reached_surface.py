@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "junta_walk"
 
 # Exact references the gates compare estimators against (gate 6 reads the
-# paper's walk-concentration length from sample_size_concentration), and the
-# factories that build the tests' tables.
+# paper's walk-concentration length from sample_size_concentration; gate 4
+# and the bulk estimator's bit-for-bit checks read the per-set
+# estimate_sq_coeff), and the factories that build the tests' tables.
 ALLOWED = {
     "chi",
     "sample_size_concentration",
@@ -29,6 +30,7 @@ ALLOWED = {
     "expected_sq_estimate",
     "expected_bounded_influence",
     "estimator_bias_bound",
+    "estimate_sq_coeff",
     "parity_table",
     "constant_table",
     "random_table",

@@ -33,10 +33,13 @@ def test_walk_endpoint_laws(tmp_path):
 
 def test_runtime_scaling(tmp_path):
     out = tmp_path / "scaling.json"
-    _run("runtime_scaling", ["--ns", "6", "8", "--trials", "1", "--out", str(out)])
+    _run("runtime_scaling", ["--ns", "6", "8", "--trials", "2", "--out", str(out)])
     rows = json.loads(out.read_text())["rows"]
     assert [row["n"] for row in rows] == [6, 8]
     assert all(row["median_walk_steps"] > 0 for row in rows)
+    # two trials report the mean of their wall times, not the larger one
+    for row in rows:
+        assert row["median_wall_ms"] == (row["min_wall_ms"] + row["max_wall_ms"]) / 2
 
 
 def test_run_default_battery(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import junta_walk.sieve as sieve_mod
-from junta_walk.fourier import Spectrum, default_lag
+from junta_walk.fourier import Spectrum, blocks_for, default_lag
 from junta_walk.functions import and_table, constant_table, parity_table, random_junta
 from junta_walk.hypercube import IndexSet, popcount_u64
 from junta_walk.sieve import (
@@ -60,21 +60,30 @@ def test_result_cap():
 
 def test_budget_field_validation():
     with pytest.raises(ValueError):
-        SieveBudgets(screen_pairs=0, estimate_blocks=5, lag=3, gap_steps=2, mode="practical")
+        SieveBudgets(screen_pairs=0, estimate_blocks=5, lag=3, gap_steps=2)
     with pytest.raises(ValueError, match="gap_steps=-1"):
-        SieveBudgets(screen_pairs=1, estimate_blocks=5, lag=3, gap_steps=-1, mode="practical")
+        SieveBudgets(screen_pairs=1, estimate_blocks=5, lag=3, gap_steps=-1)
     # zero estimation blocks stop the search after its screen; fewer are refused
     with pytest.raises(ValueError, match="estimate_blocks=-1 must be >= 0"):
-        SieveBudgets(screen_pairs=1, estimate_blocks=-1, lag=3, gap_steps=2, mode="practical")
-    SieveBudgets(screen_pairs=1, estimate_blocks=0, lag=3, gap_steps=2, mode="practical")
+        SieveBudgets(screen_pairs=1, estimate_blocks=-1, lag=3, gap_steps=2)
+    SieveBudgets(screen_pairs=1, estimate_blocks=0, lag=3, gap_steps=2)
 
 
 def test_certified_budgets_small_case():
     params = SieveParams(level=1, theta=0.25, delta=0.25)
     b = certified_budgets(params, 4)
-    assert b.mode == "certified"
     assert b.screen_pairs > 1000  # Hoeffding at tau/2 is not cheap
-    assert b.gap_steps >= 1 and b.lag >= 1
+    assert b.gap_steps >= 1
+
+
+def test_certified_estimation_budget():
+    # lag for bias theta/8, and blocks for error theta/8 at a union bound over
+    # the candidates of a capped pool, one third of delta
+    params = SieveParams(level=2, theta=0.1, delta=0.05)
+    b = certified_budgets(params, 8)
+    candidates = 1 + 8 + math.comb(8, 2)  # the pool cap, 80, exceeds n = 8
+    assert b.lag == default_lag(8, 0.1)
+    assert b.estimate_blocks == blocks_for(0.1 / 8, 0.05 / (3 * candidates))
 
 
 def test_screening_refresh_density_is_strictly_inside_the_unit_interval():
@@ -103,7 +112,6 @@ def test_practical_budgets_log_nothing(caplog):
         estimate_blocks=50,
         lag=default_lag(8, params.theta),
         gap_steps=gap_for_density(8, params.density),
-        mode="practical",
     )
 
 
@@ -264,16 +272,30 @@ def test_budget_resolution_precedence():
     assert res2.budgets == certified_budgets(params, n)
 
 
+def test_run_mode_follows_who_chose_the_budgets():
+    # a run is certified exactly when the sieve derived its own budgets; the
+    # budgets carry no mode a caller could set against them
+    n = 6
+    f = parity_table(n, [1])
+    params = SieveParams(level=1, theta=0.5, delta=0.1)
+    assert bounded_sieve(RandomWalkOracle(f, n, seed=12), params).mode == "certified"
+    for budgets in (certified_budgets(params, n), practical_budgets(params, n, 500, 200)):
+        res = bounded_sieve(RandomWalkOracle(f, n, seed=12), params, budgets)
+        assert res.mode == "practical"
+        assert json.loads(res.to_json())["mode"] == "practical"
+    with pytest.raises(TypeError):
+        SieveBudgets(screen_pairs=10, estimate_blocks=5, lag=2, gap_steps=3, mode="certified")
+
+
 def _fail(*args):
     raise AssertionError("estimation path not expected here")
 
 
-def test_pooled_run_above_n_cap_bins_onto_pool(monkeypatch):
+def test_pooled_run_above_n_cap_bins_onto_pool():
     # n = 21 is past BULK_WHT_MAX_N, but the screened pool holds 2 coordinates,
-    # so the bulk path bins onto 2^2 cells and no candidate is estimated alone
+    # so estimation bins onto 2^2 cells
     n = 21
     assert n > sieve_mod.BULK_WHT_MAX_N
-    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff", _fail)
     f = parity_table(n, [4, 17])
     params = SieveParams(level=2, theta=0.5, delta=0.1)
     budgets = practical_budgets(params, n, screen_pairs=20_000, estimate_blocks=2_000)
@@ -285,23 +307,33 @@ def test_pooled_run_above_n_cap_bins_onto_pool(monkeypatch):
     assert certify_result(res, Spectrum.from_table(f), 0.5, 2).passed
 
 
-def test_per_set_estimation_above_bulk_cap(monkeypatch):
+def test_estimating_run_refuses_a_pool_above_bulk_cap(monkeypatch):
     # one screening pair gives every coordinate a +inf contrast, so all 21
-    # stay pooled (theta = 3/8 puts the pool cap at 22), past BULK_WHT_MAX_N,
-    # and every candidate is estimated on its own
+    # stay pooled (theta = 3/8 puts the pool cap at 22), past BULK_WHT_MAX_N:
+    # a run that estimates refuses right after its screen, drawing no lag walk
     n = 21
-    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", _fail)
+    monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
     f = parity_table(n, [4, 17])
     params = SieveParams(level=2, theta=3 / 8, delta=0.1)
-    assert sieve_mod._pool_cap(params) >= n
+    assert sieve_mod._pool_cap(params) >= n > sieve_mod.BULK_WHT_MAX_N
     budgets = practical_budgets(params, n, screen_pairs=1, estimate_blocks=2_000)
-    res = run_sieve(f, n, params, budgets, seed=31)
+    oracle = RandomWalkOracle(f, n, seed=31)
+    with pytest.raises(PoolOverflow, match="BULK_WHT_MAX_N = 20"):
+        bounded_sieve(oracle, params, budgets)
+    screen = RandomWalkOracle(f, n, seed=31).refresh_pairs(1, budgets.gap_steps)
+    assert oracle.steps_served == screen.walk_steps > 0
+    # a screen-only run keeps the same 21-coordinate pool and estimates nothing
+    res = run_sieve(f, n, params, replace(budgets, estimate_blocks=0), seed=31)
     assert res.influences == (math.inf,) * n
     assert len(res.pool) == n
     assert res.candidates == 1 + n + math.comb(n, 2)
-    assert res.masks() == [IndexSet.of(n, [4, 17]).mask]
-    assert res.estimates == (1.0,)
-    assert certify_result(res, Spectrum.from_table(f), 0.5, 2).passed
+    assert (res.sets, res.walk_steps) == ((), screen.walk_steps)
+    # at n <= level nothing is screened, and the whole cube is refused unwalked
+    unscreened = SieveParams(level=n, theta=3 / 8, delta=0.1)
+    oracle = RandomWalkOracle(f, n, seed=31)
+    with pytest.raises(PoolOverflow, match="BULK_WHT_MAX_N"):
+        bounded_sieve(oracle, unscreened, practical_budgets(unscreened, n, 1, 1))
+    assert oracle.steps_served == 0
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +360,7 @@ def test_truncation_at_result_cap(caplog):
     f = parity_table(6, [1])
     params = SieveParams(level=2, theta=0.4, delta=0.2)
     gap = gap_for_density(6, params.density)
-    budgets = SieveBudgets(
-        screen_pairs=1, estimate_blocks=2, lag=3, gap_steps=gap, mode="practical"
-    )
+    budgets = SieveBudgets(screen_pairs=1, estimate_blocks=2, lag=3, gap_steps=gap)
     with caplog.at_level(logging.WARNING, logger="junta_walk.sieve"):
         res = run_sieve(f, 6, params, budgets, seed=0)
     assert len(res.pool) == 6
@@ -357,10 +387,7 @@ def test_result_to_json():
 # Certification against exact spectra
 
 
-def _fake_result(n, masks, budgets=None):
-    budgets = budgets or SieveBudgets(
-        screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1, mode="practical"
-    )
+def _fake_result(n, masks):
     sets = tuple(IndexSet(n, m) for m in masks)
     return SieveResult(
         n=n,
@@ -371,7 +398,8 @@ def _fake_result(n, masks, budgets=None):
         candidates=len(sets),
         truncated=False,
         walk_steps=0,
-        budgets=budgets,
+        budgets=SieveBudgets(screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1),
+        mode="practical",
     )
 
 
@@ -471,7 +499,7 @@ def test_certified_budget_runs_meet_contract():
     outputs = []
     for seed in range(5):
         res = bounded_sieve(RandomWalkOracle(f, n, seed=100 + seed), params)
-        assert res.budgets.mode == "certified"
+        assert res.mode == "certified"
         assert certify_result(res, spec, 0.3, 2).passed
         outputs.append(res.to_json())
     # certified screening sizes put z sigma below tau, so the noise floor

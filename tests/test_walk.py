@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from junta_walk.fourier import EstimatorParams, default_lag
+from junta_walk.fourier import default_lag
 from junta_walk.functions import parity_table, random_table
 from junta_walk.hypercube import IndexSet, JuntaHypothesis
 from junta_walk.walk import (
@@ -616,8 +616,7 @@ def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
             drawn_from = RandomWalkOracle(_hash_label, n, seed)
             walked = RandomWalkOracle(_hash_label, n, seed)
             got = drawn_from.lag_samples(lag, blocks)
-            params = EstimatorParams(lag=lag, pair_count=blocks)
-            want = lag_samples_from_walk(walked.walk(params.required_walk_length), params)
+            want = lag_samples_from_walk(walked.walk(blocks * (lag + 1) + 1), lag, blocks)
             assert (got.n, len(got)) == (n, blocks)
             _assert_same_bytes(got.diff_t, want.diff_t)
             _assert_same_bytes(got.diff_t1, want.diff_t1)
