@@ -65,9 +65,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     f, meta = _load_instance(args.instance)
-    spec = InstanceSpec.from_dict(meta["spec"]) if "spec" in meta else InstanceSpec(
-        n=f.n, k=args.k, junta_seed=0, instance_seed=0
-    )
+    spec = InstanceSpec.from_dict(meta["spec"]).to_dict() if "spec" in meta else None
+    # exact opt first, so a table past its cap is refused before any walk
+    opt_result = exact_opt(f, args.k)
     if args.certified:
         params = LearnParams(args.k, args.eps, args.delta)
     else:
@@ -77,7 +77,6 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         )
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
     outcome = learn_outcome(oracle, params)
-    opt_result = exact_opt(f, args.k)
     delta_hf = distance_exact(f, outcome.hypothesis)
     excess = delta_hf - opt_result.opt
     _write_json(
@@ -96,7 +95,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             "passed": bool(excess <= Fraction(args.eps)),
             "erm_sample": outcome.sample_size,
             "walk_steps": outcome.walk_steps,
-            "instance_spec": spec.to_dict(),
+            "instance_spec": spec,
         },
         args.out,
     )

@@ -2,8 +2,8 @@
 
 Coefficients use the character convention chi_S(x) = prod_{i in S} x_i with
 packed points, so chi_S(x) = (-1)^popcount(mask_S & bits_x) and the dense
-transform is the Walsh-Hadamard transform: a few Hadamard-matrix products in
-an exact float word for integer input, the butterfly for float input.
+transform is the Walsh-Hadamard transform of integer input: a few
+Hadamard-matrix products in the narrowest float word that holds it exactly.
 
 The squared-coefficient estimator works from the lag pairs of a plain labeled
 walk, a :class:`~junta_walk.walk.LagSamples` record that
@@ -26,40 +26,13 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .hypercube import (
-    IndexSet,
-    TruthTable,
-    parity_sign_u64,
-    popcount_u64,
-    signed_sums,
-)
+from .hypercube import IndexSet, TruthTable, parity_sign_u64, signed_sums
 from .walk import LagSamples, RefreshPairs
 
 # Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
 # and the learner's ERM.  The sieve refuses a larger pool with PoolOverflow
 # before it estimates; the learner's ERM scores a larger pool support by support.
 BULK_WHT_MAX_N = 20
-
-
-def _butterfly(v: np.ndarray) -> np.ndarray:
-    """Unnormalized transform along the last axis; ``v`` is consumed as scratch.
-
-    Level h maps each pair (a, b) of entries h apart to (a + b, a - b),
-    writing into a second buffer so no level allocates.  It serves float
-    input, whose rounding it fixes level by level, and integer input past
-    :func:`_exact_wht`'s float words, where int64 adds beat int64 matmul.
-    """
-    size = v.shape[-1]
-    out = np.empty_like(v)
-    h = 1
-    while h < size:
-        a = v.reshape(*v.shape[:-1], -1, 2, h)
-        o = out.reshape(a.shape)
-        np.add(a[..., 0, :], a[..., 1, :], out=o[..., 0, :])
-        np.subtract(a[..., 0, :], a[..., 1, :], out=o[..., 1, :])
-        v, out = out, v
-        h *= 2
-    return v
 
 
 # H[i, j] = (-1)^popcount(i & j); its top-left 2^g corner does g levels
@@ -86,15 +59,18 @@ def _gemm_wht(v: np.ndarray) -> np.ndarray:
 def _exact_wht(v: np.ndarray) -> np.ndarray:
     """Exact transform of integer ``v`` along its last axis.
 
-    With bound = size * max|v|, runs :func:`_gemm_wht` in float32 below 2^24,
-    in float64 below 2^53 and the int64 butterfly past that, in that word.
+    With bound = size * max|v|, runs :func:`_gemm_wht` in float32 below 2^24
+    and in float64 below 2^53, and refuses a larger bound with ValueError.
     Every partial sum of every product is a signed subset sum of the inputs,
     so it is at most the bound in magnitude and the word holds it exactly,
     whatever the summation order, blocking, FMA use or BLAS thread count.
     """
     bound = v.shape[-1] * max(int(v.max()), -int(v.min()))
     if bound >= 1 << 53:
-        return _butterfly(v.astype(np.int64))
+        raise ValueError(
+            f"transform bound size * max|v| = {bound} reaches 2^53, "
+            "past float64's exact integers"
+        )
     word = np.float32 if bound < 1 << 24 else np.float64
     return _gemm_wht(v.astype(word))
 
@@ -102,15 +78,16 @@ def _exact_wht(v: np.ndarray) -> np.ndarray:
 def wht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform out[S] = sum_x v[x] chi_S(x).
 
-    int64 and exact for integer (or boolean) input, float64 otherwise.  The
-    transform is its own inverse up to a factor 2^n; ``Spectrum.from_table``
-    gives a table's normalized coefficients.
+    Integer (or boolean) input only, with size * max|v| below 2^53; the
+    result is exact and int64.  Float input raises TypeError.  The transform
+    is its own inverse up to a factor 2^n; ``Spectrum.from_table`` gives a
+    table's normalized coefficients.
     """
     v = np.asarray(values).reshape(-1)
     if v.size == 0 or v.size & (v.size - 1):
         raise ValueError(f"array length {v.size} is not a power of two")
     if v.dtype.kind not in "biu":
-        return _butterfly(v.astype(np.float64))
+        raise TypeError(f"wht takes integer or boolean input, got {v.dtype}")
     return _exact_wht(v).astype(np.int64, copy=False)
 
 
@@ -173,24 +150,6 @@ class Spectrum:
         coeffs *= 2.0**-f.n
         return cls(f.n, coeffs)
 
-    def sq_weight(self) -> float:
-        """Total squared mass; equals 1 for +-1 valued functions (Parseval)."""
-        return float(np.dot(self.coeffs, self.coeffs))
-
-
-def project_spectrum(spec: Spectrum, J: IndexSet) -> Spectrum:
-    """Zero every coefficient whose set is not contained in J."""
-    if J.n != spec.n:
-        raise ValueError(f"index set over n={J.n}, spectrum over n={spec.n}")
-    masks = np.arange(1 << spec.n, dtype=np.uint64)
-    inside = (masks & np.uint64(~J.mask & ((1 << spec.n) - 1))) == 0
-    return Spectrum(spec.n, np.where(inside, spec.coeffs, 0.0))
-
-
-def fourier_weight(spec: Spectrum, J: IndexSet) -> float:
-    """Squared coefficient mass carried by subsets of J."""
-    return project_spectrum(spec, J).sq_weight()
-
 
 def inner_product(f: "Spectrum | TruthTable", g: "Spectrum | TruthTable") -> float:
     """<f, g>: uniform-measure correlation, equal to the coefficient dot product.
@@ -220,7 +179,9 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
     """
     if R.n != s.n:
         raise ValueError(f"index set over n={R.n}, spectrum over n={s.n}")
-    return fourier_weight(s, R.complement())
+    masks = np.arange(1 << s.n, dtype=np.uint64)
+    disjoint = np.where((masks & np.uint64(R.mask)) == 0, s.coeffs, 0.0)
+    return float(np.dot(disjoint, disjoint))
 
 
 def spectrum_to_csv(spec: Spectrum, fh: TextIO) -> None:
@@ -295,7 +256,7 @@ def expected_sq_estimate(spec: Spectrum, S: IndexSet, lag: int) -> float:
         raise ValueError(f"index set over n={S.n}, spectrum over n={spec.n}")
     n = spec.n
     masks = np.arange(1 << n, dtype=np.uint64)
-    d = popcount_u64(masks ^ np.uint64(S.mask)).astype(np.float64)
+    d = np.bitwise_count(masks ^ np.uint64(S.mask)).astype(np.float64)
     base = 1.0 - 2.0 * d / n
     weight = 0.5 * base**lag * (1.0 + base)
     return float(np.dot(spec.coeffs**2, weight))
@@ -364,6 +325,6 @@ def expected_bounded_influence(spec: Spectrum, i: int, p: float) -> float:
         raise ValueError(f"coordinate {i} outside 1..{spec.n}")
     masks = np.arange(1 << spec.n, dtype=np.uint64)
     owns = (masks >> np.uint64(i - 1)) & np.uint64(1) == 1
-    sizes = popcount_u64(masks).astype(np.float64)
+    sizes = np.bitwise_count(masks).astype(np.float64)
     weights = np.where(owns, (1.0 - p) ** np.maximum(sizes - 1.0, 0.0), 0.0)
     return float(np.dot(spec.coeffs**2, weights))

@@ -22,11 +22,6 @@ MAX_TABLE_N = 24
 _SIGN = (1, -1)  # parity 0 -> +1, parity 1 -> -1
 
 
-def popcount_u64(a: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    return np.bitwise_count(a)
-
-
 def parity_sign_u64(bits: np.ndarray, mask: int) -> np.ndarray:
     """chi_S over an array of packed points: +1/-1 int8 array."""
     par = np.bitwise_count(bits & np.uint64(mask)) & np.uint8(1)
@@ -104,9 +99,6 @@ class IndexSet:
 
     def coords(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def complement(self) -> "IndexSet":
-        return IndexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
 
 
 def chi(S: IndexSet, x: Point) -> int:

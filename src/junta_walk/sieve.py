@@ -118,6 +118,12 @@ def _screen_signal(params: SieveParams, p_eff: float) -> float:
     return params.theta * (1.0 - p_eff) ** (params.level - 1)
 
 
+def _screens(params: SieveParams, n: int) -> bool:
+    """Whether a run screens; at n <= max(level, 2) it pools every coordinate
+    without drawing a pair."""
+    return n > max(params.level, 2)
+
+
 def _candidate_bound(pool_size: int, level: int) -> int:
     return sum(math.comb(pool_size, j) for j in range(min(level, pool_size) + 1))
 
@@ -130,7 +136,9 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     tau/2 where tau = theta (1-p)^(ell-1) / 2, which costs on the order of
     (1 / (q tau^2)) ln(n/delta) pairs with q = min(p, 1-p).  These sizes grow
     like (2/theta)^(2 ell), so certified mode is only feasible for tiny levels;
-    anything larger should supply practical budgets explicitly.
+    anything larger should supply practical budgets explicitly.  The step
+    total checked against BUDGET_CEILING counts only the phases a run draws:
+    a run that does not screen draws no pairs.
     """
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
@@ -144,11 +152,12 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     # lag for bias theta/8, blocks for sampling error theta/8 on every candidate
     lag = default_lag(n, params.theta)
     blocks = blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
-    total = screen_pairs * gap + blocks * (lag + 1)
+    screen = screen_pairs if _screens(params, n) else 0
+    total = screen * gap + blocks * (lag + 1)
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
-            f"(screen {screen_pairs} pairs x gap {gap}, estimate walk "
+            f"(screen {screen} pairs x gap {gap}, estimate walk "
             f"{blocks} blocks x {lag + 1}); ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
@@ -251,7 +260,7 @@ def bounded_sieve(
     if budgets is None:
         budgets = certified_budgets(params, n)
 
-    if n <= max(params.level, 2):
+    if not _screens(params, n):
         influences = np.full(n, np.inf)
         pool_coords = list(range(1, n + 1))
     else:

@@ -263,27 +263,18 @@ def updating_acceptance_trials(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class RefreshPairs:
     """Harvested block endpoints (packed x and y, their int8 labels) with each
-    block's refreshed coordinate mask, as parallel arrays."""
+    block's refreshed coordinate mask (uint64), as parallel arrays."""
 
-    def __init__(
-        self,
-        n: int,
-        x_bits: np.ndarray,
-        y_bits: np.ndarray,
-        label_x: np.ndarray,
-        label_y: np.ndarray,
-        refreshed_masks: np.ndarray,
-        walk_steps: int = 0,
-    ) -> None:
-        self.n = n
-        self.x_bits = np.asarray(x_bits, dtype=np.uint64)
-        self.y_bits = np.asarray(y_bits, dtype=np.uint64)
-        self.label_x = np.asarray(label_x, dtype=np.int8)
-        self.label_y = np.asarray(label_y, dtype=np.int8)
-        self.refreshed_masks = np.asarray(refreshed_masks, dtype=np.uint64)
-        self.walk_steps = walk_steps
+    n: int
+    x_bits: np.ndarray
+    y_bits: np.ndarray
+    label_x: np.ndarray
+    label_y: np.ndarray
+    refreshed_masks: np.ndarray
+    walk_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.x_bits)

@@ -106,6 +106,7 @@ def test_learn_recovers_generated_instance(tmp_path, capsys, caplog):
     assert obj["excess"] == obj["delta_hf"]
     assert set(obj["hypothesis"]["J"]) <= set(obj["pool"])
     assert obj["walk_steps"] > 0
+    assert obj["instance_spec"] == json.loads(inst.read_text())["spec"]
 
 
 def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
@@ -124,11 +125,30 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     # a certified run estimates, so its stdout is the one recorded before the
     # learner could skip estimation (26 033 966 walk steps, erm_sample 12 559)
     assert obj["walk_steps"] == 26_033_966
-    # the run's mode is the one line added to that record
+    # the run's mode was added to that record; a file without a recipe
+    # reports none, so the record is hashed without those two fields
     assert obj["mode"] == "certified"
-    recorded = out.replace('  "mode": "certified",\n', "")
+    assert obj["instance_spec"] is None
+    recorded = json.dumps(
+        {key: v for key, v in obj.items() if key not in ("mode", "instance_spec")}, indent=2
+    )
     digest = hashlib.sha256(recorded.encode()).hexdigest()
-    assert digest == "fb08ecc5f393420d8d673b0ddd62be40dee8e875a5b01ae63e4091f4f1899263"
+    assert digest == "46afa2d80b7b35264fa937f259e114bcdcb170731ef9035979e7a01ffa455caa"
+
+
+def test_learn_refuses_a_table_past_the_exact_opt_cap_before_walking(
+    tmp_path, capsys, monkeypatch
+):
+    # exact opt is scored first, so its cap is the one named, and no walk is drawn
+    inst = write_instance(tmp_path / "wide.json", parity_table(17, [1]))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk oracle was built")
+
+    monkeypatch.setattr(cli, "RandomWalkOracle", no_walk)
+    code = cli.main(["learn", "--instance", inst, "-k", "1", "--eps", "0.4", "--delta", "0.3"])
+    assert code == 2
+    assert "n=17 exceeds the exact-opt cap 16" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

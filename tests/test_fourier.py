@@ -22,9 +22,7 @@ from junta_walk.fourier import (
     estimator_bias_bound,
     expected_bounded_influence,
     expected_sq_estimate,
-    fourier_weight,
     inner_product,
-    project_spectrum,
     spectrum_to_csv,
     subcube_projection_exact,
     subcube_sums,
@@ -68,38 +66,39 @@ def test_wht_on_table_returns_spectrum():
 
 
 def _concatenating_wht(values: np.ndarray) -> np.ndarray:
-    """Reference butterfly: a fresh (a + b, a - b) concatenation per level."""
+    """Reference butterfly along the last axis: a fresh (a + b, a - b)
+    concatenation per level."""
     v = np.array(values)
-    size = v.size
+    size = v.shape[-1]
     h = 1
     while h < size:
         v = v.reshape(-1, 2 * h)
         v = np.concatenate([v[:, :h] + v[:, h:], v[:, :h] - v[:, h:]], axis=1)
         h *= 2
-    return v.reshape(size)
+    return v.reshape(np.shape(values))
 
 
 def test_wht_integer_input_matches_float_butterfly():
+    # integer input matches the reference butterfly; float input is refused
     rng = np.random.default_rng(0)
     v = rng.integers(-3, 4, size=64)
     out = wht(v)
     assert out.dtype == np.int64
-    np.testing.assert_array_equal(out, wht(v.astype(float)).astype(np.int64))
+    np.testing.assert_array_equal(out, _concatenating_wht(v))
     np.testing.assert_array_equal(wht(v.astype(np.int8)), out)
     assert wht(np.ones(4, dtype=bool)).dtype == np.int64
+    for floats in (v.astype(float), v.astype(np.float32), np.ones(1)):
+        with pytest.raises(TypeError, match=str(floats.dtype)):
+            wht(floats)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
 def test_wht_matches_concatenating_reference_bit_for_bit(n):
     rng = np.random.default_rng(n)
-    floats = rng.normal(size=1 << n) * 10.0 ** rng.integers(-8, 8, size=1 << n)
-    kept = floats.copy()
-    out = wht(floats)
-    assert out.dtype == np.float64
-    assert out.tobytes() == _concatenating_wht(floats).tobytes()
-    np.testing.assert_array_equal(floats, kept)  # the input is not overwritten
     ints = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
-    np.testing.assert_array_equal(wht(ints), _concatenating_wht(ints))
+    kept = ints.copy()
+    assert wht(ints).tobytes() == _concatenating_wht(ints).tobytes()
+    np.testing.assert_array_equal(ints, kept)  # the input is not overwritten
     if n:
         f = random_table(n, rng)
         float_coeffs = _concatenating_wht(f.values.astype(np.float64)) / (1 << n)
@@ -124,25 +123,21 @@ def test_spectrum_copies_the_callers_array():
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypatch):
     # every partial sum is bounded by size * max|v|: float32 runs below 2^24,
-    # float64 below 2^53, and the int64 butterfly from there on
-    butterfly, gemm, words = fourier._butterfly, fourier._gemm_wht, []
+    # float64 below 2^53, and a bound of 2^53 or more is refused
+    gemm, words = fourier._gemm_wht, []
 
-    def spy(inner):
-        def run(v):
-            words.append(v.dtype)
-            return inner(v)
+    def spy(v):
+        words.append(v.dtype)
+        return gemm(v)
 
-        return run
-
-    monkeypatch.setattr(fourier, "_butterfly", spy(butterfly))
-    monkeypatch.setattr(fourier, "_gemm_wht", spy(gemm))
+    monkeypatch.setattr(fourier, "_gemm_wht", spy)
     size, rng = 1 << n, np.random.default_rng(n)
     f32_top, f64_top = (1 << 24) // size, (1 << 53) // size  # size * top == bound
     for peak, word in (
         (f32_top - 1, np.float32),
         (f32_top, np.float64),
         (f64_top - 1, np.float64),
-        (f64_top, np.int64),
+        (f64_top, None),
     ):
         for v in (
             np.full(size, peak),
@@ -152,20 +147,25 @@ def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypa
         ):
             v[0] = peak if v[0] >= 0 else -peak  # the bound is met exactly
             words.clear()
+            if word is None:
+                with pytest.raises(ValueError, match=f"{size * peak} reaches 2\\^53"):
+                    wht(v)
+                assert words == []
+                continue
             out = wht(v)
             assert words == [word]
             assert out.dtype == np.int64
-            assert out.tobytes() == butterfly(v.astype(np.int64)).tobytes()
+            assert out.tobytes() == _concatenating_wht(v.astype(np.int64)).tobytes()
     assert wht(np.full(size, f32_top))[0] == 1 << 24  # past float32's exact range
     # subcube_sums transforms (S, 2^k) coefficient blocks the same way
     k, table = min(n, 3), rng.integers(-f32_top + 1, f32_top, size=size)
     supports = list(combinations(range(n), k))
     words.clear()
     got = list(subcube_sums(table, supports, k))
-    coeffs = butterfly(table.astype(np.int64))
+    coeffs = _concatenating_wht(table.astype(np.int64))
     block_word = np.float32 if (max(abs(coeffs)) << k) < 1 << 24 else np.float64
     assert words == [np.float32, block_word]
-    monkeypatch.setattr(fourier, "_exact_wht", lambda v: butterfly(v.astype(np.int64)))
+    monkeypatch.setattr(fourier, "_exact_wht", lambda v: _concatenating_wht(v.astype(np.int64)))
     for (pos, sums), (ref_pos, ref_sums) in zip(
         got, subcube_sums(table, supports, k), strict=True
     ):
@@ -187,48 +187,29 @@ def test_and3_coefficients():
 
 @given(sign_tables)
 def test_parseval(f):
-    assert abs(Spectrum.from_table(f).sq_weight() - 1.0) < 1e-12
+    coeffs = Spectrum.from_table(f).coeffs
+    assert abs(np.dot(coeffs, coeffs) - 1.0) < 1e-12
 
 
 @given(sign_tables)
 def test_spectrum_table_round_trip(f):
-    # coefficients are multiples of 2^-n, so the float inverse is exact
-    g = TruthTable(f.n, wht(Spectrum.from_table(f).coeffs).astype(np.int8))
+    # the spectrum is the exact integer transform scaled by 2^-n, and
+    # transforming those integers again gives the table times 2^n
+    coeffs = wht(f.values)
+    assert Spectrum.from_table(f).coeffs.tobytes() == (coeffs / (1 << f.n)).tobytes()
+    g = TruthTable(f.n, (wht(coeffs) >> f.n).astype(np.int8))
     np.testing.assert_array_equal(g.values, f.values)
 
 
 def test_wht_inverts_itself_up_to_scale():
     f = random_table(6, np.random.default_rng(4))
-    spec = Spectrum.from_table(f)
-    np.testing.assert_allclose(wht(spec.coeffs), f.values, atol=1e-9)
     np.testing.assert_array_equal(wht(wht(f.values)), f.values.astype(np.int64) << 6)
+    v = np.random.default_rng(5).integers(-1000, 1000, size=1 << 10)
+    np.testing.assert_array_equal(wht(wht(v)), v << 10)
 
 
 # ---------------------------------------------------------------------------
-# Projections and inner products
-
-
-def test_project_spectrum_keeps_only_subsets():
-    spec = Spectrum.from_table(and_table(3, [1, 2, 3]))
-    proj = project_spectrum(spec, IndexSet.of(3, [1, 2]))
-    for mask in range(8):
-        if mask & 0b100:
-            assert proj.coeffs[mask] == 0.0
-        else:
-            assert proj.coeffs[mask] == spec.coeffs[mask]
-
-
-def test_fourier_weight_full_set_is_total_mass():
-    f = random_table(5, np.random.default_rng(9))
-    spec = Spectrum.from_table(f)
-    assert fourier_weight(spec, IndexSet.full(5)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fourier_weight_monotone_under_inclusion():
-    spec = Spectrum.from_table(random_table(5, np.random.default_rng(10)))
-    small = fourier_weight(spec, IndexSet.of(5, [1, 3]))
-    large = fourier_weight(spec, IndexSet.of(5, [1, 3, 4]))
-    assert small <= large + 1e-12
+# Inner products and subcube projections
 
 
 @given(sign_tables, sign_tables)
@@ -408,7 +389,7 @@ def _dense_bulk_reference(samples):
     """The former bulk path: both lags binned on all 2^n xor words."""
     size = 1 << samples.n
     bins_t, bins_t1 = (
-        np.bincount(diff.astype(np.int64), weights=prod, minlength=size)
+        np.bincount(diff.astype(np.int64), weights=prod, minlength=size).astype(np.int64)
         for diff, prod in ((samples.diff_t, samples.prod_t), (samples.diff_t1, samples.prod_t1))
     )
     return 0.5 * (wht(bins_t) + wht(bins_t1)) / len(samples)

@@ -19,7 +19,6 @@ from junta_walk.hypercube import (
     distance_exact,
     flip,
     parity_sign_u64,
-    popcount_u64,
     restriction_indices,
 )
 from junta_walk.functions import and_table, parity_table
@@ -87,16 +86,6 @@ def test_index_set_basics():
     assert S.mask == 0b1010010
 
 
-@given(dim_and_masks(count=2))
-def test_complement_partitions(nmm):
-    n, a, _ = nmm
-    S = IndexSet(n, a)
-    C = S.complement()
-    assert S.mask & C.mask == 0
-    assert S.mask | C.mask == (1 << n) - 1
-    assert len(S) + len(C) == n
-
-
 @given(dim_and_masks(max_n=12, count=3))
 def test_chi_multiplicative(nmmm):
     n, s, a, b = nmmm
@@ -125,11 +114,6 @@ def test_parity_sign_matches_scalar_chi(nmm):
     S = IndexSet(n, s)
     for bits in (0, int(arr[-1]), x % len(arr)):
         assert signs[bits] == chi(S, Point(n, bits))
-
-
-def test_popcount_u64():
-    arr = np.array([0, 1, 3, 0xFF, (1 << 63) | 1], dtype=np.uint64)
-    np.testing.assert_array_equal(popcount_u64(arr), [0, 1, 2, 8, 2])
 
 
 # ---------------------------------------------------------------------------

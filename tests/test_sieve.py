@@ -13,7 +13,7 @@ import pytest
 import junta_walk.sieve as sieve_mod
 from junta_walk.fourier import Spectrum, blocks_for, default_lag
 from junta_walk.functions import and_table, constant_table, parity_table, random_junta
-from junta_walk.hypercube import IndexSet, popcount_u64
+from junta_walk.hypercube import IndexSet
 from junta_walk.sieve import (
     BudgetInfeasible,
     CertifyReport,
@@ -99,6 +99,21 @@ def test_certified_budgets_can_refuse():
     params = SieveParams(level=3, theta=1e-3, delta=0.1)
     with pytest.raises(BudgetInfeasible):
         certified_budgets(params, 12)
+
+
+def test_certified_budgets_price_only_the_phases_a_run_draws():
+    # at n <= max(level, 2) the sieve pools every coordinate without drawing a
+    # pair, so the screen it skips does not count against the ceiling
+    params = SieveParams(level=3, theta=0.02, delta=0.1)
+    b = certified_budgets(params, 3)
+    assert b.screen_pairs * b.gap_steps > sieve_mod.BUDGET_CEILING
+    oracle = RandomWalkOracle(parity_table(3, [1, 2]), 3, seed=1)
+    res = bounded_sieve(oracle, params)
+    assert res.walk_steps == b.estimate_blocks * (b.lag + 1)
+    assert res.masks() == [IndexSet.of(3, [1, 2]).mask]
+    # one more coordinate is screened, and its screen is priced
+    with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs x gap 2"):
+        certified_budgets(params, 4)
 
 
 def test_practical_budgets_log_nothing(caplog):
@@ -435,7 +450,7 @@ def _full_scan_violations(result, truth, theta, level):
     failures = []
     returned = set(result.masks())
     masks = np.arange(1 << truth.n, dtype=np.uint64)
-    sizes = popcount_u64(masks)
+    sizes = np.bitwise_count(masks)
     sq = np.asarray(truth.coeffs) ** 2
     for mask in np.nonzero((sizes <= level) & (sq >= theta))[0]:
         if int(mask) not in returned:
