@@ -301,9 +301,10 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndar
     counts come from byte histograms of the masks.  The same counts give
     sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the contrast's standard
     deviation when the pairs are iid: each mean averages values in [-1, 1].
-    Consecutive walk pairs are not iid, so for the chain sigma_i is an
-    estimate, not a bound.  A coordinate refreshed in none or all of the
-    pairs has no contrast sample and reads +inf in both arrays.
+    Harvested pairs share half-blocks with their neighbours and are not iid,
+    so for them sigma_i is an estimate, not a bound.  A coordinate refreshed
+    in none or all of the pairs has no contrast sample and reads +inf in both
+    arrays.
     """
     masks = pairs.refreshed_masks
     disagree = masks[pairs.label_x != pairs.label_y]

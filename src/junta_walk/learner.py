@@ -34,7 +34,7 @@ from .hypercube import (
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveParams, SieveResult, bounded_sieve, practical_budgets
+from .sieve import SieveParams, SieveResult, _check_budget, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -88,10 +88,9 @@ class LearnParams:
         if (self.screen_pairs is None) != (self.erm_sample is None):
             missing = "erm_sample" if self.erm_sample is None else "screen_pairs"
             raise ValueError(f"a practical run needs both budgets; {missing} is missing")
-        for name in ("screen_pairs", "erm_sample"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name}={value} must be >= 1")
+        if self.screen_pairs is not None:
+            for name in ("screen_pairs", "erm_sample"):
+                _check_budget(name, getattr(self, name), 1)
 
     @property
     def mode(self) -> str:

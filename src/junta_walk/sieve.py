@@ -69,6 +69,15 @@ class BudgetInfeasible(SieveError):
     """Certified budgets would exceed the configured step ceiling."""
 
 
+def _check_budget(name: str, value: int, least: int) -> None:
+    """Refuse a budget that is not an integer (a bool is refused too) or is
+    below ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"budget {name}={value!r} must be an integer")
+    if value < least:
+        raise ValueError(f"budget {name}={value} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class SieveBudgets:
     """Concrete sample sizes for the two phases; zero ``estimate_blocks``
@@ -83,8 +92,7 @@ class SieveBudgets:
         for name, least in (
             ("screen_pairs", 1), ("estimate_blocks", 0), ("lag", 1), ("gap_steps", 1)
         ):
-            if getattr(self, name) < least:
-                raise ValueError(f"budget {name}={getattr(self, name)} must be >= {least}")
+            _check_budget(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -134,31 +142,37 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     The failure probability splits three ways: coordinate screening, pool-size
     control, and candidate estimation.  Screening needs each contrast within
     tau/2 where tau = theta (1-p)^(ell-1) / 2, which costs on the order of
-    (1 / (q tau^2)) ln(n/delta) pairs with q = min(p, 1-p).  These sizes grow
-    like (2/theta)^(2 ell), so certified mode is only feasible for tiny levels;
+    (1 / (q tau^2)) ln(n/delta) pairs with q = min(p, 1-p).  Consecutive
+    harvested pairs share a half-block, but the even pairs, and the odd
+    pairs, are each a chain of disjoint blocks, which that count covers; so
+    the screen takes twice the count at half the screening share of delta,
+    and each conditional mean, a weighted average of the two families'
+    means, is within tau/2 when both are.  These sizes grow like
+    (2/theta)^(2 ell), so certified mode is only feasible for tiny levels;
     anything larger should supply practical budgets explicitly.  The step
     total checked against BUDGET_CEILING counts only the phases a run draws:
-    a run that does not screen draws no pairs.
+    a run that does not screen draws no pairs, and one that does draws
+    pairs + 1 half-blocks of gap/2 mean steps.
     """
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
     tau = _screen_signal(params, p_eff) / 2.0
     q = min(p_eff, 1.0 - p_eff)  # > 0: the density and gap keep p_eff inside (0, 1)
-    screen_pairs = math.ceil(
-        (64.0 / (q * tau * tau)) * max(math.log(12.0 * n / params.delta), 1.0)
+    screen_pairs = 2 * math.ceil(
+        (64.0 / (q * tau * tau)) * max(math.log(24.0 * n / params.delta), 1.0)
     )
     pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
     # lag for bias theta/8, blocks for sampling error theta/8 on every candidate
     lag = default_lag(n, params.theta)
     blocks = blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
-    screen = screen_pairs if _screens(params, n) else 0
-    total = screen * gap + blocks * (lag + 1)
+    screen = math.ceil((screen_pairs + 1) * gap / 2) if _screens(params, n) else 0
+    total = screen + blocks * (lag + 1)
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
-            f"(screen {screen} pairs x gap {gap}, estimate walk "
-            f"{blocks} blocks x {lag + 1}); ceiling is {BUDGET_CEILING}"
+            f"(screen {screen_pairs} pairs over {screen} steps at gap {gap}, "
+            f"estimate walk {blocks} blocks x {lag + 1}); ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
         screen_pairs=screen_pairs, estimate_blocks=blocks, lag=lag, gap_steps=gap
@@ -239,8 +253,12 @@ def bounded_sieve(
     is half the signal of a member of a qualifying set, sigma_i comes from
     :func:`estimate_bounded_influence`, and z = Phi^-1(1 - delta/(2n)) is a
     union bound over the n coordinates at two-sided level delta.  sigma_i is
-    the iid bound; the walk's pairs are not iid, and the bound was measured
-    within sampling error on one n = 16 instance, not proven for the chain.
+    the iid bound; the harvest's pairs are not iid (adjacent pairs share a
+    half-block), so for them it is an estimate, not a bound.  Measured over
+    200 oracle seeds of 300 000 pairs, one iid-0.1 instance per (n, k) cell
+    at (8, 1), (12, 2), (16, 2) and (16, 3), the irrelevant coordinates'
+    contrast sd is 1.01-1.04 sigma_i (pooled over coordinates), against
+    0.92-0.97 sigma_i for disjoint blocks; it is not proven for the chain.
     Budgets sized to resolve tau give z sigma_i < tau, so the floor only acts
     when they do not.  At n <= max(level, 2) every coordinate is pooled
     without drawing pairs.  Raises :class:`PoolOverflow` when the pool

@@ -13,14 +13,18 @@ every zero receives a fresh uniform coordinate.  ``updating_acceptance_trials``
 repeats that experiment on fresh walks and counts the schedules that cover [n].
 
 ``harvest_refresh_pairs`` mass-produces endpoint pairs annotated with refreshed
-coordinate sets.  It cuts a single updating walk into Poisson-length blocks:
-the coordinates selected inside a block are resampled uniformly and
-independently between its endpoints, all others are frozen, which is the exact
+coordinate sets.  It cuts a single updating walk into half-blocks of
+Poisson(gap/2) length and reads each two adjacent half-blocks as one pair: the
+coordinates selected inside them are resampled uniformly and independently
+between the pair's endpoints, all others are frozen, which is the exact
 statistical model the refresh annotation promises, and the Poisson lengths
-decouple the per-coordinate refresh events from one another.  It draws that
-law per block rather than per step: a Poisson step total per chunk of blocks,
-a uniform (block, coordinate) cell per step, and a uniform n-bit word per
-block for the refreshed coordinates' new values.  (The embedded plain-walk experiment
+decouple the per-coordinate refresh events from one another.  Adjacent pairs
+overlap in one half-block, so P pairs cost P + 1 half-blocks, about half the
+walk of P disjoint blocks, while each pair keeps the law of one
+Poisson(gap)-length block.  It draws that law per half-block rather than per
+step: a Poisson step total per chunk of half-blocks, a uniform (half-block,
+coordinate) cell per step, and a uniform n-bit word per half-block for the
+selected coordinates' new values.  (The embedded plain-walk experiment
 cannot deliver that exactness: a plain walk always changes parity each step,
 so its endpoints carry a deterministic parity constraint however the schedule
 is conditioned.)
@@ -265,8 +269,12 @@ def updating_acceptance_trials(
 
 @dataclass(frozen=True)
 class RefreshPairs:
-    """Harvested block endpoints (packed x and y, their int8 labels) with each
-    block's refreshed coordinate mask (uint64), as parallel arrays."""
+    """Harvested refresh pairs (packed x and y, their int8 labels) with each
+    pair's refreshed coordinate mask (uint64), as parallel arrays.
+
+    Pair i spans half-blocks i and i + 1 of one walk, so its y is pair
+    i + 2's x, and ``refreshed_masks[i]`` is the union of the two half-blocks'
+    selected coordinates."""
 
     n: int
     x_bits: np.ndarray
@@ -280,43 +288,53 @@ class RefreshPairs:
         return len(self.x_bits)
 
 
-# Mean walk steps per chunk of refresh-pair harvesting: a chunk of B =
-# _HARVEST_CHUNK_STEPS // gap_steps blocks holds its T ~ Poisson(B gap_steps)
-# int32 cells and B word-wide rows of bools: about 0.8 MB plus <= 64 B per block.
+# Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
+# _HARVEST_CHUNK_STEPS // gap_steps half-blocks holds its T ~ Poisson(B
+# gap_steps / 2) int32 cells and B word-wide rows of bools: about 0.4 MB of
+# cells (mean _HARVEST_CHUNK_STEPS / 2 steps) plus <= 64 B per half-block.
 _HARVEST_CHUNK_STEPS = 200_000
 
 
 def harvest_refresh_pairs(
     f: LabelSource, n: int, pair_count: int, gap_steps: int, seed: int
 ) -> RefreshPairs:
-    """Cut one fresh updating walk into consecutive blocks of Poisson
-    (``gap_steps``) mean length and emit each block's endpoint pair with its
-    refreshed coordinate set.
+    """Cut one fresh updating walk into ``pair_count + 1`` consecutive
+    half-blocks of Poisson(``gap_steps`` / 2) length and emit, for each two
+    adjacent half-blocks, the endpoint pair they span with its refreshed
+    coordinate set.
 
     An updating step selects a uniform coordinate and rewrites it with a fair
-    bit, so every selected coordinate of a block ends uniform and independent
-    of where it started, while unselected coordinates carry through unchanged.
-    The emitted pairs are exact samples of the refresh model
+    bit, so every selected coordinate of a stretch of walk ends uniform and
+    independent of where it started, while unselected coordinates carry
+    through unchanged.  The emitted pairs are exact samples of the refresh
+    model
 
         E[f(x) f(y) | refreshed = R] = sum over T disjoint from R of fhat(T)^2.
 
-    Poissonized block lengths make the per-coordinate selection counts
-    independent Poisson(gap_steps/n) variables, so membership in R is an
-    independent Bernoulli event of probability 1 - exp(-gap_steps/n) for every
-    coordinate; conditional statistics over R then factorize exactly, which is
-    what calibrates the screening contrasts downstream.  A zero-length block
-    (probability e^-gap_steps) legitimately emits refreshed = empty and y = x.
+    Poissonized lengths make the per-coordinate selection counts of a
+    half-block independent Poisson(gap_steps/(2n)) variables, so a pair,
+    spanning two independent half-blocks, selects each coordinate a
+    Poisson(gap_steps/n) number of times: membership in R is an independent
+    Bernoulli event of probability 1 - exp(-gap_steps/n) for every
+    coordinate, exactly as for one block of Poisson(gap_steps) steps, and
+    conditional statistics over R factorize exactly, which is what
+    calibrates the screening contrasts downstream.  A pair without steps
+    (probability e^-gap_steps) legitimately emits refreshed = empty and
+    y = x.  Pair i joins chain boundaries i and i + 2, so consecutive pairs
+    share a half-block and are not independent, but the even pairs, and the
+    odd pairs, are each a chain of disjoint blocks; the walk behind P pairs
+    is about half as long as P disjoint blocks.
 
-    The walk is drawn by that law a chunk of B blocks at a time, without its
-    steps.  By Poisson splitting, T ~ Poisson(B gap_steps) steps in uniform
-    (block, coordinate) cells give every cell an independent
-    Poisson(gap_steps/n) count, as B independent Poisson(gap_steps) blocks of
-    uniform coordinates do; a block's R is the coordinates of its hit cells.
-    Only the last fair bit of a selected coordinate survives the block, so
-    y xor x is a uniform word W masked to R, independent of the rest.
-    ``walk_steps`` sums the T.  The returned arrays are read-only:
+    The walk is drawn by that law a chunk of B half-blocks at a time,
+    without its steps.  By Poisson splitting, T ~ Poisson(B gap_steps / 2)
+    steps in uniform (half-block, coordinate) cells give every cell an
+    independent Poisson(gap_steps/(2n)) count; a half-block's selected set is
+    the coordinates of its hit cells.  Only the last fair bit of a selected
+    coordinate survives the half-block, so the boundary moves by a uniform
+    word masked to that set, independent of the rest, and y xor x is uniform
+    on R.  ``walk_steps`` sums the T.  The returned arrays are read-only:
     ``x_bits``/``y_bits`` and the two label arrays are overlapping views of
-    one chain of block boundaries.
+    one chain of half-block boundaries.
     """
     _check_source(f, n)
     _check_positive(pair_count=pair_count, gap_steps=gap_steps)
@@ -325,49 +343,52 @@ def harvest_refresh_pairs(
     width = np.iinfo(word).bits
 
     chain = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
-    out_r: list[np.ndarray] = []
+    out_sel: list[np.ndarray] = []
     done = 0
     steps_used = 0
-    while done < pair_count:
-        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
-        total = int(rng.poisson(blocks * gap_steps))
+    while done < pair_count + 1:
+        halves = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
+        total = int(rng.poisson(halves * gap_steps / 2))
         steps_used += total
-        # cell c selects coordinate c % n + 1 of block c // n, which is bit
-        # c % n of row c // n once the rows of ``hit`` are one word wide
-        cells = rng.integers(0, blocks * n, size=total, dtype=np.int32)
+        # cell c selects coordinate c % n + 1 of half-block c // n, which is
+        # bit c % n of row c // n once the rows of ``hit`` are one word wide
+        cells = rng.integers(0, halves * n, size=total, dtype=np.int32)
         if n != width:
             cells += (cells // n) * (width - n)
-        hit = np.zeros(blocks * width, dtype=bool)
+        hit = np.zeros(halves * width, dtype=bool)
         hit[cells] = True
         # little-endian bits and bytes: element j of a row is bit j of its word
         sel = np.packbits(hit, bitorder="little").view(np.dtype(word).newbyteorder("<"))
-        changes = sel & rng.integers(0, 1 << n, size=blocks, dtype=word)
+        changes = sel & rng.integers(0, 1 << n, size=halves, dtype=word)
         chain.append(chain[-1][-1] ^ np.bitwise_xor.accumulate(changes))
-        out_r.append(sel.astype(np.uint64))
-        done += blocks
+        out_sel.append(sel)
+        done += halves
 
     bounds = np.concatenate(chain)
     labels = labels_for(f, bounds)
-    masks = np.concatenate(out_r)
+    sel = np.concatenate(out_sel)
+    masks = (sel[:-1] | sel[1:]).astype(np.uint64)
     for arr in (bounds, labels, masks):
         arr.setflags(write=False)
     return RefreshPairs(
         n=n,
-        x_bits=bounds[:-1],
-        y_bits=bounds[1:],
-        label_x=labels[:-1],
-        label_y=labels[1:],
+        x_bits=bounds[:-2],
+        y_bits=bounds[2:],
+        label_x=labels[:-2],
+        label_y=labels[2:],
         refreshed_masks=masks,
         walk_steps=steps_used,
     )
 
 
 def effective_refresh_density(n: int, gap_steps: int) -> float:
-    """Per-coordinate refresh probability of a harvested block.
+    """Per-coordinate refresh probability of a harvested pair.
 
-    Poissonized blocks select coordinate i a Poisson(gap_steps/n) number of
-    times, so P[i refreshed] = 1 - exp(-gap_steps/n), independently across i.
+    A pair's two Poissonized half-blocks select coordinate i a
+    Poisson(gap_steps/n) number of times, so P[i refreshed] =
+    1 - exp(-gap_steps/n), independently across i.
     """
+    _check_positive(gap_steps=gap_steps)
     return 1.0 - math.exp(-gap_steps / n)
 
 
@@ -422,8 +443,8 @@ def sample_size_erm(
     m = ceil((8N/eps^2)(ln(2N/delta) + lnC)); all |C| factors stay in log space.
     """
     _check_eps_delta(epsilon, delta)
-    if log_class_size < 0.0:
-        raise ValueError(f"log_class_size={log_class_size} must be >= 0")
+    if not 0.0 <= log_class_size < math.inf:
+        raise ValueError(f"log_class_size={log_class_size} must be finite and >= 0")
     N = math.ceil(n * (math.log(2 * n / delta) + log_class_size))
     m = math.ceil((8 * N / epsilon**2) * (math.log(2 * N / delta) + log_class_size))
     return SampleSizePlan(n, epsilon, delta, log_class_size, N, m)

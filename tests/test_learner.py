@@ -107,6 +107,17 @@ def test_erm_sample_is_refused_below_one():
         LearnParams(2, 0.2, 0.1, screen_pairs=0, erm_sample=1000)
 
 
+@pytest.mark.parametrize("name", ["screen_pairs", "erm_sample"])
+@pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000", None])
+def test_non_integer_budgets_are_refused_by_name(name, value):
+    # refused when the run is configured, before any walk is drawn
+    fields = {"screen_pairs": 1000, "erm_sample": 100, name: value}
+    error = ValueError if value is None else TypeError
+    with pytest.raises(error, match=name):
+        LearnParams(2, 0.25, 0.2, **fields)
+    LearnParams(2, 0.25, 0.2, **{**fields, name: np.int64(1000)})
+
+
 def test_mode_conflicts_rejected():
     # the mode follows from the budget fields, so it cannot be set against them
     with pytest.raises(TypeError):

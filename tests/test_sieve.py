@@ -69,6 +69,15 @@ def test_budget_field_validation():
     SieveBudgets(screen_pairs=1, estimate_blocks=0, lag=3, gap_steps=2)
 
 
+@pytest.mark.parametrize("name", ["screen_pairs", "estimate_blocks", "lag", "gap_steps"])
+@pytest.mark.parametrize("value", [10.5, 3.0, True, False, "3"])
+def test_non_integer_budgets_are_refused_by_name(name, value):
+    fields = {"screen_pairs": 10, "estimate_blocks": 0, "lag": 1, "gap_steps": 3, name: value}
+    with pytest.raises(TypeError, match=f"budget {name}="):
+        SieveBudgets(**fields)
+    SieveBudgets(**{**fields, name: np.int32(3)})
+
+
 def test_certified_budgets_small_case():
     params = SieveParams(level=1, theta=0.25, delta=0.25)
     b = certified_budgets(params, 4)
@@ -84,6 +93,23 @@ def test_certified_estimation_budget():
     candidates = 1 + 8 + math.comb(8, 2)  # the pool cap, 80, exceeds n = 8
     assert b.lag == default_lag(8, 0.1)
     assert b.estimate_blocks == blocks_for(0.1 / 8, 0.05 / (3 * candidates))
+
+
+def test_certified_screen_is_priced_per_parity_family():
+    # the even pairs, and the odd pairs, each take the Hoeffding count at half
+    # the screening share of delta, and the walk is pairs + 1 half-blocks
+    params = SieveParams(level=2, theta=0.3, delta=0.1)
+    n = 6
+    b = certified_budgets(params, n)
+    p_eff = effective_refresh_density(n, b.gap_steps)
+    tau = params.theta * (1 - p_eff) / 2
+    q = min(p_eff, 1 - p_eff)
+    family = math.ceil(64 / (q * tau * tau) * math.log(24 * n / params.delta))
+    assert b.screen_pairs == 2 * family
+    res = bounded_sieve(RandomWalkOracle(and_table(n, [2, 4]), n, seed=7), params)
+    screen_steps = res.walk_steps - b.estimate_blocks * (b.lag + 1)
+    mean = (b.screen_pairs + 1) * b.gap_steps / 2
+    assert abs(screen_steps - mean) <= 5 * math.sqrt(mean)
 
 
 def test_screening_refresh_density_is_strictly_inside_the_unit_interval():
@@ -106,13 +132,13 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     # pair, so the screen it skips does not count against the ceiling
     params = SieveParams(level=3, theta=0.02, delta=0.1)
     b = certified_budgets(params, 3)
-    assert b.screen_pairs * b.gap_steps > sieve_mod.BUDGET_CEILING
+    assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 2) > sieve_mod.BUDGET_CEILING
     oracle = RandomWalkOracle(parity_table(3, [1, 2]), 3, seed=1)
     res = bounded_sieve(oracle, params)
     assert res.walk_steps == b.estimate_blocks * (b.lag + 1)
     assert res.masks() == [IndexSet.of(3, [1, 2]).mask]
     # one more coordinate is screened, and its screen is priced
-    with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs x gap 2"):
+    with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs over \d+ steps at gap 2"):
         certified_budgets(params, 4)
 
 
@@ -517,7 +543,7 @@ def test_certified_budget_runs_meet_contract():
         assert res.mode == "certified"
         assert certify_result(res, spec, 0.3, 2).passed
         outputs.append(res.to_json())
-    # certified screening sizes put z sigma below tau, so the noise floor
-    # leaves these runs byte-identical to the ones recorded before it existed
+    # certified screening sizes put z sigma below tau, so tau alone decides
+    # these pools; the digest pins the outputs the half-block harvest draws
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "17c676673dac651eb2624756d3637db06d0fbe5536cd8bfe8c81858ae0279f5b"
+    assert digest == "a5de22beea64842e498ab22aef40da7dc5b87fbc3297b774dd422c3aba23c299"

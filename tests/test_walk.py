@@ -119,7 +119,7 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
         assert np.any(w.labels == 1) and np.any(w.labels == -1)
     pairs = oracle.refresh_pairs(5_000, gap_steps=40)
     assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.refreshed_masks == 0)
-    assert np.all(pairs.y_bits[:-1] == pairs.x_bits[1:])  # one walk, cut into blocks
+    assert np.all(pairs.y_bits[:-2] == pairs.x_bits[2:])  # one walk, cut into half-blocks
     np.testing.assert_array_equal(pairs.label_x, f(pairs.x_bits))
     np.testing.assert_array_equal(pairs.label_y, f(pairs.y_bits))
     assert np.any(pairs.refreshed_masks >> top)
@@ -266,8 +266,20 @@ def test_harvest_validation():
 def test_harvest_pairs_chain_into_one_walk():
     pairs = harvest_refresh_pairs(XOR2, 6, pair_count=5000, gap_steps=3, seed=2)
     assert len(pairs) == 5000
-    np.testing.assert_array_equal(pairs.y_bits[:-1], pairs.x_bits[1:])
+    # pair i spans half-blocks i and i + 1: it ends where pair i + 2 starts
+    np.testing.assert_array_equal(pairs.y_bits[:-2], pairs.x_bits[2:])
+    np.testing.assert_array_equal(pairs.label_y[:-2], pairs.label_x[2:])
     assert pairs.walk_steps > 0
+
+
+def test_harvest_pairs_overlap_in_one_half_block():
+    # x[i + 1] ^ x[i] is half-block i's move, which both pairs i - 1 and i refresh
+    for n, gap in ((6, 3), (16, 7), (63, 40)):
+        pairs = harvest_refresh_pairs(_top_bit_labels(n), n, 5000, gap, seed=n)
+        x, masks = pairs.x_bits, pairs.refreshed_masks
+        move = x[2:] ^ x[1:-1]
+        assert np.all(move & ~(masks[1:-1] & masks[:-2]) == 0)
+        assert np.any(move)
 
 
 def test_harvest_moves_only_refreshed_coordinates():
@@ -341,28 +353,31 @@ def _reference_walk_points(rng, n, count):
     return points
 
 
-def _reference_pairs(f, out_x, out_y, out_r, steps_used):
-    x_bits, y_bits = np.concatenate(out_x), np.concatenate(out_y)
+def _reference_pairs(f, out_b, out_r, steps_used):
+    # pair i joins boundaries i and i + 2 and refreshes half-blocks i and i + 1
+    bounds, sel = np.concatenate(out_b), np.concatenate(out_r)
+    x_bits, y_bits = bounds[:-2], bounds[2:]
     return {
         "x_bits": x_bits,
         "y_bits": y_bits,
         "label_x": labels_for(f, x_bits),
         "label_y": labels_for(f, y_bits),
-        "refreshed_masks": np.concatenate(out_r),
+        "refreshed_masks": sel[:-1] | sel[1:],
         "walk_steps": steps_used,
     }
 
 
 def _reference_harvest(f, n, pair_count, gap_steps, seed):
-    # the per-step walk: Poisson block lengths, then a uniform coordinate and
-    # a fair bit per step, each block's steps reduced with padded reduceats
+    # the per-step walk: Poisson(gap/2) half-block lengths, then a uniform
+    # coordinate and a fair bit per step, each half-block's steps reduced with
+    # padded reduceats
     rng = np.random.default_rng(seed)
-    out_x, out_y, out_r = [], [], []
-    state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
+    out_b = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
+    out_r = []
     done = steps_used = 0
-    while done < pair_count:
-        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
-        lengths = rng.poisson(gap_steps, size=blocks)
+    while done < pair_count + 1:
+        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
+        lengths = rng.poisson(gap_steps / 2, size=blocks)
         total = int(lengths.sum())
         steps_used += total
         _, bit, act_bit = _reference_draw_steps(rng, n, total, lazy=True)
@@ -372,44 +387,36 @@ def _reference_harvest(f, n, pair_count, gap_steps, seed):
         block_sel = np.bitwise_or.reduceat(np.append(bit, np.uint64(0)), starts)
         block_xor[lengths == 0] = 0
         block_sel[lengths == 0] = 0
-        bounds = np.empty(blocks + 1, dtype=np.uint64)
-        bounds[0] = state
-        bounds[1:] = state ^ np.bitwise_xor.accumulate(block_xor)
-        state = bounds[-1]
-        out_x.append(bounds[:-1])
-        out_y.append(bounds[1:])
+        out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(block_xor))
         out_r.append(block_sel)
         done += blocks
-    return _reference_pairs(f, out_x, out_y, out_r, steps_used)
+    return _reference_pairs(f, out_b, out_r, steps_used)
 
 
 def _reference_cell_harvest(f, n, pair_count, gap_steps, seed):
-    # the per-block draw one cell at a time in uint64: a chunk's Poisson step
-    # total, cell c selecting coordinate c % n + 1 of block c // n, and one
-    # uniform n-bit word per block masked to the block's selected coordinates
+    # the per-half-block draw one cell at a time in uint64: a chunk's Poisson
+    # step total at mean half-blocks * gap / 2, cell c selecting coordinate
+    # c % n + 1 of half-block c // n, and one uniform n-bit word per
+    # half-block masked to its selected coordinates
     rng = np.random.default_rng(seed)
     word = next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
-    out_x, out_y, out_r = [], [], []
-    state = np.uint64(rng.integers(0, 1 << n, dtype=np.uint64))
+    out_b = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
+    out_r = []
     done = steps_used = 0
-    while done < pair_count:
-        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count - done)
-        total = int(rng.poisson(blocks * gap_steps))
+    while done < pair_count + 1:
+        blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
+        total = int(rng.poisson(blocks * gap_steps / 2))
         steps_used += total
         cells = rng.integers(0, blocks * n, size=total, dtype=np.int32)
         block_sel = np.zeros(blocks, dtype=np.uint64)
         coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
         np.bitwise_or.at(block_sel, cells // n, coord_bits)
         block_word = rng.integers(0, 1 << n, size=blocks, dtype=word)
-        bounds = np.empty(blocks + 1, dtype=np.uint64)
-        bounds[0] = state
-        bounds[1:] = state ^ np.bitwise_xor.accumulate(block_sel & block_word.astype(np.uint64))
-        state = bounds[-1]
-        out_x.append(bounds[:-1])
-        out_y.append(bounds[1:])
+        moves = block_sel & block_word.astype(np.uint64)
+        out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(moves))
         out_r.append(block_sel)
         done += blocks
-    return _reference_pairs(f, out_x, out_y, out_r, steps_used)
+    return _reference_pairs(f, out_b, out_r, steps_used)
 
 
 def _assert_same_bytes(got, want):
@@ -460,7 +467,9 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_harvest_follows_the_refresh_law(n, gap, kernel):
     # the block kernel and the per-step walk it replaces, held to one law:
-    # R is a Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap) per pair
+    # R is a Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap / 2)
+    # per half-block.  The even pairs, and the odd pairs, are each a chain of
+    # disjoint blocks, so each family is held to the iid cell bound on its own.
     count, seed = 200_000, 100 * n + gap
     f = _top_bit_labels(n)
     if kernel == "blocks":
@@ -469,15 +478,19 @@ def test_harvest_follows_the_refresh_law(n, gap, kernel):
     else:
         want = _reference_harvest(f, n, count, gap, seed)
         r, d, steps = want["refreshed_masks"], want["x_bits"] ^ want["y_bits"], want["walk_steps"]
-    assert r.max() < 1 << n and np.all(d & ~r == 0)
-    freq = np.bincount((r << np.uint64(n) | d).astype(np.int64), minlength=4**n) / count
+    assert len(r) == count and r.max() < 1 << n and np.all(d & ~r == 0)
     q = 1.0 - math.exp(-gap / n)
-    for cell in range(4**n):
-        rr, dd = divmod(cell, 1 << n)
-        size = bin(rr).count("1")
-        p = q**size * (1 - q) ** (n - size) / 2**size if dd & ~rr == 0 else 0.0
-        assert abs(freq[cell] - p) <= 5 * math.sqrt(p * (1 - p) / count)
-    assert abs(steps / count - gap) <= 5 * math.sqrt(gap / count)
+    for parity in (0, 1):
+        rw, dw = r[parity::2], d[parity::2]
+        windows = len(rw)
+        freq = np.bincount((rw << np.uint64(n) | dw).astype(np.int64), minlength=4**n) / windows
+        for cell in range(4**n):
+            rr, dd = divmod(cell, 1 << n)
+            size = bin(rr).count("1")
+            p = q**size * (1 - q) ** (n - size) / 2**size if dd & ~rr == 0 else 0.0
+            assert abs(freq[cell] - p) <= 5 * math.sqrt(p * (1 - p) / windows)
+    half_blocks = count + 1
+    assert abs(steps / half_blocks - gap / 2) <= 5 * math.sqrt(gap / 2 / half_blocks)
 
 
 @given(
@@ -489,6 +502,12 @@ def test_gap_for_density_is_minimal(n, p):
     assert effective_refresh_density(n, gap) >= p
     if gap > 1:
         assert effective_refresh_density(n, gap - 1) < p
+
+
+def test_refresh_density_needs_a_positive_gap():
+    for gap in (0, -3):
+        with pytest.raises(ValueError, match=f"gap_steps={gap}"):
+            effective_refresh_density(6, gap)
 
 
 def test_gap_for_density_rejects_bad_density():
@@ -549,8 +568,9 @@ def test_plan_validation():
         sample_size_concentration(0.0, 0.1, 8)
     with pytest.raises(ValueError):
         sample_size_concentration(0.1, 1.0, 8)
-    with pytest.raises(ValueError):
-        sample_size_erm(0.1, 0.1, 8, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="log_class_size="):
+            sample_size_erm(0.1, 0.1, 8, bad)
 
 
 # ---------------------------------------------------------------------------
