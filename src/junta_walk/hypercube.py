@@ -213,8 +213,18 @@ class JuntaHypothesis:
     def to_truth_table(self) -> TruthTable:
         if self.n > MAX_TABLE_N:
             raise ValueError(f"n={self.n} too large to materialize")
-        all_bits = np.arange(1 << self.n, dtype=np.uint64)
-        return TruthTable(self.n, self.table[restriction_indices(self.J, all_bits)])
+        # Broadcast the table over the cube rather than index it at all 2^n
+        # points, so the only 2^n array is the result: index temporaries of
+        # 8 bytes a point run to tens of MB at n = 20, enough for glibc to
+        # trim the freed heap and refault it on its next use.  Axis a of a
+        # (2,)*n cube holds coordinate n - a, the packed index's bit
+        # n - 1 - a; the table, shaped alike, holds J's coordinates on their
+        # own axes.
+        shape = [1] * self.n
+        for c in self.J:
+            shape[self.n - c] = 2
+        cube = np.broadcast_to(self.table.reshape(shape), (2,) * self.n)
+        return TruthTable(self.n, cube.reshape(-1))
 
     def to_json(self) -> str:
         return json.dumps({"J": list(self.J), "table": [int(v) for v in self.table]})

@@ -34,7 +34,7 @@ from .hypercube import (
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveParams, SieveResult, _check_budget, bounded_sieve, practical_budgets
+from .sieve import SieveParams, SieveResult, _check_integer, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -79,8 +79,7 @@ class LearnParams:
     erm_sample: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be >= 1")
+        _check_integer("k", self.k, 1)
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon={self.epsilon} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
@@ -90,7 +89,7 @@ class LearnParams:
             raise ValueError(f"a practical run needs both budgets; {missing} is missing")
         if self.screen_pairs is not None:
             for name in ("screen_pairs", "erm_sample"):
-                _check_budget(name, getattr(self, name), 1)
+                _check_integer(f"budget {name}", getattr(self, name), 1)
 
     @property
     def mode(self) -> str:

@@ -69,13 +69,13 @@ class BudgetInfeasible(SieveError):
     """Certified budgets would exceed the configured step ceiling."""
 
 
-def _check_budget(name: str, value: int, least: int) -> None:
-    """Refuse a budget that is not an integer (a bool is refused too) or is
+def _check_integer(name: str, value: int, least: int) -> None:
+    """Refuse a value that is not an integer (a bool is refused too) or is
     below ``least``, naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"budget {name}={value!r} must be an integer")
+        raise TypeError(f"{name}={value!r} must be an integer")
     if value < least:
-        raise ValueError(f"budget {name}={value} must be >= {least}")
+        raise ValueError(f"{name}={value} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class SieveBudgets:
         for name, least in (
             ("screen_pairs", 1), ("estimate_blocks", 0), ("lag", 1), ("gap_steps", 1)
         ):
-            _check_budget(name, getattr(self, name), least)
+            _check_integer(f"budget {name}", getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ class SieveParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level={self.level} must be >= 1")
+        _check_integer("level", self.level, 1)
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta={self.theta} outside (0, 1]")
         if not 0.0 < self.delta < 1.0:
@@ -151,8 +150,10 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     (2/theta)^(2 ell), so certified mode is only feasible for tiny levels;
     anything larger should supply practical budgets explicitly.  The step
     total checked against BUDGET_CEILING counts only the phases a run draws:
-    a run that does not screen draws no pairs, and one that does draws
-    pairs + 1 half-blocks of gap/2 mean steps.
+    a run that does not screen draws no pairs, and one that does reads
+    pairs + 1 half-blocks of the plain walk, gap/4 mean steps each (the
+    half-block's no-op selections come from the learner's own coins and cost
+    no walk step).
     """
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
@@ -166,7 +167,7 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     # lag for bias theta/8, blocks for sampling error theta/8 on every candidate
     lag = default_lag(n, params.theta)
     blocks = blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
-    screen = math.ceil((screen_pairs + 1) * gap / 2) if _screens(params, n) else 0
+    screen = math.ceil((screen_pairs + 1) * gap / 4) if _screens(params, n) else 0
     total = screen + blocks * (lag + 1)
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(

@@ -13,21 +13,26 @@ every zero receives a fresh uniform coordinate.  ``updating_acceptance_trials``
 repeats that experiment on fresh walks and counts the schedules that cover [n].
 
 ``harvest_refresh_pairs`` mass-produces endpoint pairs annotated with refreshed
-coordinate sets.  It cuts a single updating walk into half-blocks of
-Poisson(gap/2) length and reads each two adjacent half-blocks as one pair: the
-coordinates selected inside them are resampled uniformly and independently
-between the pair's endpoints, all others are frozen, which is the exact
-statistical model the refresh annotation promises, and the Poisson lengths
-decouple the per-coordinate refresh events from one another.  Adjacent pairs
-overlap in one half-block, so P pairs cost P + 1 half-blocks, about half the
-walk of P disjoint blocks, while each pair keeps the law of one
-Poisson(gap)-length block.  It draws that law per half-block rather than per
-step: a Poisson step total per chunk of half-blocks, a uniform (half-block,
-coordinate) cell per step, and a uniform n-bit word per half-block for the
-selected coordinates' new values.  (The embedded plain-walk experiment
-cannot deliver that exactness: a plain walk always changes parity each step,
-so its endpoints carry a deterministic parity constraint however the schedule
-is conditioned.)
+coordinate sets.  It cuts a single plain walk into half-blocks of
+Poisson(gap/4) steps, selects in each, besides the coordinates it flips, a
+Poisson(gap/4) number of uniform coordinates by the learner's own coins, and
+reads each two adjacent half-blocks as one pair: the selected coordinates are
+resampled uniformly and independently between the pair's endpoints, all
+others are frozen, which is the exact statistical model the refresh
+annotation promises, and the Poisson lengths decouple the per-coordinate
+refresh events from one another.  This is the pair law of an updating walk of
+Poisson(gap/2) steps per half-block, read from the plain walk the learner is
+given and charged only the steps that flip a coordinate: an updating walk is
+a plain walk's flips plus as many independent no-op selections (Bshouty,
+Mossel, O'Donnell & Servedio, Learning DNF from random walks).  Adjacent
+pairs overlap in one half-block, so P pairs cost P + 1 half-blocks, while
+each pair keeps the law of one Poisson(gap)-length updating block.  It draws
+that law per half-block rather than per step: a Poisson flip total and a
+Poisson no-op total per chunk of half-blocks, and a uniform (half-block,
+coordinate) cell for each.  (The embedded plain-walk experiment cannot
+deliver that exactness: its walk has a fixed length, and a plain walk changes
+parity every step, so its endpoints carry a deterministic parity constraint
+however the schedule is conditioned; a Poisson number of flips lifts it.)
 
 Walks, lag samples and the embedding experiments draw their steps through one
 kernel, ``_draw_steps``, in the narrowest unsigned word that holds n bits.
@@ -289,84 +294,110 @@ class RefreshPairs:
 
 
 # Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
-# _HARVEST_CHUNK_STEPS // gap_steps half-blocks holds its T ~ Poisson(B
-# gap_steps / 2) int32 cells and B word-wide rows of bools: about 0.4 MB of
-# cells (mean _HARVEST_CHUNK_STEPS / 2 steps) plus <= 64 B per half-block.
-_HARVEST_CHUNK_STEPS = 200_000
+# _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
+# flip cells and as many no-op cells, each draw about 0.2 MB of intp indices
+# (mean _HARVEST_CHUNK_STEPS / 4 cells), into B word-wide rows of selection
+# bools and of uint8 flip counts (<= 128 B per half-block), which are
+# allocated once per harvest.
+_HARVEST_CHUNK_STEPS = 100_000
+
+
+def _draw_cells(
+    rng: np.random.Generator, mean: float, halves: int, n: int, width: int
+) -> np.ndarray:
+    """A Poisson(``mean``) number of uniform (half-block, coordinate) cells:
+    cell c of coordinate c % n + 1 in half-block c // n becomes bit c % n of
+    row c // n of a chunk whose rows are ``width`` bits wide.  The remap
+    runs in int32, where it is cheapest, and the cells are returned as intp,
+    which fancy indexing would otherwise convert them to on every scatter."""
+    cells = rng.integers(0, halves * n, size=rng.poisson(mean), dtype=np.int32)
+    if n != width:
+        cells += (cells // n) * (width - n)
+    return cells.astype(np.intp)
 
 
 def harvest_refresh_pairs(
     f: LabelSource, n: int, pair_count: int, gap_steps: int, seed: int
 ) -> RefreshPairs:
-    """Cut one fresh updating walk into ``pair_count + 1`` consecutive
-    half-blocks of Poisson(``gap_steps`` / 2) length and emit, for each two
-    adjacent half-blocks, the endpoint pair they span with its refreshed
+    """Cut one fresh plain walk into ``pair_count + 1`` consecutive
+    half-blocks of Poisson(``gap_steps`` / 4) steps, select in each, besides
+    the coordinates it flips, a Poisson(``gap_steps`` / 4) number of uniform
+    coordinates by the learner's own coins, and emit, for each two adjacent
+    half-blocks, the endpoint pair they span with its selected (refreshed)
     coordinate set.
 
-    An updating step selects a uniform coordinate and rewrites it with a fair
-    bit, so every selected coordinate of a stretch of walk ends uniform and
-    independent of where it started, while unselected coordinates carry
-    through unchanged.  The emitted pairs are exact samples of the refresh
-    model
+    This reads from the paper's oracle the pairs of an updating walk of
+    Poisson(``gap_steps`` / 2) steps per half-block, and charges only the
+    flips.  An updating step selects a uniform coordinate and rewrites it
+    with a fair bit, so by Poisson splitting a stretch of updating walk is a
+    plain walk's flips plus as many no-op selections, independent of them,
+    that the learner can draw itself (Bshouty, Mossel, O'Donnell & Servedio,
+    Learning DNF from random walks).  The emitted pairs are exact samples of
+    the refresh model
 
         E[f(x) f(y) | refreshed = R] = sum over T disjoint from R of fhat(T)^2.
 
-    Poissonized lengths make the per-coordinate selection counts of a
-    half-block independent Poisson(gap_steps/(2n)) variables, so a pair,
-    spanning two independent half-blocks, selects each coordinate a
-    Poisson(gap_steps/n) number of times: membership in R is an independent
-    Bernoulli event of probability 1 - exp(-gap_steps/n) for every
-    coordinate, exactly as for one block of Poisson(gap_steps) steps, and
-    conditional statistics over R factorize exactly, which is what
-    calibrates the screening contrasts downstream.  A pair without steps
-    (probability e^-gap_steps) legitimately emits refreshed = empty and
-    y = x.  Pair i joins chain boundaries i and i + 2, so consecutive pairs
-    share a half-block and are not independent, but the even pairs, and the
-    odd pairs, are each a chain of disjoint blocks; the walk behind P pairs
-    is about half as long as P disjoint blocks.
+    Per half-block, coordinate i takes a Poisson(gap_steps/(4n)) number of
+    flips and of no-ops, independently across coordinates, so it is selected
+    with probability 1 - exp(-gap_steps/(2n)) and, given that, its flip
+    count is odd with probability exactly 1/2: P[odd] = (1 - e^(-2 lam))/2 =
+    P[selected]/2 with lam = gap_steps/(4n).  A pair, spanning two
+    independent half-blocks, selects each coordinate with probability
+    1 - exp(-gap_steps/n), independently across coordinates, exactly as one
+    updating block of Poisson(gap_steps) steps; y xor x is a fair bit on
+    each coordinate of R and zero off it, and conditional statistics over R
+    factorize exactly, which is what calibrates the screening contrasts
+    downstream.  A pair without selections (probability e^-gap_steps)
+    legitimately emits refreshed = empty and y = x.  Pair i joins chain
+    boundaries i and i + 2, so consecutive pairs share a half-block and are
+    not independent, but the even pairs, and the odd pairs, are each a chain
+    of disjoint blocks; the walk behind P pairs is about a quarter as long
+    as P disjoint updating blocks.
 
-    The walk is drawn by that law a chunk of B half-blocks at a time,
-    without its steps.  By Poisson splitting, T ~ Poisson(B gap_steps / 2)
-    steps in uniform (half-block, coordinate) cells give every cell an
-    independent Poisson(gap_steps/(2n)) count; a half-block's selected set is
-    the coordinates of its hit cells.  Only the last fair bit of a selected
-    coordinate survives the half-block, so the boundary moves by a uniform
-    word masked to that set, independent of the rest, and y xor x is uniform
-    on R.  ``walk_steps`` sums the T.  The returned arrays are read-only:
-    ``x_bits``/``y_bits`` and the two label arrays are overlapping views of
-    one chain of half-block boundaries.
+    The walk is drawn by that law a chunk of B half-blocks at a time: the
+    walk's stream draws F ~ Poisson(B gap_steps / 4) flips into uniform
+    (half-block, coordinate) cells, and a second child of ``seed`` draws
+    the no-op cells.  A half-block's selected set is the coordinates of its
+    hit cells, and its move is the parity of its flip counts, so every
+    boundary is a point of the plain walk.  ``walk_steps`` sums the F.  The
+    returned arrays are read-only: ``x_bits``/``y_bits`` and the two label
+    arrays are overlapping views of one chain of half-block boundaries.
     """
     _check_source(f, n)
     _check_positive(pair_count=pair_count, gap_steps=gap_steps)
-    rng = np.random.default_rng(seed)
-    word = _word(n)
-    width = np.iinfo(word).bits
+    walk_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    word = np.dtype(_word(n)).newbyteorder("<")
+    width = word.itemsize * 8
+    halves_total = pair_count + 1
+    per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
+    hit_rows = np.empty(per_chunk * width, dtype=bool)
+    flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
+    bounds = np.empty(halves_total + 1, dtype=np.uint64)
+    sel = np.empty(halves_total, dtype=word)
 
-    chain = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
-    out_sel: list[np.ndarray] = []
-    done = 0
+    bounds[:1] = walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)
     steps_used = 0
-    while done < pair_count + 1:
-        halves = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
-        total = int(rng.poisson(halves * gap_steps / 2))
-        steps_used += total
-        # cell c selects coordinate c % n + 1 of half-block c // n, which is
-        # bit c % n of row c // n once the rows of ``hit`` are one word wide
-        cells = rng.integers(0, halves * n, size=total, dtype=np.int32)
-        if n != width:
-            cells += (cells // n) * (width - n)
-        hit = np.zeros(halves * width, dtype=bool)
+    for done in range(0, halves_total, per_chunk):
+        halves = min(per_chunk, halves_total - done)
+        mean = halves * gap_steps / 4
+        hit, flips = hit_rows[: halves * width], flip_rows[: halves * width]
+        hit.fill(False)
+        flips.fill(0)
+        cells = _draw_cells(walk_rng, mean, halves, n, width)
+        steps_used += len(cells)
         hit[cells] = True
+        # only bit 0 of a count is read, and it is exact under the mod-256 wrap
+        np.add.at(flips, cells, np.uint8(1))
+        hit[_draw_cells(coin_rng, mean, halves, n, width)] = True
+        np.bitwise_and(flips, np.uint8(1), out=flips)
         # little-endian bits and bytes: element j of a row is bit j of its word
-        sel = np.packbits(hit, bitorder="little").view(np.dtype(word).newbyteorder("<"))
-        changes = sel & rng.integers(0, 1 << n, size=halves, dtype=word)
-        chain.append(chain[-1][-1] ^ np.bitwise_xor.accumulate(changes))
-        out_sel.append(sel)
-        done += halves
+        sel[done : done + halves] = np.packbits(hit, bitorder="little").view(word)
+        moves = np.packbits(flips.view(bool), bitorder="little").view(word)
+        chain = bounds[done + 1 : done + 1 + halves]
+        np.bitwise_xor.accumulate(moves, dtype=np.uint64, out=chain)
+        chain ^= bounds[done]
 
-    bounds = np.concatenate(chain)
     labels = labels_for(f, bounds)
-    sel = np.concatenate(out_sel)
     masks = (sel[:-1] | sel[1:]).astype(np.uint64)
     for arr in (bounds, labels, masks):
         arr.setflags(write=False)

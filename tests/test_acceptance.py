@@ -39,6 +39,7 @@ from junta_walk.oracle_bruteforce import (
 from junta_walk.sieve import SieveParams, bounded_sieve, certify_result, practical_budgets
 from junta_walk.walk import (
     RandomWalkOracle,
+    gap_for_density,
     generate_walk,
     refresh_steps,
     sample_size_concentration,
@@ -209,6 +210,43 @@ def test_gate_05_updating_endpoint_pairs_uniform_given_coverage():
     assert covered >= 100_000
     counts = np.bincount(cells, minlength=64)
     assert stats.chisquare(counts).pvalue >= 0.01
+    assert elapsed_since(t0) <= 60.0
+
+
+def test_gate_05_harvested_pairs_uniform_given_the_refreshed_set():
+    """The embedding the pipeline runs: at n = 3 and the screening gap of a
+    level-2 sieve, a harvested pair's x is uniform and y xor x is uniform on
+    the cells its refreshed set R allows, given R."""
+    t0 = time.perf_counter()
+    n = 3
+    gap = gap_for_density(n, SieveParams(level=2, theta=0.1, delta=0.1).density)
+    full = (1 << n) - 1
+    pairs = RandomWalkOracle(parity_table(n, [1]), n, seed=53).refresh_pairs(1_600_000, gap)
+    # Pair i shares half-blocks with pairs i - 1 and i + 1.  Pairs 4m whose
+    # pair 4m - 2 refreshed every coordinate start from a fresh uniform point,
+    # so their (R, x, y xor x) cells are independent draws.
+    picks = np.arange(4, len(pairs), 4)
+    picks = picks[pairs.refreshed_masks[picks - 2] == full]
+    assert len(picks) >= 90_000
+    r = pairs.refreshed_masks[picks].astype(np.int64)
+    x = pairs.x_bits[picks].astype(np.int64)
+    d = (pairs.x_bits[picks] ^ pairs.y_bits[picks]).astype(np.int64)
+    assert np.all(d & ~r == 0)
+    statistic, dof = 0.0, 0
+    for mask in range(full + 1):
+        group = r == mask
+        # d lies on R, so its bits inside R pick one of 2^|R| cells
+        size = bin(mask).count("1")
+        inside = np.zeros(len(d), dtype=np.int64)
+        for j, i in enumerate(i for i in range(n) if mask >> i & 1):
+            inside |= ((d >> i) & 1) << j
+        cells = 1 << (n + size)
+        counts = np.bincount(x[group] << size | inside[group], minlength=cells)
+        assert len(counts) == cells
+        expected = group.sum() / cells
+        statistic += float(((counts - expected) ** 2).sum() / expected)
+        dof += cells - 1
+    assert stats.chi2.sf(statistic, dof) >= 0.01
     assert elapsed_since(t0) <= 60.0
 
 

@@ -1,6 +1,7 @@
 """Bit-packed points, parities, truth tables, and exact distances."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_junta_table_round_trip(n, data):
     f = h.to_truth_table()
     for bits in range(1 << n):
         assert f(bits) == h(bits)
+
+
+def test_junta_table_allocates_no_wide_temporary():
+    # the table is broadcast over the cube, so its only 2^n arrays are the
+    # int8 result and the sign check's bools; 8-byte index temporaries per
+    # point would leave a 20-coordinate op's heap with more free space than
+    # glibc keeps between ops, and the next op would refault it
+    n = 20
+    h = JuntaHypothesis(IndexSet.of(n, [2, 9, 17]), [1, -1, -1, 1, 1, 1, -1, 1])
+    tracemalloc.start()
+    try:
+        f = h.to_truth_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << n
+    want = h.label_bits(np.arange(1 << n, dtype=np.uint64))
+    assert f.values.tobytes() == want.tobytes()
 
 
 def test_junta_ignores_coordinates_outside_J():

@@ -118,6 +118,16 @@ def test_non_integer_budgets_are_refused_by_name(name, value):
     LearnParams(2, 0.25, 0.2, **{**fields, name: np.int64(1000)})
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_non_integer_arity_is_refused_by_name(k):
+    # refused at construction, not after the screen and ERM walks are drawn
+    with pytest.raises(TypeError, match="k="):
+        LearnParams(k, 0.25, 0.2, screen_pairs=1000, erm_sample=100)
+    with pytest.raises(TypeError, match="k="):
+        LearnParams(k, 0.25, 0.2)
+    assert LearnParams(np.int64(2), 0.25, 0.2).k == 2
+
+
 def test_mode_conflicts_rejected():
     # the mode follows from the budget fields, so it cannot be set against them
     with pytest.raises(TypeError):

@@ -47,6 +47,14 @@ def test_params_validation():
         SieveParams(level=2, theta=0.1, delta=1.0)
 
 
+@pytest.mark.parametrize("level", [2.5, 3.0, True, False, "3"])
+def test_non_integer_level_is_refused_by_name(level):
+    # a float or bool level would pass as a density of 0.4 or 0.5
+    with pytest.raises(TypeError, match="level="):
+        SieveParams(level, 0.1, 0.1)
+    assert SieveParams(np.int32(3), 0.1, 0.1).density == 1 / 3
+
+
 def test_default_density_is_clamped_inverse_level():
     assert SieveParams(level=1, theta=0.1, delta=0.1).density == 0.5
     assert SieveParams(level=2, theta=0.1, delta=0.1).density == 0.5
@@ -97,7 +105,8 @@ def test_certified_estimation_budget():
 
 def test_certified_screen_is_priced_per_parity_family():
     # the even pairs, and the odd pairs, each take the Hoeffding count at half
-    # the screening share of delta, and the walk is pairs + 1 half-blocks
+    # the screening share of delta, and the walk is pairs + 1 half-blocks of
+    # gap/4 mean flips each
     params = SieveParams(level=2, theta=0.3, delta=0.1)
     n = 6
     b = certified_budgets(params, n)
@@ -108,7 +117,7 @@ def test_certified_screen_is_priced_per_parity_family():
     assert b.screen_pairs == 2 * family
     res = bounded_sieve(RandomWalkOracle(and_table(n, [2, 4]), n, seed=7), params)
     screen_steps = res.walk_steps - b.estimate_blocks * (b.lag + 1)
-    mean = (b.screen_pairs + 1) * b.gap_steps / 2
+    mean = (b.screen_pairs + 1) * b.gap_steps / 4
     assert abs(screen_steps - mean) <= 5 * math.sqrt(mean)
 
 
@@ -132,7 +141,7 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     # pair, so the screen it skips does not count against the ceiling
     params = SieveParams(level=3, theta=0.02, delta=0.1)
     b = certified_budgets(params, 3)
-    assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 2) > sieve_mod.BUDGET_CEILING
+    assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 4) > sieve_mod.BUDGET_CEILING
     oracle = RandomWalkOracle(parity_table(3, [1, 2]), 3, seed=1)
     res = bounded_sieve(oracle, params)
     assert res.walk_steps == b.estimate_blocks * (b.lag + 1)
@@ -544,6 +553,6 @@ def test_certified_budget_runs_meet_contract():
         assert certify_result(res, spec, 0.3, 2).passed
         outputs.append(res.to_json())
     # certified screening sizes put z sigma below tau, so tau alone decides
-    # these pools; the digest pins the outputs the half-block harvest draws
+    # these pools; the digest pins the outputs the plain-walk harvest draws
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "a5de22beea64842e498ab22aef40da7dc5b87fbc3297b774dd422c3aba23c299"
+    assert digest == "a19b770e199d65f32f175850b7fbfe7b3c9b3cb941fab5e8dcff416f69925160"

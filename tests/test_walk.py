@@ -296,6 +296,37 @@ def test_harvest_empty_blocks_keep_the_point():
     np.testing.assert_array_equal(pairs.x_bits[empty], pairs.y_bits[empty])
 
 
+def test_harvest_reads_a_plain_walk_and_charges_its_flips():
+    # every plain-walk step flips one coordinate, so the chain's end points
+    # differ in as many coordinates as the walk has steps, mod 2; an updating
+    # walk's no-op steps break this about half the time
+    for seed in range(200):
+        n = (1, 5, 16, 63)[seed % 4]
+        oracle = RandomWalkOracle(_top_bit_labels(n), n, seed=seed)
+        oracle.walk(1 + seed)
+        served = oracle.steps_served
+        pairs = oracle.refresh_pairs(1 + seed % 50, gap_steps=1 + seed % 9)
+        assert oracle.steps_served - served == pairs.walk_steps
+        moved = int(np.bitwise_count(pairs.x_bits[0] ^ pairs.y_bits[-1]))
+        assert moved % 2 == pairs.walk_steps % 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_harvest_selection_survives_counts_past_a_byte(n):
+    # Poisson(256) flips and as many no-ops per (half-block, coordinate) cell:
+    # a selection read off a byte-wide count of either would drop the cells
+    # whose count wraps to 0, about 1 in 57 for the sum, and miss both
+    # half-blocks of a dozen or more pairs here.  Every pair refreshes every
+    # coordinate, and each half-block's move is a fair bit per coordinate.
+    count, gap = 40_000, 1024 * n
+    pairs = harvest_refresh_pairs(_top_bit_labels(n), n, count, gap, seed=n)
+    assert np.all(pairs.refreshed_masks == (1 << n) - 1)
+    moves = pairs.x_bits[1:] ^ pairs.x_bits[:-1]
+    for i in range(n):
+        ones = float(np.mean((moves >> np.uint64(i)) & np.uint64(1)))
+        assert abs(ones - 0.5) <= 5 * 0.5 / math.sqrt(len(moves))
+
+
 def test_harvest_determinism():
     a = harvest_refresh_pairs(XOR2, 6, pair_count=100, gap_steps=3, seed=5)
     b = harvest_refresh_pairs(XOR2, 6, pair_count=100, gap_steps=3, seed=5)
@@ -367,52 +398,67 @@ def _reference_pairs(f, out_b, out_r, steps_used):
     }
 
 
+def _streams(seed):
+    # the walk's stream and the learner's coins: two children of the seed
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _per_block(ufunc, values, lengths):
+    # reduce each block's run of values with padded reduceats; an empty block is 0
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    out = ufunc.reduceat(np.append(values, np.uint64(0)), starts)
+    out[lengths == 0] = 0
+    return out
+
+
 def _reference_harvest(f, n, pair_count, gap_steps, seed):
-    # the per-step walk: Poisson(gap/2) half-block lengths, then a uniform
-    # coordinate and a fair bit per step, each half-block's steps reduced with
-    # padded reduceats
-    rng = np.random.default_rng(seed)
-    out_b = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
+    # the per-step plain walk: Poisson(gap/4) steps per half-block, each
+    # flipping a uniform coordinate, and the learner's own Poisson(gap/4)
+    # uniform no-op selections per half-block
+    walk_rng, coin_rng = _streams(seed)
+    out_b = [walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r = []
     done = steps_used = 0
     while done < pair_count + 1:
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
-        lengths = rng.poisson(gap_steps / 2, size=blocks)
-        total = int(lengths.sum())
-        steps_used += total
-        _, bit, act_bit = _reference_draw_steps(rng, n, total, lazy=True)
-        starts = np.zeros(blocks, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        block_xor = np.bitwise_xor.reduceat(np.append(act_bit, np.uint64(0)), starts)
-        block_sel = np.bitwise_or.reduceat(np.append(bit, np.uint64(0)), starts)
-        block_xor[lengths == 0] = 0
-        block_sel[lengths == 0] = 0
-        out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(block_xor))
+        flips = walk_rng.poisson(gap_steps / 4, size=blocks)
+        _, bit, _ = _reference_draw_steps(walk_rng, n, int(flips.sum()), lazy=False)
+        noops = coin_rng.poisson(gap_steps / 4, size=blocks)
+        _, noop_bit, _ = _reference_draw_steps(coin_rng, n, int(noops.sum()), lazy=False)
+        steps_used += int(flips.sum())
+        moves = _per_block(np.bitwise_xor, bit, flips)
+        block_sel = _per_block(np.bitwise_or, bit, flips) | _per_block(
+            np.bitwise_or, noop_bit, noops
+        )
+        out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(moves))
         out_r.append(block_sel)
         done += blocks
     return _reference_pairs(f, out_b, out_r, steps_used)
 
 
 def _reference_cell_harvest(f, n, pair_count, gap_steps, seed):
-    # the per-half-block draw one cell at a time in uint64: a chunk's Poisson
-    # step total at mean half-blocks * gap / 2, cell c selecting coordinate
-    # c % n + 1 of half-block c // n, and one uniform n-bit word per
-    # half-block masked to its selected coordinates
-    rng = np.random.default_rng(seed)
-    word = next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
-    out_b = [rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
+    # the per-half-block draw one cell at a time in uint64: per chunk, the
+    # walk's stream draws a Poisson flip total at mean half-blocks * gap / 4
+    # and the coins as many no-ops on average, cell c hitting coordinate
+    # c % n + 1 of half-block c // n; a half-block moves by the xor of its
+    # flips and selects every coordinate a flip or a no-op hits
+    walk_rng, coin_rng = _streams(seed)
+    out_b = [walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r = []
     done = steps_used = 0
     while done < pair_count + 1:
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
-        total = int(rng.poisson(blocks * gap_steps / 2))
-        steps_used += total
-        cells = rng.integers(0, blocks * n, size=total, dtype=np.int32)
+        moves = np.zeros(blocks, dtype=np.uint64)
         block_sel = np.zeros(blocks, dtype=np.uint64)
-        coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
-        np.bitwise_or.at(block_sel, cells // n, coord_bits)
-        block_word = rng.integers(0, 1 << n, size=blocks, dtype=word)
-        moves = block_sel & block_word.astype(np.uint64)
+        for rng in (walk_rng, coin_rng):
+            total = int(rng.poisson(blocks * gap_steps / 4))
+            cells = rng.integers(0, blocks * n, size=total, dtype=np.int64)
+            coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
+            np.bitwise_or.at(block_sel, cells // n, coord_bits)
+            if rng is walk_rng:
+                steps_used += total
+                np.bitwise_xor.at(moves, cells // n, coord_bits)
         out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(moves))
         out_r.append(block_sel)
         done += blocks
@@ -466,9 +512,9 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
 @pytest.mark.parametrize("gap", [1, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_harvest_follows_the_refresh_law(n, gap, kernel):
-    # the block kernel and the per-step walk it replaces, held to one law:
-    # R is a Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap / 2)
-    # per half-block.  The even pairs, and the odd pairs, are each a chain of
+    # the block kernel and a per-step plain walk, held to one law: R is a
+    # Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap / 4) per
+    # half-block.  The even pairs, and the odd pairs, are each a chain of
     # disjoint blocks, so each family is held to the iid cell bound on its own.
     count, seed = 200_000, 100 * n + gap
     f = _top_bit_labels(n)
@@ -490,7 +536,7 @@ def test_harvest_follows_the_refresh_law(n, gap, kernel):
             p = q**size * (1 - q) ** (n - size) / 2**size if dd & ~rr == 0 else 0.0
             assert abs(freq[cell] - p) <= 5 * math.sqrt(p * (1 - p) / windows)
     half_blocks = count + 1
-    assert abs(steps / half_blocks - gap / 2) <= 5 * math.sqrt(gap / 2 / half_blocks)
+    assert abs(steps / half_blocks - gap / 4) <= 5 * math.sqrt(gap / 4 / half_blocks)
 
 
 @given(
