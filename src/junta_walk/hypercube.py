@@ -28,7 +28,19 @@ def parity_sign_u64(bits: np.ndarray, mask: int) -> np.ndarray:
     return (1 - 2 * par.astype(np.int8)).astype(np.int8)
 
 
+def _check_integer(name: str, value: int, least: int) -> None:
+    """Refuse a value that is not an integer (a bool is refused too) or is
+    below ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name}={value!r} must be an integer")
+    if value < least:
+        raise ValueError(f"{name}={value} must be >= {least}")
+
+
 def _check_dim(n: int) -> None:
+    """Refuse a dimension that is not an integer, or lies outside [1, 63]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"dimension n={n!r} must be an integer")
     if not 1 <= n <= MAX_PACKED_N:
         raise ValueError(f"dimension n={n} outside [1, {MAX_PACKED_N}]")
 

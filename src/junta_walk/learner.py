@@ -31,10 +31,11 @@ from .fourier import BULK_WHT_MAX_N, subcube_sums
 from .hypercube import (
     IndexSet,
     JuntaHypothesis,
+    _check_integer,
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveParams, SieveResult, _check_integer, bounded_sieve, practical_budgets
+from .sieve import SieveParams, SieveResult, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)

@@ -47,7 +47,7 @@ from .fourier import (
     estimate_bounded_influence,
     estimate_sq_coeff_bulk,
 )
-from .hypercube import IndexSet, restriction_indices
+from .hypercube import IndexSet, _check_integer, restriction_indices
 from .walk import RandomWalkOracle, effective_refresh_density, gap_for_density
 
 logger = logging.getLogger(__name__)
@@ -67,15 +67,6 @@ class PoolOverflow(SieveError):
 
 class BudgetInfeasible(SieveError):
     """Certified budgets would exceed the configured step ceiling."""
-
-
-def _check_integer(name: str, value: int, least: int) -> None:
-    """Refuse a value that is not an integer (a bool is refused too) or is
-    below ``least``, naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name}={value!r} must be an integer")
-    if value < least:
-        raise ValueError(f"{name}={value} must be >= {least}")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,8 @@
-"""Labeled random walks on the hypercube and independence-harvesting machinery.
+"""Labeled random walks on the hypercube and refresh-pair harvesting.
 
-Two walk flavours are supported.  The plain walk flips one uniformly random
-coordinate per step; it is the learner's oracle, and both of its entry
-points, ``generate_walk`` and ``RandomWalkOracle.walk``, draw through
-``generate_walk``.  The updating (lazy) walk picks a uniform coordinate and
-resamples it, i.e. flips it with probability 1/2.
-
-A plain walk of length ell can be embedded into an updating walk by an
-auxiliary experiment: draw fair bits F_1, F_2, ... until ell ones appear (give
-up after a cutoff L); the j-th one receives the walk's j-th flipped coordinate,
-every zero receives a fresh uniform coordinate.  ``updating_acceptance_trials``
-repeats that experiment on fresh walks and counts the schedules that cover [n].
+The plain walk flips one uniformly random coordinate per step; it is the
+learner's oracle, and both of its entry points, ``generate_walk`` and
+``RandomWalkOracle.walk``, draw through ``generate_walk``.
 
 ``harvest_refresh_pairs`` mass-produces endpoint pairs annotated with refreshed
 coordinate sets.  It cuts a single plain walk into half-blocks of
@@ -20,22 +12,22 @@ reads each two adjacent half-blocks as one pair: the selected coordinates are
 resampled uniformly and independently between the pair's endpoints, all
 others are frozen, which is the exact statistical model the refresh
 annotation promises, and the Poisson lengths decouple the per-coordinate
-refresh events from one another.  This is the pair law of an updating walk of
-Poisson(gap/2) steps per half-block, read from the plain walk the learner is
-given and charged only the steps that flip a coordinate: an updating walk is
-a plain walk's flips plus as many independent no-op selections (Bshouty,
-Mossel, O'Donnell & Servedio, Learning DNF from random walks).  Adjacent
-pairs overlap in one half-block, so P pairs cost P + 1 half-blocks, while
-each pair keeps the law of one Poisson(gap)-length updating block.  It draws
-that law per half-block rather than per step: a Poisson flip total and a
-Poisson no-op total per chunk of half-blocks, and a uniform (half-block,
-coordinate) cell for each.  (The embedded plain-walk experiment cannot
-deliver that exactness: its walk has a fixed length, and a plain walk changes
-parity every step, so its endpoints carry a deterministic parity constraint
-however the schedule is conditioned; a Poisson number of flips lifts it.)
+refresh events from one another.  This is the pair law of an updating walk
+(each step picks a uniform coordinate and resamples it) of Poisson(gap/2)
+steps per half-block, read from the plain walk the learner is given and
+charged only the steps that flip a coordinate: an updating walk is a plain
+walk's flips plus as many independent no-op selections (Bshouty, Mossel,
+O'Donnell & Servedio, Learning DNF from random walks).  Adjacent pairs
+overlap in one half-block, so P pairs cost P + 1 half-blocks, while each pair
+keeps the law of one Poisson(gap)-length updating block.  It draws that law
+per half-block rather than per step: a Poisson flip total and a Poisson no-op
+total per chunk of half-blocks, and a uniform (half-block, coordinate) cell
+for each.  (A plain walk of fixed length cannot deliver that exactness: it
+changes parity every step, so its endpoints carry a deterministic parity
+constraint; a Poisson number of flips lifts it.)
 
-Walks, lag samples and the embedding experiments draw their steps through one
-kernel, ``_draw_steps``, in the narrowest unsigned word that holds n bits.
+Walks and lag samples draw their steps through one kernel, ``_draw_steps``,
+in the narrowest unsigned word that holds n bits.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .hypercube import JuntaHypothesis, TruthTable, _check_dim
+from .hypercube import JuntaHypothesis, TruthTable, _check_dim, _check_integer
 
 LabelSource = Union[TruthTable, JuntaHypothesis, Callable[[np.ndarray], np.ndarray]]
 
@@ -69,12 +61,6 @@ def _check_source(f: LabelSource, n: int) -> None:
     _check_dim(n)
     if isinstance(f, (TruthTable, JuntaHypothesis)) and f.n != n:
         raise ValueError(f"label source over n={f.n}, walk over n={n}")
-
-
-def _check_positive(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name}={value} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,23 +103,14 @@ def _word(n: int) -> type:
     return next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
 
 
-def _draw_steps(
-    rng: np.random.Generator, n: int, shape, lazy: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw walk steps: each step's coordinate bit and the bits it changes.
-
-    Coordinates are drawn uniform over 1..n (int16), and ``bits`` holds each
-    one's bit in the narrowest unsigned word with n bits (uint8 up to
-    uint64).  A plain step changes its bit; an updating (``lazy``) step
-    changes it only when a fair bit, drawn after all the coordinates, is 1.
-    """
-    coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
+def _draw_steps(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Draw ``count`` plain walk steps: coordinates uniform over 1..n (int16),
+    returned as each one's bit in the narrowest unsigned word with n bits
+    (uint8 up to uint64)."""
+    coords = rng.integers(1, n + 1, size=count, dtype=np.int16)
     word = _word(n)
     # coords - 1 lies in [0, n), so the unsafe int16 -> word cast is exact
-    bits = np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
-    if not lazy:
-        return bits, bits
-    return bits, bits * rng.integers(0, 2, size=shape, dtype=np.uint8)
+    return np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
 
 
 def generate_walk(
@@ -142,129 +119,15 @@ def generate_walk(
     """Run the labeled-walk oracle: ``length`` points (so length - 1 steps)
     from a uniform start, each step flipping one uniform coordinate."""
     _check_source(f, n)
-    _check_positive(length=length)
+    _check_integer("length", length, 1)
     rng = np.random.default_rng(seed)
     points = np.empty(length, dtype=np.uint64)
     points[0] = rng.integers(0, 1 << n, dtype=np.uint64)
     if length > 1:
-        bits, _ = _draw_steps(rng, n, length - 1, lazy=False)
+        bits = _draw_steps(rng, n, length - 1)
         np.bitwise_xor.accumulate(bits, dtype=np.uint64, out=points[1:])
         points[1:] ^= points[0]
     return LabeledWalk(n=n, points=points, labels=labels_for(f, points))
-
-
-# ---------------------------------------------------------------------------
-# Updating-walk embedding experiment
-# ---------------------------------------------------------------------------
-
-
-def refresh_steps(n: int, delta: float) -> int:
-    """Walk length making the embedding experiment accept w.p. >= 1-delta."""
-    _check_dim(n)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta={delta} outside (0, 1)")
-    return math.ceil(n * math.log(2 * n / delta))
-
-
-# Trials per chunk of the vectorized embedding and endpoint experiments.
-_TRIAL_CHUNK = 20_000
-CELL_MAX_N = 31  # endpoint cells x0 * 2^n + xl fit an int64 only while 2n <= 63
-
-
-def _kept_cells(
-    n: int, trials: int, draw: Callable[[int], tuple], pack: bool
-) -> tuple[int, np.ndarray | None]:
-    """Run ``draw(t) -> (kept, x0_bits, xl_bits)`` over chunks of at most
-    ``_TRIAL_CHUNK`` trials; returns the kept count and, with ``pack``, the
-    kept trials' cell indices x0 * 2^n + xl (n <= CELL_MAX_N)."""
-    if pack and n > CELL_MAX_N:
-        raise ValueError(f"endpoint cells x0 * 2^n + xl need n <= {CELL_MAX_N}, got {n}")
-    kept_total = 0
-    cells: list[np.ndarray] = []
-    done = 0
-    while done < trials:
-        t = min(_TRIAL_CHUNK, trials - done)
-        kept, x0, xl = draw(t)
-        kept_total += int(np.count_nonzero(kept))
-        if pack:
-            cells.append((x0[kept].astype(np.int64) << n) | xl[kept].astype(np.int64))
-        done += t
-    return kept_total, np.concatenate(cells) if pack else None
-
-
-def updating_walk_endpoints(
-    n: int, ell: int, trials: int, seed: int
-) -> tuple[int, np.ndarray]:
-    """Endpoint pairs of genuine updating walks, conditioned on full coverage.
-
-    Each trial draws an updating walk of ``ell`` steps (uniform coordinate,
-    resampled by a fair bit).  Trials whose chosen coordinates cover [n] are
-    kept; returns (covered_count, cell indices x0 * 2^n + xl of kept trials),
-    so n must be <= CELL_MAX_N.  Unlike plain-walk endpoints, these carry no
-    step-parity constraint, so conditional on coverage the pair is uniform
-    over all 4^n cells.
-    """
-    _check_dim(n)
-    _check_positive(ell=ell, trials=trials)
-    rng = np.random.default_rng(seed)
-    full = np.uint64((1 << n) - 1)
-
-    def draw(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        starts = rng.integers(0, 1 << n, size=t, dtype=np.uint64)
-        bits, changes = _draw_steps(rng, n, (t, ell), lazy=True)
-        ends = starts ^ np.bitwise_xor.reduce(changes, axis=1)
-        return np.bitwise_or.reduce(bits, axis=1) == full, starts, ends
-
-    return _kept_cells(n, trials, draw, pack=True)
-
-
-def _batch_experiment(
-    rng: np.random.Generator, n: int, ell: int, cutoff: int, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized experiment over independent trials.
-
-    Returns (accepted, x0_bits, xl_bits); each trial draws its own fresh plain
-    walk of ell steps, then ``cutoff`` fair bits and as many fresh coordinates.
-    Slot j takes the walk's next flip on a one and its fresh coordinate on a
-    zero; the schedule ends at the ell-th one (completed) or at the cutoff.
-    A trial accepts when its schedule completes and covers [n].
-    """
-    starts = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
-    bits, _ = _draw_steps(rng, n, (trials, ell), lazy=False)
-    ends = starts ^ np.bitwise_xor.reduce(bits, axis=1)
-    fair = rng.integers(0, 2, size=(trials, cutoff), dtype=np.uint8)
-    fresh_bits, _ = _draw_steps(rng, n, fair.shape, lazy=False)
-    ones = np.cumsum(fair, axis=-1)
-    completed = ones[:, -1] >= ell
-    used = np.where(completed, np.argmax(ones >= ell, axis=-1) + 1, cutoff)
-    active = np.arange(cutoff) < used[:, None]
-    fresh_masks = np.where(active & (fair == 0), fresh_bits, np.uint64(0))
-    cover = np.bitwise_or.reduce(bits, axis=1) | np.bitwise_or.reduce(fresh_masks, axis=1)
-    return completed & (cover == np.uint64((1 << n) - 1)), starts, ends
-
-
-def updating_acceptance_trials(
-    n: int,
-    ell: int,
-    cutoff: int,
-    trials: int,
-    seed: int,
-    collect_pairs: bool = False,
-) -> tuple[int, np.ndarray | None]:
-    """Repeat the embedding experiment on fresh walks; count acceptances.
-
-    With ``collect_pairs`` the accepted trials' endpoint pairs are returned as
-    an array of cell indices x0 * 2^n + xl (n <= CELL_MAX_N), for
-    endpoint-distribution tests.
-    """
-    _check_dim(n)
-    _check_positive(ell=ell, cutoff=cutoff, trials=trials)
-    if cutoff < ell:
-        raise ValueError(f"cutoff={cutoff} below ell={ell}")
-    rng = np.random.default_rng(seed)
-    return _kept_cells(
-        n, trials, lambda t: _batch_experiment(rng, n, ell, cutoff, t), collect_pairs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +227,8 @@ def harvest_refresh_pairs(
     arrays are overlapping views of one chain of half-block boundaries.
     """
     _check_source(f, n)
-    _check_positive(pair_count=pair_count, gap_steps=gap_steps)
+    _check_integer("pair_count", pair_count, 1)
+    _check_integer("gap_steps", gap_steps, 1)
     walk_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     word = np.dtype(_word(n)).newbyteorder("<")
     width = word.itemsize * 8
@@ -419,12 +283,14 @@ def effective_refresh_density(n: int, gap_steps: int) -> float:
     Poisson(gap_steps/n) number of times, so P[i refreshed] =
     1 - exp(-gap_steps/n), independently across i.
     """
-    _check_positive(gap_steps=gap_steps)
+    _check_dim(n)
+    _check_integer("gap_steps", gap_steps, 1)
     return 1.0 - math.exp(-gap_steps / n)
 
 
 def gap_for_density(n: int, p: float) -> int:
     """Smallest mean block length whose refresh density reaches p."""
+    _check_dim(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"refresh density {p} outside (0, 1)")
     return max(1, math.ceil(-n * math.log(1.0 - p)))
@@ -507,13 +373,14 @@ class RandomWalkOracle:
         return ss
 
     def walk(self, length: int) -> LabeledWalk:
-        _check_positive(length=length)
+        _check_integer("length", length, 1)
         walk = generate_walk(self.f, self.n, length, self._child_seed())
         self.steps_served += length - 1
         return walk
 
     def refresh_pairs(self, pair_count: int, gap_steps: int) -> RefreshPairs:
-        _check_positive(pair_count=pair_count, gap_steps=gap_steps)
+        _check_integer("pair_count", pair_count, 1)
+        _check_integer("gap_steps", gap_steps, 1)
         seed = int(self._child_seed().generate_state(1, np.uint64)[0])
         pairs = harvest_refresh_pairs(self.f, self.n, pair_count, gap_steps, seed)
         self.steps_served += pairs.walk_steps
@@ -523,10 +390,11 @@ class RandomWalkOracle:
         """The lag pairs of the walk that ``walk(blocks * (lag + 1) + 1)`` would
         draw, with only the 2 blocks + 1 points read labelled: each block's row
         of step bits xors to its two lag words; the row xors chain the starts."""
-        _check_positive(lag=lag, blocks=blocks)
+        _check_integer("lag", lag, 1)
+        _check_integer("blocks", blocks, 1)
         rng = np.random.default_rng(self._child_seed())
         start = rng.integers(0, 1 << self.n, dtype=np.uint64)
-        bits, _ = _draw_steps(rng, self.n, blocks * (lag + 1), lazy=False)
+        bits = _draw_steps(rng, self.n, blocks * (lag + 1))
         rows = bits.reshape(blocks, lag + 1)
         diff_t = np.bitwise_xor.reduce(rows[:, :lag], axis=1).astype(np.uint64)
         diff_t1 = diff_t ^ rows[:, lag]

@@ -1,10 +1,11 @@
-"""Every public library name is reached by the library, a script or the benchmark.
+"""Every library name is reached by the library, a script or the benchmark.
 
 The modules of ``src/junta_walk`` (not ``__init__.py``, whose re-exports
 would count every name as used), ``scripts/`` and ``bench/`` are parsed with
-``ast`` and read only.  A public module-level function or class, or a public
-method, must be referenced by one of them: as a name, an attribute, an
-imported name, or a part of a dotted string such as a benchmark span name.
+``ast`` and read only.  A module-level function or class, or a method,
+private or public (only dunder names are exempt), must be referenced by one
+of them: as a name, an attribute, an imported name, or a part of a dotted
+string such as a benchmark span name.
 Names that only tests would call are deleted instead, apart from the exact
 references and the test-table factories allowed below.  A reference made
 inside an allowed definition does not count: code that only an allowed
@@ -71,16 +72,20 @@ def _references(trees) -> set[str]:
     return refs
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of the module's public functions, classes and
-    methods."""
+    """(qualified name, node) of the module's functions, classes and methods,
+    private ones included; only dunder names are skipped."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _dunder(node.name):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 

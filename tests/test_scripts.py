@@ -20,17 +20,6 @@ def _run(name, argv):
         root.handlers[:], root.level = handlers, level
 
 
-def test_walk_endpoint_laws(tmp_path):
-    out = tmp_path / "laws.json"
-    _run(
-        "walk_endpoint_laws",
-        ["--ns", "2", "--trials", "200", "--endpoint-trials", "500", "--out", str(out)],
-    )
-    report = json.loads(out.read_text())
-    assert [row["n"] for row in report["acceptance"]] == [2]
-    assert report["endpoints"]["updating"]["pairs"] > 0
-
-
 def test_runtime_scaling(tmp_path):
     out = tmp_path / "scaling.json"
     _run("runtime_scaling", ["--ns", "6", "8", "--trials", "2", "--out", str(out)])

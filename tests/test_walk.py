@@ -1,6 +1,7 @@
-"""Labeled walks, the updating-walk embedding, refresh pairs, sample sizes."""
+"""Labeled walks, refresh pairs, lag samples, sample sizes, oracle seeds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from junta_walk.functions import parity_table, random_table
 from junta_walk.hypercube import IndexSet, JuntaHypothesis
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
-    CELL_MAX_N,
     RandomWalkOracle,
     _draw_steps,
     effective_refresh_density,
@@ -21,11 +21,8 @@ from junta_walk.walk import (
     generate_walk,
     harvest_refresh_pairs,
     labels_for,
-    refresh_steps,
     sample_size_concentration,
     sample_size_erm,
-    updating_acceptance_trials,
-    updating_walk_endpoints,
 )
 from lag_reference import lag_samples_from_walk
 
@@ -164,92 +161,50 @@ def test_start_points_uniform():
 
 
 # ---------------------------------------------------------------------------
-# Updating-walk embedding
+# Size refusals
+
+
+ENTRIES = {
+    "generate_walk": lambda *args: generate_walk(XOR2, *args),
+    "harvest_refresh_pairs": lambda *args: harvest_refresh_pairs(XOR2, *args),
+    "RandomWalkOracle": lambda n: RandomWalkOracle(XOR2, n, seed=1),
+    "walk": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).walk(*args),
+    "refresh_pairs": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(*args),
+    "lag_samples": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).lag_samples(*args),
+    "effective_refresh_density": effective_refresh_density,
+    "gap_for_density": gap_for_density,
+}
+
+# (entry, arguments, error, the name and value the error must state)
+REFUSALS = [
+    ("generate_walk", (True, 3, 1), TypeError, "n=True"),
+    ("generate_walk", (6.0, 3, 1), TypeError, "n=6.0"),
+    ("generate_walk", (6, 2.5, 1), TypeError, "length=2.5"),
+    ("generate_walk", (6, True, 1), TypeError, "length=True"),
+    ("harvest_refresh_pairs", (6, 10, 1.5, 1), TypeError, "gap_steps=1.5"),
+    ("harvest_refresh_pairs", (6, True, 3, 1), TypeError, "pair_count=True"),
+    ("RandomWalkOracle", (6.0,), TypeError, "n=6.0"),
+    ("walk", (3.0,), TypeError, "length=3.0"),
+    ("walk", (False,), TypeError, "length=False"),
+    ("refresh_pairs", (10, 2.5), TypeError, "gap_steps=2.5"),
+    ("refresh_pairs", (True, 3), TypeError, "pair_count=True"),
+    ("lag_samples", (1.5, 5), TypeError, "lag=1.5"),
+    ("lag_samples", (2, True), TypeError, "blocks=True"),
+    ("effective_refresh_density", (0, 3), ValueError, "n=0"),
+    ("effective_refresh_density", (True, 3), TypeError, "n=True"),
+    ("effective_refresh_density", (6, 2.5), TypeError, "gap_steps=2.5"),
+    ("gap_for_density", (0, 0.5), ValueError, "n=0"),
+    ("gap_for_density", (2.5, 0.5), TypeError, "n=2.5"),
+    ("gap_for_density", (False, 0.5), TypeError, "n=False"),
+]
 
 
 @pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda: refresh_steps(0, 0.1), "n=0"),
-        (lambda: refresh_steps(64, 0.1), "n=64"),
-        (lambda: updating_acceptance_trials(0, 13, 52, 10, seed=1), "n=0"),
-        (lambda: updating_acceptance_trials(64, 13, 52, 10, seed=1), "n=64"),
-        (lambda: updating_acceptance_trials(3, 0, 52, 10, seed=1), "ell=0"),
-        (lambda: updating_acceptance_trials(3, 13, 0, 10, seed=1), "cutoff=0"),
-        (lambda: updating_acceptance_trials(3, 13, 12, 10, seed=1), "cutoff=12"),
-        (lambda: updating_acceptance_trials(3, 13, 52, -5, seed=1), "trials=-5"),
-        (
-            lambda: updating_acceptance_trials(3, 13, 52, 0, seed=1, collect_pairs=True),
-            "trials=0",
-        ),
-        (lambda: updating_walk_endpoints(0, 13, 10, seed=1), "n=0"),
-        (lambda: updating_walk_endpoints(64, 13, 10, seed=1), "n=64"),
-        (lambda: updating_walk_endpoints(3, 0, 10, seed=1), "ell=0"),
-        (lambda: updating_walk_endpoints(3, 13, 0, seed=1), "trials=0"),
-    ],
-    ids=lambda v: v if isinstance(v, str) else "",
+    "entry, args, error, name", REFUSALS, ids=[f"{r[0]}-{r[3]}" for r in REFUSALS]
 )
-def test_embedding_experiments_refuse_bad_sizes_by_name(call, name):
-    with pytest.raises(ValueError, match=name):
-        call()
-
-
-def test_refresh_steps_values():
-    assert refresh_steps(2, 0.1) == 8
-    assert refresh_steps(3, 0.1) == 13
-    assert refresh_steps(4, 0.1) == 18
-    assert refresh_steps(8, 0.1) == 41
-    with pytest.raises(ValueError):
-        refresh_steps(4, 0.0)
-
-
-def test_acceptance_rate_with_generous_cutoff():
-    # n=4, ell = refresh_steps(4, 0.1) = 18, cutoff 8*ell: acceptance well above 0.9
-    accepted, _ = updating_acceptance_trials(4, 18, 144, trials=4000, seed=33)
-    assert accepted / 4000 > 0.93
-
-
-def test_embedded_endpoint_parity_is_locked_to_step_count():
-    # a plain walk changes parity every step, so x0 xor xl always has
-    # popcount parity ell mod 2 -- the embedding cannot hide that
-    ell = 13
-    _, cells = updating_acceptance_trials(
-        3, ell, 4 * ell, trials=4000, seed=12, collect_pairs=True
-    )
-    diff = (cells >> 3) ^ (cells & 0b111)
-    parities = np.unique(np.bitwise_count(diff.astype(np.uint64)) & 1)
-    assert parities.tolist() == [ell % 2]
-
-
-def test_updating_walk_endpoints_hit_both_parities():
-    covered, cells = updating_walk_endpoints(3, 13, trials=20_000, seed=21)
-    assert covered > 18_000
-    diff = (cells >> 3) ^ (cells & 0b111)
-    parities = np.unique(np.bitwise_count(diff.astype(np.uint64)) & 1)
-    assert parities.tolist() == [0, 1]
-    assert cells.min() >= 0 and cells.max() < 64
-
-
-@pytest.mark.parametrize("n", [CELL_MAX_N - 1, CELL_MAX_N])
-def test_endpoint_cells_decode_up_to_the_cap(n):
-    for cells in (
-        updating_walk_endpoints(n, 4 * n, trials=50, seed=1)[1],
-        updating_acceptance_trials(n, 4 * n, 16 * n, 50, seed=1, collect_pairs=True)[1],
-    ):
-        assert cells.size > 0 and cells.min() >= 0
-        x0, xl = cells >> n, cells & ((1 << n) - 1)
-        assert x0.max() < 1 << n and xl.max() < 1 << n
-
-
-def test_endpoint_cells_refuse_dimensions_past_the_cap():
-    n = CELL_MAX_N + 1
-    with pytest.raises(ValueError, match="need n <= 31"):
-        updating_walk_endpoints(n, 40, trials=10, seed=1)
-    with pytest.raises(ValueError, match="need n <= 31"):
-        updating_acceptance_trials(n, 40, 160, 10, seed=1, collect_pairs=True)
-    # the count alone packs no cell, so any packed dimension works
-    accepted, cells = updating_acceptance_trials(40, 400, 1600, 10, seed=1)
-    assert 0 <= accepted <= 10 and cells is None
+def test_walk_sizes_are_refused_by_name(entry, args, error, name):
+    with pytest.raises(error, match=re.escape(name)):
+        ENTRIES[entry](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +319,10 @@ def test_refresh_memberships_are_independent_across_coordinates():
     assert abs(joint - a.mean() * b.mean()) < 5 / math.sqrt(60_000)
 
 
-def _reference_draw_steps(rng, n, shape, lazy):
+def _reference_draw_steps(rng, n, count):
     # the uint64 step kernel the narrow-word one must reproduce bit for bit
-    coords = rng.integers(1, n + 1, size=shape, dtype=np.int16)
-    bits = np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
-    if not lazy:
-        return coords, bits, bits
-    act = rng.integers(0, 2, size=shape, dtype=np.uint8).astype(bool)
-    return coords, bits, np.where(act, bits, np.uint64(0))
+    coords = rng.integers(1, n + 1, size=count, dtype=np.int16)
+    return np.uint64(1) << (coords.astype(np.uint64) - np.uint64(1))
 
 
 def _reference_walk_points(rng, n, count):
@@ -379,8 +330,8 @@ def _reference_walk_points(rng, n, count):
     points = np.empty(count, dtype=np.uint64)
     points[0] = start
     if count > 1:
-        _, _, changes = _reference_draw_steps(rng, n, count - 1, lazy=False)
-        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(changes)
+        steps = _reference_draw_steps(rng, n, count - 1)
+        points[1:] = np.uint64(start) ^ np.bitwise_xor.accumulate(steps)
     return points
 
 
@@ -423,9 +374,9 @@ def _reference_harvest(f, n, pair_count, gap_steps, seed):
     while done < pair_count + 1:
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
         flips = walk_rng.poisson(gap_steps / 4, size=blocks)
-        _, bit, _ = _reference_draw_steps(walk_rng, n, int(flips.sum()), lazy=False)
+        bit = _reference_draw_steps(walk_rng, n, int(flips.sum()))
         noops = coin_rng.poisson(gap_steps / 4, size=blocks)
-        _, noop_bit, _ = _reference_draw_steps(coin_rng, n, int(noops.sum()), lazy=False)
+        noop_bit = _reference_draw_steps(coin_rng, n, int(noops.sum()))
         steps_used += int(flips.sum())
         moves = _per_block(np.bitwise_xor, bit, flips)
         block_sel = _per_block(np.bitwise_or, bit, flips) | _per_block(
@@ -485,11 +436,10 @@ def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
     for count in (1, 2, 5_000):
         got = generate_walk(f, n, count, n).points
         _assert_same_bytes(got, _reference_walk_points(np.random.default_rng(n), n, count))
-        # the updating steps of updating_walk_endpoints; bits widened from the narrow word
-        got = _draw_steps(np.random.default_rng(n), n, count, lazy=True)
-        want = _reference_draw_steps(np.random.default_rng(n), n, count, lazy=True)
-        for g, w in zip(got, want[1:]):
-            _assert_same_bytes(g.astype(np.uint64), w)
+        # the step bits themselves, widened from the narrow word
+        got = _draw_steps(np.random.default_rng(n), n, count)
+        want = _reference_draw_steps(np.random.default_rng(n), n, count)
+        _assert_same_bytes(got.astype(np.uint64), want)
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
