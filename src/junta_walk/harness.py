@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .functions import flip_labels_iid, flip_labels_region, random_junta
-from .hypercube import JuntaHypothesis, TruthTable, distance_exact
+from .hypercube import JuntaHypothesis, TruthTable, _check_integer, distance_exact
 from .learner import LearnOutcome, LearnParams, learn_outcome
 from .oracle_bruteforce import OptResult, exact_opt
 from .walk import RandomWalkOracle
@@ -91,10 +91,11 @@ def _check_keys(obj: dict, what: str, keys) -> None:
 
 
 def _check_seeds(**seeds: int | None) -> None:
-    """Refuse a negative seed, naming its field (None means derived later)."""
+    """Refuse a seed that is not an integer or is negative, naming its field
+    (None means derived later)."""
     for name, seed in seeds.items():
-        if seed is not None and seed < 0:
-            raise ValueError(f"{name}={seed} must be >= 0")
+        if seed is not None:
+            _check_integer(name, seed, 0)
 
 
 def warn_practical(what: str) -> None:
@@ -136,6 +137,10 @@ class Corruption:
             raise ValueError(f"iid rate {self.rate} outside [0, 1/2]")
         if self.kind == "planted" and not 0.0 <= self.fraction <= 0.5:
             raise ValueError(f"planted fraction {self.fraction} outside [0, 1/2]")
+        # read as given, the other model's field would build an uncorrupted instance
+        for key, kind in (("rate", "iid"), ("fraction", "planted")):
+            if getattr(self, key) != 0.0 and self.kind != kind:
+                raise ValueError(f"corruption {key!r} applies to kind {kind!r}, not {self.kind!r}")
         _check_seeds(adversary_seed=self.adversary_seed)
 
     @property
@@ -164,11 +169,6 @@ class Corruption:
             adversary_seed=json_field(d, "adversary_seed", "corruption", int, None),
         )
         _check_keys(d, "corruption", fields)
-        for key, kind in (("rate", "iid"), ("fraction", "planted")):
-            if fields[key] != 0.0 and fields["kind"] != kind:
-                raise ValueError(
-                    f"corruption {key!r} applies to kind {kind!r}, not {fields['kind']!r}"
-                )
         return cls(**fields)
 
 
@@ -185,6 +185,8 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.n < self.k or self.k < 1:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
+        _check_integer("n", self.n, 1)
+        _check_integer("k", self.k, 1)
         if self.n > MAX_INSTANCE_N:
             raise ValueError(f"n={self.n} exceeds the instance cap {MAX_INSTANCE_N}")
         _check_seeds(junta_seed=self.junta_seed, instance_seed=self.instance_seed)
@@ -246,7 +248,7 @@ def make_instance(
         if c.adversary_seed is None:
             raise ValueError("planted corruption needs an adversary seed")
         adversary = random_junta(spec.n, spec.k, np.random.default_rng(c.adversary_seed))
-        region = adversary.label_bits(np.arange(1 << spec.n, dtype=np.uint64)) == -1
+        region = adversary.to_truth_table().values == -1
         f = flip_labels_region(f, region, c.fraction, np.random.default_rng(spec.instance_seed))
     return f, planted, exact_opt(f, spec.k)
 
@@ -334,6 +336,7 @@ def run_trial(
     Wall time covers the learner only (instance construction and the exact
     optimum are oracle overhead, not part of the algorithm under test).
     """
+    _check_integer("trial_seed", trial_seed, 0)
     resolved = resolve_instance(spec, trial_seed)
     f, _, opt_result = make_instance(resolved)
     oracle = RandomWalkOracle(f, resolved.n, seed=_derived_seed(trial_seed, 0))
@@ -382,9 +385,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions={self.repetitions} must be >= 1")
-        _check_seeds(master_seed=self.master_seed)
+        _check_integer("repetitions", self.repetitions, 1)
+        _check_integer("master_seed", self.master_seed, 0)
 
     def trial_seed(self, cell_index: int, rep: int) -> int:
         return _derived_seed(self.master_seed, cell_index, rep)
@@ -465,6 +467,7 @@ DEFAULT_ERM_SAMPLE = 40_000
 def default_learn_params(n: int, k: int, epsilon: float, delta: float) -> LearnParams:
     """The practical preset at the default budgets, for a k-junta over n
     coordinates; raises ValueError when k exceeds n."""
+    _check_integer("n", n, 1)
     if k > n:
         raise ValueError(f"k={k} exceeds dimension n={n}")
     return LearnParams(

@@ -245,19 +245,11 @@ class JuntaHypothesis:
 BooleanFunction = Union[TruthTable, JuntaHypothesis]
 
 
-def _materialize(g: BooleanFunction, n: int) -> np.ndarray:
-    if isinstance(g, TruthTable):
-        if g.n != n:
-            raise ValueError(f"dimension mismatch: {g.n} != {n}")
-        return g.values
-    if g.n != n:
-        raise ValueError(f"dimension mismatch: {g.n} != {n}")
-    all_bits = np.arange(1 << n, dtype=np.uint64)
-    return g.label_bits(all_bits)
-
-
 def distance_exact(f: TruthTable, g: BooleanFunction) -> Fraction:
     """Exact disagreement fraction Pr[f(x) != g(x)] over the whole cube."""
-    gv = _materialize(g, f.n)
-    disagree = int(np.count_nonzero(f.values != gv))
+    if g.n != f.n:
+        raise ValueError(f"dimension mismatch: {g.n} != {f.n}")
+    if isinstance(g, JuntaHypothesis):
+        g = g.to_truth_table()
+    disagree = int(np.count_nonzero(f.values != g.values))
     return Fraction(disagree, 1 << f.n)

@@ -43,8 +43,7 @@ GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
 
 def theta_for(k: int, epsilon: float) -> float:
     """Sieve threshold making every epsilon-relevant k-set heavy enough to keep."""
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
+    _check_integer("k", k, 1)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon={epsilon} outside (0, 1]")
     return GAP_CONSTANT**2 * 2.0 ** (1 - k) * epsilon**2
@@ -52,6 +51,7 @@ def theta_for(k: int, epsilon: float) -> float:
 
 def pool_bound(k: int, epsilon: float) -> int:
     """Runtime cap 12 k 2^k / eps^2 on the relevant-coordinate pool."""
+    _check_integer("k", k, 1)
     return math.ceil(12.0 * k * 2.0**k / epsilon**2)
 
 

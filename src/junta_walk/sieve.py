@@ -354,8 +354,7 @@ def certify_result(
     """
     if truth.n != result.n:
         raise ValueError(f"spectrum over n={truth.n}, sieve result over n={result.n}")
-    if level < 0:
-        raise ValueError(f"level={level} is negative")
+    _check_integer("level", level, 0)
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta={theta} outside (0, 1]")
     failures: list[str] = []

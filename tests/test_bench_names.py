@@ -52,11 +52,22 @@ def test_traced_trial_counts_erm_and_exact_opt_work():
     assert opt["point_visits"] == math.comb(n, k) << n
 
 
-@pytest.mark.parametrize("name", ["battery_small", "battery_n16_k3", "sieve_wide"])
-def test_first_workload_op_passes_its_audit_and_repeats(name):
-    workload = _bench_module("workloads").WORKLOADS[name]
-    op_input = workload.op_input(7, 0)
+def _assert_op_passes_its_audit_and_repeats(workload, index):
+    op_input = workload.op_input(7, index)
     first, again = workload.run(op_input), workload.run(op_input)
     assert first.violations == ()
     assert first.walk_steps > 0
     assert again.fingerprint == first.fingerprint
+
+
+@pytest.mark.parametrize("name", ["battery_small", "battery_n16_k3", "sieve_wide"])
+def test_first_workload_op_passes_its_audit_and_repeats(name):
+    _assert_op_passes_its_audit_and_repeats(_bench_module("workloads").WORKLOADS[name], 0)
+
+
+@pytest.mark.parametrize("name", ["battery_small", "battery_n16_k3"])
+def test_planted_battery_op_passes_its_audit_and_repeats(name):
+    # op 0 of a battery is an iid cell; op 1 reads the adversary's region
+    workload = _bench_module("workloads").WORKLOADS[name]
+    assert workload.op_input(7, 1)[0].instance.corruption.kind == "planted"
+    _assert_op_passes_its_audit_and_repeats(workload, 1)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,8 +34,8 @@ from junta_walk.harness import (
     _summarize,
     thread_count,
 )
-from junta_walk.hypercube import distance_exact
-from junta_walk.learner import LearnParams
+from junta_walk.hypercube import JuntaHypothesis, distance_exact
+from junta_walk.learner import LearnParams, pool_bound, theta_for
 
 
 def small_params(k, epsilon=0.25, delta=0.2, screen=20_000, sample=8_000):
@@ -94,7 +95,9 @@ def test_planted_fraction_range():
 def test_gamma_reflects_the_active_model():
     assert Corruption().gamma == 0.0
     assert Corruption(kind="iid", rate=0.3).gamma == 0.3
-    assert Corruption(kind="planted", fraction=0.2, rate=0.4).gamma == 0.2
+    assert Corruption(kind="planted", fraction=0.2).gamma == 0.2
+    with pytest.raises(ValueError, match="'rate'"):
+        Corruption(kind="planted", fraction=0.2, rate=0.4)
 
 
 def test_corruption_dict_round_trip():
@@ -118,6 +121,64 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
     # read as given, each would build an uncorrupted instance
     with pytest.raises(ValueError, match=repr(key)):
         Corruption.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "build, error, named",
+    [
+        (lambda: Corruption(kind="iid", rate=0.1, fraction=0.1), ValueError, "'fraction'"),
+        (lambda: Corruption(rate=0.1), ValueError, "'rate'"),
+        (
+            lambda: Corruption(kind="planted", adversary_seed=True),
+            TypeError,
+            "adversary_seed=True",
+        ),
+        (lambda: InstanceSpec(n=True, k=1), TypeError, "n=True"),
+        (lambda: InstanceSpec(n=8.0, k=2), TypeError, "n=8.0"),
+        (lambda: InstanceSpec(n=8, k=1.5), TypeError, "k=1.5"),
+        (lambda: InstanceSpec(n=8, k=2, junta_seed=1.5), TypeError, "junta_seed=1.5"),
+        (lambda: ExperimentConfig(cells=(), repetitions=1.5), TypeError, "repetitions=1.5"),
+        (lambda: ExperimentConfig(cells=(), repetitions=True), TypeError, "repetitions=True"),
+        (lambda: ExperimentConfig(cells=(), master_seed=2.0), TypeError, "master_seed=2.0"),
+        (
+            lambda: run_trial(InstanceSpec(n=5, k=1), small_params(1), 1.5),
+            TypeError,
+            "trial_seed=1.5",
+        ),
+        (
+            lambda: run_trial(InstanceSpec(n=5, k=1), small_params(1), -1),
+            ValueError,
+            "trial_seed=-1",
+        ),
+        (lambda: default_learn_params(8.0, 2, 0.25, 0.2), TypeError, "n=8.0"),
+        (lambda: theta_for(2.5, 0.1), TypeError, "k=2.5"),
+        (lambda: theta_for(True, 0.1), TypeError, "k=True"),
+        (lambda: pool_bound(2.5, 0.25), TypeError, "k=2.5"),
+        (lambda: pool_bound(True, 0.25), TypeError, "k=True"),
+    ],
+    ids=[
+        "iid-with-fraction",
+        "none-with-rate",
+        "bool-adversary-seed",
+        "bool-n",
+        "float-n",
+        "float-k",
+        "float-junta-seed",
+        "float-repetitions",
+        "bool-repetitions",
+        "float-master-seed",
+        "float-trial-seed",
+        "negative-trial-seed",
+        "float-default-n",
+        "float-theta-k",
+        "bool-theta-k",
+        "float-pool-k",
+        "bool-pool-k",
+    ],
+)
+def test_refuses_a_bad_argument_naming_it(build, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        build()
 
 
 def test_instance_spec_validation():
@@ -213,6 +274,25 @@ def test_planted_instance_flips_exactly_inside_the_adversary_region():
     flipped = f.values != planted.to_truth_table().values
     assert not flipped[~region].any()
     assert int(flipped.sum()) == round(0.25 * int(region.sum()))
+
+
+def test_whole_cube_reads_never_label_a_junta_at_packed_points(monkeypatch):
+    # the planted region and the exact distance read a junta's table
+    # broadcast over the cube; packed-point labels are for walk points only
+    spec = resolve_instance(
+        InstanceSpec(n=8, k=2, corruption=Corruption(kind="planted", fraction=0.25)),
+        trial_seed=3,
+    )
+    f, planted, opt = make_instance(spec)
+
+    def refuse(self, bits):
+        raise AssertionError("a junta was labeled at packed points")
+
+    monkeypatch.setattr(JuntaHypothesis, "label_bits", refuse)
+    again, _, _ = make_instance(spec)
+    assert again.values.tobytes() == f.values.tobytes()
+    assert distance_exact(f, planted) == distance_exact(f, planted.to_truth_table()) > 0
+    assert distance_exact(f, planted) >= opt.opt
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,28 @@ def test_distance_accepts_junta_argument():
     assert distance_exact(h.to_truth_table(), h) == 0
 
 
+def test_distance_refuses_a_function_of_another_dimension():
+    h = JuntaHypothesis(IndexSet.of(5, [2]), [1, -1])
+    with pytest.raises(ValueError, match="dimension mismatch: 5 != 4"):
+        distance_exact(parity_table(4, [2]), h)
+
+
+def test_distance_to_a_junta_allocates_no_wide_temporary():
+    # h is read as its table broadcast over the cube, not at 2^n packed
+    # points with 8-byte words and indices
+    n = 20
+    f = parity_table(n, [2, 9, 17])
+    h = JuntaHypothesis(IndexSet.of(n, [2, 9, 17]), [1, -1, -1, 1, 1, 1, -1, 1])
+    tracemalloc.start()
+    try:
+        d = distance_exact(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << n
+    assert d == Fraction(3, 8)  # the table differs from the parity at 3 of its 8 cells
+
+
 def test_every_package_export_resolves():
     assert len(set(junta_walk.__all__)) == len(junta_walk.__all__)
     for name in junta_walk.__all__:

@@ -528,6 +528,9 @@ def test_certify_rejects_negative_level_and_theta_outside_unit_interval():
     spec = Spectrum.from_table(parity_table(4, [1, 2]))
     with pytest.raises(ValueError, match="level=-1"):
         certify_result(_fake_result(4, []), spec, theta=0.5, level=-1)
+    for level in (2.0, True):
+        with pytest.raises(TypeError, match=f"level={level!r}"):
+            certify_result(_fake_result(4, []), spec, theta=0.5, level=level)
     for theta in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match="outside"):
             certify_result(_fake_result(4, []), spec, theta=theta, level=2)
