@@ -275,13 +275,9 @@ def estimator_bias_bound(n: int, lag: int) -> float:
 # _BYTE_BITS[b, j] is bit j of the byte value b
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
-
-def _bit_counts(masks: np.ndarray, n: int) -> np.ndarray:
-    """Entry i counts the masks with bit i set: one histogram per byte in
-    use, times the bits of each byte value."""
-    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    hists = [np.bincount(octets[:, b], minlength=256) for b in range((n + 7) // 8)]
-    return (np.stack(hists) @ _BYTE_BITS).reshape(-1)[:n]
+# Pairs per step of the contrast tally: its intp key buffer and bool
+# disagreement buffer take ~150 KB however many pairs there are.
+_TALLY_CHUNK = 16_384
 
 
 def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +293,12 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndar
     estimate.
 
     The products are +-1, so each conditional mean is an exact integer sum,
-    (pairs - 2 disagreeing pairs), divided once by its pair count; all n
-    counts come from byte histograms of the masks.  The same counts give
+    (pairs - 2 disagreeing pairs), divided once by its pair count.  All n
+    counts, split by disagreement, come from one histogram per byte of the
+    masks in use: per chunk of _TALLY_CHUNK pairs, byte b of a mask with the
+    pair's disagreement bit above it is a key in [0, 512).  The masks may be
+    of any unsigned width (a harvest's narrow word or uint64); their bytes
+    are read little-endian.  The same counts give
     sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the contrast's standard
     deviation when the pairs are iid: each mean averages values in [-1, 1].
     Harvested pairs share half-blocks with their neighbours and are not iid,
@@ -307,9 +307,24 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndar
     arrays.
     """
     masks = pairs.refreshed_masks
-    disagree = masks[pairs.label_x != pairs.label_y]
-    hit, hit_dis = _bit_counts(masks, pairs.n), _bit_counts(disagree, pairs.n)
-    kept, kept_dis = len(masks) - hit, len(disagree) - hit_dis
+    octets = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
+    octets = octets.view(np.uint8).reshape(-1, masks.dtype.itemsize)
+    hists = np.zeros(((pairs.n + 7) // 8, 512), dtype=np.intp)
+    key_buf = np.empty(min(_TALLY_CHUNK, len(masks)), dtype=np.intp)
+    dis_buf = np.empty(len(key_buf), dtype=bool)
+    for lo in range(0, len(masks), _TALLY_CHUNK):
+        hi = min(lo + _TALLY_CHUNK, len(masks))
+        dis, keys = dis_buf[: hi - lo], key_buf[: hi - lo]
+        np.not_equal(pairs.label_x[lo:hi], pairs.label_y[lo:hi], out=dis)
+        for b, hist in enumerate(hists):
+            # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
+            np.left_shift(dis, 8, out=keys, dtype=np.intp)
+            keys |= octets[lo:hi, b]
+            hist += np.bincount(keys, minlength=512)
+    agree, dis_hists = hists[:, :256], hists[:, 256:]
+    hit = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: pairs.n]
+    hit_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: pairs.n]
+    kept, kept_dis = len(masks) - hit, int(dis_hists[0].sum()) - hit_dis
     with np.errstate(divide="ignore", invalid="ignore"):
         contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
         sigmas = np.sqrt(1.0 / kept + 1.0 / hit)

@@ -137,9 +137,14 @@ class Corruption:
             raise ValueError(f"iid rate {self.rate} outside [0, 1/2]")
         if self.kind == "planted" and not 0.0 <= self.fraction <= 0.5:
             raise ValueError(f"planted fraction {self.fraction} outside [0, 1/2]")
-        # read as given, the other model's field would build an uncorrupted instance
-        for key, kind in (("rate", "iid"), ("fraction", "planted")):
-            if getattr(self, key) != 0.0 and self.kind != kind:
+        # read as given, another model's field would be ignored: a rate or a
+        # fraction would build an uncorrupted instance
+        for key, kind, unset in (
+            ("rate", "iid", 0.0),
+            ("fraction", "planted", 0.0),
+            ("adversary_seed", "planted", None),
+        ):
+            if getattr(self, key) != unset and self.kind != kind:
                 raise ValueError(f"corruption {key!r} applies to kind {kind!r}, not {self.kind!r}")
         _check_seeds(adversary_seed=self.adversary_seed)
 

@@ -27,7 +27,8 @@ changes parity every step, so its endpoints carry a deterministic parity
 constraint; a Poisson number of flips lifts it.)
 
 Walks and lag samples draw their steps through one kernel, ``_draw_steps``,
-in the narrowest unsigned word that holds n bits.
+in the narrowest unsigned word that holds n bits.  Harvested points and masks
+stay in that word; label sources always receive uint64 packed points.
 """
 
 from __future__ import annotations
@@ -138,11 +139,14 @@ def generate_walk(
 @dataclass(frozen=True)
 class RefreshPairs:
     """Harvested refresh pairs (packed x and y, their int8 labels) with each
-    pair's refreshed coordinate mask (uint64), as parallel arrays.
+    pair's refreshed coordinate mask, as parallel arrays.
 
-    Pair i spans half-blocks i and i + 1 of one walk, so its y is pair
-    i + 2's x, and ``refreshed_masks[i]`` is the union of the two half-blocks'
-    selected coordinates."""
+    A harvest stores points and masks in the narrowest unsigned word with n
+    bits (``_word(n)``); the screening tally reads masks of any unsigned
+    width, so pairs built by hand may hold them in uint64.  Pair i spans
+    half-blocks i and i + 1 of one walk, so its y is pair i + 2's x, and
+    ``refreshed_masks[i]`` is the union of the two half-blocks' selected
+    coordinates."""
 
     n: int
     x_bits: np.ndarray
@@ -160,8 +164,9 @@ class RefreshPairs:
 # _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
 # flip cells and as many no-op cells, each draw about 0.2 MB of intp indices
 # (mean _HARVEST_CHUNK_STEPS / 4 cells), into B word-wide rows of selection
-# bools and of uint8 flip counts (<= 128 B per half-block), which are
-# allocated once per harvest.
+# bools and of uint8 flip counts (<= 128 B per half-block), and labels its
+# B boundaries in a B + 1 point uint64 buffer; these buffers are allocated
+# once per harvest.
 _HARVEST_CHUNK_STEPS = 100_000
 
 
@@ -222,9 +227,14 @@ def harvest_refresh_pairs(
     (half-block, coordinate) cells, and a second child of ``seed`` draws
     the no-op cells.  A half-block's selected set is the coordinates of its
     hit cells, and its move is the parity of its flip counts, so every
-    boundary is a point of the plain walk.  ``walk_steps`` sums the F.  The
-    returned arrays are read-only: ``x_bits``/``y_bits`` and the two label
-    arrays are overlapping views of one chain of half-block boundaries.
+    boundary is a point of the plain walk.  ``walk_steps`` sums the F.
+    Boundaries and masks are kept in the narrowest unsigned word with n
+    bits, where each chunk's moves xor-accumulate.  Each chunk's new
+    boundaries are widened into a uint64 buffer, reused across chunks, and
+    labelled there, so the label source sees uint64 points and no temporary
+    grows with the pair count.  The returned arrays are read-only:
+    ``x_bits``/``y_bits`` and the two label arrays are overlapping views of
+    one chain of half-block boundaries.
     """
     _check_source(f, n)
     _check_integer("pair_count", pair_count, 1)
@@ -236,11 +246,15 @@ def harvest_refresh_pairs(
     per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
     hit_rows = np.empty(per_chunk * width, dtype=bool)
     flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
-    bounds = np.empty(halves_total + 1, dtype=np.uint64)
+    # every label source reads uint64 points: a chunk's boundaries are
+    # widened into this buffer and labelled there
+    points = np.empty(per_chunk + 1, dtype=np.uint64)
+    bounds = np.empty(halves_total + 1, dtype=word)
+    labels = np.empty(halves_total + 1, dtype=np.int8)
     sel = np.empty(halves_total, dtype=word)
 
     bounds[:1] = walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)
-    steps_used = 0
+    steps_used = labelled = 0
     for done in range(0, halves_total, per_chunk):
         halves = min(per_chunk, halves_total - done)
         mean = halves * gap_steps / 4
@@ -257,12 +271,17 @@ def harvest_refresh_pairs(
         # little-endian bits and bytes: element j of a row is bit j of its word
         sel[done : done + halves] = np.packbits(hit, bitorder="little").view(word)
         moves = np.packbits(flips.view(bool), bitorder="little").view(word)
-        chain = bounds[done + 1 : done + 1 + halves]
-        np.bitwise_xor.accumulate(moves, dtype=np.uint64, out=chain)
+        end = done + 1 + halves
+        chain = bounds[done + 1 : end]
+        np.bitwise_xor.accumulate(moves, out=chain)
         chain ^= bounds[done]
+        # the new boundaries (in the first chunk, the start too)
+        fresh = points[: end - labelled]
+        fresh[:] = bounds[labelled:end]
+        labels[labelled:end] = labels_for(f, fresh)
+        labelled = end
 
-    labels = labels_for(f, bounds)
-    masks = (sel[:-1] | sel[1:]).astype(np.uint64)
+    masks = sel[:-1] | sel[1:]
     for arr in (bounds, labels, masks):
         arr.setflags(write=False)
     return RefreshPairs(

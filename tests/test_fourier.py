@@ -33,6 +33,8 @@ from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
 from junta_walk.walk import (
     RandomWalkOracle,
     RefreshPairs,
+    _word,
+    gap_for_density,
     generate_walk,
     harvest_refresh_pairs,
 )
@@ -649,6 +651,66 @@ def test_sigmas_match_per_coordinate_counts():
         _, sigmas = estimate_bounded_influence(pairs)
         want = [_reference_sigma(pairs, i) for i in range(1, pairs.n + 1)]
         assert sigmas.tolist() == want
+
+
+def _reference_tally(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
+    """Contrasts and sigmas from a direct count of each mask bit, split by
+    whether the pair's labels disagree."""
+    masks = pairs.refreshed_masks.astype(np.uint64)
+    disagree = pairs.label_x != pairs.label_y
+    bits = [(masks >> np.uint64(i)) & np.uint64(1) for i in range(pairs.n)]
+    hit = np.array([np.count_nonzero(b) for b in bits], dtype=np.int64)
+    hit_dis = np.array([np.count_nonzero(b[disagree]) for b in bits], dtype=np.int64)
+    kept, kept_dis = len(masks) - hit, np.count_nonzero(disagree) - hit_dis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
+        sigmas = np.sqrt(1.0 / kept + 1.0 / hit)
+    empty = (hit == 0) | (kept == 0)
+    contrasts[empty] = np.inf
+    sigmas[empty] = np.inf
+    return contrasts, sigmas
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 63])
+def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
+    # pair counts around the tally's chunk edges, masks in uint64 and in the
+    # harvest's narrow word: the same pairs must give the same bytes
+    chunk = fourier._TALLY_CHUNK
+    rng = np.random.default_rng(330 + n)
+    signs = np.array([-1, 1], dtype=np.int8)
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        masks = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+        masks &= rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+        label_x, label_y = rng.choice(signs, size=count), rng.choice(signs, size=count)
+        want = _reference_tally(RefreshPairs(n, masks, masks, label_x, label_y, masks))
+        narrow = masks.astype(_word(n))
+        for stored in (masks, narrow):
+            got = estimate_bounded_influence(
+                RefreshPairs(n, stored, stored, label_x, label_y, stored)
+            )
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.shape == (n,)
+                assert g.tobytes() == w.tobytes()
+
+
+def test_tally_memory_is_flat_in_the_pair_count():
+    # the tally holds one chunk's key and disagreement buffers, whatever the
+    # pair count; a pass over all pairs at once holds several bytes a pair
+    n = 16
+    f = random_table(n, np.random.default_rng(340))
+    gap = gap_for_density(n, 1 / 3)
+    peaks = []
+    for count in (100_000, 400_000):
+        pairs = harvest_refresh_pairs(f, n, count, gap, seed=count)
+        tracemalloc.start()
+        try:
+            estimate_bounded_influence(pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunk_buffers = fourier._TALLY_CHUNK * (np.dtype(np.intp).itemsize + 1)
+    assert abs(peaks[1] - peaks[0]) < chunk_buffers
+    assert max(peaks) < 1 << 20
 
 
 def test_contrast_coordinate_range():

@@ -115,10 +115,13 @@ def test_corruption_dict_round_trip():
         ({"kind": "iid", "fraction": 0.1}, "fraction"),
         ({"kind": "planted", "rate": 0.1}, "rate"),
         ({"rate": 0.1}, "rate"),
+        ({"kind": "iid", "rate": 0.1, "adversary_seed": 5}, "adversary_seed"),
+        ({"adversary_seed": 7}, "adversary_seed"),
     ],
 )
 def test_corruption_dict_refuses_the_other_models_field(d, key):
-    # read as given, each would build an uncorrupted instance
+    # read as given, each would be ignored: a rate or fraction would build an
+    # uncorrupted instance, a seed would never be read
     with pytest.raises(ValueError, match=repr(key)):
         Corruption.from_dict(d)
 
@@ -128,6 +131,12 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
     [
         (lambda: Corruption(kind="iid", rate=0.1, fraction=0.1), ValueError, "'fraction'"),
         (lambda: Corruption(rate=0.1), ValueError, "'rate'"),
+        (
+            lambda: Corruption(kind="iid", rate=0.1, adversary_seed=5),
+            ValueError,
+            "'adversary_seed'",
+        ),
+        (lambda: Corruption(kind="none", adversary_seed=7), ValueError, "'adversary_seed'"),
         (
             lambda: Corruption(kind="planted", adversary_seed=True),
             TypeError,
@@ -159,6 +168,8 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
     ids=[
         "iid-with-fraction",
         "none-with-rate",
+        "iid-with-adversary-seed",
+        "none-with-adversary-seed",
         "bool-adversary-seed",
         "bool-n",
         "float-n",

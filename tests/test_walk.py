@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
     _draw_steps,
+    _word,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
@@ -454,8 +456,52 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
             assert pairs.walk_steps == want.pop("walk_steps")
             for name, ref in want.items():
                 got = getattr(pairs, name)
-                _assert_same_bytes(got, ref)
                 assert not got.flags.writeable
+                if name not in ("label_x", "label_y"):
+                    # points and masks are stored in the narrow word
+                    assert got.dtype == _word(n)
+                    got = got.astype(np.uint64)
+                _assert_same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("n", [5, 16, 40])
+def test_label_sources_read_uint64_points_from_narrow_pairs(n):
+    # pairs are stored in the narrow word, but every label source still
+    # receives uint64 packed points, each boundary exactly once per harvest
+    top = _top_bit_labels(n)
+    seen = []
+
+    def source(bits):
+        assert bits.dtype == np.uint64
+        seen.append(len(bits))
+        return top(bits)
+
+    gap = gap_for_density(n, 1 / 3)
+    count = 3 * (_HARVEST_CHUNK_STEPS // gap) + 5
+    harvested = harvest_refresh_pairs(source, n, count, gap, seed=n)
+    served = RandomWalkOracle(source, n, seed=n).refresh_pairs(count, gap)
+    assert sum(seen) == 2 * (count + 2)
+    for pairs in (harvested, served):
+        for name in ("x_bits", "y_bits", "refreshed_masks"):
+            got = getattr(pairs, name)
+            assert got.dtype == _word(n) and not got.flags.writeable
+        for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
+            want = labels_for(top, points.astype(np.uint64))
+            assert labels.tobytes() == want.tobytes()
+
+
+def test_harvest_holds_under_twelve_bytes_a_pair():
+    # points and masks in the 2-byte word and int8 labels, with one chunk's
+    # working buffers; uint64 points and masks alone would take 16 bytes a pair
+    n, count = 16, 300_000
+    f = random_table(n, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        harvest_refresh_pairs(f, n, count, gap_for_density(n, 1 / 3), seed=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * count
 
 
 @pytest.mark.parametrize("kernel", ["blocks", "steps"])
