@@ -7,8 +7,9 @@ pool on a fresh walk whose length makes disagreement means concentrate
 uniformly over the finite hypothesis class.  That is the certified run.  A
 practical run stops the sieve after its screen and minimizes over the
 screened pool: estimating theta-sized coefficients within theta/8 takes a
-Hoeffding count of lag blocks far past any practical budget, and below it the
-keep rule decides on noise.  :func:`best_support` scores
+Hoeffding count of lag samples whose walk, 2e8 to 6e10 steps at n <= 16,
+k <= 3, eps = 0.25 and delta = 0.1, is far past any practical budget, and
+below it the keep rule decides on noise.  :func:`best_support` scores
 every support from the walk's signed subcube label sums, and exact opt in
 ``oracle_bruteforce`` from the truth table's.
 

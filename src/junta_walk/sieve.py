@@ -48,7 +48,12 @@ from .fourier import (
     estimate_sq_coeff_bulk,
 )
 from .hypercube import IndexSet, _check_integer, restriction_indices
-from .walk import RandomWalkOracle, effective_refresh_density, gap_for_density
+from .walk import (
+    RandomWalkOracle,
+    _lag_walk_steps,
+    effective_refresh_density,
+    gap_for_density,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +76,9 @@ class BudgetInfeasible(SieveError):
 
 @dataclass(frozen=True)
 class SieveBudgets:
-    """Concrete sample sizes for the two phases; zero ``estimate_blocks``
-    stops the search after phase one."""
+    """Concrete sample sizes for the two phases: ``screen_pairs`` refresh
+    pairs and ``estimate_blocks`` lag samples; zero ``estimate_blocks`` stops
+    the search after phase one."""
 
     screen_pairs: int
     estimate_blocks: int
@@ -137,14 +143,22 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     pairs, are each a chain of disjoint blocks, which that count covers; so
     the screen takes twice the count at half the screening share of delta,
     and each conditional mean, a weighted average of the two families'
-    means, is within tau/2 when both are.  These sizes grow like
-    (2/theta)^(2 ell), so certified mode is only feasible for tiny levels;
-    anything larger should supply practical budgets explicitly.  The step
-    total checked against BUDGET_CEILING counts only the phases a run draws:
-    a run that does not screen draws no pairs, and one that does reads
+    means, is within tau/2 when both are.  Estimation needs every candidate's
+    mean of lag samples, terms in [-1, 1], within theta/8 at a third of delta
+    split over the candidates.  Adjacent lag samples share a half-window, so
+    their dependency graph is a path, of fractional chromatic number 2, and
+    Janson's Hoeffding bound for dependency graphs (Random Structures &
+    Algorithms 24(3), 2004) holds at twice the iid count of samples, with no
+    further split of delta.  Samples b and b + 2 chain as the even pairs
+    do, and are read as independent in the same way.  These sizes
+    grow like (2/theta)^(2 ell), so certified mode is only feasible for tiny
+    levels; anything larger should supply practical budgets explicitly.  The
+    step total checked against BUDGET_CEILING counts only the phases a run
+    draws: a run that does not screen draws no pairs, and one that does reads
     pairs + 1 half-blocks of the plain walk, gap/4 mean steps each (the
     half-block's no-op selections come from the learner's own coins and cost
-    no walk step).
+    no walk step); the lag walk is blocks + 1 half-windows of about
+    (lag + 1)/2 steps each.
     """
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
@@ -155,16 +169,19 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     )
     pool_cap = _pool_cap(params)
     cand_bound = _candidate_bound(min(n, pool_cap), params.level)
-    # lag for bias theta/8, blocks for sampling error theta/8 on every candidate
+    # lag for bias theta/8, samples for sampling error theta/8 on every
+    # candidate: twice the iid count, as the samples' dependency graph is a path
     lag = default_lag(n, params.theta)
-    blocks = blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
+    blocks = 2 * blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
     screen = math.ceil((screen_pairs + 1) * gap / 4) if _screens(params, n) else 0
-    total = screen + blocks * (lag + 1)
+    estimate = _lag_walk_steps(lag, blocks)
+    total = screen + estimate
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
             f"(screen {screen_pairs} pairs over {screen} steps at gap {gap}, "
-            f"estimate walk {blocks} blocks x {lag + 1}); ceiling is {BUDGET_CEILING}"
+            f"estimate {blocks} lag samples over {estimate} steps); "
+            f"ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
         screen_pairs=screen_pairs, estimate_blocks=blocks, lag=lag, gap_steps=gap
@@ -343,6 +360,19 @@ class CertifyReport:
         return self.passed
 
 
+def _masks_up_to(n: int, level: int) -> np.ndarray:
+    """The masks of the sets of size <= level over n coordinates, ascending.
+
+    A set of size j is a set of size j - 1 plus a coordinate above all of
+    its own, that is, a bit above the smaller mask as an integer."""
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    sized = [np.zeros(1, dtype=np.int64)]
+    for _ in range(min(level, n)):
+        below = sized[-1][:, None]
+        sized.append((below | bits)[below < bits])
+    return np.sort(np.concatenate(sized))
+
+
 def certify_result(
     result: SieveResult, truth: Spectrum, theta: float, level: int
 ) -> CertifyReport:
@@ -360,13 +390,10 @@ def certify_result(
     failures: list[str] = []
     returned = set(result.masks())
     # only the sets of size <= level can be missing, so only they are read
-    low = sorted(
-        sum(1 << i for i in combo)
-        for size in range(min(level, truth.n) + 1)
-        for combo in itertools.combinations(range(truth.n), size)
-    )
-    for mask, sq in zip(low, truth.coeffs[low] ** 2):
-        if sq >= theta and mask not in returned:
+    low = _masks_up_to(truth.n, level)
+    heavy = low[truth.coeffs[low] ** 2 >= theta]
+    for mask, sq in zip(heavy.tolist(), truth.coeffs[heavy] ** 2):
+        if mask not in returned:
             failures.append(f"missing set mask={mask} with coeff^2={sq:.6f} >= theta")
     for mask in returned:
         sq = truth.coeffs[mask] ** 2

@@ -83,10 +83,14 @@ class LabeledWalk:
 class LagSamples:
     """The lag pairs of a plain walk that the squared-coefficient estimator reads.
 
-    Block b starts at walk point x = b (lag + 1) and pairs it with the points
-    lag and lag + 1 steps later: ``diff_t[b]``/``diff_t1[b]`` are the xors of
-    x with those points and ``prod_t[b]``/``prod_t1[b]`` the +-1 (int8) label
-    products.  The arrays are read-only.
+    The walk is cut into half-windows of alternately floor((lag + 1)/2) and
+    ceil((lag + 1)/2) steps.  Sample b starts at half-window boundary b, the
+    point x, and pairs it with the points lag and lag + 1 steps later, one
+    step before boundary b + 2 and boundary b + 2 itself:
+    ``diff_t[b]``/``diff_t1[b]`` are the xors of x with those points and
+    ``prod_t[b]``/``prod_t1[b]`` the +-1 (int8) label products.  So adjacent
+    samples share a half-window, and samples b and b + 2 chain.  The arrays
+    are read-only.
     """
 
     n: int
@@ -102,6 +106,14 @@ class LagSamples:
 def _word(n: int) -> type:
     """The narrowest unsigned integer type with n bits."""
     return next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
+
+
+def _lag_walk_steps(lag: int, blocks):
+    """Steps of the walk behind ``blocks`` lag samples: blocks + 1
+    half-windows of alternately floor((lag + 1)/2) and ceil((lag + 1)/2)
+    steps, the shorter first.  It also reads elementwise over an integer
+    array, where b = h - 1 >= -1 gives the step of half-window boundary h."""
+    return (blocks + 1) // 2 * (lag + 1) + (blocks + 1) % 2 * ((lag + 1) // 2)
 
 
 def _draw_steps(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -406,22 +418,36 @@ class RandomWalkOracle:
         return pairs
 
     def lag_samples(self, lag: int, blocks: int) -> LagSamples:
-        """The lag pairs of the walk that ``walk(blocks * (lag + 1) + 1)`` would
-        draw, with only the 2 blocks + 1 points read labelled: each block's row
-        of step bits xors to its two lag words; the row xors chain the starts."""
+        """The lag pairs of ``blocks`` samples read from blocks + 1 consecutive
+        half-windows of the walk that ``walk(_lag_walk_steps(lag, blocks) + 1)``
+        would draw, with only the 2 blocks + 2 points read labelled: the
+        blocks + 2 half-window boundaries and the blocks lag points.  Sample b
+        spans half-windows b and b + 1, so its lag + 1 partner is boundary
+        b + 2 and its lag partner is the point one step before it: boundary
+        b + 2 xor the last step of half-window b + 1.  The half-windows' xors
+        chain the boundaries."""
         _check_integer("lag", lag, 1)
         _check_integer("blocks", blocks, 1)
         rng = np.random.default_rng(self._child_seed())
         start = rng.integers(0, 1 << self.n, dtype=np.uint64)
-        bits = _draw_steps(rng, self.n, blocks * (lag + 1))
-        rows = bits.reshape(blocks, lag + 1)
-        diff_t = np.bitwise_xor.reduce(rows[:, :lag], axis=1).astype(np.uint64)
-        diff_t1 = diff_t ^ rows[:, lag]
-        starts = np.bitwise_xor.accumulate(np.concatenate(([start], diff_t1)))
-        labels = labels_for(self.f, np.concatenate((starts, starts[:-1] ^ diff_t)))
-        prod_t = labels[:blocks] * labels[blocks + 1 :]
-        prod_t1 = labels[:blocks] * labels[1 : blocks + 1]
+        steps = _lag_walk_steps(lag, blocks)
+        bits = _draw_steps(rng, self.n, steps)
+        # boundary h sits at step _lag_walk_steps(lag, h - 1), h = 0..blocks + 1
+        at = _lag_walk_steps(lag, np.arange(-1, blocks + 1))
+        # the blocks + 2 boundaries, then the blocks lag points, widened to
+        # uint64 from the steps' narrow word
+        points = np.empty(2 * blocks + 2, dtype=np.uint64)
+        bounds, lag_points = points[: blocks + 2], points[blocks + 2 :]
+        bounds[0] = start
+        np.bitwise_xor.accumulate(np.bitwise_xor.reduceat(bits, at[:-1]), out=bounds[1:])
+        bounds[1:] ^= start
+        np.bitwise_xor(bounds[2:], bits[at[2:] - 1], out=lag_points)
+        diff_t = bounds[:-2] ^ lag_points
+        diff_t1 = bounds[:-2] ^ bounds[2:]
+        labels = labels_for(self.f, points)
+        prod_t = labels[:blocks] * labels[blocks + 2 :]
+        prod_t1 = labels[:blocks] * labels[2 : blocks + 2]
         for arr in (diff_t, diff_t1, prod_t, prod_t1):
             arr.setflags(write=False)
-        self.steps_served += blocks * (lag + 1)
+        self.steps_served += steps
         return LagSamples(self.n, diff_t, diff_t1, prod_t, prod_t1)

@@ -123,8 +123,10 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     assert obj["excess"] == "0"
     assert obj["hypothesis"]["J"] == [1]
     # a certified run estimates, so its stdout is the one recorded before the
-    # learner could skip estimation (26 033 966 walk steps, erm_sample 12 559)
-    assert obj["walk_steps"] == 26_033_966
+    # learner could skip estimation (erm_sample 12 559), but for its walk
+    # steps: twice the lag samples over half-windows cost 4 steps more than
+    # the former disjoint blocks (26 033 966)
+    assert obj["walk_steps"] == 26_033_970
     # the run's mode was added to that record; a file without a recipe
     # reports none, so the record is hashed without those two fields
     assert obj["mode"] == "certified"
@@ -133,7 +135,7 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
         {key: v for key, v in obj.items() if key not in ("mode", "instance_spec")}, indent=2
     )
     digest = hashlib.sha256(recorded.encode()).hexdigest()
-    assert digest == "46afa2d80b7b35264fa937f259e114bcdcb170731ef9035979e7a01ffa455caa"
+    assert digest == "22755b9b7cbe67662857054b35dfbec0c8caf372554166d6a7f42315852f17fc"
 
 
 def test_learn_refuses_a_table_past_the_exact_opt_cap_before_walking(

@@ -38,7 +38,7 @@ from junta_walk.walk import (
     generate_walk,
     harvest_refresh_pairs,
 )
-from lag_reference import lag_samples_from_walk
+from lag_reference import lag_samples_from_walk, lag_walk_points
 
 sign_tables = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
@@ -296,11 +296,6 @@ def test_spectrum_to_csv():
 # Estimator lag and block count
 
 
-def _walk_points(lag, blocks):
-    """Points of the walk whose lag pairs ``blocks`` blocks read."""
-    return blocks * (lag + 1) + 1
-
-
 def test_default_lag_and_blocks_frozen_values():
     assert default_lag(8, 0.1) == 18  # ceil(4 ln 80)
     assert blocks_for(0.1, 0.05) == 738
@@ -324,7 +319,7 @@ def test_estimate_on_own_parity_is_exactly_one():
     # for f = chi_S each sample is chi_S(x)chi_S(y)chi_S(x xor y) = +1
     S = IndexSet.of(6, [2, 5])
     f = parity_table(6, [2, 5])
-    walk = generate_walk(f, 6, _walk_points(5, 200), 3)
+    walk = generate_walk(f, 6, lag_walk_points(5, 200), 3)
     samples = lag_samples_from_walk(walk, 5, 200)
     assert estimate_sq_coeff(samples, S) == 1.0
 
@@ -334,7 +329,7 @@ def test_lag_averaging_cancels_full_set_alternation():
     # two-lag average is identically zero
     n = 5
     f = parity_table(n, range(1, n + 1))
-    walk = generate_walk(f, n, _walk_points(7, 300), 8)
+    walk = generate_walk(f, n, lag_walk_points(7, 300), 8)
     samples = lag_samples_from_walk(walk, 7, 300)
     assert estimate_sq_coeff(samples, IndexSet(n, 0)) == 0.0
     spec = Spectrum.from_table(f)
@@ -369,7 +364,7 @@ def test_estimator_concentrates_near_expectation(seed):
     spec = Spectrum.from_table(f)
     S = IndexSet.of(n, [1, 3])
     lag = default_lag(n, 0.2)
-    walk = generate_walk(f, n, _walk_points(lag, 4000), seed + 1)
+    walk = generate_walk(f, n, lag_walk_points(lag, 4000), seed + 1)
     samples = lag_samples_from_walk(walk, lag, 4000)
     est = estimate_sq_coeff(samples, S)
     # terms are means of [-1, 1] samples; walk correlation inflates variance
@@ -380,7 +375,7 @@ def test_estimator_concentrates_near_expectation(seed):
 def test_bulk_matches_per_set_estimates():
     n = 5
     f = random_table(n, np.random.default_rng(6))
-    walk = generate_walk(f, n, _walk_points(6, 500), 2)
+    walk = generate_walk(f, n, lag_walk_points(6, 500), 2)
     samples = lag_samples_from_walk(walk, 6, 500)
     bulk = estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     for mask in range(1 << n):
@@ -414,7 +409,7 @@ def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     f = random_table(n, rng)
     lag = default_lag(n, 0.1)
-    walk = generate_walk(f, n, _walk_points(lag, 2_000), n)
+    walk = generate_walk(f, n, lag_walk_points(lag, 2_000), n)
     samples = lag_samples_from_walk(walk, lag, 2_000)
     dense = _dense_bulk_reference(samples)
     partial = sorted(rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist())
@@ -437,7 +432,7 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
         return (1 - 2 * top).astype(np.int8)
 
     lag = default_lag(n, 0.2)
-    walk = generate_walk(label, n, _walk_points(lag, 1_500), n)
+    walk = generate_walk(label, n, lag_walk_points(lag, 1_500), n)
     samples = lag_samples_from_walk(walk, lag, 1_500)
     pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
     tracemalloc.start()
@@ -470,18 +465,20 @@ def test_bulk_rejects_large_n():
 def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
     # a twin oracle's whole walk, read by the reference reader, is the
     # estimator's former input; bulk and per-set estimates must not move
+    # odd lag + 1 (lags 4 and 6) makes the half-windows alternate in length
     f = random_table(8, np.random.default_rng(3)) if n == 8 else parity_table(n, [4, 17])
-    lag = default_lag(n, 0.1)
-    drawn = RandomWalkOracle(f, n, seed=77).lag_samples(lag, 3_000)
-    walk = RandomWalkOracle(f, n, seed=77).walk(_walk_points(lag, 3_000))
-    read = lag_samples_from_walk(walk, lag, 3_000)
     pool = IndexSet.of(n, [1, 3, 4, 6, 8] if n == 8 else [2, 4, 9, 17, n])
-    assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
-        estimate_sq_coeff_bulk(read, pool).tobytes()
-    )
-    for mask in _subset_masks(pool):
-        S = IndexSet(n, int(mask))
-        assert estimate_sq_coeff(drawn, S) == estimate_sq_coeff(read, S)
+    for lag in (1, 4, 6, default_lag(n, 0.1)):
+        for blocks in (1, 3_000):
+            drawn = RandomWalkOracle(f, n, seed=77).lag_samples(lag, blocks)
+            walk = RandomWalkOracle(f, n, seed=77).walk(lag_walk_points(lag, blocks))
+            read = lag_samples_from_walk(walk, lag, blocks)
+            assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
+                estimate_sq_coeff_bulk(read, pool).tobytes()
+            )
+            for mask in _subset_masks(pool):
+                S = IndexSet(n, int(mask))
+                assert estimate_sq_coeff(drawn, S) == estimate_sq_coeff(read, S)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,12 @@ from junta_walk.sieve import (
     certify_result,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle, effective_refresh_density, gap_for_density
+from junta_walk.walk import (
+    RandomWalkOracle,
+    _lag_walk_steps,
+    effective_refresh_density,
+    gap_for_density,
+)
 
 
 def run_sieve(f, n, params, budgets, seed):
@@ -94,13 +99,29 @@ def test_certified_budgets_small_case():
 
 
 def test_certified_estimation_budget():
-    # lag for bias theta/8, and blocks for error theta/8 at a union bound over
-    # the candidates of a capped pool, one third of delta
+    # lag for bias theta/8, and lag samples for error theta/8 at a union bound
+    # over the candidates of a capped pool, one third of delta: twice the iid
+    # count, as adjacent samples share a half-window (a path dependency graph)
     params = SieveParams(level=2, theta=0.1, delta=0.05)
     b = certified_budgets(params, 8)
     candidates = 1 + 8 + math.comb(8, 2)  # the pool cap, 80, exceeds n = 8
     assert b.lag == default_lag(8, 0.1)
-    assert b.estimate_blocks == blocks_for(0.1 / 8, 0.05 / (3 * candidates))
+    assert b.estimate_blocks == 2 * blocks_for(0.1 / 8, 0.05 / (3 * candidates))
+
+
+@pytest.mark.parametrize(
+    "level, theta, delta, n",
+    [(2, 0.1, 0.05, 8), (1, 0.25, 0.25, 4), (2, 0.3, 0.1, 6), (3, 0.2, 0.1, 3)],
+)
+def test_certified_lag_walk_moves_by_at_most_a_half_window(level, theta, delta, n):
+    # the former count drew the iid count of disjoint blocks of lag + 1 steps;
+    # twice as many samples over half-windows add one short half-window
+    params = SieveParams(level=level, theta=theta, delta=delta)
+    b = certified_budgets(params, n)
+    candidates = sieve_mod._candidate_bound(min(n, sieve_mod._pool_cap(params)), level)
+    former = blocks_for(theta / 8, delta / (3 * candidates)) * (b.lag + 1)
+    moved = _lag_walk_steps(b.lag, b.estimate_blocks) - former
+    assert 0 <= moved <= (b.lag + 1) // 2
 
 
 def test_certified_screen_is_priced_per_parity_family():
@@ -116,7 +137,7 @@ def test_certified_screen_is_priced_per_parity_family():
     family = math.ceil(64 / (q * tau * tau) * math.log(24 * n / params.delta))
     assert b.screen_pairs == 2 * family
     res = bounded_sieve(RandomWalkOracle(and_table(n, [2, 4]), n, seed=7), params)
-    screen_steps = res.walk_steps - b.estimate_blocks * (b.lag + 1)
+    screen_steps = res.walk_steps - _lag_walk_steps(b.lag, b.estimate_blocks)
     mean = (b.screen_pairs + 1) * b.gap_steps / 4
     assert abs(screen_steps - mean) <= 5 * math.sqrt(mean)
 
@@ -144,7 +165,7 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 4) > sieve_mod.BUDGET_CEILING
     oracle = RandomWalkOracle(parity_table(3, [1, 2]), 3, seed=1)
     res = bounded_sieve(oracle, params)
-    assert res.walk_steps == b.estimate_blocks * (b.lag + 1)
+    assert res.walk_steps == _lag_walk_steps(b.lag, b.estimate_blocks)
     assert res.masks() == [IndexSet.of(3, [1, 2]).mask]
     # one more coordinate is screened, and its screen is priced
     with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs over \d+ steps at gap 2"):
@@ -306,8 +327,8 @@ def test_screen_only_run_matches_the_full_sieves_screen(monkeypatch):
     assert (screened.sets, screened.estimates, screened.truncated) == ((), (), False)
     assert (screened.pool, screened.influences) == (full.pool, full.influences)
     assert screened.candidates == full.candidates
-    assert screened.walk_steps == full.walk_steps - full.budgets.estimate_blocks * (
-        full.budgets.lag + 1
+    assert screened.walk_steps == full.walk_steps - _lag_walk_steps(
+        full.budgets.lag, full.budgets.estimate_blocks
     )
 
 
@@ -506,6 +527,14 @@ def _full_scan_violations(result, truth, theta, level):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
+def test_low_masks_match_a_popcount_scan(n):
+    for level in range(4):
+        want = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) <= level)
+        got = sieve_mod._masks_up_to(n, level)
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_certify_matches_full_scan_reference(n):
     rng = np.random.default_rng(500 + n)
     for level in range(n + 2):
@@ -558,4 +587,4 @@ def test_certified_budget_runs_meet_contract():
     # certified screening sizes put z sigma below tau, so tau alone decides
     # these pools; the digest pins the outputs the plain-walk harvest draws
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "a19b770e199d65f32f175850b7fbfe7b3c9b3cb941fab5e8dcff416f69925160"
+    assert digest == "203243590392f0740d9b94efa66c2cca942fd632aac5d917351e8b6fba5528a7"

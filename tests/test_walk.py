@@ -17,6 +17,7 @@ from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
     _draw_steps,
+    _lag_walk_steps,
     _word,
     effective_refresh_density,
     gap_for_density,
@@ -26,7 +27,7 @@ from junta_walk.walk import (
     sample_size_concentration,
     sample_size_erm,
 )
-from lag_reference import lag_samples_from_walk
+from lag_reference import half_window_bounds, lag_samples_from_walk, lag_walk_points
 
 XOR2 = parity_table(6, [1, 2])
 
@@ -672,13 +673,14 @@ def _hash_label(bits):
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
-    for lag in sorted({1, 2, default_lag(n, 0.05)}):
-        for blocks in (1, 7, 20_000):
+    # lags 2, 4 and 6 have odd lag + 1, so their half-windows alternate in length
+    for lag in sorted({1, 2, 4, 6, default_lag(n, 0.05)}):
+        for blocks in (1, 2, 7, 20_000):
             seed = 100 * n + lag
             drawn_from = RandomWalkOracle(_hash_label, n, seed)
             walked = RandomWalkOracle(_hash_label, n, seed)
             got = drawn_from.lag_samples(lag, blocks)
-            want = lag_samples_from_walk(walked.walk(blocks * (lag + 1) + 1), lag, blocks)
+            want = lag_samples_from_walk(walked.walk(lag_walk_points(lag, blocks)), lag, blocks)
             assert (got.n, len(got)) == (n, blocks)
             _assert_same_bytes(got.diff_t, want.diff_t)
             _assert_same_bytes(got.diff_t1, want.diff_t1)
@@ -688,5 +690,42 @@ def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
                 not a.flags.writeable
                 for a in (got.diff_t, got.diff_t1, got.prod_t, got.prod_t1)
             )
-            assert drawn_from.steps_served == walked.steps_served == blocks * (lag + 1)
+            assert drawn_from.steps_served == walked.steps_served == _lag_walk_steps(lag, blocks)
             _assert_same_bytes(drawn_from.walk(9).points, walked.walk(9).points)
+
+
+def test_lag_walk_steps_count_the_half_windows():
+    # blocks + 1 half-windows of floor((lag+1)/2), ceil((lag+1)/2), ... steps
+    for lag in range(1, 12):
+        for blocks in range(1, 40):
+            assert _lag_walk_steps(lag, blocks) == lag_walk_points(lag, blocks) - 1
+        # an odd number of half-windows ends on a short one
+        assert _lag_walk_steps(lag, 2) == lag + 1 + (lag + 1) // 2
+    assert _lag_walk_steps(51, 20_000) == 520_026
+    # elementwise, b = -1, 0, 1, ... places the half-window boundaries
+    assert _lag_walk_steps(6, np.arange(-1, 5)).tolist() == [0, 3, 7, 10, 14, 17]
+
+
+def test_lag_samples_charge_exactly_their_half_windows():
+    f = random_table(8, np.random.default_rng(2))
+    oracle = RandomWalkOracle(f, 8, seed=5)
+    served = 0
+    for lag, blocks in ((1, 1), (4, 1), (4, 2), (6, 333), (17, 1_000), (18, 999)):
+        oracle.lag_samples(lag, blocks)
+        served += _lag_walk_steps(lag, blocks)
+        assert oracle.steps_served == served
+
+
+@pytest.mark.parametrize("lag", [1, 4, 5, 6])
+def test_lag_sample_ends_where_the_sample_two_later_starts(lag):
+    # sample b spans half-windows b and b + 1, so its lag + 1 point is
+    # boundary b + 2, which is sample b + 2's start
+    n, blocks = 9, 50
+    drawn = RandomWalkOracle(_hash_label, n, seed=lag).lag_samples(lag, blocks)
+    walk = RandomWalkOracle(_hash_label, n, seed=lag).walk(lag_walk_points(lag, blocks))
+    at = half_window_bounds(lag, blocks)
+    starts = walk.points[at[:blocks]]
+    np.testing.assert_array_equal(starts[:-2] ^ drawn.diff_t1[:-2], starts[2:])
+    np.testing.assert_array_equal(starts ^ drawn.diff_t, walk.points[at[2:] - 1])
+    labels = walk.labels[at]
+    np.testing.assert_array_equal(drawn.prod_t1, labels[:blocks] * labels[2:])
