@@ -5,7 +5,6 @@ from .fourier import (
     estimate_bounded_influence,
     estimate_sq_coeff,
     estimate_sq_coeff_bulk,
-    inner_product,
     subcube_projection_exact,
     wht,
 )
@@ -21,11 +20,8 @@ from .harness import (
 from .hypercube import (
     IndexSet,
     JuntaHypothesis,
-    Point,
     TruthTable,
-    chi,
     distance_exact,
-    flip,
 )
 from .learner import (
     LearnOutcome,
@@ -76,7 +72,6 @@ __all__ = [
     "LearnOutcome",
     "LearnParams",
     "OptResult",
-    "Point",
     "PoolOverflow",
     "RandomWalkOracle",
     "SampleSizePlan",
@@ -88,17 +83,14 @@ __all__ = [
     "TruthTable",
     "bounded_sieve",
     "certify_result",
-    "chi",
     "counterexample_fixtures",
     "distance_exact",
     "estimate_bounded_influence",
     "estimate_sq_coeff",
     "estimate_sq_coeff_bulk",
     "exact_opt",
-    "flip",
     "generate_walk",
     "harvest_refresh_pairs",
-    "inner_product",
     "learn_outcome",
     "make_instance",
     "relevant_pool",

@@ -151,26 +151,6 @@ class Spectrum:
         return cls(f.n, coeffs)
 
 
-def inner_product(f: "Spectrum | TruthTable", g: "Spectrum | TruthTable") -> float:
-    """<f, g>: uniform-measure correlation, equal to the coefficient dot product.
-
-    Both arguments must be the same kind (two tables or two spectra) over the
-    same dimension; the two computations agree to float precision.
-    """
-    if isinstance(f, TruthTable) and isinstance(g, TruthTable):
-        if f.n != g.n:
-            raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
-        return float(
-            np.dot(f.values.astype(np.float64), g.values.astype(np.float64))
-            / (1 << f.n)
-        )
-    if isinstance(f, Spectrum) and isinstance(g, Spectrum):
-        if f.n != g.n:
-            raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
-        return float(np.dot(f.coeffs, g.coeffs))
-    raise TypeError("inner_product wants two TruthTables or two Spectrums")
-
-
 def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
     """Squared mass of coefficients disjoint from R: sum over T with T & R = 0.
 
@@ -241,8 +221,8 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    diffs = np.concatenate((samples.diff_t, samples.diff_t1))
-    counts = signed_sums(pool, diffs, np.concatenate((samples.prod_t, samples.prod_t1)))
+    counts = signed_sums(pool, samples.diff_t, samples.prod_t)
+    counts += signed_sums(pool, samples.diff_t1, samples.prod_t1)
     return 0.5 * wht(counts) / len(samples)
 
 

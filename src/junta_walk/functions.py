@@ -61,7 +61,10 @@ def flip_labels_region(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"flip fraction {fraction} outside [0, 1]")
-    idx = np.flatnonzero(np.asarray(region, dtype=bool))
+    region = np.asarray(region, dtype=bool)
+    if len(region) != len(f.values):
+        raise ValueError(f"region has {len(region)} entries for a table of {len(f.values)}")
+    idx = np.flatnonzero(region)
     count = int(round(fraction * len(idx)))
     chosen = rng.choice(idx, size=count, replace=False) if count else np.array([], dtype=np.int64)
     values = np.array(f.values)

@@ -1,4 +1,4 @@
-"""Bit-packed points of {-1,+1}^n, index sets, truth tables, and junta hypotheses.
+"""Packed-point arrays over {-1,+1}^n, index sets, truth tables, and junta hypotheses.
 
 Encoding convention used throughout the package: bit i-1 of an unsigned word is
 set iff coordinate x_i = -1.  The all-(+1) point is the word 0, the basis point
@@ -18,8 +18,6 @@ import numpy as np
 
 MAX_PACKED_N = 63
 MAX_TABLE_N = 24
-
-_SIGN = (1, -1)  # parity 0 -> +1, parity 1 -> -1
 
 
 def parity_sign_u64(bits: np.ndarray, mask: int) -> np.ndarray:
@@ -45,31 +43,9 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension n={n} outside [1, {MAX_PACKED_N}]")
 
 
-@dataclass(frozen=True)
-class Point:
-    """A vertex of {-1,+1}^n, packed into an unsigned word."""
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        _check_dim(self.n)
-        if self.bits >> self.n:
-            raise ValueError(f"bits 0x{self.bits:x} has set bits above position {self.n}")
-
-    def coord(self, i: int) -> int:
-        _check_coord(i, self.n)
-        return _SIGN[(self.bits >> (i - 1)) & 1]
-
 def _check_coord(i: int, n: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} outside [1, {n}]")
-
-
-def flip(x: Point, i: int) -> Point:
-    """The neighbour of x across coordinate i."""
-    _check_coord(i, x.n)
-    return Point(x.n, x.bits ^ (1 << (i - 1)))
 
 
 @dataclass(frozen=True)
@@ -113,14 +89,7 @@ class IndexSet:
         return tuple(self)
 
 
-def chi(S: IndexSet, x: Point) -> int:
-    """Parity chi_S(x) = prod_{i in S} x_i, computed as a popcount parity."""
-    if S.n != x.n:
-        raise ValueError(f"dimension mismatch: {S.n} != {x.n}")
-    return _SIGN[(S.mask & x.bits).bit_count() & 1]
-
-
-def restriction_indices(J: IndexSet, bits: np.ndarray | int) -> np.ndarray:
+def restriction_indices(J: IndexSet, bits: np.ndarray) -> np.ndarray:
     """Compress packed points onto J: bit j of the result is the j-th smallest
     coordinate of J, giving an index into a 2^|J| table."""
     bits = np.asarray(bits, dtype=np.uint64)
@@ -135,18 +104,6 @@ def signed_sums(J: IndexSet, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
     each of the 2^|J| subcubes J cuts, indexed as by restriction_indices."""
     cells = restriction_indices(J, bits)
     return np.bincount(cells, weights=signs, minlength=1 << len(J)).astype(np.int64)
-
-
-def _point_bits(x: Point | int, n: int) -> int:
-    """Packed bits of x, refusing a Point of another dimension than n and an
-    int outside [0, 2^n)."""
-    if not isinstance(x, Point):
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"packed point {x} outside [0, 2^{n})")
-        return x
-    if x.n != n:
-        raise ValueError(f"dimension mismatch: point over n={x.n}, function over n={n}")
-    return x.bits
 
 
 def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -177,9 +134,6 @@ class TruthTable:
         if len(self.values) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} values, got {len(self.values)}")
 
-    def __call__(self, x: Point | int) -> int:
-        return int(self.values[_point_bits(x, self.n)])
-
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an array of packed points."""
         return self.values[bits.astype(np.int64)]
@@ -191,7 +145,7 @@ class JuntaHypothesis:
 
     ``table`` holds 2^|J| signs indexed by the restriction x|_J: reading the
     coordinates of J in increasing order, the j-th coordinate contributes bit j
-    of the index (set iff that coordinate is -1, matching the Point encoding).
+    of the index (set iff that coordinate is -1, matching the packed-bits encoding).
     """
 
     J: IndexSet
@@ -209,15 +163,6 @@ class JuntaHypothesis:
     @property
     def k(self) -> int:
         return len(self.J)
-
-    def restriction_index(self, bits: int) -> int:
-        idx = 0
-        for j, c in enumerate(self.J):
-            idx |= ((bits >> (c - 1)) & 1) << j
-        return idx
-
-    def __call__(self, x: Point | int) -> int:
-        return int(self.table[self.restriction_index(_point_bits(x, self.n))])
 
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
         return self.table[restriction_indices(self.J, bits)]

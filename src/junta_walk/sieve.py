@@ -150,7 +150,9 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     Janson's Hoeffding bound for dependency graphs (Random Structures &
     Algorithms 24(3), 2004) holds at twice the iid count of samples, with no
     further split of delta.  Samples b and b + 2 chain as the even pairs
-    do, and are read as independent in the same way.  These sizes
+    do, and are read as independent in the same way.  So each chained
+    family is priced as if its members were independent samples; no
+    concentration bound for these Markov chains is proven yet.  These sizes
     grow like (2/theta)^(2 ell), so certified mode is only feasible for tiny
     levels; anything larger should supply practical budgets explicitly.  The
     step total checked against BUDGET_CEILING counts only the phases a run
@@ -173,14 +175,17 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     # candidate: twice the iid count, as the samples' dependency graph is a path
     lag = default_lag(n, params.theta)
     blocks = 2 * blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
-    screen = math.ceil((screen_pairs + 1) * gap / 4) if _screens(params, n) else 0
+    if _screens(params, n):
+        screen = math.ceil((screen_pairs + 1) * gap / 4)
+        priced = f"screen {screen_pairs} pairs over {screen} steps at gap {gap}"
+    else:
+        screen, priced = 0, "the run does not screen"
     estimate = _lag_walk_steps(lag, blocks)
     total = screen + estimate
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
             f"certified budgets need ~{total:.3g} walk steps "
-            f"(screen {screen_pairs} pairs over {screen} steps at gap {gap}, "
-            f"estimate {blocks} lag samples over {estimate} steps); "
+            f"({priced}, estimate {blocks} lag samples over {estimate} steps); "
             f"ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(

@@ -392,6 +392,7 @@ class RandomWalkOracle:
 
     def __init__(self, f: LabelSource, n: int, seed: int) -> None:
         _check_source(f, n)
+        _check_integer("seed", seed, 0)
         self.f = f
         self.n = n
         self.seed = seed

@@ -22,7 +22,6 @@ from junta_walk.fourier import (
     estimator_bias_bound,
     expected_bounded_influence,
     expected_sq_estimate,
-    inner_product,
     spectrum_to_csv,
     subcube_projection_exact,
     subcube_sums,
@@ -40,10 +39,16 @@ from junta_walk.walk import (
 )
 from lag_reference import lag_samples_from_walk, lag_walk_points
 
-sign_tables = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.lists(
-        st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n
-    ).map(lambda vals: TruthTable(n, vals))
+
+def _sign_tables_over(n):
+    return st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n).map(
+        lambda vals: TruthTable(n, vals)
+    )
+
+
+sign_tables = st.integers(min_value=1, max_value=6).flatmap(_sign_tables_over)
+sign_table_pairs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(_sign_tables_over(n), _sign_tables_over(n))
 )
 
 
@@ -214,22 +219,13 @@ def test_wht_inverts_itself_up_to_scale():
 # Inner products and subcube projections
 
 
-@given(sign_tables, sign_tables)
-def test_inner_product_parseval_form(f, g):
-    if f.n != g.n:
-        with pytest.raises(ValueError):
-            inner_product(f, g)
-        return
-    direct = inner_product(f, g)
-    via_spectra = inner_product(Spectrum.from_table(f), Spectrum.from_table(g))
+@given(sign_table_pairs)
+def test_inner_product_parseval_form(fg):
+    # <f, g> = 2^-n sum_x f(x) g(x) = sum_S fhat(S) ghat(S)
+    f, g = fg
+    direct = np.dot(f.values.astype(np.int64), g.values) / (1 << f.n)
+    via_spectra = np.dot(Spectrum.from_table(f).coeffs, Spectrum.from_table(g).coeffs)
     assert direct == pytest.approx(via_spectra, abs=1e-10)
-    assert inner_product(f, f) == pytest.approx(1.0)
-
-
-def test_inner_product_rejects_mixed_kinds():
-    f = parity_table(3, [1])
-    with pytest.raises(TypeError):
-        inner_product(f, Spectrum.from_table(f))
 
 
 def test_subcube_projection_exact_brute_force():
@@ -245,7 +241,7 @@ def test_subcube_projection_exact_brute_force():
         for x in range(1 << n):
             for z in range(1 << n):
                 y = (x & ~r_mask) | (z & r_mask)
-                acc += f(x) * f(y)
+                acc += int(f.values[x]) * int(f.values[y])
                 count += 1
         assert acc / count == pytest.approx(subcube_projection_exact(spec, R), abs=1e-12)
 
@@ -446,6 +442,21 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
     masks = _subset_masks(pool)
     per_set = [estimate_sq_coeff(samples, IndexSet(n, int(m))) for m in masks]
     assert bulk[restriction_indices(pool, masks)].tobytes() == np.array(per_set).tobytes()
+
+
+def test_bulk_bins_each_lag_on_its_own():
+    # each lag's words are binned apart, never joined into one array of
+    # 2 * len(samples): the peak is one lag's uint64 indices and weights
+    n = 8
+    f = random_table(n, np.random.default_rng(0))
+    samples = RandomWalkOracle(f, n, seed=1).lag_samples(5, 200_000)
+    tracemalloc.start()
+    try:
+        estimate_sq_coeff_bulk(samples, IndexSet.of(n, [1, 4, 7]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(samples)
 
 
 def test_bulk_rejects_large_n():

@@ -14,23 +14,24 @@ from junta_walk.functions import (
     random_junta,
     random_table,
 )
-from junta_walk.hypercube import IndexSet, Point, chi, distance_exact
+from junta_walk.fourier import Spectrum
+from junta_walk.hypercube import IndexSet, distance_exact
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_parity_table_matches_chi(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     S = IndexSet(n, mask)
-    f = parity_table(n, S.coords())
-    for bits in range(1 << n):
-        assert f(bits) == chi(S, Point(n, bits))
+    coeffs = Spectrum.from_table(parity_table(n, S.coords())).coeffs
+    assert coeffs[mask] == 1.0
+    assert np.count_nonzero(coeffs) == 1
 
 
 def test_and_table_truth_values():
     f = and_table(3, [1, 3])
     for bits in range(8):
         both_true = (bits & 0b101) == 0b101  # coords 1 and 3 both -1
-        assert f(bits) == (-1 if both_true else 1)
+        assert f.values[bits] == (-1 if both_true else 1)
 
 
 def test_and_single_coordinate_is_dictator():
@@ -90,6 +91,13 @@ def test_flip_labels_region_exact_count():
     changed = np.flatnonzero(g.values != f.values)
     assert len(changed) == 10  # round(0.25 * 40)
     assert np.all(changed < 40)  # nothing outside the region moves
+
+
+@pytest.mark.parametrize("length", [4, 40])
+def test_flip_labels_region_refuses_a_region_of_another_length(length):
+    f = constant_table(4, 1)
+    with pytest.raises(ValueError, match=f"region has {length} entries for a table of 16"):
+        flip_labels_region(f, np.ones(length, dtype=bool), 0.5, np.random.default_rng(3))
 
 
 def test_flip_labels_region_zero_fraction():

@@ -11,68 +11,58 @@ from hypothesis import strategies as st
 
 import junta_walk
 from junta_walk.cli import _load_instance
+from junta_walk.fourier import Spectrum
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
-    Point,
     TruthTable,
-    chi,
     distance_exact,
-    flip,
     parity_sign_u64,
     restriction_indices,
 )
-from junta_walk.functions import and_table, parity_table
+from junta_walk.functions import and_table, parity_table, random_table
 
 
 @st.composite
-def dim_and_masks(draw, max_n=10, count=1):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    masks = [draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for _ in range(count)]
-    return (n, *masks)
+def dim_and_mask(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    return n, draw(st.integers(min_value=0, max_value=(1 << n) - 1))
 
 
 # ---------------------------------------------------------------------------
-# Point encoding
+# Packed-bits encoding, read through the dictator tables x -> x_i
+
+
+def _dictators(n: int) -> list[np.ndarray]:
+    """Entry i-1 holds x_i at every packed point of the n-cube."""
+    return [parity_table(n, [i]).values for i in range(1, n + 1)]
 
 
 def test_point_all_plus_is_zero_word():
-    p = Point(5)
-    assert p.bits == 0
-    assert [p.coord(i) for i in range(1, 6)] == [1, 1, 1, 1, 1]
+    assert [x_i[0] for x_i in _dictators(5)] == [1, 1, 1, 1, 1]
 
 
 def test_basis_point_sets_single_bit():
-    e3 = Point(6, 1 << 2)  # e_3: all +1 except coordinate 3
-    assert e3.bits == 0b100
-    assert e3.coord(3) == -1
-    assert all(e3.coord(i) == 1 for i in (1, 2, 4, 5, 6))
+    e3 = 1 << 2  # e_3: all +1 except coordinate 3
+    assert [x_i[e3] for x_i in _dictators(6)] == [1, 1, -1, 1, 1, 1]
 
 
-@given(dim_and_masks(count=1))
+@given(dim_and_mask())
 def test_signs_round_trip(nm):
     n, bits = nm
-    signs = [Point(n, bits).coord(i) for i in range(1, n + 1)]
+    signs = [int(x_i[bits]) for x_i in _dictators(n)]
     assert set(signs) <= {1, -1}
     assert sum(1 << i for i, s in enumerate(signs) if s == -1) == bits
 
 
-def test_point_rejects_out_of_range_bits():
-    with pytest.raises(ValueError):
-        Point(3, 0b1000)
-    with pytest.raises(ValueError):
-        Point(0, 0)
-
-
-@given(dim_and_masks(count=1), st.data())
+@given(dim_and_mask(), st.data())
 def test_flip_changes_exactly_one_coordinate(nm, data):
+    # flipping coordinate i is xor with the basis word 1 << (i-1)
     n, bits = nm
     i = data.draw(st.integers(min_value=1, max_value=n))
-    x = Point(n, bits)
-    y = flip(x, i)
-    assert y.coord(i) == -x.coord(i)
-    assert all(y.coord(j) == x.coord(j) for j in range(1, n + 1) if j != i)
-    assert flip(y, i) == x
+    y = bits ^ (1 << (i - 1))
+    for j, x_j in enumerate(_dictators(n), start=1):
+        assert x_j[y] == (-x_j[bits] if j == i else x_j[bits])
 
 
 # ---------------------------------------------------------------------------
@@ -87,34 +77,42 @@ def test_index_set_basics():
     assert S.mask == 0b1010010
 
 
-@given(dim_and_masks(max_n=12, count=3))
-def test_chi_multiplicative(nmmm):
-    n, s, a, b = nmmm
-    S = IndexSet(n, s)
-    x, y = Point(n, a), Point(n, b)
-    assert chi(S, Point(n, a ^ b)) == chi(S, x) * chi(S, y)
+def test_index_set_rejects_out_of_range_mask():
+    with pytest.raises(ValueError):
+        IndexSet(3, 0b1000)
+    with pytest.raises(ValueError):
+        IndexSet(0, 0)
+
+
+@given(st.integers(min_value=1, max_value=63), st.data())
+def test_chi_multiplicative(n, data):
+    words = st.integers(min_value=0, max_value=(1 << n) - 1)
+    points = st.lists(words, min_size=8, max_size=8).map(lambda w: np.array(w, dtype=np.uint64))
+    s, a, b = data.draw(words), data.draw(points), data.draw(points)
+    np.testing.assert_array_equal(
+        parity_sign_u64(a ^ b, s), parity_sign_u64(a, s) * parity_sign_u64(b, s)
+    )
 
 
 def test_chi_on_basis_points():
     S = IndexSet.of(7, [1, 4])
-    for i in range(1, 8):
-        expected = -1 if i in S else 1
-        assert chi(S, Point(7, 1 << (i - 1))) == expected
+    basis = np.array([1 << (i - 1) for i in range(1, 8)], dtype=np.uint64)
+    expected = [-1 if i in S else 1 for i in range(1, 8)]
+    assert parity_sign_u64(basis, S.mask).tolist() == expected
 
 
 def test_chi_empty_set_is_constant_one():
-    for bits in range(16):
-        assert chi(IndexSet(4, 0), Point(4, bits)) == 1
+    assert set(parity_sign_u64(np.arange(16, dtype=np.uint64), 0).tolist()) == {1}
 
 
-@given(dim_and_masks(max_n=16, count=2))
-def test_parity_sign_matches_scalar_chi(nmm):
-    n, s, x = nmm
-    arr = np.arange(1 << min(n, 10), dtype=np.uint64)
-    signs = parity_sign_u64(arr, s)
-    S = IndexSet(n, s)
-    for bits in (0, int(arr[-1]), x % len(arr)):
-        assert signs[bits] == chi(S, Point(n, bits))
+@given(dim_and_mask())
+def test_parity_sign_is_a_single_character(nm):
+    # read over the whole cube, chi_S has the one Fourier coefficient 1 at S
+    n, s = nm
+    signs = parity_sign_u64(np.arange(1 << n, dtype=np.uint64), s)
+    coeffs = Spectrum.from_table(TruthTable(n, signs)).coeffs
+    assert coeffs[s] == 1.0
+    assert np.count_nonzero(coeffs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +134,23 @@ def test_truth_table_rejects_bad_values():
 
 def test_tables_copy_the_callers_array():
     make = (lambda v: TruthTable(1, v), lambda v: JuntaHypothesis(IndexSet.of(3, [2]), v))
+    origin = np.zeros(1, dtype=np.uint64)
     for build in make:
         v = np.array([1, -1], dtype=np.int8)
         h = build(v)
         assert v.flags.writeable  # the caller's array is not frozen
         v[0] = -1
-        assert h(0) == 1
+        assert h.label_bits(origin).tolist() == [1]
         base = np.ones(4, dtype=np.int8)
         h = build(base[:2])
         base[0] = 7  # writing through the base cannot reach the table
-        assert h(0) == 1
+        assert h.label_bits(origin).tolist() == [1]
 
 
-def test_truth_table_call_and_vectorized_agree():
-    rng = np.random.default_rng(0)
-    values = rng.choice(np.array([-1, 1], dtype=np.int8), size=32)
-    f = TruthTable(5, values)
-    bits = np.arange(32, dtype=np.uint64)
-    np.testing.assert_array_equal(f.label_bits(bits), [f(int(b)) for b in bits])
+def test_truth_table_label_bits_reads_values():
+    f = random_table(5, np.random.default_rng(0))
+    bits = np.array([31, 0, 7, 7, 16], dtype=np.uint64)
+    np.testing.assert_array_equal(f.label_bits(bits), f.values[[31, 0, 7, 7, 16]])
 
 
 def test_truth_table_json_round_trip(tmp_path):
@@ -178,11 +175,9 @@ def test_truth_table_values_read_only():
 
 def test_restriction_index_uses_increasing_coordinate_order():
     # J = {2, 5}: bit 0 of the index comes from coordinate 2, bit 1 from 5
-    h = JuntaHypothesis(IndexSet.of(6, [2, 5]), [1, -1, 1, -1])
-    x = Point(6, 0b000010)  # coordinate 2 is -1
-    assert h.restriction_index(x.bits) == 0b01
-    y = Point(6, 0b010000)  # coordinate 5 is -1
-    assert h.restriction_index(y.bits) == 0b10
+    J = IndexSet.of(6, [2, 5])
+    points = np.array([0b000010, 0b010000], dtype=np.uint64)  # coordinate 2, then 5, is -1
+    assert restriction_indices(J, points).tolist() == [0b01, 0b10]
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
@@ -196,8 +191,7 @@ def test_junta_table_round_trip(n, data):
     )
     h = JuntaHypothesis(IndexSet.of(n, coords), table)
     f = h.to_truth_table()
-    for bits in range(1 << n):
-        assert f(bits) == h(bits)
+    np.testing.assert_array_equal(h.label_bits(np.arange(1 << n, dtype=np.uint64)), f.values)
 
 
 def test_junta_table_allocates_no_wide_temporary():
@@ -220,10 +214,10 @@ def test_junta_table_allocates_no_wide_temporary():
 
 def test_junta_ignores_coordinates_outside_J():
     h = JuntaHypothesis(IndexSet.of(5, [2]), [1, -1])
-    x = Point(5, 0b00010)  # coordinate 2 is -1
-    for j in (1, 3, 4, 5):
-        assert h(flip(x, j)) == h(x)
-    assert h(flip(x, 2)) != h(x)
+    x = 0b00010  # coordinate 2 is -1
+    neighbours = np.array([x ^ (1 << (j - 1)) for j in range(1, 6)], dtype=np.uint64)
+    assert h.label_bits(np.array([x], dtype=np.uint64)).tolist() == [-1]
+    assert h.label_bits(neighbours).tolist() == [-1, 1, -1, -1, -1]
 
 
 def test_junta_json_round_trip():
@@ -235,27 +229,16 @@ def test_junta_json_round_trip():
     np.testing.assert_array_equal(g.table, h.table)
 
 
-def test_call_rejects_point_of_other_dimension():
-    h = JuntaHypothesis(IndexSet.of(4, [1]), [1, -1])
-    f = h.to_truth_table()
-    for g in (h, f):
-        assert g(Point(4, 0b0001)) == -1
-        for other in (Point(5), Point(3), Point(5, 3)):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                g(other)
-        assert g(0b1111) == -1
-        for packed in (1 << 4, 1 << 10, -1):
-            with pytest.raises(ValueError, match="outside"):
-                g(packed)
-
-
-def test_restriction_indices_matches_scalar():
+def test_restriction_indices_match_the_broadcast_cube():
+    # the junta whose table reads bit j of the restriction index, broadcast
+    # over the cube, gives that bit of restriction_indices at every point
     J = IndexSet.of(8, [1, 3, 8])
-    h = JuntaHypothesis(J, [1] * 8)
     bits = np.arange(256, dtype=np.uint64)
-    np.testing.assert_array_equal(
-        restriction_indices(J, bits), [h.restriction_index(int(b)) for b in bits]
-    )
+    idx = restriction_indices(J, bits)
+    for j in range(len(J)):
+        h = JuntaHypothesis(J, 1 - 2 * ((np.arange(8) >> j) & 1))
+        np.testing.assert_array_equal(h.to_truth_table().values, 1 - 2 * ((idx >> j) & 1))
+        np.testing.assert_array_equal(h.label_bits(bits), h.to_truth_table().values[bits])
 
 
 # ---------------------------------------------------------------------------

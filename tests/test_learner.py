@@ -251,13 +251,12 @@ def test_best_junta_matches_exhaustive_search(data):
     best = m + 1
     for combo in combinations(pool.coords(), k):
         J = IndexSet.of(n, combo)
-        ridx = [JuntaHypothesis(J, [1] * (1 << k)).restriction_index(int(p)) for p in points]
         for table in product([-1, 1], repeat=1 << k):
-            cost = sum(1 for r, y in zip(ridx, labels) if table[r] != y)
-            best = min(best, cost)
+            cube = JuntaHypothesis(J, table).to_truth_table().values
+            best = min(best, int(np.count_nonzero(cube[points] != labels)))
     assert err == best
     # the returned hypothesis achieves its reported cost on the sample
-    realized = sum(1 for p, y in zip(points, labels) if h(int(p)) != y)
+    realized = np.count_nonzero(h.to_truth_table().values[points] != labels)
     assert realized == err
 
 

@@ -24,11 +24,7 @@ PACKAGE = ROOT / "src" / "junta_walk"
 # and the bulk estimator's bit-for-bit checks read the per-set
 # estimate_sq_coeff), and the factories that build the tests' tables.
 ALLOWED = {
-    "chi",
     "sample_size_concentration",
-    "Point.coord",
-    "flip",
-    "inner_product",
     "subcube_projection_exact",
     "expected_sq_estimate",
     "expected_bounded_influence",

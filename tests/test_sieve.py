@@ -14,6 +14,7 @@ import junta_walk.sieve as sieve_mod
 from junta_walk.fourier import Spectrum, blocks_for, default_lag
 from junta_walk.functions import and_table, constant_table, parity_table, random_junta
 from junta_walk.hypercube import IndexSet
+from junta_walk.learner import sieve_params_for
 from junta_walk.sieve import (
     BudgetInfeasible,
     CertifyReport,
@@ -170,6 +171,11 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     # one more coordinate is screened, and its screen is priced
     with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs over \d+ steps at gap 2"):
         certified_budgets(params, 4)
+    # a run too long without its screen names no screen in the refusal
+    with pytest.raises(BudgetInfeasible) as info:
+        certified_budgets(sieve_params_for(2, 0.25, 0.2), 2)
+    assert "pairs" not in str(info.value)
+    assert "(the run does not screen, estimate " in str(info.value)
 
 
 def test_practical_budgets_log_nothing(caplog):

@@ -171,6 +171,7 @@ ENTRIES = {
     "generate_walk": lambda *args: generate_walk(XOR2, *args),
     "harvest_refresh_pairs": lambda *args: harvest_refresh_pairs(XOR2, *args),
     "RandomWalkOracle": lambda n: RandomWalkOracle(XOR2, n, seed=1),
+    "oracle_seed": lambda seed: RandomWalkOracle(XOR2, 6, seed=seed),
     "walk": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).walk(*args),
     "refresh_pairs": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(*args),
     "lag_samples": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).lag_samples(*args),
@@ -187,6 +188,9 @@ REFUSALS = [
     ("harvest_refresh_pairs", (6, 10, 1.5, 1), TypeError, "gap_steps=1.5"),
     ("harvest_refresh_pairs", (6, True, 3, 1), TypeError, "pair_count=True"),
     ("RandomWalkOracle", (6.0,), TypeError, "n=6.0"),
+    ("oracle_seed", (-1,), ValueError, "seed=-1"),
+    ("oracle_seed", (1.5,), TypeError, "seed=1.5"),
+    ("oracle_seed", (True,), TypeError, "seed=True"),
     ("walk", (3.0,), TypeError, "length=3.0"),
     ("walk", (False,), TypeError, "length=False"),
     ("refresh_pairs", (10, 2.5), TypeError, "gap_steps=2.5"),
