@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand emits JSON (or CSV for ``wht``) so runs can be scripted and
+Every subcommand emits strict JSON (CSV for ``wht``) so runs can be scripted and
 diffed.  Instance files carry a full truth table plus the recipe that produced
 it; they are the common currency between ``gen`` and the analysis commands.
 """
@@ -12,8 +12,9 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
-from .fourier import Spectrum, spectrum_to_csv
+from .fourier import Spectrum
 from .harness import (
     ExperimentConfig,
     InstanceSpec,
@@ -24,7 +25,7 @@ from .harness import (
     run_suite,
     warn_practical,
 )
-from .hypercube import TruthTable, distance_exact
+from .hypercube import IndexSet, TruthTable, _check_integer, distance_exact
 from .learner import LearnParams, learn_outcome
 from .oracle_bruteforce import counterexample_fixtures, exact_opt, verify_spectrum_lemma
 from .sieve import SieveError, SieveParams, bounded_sieve, practical_budgets
@@ -40,14 +41,23 @@ def _load_instance(path: str) -> tuple[TruthTable, dict]:
 
 
 def _write_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
 
 
+def _write_spectrum_csv(spec: Spectrum, fh: TextIO) -> None:
+    """Write ``mask,coords,coefficient`` rows, ordered by mask."""
+    fh.write("mask,coords,coefficient\n")
+    for mask in range(1 << spec.n):
+        coords = "|".join(str(c) for c in IndexSet(spec.n, mask))
+        fh.write(f"{mask},{coords},{float(spec.coeffs[mask])!r}\n")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_integer("seed", args.seed, 0)
     with open(args.spec) as fh:
         spec = InstanceSpec.from_dict(json.load(fh))
     resolved = resolve_instance(spec, args.seed)
@@ -55,7 +65,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     payload = {
         "n": f.n,
         "values": [int(v) for v in f.values],
-        "planted": json.loads(planted.to_json()),
+        "planted": planted.to_dict(),
         "opt": str(opt_result.opt),
         "spec": resolved.to_dict(),
     }
@@ -64,6 +74,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    _check_integer("seed", args.seed, 0)
     f, meta = _load_instance(args.instance)
     spec = InstanceSpec.from_dict(meta["spec"]).to_dict() if "spec" in meta else None
     # exact opt first, so a table past its cap is refused before any walk
@@ -87,7 +98,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             "delta": args.delta,
             "seed": args.seed,
             "mode": params.mode,
-            "hypothesis": json.loads(outcome.hypothesis.to_json()),
+            "hypothesis": outcome.hypothesis.to_dict(),
             "pool": sorted(outcome.pool.coords()),
             "opt": str(opt_result.opt),
             "delta_hf": str(delta_hf),
@@ -103,6 +114,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_sieve(args: argparse.Namespace) -> int:
+    _check_integer("seed", args.seed, 0)
     f, _ = _load_instance(args.instance)
     params = SieveParams(level=args.level, theta=args.theta, delta=args.delta)
     budgets = None
@@ -112,12 +124,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         budgets = practical_budgets(params, f.n, args.screen_pairs, args.estimate_blocks)
         warn_practical(f"sieve runs {budgets}")
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
-    result = bounded_sieve(oracle, params, budgets)
-    text = result.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json(bounded_sieve(oracle, params, budgets).to_dict(), args.out)
     return 0
 
 
@@ -126,9 +133,9 @@ def _cmd_wht(args: argparse.Namespace) -> int:
     spec = Spectrum.from_table(f)
     if args.out:
         with open(args.out, "w") as fh:
-            spectrum_to_csv(spec, fh)
+            _write_spectrum_csv(spec, fh)
     else:
-        spectrum_to_csv(spec, sys.stdout)
+        _write_spectrum_csv(spec, sys.stdout)
     return 0
 
 
@@ -139,7 +146,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         "n": f.n,
         "k": args.k,
         "opt": str(result.opt),
-        "witness": json.loads(result.witness.to_json()),
+        "witness": result.witness.to_dict(),
     }
     if result.per_set is not None:
         payload["per_set"] = {str(m): str(d) for m, d in sorted(result.per_set.items())}
@@ -157,7 +164,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
     if witness is None:
         _write_json({"found": False, "k": args.k, "eps": args.eps}, args.out)
         return 1
-    payload = json.loads(witness.to_json())
+    payload = witness.to_dict()
     payload.update(found=True, k=args.k, eps=args.eps)
     _write_json(payload, args.out)
     return 0
@@ -165,7 +172,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     report = counterexample_fixtures(args.k)
-    _write_json(json.loads(report.to_json()), args.out)
+    _write_json(report.to_dict(), args.out)
     return 0 if report.all_pass else 1
 
 
@@ -173,16 +180,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
         config = ExperimentConfig.from_json(fh.read())
     result = run_suite(config, args.out_dir)
-    print(
-        json.dumps(
-            {
-                "trials": result.summary["trials"],
-                "passes": result.summary["passes"],
-                "csv": str(result.csv_path),
-                "summary": str(result.summary_path),
-            },
-            indent=2,
-        )
+    _write_json(
+        {
+            "trials": result.summary["trials"],
+            "passes": result.summary["passes"],
+            "csv": str(result.csv_path),
+            "summary": str(result.summary_path),
+        },
+        None,
     )
     return 0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,14 +162,6 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
     masks = np.arange(1 << s.n, dtype=np.uint64)
     disjoint = np.where((masks & np.uint64(R.mask)) == 0, s.coeffs, 0.0)
     return float(np.dot(disjoint, disjoint))
-
-
-def spectrum_to_csv(spec: Spectrum, fh: TextIO) -> None:
-    """Write ``mask,coords,coefficient`` rows, ordered by mask."""
-    fh.write("mask,coords,coefficient\n")
-    for mask in range(1 << spec.n):
-        coords = "|".join(str(c) for c in IndexSet(spec.n, mask))
-        fh.write(f"{mask},{coords},{float(spec.coeffs[mask])!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,10 @@ import numpy as np
 from .functions import flip_labels_iid, flip_labels_region, random_junta
 from .hypercube import JuntaHypothesis, TruthTable, _check_integer, distance_exact
 from .learner import LearnOutcome, LearnParams, learn_outcome
-from .oracle_bruteforce import OptResult, exact_opt
+from .oracle_bruteforce import MAX_OPT_N, OptResult, exact_opt
 from .walk import RandomWalkOracle
 
 logger = logging.getLogger(__name__)
-
-MAX_INSTANCE_N = 16  # exact opt is part of every trial
 
 CSV_COLUMNS = [
     "trial_id",
@@ -192,8 +190,9 @@ class InstanceSpec:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         _check_integer("n", self.n, 1)
         _check_integer("k", self.k, 1)
-        if self.n > MAX_INSTANCE_N:
-            raise ValueError(f"n={self.n} exceeds the instance cap {MAX_INSTANCE_N}")
+        # exact opt is part of every trial
+        if self.n > MAX_OPT_N:
+            raise ValueError(f"n={self.n} exceeds the instance cap {MAX_OPT_N}")
         _check_seeds(junta_seed=self.junta_seed, instance_seed=self.instance_seed)
 
     def to_dict(self) -> dict:
@@ -226,6 +225,7 @@ def _derived_seed(entropy: int, *key: int) -> int:
 
 def resolve_instance(spec: InstanceSpec, trial_seed: int) -> InstanceSpec:
     """Fill in any None seeds deterministically from the trial seed."""
+    _check_integer("trial_seed", trial_seed, 0)
     junta = spec.junta_seed
     instance = spec.instance_seed
     corruption = spec.corruption
@@ -323,7 +323,7 @@ class TrialReport:
             "passed": self.passed,
             "wall_ms": self.wall_ms,
             "walk_steps": self.walk_steps,
-            "hypothesis": None if self.hypothesis is None else json.loads(self.hypothesis.to_json()),
+            "hypothesis": None if self.hypothesis is None else self.hypothesis.to_dict(),
             "pool": list(self.pool),
             "erm_sample": self.erm_sample,
             "disagreements": self.disagreements,
@@ -341,7 +341,6 @@ def run_trial(
     Wall time covers the learner only (instance construction and the exact
     optimum are oracle overhead, not part of the algorithm under test).
     """
-    _check_integer("trial_seed", trial_seed, 0)
     resolved = resolve_instance(spec, trial_seed)
     f, _, opt_result = make_instance(resolved)
     oracle = RandomWalkOracle(f, resolved.n, seed=_derived_seed(trial_seed, 0))
@@ -396,34 +395,14 @@ class ExperimentConfig:
     def trial_seed(self, cell_index: int, rep: int) -> int:
         return _derived_seed(self.master_seed, cell_index, rep)
 
-    def to_json(self) -> str:
-        def cell_dict(c: Cell) -> dict:
-            learn: dict = {
-                "k": c.learn.k,
-                "epsilon": c.learn.epsilon,
-                "delta": c.learn.delta,
-                "mode": c.learn.mode,
-            }
-            if c.learn.mode == "practical":
-                learn.update({key: getattr(c.learn, key) for key in _BUDGET_KEYS})
-            return {"instance": c.instance.to_dict(), "learn": learn}
-
-        return json.dumps(
-            {
-                "master_seed": self.master_seed,
-                "repetitions": self.repetitions,
-                "cells": [cell_dict(c) for c in self.cells],
-            },
-            indent=2,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Parse ``to_json`` output.  A ``"certified"`` cell takes no budget
-        key; any other cell is practical, at the default budgets with
-        ``screen_pairs`` and ``erm_sample`` overriding them.  Unknown keys,
-        budget keys in a certified cell, and a learn ``k`` above the
-        instance's ``n`` raise ValueError naming the key."""
+        """Parse a suite config: ``master_seed``, ``repetitions`` and
+        ``cells``, each an ``instance`` spec and a ``learn`` object.  A
+        ``"certified"`` cell takes no budget key; any other cell is practical,
+        at the default budgets with ``screen_pairs`` and ``erm_sample``
+        overriding them.  Unknown keys, budget keys in a certified cell, and a
+        learn ``k`` above the instance's ``n`` raise ValueError naming the key."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
@@ -609,11 +588,11 @@ def run_suite(config: ExperimentConfig, out_dir: str | Path) -> SuiteResult:
             writer.writerow(r.to_csv())
     json_path = out / "trials.json"
     with open(json_path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
+        json.dump([r.to_dict() for r in reports], fh, indent=2, allow_nan=False)
     summary = _summarize(config, reports)
     summary_path = out / "summary.json"
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     return SuiteResult(
         reports=tuple(reports),
         summary=summary,

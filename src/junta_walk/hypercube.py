@@ -9,7 +9,6 @@ is the popcount parity of (S_mask AND x_bits).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -183,8 +182,8 @@ class JuntaHypothesis:
         cube = np.broadcast_to(self.table.reshape(shape), (2,) * self.n)
         return TruthTable(self.n, cube.reshape(-1))
 
-    def to_json(self) -> str:
-        return json.dumps({"J": list(self.J), "table": [int(v) for v in self.table]})
+    def to_dict(self) -> dict:
+        return {"J": list(self.J), "table": [int(v) for v in self.table]}
 
 
 BooleanFunction = Union[TruthTable, JuntaHypothesis]

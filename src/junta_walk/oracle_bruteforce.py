@@ -9,7 +9,6 @@ with the learner's ``best_support``, the rule ERM applies to a sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -93,19 +92,17 @@ class LemmaWitness:
     inner_restricted: Fraction
     bound: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fixed": [[c, v] for c, v in self.fixed],
-                "witnesses": {
-                    str(i): {"S": sorted(S.coords()), "coeff": str(c)}
-                    for i, (S, c) in self.witnesses.items()
-                },
-                "inner_original": str(self.inner_original),
-                "inner_restricted": str(self.inner_restricted),
-                "bound": self.bound,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "fixed": [[c, v] for c, v in self.fixed],
+            "witnesses": {
+                str(i): {"S": sorted(S.coords()), "coeff": str(c)}
+                for i, (S, c) in self.witnesses.items()
+            },
+            "inner_original": str(self.inner_original),
+            "inner_restricted": str(self.inner_restricted),
+            "bound": self.bound,
+        }
 
 
 def _restrict_table(g: TruthTable, fixed: dict[int, int]) -> TruthTable:
@@ -224,8 +221,8 @@ class FixtureReport:
     def all_pass(self) -> bool:
         return all(self.facts.values())
 
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "facts": self.facts, "detail": self.detail})
+    def to_dict(self) -> dict:
+        return {"k": self.k, "facts": self.facts, "detail": self.detail}
 
 
 def counterexample_fixtures(k: int) -> FixtureReport:

@@ -30,8 +30,6 @@ ell this package targets, but exponential in the level by design.
 
 from __future__ import annotations
 
-import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -47,7 +45,7 @@ from .fourier import (
     estimate_bounded_influence,
     estimate_sq_coeff_bulk,
 )
-from .hypercube import IndexSet, _check_integer, restriction_indices
+from .hypercube import IndexSet, _check_integer
 from .walk import (
     RandomWalkOracle,
     _lag_walk_steps,
@@ -235,22 +233,19 @@ class SieveResult:
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "sets": [sorted(s.coords()) for s in self.sets],
-                "estimates": list(self.estimates),
-                "pool": sorted(self.pool.coords()),
-                # a coordinate without contrast samples (+inf) has no value
-                "influences": [v if math.isfinite(v) else None for v in self.influences],
-                "candidates": self.candidates,
-                "truncated": self.truncated,
-                "walk_steps": self.walk_steps,
-                "mode": self.mode,
-            },
-            allow_nan=False,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "sets": [sorted(s.coords()) for s in self.sets],
+            "estimates": list(self.estimates),
+            "pool": sorted(self.pool.coords()),
+            # a coordinate without contrast samples (+inf) has no value
+            "influences": [v if math.isfinite(v) else None for v in self.influences],
+            "candidates": self.candidates,
+            "truncated": self.truncated,
+            "walk_steps": self.walk_steps,
+            "mode": self.mode,
+        }
 
 
 def bounded_sieve(
@@ -317,18 +312,16 @@ def bounded_sieve(
                 f"screened pool has {len(pool_coords)} coordinates; estimation "
                 f"bins onto at most BULK_WHT_MAX_N = {BULK_WHT_MAX_N}"
             )
-        masks = [
-            IndexSet.of(n, combo).mask
-            for size in range(min(params.level, len(pool_coords)) + 1)
-            for combo in itertools.combinations(pool_coords, size)
-        ]
         samples = oracle.lag_samples(budgets.lag, budgets.estimate_blocks)
         bulk = estimate_sq_coeff_bulk(samples, pool)
-        cells = restriction_indices(pool, np.array(masks, dtype=np.uint64))
+        # bulk is indexed by pool-local masks, whose bit j is the pool's j-th
+        # smallest coordinate; a kept cell is deposited back onto those
+        cells = _masks_up_to(len(pool_coords), params.level)
+        estimates = bulk[cells]
+        kept = estimates >= KEEP_FRACTION * params.theta
         keep = [
-            (m, e)
-            for m, e in zip(masks, bulk[cells].tolist())
-            if e >= KEEP_FRACTION * params.theta
+            (IndexSet.of(n, [c for j, c in enumerate(pool_coords) if cell >> j & 1]).mask, e)
+            for cell, e in zip(cells[kept].tolist(), estimates[kept].tolist())
         ]
     keep.sort(key=lambda me: (-me[1], me[0]))
     truncated = len(keep) > params.result_cap

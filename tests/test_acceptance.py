@@ -6,7 +6,6 @@ numeric prefixes only fix the display order.
 """
 
 import time
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -253,7 +252,7 @@ def test_gate_08_and_construction_fixtures_exact():
     t0 = time.perf_counter()
     for k in range(1, 7):
         report = counterexample_fixtures(k)
-        assert report.all_pass, report.to_json()
+        assert report.all_pass, report.to_dict()
     assert elapsed_since(t0) <= 1.0
 
 

@@ -258,7 +258,7 @@ def test_lemma_witness_json():
     f = and_table(3, [1, 2])
     w = verify_spectrum_lemma(f, f, epsilon=0.5, k=2)
     assert isinstance(w, LemmaWitness)
-    obj = json.loads(w.to_json())
+    obj = json.loads(json.dumps(w.to_dict(), allow_nan=False))
     assert set(obj) == {
         "fixed",
         "witnesses",
@@ -285,7 +285,7 @@ def test_fixtures_pass_exactly(k):
 
 def test_fixture_report_json():
     report = counterexample_fixtures(3)
-    obj = json.loads(report.to_json())
+    obj = json.loads(json.dumps(report.to_dict(), allow_nan=False))
     assert obj["k"] == 3
     assert set(obj["facts"]) == set(obj["detail"])
 

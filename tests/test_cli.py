@@ -4,23 +4,17 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from junta_walk import cli
 from junta_walk.functions import and_table, parity_table
-from junta_walk.harness import (
-    Cell,
-    Corruption,
-    ExperimentConfig,
-    InstanceSpec,
-)
+from junta_walk.harness import Corruption, InstanceSpec
 from junta_walk.hypercube import TruthTable
-from junta_walk.learner import LearnParams
 
 
 def write_instance(path, table: TruthTable) -> str:
@@ -174,23 +168,60 @@ def test_sieve_finds_parity_support(tmp_path, capsys, caplog):
     assert obj["pool"] == [2, 5]
 
 
-def test_sieve_prints_strict_json(tmp_path, capsys):
-    # at n <= level nothing is screened, so every influence is +inf in memory
+def _reject(name):
+    raise AssertionError(f"non-JSON constant {name} in the output")
+
+
+@pytest.mark.parametrize("command", ["gen", "learn", "sieve", "opt", "verify-lemma", "fixtures"])
+def test_json_commands_print_strict_json(tmp_path, capsys, command):
     inst = write_instance(tmp_path / "and.json", and_table(2, [1, 2]))
-    code, out = run(
-        capsys,
-        "sieve", "--instance", str(inst),
-        "--theta", "0.2", "--level", "2", "--delta", "0.1",
-        "--screen-pairs", "100", "--estimate-blocks", "2000",
-    )
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "k": 1}))
+    argv = {
+        "gen": ["--spec", str(spec)],
+        "learn": ["--instance", inst, "-k", "1", "--eps", "0.4", "--delta", "0.3"],
+        "sieve": ["--instance", inst, "--theta", "0.2", "--level", "2", "--delta", "0.1",
+                  "--screen-pairs", "100", "--estimate-blocks", "2000"],
+        "opt": ["--instance", inst, "-k", "1", "--per-set"],
+        "verify-lemma": ["--instance", inst, "-k", "1", "--eps", "0.3"],
+        "fixtures": ["-k", "2"],
+    }[command]
+    code, out = run(capsys, command, *argv)
     assert code == 0
+    assert out.startswith("{\n  ")  # indented like every JSON command
+    obj = json.loads(out, parse_constant=_reject)
+    if command == "sieve":
+        # at n <= level nothing is screened, so every influence is +inf in memory
+        assert obj["influences"] == [None, None]
+        assert obj["pool"] == [1, 2]
 
-    def reject(name):
-        raise AssertionError(f"non-JSON constant {name} in sieve output")
 
-    obj = json.loads(out, parse_constant=reject)
-    assert obj["influences"] == [None, None]
-    assert obj["pool"] == [1, 2]
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, capsys, value):
+    out = tmp_path / "out.json"
+    for target in (None, str(out)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json({"x": [value]}, target)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "learn", "sieve"])
+def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, caplog, command):
+    inst = write_instance(tmp_path / "parity.json", parity_table(4, [1]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 4, "k": 1}))
+    argv = {
+        "gen": ["--spec", str(spec)],
+        "learn": ["--instance", inst, "-k", "1", "--eps", "0.25", "--delta", "0.2"],
+        "sieve": ["--instance", inst, "--theta", "0.5", "--level", "1", "--delta", "0.1",
+                  "--screen-pairs", "1000", "--estimate-blocks", "100"],
+    }[command]
+    with caplog.at_level(logging.WARNING):
+        code = cli.main([command, *argv, "--seed", "-1"])
+    assert code == 2
+    assert "seed=-1 must be >= 0" in capsys.readouterr().err
+    assert practical_warnings(caplog) == []
 
 
 def test_sieve_requires_both_budget_flags(tmp_path, capsys):
@@ -223,6 +254,18 @@ def test_sieve_with_zero_estimate_blocks_prints_its_screen(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # wht / opt
+
+
+def test_wht_prints_the_spectrum_rows(tmp_path, capsys):
+    inst = write_instance(tmp_path / "parity.json", parity_table(3, [1, 3]))
+    code, out = run(capsys, "wht", "--instance", inst)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "mask,coords,coefficient"
+    assert len(lines) == 9
+    mask, coords, coeff = lines[6].split(",")  # mask 5 = {1, 3}
+    assert (mask, coords) == ("5", "1|3")
+    assert float(coeff) == pytest.approx(1.0)
 
 
 def test_wht_csv_output(tmp_path, capsys):
@@ -294,7 +337,7 @@ def test_fixtures_pass_and_report(capsys):
 
 
 def test_fixtures_exit_one_on_failure(capsys, monkeypatch):
-    stub = SimpleNamespace(all_pass=False, to_json=lambda: '{"all_pass": false}')
+    stub = SimpleNamespace(all_pass=False, to_dict=lambda: {"all_pass": False})
     monkeypatch.setattr(cli, "counterexample_fixtures", lambda k: stub)
     code, out = run(capsys, "fixtures", "-k", "2")
     assert code == 1
@@ -312,18 +355,11 @@ def test_fixtures_out_of_range(capsys):
 
 
 def test_suite_runs_config_and_prints_paths(tmp_path, capsys):
-    config = ExperimentConfig(
-        cells=(
-            Cell(
-                instance=InstanceSpec(n=5, k=1),
-                learn=LearnParams(1, 0.25, 0.2, screen_pairs=10_000, erm_sample=4_000),
-            ),
-        ),
-        repetitions=2,
-        master_seed=8,
-    )
+    learn = {"k": 1, "epsilon": 0.25, "delta": 0.2, "screen_pairs": 10_000, "erm_sample": 4_000}
+    cells = [{"instance": {"n": 5, "k": 1}, "learn": learn}]
+    config = {"master_seed": 8, "repetitions": 2, "cells": cells}
     path = tmp_path / "config.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(config))
     out_dir = tmp_path / "results"
     code, out = run(capsys, "suite", "--config", str(path), "--out-dir", str(out_dir))
     assert code == 0

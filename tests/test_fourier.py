@@ -1,6 +1,5 @@
 """Exact transforms, spectra, and the walk-based squared-coefficient estimator."""
 
-import io
 import math
 import tracemalloc
 from itertools import combinations, product
@@ -22,7 +21,6 @@ from junta_walk.fourier import (
     estimator_bias_bound,
     expected_bounded_influence,
     expected_sq_estimate,
-    spectrum_to_csv,
     subcube_projection_exact,
     subcube_sums,
     wht,
@@ -274,18 +272,6 @@ def test_subcube_sums_match_per_support_bincount(monkeypatch, chunk_cells):
             ridx = restriction_indices(IndexSet.of(p, [c + 1 for c in support]), cells)
             ref = np.bincount(ridx, weights=table, minlength=1 << k)
             np.testing.assert_array_equal(got[s], ref.astype(np.int64))
-
-
-def test_spectrum_to_csv():
-    spec = Spectrum.from_table(parity_table(3, [1, 3]))
-    buf = io.StringIO()
-    spectrum_to_csv(spec, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "mask,coords,coefficient"
-    assert len(lines) == 9
-    mask, coords, coeff = lines[6].split(",")  # mask 5 = {1, 3}
-    assert (mask, coords) == ("5", "1|3")
-    assert float(coeff) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,7 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
             ValueError,
             "trial_seed=-1",
         ),
+        (lambda: resolve_instance(InstanceSpec(n=5, k=1), -1), ValueError, "trial_seed=-1"),
         (lambda: default_learn_params(8.0, 2, 0.25, 0.2), TypeError, "n=8.0"),
         (lambda: theta_for(2.5, 0.1), TypeError, "k=2.5"),
         (lambda: theta_for(True, 0.1), TypeError, "k=True"),
@@ -180,6 +181,7 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         "float-master-seed",
         "float-trial-seed",
         "negative-trial-seed",
+        "negative-resolve-seed",
         "float-default-n",
         "float-theta-k",
         "bool-theta-k",
@@ -478,19 +480,33 @@ def test_config_json_round_trip_practical_and_certified():
     )
     cells = (practical, certified, erm_only, sized)
     config = ExperimentConfig(cells=cells, repetitions=2, master_seed=31)
-    text = config.to_json()
-    modes = ["practical", "certified", "practical", "practical"]
-    assert [c["learn"]["mode"] for c in json.loads(text)["cells"]] == modes
+    # each cell's learn object in full, bare, or with one budget and the defaults
+    learn = [
+        {"k": 2, "epsilon": 0.25, "delta": 0.2, "mode": "practical",
+         "screen_pairs": 50_000, "erm_sample": DEFAULT_ERM_SAMPLE},
+        {"epsilon": 0.3, "mode": "certified"},
+        {"erm_sample": 5000},
+        {"k": 2, "screen_pairs": 1000},
+    ]
+    written = [{"instance": c.instance.to_dict(), "learn": ld} for c, ld in zip(cells, learn)]
+    text = json.dumps({"master_seed": 31, "repetitions": 2, "cells": written})
     restored = ExperimentConfig.from_json(text)
     assert restored == config
-    assert [c.learn.mode for c in restored.cells] == modes
+    assert [c.learn.mode for c in restored.cells] == [
+        "practical", "certified", "practical", "practical"
+    ]
 
 
 def test_config_learn_keys_are_the_learn_params_fields():
-    # a key to_json writes that LearnParams does not hold would be a dead knob
-    cell = Cell(instance=InstanceSpec(n=6, k=2), learn=default_learn_params(6, 2, 0.25, 0.2))
-    (written,) = json.loads(ExperimentConfig(cells=(cell,)).to_json())["cells"]
-    assert set(written["learn"]) == {f.name for f in fields(LearnParams)} | {"mode"}
+    # from_json reads each LearnParams field from the learn key of its name
+    # and refuses any key but those and "mode": a key LearnParams does not
+    # hold would be a dead knob
+    values = {"k": 2, "epsilon": 0.3, "delta": 0.1, "screen_pairs": 1000, "erm_sample": 500}
+    assert set(values) == {f.name for f in fields(LearnParams)}
+    text = _config_text(learn={**values, "mode": "practical"})
+    assert ExperimentConfig.from_json(text).cells[0].learn == LearnParams(**values)
+    with pytest.raises(ValueError, match="unknown key 'lag'"):
+        ExperimentConfig.from_json(_config_text(learn={**values, "lag": 25}))
 
 
 def test_config_erm_sample_cell_is_practical_with_or_without_mode():
@@ -590,7 +606,7 @@ _PRACTICAL = {"screen_pairs": 1000, "erm_sample": 100}
             "estimate_blocks",
             id="retired-estimate-blocks",
         ),
-        # a learn object as to_json wrote it while practical budgets carried
+        # a learn object as configs were written while practical budgets carried
         # the estimation walk's sizes (lag 25 and gap 5 at n = 6, level 2)
         pytest.param(
             _config_text(
@@ -670,7 +686,6 @@ def test_default_battery_shape():
     assert sorted({c.learn.epsilon for c in battery.cells}) == [0.2, 0.3]
     assert all(c.instance.corruption == Corruption(kind="iid", rate=0.1) for c in battery.cells)
     assert all(c.instance.k == c.learn.k for c in battery.cells)
-    assert ExperimentConfig.from_json(battery.to_json()) == battery
 
 
 # ---------------------------------------------------------------------------

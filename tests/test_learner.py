@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_walk.fourier import BULK_WHT_MAX_N
-from junta_walk.functions import and_table, flip_labels_iid, parity_table, random_junta
+from junta_walk.functions import and_table, flip_labels_iid, parity_table
 from junta_walk.harness import default_learn_params
 from junta_walk.hypercube import (
     IndexSet,
@@ -403,15 +403,15 @@ def test_learn_certified_tiny_case():
     # practical runs stopped the sieve after its screen, but for the lag
     # walk: twice the samples over half-windows take 3 steps more
     assert outcome.sieve.estimates == (1.0,)
-    assert outcome.hypothesis.to_json() == '{"J": [2], "table": [1, -1]}'
+    assert outcome.hypothesis.to_dict() == {"J": [2], "table": [1, -1]}
     assert outcome.pool.coords() == (2,)
     assert (outcome.disagreements, outcome.sample_size) == (0, 8271)
     assert outcome.walk_steps == 9_689_511
-    assert outcome.sieve.to_json() == (
-        '{"n": 2, "sets": [[2]], "estimates": [1.0], "pool": [1, 2], '
-        '"influences": [null, null], "candidates": 3, "truncated": false, '
-        '"walk_steps": 9681241, "mode": "certified"}'
-    )
+    assert outcome.sieve.to_dict() == {
+        "n": 2, "sets": [[2]], "estimates": [1.0], "pool": [1, 2],
+        "influences": [None, None], "candidates": 3, "truncated": False,
+        "walk_steps": 9681241, "mode": "certified",
+    }
 
 
 def _fail(*args):
