@@ -6,15 +6,15 @@ transform is the Walsh-Hadamard transform of integer input: a few
 Hadamard-matrix products in the narrowest float word that holds it exactly.
 
 The squared-coefficient estimator works from the lag pairs of a plain labeled
-walk, a :class:`~junta_walk.walk.LagSamples` record that
-``RandomWalkOracle.lag_samples`` draws without building the walk.  One lag-t
-sample is f(x) f(x') chi_S(x (+) x') for walk positions t apart; averaging the
-lag-t and lag-(t+1) samples cancels the alternating-sign contribution of the
-full set [n] and leaves expectation
+walk (:class:`~junta_walk.walk.LagSamples`, read off a refresh-pair harvest).
+One sample is f(x) f(y) chi_S(x (+) y) for points a Poisson(mu) number of
+flips apart, so each coordinate flips Poisson(mu/n) times, independently, and
+is odd with probability (1 - e^(-2 mu/n))/2.  A sample then has expectation
 
-    sum_U fhat(U)^2 * (1/2) [ (1-2d/n)^t + (1-2d/n)^(t+1) ],   d = |U xor S|,
+    sum_U fhat(U)^2 e^(-2 |U xor S| mu / n),
 
-which is within exp(-2t/n) of fhat(S)^2 once t >= (n/2) ln(1/bias).
+within e^(-2 mu/n) of fhat(S)^2; a Poisson count, unlike a fixed lag, leaves
+no alternating-sign term on the full set [n].
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
 
 
 def default_lag(n: int, theta: float) -> int:
-    """Lag putting the estimator's systematic error below theta/8."""
+    """Least mean flip count (lag) putting the estimator's systematic
+    error below theta/8."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta={theta} outside (0, 1]")
     return max(1, math.ceil((n / 2) * math.log(8.0 / theta)))
@@ -190,10 +191,7 @@ def estimate_sq_coeff(samples: LagSamples, S: IndexSet) -> float:
     per-set reference that :func:`estimate_sq_coeff_bulk` matches."""
     if S.n != samples.n:
         raise ValueError(f"index set over n={S.n}, samples over n={samples.n}")
-    mask = np.uint64(S.mask)
-    chi_t = parity_sign_u64(samples.diff_t, mask)
-    chi_t1 = parity_sign_u64(samples.diff_t1, mask)
-    return float(np.mean(0.5 * (samples.prod_t * chi_t + samples.prod_t1 * chi_t1)))
+    return float(np.mean(samples.prod * parity_sign_u64(samples.diff, S.mask)))
 
 
 def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
@@ -202,8 +200,8 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     Entry r is for the set of pool coordinates picked by the bits of r, in
     the restriction-index order of ``JuntaHypothesis.table``.  chi_S of a
     lag-pair xor word depends only on its pool bits, so the +-1 label
-    products of both lags are binned on the pool as signed integer counts and
-    one exact transform of 2^|pool| cells gives every sum; each entry equals
+    products are binned on the pool as signed integer counts and one exact
+    transform of 2^|pool| cells gives every sum; each entry equals
     :func:`estimate_sq_coeff` bit for bit.  Requires |pool| <= BULK_WHT_MAX_N.
     """
     if pool.n != samples.n:
@@ -213,30 +211,24 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    counts = signed_sums(pool, samples.diff_t, samples.prod_t)
-    counts += signed_sums(pool, samples.diff_t1, samples.prod_t1)
-    return 0.5 * wht(counts) / len(samples)
+    return wht(signed_sums(pool, samples.diff, samples.prod)) / len(samples)
 
 
-def expected_sq_estimate(spec: Spectrum, S: IndexSet, lag: int) -> float:
-    """Closed-form expectation of the estimator under a known spectrum.
-
-    A plain walk damps the set-U contribution by (1-2d/n)^t with d = |U xor S|,
-    and the estimator averages lags t, t+1.
-    """
+def expected_sq_estimate(spec: Spectrum, S: IndexSet, mean_flips: float) -> float:
+    """Closed-form expectation of the estimator under a known spectrum for
+    samples Poisson(``mean_flips``) flips apart: sum_U fhat(U)^2 e^(-2 d mean_flips / n),
+    d = |U xor S|."""
     if S.n != spec.n:
         raise ValueError(f"index set over n={S.n}, spectrum over n={spec.n}")
     n = spec.n
     masks = np.arange(1 << n, dtype=np.uint64)
     d = np.bitwise_count(masks ^ np.uint64(S.mask)).astype(np.float64)
-    base = 1.0 - 2.0 * d / n
-    weight = 0.5 * base**lag * (1.0 + base)
-    return float(np.dot(spec.coeffs**2, weight))
+    return float(np.dot(spec.coeffs**2, np.exp(-2.0 * mean_flips * d / n)))
 
 
-def estimator_bias_bound(n: int, lag: int) -> float:
-    """Upper bound exp(-2 lag / n) on |E[estimate] - fhat(S)^2|."""
-    return math.exp(-2.0 * lag / n)
+def estimator_bias_bound(n: int, mean_flips: float) -> float:
+    """Upper bound e^(-2 mean_flips / n) on |E[estimate] - fhat(S)^2|."""
+    return math.exp(-2.0 * mean_flips / n)
 
 
 # ---------------------------------------------------------------------------

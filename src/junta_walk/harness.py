@@ -186,10 +186,11 @@ class InstanceSpec:
     instance_seed: int | None = None
 
     def __post_init__(self) -> None:
+        # type-checked before they are compared, which a None or str would break
+        _check_integer("n", self.n, 0)
+        _check_integer("k", self.k, 0)
         if self.n < self.k or self.k < 1:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
-        _check_integer("n", self.n, 1)
-        _check_integer("k", self.k, 1)
         # exact opt is part of every trial
         if self.n > MAX_OPT_N:
             raise ValueError(f"n={self.n} exceeds the instance cap {MAX_OPT_N}")

@@ -92,10 +92,14 @@ def restriction_indices(J: IndexSet, bits: np.ndarray) -> np.ndarray:
     """Compress packed points onto J: bit j of the result is the j-th smallest
     coordinate of J, giving an index into a 2^|J| table."""
     bits = np.asarray(bits, dtype=np.uint64)
-    idx = np.zeros(bits.shape, dtype=np.int64)
+    idx = np.zeros(bits.shape, dtype=np.uint64)
+    bit = np.empty_like(idx)
     for j, c in enumerate(J):
-        idx |= ((bits >> np.uint64(c - 1)) & np.uint64(1)).astype(np.int64) << j
-    return idx
+        # the j-th smallest coordinate c has c - 1 >= j: shift its bit to j
+        np.right_shift(bits, np.uint64(c - 1 - j), out=bit)
+        bit &= np.uint64(1 << j)
+        idx |= bit
+    return idx.view(np.int64)  # below 2^63, so the same number as an int64
 
 
 def signed_sums(J: IndexSet, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:

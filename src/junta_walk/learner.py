@@ -7,7 +7,7 @@ pool on a fresh walk whose length makes disagreement means concentrate
 uniformly over the finite hypothesis class.  That is the certified run.  A
 practical run stops the sieve after its screen and minimizes over the
 screened pool: estimating theta-sized coefficients within theta/8 takes a
-Hoeffding count of lag samples whose walk, 2e8 to 6e10 steps at n <= 16,
+Hoeffding count of lag samples whose harvest, 1e8 to 6e10 steps at n <= 16,
 k <= 3, eps = 0.25 and delta = 0.1, is far past any practical budget, and
 below it the keep rule decides on noise.  :func:`best_support` scores
 every support from the walk's signed subcube label sums, and exact opt in
@@ -223,8 +223,8 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
 
     A certified run pools the sets the full sieve keeps at certified budgets;
     a practical run screens ``screen_pairs`` refresh pairs, stops the sieve
-    there (zero estimate blocks, so no estimation walk), and pools the
-    screened coordinates.
+    there (zero estimate blocks, so no lag samples), and pools the screened
+    coordinates.
     """
     n = oracle.n
     if params.k > n:

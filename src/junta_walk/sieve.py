@@ -20,7 +20,7 @@ budget too small to resolve tau does not pool coordinates on noise.  Phase two
 enumerates all subsets of the pool up to size ell and keeps those whose
 estimated squared coefficient clears (3/4) theta; one exact transform over the
 pool gives every estimate, so the pool may hold at most BULK_WHT_MAX_N
-coordinates.
+coordinates.  Both phases read one harvest of refresh pairs.
 
 Cost: the enumeration visits sum_{j<=ell} C(|pool|, j) candidates, and the
 pool can hold up to ~4 (1-p)^(1-ell) / (p theta) coordinates, so the phase-two
@@ -48,9 +48,10 @@ from .fourier import (
 from .hypercube import IndexSet, _check_integer
 from .walk import (
     RandomWalkOracle,
-    _lag_walk_steps,
     effective_refresh_density,
     gap_for_density,
+    lag_pairs,
+    lag_window,
 )
 
 logger = logging.getLogger(__name__)
@@ -74,8 +75,9 @@ class BudgetInfeasible(SieveError):
 
 @dataclass(frozen=True)
 class SieveBudgets:
-    """Concrete sample sizes for the two phases: ``screen_pairs`` refresh
-    pairs and ``estimate_blocks`` lag samples; zero ``estimate_blocks`` stops
+    """Concrete sample sizes for the two phases, read off one harvest at
+    ``gap_steps``: ``screen_pairs`` refresh pairs and ``estimate_blocks`` lag
+    samples of at least ``lag`` mean flips; zero ``estimate_blocks`` stops
     the search after phase one."""
 
     screen_pairs: int
@@ -143,22 +145,21 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     and each conditional mean, a weighted average of the two families'
     means, is within tau/2 when both are.  Estimation needs every candidate's
     mean of lag samples, terms in [-1, 1], within theta/8 at a third of delta
-    split over the candidates.  Adjacent lag samples share a half-window, so
-    their dependency graph is a path, of fractional chromatic number 2, and
-    Janson's Hoeffding bound for dependency graphs (Random Structures &
-    Algorithms 24(3), 2004) holds at twice the iid count of samples, with no
-    further split of delta.  Samples b and b + 2 chain as the even pairs
-    do, and are read as independent in the same way.  So each chained
-    family is priced as if its members were independent samples; no
+    split over every set of size <= ell over [n]: the pool is screened from
+    the harvest the samples are read off.  Adjacent lag samples share half a
+    window, so their dependency graph is a path, of fractional chromatic
+    number 2, and Janson's Hoeffding bound for dependency graphs (Random
+    Structures & Algorithms 24(3), 2004) holds at twice the iid count of
+    samples, with no further split of delta.  Samples b and b + 2 chain as
+    the even pairs do, and are read as independent in the same way.  So each
+    chained family is priced as if its members were independent samples; no
     concentration bound for these Markov chains is proven yet.  These sizes
     grow like (2/theta)^(2 ell), so certified mode is only feasible for tiny
     levels; anything larger should supply practical budgets explicitly.  The
-    step total checked against BUDGET_CEILING counts only the phases a run
-    draws: a run that does not screen draws no pairs, and one that does reads
-    pairs + 1 half-blocks of the plain walk, gap/4 mean steps each (the
-    half-block's no-op selections come from the learner's own coins and cost
-    no walk step); the lag walk is blocks + 1 half-windows of about
-    (lag + 1)/2 steps each.
+    step total checked against BUDGET_CEILING is one harvest's, gap/4 mean
+    flips per half-block (its no-op selections come from the learner's own
+    coins), over the longer phase: pairs + 1 half-blocks for a screen (none
+    where the run does not screen), (blocks + 1) w/2 for the lag samples.
     """
     gap = gap_for_density(n, params.density)
     p_eff = effective_refresh_density(n, gap)
@@ -167,24 +168,20 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     screen_pairs = 2 * math.ceil(
         (64.0 / (q * tau * tau)) * max(math.log(24.0 * n / params.delta), 1.0)
     )
-    pool_cap = _pool_cap(params)
-    cand_bound = _candidate_bound(min(n, pool_cap), params.level)
+    cand_bound = _candidate_bound(n, params.level)
     # lag for bias theta/8, samples for sampling error theta/8 on every
     # candidate: twice the iid count, as the samples' dependency graph is a path
     lag = default_lag(n, params.theta)
     blocks = 2 * blocks_for(params.theta / 8.0, params.delta / (3.0 * cand_bound))
+    phases = [(lag_pairs(lag_window(lag, gap), blocks) + 1, f"estimate of {blocks} lag samples")]
     if _screens(params, n):
-        screen = math.ceil((screen_pairs + 1) * gap / 4)
-        priced = f"screen {screen_pairs} pairs over {screen} steps at gap {gap}"
-    else:
-        screen, priced = 0, "the run does not screen"
-    estimate = _lag_walk_steps(lag, blocks)
-    total = screen + estimate
+        phases.append((screen_pairs + 1, f"screen of {screen_pairs} pairs"))
+    halves, longest = max(phases)
+    total = math.ceil(halves * gap / 4)
     if total > BUDGET_CEILING:
         raise BudgetInfeasible(
-            f"certified budgets need ~{total:.3g} walk steps "
-            f"({priced}, estimate {blocks} lag samples over {estimate} steps); "
-            f"ceiling is {BUDGET_CEILING}"
+            f"certified budgets need ~{total:.3g} walk steps: {halves} half-blocks "
+            f"at gap {gap}, set by the {longest}; ceiling is {BUDGET_CEILING}"
         )
     return SieveBudgets(
         screen_pairs=screen_pairs, estimate_blocks=blocks, lag=lag, gap_steps=gap
@@ -270,30 +267,39 @@ def bounded_sieve(
     0.92-0.97 sigma_i for disjoint blocks; it is not proven for the chain.
     Budgets sized to resolve tau give z sigma_i < tau, so the floor only acts
     when they do not.  At n <= max(level, 2) every coordinate is pooled
-    without drawing pairs.  Raises :class:`PoolOverflow` when the pool
+    without a screen.  Raises :class:`PoolOverflow` when the pool
     exceeds its certified cap, which signals that the screening estimates
     missed their tolerance.
 
-    Phase two bins one lag walk onto the pool and scores every subset of
-    size <= level with one exact transform.  A run that estimates raises
-    :class:`PoolOverflow` right after its screen if the pool holds more than
-    BULK_WHT_MAX_N coordinates, before any candidate or lag walk.  With zero
-    ``estimate_blocks`` the search stops after phase one: no lag walk is
-    drawn and no set is kept, so the screened pool is the result.
-    ``candidates`` counts the subsets phase two scores, or would have scored.
+    The screen tallies the first ``screen_pairs`` pairs of one harvest, and
+    phase two bins lag samples read off the same harvest onto the pool and
+    scores every subset of size <= level with one exact transform.  A run
+    that estimates raises :class:`PoolOverflow` if the pool holds more than
+    BULK_WHT_MAX_N coordinates, before any candidate is scored (or anything
+    drawn, if it does not screen).  With zero ``estimate_blocks`` the search
+    stops after phase one and no set is kept, so the screened pool is the
+    result.  ``candidates`` counts the subsets phase two scores, or would
+    have scored.
     """
     n = oracle.n
     mode = "certified" if budgets is None else "practical"
     if budgets is None:
         budgets = certified_budgets(params, n)
 
-    if not _screens(params, n):
+    screens = _screens(params, n)
+    window = lag_window(budgets.lag, budgets.gap_steps)
+    wanted = max(
+        budgets.screen_pairs if screens else 0,
+        lag_pairs(window, budgets.estimate_blocks) if budgets.estimate_blocks else 0,
+    )
+    pairs = None
+    if not screens:
         influences = np.full(n, np.inf)
         pool_coords = list(range(1, n + 1))
     else:
-        pairs = oracle.refresh_pairs(budgets.screen_pairs, budgets.gap_steps)
+        pairs = oracle.refresh_pairs(wanted, budgets.gap_steps)
         # a coordinate without contrast samples reads +inf and stays pooled
-        influences, sigmas = estimate_bounded_influence(pairs)
+        influences, sigmas = estimate_bounded_influence(pairs.head(budgets.screen_pairs))
         tau = _screen_signal(params, effective_refresh_density(n, budgets.gap_steps)) / 2.0
         z = NormalDist().inv_cdf(1.0 - params.delta / (2.0 * n))
         pool_coords = (np.flatnonzero(influences >= np.maximum(tau, z * sigmas)) + 1).tolist()
@@ -312,7 +318,9 @@ def bounded_sieve(
                 f"screened pool has {len(pool_coords)} coordinates; estimation "
                 f"bins onto at most BULK_WHT_MAX_N = {BULK_WHT_MAX_N}"
             )
-        samples = oracle.lag_samples(budgets.lag, budgets.estimate_blocks)
+        if pairs is None:
+            pairs = oracle.refresh_pairs(wanted, budgets.gap_steps)
+        samples = pairs.lag_samples(window, budgets.estimate_blocks)
         bulk = estimate_sq_coeff_bulk(samples, pool)
         # bulk is indexed by pool-local masks, whose bit j is the pool's j-th
         # smallest coordinate; a kept cell is deposited back onto those

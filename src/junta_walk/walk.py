@@ -24,17 +24,18 @@ per half-block rather than per step: a Poisson flip total and a Poisson no-op
 total per chunk of half-blocks, and a uniform (half-block, coordinate) cell
 for each.  (A plain walk of fixed length cannot deliver that exactness: it
 changes parity every step, so its endpoints carry a deterministic parity
-constraint; a Poisson number of flips lifts it.)
+constraint; a Poisson number of flips lifts it.)  The estimator's lag samples
+are read off the same chain of boundaries (``RefreshPairs.lag_samples``).
 
-Walks and lag samples draw their steps through one kernel, ``_draw_steps``,
-in the narrowest unsigned word that holds n bits.  Harvested points and masks
-stay in that word; label sources always receive uint64 packed points.
+Plain walks draw their steps through one kernel, ``_draw_steps``, in the
+narrowest unsigned word that holds n bits.  Harvested points and masks stay
+in that word; label sources always receive uint64 packed points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -81,39 +82,22 @@ class LabeledWalk:
 
 @dataclass(frozen=True)
 class LagSamples:
-    """The lag pairs of a plain walk that the squared-coefficient estimator reads.
-
-    The walk is cut into half-windows of alternately floor((lag + 1)/2) and
-    ceil((lag + 1)/2) steps.  Sample b starts at half-window boundary b, the
-    point x, and pairs it with the points lag and lag + 1 steps later, one
-    step before boundary b + 2 and boundary b + 2 itself:
-    ``diff_t[b]``/``diff_t1[b]`` are the xors of x with those points and
-    ``prod_t[b]``/``prod_t1[b]`` the +-1 (int8) label products.  So adjacent
-    samples share a half-window, and samples b and b + 2 chain.  The arrays
-    are read-only.
-    """
+    """The lag pairs of a plain walk that the squared-coefficient estimator
+    reads: sample b joins points x and y a Poisson number of flips apart,
+    ``diff[b]`` is x xor y and ``prod[b]`` the +-1 (int8) label product
+    f(x) f(y).  The arrays are read-only."""
 
     n: int
-    diff_t: np.ndarray
-    diff_t1: np.ndarray
-    prod_t: np.ndarray
-    prod_t1: np.ndarray
+    diff: np.ndarray
+    prod: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.diff_t)
+        return len(self.diff)
 
 
 def _word(n: int) -> type:
     """The narrowest unsigned integer type with n bits."""
     return next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(w).bits >= n)
-
-
-def _lag_walk_steps(lag: int, blocks):
-    """Steps of the walk behind ``blocks`` lag samples: blocks + 1
-    half-windows of alternately floor((lag + 1)/2) and ceil((lag + 1)/2)
-    steps, the shorter first.  It also reads elementwise over an integer
-    array, where b = h - 1 >= -1 gives the step of half-window boundary h."""
-    return (blocks + 1) // 2 * (lag + 1) + (blocks + 1) % 2 * ((lag + 1) // 2)
 
 
 def _draw_steps(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -170,6 +154,46 @@ class RefreshPairs:
 
     def __len__(self) -> int:
         return len(self.x_bits)
+
+    def head(self, count: int) -> "RefreshPairs":
+        """The first ``count`` pairs, as views (``walk_steps`` stays the harvest's)."""
+        fields = ("x_bits", "y_bits", "label_x", "label_y", "refreshed_masks")
+        return replace(self, **{name: getattr(self, name)[:count] for name in fields})
+
+    def lag_samples(self, window: int, blocks: int) -> LagSamples:
+        """``blocks`` lag samples off the chain of half-block boundaries:
+        sample b joins boundaries b w/2 and b w/2 + w for an even window of w
+        half-blocks, so adjacent samples share half a window.  Boundary j is
+        pair j's x and pair j - 2's y.  At gap g a sample's flip count is
+        Poisson(w g / 4), whatever came before; no-op selections play no part.
+        """
+        _check_integer("window", window, 2)
+        _check_integer("blocks", blocks, 1)
+        if window % 2 or lag_pairs(window, blocks) > len(self):
+            raise ValueError(
+                f"{blocks} lag samples of window={window} half-blocks (even) "
+                f"need {lag_pairs(window, blocks)} pairs, got {len(self)}"
+            )
+        half = window // 2
+        starts, ends = slice(0, blocks * half, half), slice(window - 2, None, half)
+        diff = self.x_bits[starts] ^ self.y_bits[ends][:blocks]
+        prod = self.label_x[starts] * self.label_y[ends][:blocks]
+        for arr in (diff, prod):
+            arr.setflags(write=False)
+        return LagSamples(self.n, diff, prod)
+
+
+def lag_window(lag: int, gap_steps: int) -> int:
+    """The least even w whose w half-blocks at ``gap_steps`` hold a mean of
+    w gap_steps / 4 >= lag flips."""
+    _check_integer("lag", lag, 1)
+    _check_integer("gap_steps", gap_steps, 1)
+    return 2 * -(-2 * lag // gap_steps)
+
+
+def lag_pairs(window: int, blocks: int) -> int:
+    """Pairs whose (blocks + 1) window/2 half-blocks hold ``blocks`` lag samples."""
+    return (blocks + 1) * (window // 2) - 1
 
 
 # Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
@@ -417,38 +441,3 @@ class RandomWalkOracle:
         pairs = harvest_refresh_pairs(self.f, self.n, pair_count, gap_steps, seed)
         self.steps_served += pairs.walk_steps
         return pairs
-
-    def lag_samples(self, lag: int, blocks: int) -> LagSamples:
-        """The lag pairs of ``blocks`` samples read from blocks + 1 consecutive
-        half-windows of the walk that ``walk(_lag_walk_steps(lag, blocks) + 1)``
-        would draw, with only the 2 blocks + 2 points read labelled: the
-        blocks + 2 half-window boundaries and the blocks lag points.  Sample b
-        spans half-windows b and b + 1, so its lag + 1 partner is boundary
-        b + 2 and its lag partner is the point one step before it: boundary
-        b + 2 xor the last step of half-window b + 1.  The half-windows' xors
-        chain the boundaries."""
-        _check_integer("lag", lag, 1)
-        _check_integer("blocks", blocks, 1)
-        rng = np.random.default_rng(self._child_seed())
-        start = rng.integers(0, 1 << self.n, dtype=np.uint64)
-        steps = _lag_walk_steps(lag, blocks)
-        bits = _draw_steps(rng, self.n, steps)
-        # boundary h sits at step _lag_walk_steps(lag, h - 1), h = 0..blocks + 1
-        at = _lag_walk_steps(lag, np.arange(-1, blocks + 1))
-        # the blocks + 2 boundaries, then the blocks lag points, widened to
-        # uint64 from the steps' narrow word
-        points = np.empty(2 * blocks + 2, dtype=np.uint64)
-        bounds, lag_points = points[: blocks + 2], points[blocks + 2 :]
-        bounds[0] = start
-        np.bitwise_xor.accumulate(np.bitwise_xor.reduceat(bits, at[:-1]), out=bounds[1:])
-        bounds[1:] ^= start
-        np.bitwise_xor(bounds[2:], bits[at[2:] - 1], out=lag_points)
-        diff_t = bounds[:-2] ^ lag_points
-        diff_t1 = bounds[:-2] ^ bounds[2:]
-        labels = labels_for(self.f, points)
-        prod_t = labels[:blocks] * labels[blocks + 2 :]
-        prod_t1 = labels[:blocks] * labels[2 : blocks + 2]
-        for arr in (diff_t, diff_t1, prod_t, prod_t1):
-            arr.setflags(write=False)
-        self.steps_served += steps
-        return LagSamples(self.n, diff_t, diff_t1, prod_t, prod_t1)

@@ -37,6 +37,8 @@ from junta_walk.walk import (
     RandomWalkOracle,
     gap_for_density,
     generate_walk,
+    lag_pairs,
+    lag_window,
     sample_size_concentration,
 )
 
@@ -128,8 +130,11 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
     """|estimate - truth| <= theta/4 in >= 99% of 300 runs at stock budgets."""
     t0 = time.perf_counter()
     theta = 1 / 16
-    # lag for bias theta/8, blocks for sampling error theta/8 w.p. 0.95
+    # lag for bias theta/8, blocks for sampling error theta/8 w.p. 0.95, read
+    # off a harvest at the gap a level-3 sieve screens at
     lag, blocks = default_lag(8, theta), blocks_for(theta / 8, 0.05)
+    gap = gap_for_density(8, SieveParams(level=3, theta=theta, delta=0.05).density)
+    window = lag_window(lag, gap)
     rng = np.random.default_rng(606060)
     hits = 0
     for i in range(300):
@@ -151,7 +156,7 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
         else:
             mask = int(rng.integers(0, 256))
         oracle = RandomWalkOracle(table, 8, seed=40_000 + i)
-        samples = oracle.lag_samples(lag, blocks)
+        samples = oracle.refresh_pairs(lag_pairs(window, blocks), gap).lag_samples(window, blocks)
         est = estimate_sq_coeff(samples, IndexSet(8, mask))
         hits += abs(est - float(sq[mask])) <= theta / 4
     assert hits >= 297

@@ -118,9 +118,10 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     assert obj["hypothesis"]["J"] == [1]
     # a certified run estimates, so its stdout is the one recorded before the
     # learner could skip estimation (erm_sample 12 559), but for its walk
-    # steps: twice the lag samples over half-windows cost 4 steps more than
-    # the former disjoint blocks (26 033 966)
-    assert obj["walk_steps"] == 26_033_970
+    # steps: this unscreened run reads its lag samples off one harvest of
+    # 12-half-block windows at gap 2 (26 033 970 steps when they had a lag
+    # walk of their own)
+    assert obj["walk_steps"] == 22_779_102
     # the run's mode was added to that record; a file without a recipe
     # reports none, so the record is hashed without those two fields
     assert obj["mode"] == "certified"
@@ -129,7 +130,7 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
         {key: v for key, v in obj.items() if key not in ("mode", "instance_spec")}, indent=2
     )
     digest = hashlib.sha256(recorded.encode()).hexdigest()
-    assert digest == "22755b9b7cbe67662857054b35dfbec0c8caf372554166d6a7f42315852f17fc"
+    assert digest == "3b52191f98d640de659053762a3581d74bae5dfe0bf44f87f309918cdb32420f"
 
 
 def test_learn_refuses_a_table_past_the_exact_opt_cap_before_walking(
@@ -247,7 +248,9 @@ def test_sieve_with_zero_estimate_blocks_prints_its_screen(tmp_path, capsys):
     assert screened["pool"] == full["pool"] == [2, 5]
     # the subsets phase two scores: {}, {2}, {5} and {2, 5}
     assert screened["candidates"] == full["candidates"] == 4
-    assert screened["walk_steps"] < full["walk_steps"]
+    # the full run's lag samples need fewer pairs than its screen, so they
+    # are read off the screen's own harvest at no further step
+    assert screened["walk_steps"] == full["walk_steps"]
     assert cli.main([*argv, "-1"]) == 2
     assert "estimate_blocks=-1" in capsys.readouterr().err
 

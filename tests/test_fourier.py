@@ -32,10 +32,11 @@ from junta_walk.walk import (
     RefreshPairs,
     _word,
     gap_for_density,
-    generate_walk,
     harvest_refresh_pairs,
+    lag_pairs,
+    lag_window,
 )
-from lag_reference import lag_samples_from_walk, lag_walk_points
+from lag_reference import harvested_lag_samples, lag_samples_from_pairs
 
 
 def _sign_tables_over(n):
@@ -300,28 +301,27 @@ def test_bias_bound():
 def test_estimate_on_own_parity_is_exactly_one():
     # for f = chi_S each sample is chi_S(x)chi_S(y)chi_S(x xor y) = +1
     S = IndexSet.of(6, [2, 5])
-    f = parity_table(6, [2, 5])
-    walk = generate_walk(f, 6, lag_walk_points(5, 200), 3)
-    samples = lag_samples_from_walk(walk, 5, 200)
+    samples, _ = harvested_lag_samples(parity_table(6, [2, 5]), 6, 5, 200, 4, 3)
     assert estimate_sq_coeff(samples, S) == 1.0
 
 
-def test_lag_averaging_cancels_full_set_alternation():
-    # f = chi_[n] against S = empty: lag-t samples alternate (-1)^t, and the
-    # two-lag average is identically zero
+def test_poisson_lag_leaves_no_full_set_alternation():
+    # f = chi_[n] against S = empty: a fixed lag t gives every sample the
+    # sign (-1)^t, while a Poisson(mu) flip count gives mean e^(-2 mu), so a
+    # single lag needs no second one to cancel the full set
     n = 5
     f = parity_table(n, range(1, n + 1))
-    walk = generate_walk(f, n, lag_walk_points(7, 300), 8)
-    samples = lag_samples_from_walk(walk, 7, 300)
-    assert estimate_sq_coeff(samples, IndexSet(n, 0)) == 0.0
     spec = Spectrum.from_table(f)
-    assert expected_sq_estimate(spec, IndexSet(n, 0), lag=7) == 0.0
+    samples, mu = harvested_lag_samples(f, n, 7, 4_000, 3, 8)
+    assert mu == 7.5
+    assert expected_sq_estimate(spec, IndexSet(n, 0), mu) == pytest.approx(math.exp(-15))
+    # adjacent samples share a half-window, so allow twice the iid sd
+    assert abs(estimate_sq_coeff(samples, IndexSet(n, 0))) < 8 / math.sqrt(4_000)
+    assert set(samples.prod.tolist()) == {-1, 1}
 
 
 def test_estimate_dimension_mismatch():
-    f = parity_table(4, [1])
-    walk = generate_walk(f, 4, 50, 1)
-    samples = lag_samples_from_walk(walk, 2, 5)
+    samples, _ = harvested_lag_samples(parity_table(4, [1]), 4, 2, 5, 3, 1)
     with pytest.raises(ValueError, match="samples over n=4"):
         estimate_sq_coeff(samples, IndexSet(5, 0))
 
@@ -338,6 +338,27 @@ def test_expected_estimate_within_bias_bound_of_truth():
             assert err <= estimator_bias_bound(n, lag) + 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_closed_form_matches_chain_read_lag_samples(n):
+    # every set S at once: the bulk estimate of many chain-read samples sits
+    # at sum_U fhat(U)^2 e^(-2 |U xor S| mu / n), which is within the bias
+    # bound e^(-2 mu / n) of fhat(S)^2.  Short windows keep mu small, so the
+    # closed form is far from fhat(S)^2 and the test reads its damping.
+    rng = np.random.default_rng(70 + n)
+    f = random_table(n, rng)
+    spec = Spectrum.from_table(f)
+    gap, blocks = gap_for_density(n, 0.5), 60_000
+    masks = np.arange(1 << n)
+    for lag in (1, gap, default_lag(n, 0.1)):
+        samples, mu = harvested_lag_samples(f, n, lag, blocks, gap, 900 + lag)
+        assert lag <= mu < lag + gap / 2
+        closed = np.array([expected_sq_estimate(spec, IndexSet(n, int(m)), mu) for m in masks])
+        assert np.all(np.abs(closed - spec.coeffs**2) <= estimator_bias_bound(n, mu) + 1e-12)
+        bulk = estimate_sq_coeff_bulk(samples, IndexSet.full(n))
+        # adjacent samples share half a window: at most 3x the iid variance
+        assert np.max(np.abs(bulk - closed)) < 6 * math.sqrt(3 / blocks)
+
+
 @settings(max_examples=15)
 @given(st.integers(min_value=0, max_value=200))
 def test_estimator_concentrates_near_expectation(seed):
@@ -345,33 +366,27 @@ def test_estimator_concentrates_near_expectation(seed):
     f = random_table(n, np.random.default_rng(seed))
     spec = Spectrum.from_table(f)
     S = IndexSet.of(n, [1, 3])
-    lag = default_lag(n, 0.2)
-    walk = generate_walk(f, n, lag_walk_points(lag, 4000), seed + 1)
-    samples = lag_samples_from_walk(walk, lag, 4000)
+    samples, mu = harvested_lag_samples(f, n, default_lag(n, 0.2), 4000, 4, seed + 1)
     est = estimate_sq_coeff(samples, S)
     # terms are means of [-1, 1] samples; walk correlation inflates variance
     # by a small constant, so test at a generous 8 / sqrt(m)
-    assert abs(est - expected_sq_estimate(spec, S, lag)) < 8 / math.sqrt(4000)
+    assert abs(est - expected_sq_estimate(spec, S, mu)) < 8 / math.sqrt(4000)
 
 
 def test_bulk_matches_per_set_estimates():
     n = 5
     f = random_table(n, np.random.default_rng(6))
-    walk = generate_walk(f, n, lag_walk_points(6, 500), 2)
-    samples = lag_samples_from_walk(walk, 6, 500)
+    samples, _ = harvested_lag_samples(f, n, 6, 500, 3, 2)
     bulk = estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     for mask in range(1 << n):
         assert bulk[mask] == estimate_sq_coeff(samples, IndexSet(n, mask))
 
 
 def _dense_bulk_reference(samples):
-    """The former bulk path: both lags binned on all 2^n xor words."""
+    """The former bulk path: the samples binned on all 2^n xor words."""
     size = 1 << samples.n
-    bins_t, bins_t1 = (
-        np.bincount(diff.astype(np.int64), weights=prod, minlength=size).astype(np.int64)
-        for diff, prod in ((samples.diff_t, samples.prod_t), (samples.diff_t1, samples.prod_t1))
-    )
-    return 0.5 * (wht(bins_t) + wht(bins_t1)) / len(samples)
+    bins = np.bincount(samples.diff.astype(np.int64), weights=samples.prod, minlength=size)
+    return wht(bins.astype(np.int64)) / len(samples)
 
 
 def _subset_masks(pool):
@@ -390,9 +405,8 @@ def _subset_masks(pool):
 def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     f = random_table(n, rng)
-    lag = default_lag(n, 0.1)
-    walk = generate_walk(f, n, lag_walk_points(lag, 2_000), n)
-    samples = lag_samples_from_walk(walk, lag, 2_000)
+    gap = gap_for_density(n, 1 / 3)
+    samples, _ = harvested_lag_samples(f, n, default_lag(n, 0.1), 2_000, gap, n)
     dense = _dense_bulk_reference(samples)
     partial = sorted(rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist())
     for pool in (
@@ -413,9 +427,8 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
         top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
         return (1 - 2 * top).astype(np.int8)
 
-    lag = default_lag(n, 0.2)
-    walk = generate_walk(label, n, lag_walk_points(lag, 1_500), n)
-    samples = lag_samples_from_walk(walk, lag, 1_500)
+    gap = gap_for_density(n, 1 / 3)
+    samples, _ = harvested_lag_samples(label, n, default_lag(n, 0.2), 1_500, gap, n)
     pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
     tracemalloc.start()
     try:
@@ -431,25 +444,25 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
 
 
 def test_bulk_bins_each_lag_on_its_own():
-    # each lag's words are binned apart, never joined into one array of
-    # 2 * len(samples): the peak is one lag's uint64 indices and weights
+    # the samples' one lag is binned in place, with no copy of the samples
+    # beyond one widened word: the peak is the uint64 words, the index and
+    # its scratch word, then the index and float64 weights
     n = 8
     f = random_table(n, np.random.default_rng(0))
-    samples = RandomWalkOracle(f, n, seed=1).lag_samples(5, 200_000)
+    samples, _ = harvested_lag_samples(f, n, 5, 200_000, 4, 1)
     tracemalloc.start()
     try:
         estimate_sq_coeff_bulk(samples, IndexSet.of(n, [1, 4, 7]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * len(samples)
+    assert peak <= 24 * len(samples) + (1 << 16)
 
 
 def test_bulk_rejects_large_n():
     # the cap is on the binned pool, whatever n is; the pool must match the walk
     n = BULK_WHT_MAX_N + 1
-    walk = generate_walk(lambda bits: np.ones(bits.shape, np.int8), n, 10, 0)
-    samples = lag_samples_from_walk(walk, 1, 1)
+    samples, _ = harvested_lag_samples(lambda bits: np.ones(bits.shape, np.int8), n, 1, 1, 2, 0)
     with pytest.raises(ValueError, match="pool of <= 20"):
         estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     largest = IndexSet.of(n, range(2, n + 1))
@@ -460,16 +473,17 @@ def test_bulk_rejects_large_n():
 
 @pytest.mark.parametrize("n", [8, 21])
 def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
-    # a twin oracle's whole walk, read by the reference reader, is the
-    # estimator's former input; bulk and per-set estimates must not move
-    # odd lag + 1 (lags 4 and 6) makes the half-windows alternate in length
+    # the lag samples read off an oracle's harvest, and the reference reader's
+    # samples of the same harvest's chain, give the same bulk and per-set
+    # estimates; windows of 2 and 6 half-blocks share one and three
     f = random_table(8, np.random.default_rng(3)) if n == 8 else parity_table(n, [4, 17])
     pool = IndexSet.of(n, [1, 3, 4, 6, 8] if n == 8 else [2, 4, 9, 17, n])
-    for lag in (1, 4, 6, default_lag(n, 0.1)):
+    gap = gap_for_density(n, 1 / 3)
+    for window in (2, 6, lag_window(default_lag(n, 0.1), gap)):
         for blocks in (1, 3_000):
-            drawn = RandomWalkOracle(f, n, seed=77).lag_samples(lag, blocks)
-            walk = RandomWalkOracle(f, n, seed=77).walk(lag_walk_points(lag, blocks))
-            read = lag_samples_from_walk(walk, lag, blocks)
+            pairs = RandomWalkOracle(f, n, seed=77).refresh_pairs(lag_pairs(window, blocks), gap)
+            drawn = pairs.lag_samples(window, blocks)
+            read = lag_samples_from_pairs(pairs, window, blocks)
             assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
                 estimate_sq_coeff_bulk(read, pool).tobytes()
             )

@@ -145,6 +145,9 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         (lambda: InstanceSpec(n=True, k=1), TypeError, "n=True"),
         (lambda: InstanceSpec(n=8.0, k=2), TypeError, "n=8.0"),
         (lambda: InstanceSpec(n=8, k=1.5), TypeError, "k=1.5"),
+        (lambda: InstanceSpec(n=None, k=1), TypeError, "n=None"),
+        (lambda: InstanceSpec(n="8", k=1), TypeError, "n='8'"),
+        (lambda: InstanceSpec(n=8, k=None), TypeError, "k=None"),
         (lambda: InstanceSpec(n=8, k=2, junta_seed=1.5), TypeError, "junta_seed=1.5"),
         (lambda: ExperimentConfig(cells=(), repetitions=1.5), TypeError, "repetitions=1.5"),
         (lambda: ExperimentConfig(cells=(), repetitions=True), TypeError, "repetitions=True"),
@@ -175,6 +178,9 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         "bool-n",
         "float-n",
         "float-k",
+        "none-n",
+        "str-n",
+        "none-k",
         "float-junta-seed",
         "float-repetitions",
         "bool-repetitions",
@@ -584,7 +590,7 @@ _PRACTICAL = {"screen_pairs": 1000, "erm_sample": 100}
             "erm_sample",
             id="certified-erm-sample",
         ),
-        # a practical learner never estimates, so the estimation walk's block
+        # a practical learner never estimates, so the lag samples' block
         # count, lag and gap are not config keys
         pytest.param(
             _config_text(learn={"lag": 7, "erm_sample": 5000}),
@@ -607,7 +613,7 @@ _PRACTICAL = {"screen_pairs": 1000, "erm_sample": 100}
             id="retired-estimate-blocks",
         ),
         # a learn object as configs were written while practical budgets carried
-        # the estimation walk's sizes (lag 25 and gap 5 at n = 6, level 2)
+        # the estimator's sizes (lag 25 and gap 5 at n = 6, level 2)
         pytest.param(
             _config_text(
                 learn={

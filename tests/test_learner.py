@@ -36,7 +36,7 @@ from junta_walk.sieve import (
     bounded_sieve,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
+from junta_walk.walk import RandomWalkOracle, RefreshPairs, generate_walk, sample_size_erm
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +400,29 @@ def test_learn_certified_tiny_case():
     assert outcome.sample_size == sample_size_erm(0.25, 0.125, 2, log_size).m
     assert distance_exact(f, outcome.hypothesis) == 0
     # a certified run estimates, so its outputs are the ones recorded before
-    # practical runs stopped the sieve after its screen, but for the lag
-    # walk: twice the samples over half-windows take 3 steps more
+    # practical runs stopped the sieve after its screen, but for the walk
+    # steps: the lag samples are read off a harvest of 12-half-block windows
+    # at gap 2 (9 681 241 sieve steps when they had a walk of their own)
     assert outcome.sieve.estimates == (1.0,)
     assert outcome.hypothesis.to_dict() == {"J": [2], "table": [1, -1]}
     assert outcome.pool.coords() == (2,)
     assert (outcome.disagreements, outcome.sample_size) == (0, 8271)
-    assert outcome.walk_steps == 9_689_511
+    assert outcome.walk_steps == 8_305_136
     assert outcome.sieve.to_dict() == {
         "n": 2, "sets": [[2]], "estimates": [1.0], "pool": [1, 2],
         "influences": [None, None], "candidates": 3, "truncated": False,
-        "walk_steps": 9681241, "mode": "certified",
+        "walk_steps": 8296866, "mode": "certified",
     }
 
 
 def _fail(*args):
-    raise AssertionError("the estimation walk is not expected here")
+    raise AssertionError("no lag sample is expected here")
 
 
 def test_stock_preset_skips_the_estimation_walk(monkeypatch):
-    # a practical run stops the sieve after its screen, so its walk steps are
-    # the screen's plus the ERM walk's
-    monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
+    # a practical run stops the sieve after its screen and reads no lag
+    # sample, so its walk steps are the screen's plus the ERM walk's
+    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
     n, k = 12, 2
     f = flip_labels_iid(and_table(n, [4, 9]), 0.1, np.random.default_rng(40))
     params = default_learn_params(n, k, 0.25, 0.2)

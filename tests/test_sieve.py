@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -29,9 +30,11 @@ from junta_walk.sieve import (
 )
 from junta_walk.walk import (
     RandomWalkOracle,
-    _lag_walk_steps,
+    RefreshPairs,
     effective_refresh_density,
     gap_for_density,
+    lag_pairs,
+    lag_window,
 )
 
 
@@ -101,13 +104,19 @@ def test_certified_budgets_small_case():
 
 def test_certified_estimation_budget():
     # lag for bias theta/8, and lag samples for error theta/8 at a union bound
-    # over the candidates of a capped pool, one third of delta: twice the iid
-    # count, as adjacent samples share a half-window (a path dependency graph)
+    # over every set of size <= level over [n], one third of delta: twice the
+    # iid count, as adjacent samples share a half-window (a path dependency
+    # graph)
     params = SieveParams(level=2, theta=0.1, delta=0.05)
     b = certified_budgets(params, 8)
-    candidates = 1 + 8 + math.comb(8, 2)  # the pool cap, 80, exceeds n = 8
+    candidates = 1 + 8 + math.comb(8, 2)
     assert b.lag == default_lag(8, 0.1)
     assert b.estimate_blocks == 2 * blocks_for(0.1 / 8, 0.05 / (3 * candidates))
+    # the pool is screened from the harvest the estimates read, so the union
+    # bound covers [n] even where the pool cap is smaller: cap 20 < n = 30
+    wide = SieveParams(level=1, theta=0.4, delta=0.1)
+    assert sieve_mod._pool_cap(wide) == 20
+    assert certified_budgets(wide, 30).estimate_blocks == 2 * blocks_for(0.05, 0.1 / (3 * 31))
 
 
 @pytest.mark.parametrize(
@@ -115,14 +124,14 @@ def test_certified_estimation_budget():
     [(2, 0.1, 0.05, 8), (1, 0.25, 0.25, 4), (2, 0.3, 0.1, 6), (3, 0.2, 0.1, 3)],
 )
 def test_certified_lag_walk_moves_by_at_most_a_half_window(level, theta, delta, n):
-    # the former count drew the iid count of disjoint blocks of lag + 1 steps;
-    # twice as many samples over half-windows add one short half-window
+    # a lag sample spans the least even count w of half-blocks whose mean
+    # flips, w gap / 4, reach the lag: past it by less than one half-window
+    # pair (gap / 2), so the certified bias bound e^(-2 lag / n) still holds
     params = SieveParams(level=level, theta=theta, delta=delta)
     b = certified_budgets(params, n)
-    candidates = sieve_mod._candidate_bound(min(n, sieve_mod._pool_cap(params)), level)
-    former = blocks_for(theta / 8, delta / (3 * candidates)) * (b.lag + 1)
-    moved = _lag_walk_steps(b.lag, b.estimate_blocks) - former
-    assert 0 <= moved <= (b.lag + 1) // 2
+    mu = lag_window(b.lag, b.gap_steps) * b.gap_steps / 4
+    assert b.lag <= mu < b.lag + b.gap_steps / 2
+    assert math.exp(-2 * mu / n) <= math.exp(-2 * b.lag / n) <= theta / 8
 
 
 def test_certified_screen_is_priced_per_parity_family():
@@ -137,10 +146,12 @@ def test_certified_screen_is_priced_per_parity_family():
     q = min(p_eff, 1 - p_eff)
     family = math.ceil(64 / (q * tau * tau) * math.log(24 * n / params.delta))
     assert b.screen_pairs == 2 * family
+    # one harvest serves both phases: its length is the longer phase's
+    lag_halves = lag_pairs(lag_window(b.lag, b.gap_steps), b.estimate_blocks) + 1
+    assert lag_halves < b.screen_pairs + 1
     res = bounded_sieve(RandomWalkOracle(and_table(n, [2, 4]), n, seed=7), params)
-    screen_steps = res.walk_steps - _lag_walk_steps(b.lag, b.estimate_blocks)
     mean = (b.screen_pairs + 1) * b.gap_steps / 4
-    assert abs(screen_steps - mean) <= 5 * math.sqrt(mean)
+    assert abs(res.walk_steps - mean) <= 5 * math.sqrt(mean)
 
 
 def test_screening_refresh_density_is_strictly_inside_the_unit_interval():
@@ -164,18 +175,22 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     params = SieveParams(level=3, theta=0.02, delta=0.1)
     b = certified_budgets(params, 3)
     assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 4) > sieve_mod.BUDGET_CEILING
-    oracle = RandomWalkOracle(parity_table(3, [1, 2]), 3, seed=1)
-    res = bounded_sieve(oracle, params)
-    assert res.walk_steps == _lag_walk_steps(b.lag, b.estimate_blocks)
+    f = parity_table(3, [1, 2])
+    res = bounded_sieve(RandomWalkOracle(f, 3, seed=1), params)
+    lags = lag_pairs(lag_window(b.lag, b.gap_steps), b.estimate_blocks)
+    harvest = RandomWalkOracle(f, 3, seed=1).refresh_pairs(lags, b.gap_steps)
+    assert res.walk_steps == harvest.walk_steps
     assert res.masks() == [IndexSet.of(3, [1, 2]).mask]
-    # one more coordinate is screened, and its screen is priced
-    with pytest.raises(BudgetInfeasible, match=r"screen \d+ pairs over \d+ steps at gap 2"):
-        certified_budgets(params, 4)
+    # where a screen runs and is the longer phase, it prices the walk
+    with pytest.raises(
+        BudgetInfeasible, match=r"half-blocks at gap 3, set by the screen of \d+ pairs; ceiling"
+    ):
+        certified_budgets(params, 5)
     # a run too long without its screen names no screen in the refusal
     with pytest.raises(BudgetInfeasible) as info:
         certified_budgets(sieve_params_for(2, 0.25, 0.2), 2)
     assert "pairs" not in str(info.value)
-    assert "(the run does not screen, estimate " in str(info.value)
+    assert re.search(r"at gap 2, set by the estimate of \d+ lag samples; ceiling", str(info.value))
 
 
 def test_practical_budgets_log_nothing(caplog):
@@ -320,22 +335,60 @@ def test_screen_pools_at_the_larger_of_tau_and_the_noise_floor(monkeypatch):
     assert screened.walk_steps == oracle.steps_served > 0
 
 
+def _recording_harvests(monkeypatch) -> list:
+    harvests = []
+    draw = RandomWalkOracle.refresh_pairs
+
+    def record(self, *args):
+        harvests.append(draw(self, *args))
+        return harvests[-1]
+
+    monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", record)
+    return harvests
+
+
 def test_screen_only_run_matches_the_full_sieves_screen(monkeypatch):
-    # same oracle seed: the screen-only run stops where the full run's phase
-    # one ends, keeps no set, and counts the candidates phase two scores
+    # the full run screens the first screen_pairs pairs of its one harvest:
+    # a screen-only run served exactly those pairs pools the same coordinates,
+    # keeps no set and counts the candidates phase two scores
     n = 10
     f = and_table(n, [2, 5, 7])
     params = SieveParams(level=2, theta=0.1, delta=0.1)
-    budgets = practical_budgets(params, n, screen_pairs=40_000, estimate_blocks=4_000)
+    budgets = practical_budgets(params, n, screen_pairs=40_000, estimate_blocks=8_000)
+    harvests = _recording_harvests(monkeypatch)
     full = run_sieve(f, n, params, budgets, 12)
-    monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
-    screened = run_sieve(f, n, params, replace(budgets, estimate_blocks=0), 12)
+    (harvest,) = harvests
+    assert len(harvest) > budgets.screen_pairs and full.walk_steps == harvest.walk_steps
+    monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", lambda self, count, gap: harvest)
+    screen_only = replace(budgets, estimate_blocks=0)
+    screened = run_sieve(f, n, params, screen_only, 12)
     assert (screened.sets, screened.estimates, screened.truncated) == ((), (), False)
     assert (screened.pool, screened.influences) == (full.pool, full.influences)
     assert screened.candidates == full.candidates
-    assert screened.walk_steps == full.walk_steps - _lag_walk_steps(
-        full.budgets.lag, full.budgets.estimate_blocks
-    )
+    # and a screen-only run draws just its screen's pairs, and no lag
+    monkeypatch.undo()
+    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
+    harvests = _recording_harvests(monkeypatch)
+    screened = run_sieve(f, n, params, screen_only, 12)
+    assert [len(h) for h in harvests] == [budgets.screen_pairs]
+    assert screened.walk_steps == harvests[0].walk_steps
+
+
+def test_estimating_run_draws_one_harvest_and_no_walk(monkeypatch):
+    # the screen and the lag samples read one harvest of max(screen pairs,
+    # lag pairs) pairs, and the run's steps are that harvest's flips
+    n = 10
+    f = and_table(n, [2, 5, 7])
+    params = SieveParams(level=2, theta=0.1, delta=0.1)
+    monkeypatch.setattr(RandomWalkOracle, "walk", _fail)
+    for screen_pairs in (1_000, 400_000):
+        budgets = practical_budgets(params, n, screen_pairs, estimate_blocks=4_000)
+        harvests = _recording_harvests(monkeypatch)
+        res = run_sieve(f, n, params, budgets, 13)
+        lags = lag_pairs(lag_window(budgets.lag, budgets.gap_steps), 4_000)
+        assert [len(h) for h in harvests] == [max(screen_pairs, lags)]
+        assert res.walk_steps == harvests[0].walk_steps
+        assert res.masks()
 
 
 def test_budget_resolution_precedence():
@@ -387,9 +440,10 @@ def test_pooled_run_above_n_cap_bins_onto_pool():
 def test_estimating_run_refuses_a_pool_above_bulk_cap(monkeypatch):
     # one screening pair gives every coordinate a +inf contrast, so all 21
     # stay pooled (theta = 3/8 puts the pool cap at 22), past BULK_WHT_MAX_N:
-    # a run that estimates refuses right after its screen, drawing no lag walk
+    # a run that estimates refuses right after its screen, reading no lag
+    # sample from its harvest
     n = 21
-    monkeypatch.setattr(RandomWalkOracle, "lag_samples", _fail)
+    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
     f = parity_table(n, [4, 17])
     params = SieveParams(level=2, theta=3 / 8, delta=0.1)
     assert sieve_mod._pool_cap(params) >= n > sieve_mod.BULK_WHT_MAX_N
@@ -397,9 +451,11 @@ def test_estimating_run_refuses_a_pool_above_bulk_cap(monkeypatch):
     oracle = RandomWalkOracle(f, n, seed=31)
     with pytest.raises(PoolOverflow, match="BULK_WHT_MAX_N = 20"):
         bounded_sieve(oracle, params, budgets)
-    screen = RandomWalkOracle(f, n, seed=31).refresh_pairs(1, budgets.gap_steps)
-    assert oracle.steps_served == screen.walk_steps > 0
+    lags = lag_pairs(lag_window(budgets.lag, budgets.gap_steps), 2_000)
+    harvest = RandomWalkOracle(f, n, seed=31).refresh_pairs(lags, budgets.gap_steps)
+    assert oracle.steps_served == harvest.walk_steps > 0
     # a screen-only run keeps the same 21-coordinate pool and estimates nothing
+    screen = RandomWalkOracle(f, n, seed=31).refresh_pairs(1, budgets.gap_steps)
     res = run_sieve(f, n, params, replace(budgets, estimate_blocks=0), seed=31)
     assert res.influences == (math.inf,) * n
     assert len(res.pool) == n
@@ -593,4 +649,4 @@ def test_certified_budget_runs_meet_contract():
     # certified screening sizes put z sigma below tau, so tau alone decides
     # these pools; the digest pins the outputs the plain-walk harvest draws
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "203243590392f0740d9b94efa66c2cca942fd632aac5d917351e8b6fba5528a7"
+    assert digest == "e0d7f7aa88ad9736cb03c04fee8da772eacfaedf46e7db9bc7ba390e98ddc89c"

@@ -17,17 +17,18 @@ from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
     _draw_steps,
-    _lag_walk_steps,
     _word,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
     harvest_refresh_pairs,
     labels_for,
+    lag_pairs,
+    lag_window,
     sample_size_concentration,
     sample_size_erm,
 )
-from lag_reference import half_window_bounds, lag_samples_from_walk, lag_walk_points
+from lag_reference import boundary, lag_samples_from_pairs
 
 XOR2 = parity_table(6, [1, 2])
 
@@ -174,7 +175,8 @@ ENTRIES = {
     "oracle_seed": lambda seed: RandomWalkOracle(XOR2, 6, seed=seed),
     "walk": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).walk(*args),
     "refresh_pairs": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(*args),
-    "lag_samples": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).lag_samples(*args),
+    "lag_samples": lambda *args: harvest_refresh_pairs(XOR2, 6, 50, 3, 1).lag_samples(*args),
+    "lag_window": lag_window,
     "effective_refresh_density": effective_refresh_density,
     "gap_for_density": gap_for_density,
 }
@@ -195,8 +197,14 @@ REFUSALS = [
     ("walk", (False,), TypeError, "length=False"),
     ("refresh_pairs", (10, 2.5), TypeError, "gap_steps=2.5"),
     ("refresh_pairs", (True, 3), TypeError, "pair_count=True"),
-    ("lag_samples", (1.5, 5), TypeError, "lag=1.5"),
+    ("lag_samples", (1.5, 5), TypeError, "window=1.5"),
     ("lag_samples", (2, True), TypeError, "blocks=True"),
+    ("lag_samples", (3, 5), ValueError, "window=3"),
+    ("lag_samples", (0, 5), ValueError, "window=0"),
+    ("lag_samples", (2, 0), ValueError, "blocks=0"),
+    ("lag_samples", (4, 25), ValueError, "need 51 pairs, got 50"),
+    ("lag_window", (1.5, 3), TypeError, "lag=1.5"),
+    ("lag_window", (4, 0), ValueError, "gap_steps=0"),
     ("effective_refresh_density", (0, 3), ValueError, "n=0"),
     ("effective_refresh_density", (True, 3), TypeError, "n=True"),
     ("effective_refresh_density", (6, 2.5), TypeError, "gap_steps=2.5"),
@@ -657,8 +665,6 @@ def test_rejected_requests_do_not_consume_a_seed():
         ("walk", (-3,), "length=-3"),
         ("refresh_pairs", (0, 3), "pair_count=0"),
         ("refresh_pairs", (5, 0), "gap_steps=0"),
-        ("lag_samples", (0, 5), "lag=0"),
-        ("lag_samples", (2, 0), "blocks=0"),
     )
     for name, args, message in bad_requests:
         oracle = RandomWalkOracle(f, 8, seed=99)
@@ -677,59 +683,67 @@ def _hash_label(bits):
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
-    # lags 2, 4 and 6 have odd lag + 1, so their half-windows alternate in length
-    for lag in sorted({1, 2, 4, 6, default_lag(n, 0.05)}):
+    # the harvest skips every step between its half-block boundaries; the
+    # reference reader takes each sample's two boundaries from x_bits and
+    # y_bits one at a time, and the lag samples match it bit for bit
+    gap = gap_for_density(n, 1 / 3)
+    for window in sorted({2, 4, 6, lag_window(default_lag(n, 0.05), gap)}):
         for blocks in (1, 2, 7, 20_000):
-            seed = 100 * n + lag
-            drawn_from = RandomWalkOracle(_hash_label, n, seed)
-            walked = RandomWalkOracle(_hash_label, n, seed)
-            got = drawn_from.lag_samples(lag, blocks)
-            want = lag_samples_from_walk(walked.walk(lag_walk_points(lag, blocks)), lag, blocks)
+            oracle = RandomWalkOracle(_hash_label, n, 100 * n + window)
+            pairs = oracle.refresh_pairs(lag_pairs(window, blocks), gap)
+            got = pairs.lag_samples(window, blocks)
+            want = lag_samples_from_pairs(pairs, window, blocks)
             assert (got.n, len(got)) == (n, blocks)
-            _assert_same_bytes(got.diff_t, want.diff_t)
-            _assert_same_bytes(got.diff_t1, want.diff_t1)
-            for g, w in ((got.prod_t, want.prod_t), (got.prod_t1, want.prod_t1)):
-                assert g.dtype == np.int8 and np.array_equal(g, w)
-            assert all(
-                not a.flags.writeable
-                for a in (got.diff_t, got.diff_t1, got.prod_t, got.prod_t1)
-            )
-            assert drawn_from.steps_served == walked.steps_served == _lag_walk_steps(lag, blocks)
-            _assert_same_bytes(drawn_from.walk(9).points, walked.walk(9).points)
+            _assert_same_bytes(got.diff, want.diff)
+            assert got.prod.dtype == np.int8 and np.array_equal(got.prod, want.prod)
+            assert not got.diff.flags.writeable and not got.prod.flags.writeable
+            # reading them draws nothing
+            assert oracle.steps_served == pairs.walk_steps
 
 
 def test_lag_walk_steps_count_the_half_windows():
-    # blocks + 1 half-windows of floor((lag+1)/2), ceil((lag+1)/2), ... steps
-    for lag in range(1, 12):
+    # w = 2 ceil(2 lag / gap) half-blocks hold a mean of w gap / 4 >= lag
+    # flips, and blocks samples read (blocks + 1) w / 2 half-blocks, which
+    # lag_pairs(w, blocks) pairs span
+    for gap in range(1, 12):
+        for lag in range(1, 40):
+            window = lag_window(lag, gap)
+            assert window % 2 == 0 and lag <= window * gap / 4 < lag + gap / 2
         for blocks in range(1, 40):
-            assert _lag_walk_steps(lag, blocks) == lag_walk_points(lag, blocks) - 1
-        # an odd number of half-windows ends on a short one
-        assert _lag_walk_steps(lag, 2) == lag + 1 + (lag + 1) // 2
-    assert _lag_walk_steps(51, 20_000) == 520_026
-    # elementwise, b = -1, 0, 1, ... places the half-window boundaries
-    assert _lag_walk_steps(6, np.arange(-1, 5)).tolist() == [0, 3, 7, 10, 14, 17]
+            assert lag_pairs(2 * gap, blocks) + 1 == (blocks + 1) * gap
+    # the README's n = 20 sieve: lag 51 at gap 9, 20 000 samples
+    assert lag_window(51, 9) == 24 and lag_pairs(24, 20_000) == 240_011
 
 
 def test_lag_samples_charge_exactly_their_half_windows():
+    # the lag samples' half-blocks are the harvest's, which charges its
+    # flips: gap/4 per half-block on average; reading samples charges none
     f = random_table(8, np.random.default_rng(2))
     oracle = RandomWalkOracle(f, 8, seed=5)
     served = 0
-    for lag, blocks in ((1, 1), (4, 1), (4, 2), (6, 333), (17, 1_000), (18, 999)):
-        oracle.lag_samples(lag, blocks)
-        served += _lag_walk_steps(lag, blocks)
+    for lag, gap, blocks in ((1, 4, 1), (4, 4, 2), (6, 3, 333), (18, 6, 5_000)):
+        window = lag_window(lag, gap)
+        pairs = oracle.refresh_pairs(lag_pairs(window, blocks), gap)
+        pairs.lag_samples(window, blocks)
+        served += pairs.walk_steps
         assert oracle.steps_served == served
+        mean = (blocks + 1) * window / 2 * gap / 4
+        assert abs(pairs.walk_steps - mean) <= 5 * math.sqrt(mean)
 
 
 @pytest.mark.parametrize("lag", [1, 4, 5, 6])
 def test_lag_sample_ends_where_the_sample_two_later_starts(lag):
-    # sample b spans half-windows b and b + 1, so its lag + 1 point is
-    # boundary b + 2, which is sample b + 2's start
-    n, blocks = 9, 50
-    drawn = RandomWalkOracle(_hash_label, n, seed=lag).lag_samples(lag, blocks)
-    walk = RandomWalkOracle(_hash_label, n, seed=lag).walk(lag_walk_points(lag, blocks))
-    at = half_window_bounds(lag, blocks)
-    starts = walk.points[at[:blocks]]
-    np.testing.assert_array_equal(starts[:-2] ^ drawn.diff_t1[:-2], starts[2:])
-    np.testing.assert_array_equal(starts ^ drawn.diff_t, walk.points[at[2:] - 1])
-    labels = walk.labels[at]
-    np.testing.assert_array_equal(drawn.prod_t1, labels[:blocks] * labels[2:])
+    # sample b spans half-windows b and b + 1 of w/2 half-blocks each, so its
+    # end is half-window boundary b + 2, which is sample b + 2's start, and
+    # adjacent samples share a half-window
+    n, blocks, gap = 9, 50, 3
+    window = lag_window(lag, gap)
+    pairs = RandomWalkOracle(_hash_label, n, seed=lag).refresh_pairs(
+        lag_pairs(window, blocks), gap
+    )
+    drawn = pairs.lag_samples(window, blocks)
+    half = window // 2
+    starts = np.array([boundary(pairs, b * half)[0] for b in range(blocks + 2)], np.uint64)
+    labels = np.array([boundary(pairs, b * half)[1] for b in range(blocks + 2)])
+    np.testing.assert_array_equal(starts[:-2] ^ drawn.diff, starts[2:])
+    np.testing.assert_array_equal(drawn.prod, labels[:-2] * labels[2:])
