@@ -50,7 +50,9 @@ from .walk import (
     LabeledWalk,
     LagSamples,
     RandomWalkOracle,
+    RefreshHarvest,
     SampleSizePlan,
+    ScreenTally,
     generate_walk,
     harvest_refresh_pairs,
     sample_size_concentration,
@@ -74,7 +76,9 @@ __all__ = [
     "OptResult",
     "PoolOverflow",
     "RandomWalkOracle",
+    "RefreshHarvest",
     "SampleSizePlan",
+    "ScreenTally",
     "SieveBudgets",
     "SieveParams",
     "SieveResult",

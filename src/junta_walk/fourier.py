@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .hypercube import IndexSet, TruthTable, parity_sign_u64, signed_sums
-from .walk import LagSamples, RefreshPairs
+from .walk import LagSamples, ScreenTally
 
 # Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
 # and the learner's ERM.  The sieve refuses a larger pool with PoolOverflow
@@ -194,6 +194,11 @@ def estimate_sq_coeff(samples: LagSamples, S: IndexSet) -> float:
     return float(np.mean(samples.prod * parity_sign_u64(samples.diff, S.mask)))
 
 
+# Lag samples per step of the bulk estimator's binning: its index and
+# scratch words and float64 weights take ~2 MB however many samples there are.
+_BIN_CHUNK = 1 << 16
+
+
 def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     """Estimates of fhat(S)^2 for every S inside the pool at once.
 
@@ -202,7 +207,9 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     lag-pair xor word depends only on its pool bits, so the +-1 label
     products are binned on the pool as signed integer counts and one exact
     transform of 2^|pool| cells gives every sum; each entry equals
-    :func:`estimate_sq_coeff` bit for bit.  Requires |pool| <= BULK_WHT_MAX_N.
+    :func:`estimate_sq_coeff` bit for bit.  The samples are binned
+    max(_BIN_CHUNK, 2^|pool|) at a time into exact int64 sums, so the peak
+    does not grow with their number.  Requires |pool| <= BULK_WHT_MAX_N.
     """
     if pool.n != samples.n:
         raise ValueError(f"pool over n={pool.n}, samples over n={samples.n}")
@@ -211,7 +218,12 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    return wht(signed_sums(pool, samples.diff, samples.prod)) / len(samples)
+    # a chunk at least as long as the table keeps each chunk's bincount cheap
+    chunk = max(_BIN_CHUNK, 1 << len(pool))
+    sums = np.zeros(1 << len(pool), dtype=np.int64)
+    for lo in range(0, len(samples), chunk):
+        sums += signed_sums(pool, samples.diff[lo : lo + chunk], samples.prod[lo : lo + chunk])
+    return wht(sums) / len(samples)
 
 
 def expected_sq_estimate(spec: Spectrum, S: IndexSet, mean_flips: float) -> float:
@@ -239,12 +251,8 @@ def estimator_bias_bound(n: int, mean_flips: float) -> float:
 # _BYTE_BITS[b, j] is bit j of the byte value b
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
-# Pairs per step of the contrast tally: its intp key buffer and bool
-# disagreement buffer take ~150 KB however many pairs there are.
-_TALLY_CHUNK = 16_384
 
-
-def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
+def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarray]:
     """Contrast of the label product over pairs that kept/refreshed each
     coordinate, and its standard-error bound.
 
@@ -258,37 +266,20 @@ def estimate_bounded_influence(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndar
 
     The products are +-1, so each conditional mean is an exact integer sum,
     (pairs - 2 disagreeing pairs), divided once by its pair count.  All n
-    counts, split by disagreement, come from one histogram per byte of the
-    masks in use: per chunk of _TALLY_CHUNK pairs, byte b of a mask with the
-    pair's disagreement bit above it is a key in [0, 512).  The masks may be
-    of any unsigned width (a harvest's narrow word or uint64); their bytes
-    are read little-endian.  The same counts give
-    sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the contrast's standard
-    deviation when the pairs are iid: each mean averages values in [-1, 1].
-    Harvested pairs share half-blocks with their neighbours and are not iid,
-    so for them sigma_i is an estimate, not a bound.  A coordinate refreshed
-    in none or all of the pairs has no contrast sample and reads +inf in both
-    arrays.
+    counts, split by disagreement, are read off the tally's per-byte
+    histograms, which a harvest fills chunk by chunk as it draws its walk.
+    The same counts give sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the
+    contrast's standard deviation when the pairs are iid: each mean averages
+    values in [-1, 1].  Harvested pairs share half-blocks with their
+    neighbours and are not iid, so for them sigma_i is an estimate, not a
+    bound.  A coordinate refreshed in none or all of the pairs has no
+    contrast sample and reads +inf in both arrays.
     """
-    masks = pairs.refreshed_masks
-    octets = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
-    octets = octets.view(np.uint8).reshape(-1, masks.dtype.itemsize)
-    hists = np.zeros(((pairs.n + 7) // 8, 512), dtype=np.intp)
-    key_buf = np.empty(min(_TALLY_CHUNK, len(masks)), dtype=np.intp)
-    dis_buf = np.empty(len(key_buf), dtype=bool)
-    for lo in range(0, len(masks), _TALLY_CHUNK):
-        hi = min(lo + _TALLY_CHUNK, len(masks))
-        dis, keys = dis_buf[: hi - lo], key_buf[: hi - lo]
-        np.not_equal(pairs.label_x[lo:hi], pairs.label_y[lo:hi], out=dis)
-        for b, hist in enumerate(hists):
-            # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
-            np.left_shift(dis, 8, out=keys, dtype=np.intp)
-            keys |= octets[lo:hi, b]
-            hist += np.bincount(keys, minlength=512)
+    hists = tally.hists
     agree, dis_hists = hists[:, :256], hists[:, 256:]
-    hit = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: pairs.n]
-    hit_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: pairs.n]
-    kept, kept_dis = len(masks) - hit, int(dis_hists[0].sum()) - hit_dis
+    hit = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: tally.n]
+    hit_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: tally.n]
+    kept, kept_dis = len(tally) - hit, int(dis_hists[0].sum()) - hit_dis
     with np.errstate(divide="ignore", invalid="ignore"):
         contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
         sigmas = np.sqrt(1.0 / kept + 1.0 / hit)

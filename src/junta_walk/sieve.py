@@ -48,6 +48,7 @@ from .fourier import (
 from .hypercube import IndexSet, _check_integer
 from .walk import (
     RandomWalkOracle,
+    RefreshHarvest,
     effective_refresh_density,
     gap_for_density,
     lag_pairs,
@@ -271,12 +272,14 @@ def bounded_sieve(
     exceeds its certified cap, which signals that the screening estimates
     missed their tolerance.
 
-    The screen tallies the first ``screen_pairs`` pairs of one harvest, and
-    phase two bins lag samples read off the same harvest onto the pool and
-    scores every subset of size <= level with one exact transform.  A run
-    that estimates raises :class:`PoolOverflow` if the pool holds more than
-    BULK_WHT_MAX_N coordinates, before any candidate is scored (or anything
-    drawn, if it does not screen).  With zero ``estimate_blocks`` the search
+    The run draws one harvest (one ``oracle.refresh_pairs`` call), which
+    tallies its first ``screen_pairs`` pairs for the screen and cuts the
+    ``estimate_blocks`` lag samples off the same walk as it draws it, so
+    neither phase holds the walk.  Phase two bins those lag samples onto the
+    pool and scores every subset of size <= level with one exact transform.
+    A run that estimates raises :class:`PoolOverflow` if the pool holds more
+    than BULK_WHT_MAX_N coordinates, before any candidate is scored (or
+    anything drawn, if it does not screen).  With zero ``estimate_blocks`` the search
     stops after phase one and no set is kept, so the screened pool is the
     result.  ``candidates`` counts the subsets phase two scores, or would
     have scored.
@@ -287,19 +290,23 @@ def bounded_sieve(
         budgets = certified_budgets(params, n)
 
     screens = _screens(params, n)
-    window = lag_window(budgets.lag, budgets.gap_steps)
-    wanted = max(
-        budgets.screen_pairs if screens else 0,
-        lag_pairs(window, budgets.estimate_blocks) if budgets.estimate_blocks else 0,
-    )
-    pairs = None
+
+    def harvest() -> RefreshHarvest:
+        return oracle.refresh_pairs(
+            budgets.screen_pairs if screens else 0,
+            budgets.gap_steps,
+            lag_window(budgets.lag, budgets.gap_steps),
+            budgets.estimate_blocks,
+        )
+
+    harvested = None
     if not screens:
         influences = np.full(n, np.inf)
         pool_coords = list(range(1, n + 1))
     else:
-        pairs = oracle.refresh_pairs(wanted, budgets.gap_steps)
+        harvested = harvest()
         # a coordinate without contrast samples reads +inf and stays pooled
-        influences, sigmas = estimate_bounded_influence(pairs.head(budgets.screen_pairs))
+        influences, sigmas = estimate_bounded_influence(harvested.screen)
         tau = _screen_signal(params, effective_refresh_density(n, budgets.gap_steps)) / 2.0
         z = NormalDist().inv_cdf(1.0 - params.delta / (2.0 * n))
         pool_coords = (np.flatnonzero(influences >= np.maximum(tau, z * sigmas)) + 1).tolist()
@@ -318,10 +325,9 @@ def bounded_sieve(
                 f"screened pool has {len(pool_coords)} coordinates; estimation "
                 f"bins onto at most BULK_WHT_MAX_N = {BULK_WHT_MAX_N}"
             )
-        if pairs is None:
-            pairs = oracle.refresh_pairs(wanted, budgets.gap_steps)
-        samples = pairs.lag_samples(window, budgets.estimate_blocks)
-        bulk = estimate_sq_coeff_bulk(samples, pool)
+        if harvested is None:
+            harvested = harvest()
+        bulk = estimate_sq_coeff_bulk(harvested.lags, pool)
         # bulk is indexed by pool-local masks, whose bit j is the pool's j-th
         # smallest coordinate; a kept cell is deposited back onto those
         cells = _masks_up_to(len(pool_coords), params.level)

@@ -4,8 +4,8 @@ The plain walk flips one uniformly random coordinate per step; it is the
 learner's oracle, and both of its entry points, ``generate_walk`` and
 ``RandomWalkOracle.walk``, draw through ``generate_walk``.
 
-``harvest_refresh_pairs`` mass-produces endpoint pairs annotated with refreshed
-coordinate sets.  It cuts a single plain walk into half-blocks of
+``harvest_refresh_pairs`` reads endpoint pairs annotated with refreshed
+coordinate sets off a walk it consumes as it draws.  It cuts a single plain walk into half-blocks of
 Poisson(gap/4) steps, selects in each, besides the coordinates it flips, a
 Poisson(gap/4) number of uniform coordinates by the learner's own coins, and
 reads each two adjacent half-blocks as one pair: the selected coordinates are
@@ -25,7 +25,10 @@ total per chunk of half-blocks, and a uniform (half-block, coordinate) cell
 for each.  (A plain walk of fixed length cannot deliver that exactness: it
 changes parity every step, so its endpoints carry a deterministic parity
 constraint; a Poisson number of flips lifts it.)  The estimator's lag samples
-are read off the same chain of boundaries (``RefreshPairs.lag_samples``).
+are read off the same chain of boundaries.  Each chunk is consumed as soon
+as it is drawn: its screened pairs are tallied (``ScreenTally``) and its lag
+samples cut, so a harvest keeps no array as long as its walk
+(``RefreshHarvest``).
 
 Plain walks draw their steps through one kernel, ``_draw_steps``, in the
 narrowest unsigned word that holds n bits.  Harvested points and masks stay
@@ -35,8 +38,8 @@ in that word; label sources always receive uint64 packed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -132,57 +135,6 @@ def generate_walk(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefreshPairs:
-    """Harvested refresh pairs (packed x and y, their int8 labels) with each
-    pair's refreshed coordinate mask, as parallel arrays.
-
-    A harvest stores points and masks in the narrowest unsigned word with n
-    bits (``_word(n)``); the screening tally reads masks of any unsigned
-    width, so pairs built by hand may hold them in uint64.  Pair i spans
-    half-blocks i and i + 1 of one walk, so its y is pair i + 2's x, and
-    ``refreshed_masks[i]`` is the union of the two half-blocks' selected
-    coordinates."""
-
-    n: int
-    x_bits: np.ndarray
-    y_bits: np.ndarray
-    label_x: np.ndarray
-    label_y: np.ndarray
-    refreshed_masks: np.ndarray
-    walk_steps: int = 0
-
-    def __len__(self) -> int:
-        return len(self.x_bits)
-
-    def head(self, count: int) -> "RefreshPairs":
-        """The first ``count`` pairs, as views (``walk_steps`` stays the harvest's)."""
-        fields = ("x_bits", "y_bits", "label_x", "label_y", "refreshed_masks")
-        return replace(self, **{name: getattr(self, name)[:count] for name in fields})
-
-    def lag_samples(self, window: int, blocks: int) -> LagSamples:
-        """``blocks`` lag samples off the chain of half-block boundaries:
-        sample b joins boundaries b w/2 and b w/2 + w for an even window of w
-        half-blocks, so adjacent samples share half a window.  Boundary j is
-        pair j's x and pair j - 2's y.  At gap g a sample's flip count is
-        Poisson(w g / 4), whatever came before; no-op selections play no part.
-        """
-        _check_integer("window", window, 2)
-        _check_integer("blocks", blocks, 1)
-        if window % 2 or lag_pairs(window, blocks) > len(self):
-            raise ValueError(
-                f"{blocks} lag samples of window={window} half-blocks (even) "
-                f"need {lag_pairs(window, blocks)} pairs, got {len(self)}"
-            )
-        half = window // 2
-        starts, ends = slice(0, blocks * half, half), slice(window - 2, None, half)
-        diff = self.x_bits[starts] ^ self.y_bits[ends][:blocks]
-        prod = self.label_x[starts] * self.label_y[ends][:blocks]
-        for arr in (diff, prod):
-            arr.setflags(write=False)
-        return LagSamples(self.n, diff, prod)
-
-
 def lag_window(lag: int, gap_steps: int) -> int:
     """The least even w whose w half-blocks at ``gap_steps`` hold a mean of
     w gap_steps / 4 >= lag flips."""
@@ -196,13 +148,73 @@ def lag_pairs(window: int, blocks: int) -> int:
     return (blocks + 1) * (window // 2) - 1
 
 
+# Pairs per step of the screen's tally: its intp key buffer and bool
+# disagreement buffer take ~150 KB however many pairs one call adds.
+_TALLY_CHUNK = 16_384
+
+
+class ScreenTally:
+    """The screen's counts over refresh pairs, from which
+    :func:`~junta_walk.fourier.estimate_bounded_influence` reads each
+    coordinate's contrast: ``hists[b]`` counts, for byte b of the pairs'
+    refreshed masks, the key byte | disagree << 8 in [0, 512), where
+    disagree is label_x != label_y.  ``len`` is the number of pairs added.
+    """
+
+    def __init__(self, n: int) -> None:
+        _check_dim(n)
+        self.n = n
+        self.hists = np.zeros(((n + 7) // 8, 512), dtype=np.intp)
+        self.pairs = 0
+
+    def __len__(self) -> int:
+        return self.pairs
+
+    def add(self, masks: np.ndarray, label_x: np.ndarray, label_y: np.ndarray) -> None:
+        """Count pairs given as parallel arrays: refreshed masks of any
+        unsigned width (their bytes are read little-endian) and +-1 labels.
+        They are keyed _TALLY_CHUNK pairs at a time, so no temporary grows
+        with the number added."""
+        octets = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
+        octets = octets.view(np.uint8).reshape(-1, masks.dtype.itemsize)
+        key_buf = np.empty(min(_TALLY_CHUNK, len(masks)), dtype=np.intp)
+        dis_buf = np.empty(len(key_buf), dtype=bool)
+        for lo in range(0, len(masks), _TALLY_CHUNK):
+            hi = min(lo + _TALLY_CHUNK, len(masks))
+            dis, keys = dis_buf[: hi - lo], key_buf[: hi - lo]
+            np.not_equal(label_x[lo:hi], label_y[lo:hi], out=dis)
+            for b, hist in enumerate(self.hists):
+                # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
+                np.left_shift(dis, 8, out=keys, dtype=np.intp)
+                keys |= octets[lo:hi, b]
+                hist += np.bincount(keys, minlength=512)
+        self.pairs += len(masks)
+
+
+@dataclass(frozen=True)
+class RefreshHarvest:
+    """What a refresh-pair harvest leaves once its walk is consumed: the
+    screen's tally of its first ``len(screen)`` pairs (None without a
+    screen), its lag samples (None without any) and the flips it charged.
+    ``len`` is the number of pairs its walk spans."""
+
+    n: int
+    pair_count: int
+    screen: ScreenTally | None
+    lags: LagSamples | None
+    walk_steps: int
+
+    def __len__(self) -> int:
+        return self.pair_count
+
+
 # Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
 # _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
-# flip cells and as many no-op cells, each draw about 0.2 MB of intp indices
-# (mean _HARVEST_CHUNK_STEPS / 4 cells), into B word-wide rows of selection
-# bools and of uint8 flip counts (<= 128 B per half-block), and labels its
-# B boundaries in a B + 1 point uint64 buffer; these buffers are allocated
-# once per harvest.
+# flip cells and, inside the screen, as many no-op cells, each draw about
+# 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4 cells), into B
+# word-wide rows of uint8 flip counts and of selection bools (<= 128 B per
+# half-block), and labels its boundaries in a B + 1 point uint64 buffer; these
+# buffers are allocated once per harvest.
 _HARVEST_CHUNK_STEPS = 100_000
 
 
@@ -220,15 +232,127 @@ def _draw_cells(
     return cells.astype(np.intp)
 
 
+def harvest_chunks(
+    f: LabelSource,
+    n: int,
+    gap_steps: int,
+    seed: int,
+    pair_count: int,
+    screen_pairs: int,
+    stride: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, int]]:
+    """Draw the walk behind ``pair_count`` refresh pairs chunk by chunk: the
+    one kernel every harvest reads (see :func:`harvest_refresh_pairs` for the
+    law).
+
+    Each chunk of B half-blocks starting at half-block ``done`` is yielded as
+    ``(done, bounds, labels, sel, steps)``: element k of ``bounds`` and
+    ``labels`` is chain boundary done - 1 + k and its label (k = 0 is no
+    boundary in the first chunk), element k of ``sel`` is half-block
+    done - 1 + k's selected coordinates, so pair done - 1 + k joins bounds
+    k and k + 2 and refreshes sel[k] | sel[k + 1], and ``steps`` is the
+    chunk's flips.  Boundaries through the screen's last, screen_pairs + 1,
+    are labelled; past it only every ``stride``-th boundary is, and the rest
+    read label 0.  A chunk that holds no screened pair's half-block draws no
+    no-op cell and yields ``sel`` None.  The arrays are views of buffers the
+    next chunk overwrites.
+    """
+    walk_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    word = np.dtype(_word(n)).newbyteorder("<")
+    width = word.itemsize * 8
+    halves_total = pair_count + 1
+    last_screened = screen_pairs + 1 if screen_pairs else -1
+    per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
+    flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
+    hit_rows = np.empty(per_chunk * width, dtype=bool) if screen_pairs else None
+    # every label source reads uint64 points: a chunk's boundaries are
+    # widened into this buffer and labelled there
+    points = np.empty(per_chunk + 1, dtype=np.uint64)
+    bounds = np.zeros(per_chunk + 2, dtype=word)
+    labels = np.zeros(per_chunk + 2, dtype=np.int8)
+    sel = np.zeros(per_chunk + 1, dtype=word)
+
+    bounds[1:2] = walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)
+    for done in range(0, halves_total, per_chunk):
+        if done:  # carry the previous chunk's last two boundaries and selection
+            bounds[:2] = bounds[per_chunk:]
+            labels[:2] = labels[per_chunk:]
+            sel[0] = sel[per_chunk]
+        halves = min(per_chunk, halves_total - done)
+        mean = halves * gap_steps / 4
+        flips = flip_rows[: halves * width]
+        flips.fill(0)
+        cells = _draw_cells(walk_rng, mean, halves, n, width)
+        np.add.at(flips, cells, np.uint8(1))
+        screened = done < last_screened
+        if screened:
+            hit = hit_rows[: halves * width]
+            # a flip count that wraps to 0 mod 256 drops its cell here, which
+            # the no-op cells, drawn at the same mean, then miss with
+            # probability below e^-128
+            np.not_equal(flips, 0, out=hit)
+            hit[_draw_cells(coin_rng, mean, halves, n, width)] = True
+            # little-endian bits and bytes: element j of a row is bit j of its word
+            sel[1 : halves + 1] = np.packbits(hit, bitorder="little").view(word)
+        # only bit 0 of a count is read, and it is exact under the mod-256 wrap
+        np.bitwise_and(flips, np.uint8(1), out=flips)
+        moves = np.packbits(flips.view(bool), bitorder="little").view(word)
+        chain = bounds[2 : halves + 2]
+        np.bitwise_xor.accumulate(moves, out=chain)
+        chain ^= bounds[1]
+
+        # the new boundaries (in the first chunk, the start too): all of
+        # them up to the screen's last, then every stride-th
+        lo, hi = done + (done > 0), done + halves
+        cut = max(lo, min(hi, last_screened) + 1)
+        head = slice(lo - done + 1, cut - done + 1)
+        tail = slice(-(-cut // stride) * stride - done + 1, halves + 2, stride)
+        labels[head.stop :] = 0
+        a, b = len(bounds[head]), len(bounds[tail])
+        if a + b:
+            fresh = points[: a + b]
+            fresh[:a], fresh[a:] = bounds[head], bounds[tail]
+            fresh = labels_for(f, fresh)
+            labels[head], labels[tail] = fresh[:a], fresh[a:]
+        yield (
+            done,
+            bounds[: halves + 2],
+            labels[: halves + 2],
+            sel[: halves + 1] if screened else None,
+            len(cells),
+        )
+
+
+def _harvest_size(screen_pairs: int, gap_steps: int, window: int, blocks: int) -> int:
+    """Check a harvest's sizes and return the pairs its walk spans."""
+    _check_integer("screen_pairs", screen_pairs, 0)
+    _check_integer("gap_steps", gap_steps, 1)
+    _check_integer("window", window, 2)
+    _check_integer("blocks", blocks, 0)
+    if window % 2:
+        raise ValueError(f"window={window} must be even")
+    if not screen_pairs and not blocks:
+        raise ValueError("screen_pairs=0 and blocks=0: a harvest reads at least one pair")
+    return max(screen_pairs, lag_pairs(window, blocks) if blocks else 0)
+
+
 def harvest_refresh_pairs(
-    f: LabelSource, n: int, pair_count: int, gap_steps: int, seed: int
-) -> RefreshPairs:
-    """Cut one fresh plain walk into ``pair_count + 1`` consecutive
-    half-blocks of Poisson(``gap_steps`` / 4) steps, select in each, besides
-    the coordinates it flips, a Poisson(``gap_steps`` / 4) number of uniform
-    coordinates by the learner's own coins, and emit, for each two adjacent
-    half-blocks, the endpoint pair they span with its selected (refreshed)
-    coordinate set.
+    f: LabelSource,
+    n: int,
+    screen_pairs: int,
+    gap_steps: int,
+    seed: int,
+    window: int = 2,
+    blocks: int = 0,
+) -> RefreshHarvest:
+    """Cut one fresh plain walk into consecutive half-blocks of
+    Poisson(``gap_steps`` / 4) steps, select in each, besides the coordinates
+    it flips, a Poisson(``gap_steps`` / 4) number of uniform coordinates by
+    the learner's own coins, and read each two adjacent half-blocks as a
+    refresh pair: the endpoint pair they span with its selected (refreshed)
+    coordinate set.  The first ``screen_pairs`` pairs are tallied for the
+    screen (:class:`ScreenTally`), and ``blocks`` lag samples of ``window``
+    half-blocks are read off the chain of half-block boundaries.
 
     This reads from the paper's oracle the pairs of an updating walk of
     Poisson(``gap_steps`` / 2) steps per half-block, and charges only the
@@ -236,8 +360,8 @@ def harvest_refresh_pairs(
     with a fair bit, so by Poisson splitting a stretch of updating walk is a
     plain walk's flips plus as many no-op selections, independent of them,
     that the learner can draw itself (Bshouty, Mossel, O'Donnell & Servedio,
-    Learning DNF from random walks).  The emitted pairs are exact samples of
-    the refresh model
+    Learning DNF from random walks).  The pairs are exact samples of the
+    refresh model
 
         E[f(x) f(y) | refreshed = R] = sum over T disjoint from R of fhat(T)^2.
 
@@ -252,83 +376,70 @@ def harvest_refresh_pairs(
     each coordinate of R and zero off it, and conditional statistics over R
     factorize exactly, which is what calibrates the screening contrasts
     downstream.  A pair without selections (probability e^-gap_steps)
-    legitimately emits refreshed = empty and y = x.  Pair i joins chain
+    legitimately has refreshed = empty and y = x.  Pair i joins chain
     boundaries i and i + 2, so consecutive pairs share a half-block and are
     not independent, but the even pairs, and the odd pairs, are each a chain
     of disjoint blocks; the walk behind P pairs is about a quarter as long
     as P disjoint updating blocks.
 
-    The walk is drawn by that law a chunk of B half-blocks at a time: the
-    walk's stream draws F ~ Poisson(B gap_steps / 4) flips into uniform
-    (half-block, coordinate) cells, and a second child of ``seed`` draws
-    the no-op cells.  A half-block's selected set is the coordinates of its
-    hit cells, and its move is the parity of its flip counts, so every
-    boundary is a point of the plain walk.  ``walk_steps`` sums the F.
-    Boundaries and masks are kept in the narrowest unsigned word with n
-    bits, where each chunk's moves xor-accumulate.  Each chunk's new
-    boundaries are widened into a uint64 buffer, reused across chunks, and
-    labelled there, so the label source sees uint64 points and no temporary
-    grows with the pair count.  The returned arrays are read-only:
-    ``x_bits``/``y_bits`` and the two label arrays are overlapping views of
-    one chain of half-block boundaries.
+    Lag sample b joins boundaries b w/2 and b w/2 + w for an even window of
+    w half-blocks, so adjacent samples share half a window: at gap g its
+    flip count is Poisson(w g / 4), whatever came before, and no-op
+    selections play no part.  The walk spans max(screen_pairs,
+    lag_pairs(window, blocks)) pairs.
+
+    The walk is drawn and read a chunk of B half-blocks at a time
+    (:func:`harvest_chunks`): the walk's stream draws F ~ Poisson(B gap_steps
+    / 4) flips into uniform (half-block, coordinate) cells, and a second
+    child of ``seed`` draws the no-op cells.  A half-block's selected set is
+    the coordinates of its hit cells, and its move is the parity of its flip
+    counts, so every boundary is a point of the plain walk.  ``walk_steps``
+    sums the F.  Boundaries are kept in the narrowest unsigned word with n
+    bits, where each chunk's moves xor-accumulate, and are widened into a
+    uint64 buffer to be labelled, so the label source sees uint64 points.
+    Each chunk's screened pairs go into the tally and its lag samples are
+    cut as soon as their ends are drawn, carrying two boundaries to the next
+    chunk; past the screen a chunk draws no no-op cell and labels only the
+    boundaries a lag sample reads.  Memory is a chunk's buffers plus the lag
+    samples (word + 1 bytes each), not the walk's length.
     """
     _check_source(f, n)
-    _check_integer("pair_count", pair_count, 1)
-    _check_integer("gap_steps", gap_steps, 1)
-    walk_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    pair_count = _harvest_size(screen_pairs, gap_steps, window, blocks)
     word = np.dtype(_word(n)).newbyteorder("<")
-    width = word.itemsize * 8
-    halves_total = pair_count + 1
-    per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
-    hit_rows = np.empty(per_chunk * width, dtype=bool)
-    flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
-    # every label source reads uint64 points: a chunk's boundaries are
-    # widened into this buffer and labelled there
-    points = np.empty(per_chunk + 1, dtype=np.uint64)
-    bounds = np.empty(halves_total + 1, dtype=word)
-    labels = np.empty(halves_total + 1, dtype=np.int8)
-    sel = np.empty(halves_total, dtype=word)
-
-    bounds[:1] = walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)
-    steps_used = labelled = 0
-    for done in range(0, halves_total, per_chunk):
-        halves = min(per_chunk, halves_total - done)
-        mean = halves * gap_steps / 4
-        hit, flips = hit_rows[: halves * width], flip_rows[: halves * width]
-        hit.fill(False)
-        flips.fill(0)
-        cells = _draw_cells(walk_rng, mean, halves, n, width)
-        steps_used += len(cells)
-        hit[cells] = True
-        # only bit 0 of a count is read, and it is exact under the mod-256 wrap
-        np.add.at(flips, cells, np.uint8(1))
-        hit[_draw_cells(coin_rng, mean, halves, n, width)] = True
-        np.bitwise_and(flips, np.uint8(1), out=flips)
-        # little-endian bits and bytes: element j of a row is bit j of its word
-        sel[done : done + halves] = np.packbits(hit, bitorder="little").view(word)
-        moves = np.packbits(flips.view(bool), bitorder="little").view(word)
-        end = done + 1 + halves
-        chain = bounds[done + 1 : end]
-        np.bitwise_xor.accumulate(moves, out=chain)
-        chain ^= bounds[done]
-        # the new boundaries (in the first chunk, the start too)
-        fresh = points[: end - labelled]
-        fresh[:] = bounds[labelled:end]
-        labels[labelled:end] = labels_for(f, fresh)
-        labelled = end
-
-    masks = sel[:-1] | sel[1:]
-    for arr in (bounds, labels, masks):
-        arr.setflags(write=False)
-    return RefreshPairs(
-        n=n,
-        x_bits=bounds[:-2],
-        y_bits=bounds[2:],
-        label_x=labels[:-2],
-        label_y=labels[2:],
-        refreshed_masks=masks,
-        walk_steps=steps_used,
-    )
+    half = window // 2
+    tally = ScreenTally(n) if screen_pairs else None
+    diff, prod = np.empty(blocks, dtype=word), np.empty(blocks, dtype=np.int8)
+    # the last two lag boundaries read, and their labels
+    ends, end_labels = np.empty(0, dtype=word), np.empty(0, dtype=np.int8)
+    cut = steps = 0
+    for done, bounds, labels, sel, drawn in harvest_chunks(
+        f, n, gap_steps, seed, pair_count, screen_pairs, half
+    ):
+        steps += drawn
+        halves = len(bounds) - 2
+        # pair done - 1 + k, for k in [lo, hi), joins bounds k and k + 2
+        lo, hi = int(done == 0), min(halves, screen_pairs - done + 1)
+        if hi > lo:
+            tally.add(sel[lo:hi] | sel[lo + 1 : hi + 1], labels[lo:hi], labels[lo + 2 : hi + 2])
+        # the lag boundaries m w/2, m <= blocks + 1, new in this chunk
+        first = -(-(done + (done > 0)) // half) * half
+        last = min(done + halves, (blocks + 1) * half)
+        if blocks and first <= last:
+            pick = slice(first - done + 1, last - done + 2, half)
+            ends = np.concatenate((ends, bounds[pick]))
+            end_labels = np.concatenate((end_labels, labels[pick]))
+            new = len(ends) - 2
+            if new > 0:
+                np.bitwise_xor(ends[:-2], ends[2:], out=diff[cut : cut + new])
+                np.multiply(end_labels[:-2], end_labels[2:], out=prod[cut : cut + new])
+                cut += new
+            ends, end_labels = ends[-2:], end_labels[-2:]
+    lags = None
+    if blocks:
+        for arr in (diff, prod):
+            arr.setflags(write=False)
+        lags = LagSamples(n, diff, prod)
+    return RefreshHarvest(n, pair_count, tally, lags, steps)
 
 
 def effective_refresh_density(n: int, gap_steps: int) -> float:
@@ -434,10 +545,16 @@ class RandomWalkOracle:
         self.steps_served += length - 1
         return walk
 
-    def refresh_pairs(self, pair_count: int, gap_steps: int) -> RefreshPairs:
-        _check_integer("pair_count", pair_count, 1)
-        _check_integer("gap_steps", gap_steps, 1)
+    def refresh_pairs(
+        self, screen_pairs: int, gap_steps: int, window: int = 2, blocks: int = 0
+    ) -> RefreshHarvest:
+        """One harvest (:func:`harvest_refresh_pairs`): a screen of
+        ``screen_pairs`` pairs and ``blocks`` lag samples of ``window``
+        half-blocks, read off one walk."""
+        _harvest_size(screen_pairs, gap_steps, window, blocks)
         seed = int(self._child_seed().generate_state(1, np.uint64)[0])
-        pairs = harvest_refresh_pairs(self.f, self.n, pair_count, gap_steps, seed)
-        self.steps_served += pairs.walk_steps
-        return pairs
+        harvest = harvest_refresh_pairs(
+            self.f, self.n, screen_pairs, gap_steps, seed, window, blocks
+        )
+        self.steps_served += harvest.walk_steps
+        return harvest

@@ -37,10 +37,10 @@ from junta_walk.walk import (
     RandomWalkOracle,
     gap_for_density,
     generate_walk,
-    lag_pairs,
     lag_window,
     sample_size_concentration,
 )
+from lag_reference import oracle_pairs
 
 
 def elapsed_since(t0: float) -> float:
@@ -156,7 +156,7 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
         else:
             mask = int(rng.integers(0, 256))
         oracle = RandomWalkOracle(table, 8, seed=40_000 + i)
-        samples = oracle.refresh_pairs(lag_pairs(window, blocks), gap).lag_samples(window, blocks)
+        samples = oracle.refresh_pairs(0, gap, window, blocks).lags
         est = estimate_sq_coeff(samples, IndexSet(8, mask))
         hits += abs(est - float(sq[mask])) <= theta / 4
     assert hits >= 297
@@ -170,12 +170,13 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
 def test_gate_05_harvested_pairs_uniform_given_the_refreshed_set():
     """The refresh pairs the pipeline screens: at n = 3 and the screening gap
     of a level-2 sieve, a harvested pair's x is uniform and y xor x is uniform on
-    the cells its refreshed set R allows, given R."""
+    the cells its refreshed set R allows, given R.  The pairs are those of an
+    oracle's harvest, read raw off the harvest kernel's chunks."""
     t0 = time.perf_counter()
     n = 3
     gap = gap_for_density(n, SieveParams(level=2, theta=0.1, delta=0.1).density)
     full = (1 << n) - 1
-    pairs = RandomWalkOracle(parity_table(n, [1]), n, seed=53).refresh_pairs(1_600_000, gap)
+    pairs = oracle_pairs(parity_table(n, [1]), n, 53, 1_600_000, gap)
     # Pair i shares half-blocks with pairs i - 1 and i + 1.  Pairs 4m whose
     # pair 4m - 2 refreshed every coordinate start from a fresh uniform point,
     # so their (R, x, y xor x) cells are independent draws.

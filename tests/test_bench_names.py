@@ -16,6 +16,8 @@ import pytest
 
 from junta_walk.harness import InstanceSpec, run_trial
 from junta_walk.learner import LearnParams
+from junta_walk.sieve import SieveParams, practical_budgets
+from junta_walk.walk import lag_pairs, lag_window
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,6 +52,31 @@ def test_traced_trial_counts_erm_and_exact_opt_work():
     assert erm["supports"] >= 1 and erm["point_visits"] == 8_000 * erm["supports"]
     assert opt["supports"] == math.comb(n, k)
     assert opt["point_visits"] == math.comb(n, k) << n
+
+
+def test_traced_sieve_op_counts_the_harvest_it_reads():
+    # one sieve_wide op draws one harvest: the tracer's counters read the
+    # pairs its walk spans, the screen's pairs, and the boundaries labelled,
+    # which are every screened one and, past the screen, only the lag
+    # samples' boundaries m w/2
+    tracing = _bench_module("tracing")
+    workload = _bench_module("workloads").WORKLOADS["sieve_wide"]
+    op_input = workload.op_input(7, 0)
+    tracer = tracing.Tracer()
+    with tracer, tracer.op(0):
+        workload.run(op_input)
+    totals = tracer.totals()
+    screen, blocks = workload.SCREEN_PAIRS, workload.ESTIMATE_BLOCKS
+    params = SieveParams(workload.LEVEL, workload.THETA, workload.DELTA)
+    budgets = practical_budgets(params, workload.N, screen, blocks)
+    window = lag_window(budgets.lag, budgets.gap_steps)
+    harvest = totals["walk.RandomWalkOracle.refresh_pairs"]
+    assert harvest["calls"] == 1
+    assert harvest["pairs"] == max(screen, lag_pairs(window, blocks)) > screen
+    assert totals["fourier.estimate_bounded_influence"]["pair_visits"] == screen
+    screened_lag_ends = (screen + 1) // (window // 2) + 1
+    labelled = screen + 2 + blocks + 2 - screened_lag_ends
+    assert totals["walk.labels_for"]["points"] == labelled
 
 
 def _assert_op_passes_its_audit_and_repeats(workload, index):

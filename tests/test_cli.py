@@ -5,6 +5,9 @@ import hashlib
 import json
 import logging
 import math
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -131,6 +134,42 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     )
     digest = hashlib.sha256(recorded.encode()).hexdigest()
     assert digest == "3b52191f98d640de659053762a3581d74bae5dfe0bf44f87f309918cdb32420f"
+
+
+# ru_maxrss survives exec, so a learn spawned by the test process would
+# start at the test process's size; a small process spawns it instead and
+# reads its peak from RUSAGE_CHILDREN
+_PEAK_SNIPPET = """
+import resource, subprocess, sys
+learn = "import sys; from junta_walk import cli; sys.exit(cli.main(sys.argv[1:]))"
+code = subprocess.run([sys.executable, "-c", learn, *sys.argv[1:]]).returncode
+maxrss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(f"exit={code} maxrss={maxrss}", file=sys.stderr)
+"""
+
+
+def test_learn_certified_peaks_under_100_mib(tmp_path):
+    # the certified learn above draws 22 779 102 walk steps; its harvest
+    # holds a chunk and the lag samples at a time, not the walk (330 MiB
+    # when it kept every boundary, label and mask)
+    inst = write_instance(tmp_path / "dictator.json", parity_table(2, [1]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["learn", "--instance", inst, "-k", "1", "--eps", "0.4", "--delta", "0.3"]
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_SNIPPET, *argv, "--certified"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["walk_steps"] == 22_779_102
+    code, maxrss = re.search(r"exit=(\d+) maxrss=(\d+)", run.stderr).groups()
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    peak_mib = int(maxrss) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert code == "0" and peak_mib < 100
 
 
 def test_learn_refuses_a_table_past_the_exact_opt_cap_before_walking(

@@ -26,17 +26,25 @@ from junta_walk.fourier import (
     wht,
 )
 from junta_walk.functions import and_table, parity_table, random_table
-from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
+from junta_walk import walk
+from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices, signed_sums
 from junta_walk.walk import (
     RandomWalkOracle,
-    RefreshPairs,
+    ScreenTally,
     _word,
     gap_for_density,
     harvest_refresh_pairs,
     lag_pairs,
     lag_window,
 )
-from lag_reference import harvested_lag_samples, lag_samples_from_pairs
+from lag_reference import (
+    RawPairs,
+    harvested_lag_samples,
+    lag_samples_from_pairs,
+    oracle_pairs,
+    raw_pairs,
+    tally_of,
+)
 
 
 def _sign_tables_over(n):
@@ -444,19 +452,25 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
 
 
 def test_bulk_bins_each_lag_on_its_own():
-    # the samples' one lag is binned in place, with no copy of the samples
-    # beyond one widened word: the peak is the uint64 words, the index and
-    # its scratch word, then the index and float64 weights
+    # the samples' one lag is binned in place, _BIN_CHUNK samples at a time,
+    # with no copy of the samples beyond one chunk's widened word: the peak
+    # is a chunk's uint64 words, index and scratch word, then its index and
+    # float64 weights, whatever the sample count; the exact int64 sums of
+    # the chunks give the one-pass estimates bit for bit
     n = 8
     f = random_table(n, np.random.default_rng(0))
     samples, _ = harvested_lag_samples(f, n, 5, 200_000, 4, 1)
+    pool = IndexSet.of(n, [1, 4, 7])
+    assert len(samples) > 3 * fourier._BIN_CHUNK
     tracemalloc.start()
     try:
-        estimate_sq_coeff_bulk(samples, IndexSet.of(n, [1, 4, 7]))
+        bulk = estimate_sq_coeff_bulk(samples, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * len(samples) + (1 << 16)
+    assert peak <= 24 * fourier._BIN_CHUNK + (1 << 16)
+    one_pass = wht(signed_sums(pool, samples.diff, samples.prod)) / len(samples)
+    assert bulk.tobytes() == one_pass.tobytes()
 
 
 def test_bulk_rejects_large_n():
@@ -481,8 +495,8 @@ def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
     gap = gap_for_density(n, 1 / 3)
     for window in (2, 6, lag_window(default_lag(n, 0.1), gap)):
         for blocks in (1, 3_000):
-            pairs = RandomWalkOracle(f, n, seed=77).refresh_pairs(lag_pairs(window, blocks), gap)
-            drawn = pairs.lag_samples(window, blocks)
+            drawn = RandomWalkOracle(f, n, seed=77).refresh_pairs(0, gap, window, blocks).lags
+            pairs = oracle_pairs(f, n, 77, lag_pairs(window, blocks), gap)
             read = lag_samples_from_pairs(pairs, window, blocks)
             assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
                 estimate_sq_coeff_bulk(read, pool).tobytes()
@@ -496,7 +510,7 @@ def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
 # Bounded-influence contrasts
 
 
-def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RefreshPairs:
+def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RawPairs:
     """All (x, y) pairs whose y resamples exactly the coordinates in r_mask."""
     n = f.n
     xs, ys = [], []
@@ -506,24 +520,26 @@ def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RefreshPairs:
             ys.append((x & ~r_mask) | (z & r_mask))
     xs = np.array(xs, dtype=np.uint64)
     ys = np.array(ys, dtype=np.uint64)
-    return RefreshPairs(
+    return RawPairs(
         n=n,
         x_bits=xs,
         y_bits=ys,
         label_x=f.values[xs.astype(np.int64)],
         label_y=f.values[ys.astype(np.int64)],
         refreshed_masks=np.full(len(xs), r_mask, dtype=np.uint64),
+        walk_steps=0,
     )
 
 
-def _no_pairs(n: int) -> RefreshPairs:
+def _no_pairs(n: int) -> RawPairs:
     empty = np.empty(0, dtype=np.uint64)
-    return RefreshPairs(n, empty, empty, empty, empty, empty)
+    return RawPairs(n, empty, empty, empty, empty, empty, 0)
 
 
-def _concat_pairs(*parts: RefreshPairs) -> RefreshPairs:
-    return RefreshPairs(
+def _concat_pairs(*parts: RawPairs) -> RawPairs:
+    return RawPairs(
         n=parts[0].n,
+        walk_steps=0,
         **{
             field: np.concatenate([getattr(p, field) for p in parts])
             for field in ("x_bits", "y_bits", "label_x", "label_y", "refreshed_masks")
@@ -540,7 +556,7 @@ def test_contrast_on_exhaustive_refresh_sets():
     for r_mask in (0b0011, 0b1010, 0b0110):
         with_i = _exhaustive_pairs(f, r_mask | 0b0001)
         without_i = _exhaustive_pairs(f, r_mask & ~0b0001)
-        got = estimate_bounded_influence(_concat_pairs(with_i, without_i))[0][0]
+        got = estimate_bounded_influence(tally_of(_concat_pairs(with_i, without_i)))[0][0]
         want = subcube_projection_exact(
             spec, IndexSet(n, r_mask & ~0b0001)
         ) - subcube_projection_exact(spec, IndexSet(n, r_mask | 0b0001))
@@ -555,13 +571,13 @@ def test_contrast_examples_from_harvested_pairs():
     tol = 6 / math.sqrt(m / 4)
 
     pairs = harvest_refresh_pairs(parity_table(n, [1]), n, m, gap, seed=20)
-    contrasts, _ = estimate_bounded_influence(pairs)
+    contrasts, _ = estimate_bounded_influence(pairs.screen)
     assert contrasts[0] == pytest.approx(1.0, abs=tol)
     assert contrasts[1] == pytest.approx(0.0, abs=tol)
 
     pairs = harvest_refresh_pairs(and_table(n, [1, 2]), n, m, gap, seed=21)
     want = 0.25 + 0.25 * (1 - p)
-    assert estimate_bounded_influence(pairs)[0][0] == pytest.approx(want, abs=tol)
+    assert estimate_bounded_influence(pairs.screen)[0][0] == pytest.approx(want, abs=tol)
 
 
 def test_contrast_matches_exact_value_statistically():
@@ -572,7 +588,7 @@ def test_contrast_matches_exact_value_statistically():
     spec = Spectrum.from_table(f)
     p = effective_refresh_density(n, gap)
     pairs = harvest_refresh_pairs(f, n, m, gap, seed=23)
-    contrasts, _ = estimate_bounded_influence(pairs)
+    contrasts, _ = estimate_bounded_influence(pairs.screen)
     for i in (1, 3, 5):
         got = contrasts[i - 1]
         want = expected_bounded_influence(spec, i, p)
@@ -584,16 +600,16 @@ def test_contrast_requires_both_buckets():
     f = parity_table(3, [1])
     for r_mask in (0b111, 0b010):
         pairs = _exhaustive_pairs(f, r_mask)
-        for values in estimate_bounded_influence(pairs):
+        for values in estimate_bounded_influence(tally_of(pairs)):
             assert values.tolist() == [math.inf] * 3
-    for values in estimate_bounded_influence(_no_pairs(3)):
+    for values in estimate_bounded_influence(ScreenTally(3)):
         assert values.tolist() == [math.inf] * 3
     mixed = _concat_pairs(pairs, _exhaustive_pairs(f, 0b011))
-    for values in estimate_bounded_influence(mixed):
+    for values in estimate_bounded_influence(tally_of(mixed)):
         assert values[0] < math.inf and values[1] == values[2] == math.inf
 
 
-def _reference_contrast(pairs: RefreshPairs, i: int) -> float:
+def _reference_contrast(pairs: RawPairs, i: int) -> float:
     """The per-coordinate float formula: mean label product over the pairs
     that kept i minus the mean over those that refreshed it."""
     products = pairs.label_x.astype(np.float64) * pairs.label_y
@@ -603,8 +619,8 @@ def _reference_contrast(pairs: RefreshPairs, i: int) -> float:
     return float(np.mean(products[~hit]) - np.mean(products[hit]))
 
 
-def _assert_contrasts_bit_identical(pairs: RefreshPairs) -> None:
-    got, _ = estimate_bounded_influence(pairs)
+def _assert_contrasts_bit_identical(pairs: RawPairs) -> None:
+    got, _ = estimate_bounded_influence(tally_of(pairs))
     want = np.array([_reference_contrast(pairs, i) for i in range(1, pairs.n + 1)])
     assert got.dtype == np.float64 and got.shape == (pairs.n,)
     assert got.tobytes() == want.tobytes()
@@ -616,7 +632,10 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
     for n in range(4, 21):
         f = random_table(n, np.random.default_rng(300 + n))
         gap = gap_for_density(n, 1 / 3)
-        _assert_contrasts_bit_identical(harvest_refresh_pairs(f, n, 20_000, gap, seed=n))
+        pairs = raw_pairs(f, n, 20_000, gap, seed=n)
+        _assert_contrasts_bit_identical(pairs)
+        harvest = harvest_refresh_pairs(f, n, 20_000, gap, seed=n)
+        assert harvest.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
     # exhaustive sets: alone every coordinate is undefined, merged all defined
     f = random_table(4, np.random.default_rng(13))
     parts = [_exhaustive_pairs(f, r_mask) for r_mask in (0b0000, 0b0011, 0b1010, 0b1111)]
@@ -632,12 +651,12 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
         masks &= rng.integers(0, 1 << n, size=m, dtype=np.uint64)
         labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
         for label_y in (rng.choice(np.array([-1, 1], dtype=np.int8), size=m), -labels):
-            pairs = RefreshPairs(n, masks, masks, labels, label_y, masks)
+            pairs = RawPairs(n, masks, masks, labels, label_y, masks, 0)
             _assert_contrasts_bit_identical(pairs)
             _assert_contrasts_bit_identical(_no_pairs(n))
 
 
-def _reference_sigma(pairs: RefreshPairs, i: int) -> float:
+def _reference_sigma(pairs: RawPairs, i: int) -> float:
     """sqrt(1/kept + 1/hit) from a direct count of the masks that refresh i."""
     hit = int(np.count_nonzero((pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1)))
     kept = len(pairs.refreshed_masks) - hit
@@ -654,14 +673,14 @@ def test_sigmas_match_per_coordinate_counts():
     cases = [_no_pairs(5), exhaustive[1], _concat_pairs(*exhaustive)]
     for n in (5, 12, 20):
         f = random_table(n, np.random.default_rng(320 + n))
-        cases.append(harvest_refresh_pairs(f, n, 10_000, gap_for_density(n, 1 / 3), seed=n))
+        cases.append(raw_pairs(f, n, 10_000, gap_for_density(n, 1 / 3), seed=n))
     for pairs in cases:
-        _, sigmas = estimate_bounded_influence(pairs)
+        _, sigmas = estimate_bounded_influence(tally_of(pairs))
         want = [_reference_sigma(pairs, i) for i in range(1, pairs.n + 1)]
         assert sigmas.tolist() == want
 
 
-def _reference_tally(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
+def _reference_tally(pairs: RawPairs) -> tuple[np.ndarray, np.ndarray]:
     """Contrasts and sigmas from a direct count of each mask bit, split by
     whether the pair's labels disagree."""
     masks = pairs.refreshed_masks.astype(np.uint64)
@@ -682,23 +701,28 @@ def _reference_tally(pairs: RefreshPairs) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 63])
 def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
     # pair counts around the tally's chunk edges, masks in uint64 and in the
-    # harvest's narrow word: the same pairs must give the same bytes
-    chunk = fourier._TALLY_CHUNK
+    # harvest's narrow word, added at once or in two calls split off a chunk
+    # edge: the same pairs must give the same bytes
+    chunk = walk._TALLY_CHUNK
     rng = np.random.default_rng(330 + n)
     signs = np.array([-1, 1], dtype=np.int8)
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         masks = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         masks &= rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         label_x, label_y = rng.choice(signs, size=count), rng.choice(signs, size=count)
-        want = _reference_tally(RefreshPairs(n, masks, masks, label_x, label_y, masks))
+        want = _reference_tally(RawPairs(n, masks, masks, label_x, label_y, masks, 0))
         narrow = masks.astype(_word(n))
         for stored in (masks, narrow):
-            got = estimate_bounded_influence(
-                RefreshPairs(n, stored, stored, label_x, label_y, stored)
-            )
-            for g, w in zip(got, want):
-                assert g.dtype == np.float64 and g.shape == (n,)
-                assert g.tobytes() == w.tobytes()
+            whole = tally_of(RawPairs(n, stored, stored, label_x, label_y, stored, 0))
+            split = ScreenTally(n)
+            cut = min(count, chunk // 3)
+            split.add(stored[:cut], label_x[:cut], label_y[:cut])
+            split.add(stored[cut:], label_x[cut:], label_y[cut:])
+            assert len(whole) == len(split) == count
+            for tally in (whole, split):
+                for g, w in zip(estimate_bounded_influence(tally), want):
+                    assert g.dtype == np.float64 and g.shape == (n,)
+                    assert g.tobytes() == w.tobytes()
 
 
 def test_tally_memory_is_flat_in_the_pair_count():
@@ -709,14 +733,14 @@ def test_tally_memory_is_flat_in_the_pair_count():
     gap = gap_for_density(n, 1 / 3)
     peaks = []
     for count in (100_000, 400_000):
-        pairs = harvest_refresh_pairs(f, n, count, gap, seed=count)
+        pairs = raw_pairs(f, n, count, gap, seed=count)
         tracemalloc.start()
         try:
-            estimate_bounded_influence(pairs)
+            estimate_bounded_influence(tally_of(pairs))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    chunk_buffers = fourier._TALLY_CHUNK * (np.dtype(np.intp).itemsize + 1)
+    chunk_buffers = walk._TALLY_CHUNK * (np.dtype(np.intp).itemsize + 1)
     assert abs(peaks[1] - peaks[0]) < chunk_buffers
     assert max(peaks) < 1 << 20
 

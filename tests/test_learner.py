@@ -36,7 +36,7 @@ from junta_walk.sieve import (
     bounded_sieve,
     practical_budgets,
 )
-from junta_walk.walk import RandomWalkOracle, RefreshPairs, generate_walk, sample_size_erm
+from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +415,22 @@ def test_learn_certified_tiny_case():
     }
 
 
-def _fail(*args):
-    raise AssertionError("no lag sample is expected here")
-
-
 def test_stock_preset_skips_the_estimation_walk(monkeypatch):
     # a practical run stops the sieve after its screen and reads no lag
     # sample, so its walk steps are the screen's plus the ERM walk's
-    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
+    harvests = []
+    draw = RandomWalkOracle.refresh_pairs
+
+    def record(self, *args):
+        harvests.append(draw(self, *args))
+        return harvests[-1]
+
+    monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", record)
     n, k = 12, 2
     f = flip_labels_iid(and_table(n, [4, 9]), 0.1, np.random.default_rng(40))
     params = default_learn_params(n, k, 0.25, 0.2)
     outcome = learn_outcome(RandomWalkOracle(f, n, seed=41), params)
+    assert [h.lags for h in harvests] == [None]
     assert outcome.sieve.sets == () and outcome.sieve.estimates == ()
     assert outcome.pool == pad_pool(outcome.sieve.pool, k)
     assert outcome.walk_steps == outcome.sieve.walk_steps + params.erm_sample - 1

@@ -30,7 +30,6 @@ from junta_walk.sieve import (
 )
 from junta_walk.walk import (
     RandomWalkOracle,
-    RefreshPairs,
     effective_refresh_density,
     gap_for_density,
     lag_pairs,
@@ -177,8 +176,10 @@ def test_certified_budgets_price_only_the_phases_a_run_draws():
     assert math.ceil((b.screen_pairs + 1) * b.gap_steps / 4) > sieve_mod.BUDGET_CEILING
     f = parity_table(3, [1, 2])
     res = bounded_sieve(RandomWalkOracle(f, 3, seed=1), params)
-    lags = lag_pairs(lag_window(b.lag, b.gap_steps), b.estimate_blocks)
-    harvest = RandomWalkOracle(f, 3, seed=1).refresh_pairs(lags, b.gap_steps)
+    window = lag_window(b.lag, b.gap_steps)
+    oracle = RandomWalkOracle(f, 3, seed=1)
+    harvest = oracle.refresh_pairs(0, b.gap_steps, window, b.estimate_blocks)
+    assert len(harvest) == lag_pairs(window, b.estimate_blocks)
     assert res.walk_steps == harvest.walk_steps
     assert res.masks() == [IndexSet.of(3, [1, 2]).mask]
     # where a screen runs and is the longer phase, it prices the walk
@@ -359,7 +360,7 @@ def test_screen_only_run_matches_the_full_sieves_screen(monkeypatch):
     full = run_sieve(f, n, params, budgets, 12)
     (harvest,) = harvests
     assert len(harvest) > budgets.screen_pairs and full.walk_steps == harvest.walk_steps
-    monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", lambda self, count, gap: harvest)
+    monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", lambda self, *args: harvest)
     screen_only = replace(budgets, estimate_blocks=0)
     screened = run_sieve(f, n, params, screen_only, 12)
     assert (screened.sets, screened.estimates, screened.truncated) == ((), (), False)
@@ -367,10 +368,9 @@ def test_screen_only_run_matches_the_full_sieves_screen(monkeypatch):
     assert screened.candidates == full.candidates
     # and a screen-only run draws just its screen's pairs, and no lag
     monkeypatch.undo()
-    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
     harvests = _recording_harvests(monkeypatch)
     screened = run_sieve(f, n, params, screen_only, 12)
-    assert [len(h) for h in harvests] == [budgets.screen_pairs]
+    assert [(len(h), h.lags) for h in harvests] == [(budgets.screen_pairs, None)]
     assert screened.walk_steps == harvests[0].walk_steps
 
 
@@ -440,10 +440,10 @@ def test_pooled_run_above_n_cap_bins_onto_pool():
 def test_estimating_run_refuses_a_pool_above_bulk_cap(monkeypatch):
     # one screening pair gives every coordinate a +inf contrast, so all 21
     # stay pooled (theta = 3/8 puts the pool cap at 22), past BULK_WHT_MAX_N:
-    # a run that estimates refuses right after its screen, reading no lag
-    # sample from its harvest
+    # a run that estimates refuses right after its screen, binning none of
+    # the lag samples its harvest cut
     n = 21
-    monkeypatch.setattr(RefreshPairs, "lag_samples", _fail)
+    monkeypatch.setattr(sieve_mod, "estimate_sq_coeff_bulk", _fail)
     f = parity_table(n, [4, 17])
     params = SieveParams(level=2, theta=3 / 8, delta=0.1)
     assert sieve_mod._pool_cap(params) >= n > sieve_mod.BULK_WHT_MAX_N
@@ -451,8 +451,8 @@ def test_estimating_run_refuses_a_pool_above_bulk_cap(monkeypatch):
     oracle = RandomWalkOracle(f, n, seed=31)
     with pytest.raises(PoolOverflow, match="BULK_WHT_MAX_N = 20"):
         bounded_sieve(oracle, params, budgets)
-    lags = lag_pairs(lag_window(budgets.lag, budgets.gap_steps), 2_000)
-    harvest = RandomWalkOracle(f, n, seed=31).refresh_pairs(lags, budgets.gap_steps)
+    window = lag_window(budgets.lag, budgets.gap_steps)
+    harvest = RandomWalkOracle(f, n, seed=31).refresh_pairs(1, budgets.gap_steps, window, 2_000)
     assert oracle.steps_served == harvest.walk_steps > 0
     # a screen-only run keeps the same 21-coordinate pool and estimates nothing
     screen = RandomWalkOracle(f, n, seed=31).refresh_pairs(1, budgets.gap_steps)

@@ -10,12 +10,14 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from junta_walk.fourier import default_lag
+from junta_walk.fourier import default_lag, estimate_bounded_influence
 from junta_walk.functions import parity_table, random_table
+from junta_walk import walk
 from junta_walk.hypercube import IndexSet, JuntaHypothesis
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
+    ScreenTally,
     _draw_steps,
     _word,
     effective_refresh_density,
@@ -28,7 +30,7 @@ from junta_walk.walk import (
     sample_size_concentration,
     sample_size_erm,
 )
-from lag_reference import boundary, lag_samples_from_pairs
+from lag_reference import boundary, lag_samples_from_pairs, oracle_pairs, raw_pairs, tally_of
 
 XOR2 = parity_table(6, [1, 2])
 
@@ -54,7 +56,7 @@ def test_walk_layer_enforces_the_packed_cap():
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
             RandomWalkOracle(f, n, seed=1)
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
-            harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
+            harvest_refresh_pairs(f, n, screen_pairs=5, gap_steps=3, seed=1)
     assert len(generate_walk(f, 63, 5, 1)) == 5
     assert len(RandomWalkOracle(f, 63, seed=1).refresh_pairs(5, gap_steps=3)) == 5
 
@@ -70,7 +72,7 @@ def test_label_source_of_another_dimension_is_refused(entry, delta):
             if entry == "oracle":
                 RandomWalkOracle(f, n, seed=1)
             elif entry == "harvest":
-                harvest_refresh_pairs(f, n, pair_count=5, gap_steps=3, seed=1)
+                harvest_refresh_pairs(f, n, screen_pairs=5, gap_steps=3, seed=1)
             else:
                 generate_walk(f, n, 5, 1)
 
@@ -118,7 +120,10 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
         assert coords.min() == 1 and coords.max() == n
         np.testing.assert_array_equal(w.labels, f(w.points))
         assert np.any(w.labels == 1) and np.any(w.labels == -1)
-    pairs = oracle.refresh_pairs(5_000, gap_steps=40)
+    harvest = oracle.refresh_pairs(5_000, gap_steps=40)
+    pairs = oracle_pairs(f, n, 63, 5_000, 40, request=2)
+    assert pairs.walk_steps == harvest.walk_steps
+    assert harvest.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
     assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.refreshed_masks == 0)
     assert np.all(pairs.y_bits[:-2] == pairs.x_bits[2:])  # one walk, cut into half-blocks
     np.testing.assert_array_equal(pairs.label_x, f(pairs.x_bits))
@@ -175,7 +180,7 @@ ENTRIES = {
     "oracle_seed": lambda seed: RandomWalkOracle(XOR2, 6, seed=seed),
     "walk": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).walk(*args),
     "refresh_pairs": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(*args),
-    "lag_samples": lambda *args: harvest_refresh_pairs(XOR2, 6, 50, 3, 1).lag_samples(*args),
+    "lag_samples": lambda window, blocks: harvest_refresh_pairs(XOR2, 6, 0, 3, 1, window, blocks),
     "lag_window": lag_window,
     "effective_refresh_density": effective_refresh_density,
     "gap_for_density": gap_for_density,
@@ -188,7 +193,7 @@ REFUSALS = [
     ("generate_walk", (6, 2.5, 1), TypeError, "length=2.5"),
     ("generate_walk", (6, True, 1), TypeError, "length=True"),
     ("harvest_refresh_pairs", (6, 10, 1.5, 1), TypeError, "gap_steps=1.5"),
-    ("harvest_refresh_pairs", (6, True, 3, 1), TypeError, "pair_count=True"),
+    ("harvest_refresh_pairs", (6, True, 3, 1), TypeError, "screen_pairs=True"),
     ("RandomWalkOracle", (6.0,), TypeError, "n=6.0"),
     ("oracle_seed", (-1,), ValueError, "seed=-1"),
     ("oracle_seed", (1.5,), TypeError, "seed=1.5"),
@@ -196,13 +201,13 @@ REFUSALS = [
     ("walk", (3.0,), TypeError, "length=3.0"),
     ("walk", (False,), TypeError, "length=False"),
     ("refresh_pairs", (10, 2.5), TypeError, "gap_steps=2.5"),
-    ("refresh_pairs", (True, 3), TypeError, "pair_count=True"),
+    ("refresh_pairs", (True, 3), TypeError, "screen_pairs=True"),
     ("lag_samples", (1.5, 5), TypeError, "window=1.5"),
     ("lag_samples", (2, True), TypeError, "blocks=True"),
     ("lag_samples", (3, 5), ValueError, "window=3"),
     ("lag_samples", (0, 5), ValueError, "window=0"),
     ("lag_samples", (2, 0), ValueError, "blocks=0"),
-    ("lag_samples", (4, 25), ValueError, "need 51 pairs, got 50"),
+    ("lag_samples", (4, -1), ValueError, "blocks=-1"),
     ("lag_window", (1.5, 3), TypeError, "lag=1.5"),
     ("lag_window", (4, 0), ValueError, "gap_steps=0"),
     ("effective_refresh_density", (0, 3), ValueError, "n=0"),
@@ -228,14 +233,16 @@ def test_walk_sizes_are_refused_by_name(entry, args, error, name):
 
 def test_harvest_validation():
     with pytest.raises(ValueError):
-        harvest_refresh_pairs(XOR2, 6, pair_count=10, gap_steps=0, seed=1)
+        harvest_refresh_pairs(XOR2, 6, screen_pairs=10, gap_steps=0, seed=1)
     with pytest.raises(ValueError):
-        harvest_refresh_pairs(XOR2, 6, pair_count=0, gap_steps=3, seed=1)
+        harvest_refresh_pairs(XOR2, 6, screen_pairs=0, gap_steps=3, seed=1)
 
 
 def test_harvest_pairs_chain_into_one_walk():
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=5000, gap_steps=3, seed=2)
-    assert len(pairs) == 5000
+    pairs = raw_pairs(XOR2, 6, 5000, 3, seed=2)
+    harvest = harvest_refresh_pairs(XOR2, 6, screen_pairs=5000, gap_steps=3, seed=2)
+    assert len(pairs) == len(harvest) == len(harvest.screen) == 5000
+    assert harvest.walk_steps == pairs.walk_steps
     # pair i spans half-blocks i and i + 1: it ends where pair i + 2 starts
     np.testing.assert_array_equal(pairs.y_bits[:-2], pairs.x_bits[2:])
     np.testing.assert_array_equal(pairs.label_y[:-2], pairs.label_x[2:])
@@ -245,7 +252,7 @@ def test_harvest_pairs_chain_into_one_walk():
 def test_harvest_pairs_overlap_in_one_half_block():
     # x[i + 1] ^ x[i] is half-block i's move, which both pairs i - 1 and i refresh
     for n, gap in ((6, 3), (16, 7), (63, 40)):
-        pairs = harvest_refresh_pairs(_top_bit_labels(n), n, 5000, gap, seed=n)
+        pairs = raw_pairs(_top_bit_labels(n), n, 5000, gap, seed=n)
         x, masks = pairs.x_bits, pairs.refreshed_masks
         move = x[2:] ^ x[1:-1]
         assert np.all(move & ~(masks[1:-1] & masks[:-2]) == 0)
@@ -253,13 +260,13 @@ def test_harvest_pairs_overlap_in_one_half_block():
 
 
 def test_harvest_moves_only_refreshed_coordinates():
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=5000, gap_steps=4, seed=3)
+    pairs = raw_pairs(XOR2, 6, 5000, 4, seed=3)
     diff = pairs.x_bits ^ pairs.y_bits
     assert np.all(diff & ~pairs.refreshed_masks == 0)
 
 
 def test_harvest_empty_blocks_keep_the_point():
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=20_000, gap_steps=2, seed=4)
+    pairs = raw_pairs(XOR2, 6, 20_000, 2, seed=4)
     empty = pairs.refreshed_masks == 0
     # P[empty block] = e^-2, so about 2700 of 20000
     assert 2000 < int(empty.sum()) < 3500
@@ -275,8 +282,11 @@ def test_harvest_reads_a_plain_walk_and_charges_its_flips():
         oracle = RandomWalkOracle(_top_bit_labels(n), n, seed=seed)
         oracle.walk(1 + seed)
         served = oracle.steps_served
-        pairs = oracle.refresh_pairs(1 + seed % 50, gap_steps=1 + seed % 9)
-        assert oracle.steps_served - served == pairs.walk_steps
+        count, gap = 1 + seed % 50, 1 + seed % 9
+        harvest = oracle.refresh_pairs(count, gap_steps=gap)
+        assert oracle.steps_served - served == harvest.walk_steps
+        pairs = oracle_pairs(_top_bit_labels(n), n, seed, count, gap, request=1)
+        assert pairs.walk_steps == harvest.walk_steps
         moved = int(np.bitwise_count(pairs.x_bits[0] ^ pairs.y_bits[-1]))
         assert moved % 2 == pairs.walk_steps % 2
 
@@ -289,7 +299,7 @@ def test_harvest_selection_survives_counts_past_a_byte(n):
     # half-blocks of a dozen or more pairs here.  Every pair refreshes every
     # coordinate, and each half-block's move is a fair bit per coordinate.
     count, gap = 40_000, 1024 * n
-    pairs = harvest_refresh_pairs(_top_bit_labels(n), n, count, gap, seed=n)
+    pairs = raw_pairs(_top_bit_labels(n), n, count, gap, seed=n)
     assert np.all(pairs.refreshed_masks == (1 << n) - 1)
     moves = pairs.x_bits[1:] ^ pairs.x_bits[:-1]
     for i in range(n):
@@ -298,17 +308,19 @@ def test_harvest_selection_survives_counts_past_a_byte(n):
 
 
 def test_harvest_determinism():
-    a = harvest_refresh_pairs(XOR2, 6, pair_count=100, gap_steps=3, seed=5)
-    b = harvest_refresh_pairs(XOR2, 6, pair_count=100, gap_steps=3, seed=5)
+    a, b = (raw_pairs(XOR2, 6, 100, 3, seed=5) for _ in range(2))
     np.testing.assert_array_equal(a.x_bits, b.x_bits)
     np.testing.assert_array_equal(a.refreshed_masks, b.refreshed_masks)
+    a, b = (harvest_refresh_pairs(XOR2, 6, 100, 3, 5, 4, 30) for _ in range(2))
+    np.testing.assert_array_equal(a.screen.hists, b.screen.hists)
+    np.testing.assert_array_equal(a.lags.diff, b.lags.diff)
 
 
 def test_unrefreshed_parity_product_is_exactly_one():
     # f = chi_{1}: if coordinate 1 is not refreshed, f(x) f(y) = +1 for every
     # single pair, not just on average
     f = parity_table(4, [1])
-    pairs = harvest_refresh_pairs(f, 4, pair_count=30_000, gap_steps=3, seed=6)
+    pairs = raw_pairs(f, 4, 30_000, 3, seed=6)
     prod = pairs.label_x.astype(np.int32) * pairs.label_y
     hit = (pairs.refreshed_masks & np.uint64(1)) != 0
     assert np.all(prod[~hit] == 1)
@@ -318,7 +330,7 @@ def test_unrefreshed_parity_product_is_exactly_one():
 
 def test_refresh_membership_matches_density_formula():
     gap = 4
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=40_000, gap_steps=gap, seed=7)
+    pairs = raw_pairs(XOR2, 6, 40_000, gap, seed=7)
     p = effective_refresh_density(6, gap)
     for i in range(1, 7):
         freq = float(np.mean((pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1)))
@@ -327,7 +339,7 @@ def test_refresh_membership_matches_density_formula():
 
 def test_refresh_memberships_are_independent_across_coordinates():
     # joint frequency of {1 refreshed, 2 refreshed} factorizes
-    pairs = harvest_refresh_pairs(XOR2, 6, pair_count=60_000, gap_steps=4, seed=8)
+    pairs = raw_pairs(XOR2, 6, 60_000, 4, seed=8)
     a = ((pairs.refreshed_masks >> np.uint64(0)) & np.uint64(1)).astype(float)
     b = ((pairs.refreshed_masks >> np.uint64(1)) & np.uint64(1)).astype(float)
     joint = float(np.mean(a * b))
@@ -464,12 +476,11 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
         # gap 1 leaves empty blocks at the head and the tail of a chunk
         for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
             seed = 1000 * n + gap + count
-            pairs = harvest_refresh_pairs(f, n, count, gap, seed)
+            pairs = raw_pairs(f, n, count, gap, seed)
             want = _reference_cell_harvest(f, n, count, gap, seed)
             assert pairs.walk_steps == want.pop("walk_steps")
             for name, ref in want.items():
                 got = getattr(pairs, name)
-                assert not got.flags.writeable
                 if name not in ("label_x", "label_y"):
                     # points and masks are stored in the narrow word
                     assert got.dtype == _word(n)
@@ -480,7 +491,8 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [5, 16, 40])
 def test_label_sources_read_uint64_points_from_narrow_pairs(n):
     # pairs are stored in the narrow word, but every label source still
-    # receives uint64 packed points, each boundary exactly once per harvest
+    # receives uint64 packed points, each screened boundary exactly once per
+    # harvest, and past the screen only the boundaries a lag sample reads
     top = _top_bit_labels(n)
     seen = []
 
@@ -494,27 +506,93 @@ def test_label_sources_read_uint64_points_from_narrow_pairs(n):
     harvested = harvest_refresh_pairs(source, n, count, gap, seed=n)
     served = RandomWalkOracle(source, n, seed=n).refresh_pairs(count, gap)
     assert sum(seen) == 2 * (count + 2)
-    for pairs in (harvested, served):
-        for name in ("x_bits", "y_bits", "refreshed_masks"):
-            got = getattr(pairs, name)
-            assert got.dtype == _word(n) and not got.flags.writeable
-        for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
-            want = labels_for(top, points.astype(np.uint64))
-            assert labels.tobytes() == want.tobytes()
+    pairs = raw_pairs(top, n, count, gap, seed=n)
+    assert served.walk_steps == oracle_pairs(top, n, n, count, gap).walk_steps
+    for name in ("x_bits", "y_bits", "refreshed_masks"):
+        assert getattr(pairs, name).dtype == _word(n)
+    for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
+        want = labels_for(top, points.astype(np.uint64))
+        assert labels.tobytes() == want.tobytes()
+    assert harvested.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
+    assert harvested.walk_steps == pairs.walk_steps
+    # a screen of the first quarter and lag samples of 6 half-blocks
+    seen.clear()
+    blocks = 2 * count // 3
+    screen = count // 4
+    harvest_refresh_pairs(source, n, screen, gap, n, 6, blocks)
+    past = blocks + 2 - (screen + 1) // 3 - 1  # lag boundaries 3m > screen + 1
+    assert sum(seen) == screen + 2 + past
 
 
-def test_harvest_holds_under_twelve_bytes_a_pair():
-    # points and masks in the 2-byte word and int8 labels, with one chunk's
-    # working buffers; uint64 points and masks alone would take 16 bytes a pair
-    n, count = 16, 300_000
-    f = random_table(n, np.random.default_rng(16))
+def _screen_harvest_peak(n, count, gap, seed):
+    f = random_table(n, np.random.default_rng(seed))
     tracemalloc.start()
     try:
-        harvest_refresh_pairs(f, n, count, gap_for_density(n, 1 / 3), seed=16)
-        peak = tracemalloc.get_traced_memory()[1]
+        harvest_refresh_pairs(f, n, count, gap, seed)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * count
+
+
+def test_screen_harvest_peak_is_one_chunk_at_any_length():
+    # a screen-only harvest holds one chunk's buffers whatever its length.
+    # Per half-block of the B = _HARVEST_CHUNK_STEPS // gap in a chunk:
+    # word-wide rows of uint8 flip counts and bool selections, a uint64
+    # point, its boundary, label and selection words, and as many words
+    # built per chunk (moves, packed selections, labels); per cell drawn
+    # (mean B gap / 4 flips and as many no-ops): the flips' intp cells, held
+    # while the no-ops' int32 draw is widened to intp; and the tally's keys.
+    n = 16
+    gap = gap_for_density(n, 1 / 3)
+    halves = _HARVEST_CHUNK_STEPS // gap
+    word = np.dtype(_word(n)).itemsize
+    per_half = 2 * 8 * word + 8 + 2 * (2 * word + 1)
+    one_chunk = halves * per_half + halves * gap / 4 * (8 + 4 + 8) + walk._TALLY_CHUNK * 9
+    peaks = [_screen_harvest_peak(n, count, gap, 16) for count in (300_000, 3_000_000)]
+    assert max(peaks) < one_chunk
+    # an array of even one byte a pair would add 2.7 MB at the longer harvest
+    assert abs(peaks[1] - peaks[0]) < 1 << 16
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
+    # the screen is tallied and the lag samples are cut chunk by chunk,
+    # carrying two boundaries and a selection word across each chunk edge:
+    # screens and lag walks that end one pair before an edge, at it and one
+    # pair after it give the bytes read off the raw chunks concatenated
+    gap = 50
+    edge = _HARVEST_CHUNK_STEPS // gap  # half-blocks per chunk
+    for half in (1, 3):
+        window = 2 * half
+        # a walk of h half-blocks holds h // half - 1 lag samples
+        lag_lengths = [0] + [h // half - 1 for h in (edge - 1, edge, edge + 1, 2 * edge + 1)]
+        for screen in (0, 1, edge - 2, edge - 1, edge, 2 * edge):
+            for blocks in lag_lengths:
+                if not screen and not blocks:
+                    continue
+                seed = 10 * screen + blocks + half
+                harvest = harvest_refresh_pairs(_hash_label, n, screen, gap, seed, window, blocks)
+                pairs = raw_pairs(_hash_label, n, len(harvest), gap, seed)
+                assert harvest.walk_steps == pairs.walk_steps
+                if screen:
+                    want = ScreenTally(n)
+                    masks, label_x, label_y = pairs.refreshed_masks, pairs.label_x, pairs.label_y
+                    want.add(masks[:screen], label_x[:screen], label_y[:screen])
+                    got = estimate_bounded_influence(harvest.screen)
+                    assert len(harvest.screen) == screen
+                    for g, w in zip(got, estimate_bounded_influence(want)):
+                        _assert_same_bytes(g, w)
+                else:
+                    assert harvest.screen is None
+                if blocks:
+                    chain = np.concatenate((pairs.x_bits, pairs.y_bits[-2:]))
+                    labels = np.concatenate((pairs.label_x, pairs.label_y[-2:]))
+                    starts = slice(0, blocks * half, half)
+                    ends = slice(window, window + blocks * half, half)
+                    _assert_same_bytes(harvest.lags.diff, chain[starts] ^ chain[ends])
+                    _assert_same_bytes(harvest.lags.prod, labels[starts] * labels[ends])
+                else:
+                    assert harvest.lags is None
 
 
 @pytest.mark.parametrize("kernel", ["blocks", "steps"])
@@ -528,7 +606,7 @@ def test_harvest_follows_the_refresh_law(n, gap, kernel):
     count, seed = 200_000, 100 * n + gap
     f = _top_bit_labels(n)
     if kernel == "blocks":
-        pairs = harvest_refresh_pairs(f, n, count, gap, seed)
+        pairs = raw_pairs(f, n, count, gap, seed)
         r, d, steps = pairs.refreshed_masks, pairs.x_bits ^ pairs.y_bits, pairs.walk_steps
     else:
         want = _reference_harvest(f, n, count, gap, seed)
@@ -638,8 +716,10 @@ def test_oracle_reproduces_request_sequence():
     b = RandomWalkOracle(f, 8, seed=99)
     wa, wb = a.walk(200), b.walk(200)
     np.testing.assert_array_equal(wa.points, wb.points)
-    pa, pb = a.refresh_pairs(100, 3), b.refresh_pairs(100, 3)
-    np.testing.assert_array_equal(pa.x_bits, pb.x_bits)
+    pa, pb = a.refresh_pairs(100, 3, 4, 30), b.refresh_pairs(100, 3, 4, 30)
+    np.testing.assert_array_equal(pa.screen.hists, pb.screen.hists)
+    np.testing.assert_array_equal(pa.lags.diff, pb.lags.diff)
+    assert pa.walk_steps == pb.walk_steps
 
 
 def test_oracle_requests_are_independent():
@@ -663,7 +743,7 @@ def test_rejected_requests_do_not_consume_a_seed():
     bad_requests = (
         ("walk", (0,), "length=0"),
         ("walk", (-3,), "length=-3"),
-        ("refresh_pairs", (0, 3), "pair_count=0"),
+        ("refresh_pairs", (0, 3), "screen_pairs=0"),
         ("refresh_pairs", (5, 0), "gap_steps=0"),
     )
     for name, args, message in bad_requests:
@@ -690,15 +770,15 @@ def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
     for window in sorted({2, 4, 6, lag_window(default_lag(n, 0.05), gap)}):
         for blocks in (1, 2, 7, 20_000):
             oracle = RandomWalkOracle(_hash_label, n, 100 * n + window)
-            pairs = oracle.refresh_pairs(lag_pairs(window, blocks), gap)
-            got = pairs.lag_samples(window, blocks)
+            harvest = oracle.refresh_pairs(0, gap, window, blocks)
+            got = harvest.lags
+            pairs = oracle_pairs(_hash_label, n, 100 * n + window, lag_pairs(window, blocks), gap)
             want = lag_samples_from_pairs(pairs, window, blocks)
             assert (got.n, len(got)) == (n, blocks)
             _assert_same_bytes(got.diff, want.diff)
             assert got.prod.dtype == np.int8 and np.array_equal(got.prod, want.prod)
             assert not got.diff.flags.writeable and not got.prod.flags.writeable
-            # reading them draws nothing
-            assert oracle.steps_served == pairs.walk_steps
+            assert oracle.steps_served == harvest.walk_steps == pairs.walk_steps
 
 
 def test_lag_walk_steps_count_the_half_windows():
@@ -717,14 +797,14 @@ def test_lag_walk_steps_count_the_half_windows():
 
 def test_lag_samples_charge_exactly_their_half_windows():
     # the lag samples' half-blocks are the harvest's, which charges its
-    # flips: gap/4 per half-block on average; reading samples charges none
+    # flips: gap/4 per half-block on average
     f = random_table(8, np.random.default_rng(2))
     oracle = RandomWalkOracle(f, 8, seed=5)
     served = 0
     for lag, gap, blocks in ((1, 4, 1), (4, 4, 2), (6, 3, 333), (18, 6, 5_000)):
         window = lag_window(lag, gap)
-        pairs = oracle.refresh_pairs(lag_pairs(window, blocks), gap)
-        pairs.lag_samples(window, blocks)
+        pairs = oracle.refresh_pairs(0, gap, window, blocks)
+        assert len(pairs) == lag_pairs(window, blocks) and len(pairs.lags) == blocks
         served += pairs.walk_steps
         assert oracle.steps_served == served
         mean = (blocks + 1) * window / 2 * gap / 4
@@ -738,10 +818,8 @@ def test_lag_sample_ends_where_the_sample_two_later_starts(lag):
     # adjacent samples share a half-window
     n, blocks, gap = 9, 50, 3
     window = lag_window(lag, gap)
-    pairs = RandomWalkOracle(_hash_label, n, seed=lag).refresh_pairs(
-        lag_pairs(window, blocks), gap
-    )
-    drawn = pairs.lag_samples(window, blocks)
+    drawn = RandomWalkOracle(_hash_label, n, seed=lag).refresh_pairs(0, gap, window, blocks).lags
+    pairs = oracle_pairs(_hash_label, n, lag, lag_pairs(window, blocks), gap)
     half = window // 2
     starts = np.array([boundary(pairs, b * half)[0] for b in range(blocks + 2)], np.uint64)
     labels = np.array([boundary(pairs, b * half)[1] for b in range(blocks + 2)])
