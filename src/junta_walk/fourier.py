@@ -194,22 +194,16 @@ def estimate_sq_coeff(samples: LagSamples, S: IndexSet) -> float:
     return float(np.mean(samples.prod * parity_sign_u64(samples.diff, S.mask)))
 
 
-# Lag samples per step of the bulk estimator's binning: its index and
-# scratch words and float64 weights take ~2 MB however many samples there are.
-_BIN_CHUNK = 1 << 16
-
-
 def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
     """Estimates of fhat(S)^2 for every S inside the pool at once.
 
     Entry r is for the set of pool coordinates picked by the bits of r, in
     the restriction-index order of ``JuntaHypothesis.table``.  chi_S of a
     lag-pair xor word depends only on its pool bits, so the +-1 label
-    products are binned on the pool as signed integer counts and one exact
+    products are binned on the pool as exact int64 counts (``signed_sums``,
+    whose temporaries do not grow with the sample count) and one exact
     transform of 2^|pool| cells gives every sum; each entry equals
-    :func:`estimate_sq_coeff` bit for bit.  The samples are binned
-    max(_BIN_CHUNK, 2^|pool|) at a time into exact int64 sums, so the peak
-    does not grow with their number.  Requires |pool| <= BULK_WHT_MAX_N.
+    :func:`estimate_sq_coeff` bit for bit.  Requires |pool| <= BULK_WHT_MAX_N.
     """
     if pool.n != samples.n:
         raise ValueError(f"pool over n={pool.n}, samples over n={samples.n}")
@@ -218,12 +212,7 @@ def estimate_sq_coeff_bulk(samples: LagSamples, pool: IndexSet) -> np.ndarray:
             f"bulk estimation needs a pool of <= {BULK_WHT_MAX_N} coordinates, "
             f"got {len(pool)}"
         )
-    # a chunk at least as long as the table keeps each chunk's bincount cheap
-    chunk = max(_BIN_CHUNK, 1 << len(pool))
-    sums = np.zeros(1 << len(pool), dtype=np.int64)
-    for lo in range(0, len(samples), chunk):
-        sums += signed_sums(pool, samples.diff[lo : lo + chunk], samples.prod[lo : lo + chunk])
-    return wht(sums) / len(samples)
+    return wht(signed_sums(pool, samples.diff, samples.prod)) / len(samples)
 
 
 def expected_sq_estimate(spec: Spectrum, S: IndexSet, mean_flips: float) -> float:

@@ -287,27 +287,19 @@ class TrialReport:
     error: str | None = None
 
     def to_csv(self) -> list[str]:
-        """The CSV_COLUMNS fields as text: exact fractions ("nan" when
-        absent), floats by repr, and ``passed`` as 1 or 0."""
+        """The CSV_COLUMNS fields of :meth:`to_dict` (``n`` from the spec) as
+        text: None as "nan", a bool as 1 or 0, a float by repr, anything else
+        (integers and the exact fractions' strings) by str."""
 
-        def frac(x: Fraction | None) -> str:
-            return "nan" if x is None else str(x)
+        def cell(value) -> str:
+            if value is None:
+                return "nan"
+            if isinstance(value, bool):
+                return "1" if value else "0"
+            return repr(value) if isinstance(value, float) else str(value)
 
-        return [
-            str(self.trial_id),
-            str(self.spec.n),
-            str(self.k),
-            repr(self.eps),
-            repr(self.delta),
-            repr(self.spec.corruption.gamma),
-            frac(self.opt),
-            frac(self.delta_hf),
-            frac(self.excess),
-            "1" if self.passed else "0",
-            str(self.seed),
-            repr(self.wall_ms),
-            str(self.walk_steps),
-        ]
+        row = {**self.to_dict(), "n": self.spec.n}
+        return [cell(row[name]) for name in CSV_COLUMNS]
 
     def to_dict(self) -> dict:
         return {

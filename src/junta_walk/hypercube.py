@@ -102,11 +102,28 @@ def restriction_indices(J: IndexSet, bits: np.ndarray) -> np.ndarray:
     return idx.view(np.int64)  # below 2^63, so the same number as an int64
 
 
+# Points per step of signed_sums: a step's uint64 words, index and scratch
+# word and float64 weights take ~2 MB however many points are binned.
+_BIN_CHUNK = 1 << 16
+
+
 def signed_sums(J: IndexSet, bits: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Exact int64 sum of the +-1 ``signs`` of the packed points ``bits`` in
-    each of the 2^|J| subcubes J cuts, indexed as by restriction_indices."""
-    cells = restriction_indices(J, bits)
-    return np.bincount(cells, weights=signs, minlength=1 << len(J)).astype(np.int64)
+    each of the 2^|J| subcubes J cuts, indexed as by restriction_indices.
+
+    The points are binned max(_BIN_CHUNK, 2^|J|) at a time (a step at least
+    as long as the table keeps each step's bincount cheap) and the steps'
+    exact int64 sums added, so no temporary grows with the number of points.
+    """
+    size = 1 << len(J)
+    step = max(_BIN_CHUNK, size)
+    sums = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(bits), step):
+        # the index is a temporary here, freed before the next step's is built
+        part = slice(lo, lo + step)
+        counts = np.bincount(restriction_indices(J, bits[part]), signs[part], size)
+        sums += counts.astype(np.int64)
+    return sums
 
 
 def _as_sign_array(values: Sequence[int] | np.ndarray) -> np.ndarray:

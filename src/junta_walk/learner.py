@@ -185,7 +185,7 @@ def best_junta(
     support's sums from ``subcube_sums``; larger pools bin it onto each
     support from bit columns extracted once.  :func:`best_support` scores
     them, ties going to the smallest coordinate-set mask, so reruns on the
-    same sample are reproducible.
+    same sample are reproducible.  Labels are +-1 in an integer dtype.
     """
     points = np.asarray(points, dtype=np.uint64)
     labels = np.asarray(labels)
@@ -193,8 +193,10 @@ def best_junta(
         raise ValueError("empty sample")
     if points.shape != labels.shape:
         raise ValueError(f"{points.size} points but {labels.size} labels")
-    if not np.all((labels == 1) | (labels == -1)):
-        raise ValueError("sample labels must all be +1 or -1")
+    # integers in [-1, 1] and none 0, read by reductions: no temporary as long as the sample
+    signs = labels.dtype.kind in "iu" and -1 <= labels.min() and labels.max() <= 1
+    if not signs or np.count_nonzero(labels) < labels.size:
+        raise ValueError("sample labels must all be +1 or -1 integers")
     coords = pool.coords()
     if len(coords) < k:
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
@@ -208,7 +210,9 @@ def best_junta(
 
 @dataclass(frozen=True)
 class LearnOutcome:
-    """Learned hypothesis with the run's pool, sieve result, and accounting."""
+    """Learned hypothesis with the run's pool, sieve result, and accounting:
+    ``walk_steps`` counts the oracle steps this run drew (sieve and ERM
+    walk), not those the oracle served before it."""
 
     hypothesis: JuntaHypothesis
     pool: IndexSet
@@ -229,6 +233,7 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
     n = oracle.n
     if params.k > n:
         raise ValueError(f"k={params.k} exceeds dimension n={n}")
+    served_before = oracle.steps_served
     sieve_params = sieve_params_for(params.k, params.epsilon, params.delta)
     if params.mode == "certified":
         result = bounded_sieve(oracle, sieve_params)
@@ -258,6 +263,6 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
         sieve=result,
         disagreements=disagreements,
         sample_size=m,
-        walk_steps=oracle.steps_served,
+        walk_steps=oracle.steps_served - served_before,
     )
 

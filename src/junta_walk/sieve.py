@@ -215,7 +215,9 @@ def _pool_cap(params: SieveParams) -> int:
 
 @dataclass(frozen=True)
 class SieveResult:
-    """Returned sets with their estimates, plus phase diagnostics."""
+    """Returned sets with their estimates, plus phase diagnostics;
+    ``walk_steps`` counts the oracle steps this run drew, not those the
+    oracle served before it."""
 
     n: int
     sets: tuple[IndexSet, ...]
@@ -285,6 +287,7 @@ def bounded_sieve(
     have scored.
     """
     n = oracle.n
+    served_before = oracle.steps_served
     mode = "certified" if budgets is None else "practical"
     if budgets is None:
         budgets = certified_budgets(params, n)
@@ -355,7 +358,7 @@ def bounded_sieve(
         influences=tuple(influences.tolist()),
         candidates=_candidate_bound(len(pool_coords), params.level),
         truncated=truncated,
-        walk_steps=oracle.steps_served,
+        walk_steps=oracle.steps_served - served_before,
         budgets=budgets,
         mode=mode,
     )

@@ -148,11 +148,6 @@ def lag_pairs(window: int, blocks: int) -> int:
     return (blocks + 1) * (window // 2) - 1
 
 
-# Pairs per step of the screen's tally: its intp key buffer and bool
-# disagreement buffer take ~150 KB however many pairs one call adds.
-_TALLY_CHUNK = 16_384
-
-
 class ScreenTally:
     """The screen's counts over refresh pairs, from which
     :func:`~junta_walk.fourier.estimate_bounded_influence` reads each
@@ -173,21 +168,17 @@ class ScreenTally:
     def add(self, masks: np.ndarray, label_x: np.ndarray, label_y: np.ndarray) -> None:
         """Count pairs given as parallel arrays: refreshed masks of any
         unsigned width (their bytes are read little-endian) and +-1 labels.
-        They are keyed _TALLY_CHUNK pairs at a time, so no temporary grows
-        with the number added."""
+        They are keyed in one pass with an intp key and a bool per pair, so a
+        harvest, which adds one chunk at a time, bounds that scratch."""
         octets = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
         octets = octets.view(np.uint8).reshape(-1, masks.dtype.itemsize)
-        key_buf = np.empty(min(_TALLY_CHUNK, len(masks)), dtype=np.intp)
-        dis_buf = np.empty(len(key_buf), dtype=bool)
-        for lo in range(0, len(masks), _TALLY_CHUNK):
-            hi = min(lo + _TALLY_CHUNK, len(masks))
-            dis, keys = dis_buf[: hi - lo], key_buf[: hi - lo]
-            np.not_equal(label_x[lo:hi], label_y[lo:hi], out=dis)
-            for b, hist in enumerate(self.hists):
-                # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
-                np.left_shift(dis, 8, out=keys, dtype=np.intp)
-                keys |= octets[lo:hi, b]
-                hist += np.bincount(keys, minlength=512)
+        dis = np.not_equal(label_x, label_y)
+        keys = np.empty(len(masks), dtype=np.intp)
+        for b, hist in enumerate(self.hists):
+            # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
+            np.left_shift(dis, 8, out=keys, dtype=np.intp)
+            keys |= octets[:, b]
+            hist += np.bincount(keys, minlength=512)
         self.pairs += len(masks)
 
 
@@ -214,7 +205,8 @@ class RefreshHarvest:
 # 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4 cells), into B
 # word-wide rows of uint8 flip counts and of selection bools (<= 128 B per
 # half-block), and labels its boundaries in a B + 1 point uint64 buffer; these
-# buffers are allocated once per harvest.
+# buffers are allocated once per harvest.  The screen's tally keys a chunk's
+# pairs in one pass (9 B a pair), so the chunk bounds the screen's memory too.
 _HARVEST_CHUNK_STEPS = 100_000
 
 

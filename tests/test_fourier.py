@@ -26,9 +26,10 @@ from junta_walk.fourier import (
     wht,
 )
 from junta_walk.functions import and_table, parity_table, random_table
-from junta_walk import walk
-from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices, signed_sums
+from junta_walk import hypercube
+from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
 from junta_walk.walk import (
+    _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
     ScreenTally,
     _word,
@@ -452,24 +453,26 @@ def test_bulk_on_pool_matches_per_set_above_n_cap(n):
 
 
 def test_bulk_bins_each_lag_on_its_own():
-    # the samples' one lag is binned in place, _BIN_CHUNK samples at a time,
-    # with no copy of the samples beyond one chunk's widened word: the peak
-    # is a chunk's uint64 words, index and scratch word, then its index and
-    # float64 weights, whatever the sample count; the exact int64 sums of
-    # the chunks give the one-pass estimates bit for bit
+    # the samples' one lag is binned in place by signed_sums, _BIN_CHUNK
+    # samples at a time, with no copy of the samples beyond one chunk's
+    # widened word: the peak is a chunk's uint64 words, index and scratch
+    # word, then its index and float64 weights, whatever the sample count;
+    # the exact int64 sums of the chunks give the one-pass estimates bit for bit
     n = 8
     f = random_table(n, np.random.default_rng(0))
     samples, _ = harvested_lag_samples(f, n, 5, 200_000, 4, 1)
     pool = IndexSet.of(n, [1, 4, 7])
-    assert len(samples) > 3 * fourier._BIN_CHUNK
+    assert len(samples) > 3 * hypercube._BIN_CHUNK
     tracemalloc.start()
     try:
         bulk = estimate_sq_coeff_bulk(samples, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * fourier._BIN_CHUNK + (1 << 16)
-    one_pass = wht(signed_sums(pool, samples.diff, samples.prod)) / len(samples)
+    assert peak <= 24 * hypercube._BIN_CHUNK + (1 << 16)
+    cells = restriction_indices(pool, samples.diff)
+    sums = np.bincount(cells, weights=samples.prod, minlength=1 << len(pool))
+    one_pass = wht(sums.astype(np.int64)) / len(samples)
     assert bulk.tobytes() == one_pass.tobytes()
 
 
@@ -700,10 +703,10 @@ def _reference_tally(pairs: RawPairs) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 63])
 def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
-    # pair counts around the tally's chunk edges, masks in uint64 and in the
-    # harvest's narrow word, added at once or in two calls split off a chunk
-    # edge: the same pairs must give the same bytes
-    chunk = walk._TALLY_CHUNK
+    # pair counts around a harvest's chunk at n = 16 (the most pairs one
+    # call keys at once), masks in uint64 and in the harvest's narrow word,
+    # added at once or in two calls: the same pairs must give the same bytes
+    chunk = _HARVEST_CHUNK_STEPS // gap_for_density(16, 1 / 3)
     rng = np.random.default_rng(330 + n)
     signs = np.array([-1, 1], dtype=np.int8)
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
@@ -723,26 +726,6 @@ def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
                 for g, w in zip(estimate_bounded_influence(tally), want):
                     assert g.dtype == np.float64 and g.shape == (n,)
                     assert g.tobytes() == w.tobytes()
-
-
-def test_tally_memory_is_flat_in_the_pair_count():
-    # the tally holds one chunk's key and disagreement buffers, whatever the
-    # pair count; a pass over all pairs at once holds several bytes a pair
-    n = 16
-    f = random_table(n, np.random.default_rng(340))
-    gap = gap_for_density(n, 1 / 3)
-    peaks = []
-    for count in (100_000, 400_000):
-        pairs = raw_pairs(f, n, count, gap, seed=count)
-        tracemalloc.start()
-        try:
-            estimate_bounded_influence(tally_of(pairs))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    chunk_buffers = walk._TALLY_CHUNK * (np.dtype(np.intp).itemsize + 1)
-    assert abs(peaks[1] - peaks[0]) < chunk_buffers
-    assert max(peaks) < 1 << 20
 
 
 def test_contrast_coordinate_range():

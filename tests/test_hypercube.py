@@ -19,6 +19,7 @@ from junta_walk.hypercube import (
     distance_exact,
     parity_sign_u64,
     restriction_indices,
+    signed_sums,
 )
 from junta_walk.functions import and_table, parity_table, random_table
 
@@ -239,6 +240,24 @@ def test_restriction_indices_match_the_broadcast_cube():
         h = JuntaHypothesis(J, 1 - 2 * ((np.arange(8) >> j) & 1))
         np.testing.assert_array_equal(h.to_truth_table().values, 1 - 2 * ((idx >> j) & 1))
         np.testing.assert_array_equal(h.label_bits(bits), h.to_truth_table().values[bits])
+
+
+@pytest.mark.parametrize("size", [3, 17])
+def test_signed_sums_steps_give_one_bincount(size):
+    # point counts around the binning step, max(_BIN_CHUNK, 2^|J|), the
+    # 17-coordinate table being wider than _BIN_CHUNK: the steps' int64
+    # sums are byte-equal to one bincount over all the points
+    n = 24
+    rng = np.random.default_rng(600 + size)
+    J = IndexSet.of(n, sorted(int(c) for c in rng.choice(np.arange(1, n + 1), size, False)))
+    step = max(junta_walk.hypercube._BIN_CHUNK, 1 << size)
+    for count in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+        bits = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
+        want = np.bincount(restriction_indices(J, bits), weights=signs, minlength=1 << size)
+        got = signed_sums(J, bits, signs)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -334,6 +335,36 @@ def test_best_junta_needs_enough_coordinates():
         )
 
 
+def test_erm_refuses_non_integer_labels():
+    # float and bool labels are refused even at +-1: the label check reads
+    # integer reductions only
+    points = np.array([0, 1], dtype=np.uint64)
+    for labels in (np.array([1.0, -1.0]), np.array([0.5, -1.0]), np.array([True, True])):
+        with pytest.raises(ValueError, match="labels"):
+            best_junta(points, labels, IndexSet.of(3, [1]), 1)
+
+
+def _best_junta_peak(m):
+    rng = np.random.default_rng(m)
+    points = rng.integers(0, 1 << 16, size=m, dtype=np.uint64)
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+    tracemalloc.start()
+    try:
+        best_junta(points, labels, IndexSet.full(16), 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_best_junta_peak_is_flat_in_the_sample():
+    # the sample is binned onto the 2^16 cells a bounded step at a time and
+    # the labels checked by reductions, so no temporary grows with it; a
+    # one-pass bincount holds ~24 bytes a point (60 MB more at 3 M points)
+    peaks = [_best_junta_peak(m) for m in (500_000, 3_000_000)]
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
+    assert max(peaks) < 8 << 20
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -435,6 +466,22 @@ def test_stock_preset_skips_the_estimation_walk(monkeypatch):
     assert outcome.pool == pad_pool(outcome.sieve.pool, k)
     assert outcome.walk_steps == outcome.sieve.walk_steps + params.erm_sample - 1
     assert set(outcome.hypothesis.J.coords()) == {4, 9}
+
+
+def test_walk_steps_count_only_the_run_on_a_used_oracle():
+    # an oracle that has served 5 000 steps before the run: the sieve and
+    # the learner report the steps they drew, not the oracle's running total
+    f = parity_table(8, [1, 2])
+    params = SieveParams(2, 0.5, 0.1)
+    budgets = practical_budgets(params, 8, 2000, 100)
+    fresh, used = RandomWalkOracle(f, 8, seed=3), RandomWalkOracle(f, 8, seed=3)
+    used.walk(5001)
+    result = bounded_sieve(used, params, budgets)
+    assert result.walk_steps == used.steps_served - 5000 > 0
+    assert bounded_sieve(fresh, params, budgets).walk_steps == fresh.steps_served
+    outcome = learn_outcome(used, practical_params(2, 0.5, 0.2, screen=2000, sample=500))
+    assert outcome.walk_steps == used.steps_served - 5000 - result.walk_steps
+    assert outcome.walk_steps == outcome.sieve.walk_steps + 499
 
 
 def test_learn_rejects_k_above_n():

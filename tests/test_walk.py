@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from junta_walk.fourier import default_lag, estimate_bounded_influence
 from junta_walk.functions import parity_table, random_table
-from junta_walk import walk
 from junta_walk.hypercube import IndexSet, JuntaHypothesis
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
@@ -541,13 +540,14 @@ def test_screen_harvest_peak_is_one_chunk_at_any_length():
     # point, its boundary, label and selection words, and as many words
     # built per chunk (moves, packed selections, labels); per cell drawn
     # (mean B gap / 4 flips and as many no-ops): the flips' intp cells, held
-    # while the no-ops' int32 draw is widened to intp; and the tally's keys.
+    # while the no-ops' int32 draw is widened to intp; and per pair of the
+    # chunk, which the tally keys at once, an intp key and a bool.
     n = 16
     gap = gap_for_density(n, 1 / 3)
     halves = _HARVEST_CHUNK_STEPS // gap
     word = np.dtype(_word(n)).itemsize
     per_half = 2 * 8 * word + 8 + 2 * (2 * word + 1)
-    one_chunk = halves * per_half + halves * gap / 4 * (8 + 4 + 8) + walk._TALLY_CHUNK * 9
+    one_chunk = halves * per_half + halves * gap / 4 * (8 + 4 + 8) + halves * 9
     peaks = [_screen_harvest_peak(n, count, gap, 16) for count in (300_000, 3_000_000)]
     assert max(peaks) < one_chunk
     # an array of even one byte a pair would add 2.7 MB at the longer harvest
