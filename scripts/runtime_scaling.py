@@ -32,8 +32,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.WARNING)
-    if len(args.ns) < 2:
-        parser.error("need at least two values of n to fit a slope")
+    if len(set(args.ns)) < 2:
+        parser.error("need at least two distinct values of n to fit a slope")
+    if args.trials < 1:
+        parser.error(f"--trials {args.trials} must be at least 1")
 
     corruption = (
         Corruption(kind="iid", rate=args.gamma) if args.gamma > 0 else Corruption()

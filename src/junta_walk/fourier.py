@@ -26,7 +26,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .hypercube import IndexSet, TruthTable, parity_sign_u64, signed_sums
+from .hypercube import (
+    IndexSet, TruthTable, _check_integer, _check_real, parity_sign_u64, signed_sums
+)
 from .walk import LagSamples, ScreenTally
 
 # Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
@@ -172,17 +174,14 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
 def default_lag(n: int, theta: float) -> int:
     """Least mean flip count (lag) putting the estimator's systematic
     error below theta/8."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta={theta} outside (0, 1]")
+    _check_real("theta", theta, "(0, 1]")
     return max(1, math.ceil((n / 2) * math.log(8.0 / theta)))
 
 
 def blocks_for(accuracy: float, delta: float) -> int:
     """Sample blocks keeping a mean of [-1, 1] terms within ``accuracy`` w.p. 1-delta."""
-    if not 0.0 < accuracy <= 2.0:
-        raise ValueError(f"accuracy={accuracy} outside (0, 2]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta={delta} outside (0, 1)")
+    _check_real("accuracy", accuracy, "(0, 2]")
+    _check_real("delta", delta, "(0, 1)")
     return math.ceil((2.0 / accuracy**2) * math.log(2.0 / delta))
 
 
@@ -281,8 +280,7 @@ def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarr
 def expected_bounded_influence(spec: Spectrum, i: int, p: float) -> float:
     """Exact contrast sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) under
     independent per-coordinate refreshing at density p."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"coordinate {i} outside 1..{spec.n}")
+    _check_integer("coordinate i", i, 1, spec.n)
     masks = np.arange(1 << spec.n, dtype=np.uint64)
     owns = (masks >> np.uint64(i - 1)) & np.uint64(1) == 1
     sizes = np.bitwise_count(masks).astype(np.float64)

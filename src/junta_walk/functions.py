@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypercube import IndexSet, JuntaHypothesis, TruthTable, parity_sign_u64
+from .hypercube import IndexSet, JuntaHypothesis, TruthTable, _check_real, parity_sign_u64
 
 
 def parity_table(n: int, coords: Iterable[int]) -> TruthTable:
@@ -45,8 +45,7 @@ def random_junta(n: int, k: int, rng: np.random.Generator) -> JuntaHypothesis:
 
 def flip_labels_iid(f: TruthTable, rate: float, rng: np.random.Generator) -> TruthTable:
     """Flip each label independently with the given probability."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"flip rate {rate} outside [0, 1]")
+    _check_real("flip rate", rate, "[0, 1]")
     flips = rng.random(len(f.values)) < rate
     return TruthTable(f.n, np.where(flips, -f.values, f.values))
 
@@ -59,8 +58,7 @@ def flip_labels_region(
     Exactly round(fraction * |region|) positions, chosen uniformly from the
     region, are flipped.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"flip fraction {fraction} outside [0, 1]")
+    _check_real("flip fraction", fraction, "[0, 1]")
     region = np.asarray(region, dtype=bool)
     if len(region) != len(f.values):
         raise ValueError(f"region has {len(region)} entries for a table of {len(f.values)}")

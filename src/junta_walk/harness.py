@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .functions import flip_labels_iid, flip_labels_region, random_junta
-from .hypercube import JuntaHypothesis, TruthTable, _check_integer, distance_exact
+from .hypercube import JuntaHypothesis, TruthTable, _check_integer, _check_real, distance_exact
 from .learner import LearnOutcome, LearnParams, learn_outcome
 from .oracle_bruteforce import MAX_OPT_N, OptResult, exact_opt
 from .walk import RandomWalkOracle
@@ -131,10 +131,10 @@ class Corruption:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "iid", "planted"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if self.kind == "iid" and not 0.0 <= self.rate <= 0.5:
-            raise ValueError(f"iid rate {self.rate} outside [0, 1/2]")
-        if self.kind == "planted" and not 0.0 <= self.fraction <= 0.5:
-            raise ValueError(f"planted fraction {self.fraction} outside [0, 1/2]")
+        if self.kind == "iid":
+            _check_real("iid rate", self.rate, "[0, 0.5]")
+        if self.kind == "planted":
+            _check_real("planted fraction", self.fraction, "[0, 0.5]")
         # read as given, another model's field would be ignored: a rate or a
         # fraction would build an uncorrupted instance
         for key, kind, unset in (

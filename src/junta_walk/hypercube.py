@@ -9,6 +9,7 @@ is the popcount parity of (S_mask AND x_bits).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -25,26 +26,32 @@ def parity_sign_u64(bits: np.ndarray, mask: int) -> np.ndarray:
     return (1 - 2 * par.astype(np.int8)).astype(np.int8)
 
 
-def _check_integer(name: str, value: int, least: int) -> None:
-    """Refuse a value that is not an integer (a bool is refused too) or is
-    below ``least``, naming it."""
+def _check_integer(name: str, value: int, least: int, most: int | None = None) -> None:
+    """Refuse a value that is not an integer (a bool is refused too) or lies
+    outside [least, most], naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name}={value!r} must be an integer")
-    if value < least:
+    if most is None and value < least:
         raise ValueError(f"{name}={value} must be >= {least}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name}={value} outside [{least}, {most}]")
+
+
+def _check_real(name: str, value: float, interval: str) -> None:
+    """Refuse a value that is not a real number (a bool is refused too) or
+    lies outside ``interval``, written as in the message, e.g. ``"(0, 1]"``;
+    NaN lies outside every interval."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}={value!r} must be a real number")
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    below = value < high if interval[-1] == ")" else value <= high
+    if not (above and below):
+        raise ValueError(f"{name}={value} outside {interval}")
 
 
 def _check_dim(n: int) -> None:
-    """Refuse a dimension that is not an integer, or lies outside [1, 63]."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"dimension n={n!r} must be an integer")
-    if not 1 <= n <= MAX_PACKED_N:
-        raise ValueError(f"dimension n={n} outside [1, {MAX_PACKED_N}]")
-
-
-def _check_coord(i: int, n: int) -> None:
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} outside [1, {n}]")
+    _check_integer("dimension n", n, 1, MAX_PACKED_N)
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class IndexSet:
     def of(cls, n: int, coords: Iterable[int]) -> "IndexSet":
         mask = 0
         for i in coords:
-            _check_coord(i, n)
+            _check_integer("coordinate", i, 1, n)
             mask |= 1 << (i - 1)
         return cls(n, mask)
 
@@ -148,8 +155,7 @@ class TruthTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_TABLE_N:
-            raise ValueError(f"truth table dimension n={self.n} outside [1, {MAX_TABLE_N}]")
+        _check_integer("truth table dimension n", self.n, 1, MAX_TABLE_N)
         object.__setattr__(self, "values", _as_sign_array(self.values))
         if len(self.values) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} values, got {len(self.values)}")

@@ -33,6 +33,7 @@ from .hypercube import (
     IndexSet,
     JuntaHypothesis,
     _check_integer,
+    _check_real,
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
@@ -45,8 +46,7 @@ GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
 def theta_for(k: int, epsilon: float) -> float:
     """Sieve threshold making every epsilon-relevant k-set heavy enough to keep."""
     _check_integer("k", k, 1)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside (0, 1]")
+    _check_real("epsilon", epsilon, "(0, 1]")
     return GAP_CONSTANT**2 * 2.0 ** (1 - k) * epsilon**2
 
 
@@ -82,10 +82,8 @@ class LearnParams:
 
     def __post_init__(self) -> None:
         _check_integer("k", self.k, 1)
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon={self.epsilon} outside (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta={self.delta} outside (0, 1)")
+        _check_real("epsilon", self.epsilon, "(0, 1]")
+        _check_real("delta", self.delta, "(0, 1)")
         if (self.screen_pairs is None) != (self.erm_sample is None):
             missing = "erm_sample" if self.erm_sample is None else "screen_pairs"
             raise ValueError(f"a practical run needs both budgets; {missing} is missing")
@@ -160,18 +158,25 @@ def best_support(
 
 
 def _per_support_sums(
-    points: np.ndarray, labels: np.ndarray, pool: IndexSet, supports: Iterable[tuple]
+    points: np.ndarray, labels: np.ndarray, pool: IndexSet, supports: Iterable[tuple], k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(positions, sums)`` of one support at a time, binned on its own
     2^k subcubes: each pool coordinate's bit is extracted from the points
-    once, and a support's subcube index combines k of those columns."""
-    columns = [(points >> np.uint64(c - 1) & np.uint64(1)).astype(np.int64) for c in pool]
+    once, as a uint8 column, and a support's subcube index combines k of
+    those columns in the narrowest word that holds it.  The index and cell
+    buffers are reused across supports."""
+    columns = [(points >> np.uint64(c - 1)).astype(np.uint8) & np.uint8(1) for c in pool]
     weights = labels.astype(np.float64)
+    word = np.min_scalar_type((1 << k) - 1)
+    index = np.empty(len(points), dtype=word)
+    shifted = np.empty_like(index)
+    cells = np.empty(len(points), dtype=np.intp)  # what bincount reads without a copy
     for s in supports:
-        cells = np.zeros(len(points), dtype=np.int64)
+        index.fill(0)
         for j, i in enumerate(s):
-            cells |= columns[i] << j
-        sums = np.bincount(cells, weights=weights, minlength=1 << len(s))
+            index |= np.left_shift(columns[i], j, out=shifted, dtype=word)
+        np.copyto(cells, index)
+        sums = np.bincount(cells, weights=weights, minlength=1 << k)
         yield np.array([s], dtype=np.int64), sums.astype(np.int64)[None]
 
 
@@ -202,7 +207,7 @@ def best_junta(
         raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
     supports = combinations(range(len(coords)), k)
     if len(coords) > BULK_WHT_MAX_N:
-        chunks = _per_support_sums(points, labels, pool, supports)
+        chunks = _per_support_sums(points, labels, pool, supports, k)
     else:
         chunks = subcube_sums(signed_sums(pool, points, labels), supports, k)
     return best_support(chunks, pool, len(labels))

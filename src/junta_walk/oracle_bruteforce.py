@@ -21,6 +21,8 @@ from .hypercube import (
     IndexSet,
     JuntaHypothesis,
     TruthTable,
+    _check_integer,
+    _check_real,
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
 )
 from .learner import GAP_CONSTANT, best_support
@@ -49,8 +51,7 @@ def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult
     """
     if f.n > MAX_OPT_N:
         raise ValueError(f"n={f.n} exceeds the exact-opt cap {MAX_OPT_N}")
-    if not 1 <= k <= f.n:
-        raise ValueError(f"k={k} outside 1..{f.n}")
+    _check_integer("k", k, 1, f.n)
     size = 1 << f.n
     counts: dict[int, int] | None = {} if include_per_set else None
     chunks = subcube_sums(f.values, combinations(range(f.n), k), k)
@@ -151,8 +152,7 @@ def verify_spectrum_lemma(
         k = len(rel_g)
     if len(rel_g) > k:
         raise ValueError(f"g depends on {len(rel_g)} variables, more than k={k}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside (0, 1]")
+    _check_real("epsilon", epsilon, "(0, 1]")
 
     size = 1 << f.n
     coeffs_f = wht(f.values)  # 2^n * fhat, exact
@@ -234,8 +234,7 @@ def counterexample_fixtures(k: int) -> FixtureReport:
     (n = k+1, g = AND on coordinates 2..k+1): <f, g> = 1 - 2^(1-k) while every
     set containing coordinate k+1 has fhat(S) = 0 exactly.
     """
-    if not 1 <= k <= 10:
-        raise ValueError(f"k={k} outside 1..10")
+    _check_integer("k", k, 1, 10)
     facts: dict[str, bool] = {}
     detail: dict[str, str] = {}
 

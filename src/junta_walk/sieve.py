@@ -45,7 +45,7 @@ from .fourier import (
     estimate_bounded_influence,
     estimate_sq_coeff_bulk,
 )
-from .hypercube import IndexSet, _check_integer
+from .hypercube import IndexSet, _check_integer, _check_real
 from .walk import (
     RandomWalkOracle,
     RefreshHarvest,
@@ -103,10 +103,8 @@ class SieveParams:
 
     def __post_init__(self) -> None:
         _check_integer("level", self.level, 1)
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta={self.theta} outside (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta={self.delta} outside (0, 1)")
+        _check_real("theta", self.theta, "(0, 1]")
+        _check_real("delta", self.delta, "(0, 1)")
 
     @property
     def density(self) -> float:
@@ -400,8 +398,7 @@ def certify_result(
     if truth.n != result.n:
         raise ValueError(f"spectrum over n={truth.n}, sieve result over n={result.n}")
     _check_integer("level", level, 0)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta={theta} outside (0, 1]")
+    _check_real("theta", theta, "(0, 1]")
     failures: list[str] = []
     returned = set(result.masks())
     # only the sets of size <= level can be missing, so only they are read

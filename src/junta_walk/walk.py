@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .hypercube import JuntaHypothesis, TruthTable, _check_dim, _check_integer
+from .hypercube import JuntaHypothesis, TruthTable, _check_dim, _check_integer, _check_real
 
 LabelSource = Union[TruthTable, JuntaHypothesis, Callable[[np.ndarray], np.ndarray]]
 
@@ -449,8 +449,7 @@ def effective_refresh_density(n: int, gap_steps: int) -> float:
 def gap_for_density(n: int, p: float) -> int:
     """Smallest mean block length whose refresh density reaches p."""
     _check_dim(n)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"refresh density {p} outside (0, 1)")
+    _check_real("refresh density p", p, "(0, 1)")
     return max(1, math.ceil(-n * math.log(1.0 - p)))
 
 
@@ -471,19 +470,13 @@ class SampleSizePlan:
     m: int
 
 
-def _check_eps_delta(epsilon: float, delta: float) -> None:
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside (0, 1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta={delta} outside (0, 1)")
-
-
 def sample_size_concentration(epsilon: float, delta: float, n: int) -> SampleSizePlan:
     """Walk length holding an empirical mean within epsilon w.p. >= 1-delta.
 
     N = ceil(n ln(n/delta)) and m = ceil((2N/eps^2) ln(2N/delta)).
     """
-    _check_eps_delta(epsilon, delta)
+    _check_real("epsilon", epsilon, "(0, 1]")
+    _check_real("delta", delta, "(0, 1)")
     N = math.ceil(n * math.log(n / delta))
     m = math.ceil((2 * N / epsilon**2) * math.log(2 * N / delta))
     return SampleSizePlan(n, epsilon, delta, 0.0, N, m)
@@ -497,9 +490,9 @@ def sample_size_erm(
     With lnC = log_class_size: N = ceil(n (ln(2n/delta) + lnC)) and
     m = ceil((8N/eps^2)(ln(2N/delta) + lnC)); all |C| factors stay in log space.
     """
-    _check_eps_delta(epsilon, delta)
-    if not 0.0 <= log_class_size < math.inf:
-        raise ValueError(f"log_class_size={log_class_size} must be finite and >= 0")
+    _check_real("epsilon", epsilon, "(0, 1]")
+    _check_real("delta", delta, "(0, 1)")
+    _check_real("log_class_size", log_class_size, "[0, inf)")
     N = math.ceil(n * (math.log(2 * n / delta) + log_class_size))
     m = math.ceil((8 * N / epsilon**2) * (math.log(2 * N / delta) + log_class_size))
     return SampleSizePlan(n, epsilon, delta, log_class_size, N, m)

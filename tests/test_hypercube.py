@@ -1,6 +1,8 @@
 """Bit-packed points, parities, truth tables, and exact distances."""
 
 import json
+import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,15 @@ from hypothesis import strategies as st
 
 import junta_walk
 from junta_walk.cli import _load_instance
-from junta_walk.fourier import Spectrum
+from junta_walk.fourier import Spectrum, blocks_for, default_lag, expected_bounded_influence
+from junta_walk.functions import (
+    and_table,
+    flip_labels_iid,
+    flip_labels_region,
+    parity_table,
+    random_table,
+)
+from junta_walk.harness import Corruption
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
@@ -21,7 +31,10 @@ from junta_walk.hypercube import (
     restriction_indices,
     signed_sums,
 )
-from junta_walk.functions import and_table, parity_table, random_table
+from junta_walk.learner import LearnParams, theta_for
+from junta_walk.oracle_bruteforce import counterexample_fixtures, exact_opt, verify_spectrum_lemma
+from junta_walk.sieve import SieveBudgets, SieveParams, SieveResult, certify_result
+from junta_walk.walk import gap_for_density, sample_size_concentration, sample_size_erm
 
 
 @st.composite
@@ -324,3 +337,86 @@ def test_every_package_export_resolves():
     namespace: dict = {}
     exec("from junta_walk import *", namespace)
     assert set(junta_walk.__all__) <= set(namespace)
+
+
+# ---------------------------------------------------------------------------
+# Numeric arguments, checked through _check_integer and _check_real
+
+
+F3 = parity_table(3, [1])
+EMPTY_RESULT = SieveResult(3, (), (), IndexSet(3), (), 0, False, 0, SieveBudgets(1, 0, 1, 1), "")
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# (entry, the parameter's name in the error, its kind, a call passing the value as it)
+NUMERIC_ARGUMENTS = [
+    ("IndexSet", "dimension n", int, lambda v: IndexSet(v)),
+    ("IndexSet.of", "coordinate", int, lambda v: IndexSet.of(3, [v])),
+    ("TruthTable", "truth table dimension n", int, lambda v: TruthTable(v, [1, -1])),
+    ("exact_opt", "k", int, lambda v: exact_opt(F3, v)),
+    ("counterexample_fixtures", "k", int, counterexample_fixtures),
+    (
+        "expected_bounded_influence",
+        "coordinate i",
+        int,
+        lambda v: expected_bounded_influence(Spectrum.from_table(F3), v, 0.5),
+    ),
+    ("default_lag", "theta", float, lambda v: default_lag(8, v)),
+    ("blocks_for", "accuracy", float, lambda v: blocks_for(v, 0.1)),
+    ("blocks_for", "delta", float, lambda v: blocks_for(0.5, v)),
+    ("flip_labels_iid", "flip rate", float, lambda v: flip_labels_iid(F3, v, _rng())),
+    (
+        "flip_labels_region",
+        "flip fraction",
+        float,
+        lambda v: flip_labels_region(F3, [True] * 8, v, _rng()),
+    ),
+    ("Corruption", "iid rate", float, lambda v: Corruption(kind="iid", rate=v)),
+    ("Corruption", "planted fraction", float, lambda v: Corruption(kind="planted", fraction=v)),
+    ("theta_for", "epsilon", float, lambda v: theta_for(2, v)),
+    ("LearnParams", "epsilon", float, lambda v: LearnParams(2, v, 0.2)),
+    ("LearnParams", "delta", float, lambda v: LearnParams(2, 0.25, v)),
+    ("verify_spectrum_lemma", "epsilon", float, lambda v: verify_spectrum_lemma(F3, F3, v)),
+    ("SieveParams", "theta", float, lambda v: SieveParams(2, v, 0.1)),
+    ("SieveParams", "delta", float, lambda v: SieveParams(2, 0.5, v)),
+    (
+        "certify_result",
+        "theta",
+        float,
+        lambda v: certify_result(EMPTY_RESULT, Spectrum.from_table(F3), v, 2),
+    ),
+    ("gap_for_density", "refresh density p", float, lambda v: gap_for_density(4, v)),
+    ("sample_size_concentration", "epsilon", float, lambda v: sample_size_concentration(v, 0.1, 8)),
+    ("sample_size_concentration", "delta", float, lambda v: sample_size_concentration(0.1, v, 8)),
+    ("sample_size_erm", "epsilon", float, lambda v: sample_size_erm(v, 0.1, 8, 1.0)),
+    ("sample_size_erm", "delta", float, lambda v: sample_size_erm(0.1, v, 8, 1.0)),
+    ("sample_size_erm", "log_class_size", float, lambda v: sample_size_erm(0.1, 0.1, 8, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, math.nan])
+@pytest.mark.parametrize(
+    "entry, name, kind, call", NUMERIC_ARGUMENTS, ids=[f"{r[0]}-{r[1]}" for r in NUMERIC_ARGUMENTS]
+)
+def test_numeric_arguments_refuse_bools_and_non_numbers_by_name(entry, name, kind, call, value):
+    # NaN is a real number, outside every interval, but not an integer
+    error = ValueError if kind is float and isinstance(value, float) else TypeError
+    with pytest.raises(error, match=re.escape(f"{name}={value!r}")):
+        call(value)
+
+
+def test_numeric_refusals_state_the_interval():
+    with pytest.raises(ValueError, match=re.escape("theta=1.5 outside (0, 1]")):
+        SieveParams(2, 1.5, 0.1)
+    with pytest.raises(ValueError, match=re.escape("iid rate=0.6 outside [0, 0.5]")):
+        Corruption(kind="iid", rate=0.6)
+    with pytest.raises(ValueError, match=re.escape("log_class_size=inf outside [0, inf)")):
+        sample_size_erm(0.1, 0.1, 8, math.inf)
+    with pytest.raises(ValueError, match=re.escape("k=4 outside [1, 3]")):
+        exact_opt(F3, 4)
+    # numpy scalars, integers for a real and exact fractions pass
+    assert LearnParams(np.int64(2), np.float64(0.25), Fraction(1, 5)).epsilon == 0.25
+    assert SieveParams(2, 1, 0.1).theta == 1

@@ -294,6 +294,7 @@ def _per_support_best_junta(points, labels, pool, k):
         (BULK_WHT_MAX_N, 2, 300),  # the largest pool binned onto 2^|pool| cells
         (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool binned per support
         (BULK_WHT_MAX_N + 2, 3, 500),
+        (BULK_WHT_MAX_N + 1, BULK_WHT_MAX_N, 300),  # a subcube index wider than a byte
     ],
 )
 def test_best_junta_matches_per_support_tallies(pool_size, k, m):
@@ -344,13 +345,13 @@ def test_erm_refuses_non_integer_labels():
             best_junta(points, labels, IndexSet.of(3, [1]), 1)
 
 
-def _best_junta_peak(m):
+def _best_junta_peak(m, pool, k):
     rng = np.random.default_rng(m)
-    points = rng.integers(0, 1 << 16, size=m, dtype=np.uint64)
+    points = rng.integers(0, 1 << pool.n, size=m, dtype=np.uint64)
     labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
     tracemalloc.start()
     try:
-        best_junta(points, labels, IndexSet.full(16), 3)
+        best_junta(points, labels, pool, k)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -360,9 +361,17 @@ def test_best_junta_peak_is_flat_in_the_sample():
     # the sample is binned onto the 2^16 cells a bounded step at a time and
     # the labels checked by reductions, so no temporary grows with it; a
     # one-pass bincount holds ~24 bytes a point (60 MB more at 3 M points)
-    peaks = [_best_junta_peak(m) for m in (500_000, 3_000_000)]
+    peaks = [_best_junta_peak(m, IndexSet.full(16), 3) for m in (500_000, 3_000_000)]
     assert abs(peaks[1] - peaks[0]) < 1 << 20
     assert max(peaks) < 8 << 20
+
+
+def test_wide_pool_erm_holds_byte_bit_columns():
+    # a pool over BULK_WHT_MAX_N coordinates is binned support by support
+    # from one uint8 bit column per pool coordinate, through index and cell
+    # buffers reused across supports: ~39 bytes a point at pool 21
+    pool = IndexSet.of(24, range(1, BULK_WHT_MAX_N + 2))
+    assert _best_junta_peak(100_000, pool, 2) < 6 << 20
 
 
 # ---------------------------------------------------------------------------

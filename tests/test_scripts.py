@@ -5,13 +5,20 @@ import json
 import logging
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(name, argv):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _run(name, argv):
+    module = _load(name)
     root = logging.getLogger()
     handlers, level = root.handlers[:], root.level
     try:
@@ -29,6 +36,22 @@ def test_runtime_scaling(tmp_path):
     # two trials report the mean of their wall times, not the larger one
     for row in rows:
         assert row["median_wall_ms"] == (row["min_wall_ms"] + row["max_wall_ms"]) / 2
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["--ns", "6"], "two distinct values of n"),
+        (["--ns", "6", "6", "--trials", "1"], "two distinct values of n"),
+        (["--ns", "6", "8", "--trials", "0"], "--trials 0"),
+    ],
+)
+def test_runtime_scaling_refuses_a_slope_it_cannot_fit(argv, problem, capsys):
+    # refused before any trial runs: one n, or no trial, has no slope
+    with pytest.raises(SystemExit) as exit_info:
+        _load("runtime_scaling").main(argv)
+    assert exit_info.value.code == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_run_default_battery(tmp_path, capsys):
