@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,9 +31,8 @@ from .hypercube import (
 )
 from .walk import LagSamples, ScreenTally
 
-# Largest pool a bulk path bins onto (2^20 cells), for the sieve's estimation
-# and the learner's ERM.  The sieve refuses a larger pool with PoolOverflow
-# before it estimates; the learner's ERM scores a larger pool support by support.
+# Largest pool a bulk path bins onto (2^20 cells): the sieve refuses a larger
+# pool with PoolOverflow, and the learner's ERM reads its sums off bit columns.
 BULK_WHT_MAX_N = 20
 
 
@@ -100,24 +99,22 @@ _SUBCUBE_CHUNK_CELLS = 1 << 20
 
 
 def subcube_sums(
-    table: np.ndarray, supports: Iterable[Sequence[int]], k: int
+    coeffs: Callable[[np.ndarray], np.ndarray], supports: Iterable[Sequence[int]], k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact bucket sums of an integer table over the subcubes of many supports.
 
-    The table holds 2^p integer cell values indexed by a p-bit word (a truth
-    table, or the signed label sums of a sample binned onto p coordinates).
-    A support is k distinct bit positions in increasing order; its bucket r
-    sums the cells whose bits at the support spell r, bit j of r being the
-    j-th position.  By the restriction/projection identity those sums are
-    2^-k times the size-2^k transform of the table's transform restricted to
-    the subsets of the support, so the table is transformed once and each
-    support costs one exact size-2^k transform (batched into matrix
-    products per chunk), never a pass over all cells.
+    ``coeffs`` maps an int64 array of p-bit subset masks T to the table's
+    transform sum_x v[x] chi_T(x): ``wht(table).__getitem__``, or a lookup of
+    sums taken from a sample.  A support is k distinct bit positions in
+    increasing order; its bucket r sums the cells whose bits at the support
+    spell r, bit j of r being the j-th position.  By the restriction/
+    projection identity those sums are 2^-k times the size-2^k transform of
+    the support's subsets' coefficients: one exact transform per support
+    (batched into matrix products per chunk), never a pass over all cells.
 
     Yields ``(positions, sums)`` per chunk of supports, in the order given:
     ``positions`` is (S, k) and ``sums`` is (S, 2^k) int64.
     """
-    coeffs = wht(table)
     supports = iter(supports)
     chunk = max(1, _SUBCUBE_CHUNK_CELLS >> k)
     while batch := list(islice(supports, chunk)):
@@ -127,7 +124,7 @@ def subcube_sums(
         for j in range(k):
             subsets = np.hstack([subsets, subsets | (1 << positions[:, j : j + 1])])
         # exact: every bucket sum times 2^k is what the transform returns
-        yield positions, _exact_wht(coeffs[subsets]).astype(np.int64, copy=False) >> k
+        yield positions, _exact_wht(coeffs(subsets)).astype(np.int64, copy=False) >> k
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,7 @@ def expected_bounded_influence(spec: Spectrum, i: int, p: float) -> float:
     """Exact contrast sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) under
     independent per-coordinate refreshing at density p."""
     _check_integer("coordinate i", i, 1, spec.n)
+    _check_real("refresh density p", p, "[0, 1]")
     masks = np.arange(1 << spec.n, dtype=np.uint64)
     owns = (masks >> np.uint64(i - 1)) & np.uint64(1) == 1
     sizes = np.bitwise_count(masks).astype(np.float64)

@@ -131,10 +131,10 @@ class Corruption:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "iid", "planted"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if self.kind == "iid":
-            _check_real("iid rate", self.rate, "[0, 0.5]")
-        if self.kind == "planted":
-            _check_real("planted fraction", self.fraction, "[0, 0.5]")
+        # both are type-checked whatever the kind, so a bool cannot pass as the unset 0.0
+        read, unread = "[0, 0.5]", "(-inf, inf)"
+        _check_real("iid rate", self.rate, read if self.kind == "iid" else unread)
+        _check_real("planted fraction", self.fraction, read if self.kind == "planted" else unread)
         # read as given, another model's field would be ignored: a rate or a
         # fraction would build an uncorrupted instance
         for key, kind, unset in (

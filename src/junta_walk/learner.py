@@ -24,20 +24,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .fourier import BULK_WHT_MAX_N, subcube_sums
+from .fourier import BULK_WHT_MAX_N, subcube_sums, wht
 from .hypercube import (
     IndexSet,
     JuntaHypothesis,
+    _BIN_CHUNK,
     _check_integer,
     _check_real,
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveParams, SieveResult, bounded_sieve, practical_budgets
+from .sieve import SieveParams, SieveResult, _masks_up_to, bounded_sieve, practical_budgets
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -53,11 +54,13 @@ def theta_for(k: int, epsilon: float) -> float:
 def pool_bound(k: int, epsilon: float) -> int:
     """Runtime cap 12 k 2^k / eps^2 on the relevant-coordinate pool."""
     _check_integer("k", k, 1)
+    _check_real("epsilon", epsilon, "(0, 1]")
     return math.ceil(12.0 * k * 2.0**k / epsilon**2)
 
 
 def log_junta_class_size(pool_size: int, k: int) -> float:
     """ln of the number of k-juntas over a pool: C(pool, k) tables of 2^k bits."""
+    _check_integer("k", k, 1)
     if pool_size < k:
         raise ValueError(f"pool of {pool_size} coordinates cannot host a {k}-junta")
     return (1 << k) * math.log(2.0) + math.log(math.comb(pool_size, k))
@@ -157,27 +160,30 @@ def best_support(
     return JuntaHypothesis(IndexSet(pool.n, mask), np.where(sums >= 0, 1, -1)), err
 
 
-def _per_support_sums(
-    points: np.ndarray, labels: np.ndarray, pool: IndexSet, supports: Iterable[tuple], k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(positions, sums)`` of one support at a time, binned on its own
-    2^k subcubes: each pool coordinate's bit is extracted from the points
-    once, as a uint8 column, and a support's subcube index combines k of
-    those columns in the narrowest word that holds it.  The index and cell
-    buffers are reused across supports."""
-    columns = [(points >> np.uint64(c - 1)).astype(np.uint8) & np.uint8(1) for c in pool]
-    weights = labels.astype(np.float64)
-    word = np.min_scalar_type((1 << k) - 1)
-    index = np.empty(len(points), dtype=word)
-    shifted = np.empty_like(index)
-    cells = np.empty(len(points), dtype=np.intp)  # what bincount reads without a copy
-    for s in supports:
-        index.fill(0)
-        for j, i in enumerate(s):
-            index |= np.left_shift(columns[i], j, out=shifted, dtype=word)
-        np.copyto(cells, index)
-        sums = np.bincount(cells, weights=weights, minlength=1 << k)
-        yield np.array([s], dtype=np.int64), sums.astype(np.int64)[None]
+def _character_sums(points: np.ndarray, labels: np.ndarray, pool: IndexSet, k: int) -> Callable:
+    """Lookup, as ``subcube_sums`` asks, of sum_t y_t chi_T(x_t) for each set T
+    of <= k pool positions: m - 2 popcount(Y xor X_a xor ...) over bit-a-point
+    words (Y: y = -1, X_a: pool coordinate a is -1), packed _BIN_CHUNK points
+    and xored _BIN_CHUNK words at a time, so no temporary grows with m."""
+    coords, masks = pool.coords(), _masks_up_to(len(pool), k)
+    sums = np.full(len(masks), len(points), dtype=np.int64)
+    for lo in range(0, len(points), _BIN_CHUNK):
+        part = points[lo : lo + _BIN_CHUNK]
+        # row j: the j-th coordinate; then all zero, for a position no set has; then Y
+        flags = np.zeros((len(coords) + 2, -(-len(part) // 64) * 64), dtype=bool)
+        for j, c in enumerate(coords):
+            flags[j, : len(part)] = (part >> np.uint64(c - 1)) & np.uint64(1)
+        flags[-1, : len(part)] = labels[lo : lo + _BIN_CHUNK] < 0
+        words = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+        batch = max(1, _BIN_CHUNK // words.shape[1])
+        for b in range(0, len(masks), batch):
+            rest = masks[b : b + batch].astype(np.uint64)
+            xor = np.repeat(words[-1:], len(rest), axis=0)
+            while rest.any():  # peel each set's lowest position
+                low, rest = rest & -rest, rest & (rest - np.uint64(1))
+                xor ^= words[np.minimum(np.bitwise_count(low - np.uint64(1)), len(coords))]
+            sums[b : b + batch] -= 2 * np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+    return lambda subsets: sums[np.searchsorted(masks, subsets)]
 
 
 def best_junta(
@@ -185,12 +191,12 @@ def best_junta(
 ) -> tuple[JuntaHypothesis, int]:
     """Empirical-disagreement minimizer over all k-subsets of the pool.
 
-    The sample is binned as signed label sums.  Pools of at most
-    BULK_WHT_MAX_N coordinates bin it onto the pool once and take every
-    support's sums from ``subcube_sums``; larger pools bin it onto each
-    support from bit columns extracted once.  :func:`best_support` scores
-    them, ties going to the smallest coordinate-set mask, so reruns on the
-    same sample are reproducible.  Labels are +-1 in an integer dtype.
+    ``subcube_sums`` gives every support's signed subcube label sums from the
+    sums over sets T of pool coordinates: an exact transform of the sample
+    binned onto a pool of at most BULK_WHT_MAX_N coordinates, or popcounts
+    of bit columns (``_character_sums``) for a larger one.  :func:`best_support`
+    scores them, ties going to the smallest coordinate-set mask, so reruns on
+    the same sample are reproducible.  Labels are +-1 in an integer dtype.
     """
     points = np.asarray(points, dtype=np.uint64)
     labels = np.asarray(labels)
@@ -202,14 +208,13 @@ def best_junta(
     signs = labels.dtype.kind in "iu" and -1 <= labels.min() and labels.max() <= 1
     if not signs or np.count_nonzero(labels) < labels.size:
         raise ValueError("sample labels must all be +1 or -1 integers")
-    coords = pool.coords()
-    if len(coords) < k:
-        raise ValueError(f"pool has {len(coords)} coordinates, need {k}")
-    supports = combinations(range(len(coords)), k)
-    if len(coords) > BULK_WHT_MAX_N:
-        chunks = _per_support_sums(points, labels, pool, supports, k)
+    if len(pool) < k:
+        raise ValueError(f"pool has {len(pool)} coordinates, need {k}")
+    if len(pool) > BULK_WHT_MAX_N:
+        coeffs = _character_sums(points, labels, pool, k)
     else:
-        chunks = subcube_sums(signed_sums(pool, points, labels), supports, k)
+        coeffs = wht(signed_sums(pool, points, labels)).__getitem__
+    chunks = subcube_sums(coeffs, combinations(range(len(pool)), k), k)
     return best_support(chunks, pool, len(labels))
 
 

@@ -54,7 +54,7 @@ def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult
     _check_integer("k", k, 1, f.n)
     size = 1 << f.n
     counts: dict[int, int] | None = {} if include_per_set else None
-    chunks = subcube_sums(f.values, combinations(range(f.n), k), k)
+    chunks = subcube_sums(wht(f.values).__getitem__, combinations(range(f.n), k), k)
     witness, disagree = best_support(chunks, IndexSet.full(f.n), size, counts)
     per_set = None
     if counts is not None:
@@ -69,6 +69,7 @@ def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult
 
 def coefficient_bound(k: int, epsilon: float) -> float:
     """Magnitude floor (1 - 1/sqrt(2)) 2^(-(k-1)/2) eps for a witness coefficient."""
+    _check_real("epsilon", epsilon, "(0, 1]")
     return GAP_CONSTANT * 2.0 ** (-(k - 1) / 2.0) * epsilon
 
 
@@ -150,6 +151,7 @@ def verify_spectrum_lemma(
     rel_g = sorted(relevant_coords(g).coords())
     if k is None:
         k = len(rel_g)
+    _check_integer("k", k, 0)
     if len(rel_g) > k:
         raise ValueError(f"g depends on {len(rel_g)} variables, more than k={k}")
     _check_real("epsilon", epsilon, "(0, 1]")

@@ -176,13 +176,13 @@ def test_wht_narrow_integer_path_is_exact_on_both_sides_of_the_bound(n, monkeypa
     k, table = min(n, 3), rng.integers(-f32_top + 1, f32_top, size=size)
     supports = list(combinations(range(n), k))
     words.clear()
-    got = list(subcube_sums(table, supports, k))
+    got = list(subcube_sums(wht(table).__getitem__, supports, k))
     coeffs = _concatenating_wht(table.astype(np.int64))
     block_word = np.float32 if (max(abs(coeffs)) << k) < 1 << 24 else np.float64
     assert words == [np.float32, block_word]
     monkeypatch.setattr(fourier, "_exact_wht", lambda v: _concatenating_wht(v.astype(np.int64)))
     for (pos, sums), (ref_pos, ref_sums) in zip(
-        got, subcube_sums(table, supports, k), strict=True
+        got, subcube_sums(coeffs.__getitem__, supports, k), strict=True
     ):
         assert pos.tobytes() == ref_pos.tobytes()
         assert sums.tobytes() == ref_sums.tobytes()
@@ -256,7 +256,7 @@ def test_subcube_projection_exact_brute_force():
 
 def test_subcube_averages_on_and():
     f = and_table(2, [1, 2])
-    _, sums = next(subcube_sums(f.values, [[0]], 1))  # support {1}
+    _, sums = next(subcube_sums(wht(f.values).__getitem__, [[0]], 1))  # support {1}
     avg = sums[0] / 2
     # coordinate 1 = +1: f is constant +1; coordinate 1 = -1: mean of {+1, -1}
     np.testing.assert_allclose(avg, [1.0, 0.0])
@@ -272,7 +272,7 @@ def test_subcube_sums_match_per_support_bincount(monkeypatch, chunk_cells):
     for table, k in product(tables, range(p + 1)):
         supports = list(combinations(range(p), k))
         got_positions, got_sums = [], []
-        for positions, sums in subcube_sums(table, supports, k):
+        for positions, sums in subcube_sums(wht(table).__getitem__, supports, k):
             assert sums.dtype == np.int64
             got_positions.extend(map(tuple, positions.tolist()))
             got_sums.append(sums)

@@ -142,6 +142,11 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
             TypeError,
             "adversary_seed=True",
         ),
+        # a bool equals the unset 0.0, so only a type check tells it apart
+        (lambda: Corruption(kind="none", rate=False), TypeError, "iid rate=False"),
+        (lambda: Corruption(kind="iid", rate=0.1, fraction=False), TypeError, "fraction=False"),
+        (lambda: Corruption(kind="planted", rate=True), TypeError, "iid rate=True"),
+        (lambda: Corruption(kind="none", fraction="0"), TypeError, "fraction='0'"),
         (lambda: InstanceSpec(n=True, k=1), TypeError, "n=True"),
         (lambda: InstanceSpec(n=8.0, k=2), TypeError, "n=8.0"),
         (lambda: InstanceSpec(n=8, k=1.5), TypeError, "k=1.5"),
@@ -175,6 +180,10 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         "iid-with-adversary-seed",
         "none-with-adversary-seed",
         "bool-adversary-seed",
+        "none-with-bool-rate",
+        "iid-with-bool-fraction",
+        "planted-with-bool-rate",
+        "none-with-str-fraction",
         "bool-n",
         "float-n",
         "float-k",

@@ -31,8 +31,13 @@ from junta_walk.hypercube import (
     restriction_indices,
     signed_sums,
 )
-from junta_walk.learner import LearnParams, theta_for
-from junta_walk.oracle_bruteforce import counterexample_fixtures, exact_opt, verify_spectrum_lemma
+from junta_walk.learner import LearnParams, log_junta_class_size, pool_bound, theta_for
+from junta_walk.oracle_bruteforce import (
+    coefficient_bound,
+    counterexample_fixtures,
+    exact_opt,
+    verify_spectrum_lemma,
+)
 from junta_walk.sieve import SieveBudgets, SieveParams, SieveResult, certify_result
 from junta_walk.walk import gap_for_density, sample_size_concentration, sample_size_erm
 
@@ -351,7 +356,8 @@ def _rng():
     return np.random.default_rng(0)
 
 
-# (entry, the parameter's name in the error, its kind, a call passing the value as it)
+# (entry, the parameter's name in the error, its kind, a call passing the value as it);
+# an "int or None" parameter takes None for its default
 NUMERIC_ARGUMENTS = [
     ("IndexSet", "dimension n", int, lambda v: IndexSet(v)),
     ("IndexSet.of", "coordinate", int, lambda v: IndexSet.of(3, [v])),
@@ -364,6 +370,14 @@ NUMERIC_ARGUMENTS = [
         int,
         lambda v: expected_bounded_influence(Spectrum.from_table(F3), v, 0.5),
     ),
+    (
+        "expected_bounded_influence",
+        "refresh density p",
+        float,
+        lambda v: expected_bounded_influence(Spectrum.from_table(F3), 1, v),
+    ),
+    ("log_junta_class_size", "k", int, lambda v: log_junta_class_size(3, v)),
+    ("verify_spectrum_lemma", "k", "int or None", lambda v: verify_spectrum_lemma(F3, F3, 0.5, v)),
     ("default_lag", "theta", float, lambda v: default_lag(8, v)),
     ("blocks_for", "accuracy", float, lambda v: blocks_for(v, 0.1)),
     ("blocks_for", "delta", float, lambda v: blocks_for(0.5, v)),
@@ -377,6 +391,8 @@ NUMERIC_ARGUMENTS = [
     ("Corruption", "iid rate", float, lambda v: Corruption(kind="iid", rate=v)),
     ("Corruption", "planted fraction", float, lambda v: Corruption(kind="planted", fraction=v)),
     ("theta_for", "epsilon", float, lambda v: theta_for(2, v)),
+    ("pool_bound", "epsilon", float, lambda v: pool_bound(2, v)),
+    ("coefficient_bound", "epsilon", float, lambda v: coefficient_bound(2, v)),
     ("LearnParams", "epsilon", float, lambda v: LearnParams(2, v, 0.2)),
     ("LearnParams", "delta", float, lambda v: LearnParams(2, 0.25, v)),
     ("verify_spectrum_lemma", "epsilon", float, lambda v: verify_spectrum_lemma(F3, F3, v)),
@@ -402,6 +418,9 @@ NUMERIC_ARGUMENTS = [
     "entry, name, kind, call", NUMERIC_ARGUMENTS, ids=[f"{r[0]}-{r[1]}" for r in NUMERIC_ARGUMENTS]
 )
 def test_numeric_arguments_refuse_bools_and_non_numbers_by_name(entry, name, kind, call, value):
+    if value is None and kind == "int or None":
+        call(value)
+        return
     # NaN is a real number, outside every interval, but not an integer
     error = ValueError if kind is float and isinstance(value, float) else TypeError
     with pytest.raises(error, match=re.escape(f"{name}={value!r}")):
@@ -417,6 +436,18 @@ def test_numeric_refusals_state_the_interval():
         sample_size_erm(0.1, 0.1, 8, math.inf)
     with pytest.raises(ValueError, match=re.escape("k=4 outside [1, 3]")):
         exact_opt(F3, 4)
+    # each was computed from the bad value: ZeroDivisionError, -0.62, -6.0 and
+    # "negative shift count"
+    with pytest.raises(ValueError, match=re.escape("epsilon=0 outside (0, 1]")):
+        pool_bound(2, 0)
+    with pytest.raises(ValueError, match=re.escape("epsilon=-3 outside (0, 1]")):
+        coefficient_bound(2, -3)
+    with pytest.raises(ValueError, match=re.escape("refresh density p=7.0 outside [0, 1]")):
+        expected_bounded_influence(Spectrum.from_table(F3), 1, 7.0)
+    with pytest.raises(ValueError, match=re.escape("k=-1 must be >= 1")):
+        log_junta_class_size(3, -1)
+    with pytest.raises(TypeError, match=re.escape("k=1.5 must be an integer")):
+        verify_spectrum_lemma(F3, F3, 0.5, k=1.5)
     # numpy scalars, integers for a real and exact fractions pass
     assert LearnParams(np.int64(2), np.float64(0.25), Fraction(1, 5)).epsilon == 0.25
     assert SieveParams(2, 1, 0.1).theta == 1

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from junta_walk import learner
 from junta_walk.fourier import BULK_WHT_MAX_N
 from junta_walk.functions import and_table, flip_labels_iid, parity_table
 from junta_walk.harness import default_learn_params
@@ -292,9 +293,10 @@ def _per_support_best_junta(points, labels, pool, k):
         (9, 3, 40),
         (12, 3, 2_000),
         (BULK_WHT_MAX_N, 2, 300),  # the largest pool binned onto 2^|pool| cells
-        (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool binned per support
+        (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool read off bit columns
         (BULK_WHT_MAX_N + 2, 3, 500),
-        (BULK_WHT_MAX_N + 1, BULK_WHT_MAX_N, 300),  # a subcube index wider than a byte
+        (BULK_WHT_MAX_N + 2, 4, 1_000),
+        (BULK_WHT_MAX_N + 1, BULK_WHT_MAX_N, 300),  # nearly every set of the pool
     ],
 )
 def test_best_junta_matches_per_support_tallies(pool_size, k, m):
@@ -345,6 +347,23 @@ def test_erm_refuses_non_integer_labels():
             best_junta(points, labels, IndexSet.of(3, [1]), 1)
 
 
+@pytest.mark.parametrize("step", [64, 37])
+def test_wide_pool_sums_add_across_point_steps(monkeypatch, step):
+    # steps of one 64-point word, and of an odd count that splits words, give
+    # the per-support tallies at sample sizes around a word
+    monkeypatch.setattr(learner, "_BIN_CHUNK", step)
+    rng = np.random.default_rng(step)
+    coords = rng.choice(np.arange(1, 64), BULK_WHT_MAX_N + 2, replace=False)
+    pool = IndexSet.of(63, coords.tolist())
+    for m in (1, 63, 64, 65):
+        points = rng.integers(0, 1 << 63, size=m, dtype=np.uint64)
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+        h, err = best_junta(points, labels, pool, 3)
+        ref_h, ref_err = _per_support_best_junta(points, labels, pool, 3)
+        assert (err, h.J.mask) == (ref_err, ref_h.J.mask)
+        np.testing.assert_array_equal(h.table, ref_h.table)
+
+
 def _best_junta_peak(m, pool, k):
     rng = np.random.default_rng(m)
     points = rng.integers(0, 1 << pool.n, size=m, dtype=np.uint64)
@@ -366,12 +385,13 @@ def test_best_junta_peak_is_flat_in_the_sample():
     assert max(peaks) < 8 << 20
 
 
-def test_wide_pool_erm_holds_byte_bit_columns():
-    # a pool over BULK_WHT_MAX_N coordinates is binned support by support
-    # from one uint8 bit column per pool coordinate, through index and cell
-    # buffers reused across supports: ~39 bytes a point at pool 21
+def test_wide_pool_erm_peak_is_flat_in_the_sample():
+    # a pool over BULK_WHT_MAX_N coordinates packs a bounded step of points
+    # into bit columns at a time, so no temporary grows with the sample
     pool = IndexSet.of(24, range(1, BULK_WHT_MAX_N + 2))
-    assert _best_junta_peak(100_000, pool, 2) < 6 << 20
+    peaks = [_best_junta_peak(m, pool, 2) for m in (100_000, 400_000)]
+    assert peaks[0] < 6 << 20
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 # ---------------------------------------------------------------------------
