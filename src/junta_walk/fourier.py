@@ -15,6 +15,12 @@ is odd with probability (1 - e^(-2 mu/n))/2.  A sample then has expectation
 
 within e^(-2 mu/n) of fhat(S)^2; a Poisson count, unlike a fixed lag, leaves
 no alternating-sign term on the full set [n].
+
+The screen's contrasts come from the refresh pairs of the same walk
+(:class:`~junta_walk.walk.ScreenTally`): the pairs are split by whether they
+flipped each coordinate, and the difference of the two label-product means is
+rescaled by 1/(1 + pi), pi being the probability that a pair leaves a
+coordinate unflipped, so that it estimates an updating walk's contrast.
 """
 
 from __future__ import annotations
@@ -154,7 +160,7 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
     """Squared mass of coefficients disjoint from R: sum over T with T & R = 0.
 
     This is the stationary value of E[f(x) f(y)] when y resamples exactly the
-    coordinates in R, making it the exact oracle for refresh-pair statistics.
+    coordinates in R, making it the exact oracle for the refresh model's statistics.
     """
     if R.n != s.n:
         raise ValueError(f"index set over n={R.n}, spectrum over n={s.n}")
@@ -238,37 +244,46 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarray]:
-    """Contrast of the label product over pairs that kept/refreshed each
-    coordinate, and its standard-error bound.
+    """Rescaled contrast of the label product over pairs that left each
+    coordinate unflipped and pairs that flipped it, and its standard-error
+    bound.
 
-    Entry i-1 of the contrasts is E[f(x) f(y) | i kept] - E[f(x) f(y) | i
-    refreshed].  Writing l(R) = E[f(x) f(y) | refreshed set R] = sum_{T cap R
-    empty} fhat(T)^2, and with coordinates refreshed independently at density
-    p, it has expectation exactly sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1): a
+    With pi = ``tally.pi``, entry i-1 of the contrasts is (a - b) /
+    (1 + pi), where a = E[f(x) f(y) | i unflipped] and b = E[f(x) f(y) | i
+    flipped].  A harvested pair flips each coordinate an independent
+    Poisson number of times, so chi_T(x) chi_T(y) for a T owning i has the
+    factor 1 on i given i unflipped and E[(-1)^count | count >= 1] = -pi
+    given i flipped, and the contrast has expectation exactly
+    sum_{T owns i} fhat(T)^2 pi^(2(|T|-1)) =
+    sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) at the refresh density p =
+    1 - pi^2 (:func:`~junta_walk.walk.harvest_refresh_pairs` derives it): a
     screened influence that is large for every member of a heavy low-degree
-    set.  The density only sets callers' thresholds; it does not enter the
-    estimate.
+    set.  The density only sets callers' thresholds.
 
     The products are +-1, so each conditional mean is an exact integer sum,
-    (pairs - 2 disagreeing pairs), divided once by its pair count.  All n
-    counts, split by disagreement, are read off the tally's per-byte
-    histograms, which a harvest fills chunk by chunk as it draws its walk.
-    The same counts give sigma_i = sqrt(1/kept_i + 1/hit_i), which bounds the
-    contrast's standard deviation when the pairs are iid: each mean averages
-    values in [-1, 1].  Harvested pairs share half-blocks with their
-    neighbours and are not iid, so for them sigma_i is an estimate, not a
-    bound.  A coordinate refreshed in none or all of the pairs has no
+    (pairs - 2 disagreeing pairs), divided once by its pair count, and their
+    difference is divided once by 1 + pi.  All n counts, split by
+    disagreement, are read off the tally's per-byte histograms, which a
+    harvest fills chunk by chunk as it draws its walk.  The same counts give
+    sigma_i = sqrt(1/unflipped_i + 1/flipped_i) / (1 + pi), which bounds
+    the contrast's standard deviation when the pairs are iid: each mean
+    averages values in [-1, 1].  Harvested pairs share half-blocks with
+    their neighbours and are not iid, so for them sigma_i is an estimate,
+    not a bound.  A coordinate flipped in none or all of the pairs has no
     contrast sample and reads +inf in both arrays.
     """
     hists = tally.hists
     agree, dis_hists = hists[:, :256], hists[:, 256:]
-    hit = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: tally.n]
-    hit_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: tally.n]
-    kept, kept_dis = len(tally) - hit, int(dis_hists[0].sum()) - hit_dis
+    flipped = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: tally.n]
+    flipped_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: tally.n]
+    unflipped, unflipped_dis = len(tally) - flipped, int(dis_hists[0].sum()) - flipped_dis
+    scale = 1.0 + tally.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
-        sigmas = np.sqrt(1.0 / kept + 1.0 / hit)
-    empty = (hit == 0) | (kept == 0)
+        a = (unflipped - 2 * unflipped_dis) / unflipped
+        b = (flipped - 2 * flipped_dis) / flipped
+        contrasts = (a - b) / scale
+        sigmas = np.sqrt(1.0 / unflipped + 1.0 / flipped) / scale
+    empty = (flipped == 0) | (unflipped == 0)
     contrasts[empty] = np.inf
     sigmas[empty] = np.inf
     return contrasts, sigmas

@@ -8,10 +8,12 @@ family of sets of size <= ell such that, with probability >= 1 - delta,
   * at most ceil(2/theta) sets are returned.
 
 The implementation is a two-phase design.  Phase one screens single
-coordinates: refresh pairs harvested at density p give, for each i, the
-contrast J_i = E[l_x l_y | i kept] - E[l_x l_y | i refreshed], whose exact
-value is sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) because the harvester
-refreshes coordinates independently.  Any member i of a qualifying
+coordinates: the harvest's refresh pairs, split by the set of coordinates
+each flips, give for each i the contrast J_i = (E[l_x l_y | i unflipped] -
+E[l_x l_y | i flipped]) / (1 + pi), pi being the probability that a pair
+leaves a coordinate unflipped.  The walk flips coordinates independently,
+so its exact value is sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) at the refresh
+density p = 1 - pi^2, that of an updating walk.  Any member i of a qualifying
 set S therefore has J_i >= theta (1-p)^(ell-1), so pooling the coordinates
 whose estimated contrast clears tau, half that signal, keeps every relevant
 coordinate while Parseval caps the pool size near 2/(p tau).  A contrast must
@@ -137,12 +139,21 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     The failure probability splits three ways: coordinate screening, pool-size
     control, and candidate estimation.  Screening needs each contrast within
     tau/2 where tau = theta (1-p)^(ell-1) / 2, which costs on the order of
-    (1 / (q tau^2)) ln(n/delta) pairs with q = min(p, 1-p).  Consecutive
-    harvested pairs share a half-block, but the even pairs, and the odd
-    pairs, are each a chain of disjoint blocks, which that count covers; so
-    the screen takes twice the count at half the screening share of delta,
-    and each conditional mean, a weighted average of the two families'
-    means, is within tau/2 when both are.  Estimation needs every candidate's
+    (1 / (q tau^2)) ln(n/delta) pairs with q = min(p, 1-p): the count for
+    a contrast of two conditional means over pairs that refresh a
+    coordinate with probability p.  The screen's contrast is (a - b) /
+    (1 + pi) over pairs that leave a coordinate unflipped with probability
+    pi = sqrt(1 - p), so it is within tau/2 when a - b is within
+    (1 + pi) tau/2, which costs (1 / (min(pi, 1-pi) (1 + pi)^2 tau^2))
+    ln(n/delta) pairs on the same order; the count above covers it, as
+    min(pi, 1 - pi) (1 + pi)^2 >= min(p, 1 - p).  If pi <= 1/2, the left
+    side is pi (1 + pi)^2 >= pi >= pi^2 = 1 - p; if pi > 1/2, it is
+    (1 - pi)(1 + pi)^2 = (1 + pi) p >= p.  Consecutive harvested pairs
+    share a half-block, but the even pairs, and the odd pairs, are each a
+    chain of disjoint blocks, which that count covers; so the screen takes
+    twice the count at half the screening share of delta, and each
+    conditional mean, a weighted average of the two families' means, is
+    within its tolerance when both are.  Estimation needs every candidate's
     mean of lag samples, terms in [-1, 1], within theta/8 at a third of delta
     split over every set of size <= ell over [n]: the pool is screened from
     the harvest the samples are read off.  Adjacent lag samples share half a
@@ -156,8 +167,8 @@ def certified_budgets(params: SieveParams, n: int) -> SieveBudgets:
     grow like (2/theta)^(2 ell), so certified mode is only feasible for tiny
     levels; anything larger should supply practical budgets explicitly.  The
     step total checked against BUDGET_CEILING is one harvest's, gap/4 mean
-    flips per half-block (its no-op selections come from the learner's own
-    coins), over the longer phase: pairs + 1 half-blocks for a screen (none
+    flips per half-block (the walk's own; the harvest draws nothing else),
+    over the longer phase: pairs + 1 half-blocks for a screen (none
     where the run does not screen), (blocks + 1) w/2 for the lag samples.
     """
     gap = gap_for_density(n, params.density)
@@ -261,11 +272,12 @@ def bounded_sieve(
     :func:`estimate_bounded_influence`, and z = Phi^-1(1 - delta/(2n)) is a
     union bound over the n coordinates at two-sided level delta.  sigma_i is
     the iid bound; the harvest's pairs are not iid (adjacent pairs share a
-    half-block), so for them it is an estimate, not a bound.  Measured over
-    200 oracle seeds of 300 000 pairs, one iid-0.1 instance per (n, k) cell
-    at (8, 1), (12, 2), (16, 2) and (16, 3), the irrelevant coordinates'
-    contrast sd is 1.01-1.04 sigma_i (pooled over coordinates), against
-    0.92-0.97 sigma_i for disjoint blocks; it is not proven for the chain.
+    half-block), so for them it is an estimate, not a bound.  Measured by
+    ``scripts/screen_noise.py`` over oracle seeds 0-199 of 300 000 pairs,
+    one iid-0.1 instance per (n, k) cell at (8, 1), (12, 2), (16, 2) and
+    (16, 3), the irrelevant coordinates' contrast sd is 1.01-1.05 sigma_i
+    (pooled over coordinates, 1.01 at three of the cells); it is not proven
+    for the chain.
     Budgets sized to resolve tau give z sigma_i < tau, so the floor only acts
     when they do not.  At n <= max(level, 2) every coordinate is pooled
     without a screen.  Raises :class:`PoolOverflow` when the pool

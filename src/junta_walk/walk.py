@@ -4,31 +4,28 @@ The plain walk flips one uniformly random coordinate per step; it is the
 learner's oracle, and both of its entry points, ``generate_walk`` and
 ``RandomWalkOracle.walk``, draw through ``generate_walk``.
 
-``harvest_refresh_pairs`` reads endpoint pairs annotated with refreshed
-coordinate sets off a walk it consumes as it draws.  It cuts a single plain walk into half-blocks of
-Poisson(gap/4) steps, selects in each, besides the coordinates it flips, a
-Poisson(gap/4) number of uniform coordinates by the learner's own coins, and
-reads each two adjacent half-blocks as one pair: the selected coordinates are
-resampled uniformly and independently between the pair's endpoints, all
-others are frozen, which is the exact statistical model the refresh
-annotation promises, and the Poisson lengths decouple the per-coordinate
-refresh events from one another.  This is the pair law of an updating walk
-(each step picks a uniform coordinate and resamples it) of Poisson(gap/2)
-steps per half-block, read from the plain walk the learner is given and
-charged only the steps that flip a coordinate: an updating walk is a plain
-walk's flips plus as many independent no-op selections (Bshouty, Mossel,
-O'Donnell & Servedio, Learning DNF from random walks).  Adjacent pairs
-overlap in one half-block, so P pairs cost P + 1 half-blocks, while each pair
-keeps the law of one Poisson(gap)-length updating block.  It draws that law
-per half-block rather than per step: a Poisson flip total and a Poisson no-op
-total per chunk of half-blocks, and a uniform (half-block, coordinate) cell
-for each.  (A plain walk of fixed length cannot deliver that exactness: it
-changes parity every step, so its endpoints carry a deterministic parity
-constraint; a Poisson number of flips lifts it.)  The estimator's lag samples
-are read off the same chain of boundaries.  Each chunk is consumed as soon
-as it is drawn: its screened pairs are tallied (``ScreenTally``) and its lag
-samples cut, so a harvest keeps no array as long as its walk
-(``RefreshHarvest``).
+``harvest_refresh_pairs`` reads endpoint pairs annotated with flipped
+coordinate sets off a walk it consumes as it draws.  It cuts a single plain
+walk into half-blocks of Poisson(gap/4) steps and reads each two adjacent
+half-blocks as one pair: its endpoints and the set F of coordinates the pair
+flipped at least once.  The Poisson lengths make the per-coordinate flip
+counts independent Poisson(gap/(2n)) draws, so with pi = e^(-gap/(2n)) a
+pair leaves each coordinate unflipped with probability pi, independently,
+and y xor x lies inside F.  The screen splits the pairs by F and rescales
+the contrast by 1/(1 + pi) (see
+:func:`~junta_walk.fourier.estimate_bounded_influence`), which gives the
+contrast of an updating walk (Bshouty, Mossel, O'Donnell & Servedio,
+Learning DNF from random walks) of Poisson(gap) steps per pair, with no
+random draw besides the walk.  Adjacent pairs overlap in one half-block, so
+P pairs cost P + 1 half-blocks.  The harvest draws its walk per half-block
+rather than per step: a Poisson flip total per chunk of half-blocks and a
+uniform (half-block, coordinate) cell for each flip.  (A plain walk of fixed
+length cannot deliver these independent counts: it changes parity every
+step, so its endpoints carry a deterministic parity constraint; a Poisson
+number of flips lifts it.)  The estimator's lag samples are read off the
+same chain of boundaries.  Each chunk is consumed as soon as it is drawn:
+its screened pairs are tallied (``ScreenTally``) and its lag samples cut, so
+a harvest keeps no array as long as its walk (``RefreshHarvest``).
 
 Plain walks draw their steps through one kernel, ``_draw_steps``, in the
 narrowest unsigned word that holds n bits.  Harvested points and masks stay
@@ -149,16 +146,20 @@ def lag_pairs(window: int, blocks: int) -> int:
 
 
 class ScreenTally:
-    """The screen's counts over refresh pairs, from which
-    :func:`~junta_walk.fourier.estimate_bounded_influence` reads each
-    coordinate's contrast: ``hists[b]`` counts, for byte b of the pairs'
-    refreshed masks, the key byte | disagree << 8 in [0, 512), where
-    disagree is label_x != label_y.  ``len`` is the number of pairs added.
+    """The screen's counts over refresh pairs harvested at ``gap_steps``,
+    from which :func:`~junta_walk.fourier.estimate_bounded_influence` reads
+    each coordinate's contrast: ``hists[b]`` counts, for byte b of the pairs'
+    flipped masks, the key byte | disagree << 8 in [0, 512), where disagree
+    is label_x != label_y.  ``pi`` = e^(-gap_steps/(2n)) is the
+    probability that a pair leaves a coordinate unflipped, by which the
+    contrast is rescaled.  ``len`` is the number of pairs added.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, gap_steps: int) -> None:
         _check_dim(n)
+        _check_integer("gap_steps", gap_steps, 1)
         self.n = n
+        self.pi = math.exp(-gap_steps / (2 * n))
         self.hists = np.zeros(((n + 7) // 8, 512), dtype=np.intp)
         self.pairs = 0
 
@@ -166,7 +167,7 @@ class ScreenTally:
         return self.pairs
 
     def add(self, masks: np.ndarray, label_x: np.ndarray, label_y: np.ndarray) -> None:
-        """Count pairs given as parallel arrays: refreshed masks of any
+        """Count pairs given as parallel arrays: flipped masks of any
         unsigned width (their bytes are read little-endian) and +-1 labels.
         They are keyed in one pass with an intp key and a bool per pair, so a
         harvest, which adds one chunk at a time, bounds that scratch."""
@@ -201,11 +202,11 @@ class RefreshHarvest:
 
 # Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
 # _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
-# flip cells and, inside the screen, as many no-op cells, each draw about
-# 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4 cells), into B
-# word-wide rows of uint8 flip counts and of selection bools (<= 128 B per
-# half-block), and labels its boundaries in a B + 1 point uint64 buffer; these
-# buffers are allocated once per harvest.  The screen's tally keys a chunk's
+# flip cells, about 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4
+# cells), into B word-wide rows of uint8 flip counts and, inside the screen,
+# of flipped-set bools (<= 128 B per half-block), and labels its boundaries
+# in a B + 1 point uint64 buffer; these buffers are allocated once per
+# harvest.  The screen's tally keys a chunk's
 # pairs in one pass (9 B a pair), so the chunk bounds the screen's memory too.
 _HARVEST_CHUNK_STEPS = 100_000
 
@@ -240,16 +241,23 @@ def harvest_chunks(
     Each chunk of B half-blocks starting at half-block ``done`` is yielded as
     ``(done, bounds, labels, sel, steps)``: element k of ``bounds`` and
     ``labels`` is chain boundary done - 1 + k and its label (k = 0 is no
-    boundary in the first chunk), element k of ``sel`` is half-block
-    done - 1 + k's selected coordinates, so pair done - 1 + k joins bounds
-    k and k + 2 and refreshes sel[k] | sel[k + 1], and ``steps`` is the
+    boundary in the first chunk), element k of ``sel`` is the set of
+    coordinates half-block done - 1 + k flips, so pair done - 1 + k joins
+    bounds k and k + 2 and flips sel[k] | sel[k + 1], and ``steps`` is the
     chunk's flips.  Boundaries through the screen's last, screen_pairs + 1,
     are labelled; past it only every ``stride``-th boundary is, and the rest
-    read label 0.  A chunk that holds no screened pair's half-block draws no
-    no-op cell and yields ``sel`` None.  The arrays are views of buffers the
+    read label 0.  A chunk that holds no screened pair's half-block packs no
+    flipped set and yields ``sel`` None.  The arrays are views of buffers the
     next chunk overwrites.
     """
-    walk_rng, coin_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    # the walk's stream is child 0 of the seed, as it was when a second
+    # child drew no-op coins
+    walk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    # a cell takes Poisson(gap_steps/(4n)) flips; at a mean of at most 1 its
+    # uint8 count reaches 256 with probability below 1/256!, so its flipped
+    # bit is read off the count, and at a larger mean, where the count could
+    # wrap to 0, it is scattered from the cells themselves
+    scatter = gap_steps > 4 * n
     word = np.dtype(_word(n)).newbyteorder("<")
     width = word.itemsize * 8
     halves_total = pair_count + 1
@@ -266,7 +274,7 @@ def harvest_chunks(
 
     bounds[1:2] = walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)
     for done in range(0, halves_total, per_chunk):
-        if done:  # carry the previous chunk's last two boundaries and selection
+        if done:  # carry the previous chunk's last two boundaries and flipped set
             bounds[:2] = bounds[per_chunk:]
             labels[:2] = labels[per_chunk:]
             sel[0] = sel[per_chunk]
@@ -279,11 +287,11 @@ def harvest_chunks(
         screened = done < last_screened
         if screened:
             hit = hit_rows[: halves * width]
-            # a flip count that wraps to 0 mod 256 drops its cell here, which
-            # the no-op cells, drawn at the same mean, then miss with
-            # probability below e^-128
-            np.not_equal(flips, 0, out=hit)
-            hit[_draw_cells(coin_rng, mean, halves, n, width)] = True
+            if scatter:
+                hit.fill(False)
+                hit[cells] = True
+            else:
+                np.not_equal(flips, 0, out=hit)
             # little-endian bits and bytes: element j of a row is bit j of its word
             sel[1 : halves + 1] = np.packbits(hit, bitorder="little").view(word)
         # only bit 0 of a count is read, and it is exact under the mod-256 wrap
@@ -338,68 +346,64 @@ def harvest_refresh_pairs(
     blocks: int = 0,
 ) -> RefreshHarvest:
     """Cut one fresh plain walk into consecutive half-blocks of
-    Poisson(``gap_steps`` / 4) steps, select in each, besides the coordinates
-    it flips, a Poisson(``gap_steps`` / 4) number of uniform coordinates by
-    the learner's own coins, and read each two adjacent half-blocks as a
-    refresh pair: the endpoint pair they span with its selected (refreshed)
-    coordinate set.  The first ``screen_pairs`` pairs are tallied for the
-    screen (:class:`ScreenTally`), and ``blocks`` lag samples of ``window``
-    half-blocks are read off the chain of half-block boundaries.
-
-    This reads from the paper's oracle the pairs of an updating walk of
-    Poisson(``gap_steps`` / 2) steps per half-block, and charges only the
-    flips.  An updating step selects a uniform coordinate and rewrites it
-    with a fair bit, so by Poisson splitting a stretch of updating walk is a
-    plain walk's flips plus as many no-op selections, independent of them,
-    that the learner can draw itself (Bshouty, Mossel, O'Donnell & Servedio,
-    Learning DNF from random walks).  The pairs are exact samples of the
-    refresh model
-
-        E[f(x) f(y) | refreshed = R] = sum over T disjoint from R of fhat(T)^2.
+    Poisson(``gap_steps`` / 4) steps and read each two adjacent half-blocks
+    as a refresh pair: the endpoint pair they span with the set F of
+    coordinates it flips at least once.  The first ``screen_pairs`` pairs
+    are tallied for the screen (:class:`ScreenTally`), and ``blocks`` lag
+    samples of ``window`` half-blocks are read off the chain of half-block
+    boundaries.
 
     Per half-block, coordinate i takes a Poisson(gap_steps/(4n)) number of
-    flips and of no-ops, independently across coordinates, so it is selected
-    with probability 1 - exp(-gap_steps/(2n)) and, given that, its flip
-    count is odd with probability exactly 1/2: P[odd] = (1 - e^(-2 lam))/2 =
-    P[selected]/2 with lam = gap_steps/(4n).  A pair, spanning two
-    independent half-blocks, selects each coordinate with probability
-    1 - exp(-gap_steps/n), independently across coordinates, exactly as one
-    updating block of Poisson(gap_steps) steps; y xor x is a fair bit on
-    each coordinate of R and zero off it, and conditional statistics over R
-    factorize exactly, which is what calibrates the screening contrasts
-    downstream.  A pair without selections (probability e^-gap_steps)
-    legitimately has refreshed = empty and y = x.  Pair i joins chain
-    boundaries i and i + 2, so consecutive pairs share a half-block and are
-    not independent, but the even pairs, and the odd pairs, are each a chain
-    of disjoint blocks; the walk behind P pairs is about a quarter as long
-    as P disjoint updating blocks.
+    flips, independently across coordinates and half-blocks, so a pair,
+    spanning two half-blocks, flips it Poisson(gap_steps/(2n)) times.  With
+    pi = exp(-gap_steps/(2n)), each pair and coordinate, independently
+    across coordinates, is
+
+        unflipped                          with probability pi,
+        flipped an odd number of times     with probability (1 - pi^2)/2,
+        flipped a nonzero even number      with probability (1 - pi)^2/2,
+
+    and y xor x is the odd-flipped coordinates, so it lies inside F.
+    Writing a = E[f(x) f(y) | i unflipped] and b = E[f(x) f(y) | i flipped],
+
+        (a - b) / (1 + pi) = sum over T owning i of fhat(T)^2 pi^(2(|T|-1)),
+
+    the screening contrast of an updating walk (each step picks a uniform
+    coordinate and rewrites it with a fair bit; Bshouty, Mossel, O'Donnell
+    & Servedio, Learning DNF from random walks) of Poisson(gap_steps) steps,
+    which refreshes each coordinate with probability 1 - pi^2
+    (:func:`effective_refresh_density`).  The screen splits the pairs by F
+    and rescales by 1/(1 + pi); it draws nothing besides the walk.  A pair
+    without flips (probability e^(-gap_steps/2)) has F empty and y = x.
+    Pair i joins chain boundaries i and i + 2, so consecutive pairs share a
+    half-block and are not independent, but the even pairs, and the odd
+    pairs, are each a chain of disjoint blocks.
 
     Lag sample b joins boundaries b w/2 and b w/2 + w for an even window of
     w half-blocks, so adjacent samples share half a window: at gap g its
-    flip count is Poisson(w g / 4), whatever came before, and no-op
-    selections play no part.  The walk spans max(screen_pairs,
-    lag_pairs(window, blocks)) pairs.
+    flip count is Poisson(w g / 4), whatever came before.  The walk spans
+    max(screen_pairs, lag_pairs(window, blocks)) pairs.
 
     The walk is drawn and read a chunk of B half-blocks at a time
-    (:func:`harvest_chunks`): the walk's stream draws F ~ Poisson(B gap_steps
-    / 4) flips into uniform (half-block, coordinate) cells, and a second
-    child of ``seed`` draws the no-op cells.  A half-block's selected set is
-    the coordinates of its hit cells, and its move is the parity of its flip
-    counts, so every boundary is a point of the plain walk.  ``walk_steps``
-    sums the F.  Boundaries are kept in the narrowest unsigned word with n
-    bits, where each chunk's moves xor-accumulate, and are widened into a
-    uint64 buffer to be labelled, so the label source sees uint64 points.
-    Each chunk's screened pairs go into the tally and its lag samples are
-    cut as soon as their ends are drawn, carrying two boundaries to the next
-    chunk; past the screen a chunk draws no no-op cell and labels only the
-    boundaries a lag sample reads.  Memory is a chunk's buffers plus the lag
-    samples (word + 1 bytes each), not the walk's length.
+    (:func:`harvest_chunks`): the walk's stream draws F ~ Poisson(B
+    gap_steps / 4) flips into uniform (half-block, coordinate) cells.  A
+    half-block's flipped set is the coordinates of its cells, and its move
+    is the parity of its flip counts, so every boundary is a point of the
+    plain walk.  ``walk_steps`` sums the F.  Boundaries are kept in the
+    narrowest unsigned word with n bits, where each chunk's moves
+    xor-accumulate, and are widened into a uint64 buffer to be labelled, so
+    the label source sees uint64 points.  Each chunk's screened pairs go
+    into the tally and its lag samples are cut as soon as their ends are
+    drawn, carrying two boundaries to the next chunk; past the screen a
+    chunk packs no flipped set and labels only the boundaries a lag sample
+    reads.  Memory is a chunk's buffers plus the lag samples (word + 1 bytes
+    each), not the walk's length.
     """
     _check_source(f, n)
     pair_count = _harvest_size(screen_pairs, gap_steps, window, blocks)
     word = np.dtype(_word(n)).newbyteorder("<")
     half = window // 2
-    tally = ScreenTally(n) if screen_pairs else None
+    tally = ScreenTally(n, gap_steps) if screen_pairs else None
     diff, prod = np.empty(blocks, dtype=word), np.empty(blocks, dtype=np.int8)
     # the last two lag boundaries read, and their labels
     ends, end_labels = np.empty(0, dtype=word), np.empty(0, dtype=np.int8)
@@ -435,11 +439,13 @@ def harvest_refresh_pairs(
 
 
 def effective_refresh_density(n: int, gap_steps: int) -> float:
-    """Per-coordinate refresh probability of a harvested pair.
+    """Refresh density p = 1 - exp(-gap_steps/n) of the screen.
 
-    A pair's two Poissonized half-blocks select coordinate i a
-    Poisson(gap_steps/n) number of times, so P[i refreshed] =
-    1 - exp(-gap_steps/n), independently across i.
+    An updating block of Poisson(gap_steps) steps refreshes each coordinate
+    with probability p, independently, and its contrast is the one a
+    harvested pair's rescaled contrast estimates: p = 1 - pi^2, where pi =
+    exp(-gap_steps/(2n)) is the probability that a pair leaves a coordinate
+    unflipped (see :func:`harvest_refresh_pairs`).
     """
     _check_dim(n)
     _check_integer("gap_steps", gap_steps, 1)

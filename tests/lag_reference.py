@@ -32,14 +32,15 @@ from junta_walk.walk import (
 @dataclass(frozen=True)
 class RawPairs:
     """Parallel arrays of harvested refresh pairs: packed x and y in the
-    harvest's narrow word, their int8 labels, each pair's refreshed mask."""
+    harvest's narrow word, their int8 labels, and each pair's flipped mask,
+    the coordinates it flips at least once."""
 
     n: int
     x_bits: np.ndarray
     y_bits: np.ndarray
     label_x: np.ndarray
     label_y: np.ndarray
-    refreshed_masks: np.ndarray
+    flipped_masks: np.ndarray
     walk_steps: int
 
     def __len__(self) -> int:
@@ -76,10 +77,11 @@ def oracle_pairs(
     return raw_pairs(f, n, pair_count, gap_steps, int(child.generate_state(1, np.uint64)[0]))
 
 
-def tally_of(pairs) -> ScreenTally:
-    """The screen's tally of pairs given as parallel arrays."""
-    tally = ScreenTally(pairs.n)
-    tally.add(pairs.refreshed_masks, pairs.label_x, pairs.label_y)
+def tally_of(pairs, gap_steps: int) -> ScreenTally:
+    """The screen's tally of pairs given as parallel arrays, harvested at
+    ``gap_steps``."""
+    tally = ScreenTally(pairs.n, gap_steps)
+    tally.add(pairs.flipped_masks, pairs.label_x, pairs.label_y)
     return tally
 
 

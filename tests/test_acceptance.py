@@ -164,44 +164,43 @@ def test_gate_04_sq_coefficient_estimator_calibrated():
 
 
 # ---------------------------------------------------------------------------
-# 5: the harvested refresh pairs' law given their refreshed set
+# 5: the harvested refresh pairs' flipped-set law
 
 
-def test_gate_05_harvested_pairs_uniform_given_the_refreshed_set():
+def test_gate_05_harvested_pairs_follow_the_flipped_set_law():
     """The refresh pairs the pipeline screens: at n = 3 and the screening gap
-    of a level-2 sieve, a harvested pair's x is uniform and y xor x is uniform on
-    the cells its refreshed set R allows, given R.  The pairs are those of an
+    of a level-2 sieve, a harvested pair's flipped set F and y xor x follow
+    the flipped-set law, chi-square over its 3^n cells.  With pi =
+    e^(-gap/(2n)), each coordinate, independently, is unflipped with
+    probability pi, flipped an odd number of times with probability
+    (1 - pi^2)/2 and a nonzero even number of times with probability
+    (1 - pi)^2/2, and y xor x is the odd ones.  The pairs are those of an
     oracle's harvest, read raw off the harvest kernel's chunks."""
     t0 = time.perf_counter()
     n = 3
     gap = gap_for_density(n, SieveParams(level=2, theta=0.1, delta=0.1).density)
-    full = (1 << n) - 1
     pairs = oracle_pairs(parity_table(n, [1]), n, 53, 1_600_000, gap)
-    # Pair i shares half-blocks with pairs i - 1 and i + 1.  Pairs 4m whose
-    # pair 4m - 2 refreshed every coordinate start from a fresh uniform point,
-    # so their (R, x, y xor x) cells are independent draws.
-    picks = np.arange(4, len(pairs), 4)
-    picks = picks[pairs.refreshed_masks[picks - 2] == full]
+    # Pair i spans half-blocks i and i + 1, so the even pairs share no
+    # half-block and their (F, y xor x) cells are independent draws.
+    picks = np.arange(0, len(pairs), 2)
     assert len(picks) >= 90_000
-    r = pairs.refreshed_masks[picks].astype(np.int64)
-    x = pairs.x_bits[picks].astype(np.int64)
+    r = pairs.flipped_masks[picks].astype(np.int64)
     d = (pairs.x_bits[picks] ^ pairs.y_bits[picks]).astype(np.int64)
     assert np.all(d & ~r == 0)
-    statistic, dof = 0.0, 0
-    for mask in range(full + 1):
-        group = r == mask
-        # d lies on R, so its bits inside R pick one of 2^|R| cells
-        size = bin(mask).count("1")
-        inside = np.zeros(len(d), dtype=np.int64)
-        for j, i in enumerate(i for i in range(n) if mask >> i & 1):
-            inside |= ((d >> i) & 1) << j
-        cells = 1 << (n + size)
-        counts = np.bincount(x[group] << size | inside[group], minlength=cells)
-        assert len(counts) == cells
-        expected = group.sum() / cells
-        statistic += float(((counts - expected) ** 2).sum() / expected)
-        dof += cells - 1
-    assert stats.chi2.sf(statistic, dof) >= 0.01
+    # per coordinate: state 0 unflipped, 1 odd, 2 nonzero even
+    states = np.zeros(len(d), dtype=np.int64)
+    for i in reversed(range(n)):
+        bit_r, bit_d = (r >> i) & 1, (d >> i) & 1
+        states = 3 * states + np.where(bit_r == 0, 0, np.where(bit_d == 1, 1, 2))
+    pi = np.exp(-gap / (2 * n))
+    law = np.array([pi, (1 - pi * pi) / 2, (1 - pi) ** 2 / 2])
+    expected = np.ones(1)
+    for _ in range(n):  # cell 3 s + t holds state t at the lowest coordinate
+        expected = np.outer(expected, law).reshape(-1)
+    counts = np.bincount(states, minlength=3**n)
+    assert len(counts) == 3**n and abs(expected.sum() - 1) < 1e-12
+    _, pvalue = stats.chisquare(counts, expected * len(states))
+    assert pvalue >= 0.01
     assert elapsed_since(t0) <= 60.0
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -529,7 +530,7 @@ def _exhaustive_pairs(f: TruthTable, r_mask: int) -> RawPairs:
         y_bits=ys,
         label_x=f.values[xs.astype(np.int64)],
         label_y=f.values[ys.astype(np.int64)],
-        refreshed_masks=np.full(len(xs), r_mask, dtype=np.uint64),
+        flipped_masks=np.full(len(xs), r_mask, dtype=np.uint64),
         walk_steps=0,
     )
 
@@ -545,25 +546,28 @@ def _concat_pairs(*parts: RawPairs) -> RawPairs:
         walk_steps=0,
         **{
             field: np.concatenate([getattr(p, field) for p in parts])
-            for field in ("x_bits", "y_bits", "label_x", "label_y", "refreshed_masks")
+            for field in ("x_bits", "y_bits", "label_x", "label_y", "flipped_masks")
         },
     )
 
 
 def test_contrast_on_exhaustive_refresh_sets():
-    # mixing exhaustive R and complement-of-R pair sets realizes the contrast
-    # exactly: l(R without i) - l(R with i) for each coordinate i
-    n = 4
+    # mixing exhaustive R and complement-of-R pair sets realizes the
+    # difference of means exactly: l(R without i) - l(R with i) for each
+    # coordinate i, rescaled by 1 / (1 + pi) at the tally's gap
+    n, gap = 4, 3
     f = random_table(n, np.random.default_rng(13))
     spec = Spectrum.from_table(f)
     for r_mask in (0b0011, 0b1010, 0b0110):
         with_i = _exhaustive_pairs(f, r_mask | 0b0001)
         without_i = _exhaustive_pairs(f, r_mask & ~0b0001)
-        got = estimate_bounded_influence(tally_of(_concat_pairs(with_i, without_i)))[0][0]
+        tally = tally_of(_concat_pairs(with_i, without_i), gap)
+        got = estimate_bounded_influence(tally)[0][0]
         want = subcube_projection_exact(
             spec, IndexSet(n, r_mask & ~0b0001)
         ) - subcube_projection_exact(spec, IndexSet(n, r_mask | 0b0001))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert tally.pi == math.exp(-gap / (2 * n))
+        assert got == pytest.approx(want / (1 + tally.pi), abs=1e-12)
 
 
 def test_contrast_examples_from_harvested_pairs():
@@ -598,33 +602,80 @@ def test_contrast_matches_exact_value_statistically():
         assert got == pytest.approx(want, abs=6 / math.sqrt(m / 4))
 
 
+def _flip_law_contrasts(values: list[int], n: int, pi: Fraction) -> list[Fraction]:
+    """(a - b) / (1 + pi) for every coordinate, exactly, where a and b are
+    E[f(x) f(y)] given the coordinate unflipped and given it flipped: x is
+    uniform and each coordinate, independently, is unflipped (probability
+    pi), flipped an odd number of times ((1 - pi^2)/2, the only state that
+    sets its bit of y xor x) or a nonzero even number ((1 - pi)^2/2)."""
+    # the label product summed over every x, per y xor x
+    corr = [sum(values[x] * values[x ^ d] for x in range(1 << n)) for d in range(1 << n)]
+    states = ((0, pi), (1, (1 - pi * pi) / 2), (0, (1 - pi) ** 2 / 2))  # (odd bit, probability)
+    kept, flipped = [Fraction(0)] * n, [Fraction(0)] * n
+    for law in product(range(3), repeat=n):
+        weight, d = Fraction(1), 0
+        for i, state in enumerate(law):
+            odd, prob = states[state]
+            weight *= prob
+            d |= odd << i
+        term = weight * Fraction(corr[d], 1 << n)
+        for i, state in enumerate(law):
+            if state:
+                flipped[i] += term
+            else:
+                kept[i] += term
+    return [(kept[i] / pi - flipped[i] / (1 - pi)) / (1 + pi) for i in range(n)]
+
+
+@pytest.mark.parametrize("pi", [Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize("n", [4, 6])
+def test_rescaled_contrast_is_the_updating_walk_contrast_exactly(n, pi):
+    # under the flipped-set law a harvested pair follows, the rescaled
+    # contrast is sum over T owning i of fhat(T)^2 pi^(2(|T| - 1)), the
+    # contrast of an updating walk at refresh density 1 - pi^2, in exact
+    # rational arithmetic for every coordinate
+    for f in (and_table(n, [1, 2]), parity_table(n, [1, 3]), random_table(n, np.random.default_rng(n))):
+        values = [int(v) for v in f.values]
+        coeffs = [Fraction(int(c), 1 << n) for c in wht(f.values)]
+        got = _flip_law_contrasts(values, n, pi)
+        for i in range(n):
+            want = sum(
+                c * c * pi ** (2 * (bin(t).count("1") - 1))
+                for t, c in enumerate(coeffs)
+                if t >> i & 1
+            )
+            assert got[i] == want
+
+
 def test_contrast_requires_both_buckets():
     # a coordinate refreshed in every pair, or in none, has no contrast: +inf
     f = parity_table(3, [1])
     for r_mask in (0b111, 0b010):
         pairs = _exhaustive_pairs(f, r_mask)
-        for values in estimate_bounded_influence(tally_of(pairs)):
+        for values in estimate_bounded_influence(tally_of(pairs, 2)):
             assert values.tolist() == [math.inf] * 3
-    for values in estimate_bounded_influence(ScreenTally(3)):
+    for values in estimate_bounded_influence(ScreenTally(3, 2)):
         assert values.tolist() == [math.inf] * 3
     mixed = _concat_pairs(pairs, _exhaustive_pairs(f, 0b011))
-    for values in estimate_bounded_influence(tally_of(mixed)):
+    for values in estimate_bounded_influence(tally_of(mixed, 2)):
         assert values[0] < math.inf and values[1] == values[2] == math.inf
 
 
-def _reference_contrast(pairs: RawPairs, i: int) -> float:
+def _reference_contrast(pairs: RawPairs, i: int, gap: int) -> float:
     """The per-coordinate float formula: mean label product over the pairs
-    that kept i minus the mean over those that refreshed it."""
+    that left i unflipped minus the mean over those that flipped it, over
+    1 + pi at the harvest's gap."""
     products = pairs.label_x.astype(np.float64) * pairs.label_y
-    hit = (pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1) == 1
+    hit = (pairs.flipped_masks >> np.uint64(i - 1)) & np.uint64(1) == 1
     if not hit.any() or hit.all():
         return math.inf
-    return float(np.mean(products[~hit]) - np.mean(products[hit]))
+    pi = math.exp(-gap / (2 * pairs.n))
+    return float(np.mean(products[~hit]) - np.mean(products[hit])) / (1 + pi)
 
 
-def _assert_contrasts_bit_identical(pairs: RawPairs) -> None:
-    got, _ = estimate_bounded_influence(tally_of(pairs))
-    want = np.array([_reference_contrast(pairs, i) for i in range(1, pairs.n + 1)])
+def _assert_contrasts_bit_identical(pairs: RawPairs, gap: int) -> None:
+    got, _ = estimate_bounded_influence(tally_of(pairs, gap))
+    want = np.array([_reference_contrast(pairs, i, gap) for i in range(1, pairs.n + 1)])
     assert got.dtype == np.float64 and got.shape == (pairs.n,)
     assert got.tobytes() == want.tobytes()
 
@@ -636,16 +687,16 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
         f = random_table(n, np.random.default_rng(300 + n))
         gap = gap_for_density(n, 1 / 3)
         pairs = raw_pairs(f, n, 20_000, gap, seed=n)
-        _assert_contrasts_bit_identical(pairs)
+        _assert_contrasts_bit_identical(pairs, gap)
         harvest = harvest_refresh_pairs(f, n, 20_000, gap, seed=n)
-        assert harvest.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
+        assert harvest.screen.hists.tobytes() == tally_of(pairs, gap).hists.tobytes()
     # exhaustive sets: alone every coordinate is undefined, merged all defined
     f = random_table(4, np.random.default_rng(13))
     parts = [_exhaustive_pairs(f, r_mask) for r_mask in (0b0000, 0b0011, 0b1010, 0b1111)]
     for pairs in parts:
-        _assert_contrasts_bit_identical(pairs)
-    _assert_contrasts_bit_identical(_concat_pairs(*parts))
-    _assert_contrasts_bit_identical(_concat_pairs(*parts[1:3]))
+        _assert_contrasts_bit_identical(pairs, 3)
+    _assert_contrasts_bit_identical(_concat_pairs(*parts), 3)
+    _assert_contrasts_bit_identical(_concat_pairs(*parts[1:3]), 5)
     # byte boundaries of the mask words, up to the packed cap
     rng = np.random.default_rng(310)
     for n in (1, 7, 8, 9, 16, 33, 63):
@@ -655,17 +706,18 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
         labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
         for label_y in (rng.choice(np.array([-1, 1], dtype=np.int8), size=m), -labels):
             pairs = RawPairs(n, masks, masks, labels, label_y, masks, 0)
-            _assert_contrasts_bit_identical(pairs)
-            _assert_contrasts_bit_identical(_no_pairs(n))
+            _assert_contrasts_bit_identical(pairs, 2 * n)
+            _assert_contrasts_bit_identical(_no_pairs(n), 1)
 
 
-def _reference_sigma(pairs: RawPairs, i: int) -> float:
-    """sqrt(1/kept + 1/hit) from a direct count of the masks that refresh i."""
-    hit = int(np.count_nonzero((pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1)))
-    kept = len(pairs.refreshed_masks) - hit
+def _reference_sigma(pairs: RawPairs, i: int, gap: int) -> float:
+    """sqrt(1/unflipped + 1/flipped) / (1 + pi) from a direct count of the
+    masks that flip i."""
+    hit = int(np.count_nonzero((pairs.flipped_masks >> np.uint64(i - 1)) & np.uint64(1)))
+    kept = len(pairs.flipped_masks) - hit
     if hit == 0 or kept == 0:
         return math.inf
-    return math.sqrt(1.0 / kept + 1.0 / hit)
+    return math.sqrt(1.0 / kept + 1.0 / hit) / (1 + math.exp(-gap / (2 * pairs.n)))
 
 
 def test_sigmas_match_per_coordinate_counts():
@@ -673,28 +725,30 @@ def test_sigmas_match_per_coordinate_counts():
 
     f4 = random_table(4, np.random.default_rng(13))
     exhaustive = [_exhaustive_pairs(f4, r_mask) for r_mask in (0b0000, 0b0011, 0b1010)]
-    cases = [_no_pairs(5), exhaustive[1], _concat_pairs(*exhaustive)]
+    cases = [(_no_pairs(5), 1), (exhaustive[1], 3), (_concat_pairs(*exhaustive), 4)]
     for n in (5, 12, 20):
         f = random_table(n, np.random.default_rng(320 + n))
-        cases.append(raw_pairs(f, n, 10_000, gap_for_density(n, 1 / 3), seed=n))
-    for pairs in cases:
-        _, sigmas = estimate_bounded_influence(tally_of(pairs))
-        want = [_reference_sigma(pairs, i) for i in range(1, pairs.n + 1)]
+        gap = gap_for_density(n, 1 / 3)
+        cases.append((raw_pairs(f, n, 10_000, gap, seed=n), gap))
+    for pairs, gap in cases:
+        _, sigmas = estimate_bounded_influence(tally_of(pairs, gap))
+        want = [_reference_sigma(pairs, i, gap) for i in range(1, pairs.n + 1)]
         assert sigmas.tolist() == want
 
 
-def _reference_tally(pairs: RawPairs) -> tuple[np.ndarray, np.ndarray]:
+def _reference_tally(pairs: RawPairs, gap: int) -> tuple[np.ndarray, np.ndarray]:
     """Contrasts and sigmas from a direct count of each mask bit, split by
-    whether the pair's labels disagree."""
-    masks = pairs.refreshed_masks.astype(np.uint64)
+    whether the pair's labels disagree, over 1 + pi at the harvest's gap."""
+    masks = pairs.flipped_masks.astype(np.uint64)
     disagree = pairs.label_x != pairs.label_y
     bits = [(masks >> np.uint64(i)) & np.uint64(1) for i in range(pairs.n)]
     hit = np.array([np.count_nonzero(b) for b in bits], dtype=np.int64)
     hit_dis = np.array([np.count_nonzero(b[disagree]) for b in bits], dtype=np.int64)
     kept, kept_dis = len(masks) - hit, np.count_nonzero(disagree) - hit_dis
+    scale = 1 + math.exp(-gap / (2 * pairs.n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrasts = (kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit
-        sigmas = np.sqrt(1.0 / kept + 1.0 / hit)
+        contrasts = ((kept - 2 * kept_dis) / kept - (hit - 2 * hit_dis) / hit) / scale
+        sigmas = np.sqrt(1.0 / kept + 1.0 / hit) / scale
     empty = (hit == 0) | (kept == 0)
     contrasts[empty] = np.inf
     sigmas[empty] = np.inf
@@ -706,18 +760,19 @@ def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
     # pair counts around a harvest's chunk at n = 16 (the most pairs one
     # call keys at once), masks in uint64 and in the harvest's narrow word,
     # added at once or in two calls: the same pairs must give the same bytes
-    chunk = _HARVEST_CHUNK_STEPS // gap_for_density(16, 1 / 3)
+    gap = gap_for_density(16, 1 / 3)
+    chunk = _HARVEST_CHUNK_STEPS // gap
     rng = np.random.default_rng(330 + n)
     signs = np.array([-1, 1], dtype=np.int8)
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         masks = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         masks &= rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         label_x, label_y = rng.choice(signs, size=count), rng.choice(signs, size=count)
-        want = _reference_tally(RawPairs(n, masks, masks, label_x, label_y, masks, 0))
+        want = _reference_tally(RawPairs(n, masks, masks, label_x, label_y, masks, 0), gap)
         narrow = masks.astype(_word(n))
         for stored in (masks, narrow):
-            whole = tally_of(RawPairs(n, stored, stored, label_x, label_y, stored, 0))
-            split = ScreenTally(n)
+            whole = tally_of(RawPairs(n, stored, stored, label_x, label_y, stored, 0), gap)
+            split = ScreenTally(n, gap)
             cut = min(count, chunk // 3)
             split.add(stored[:cut], label_x[:cut], label_y[:cut])
             split.add(stored[cut:], label_x[cut:], label_y[cut:])

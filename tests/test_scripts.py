@@ -60,3 +60,16 @@ def test_run_default_battery(tmp_path, capsys):
     assert printed["trials"] == 18
     for key in ("csv", "json", "summary"):
         assert Path(printed[key]).is_file()
+
+
+def test_screen_noise(capsys):
+    _run("screen_noise", ["--seeds", "0", "2", "--cells", "8:1", "6:2", "--pairs", "2000"])
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["seeds"] == [0, 2]
+    pool = printed["pool_test"]
+    assert pool["runs"] == 2 and pool["strays"] == len(pool["stray_seeds"]) <= 2
+    assert [(cell["n"], cell["k"]) for cell in printed["cells"]] == [(8, 1), (6, 2)]
+    for cell in printed["cells"]:
+        assert cell["irrelevant"] == cell["n"] - cell["k"]
+        assert cell["sd_over_sigma_min"] <= cell["sd_over_sigma_median"] <= cell["sd_over_sigma_max"]
+        assert cell["pooled"] > 0 and cell["max_abs_z"] >= 0

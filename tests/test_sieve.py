@@ -162,6 +162,21 @@ def test_screening_refresh_density_is_strictly_inside_the_unit_interval():
             assert 0.0 < p_eff < 1.0
 
 
+def test_certified_screen_count_covers_the_rescaled_contrast():
+    # the count is priced for two conditional means over pairs that refresh
+    # a coordinate with probability p; the screen's contrast is (a - b) /
+    # (1 + pi) over pairs that leave it unflipped with probability pi =
+    # sqrt(1 - p), which needs no more pairs as long as min(pi, 1 - pi)
+    # (1 + pi)^2 >= min(p, 1 - p), at every gap a certified screen uses
+    for level in range(1, 5):
+        density = SieveParams(level=level, theta=0.1, delta=0.1).density
+        for n in range(1, 64):
+            gap = gap_for_density(n, density)
+            p = effective_refresh_density(n, gap)
+            pi = math.exp(-gap / (2 * n))
+            assert min(pi, 1 - pi) * (1 + pi) ** 2 >= min(p, 1 - p)
+
+
 def test_certified_budgets_can_refuse():
     params = SieveParams(level=3, theta=1e-3, delta=0.1)
     with pytest.raises(BudgetInfeasible):
@@ -647,6 +662,7 @@ def test_certified_budget_runs_meet_contract():
         assert certify_result(res, spec, 0.3, 2).passed
         outputs.append(json.dumps(res.to_dict()))
     # certified screening sizes put z sigma below tau, so tau alone decides
-    # these pools; the digest pins the outputs the plain-walk harvest draws
+    # these pools; the digest pins the outputs the plain-walk harvest draws,
+    # with the screen's contrasts read off the walk's flipped sets
     digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
-    assert digest == "e0d7f7aa88ad9736cb03c04fee8da772eacfaedf46e7db9bc7ba390e98ddc89c"
+    assert digest == "5ae542b9536154b25883ee7a4cd66d6bc6b87acfb524a9563aea8a887bd9e5fb"

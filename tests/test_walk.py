@@ -1,5 +1,6 @@
 """Labeled walks, refresh pairs, lag samples, sample sizes, oracle seeds."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -18,10 +19,12 @@ from junta_walk.walk import (
     RandomWalkOracle,
     ScreenTally,
     _draw_steps,
+    _harvest_size,
     _word,
     effective_refresh_density,
     gap_for_density,
     generate_walk,
+    harvest_chunks,
     harvest_refresh_pairs,
     labels_for,
     lag_pairs,
@@ -122,12 +125,12 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
     harvest = oracle.refresh_pairs(5_000, gap_steps=40)
     pairs = oracle_pairs(f, n, 63, 5_000, 40, request=2)
     assert pairs.walk_steps == harvest.walk_steps
-    assert harvest.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
-    assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.refreshed_masks == 0)
+    assert harvest.screen.hists.tobytes() == tally_of(pairs, 40).hists.tobytes()
+    assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.flipped_masks == 0)
     assert np.all(pairs.y_bits[:-2] == pairs.x_bits[2:])  # one walk, cut into half-blocks
     np.testing.assert_array_equal(pairs.label_x, f(pairs.x_bits))
     np.testing.assert_array_equal(pairs.label_y, f(pairs.y_bits))
-    assert np.any(pairs.refreshed_masks >> top)
+    assert np.any(pairs.flipped_masks >> top)
     assert oracle.steps_served == 2 * 19_999 + pairs.walk_steps
 
 
@@ -249,10 +252,10 @@ def test_harvest_pairs_chain_into_one_walk():
 
 
 def test_harvest_pairs_overlap_in_one_half_block():
-    # x[i + 1] ^ x[i] is half-block i's move, which both pairs i - 1 and i refresh
+    # x[i + 1] ^ x[i] is half-block i's move, which both pairs i - 1 and i flip
     for n, gap in ((6, 3), (16, 7), (63, 40)):
         pairs = raw_pairs(_top_bit_labels(n), n, 5000, gap, seed=n)
-        x, masks = pairs.x_bits, pairs.refreshed_masks
+        x, masks = pairs.x_bits, pairs.flipped_masks
         move = x[2:] ^ x[1:-1]
         assert np.all(move & ~(masks[1:-1] & masks[:-2]) == 0)
         assert np.any(move)
@@ -261,14 +264,15 @@ def test_harvest_pairs_overlap_in_one_half_block():
 def test_harvest_moves_only_refreshed_coordinates():
     pairs = raw_pairs(XOR2, 6, 5000, 4, seed=3)
     diff = pairs.x_bits ^ pairs.y_bits
-    assert np.all(diff & ~pairs.refreshed_masks == 0)
+    assert np.all(diff & ~pairs.flipped_masks == 0)
 
 
 def test_harvest_empty_blocks_keep_the_point():
     pairs = raw_pairs(XOR2, 6, 20_000, 2, seed=4)
-    empty = pairs.refreshed_masks == 0
-    # P[empty block] = e^-2, so about 2700 of 20000
-    assert 2000 < int(empty.sum()) < 3500
+    empty = pairs.flipped_masks == 0
+    # P[no flip in a pair] = e^(-gap/2) = e^-1, so about 7358 of 20000; the
+    # overlapping pairs' count has sd about 90
+    assert 6900 < int(empty.sum()) < 7800
     np.testing.assert_array_equal(pairs.x_bits[empty], pairs.y_bits[empty])
 
 
@@ -292,14 +296,14 @@ def test_harvest_reads_a_plain_walk_and_charges_its_flips():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_harvest_selection_survives_counts_past_a_byte(n):
-    # Poisson(256) flips and as many no-ops per (half-block, coordinate) cell:
-    # a selection read off a byte-wide count of either would drop the cells
-    # whose count wraps to 0, about 1 in 57 for the sum, and miss both
-    # half-blocks of a dozen or more pairs here.  Every pair refreshes every
-    # coordinate, and each half-block's move is a fair bit per coordinate.
+    # Poisson(256) flips per (half-block, coordinate) cell: a flipped set
+    # read off a byte-wide count would drop the cells whose count wraps to
+    # 0, about 1 in 40, and miss both half-blocks of two dozen or more pairs
+    # per coordinate here.  Every pair flips every coordinate, and each
+    # half-block's move is a fair bit per coordinate.
     count, gap = 40_000, 1024 * n
     pairs = raw_pairs(_top_bit_labels(n), n, count, gap, seed=n)
-    assert np.all(pairs.refreshed_masks == (1 << n) - 1)
+    assert np.all(pairs.flipped_masks == (1 << n) - 1)
     moves = pairs.x_bits[1:] ^ pairs.x_bits[:-1]
     for i in range(n):
         ones = float(np.mean((moves >> np.uint64(i)) & np.uint64(1)))
@@ -309,38 +313,47 @@ def test_harvest_selection_survives_counts_past_a_byte(n):
 def test_harvest_determinism():
     a, b = (raw_pairs(XOR2, 6, 100, 3, seed=5) for _ in range(2))
     np.testing.assert_array_equal(a.x_bits, b.x_bits)
-    np.testing.assert_array_equal(a.refreshed_masks, b.refreshed_masks)
+    np.testing.assert_array_equal(a.flipped_masks, b.flipped_masks)
     a, b = (harvest_refresh_pairs(XOR2, 6, 100, 3, 5, 4, 30) for _ in range(2))
     np.testing.assert_array_equal(a.screen.hists, b.screen.hists)
     np.testing.assert_array_equal(a.lags.diff, b.lags.diff)
 
 
 def test_unrefreshed_parity_product_is_exactly_one():
-    # f = chi_{1}: if coordinate 1 is not refreshed, f(x) f(y) = +1 for every
-    # single pair, not just on average
-    f = parity_table(4, [1])
-    pairs = raw_pairs(f, 4, 30_000, 3, seed=6)
+    # f = chi_{1}: if coordinate 1 is not flipped, f(x) f(y) = +1 for every
+    # single pair, not just on average; if it is, f(x) f(y) = (-1)^count for
+    # a Poisson(gap/(2n)) count given count >= 1, of mean -pi
+    n, gap = 4, 3
+    f = parity_table(n, [1])
+    pairs = raw_pairs(f, n, 30_000, gap, seed=6)
     prod = pairs.label_x.astype(np.int32) * pairs.label_y
-    hit = (pairs.refreshed_masks & np.uint64(1)) != 0
+    hit = (pairs.flipped_masks & np.uint64(1)) != 0
     assert np.all(prod[~hit] == 1)
     m = int(hit.sum())
-    assert abs(float(prod[hit].mean())) < 5 / math.sqrt(m)
+    pi = math.exp(-gap / (2 * n))
+    # adjacent pairs share a half-block: 6 rather than 5 iid sds
+    assert abs(float(prod[hit].mean()) + pi) < 6 / math.sqrt(m)
 
 
 def test_refresh_membership_matches_density_formula():
-    gap = 4
-    pairs = raw_pairs(XOR2, 6, 40_000, gap, seed=7)
-    p = effective_refresh_density(6, gap)
-    for i in range(1, 7):
-        freq = float(np.mean((pairs.refreshed_masks >> np.uint64(i - 1)) & np.uint64(1)))
-        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / 40_000)
+    # a pair leaves each coordinate unflipped with probability pi =
+    # e^(-gap/(2n)), where the refresh density is 1 - pi^2; the even pairs
+    # share no half-block, so their memberships are iid
+    n, gap = 6, 4
+    pairs = raw_pairs(XOR2, n, 40_000, gap, seed=7)
+    pi = math.exp(-gap / (2 * n))
+    assert effective_refresh_density(n, gap) == pytest.approx(1 - pi * pi, rel=1e-15)
+    even = pairs.flipped_masks[::2]
+    for i in range(1, n + 1):
+        freq = float(np.mean((even >> np.uint64(i - 1)) & np.uint64(1)))
+        assert abs(freq - (1 - pi)) < 5 * math.sqrt(pi * (1 - pi) / len(even))
 
 
 def test_refresh_memberships_are_independent_across_coordinates():
     # joint frequency of {1 refreshed, 2 refreshed} factorizes
     pairs = raw_pairs(XOR2, 6, 60_000, 4, seed=8)
-    a = ((pairs.refreshed_masks >> np.uint64(0)) & np.uint64(1)).astype(float)
-    b = ((pairs.refreshed_masks >> np.uint64(1)) & np.uint64(1)).astype(float)
+    a = ((pairs.flipped_masks >> np.uint64(0)) & np.uint64(1)).astype(float)
+    b = ((pairs.flipped_masks >> np.uint64(1)) & np.uint64(1)).astype(float)
     joint = float(np.mean(a * b))
     assert abs(joint - a.mean() * b.mean()) < 5 / math.sqrt(60_000)
 
@@ -362,7 +375,7 @@ def _reference_walk_points(rng, n, count):
 
 
 def _reference_pairs(f, out_b, out_r, steps_used):
-    # pair i joins boundaries i and i + 2 and refreshes half-blocks i and i + 1
+    # pair i joins boundaries i and i + 2 and flips half-blocks i and i + 1
     bounds, sel = np.concatenate(out_b), np.concatenate(out_r)
     x_bits, y_bits = bounds[:-2], bounds[2:]
     return {
@@ -370,14 +383,14 @@ def _reference_pairs(f, out_b, out_r, steps_used):
         "y_bits": y_bits,
         "label_x": labels_for(f, x_bits),
         "label_y": labels_for(f, y_bits),
-        "refreshed_masks": sel[:-1] | sel[1:],
+        "flipped_masks": sel[:-1] | sel[1:],
         "walk_steps": steps_used,
     }
 
 
-def _streams(seed):
-    # the walk's stream and the learner's coins: two children of the seed
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+def _walk_stream(seed):
+    # the harvest's one stream: child 0 of the seed
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def _per_block(ufunc, values, lengths):
@@ -391,9 +404,8 @@ def _per_block(ufunc, values, lengths):
 
 def _reference_harvest(f, n, pair_count, gap_steps, seed):
     # the per-step plain walk: Poisson(gap/4) steps per half-block, each
-    # flipping a uniform coordinate, and the learner's own Poisson(gap/4)
-    # uniform no-op selections per half-block
-    walk_rng, coin_rng = _streams(seed)
+    # flipping a uniform coordinate
+    walk_rng = _walk_stream(seed)
     out_b = [walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r = []
     done = steps_used = 0
@@ -401,13 +413,9 @@ def _reference_harvest(f, n, pair_count, gap_steps, seed):
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
         flips = walk_rng.poisson(gap_steps / 4, size=blocks)
         bit = _reference_draw_steps(walk_rng, n, int(flips.sum()))
-        noops = coin_rng.poisson(gap_steps / 4, size=blocks)
-        noop_bit = _reference_draw_steps(coin_rng, n, int(noops.sum()))
         steps_used += int(flips.sum())
         moves = _per_block(np.bitwise_xor, bit, flips)
-        block_sel = _per_block(np.bitwise_or, bit, flips) | _per_block(
-            np.bitwise_or, noop_bit, noops
-        )
+        block_sel = _per_block(np.bitwise_or, bit, flips)
         out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(moves))
         out_r.append(block_sel)
         done += blocks
@@ -416,11 +424,11 @@ def _reference_harvest(f, n, pair_count, gap_steps, seed):
 
 def _reference_cell_harvest(f, n, pair_count, gap_steps, seed):
     # the per-half-block draw one cell at a time in uint64: per chunk, the
-    # walk's stream draws a Poisson flip total at mean half-blocks * gap / 4
-    # and the coins as many no-ops on average, cell c hitting coordinate
-    # c % n + 1 of half-block c // n; a half-block moves by the xor of its
-    # flips and selects every coordinate a flip or a no-op hits
-    walk_rng, coin_rng = _streams(seed)
+    # walk's stream draws a Poisson flip total at mean half-blocks * gap / 4,
+    # cell c flipping coordinate c % n + 1 of half-block c // n; a half-block
+    # moves by the xor of its flips and its flipped set is every coordinate
+    # a flip hits, however many times
+    walk_rng = _walk_stream(seed)
     out_b = [walk_rng.integers(0, 1 << n, size=1, dtype=np.uint64)]
     out_r = []
     done = steps_used = 0
@@ -428,14 +436,12 @@ def _reference_cell_harvest(f, n, pair_count, gap_steps, seed):
         blocks = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), pair_count + 1 - done)
         moves = np.zeros(blocks, dtype=np.uint64)
         block_sel = np.zeros(blocks, dtype=np.uint64)
-        for rng in (walk_rng, coin_rng):
-            total = int(rng.poisson(blocks * gap_steps / 4))
-            cells = rng.integers(0, blocks * n, size=total, dtype=np.int64)
-            coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
-            np.bitwise_or.at(block_sel, cells // n, coord_bits)
-            if rng is walk_rng:
-                steps_used += total
-                np.bitwise_xor.at(moves, cells // n, coord_bits)
+        total = int(walk_rng.poisson(blocks * gap_steps / 4))
+        cells = walk_rng.integers(0, blocks * n, size=total, dtype=np.int64)
+        coord_bits = np.uint64(1) << (cells % n).astype(np.uint64)
+        np.bitwise_or.at(block_sel, cells // n, coord_bits)
+        np.bitwise_xor.at(moves, cells // n, coord_bits)
+        steps_used += total
         out_b.append(out_b[-1][-1] ^ np.bitwise_xor.accumulate(moves))
         out_r.append(block_sel)
         done += blocks
@@ -471,7 +477,9 @@ def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_harvest_matches_per_cell_reference_bit_for_bit(n):
     f = _top_bit_labels(n)
-    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n}):
+    # past gap 4n a cell's mean flip count exceeds 1 and the kernel scatters
+    # its flipped sets from the cells rather than reading the counts
+    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n, 5 * n}):
         # gap 1 leaves empty blocks at the head and the tail of a chunk
         for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
             seed = 1000 * n + gap + count
@@ -507,12 +515,12 @@ def test_label_sources_read_uint64_points_from_narrow_pairs(n):
     assert sum(seen) == 2 * (count + 2)
     pairs = raw_pairs(top, n, count, gap, seed=n)
     assert served.walk_steps == oracle_pairs(top, n, n, count, gap).walk_steps
-    for name in ("x_bits", "y_bits", "refreshed_masks"):
+    for name in ("x_bits", "y_bits", "flipped_masks"):
         assert getattr(pairs, name).dtype == _word(n)
     for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
         want = labels_for(top, points.astype(np.uint64))
         assert labels.tobytes() == want.tobytes()
-    assert harvested.screen.hists.tobytes() == tally_of(pairs).hists.tobytes()
+    assert harvested.screen.hists.tobytes() == tally_of(pairs, gap).hists.tobytes()
     assert harvested.walk_steps == pairs.walk_steps
     # a screen of the first quarter and lag samples of 6 half-blocks
     seen.clear()
@@ -536,18 +544,20 @@ def _screen_harvest_peak(n, count, gap, seed):
 def test_screen_harvest_peak_is_one_chunk_at_any_length():
     # a screen-only harvest holds one chunk's buffers whatever its length.
     # Per half-block of the B = _HARVEST_CHUNK_STEPS // gap in a chunk:
-    # word-wide rows of uint8 flip counts and bool selections, a uint64
-    # point, its boundary, label and selection words, and as many words
-    # built per chunk (moves, packed selections, labels); per cell drawn
-    # (mean B gap / 4 flips and as many no-ops): the flips' intp cells, held
-    # while the no-ops' int32 draw is widened to intp; and per pair of the
-    # chunk, which the tally keys at once, an intp key and a bool.
+    # word-wide rows of uint8 flip counts and bool flipped sets, a uint64
+    # point, its boundary, label and flipped-set words, and as many words
+    # built per chunk (moves, packed flipped sets, labels); per flip drawn
+    # (mean B gap / 4): its int32 cell and the intp cell it is widened to,
+    # held through the chunk; and per pair of the chunk, which the tally
+    # keys at once, an intp key, a bool and the pair's flipped-set word,
+    # plus the two 8192-element intp buffers numpy casts the keys through.
     n = 16
     gap = gap_for_density(n, 1 / 3)
     halves = _HARVEST_CHUNK_STEPS // gap
     word = np.dtype(_word(n)).itemsize
     per_half = 2 * 8 * word + 8 + 2 * (2 * word + 1)
-    one_chunk = halves * per_half + halves * gap / 4 * (8 + 4 + 8) + halves * 9
+    per_flip = 4 + 8
+    one_chunk = halves * (per_half + gap / 4 * per_flip + 9 + word) + 2 * 8192 * 8
     peaks = [_screen_harvest_peak(n, count, gap, 16) for count in (300_000, 3_000_000)]
     assert max(peaks) < one_chunk
     # an array of even one byte a pair would add 2.7 MB at the longer harvest
@@ -575,8 +585,8 @@ def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
                 pairs = raw_pairs(_hash_label, n, len(harvest), gap, seed)
                 assert harvest.walk_steps == pairs.walk_steps
                 if screen:
-                    want = ScreenTally(n)
-                    masks, label_x, label_y = pairs.refreshed_masks, pairs.label_x, pairs.label_y
+                    want = ScreenTally(n, gap)
+                    masks, label_x, label_y = pairs.flipped_masks, pairs.label_x, pairs.label_y
                     want.add(masks[:screen], label_x[:screen], label_y[:screen])
                     got = estimate_bounded_influence(harvest.screen)
                     assert len(harvest.screen) == screen
@@ -595,32 +605,42 @@ def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
                     assert harvest.lags is None
 
 
+def _flip_law_cell(pi, n, flipped, odd):
+    """P[F = flipped, y xor x = odd] under the flipped-set law: per
+    coordinate, independently, unflipped with probability pi, flipped an odd
+    number of times with probability (1 - pi^2)/2 and a nonzero even number
+    of times with probability (1 - pi)^2/2, and y xor x is the odd ones."""
+    if odd & ~flipped:
+        return 0.0
+    size, odds = bin(flipped).count("1"), bin(odd).count("1")
+    return pi ** (n - size) * ((1 - pi * pi) / 2) ** odds * ((1 - pi) ** 2 / 2) ** (size - odds)
+
+
 @pytest.mark.parametrize("kernel", ["blocks", "steps"])
 @pytest.mark.parametrize("gap", [1, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_harvest_follows_the_refresh_law(n, gap, kernel):
-    # the block kernel and a per-step plain walk, held to one law: R is a
-    # Bernoulli(q) set, x xor y uniform on R, steps Poisson(gap / 4) per
-    # half-block.  The even pairs, and the odd pairs, are each a chain of
-    # disjoint blocks, so each family is held to the iid cell bound on its own.
+    # the block kernel and a per-step plain walk, held to one law: each
+    # pair's (F, y xor x) cell follows the flipped-set law at pi =
+    # e^(-gap/(2n)), steps Poisson(gap / 4) per half-block.  The even pairs,
+    # and the odd pairs, are each a chain of disjoint blocks, so each family
+    # is held to the iid cell bound on its own.
     count, seed = 200_000, 100 * n + gap
     f = _top_bit_labels(n)
     if kernel == "blocks":
         pairs = raw_pairs(f, n, count, gap, seed)
-        r, d, steps = pairs.refreshed_masks, pairs.x_bits ^ pairs.y_bits, pairs.walk_steps
+        r, d, steps = pairs.flipped_masks, pairs.x_bits ^ pairs.y_bits, pairs.walk_steps
     else:
         want = _reference_harvest(f, n, count, gap, seed)
-        r, d, steps = want["refreshed_masks"], want["x_bits"] ^ want["y_bits"], want["walk_steps"]
+        r, d, steps = want["flipped_masks"], want["x_bits"] ^ want["y_bits"], want["walk_steps"]
     assert len(r) == count and r.max() < 1 << n and np.all(d & ~r == 0)
-    q = 1.0 - math.exp(-gap / n)
+    pi = math.exp(-gap / (2 * n))
     for parity in (0, 1):
         rw, dw = r[parity::2], d[parity::2]
         windows = len(rw)
         freq = np.bincount((rw << np.uint64(n) | dw).astype(np.int64), minlength=4**n) / windows
         for cell in range(4**n):
-            rr, dd = divmod(cell, 1 << n)
-            size = bin(rr).count("1")
-            p = q**size * (1 - q) ** (n - size) / 2**size if dd & ~rr == 0 else 0.0
+            p = _flip_law_cell(pi, n, *divmod(cell, 1 << n))
             assert abs(freq[cell] - p) <= 5 * math.sqrt(p * (1 - p) / windows)
     half_blocks = count + 1
     assert abs(steps / half_blocks - gap / 4) <= 5 * math.sqrt(gap / 4 / half_blocks)
@@ -759,6 +779,39 @@ def _hash_label(bits):
     # a deterministic +-1 label that depends on every coordinate
     top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
     return (1 - 2 * top).astype(np.int8)
+
+
+# (n, gap, seed, window, blocks, screen) -> digest of the walk's stream: the
+# chunks' boundaries, labels and flip counts, and the harvest's lag samples
+# and flips charged.  Pinned when the harvest still drew a second stream of
+# no-op coins, which read none of these: the n = 16 screen ends at the first
+# chunk's edge, the n = 17 harvest is lag samples alone over three chunks,
+# and the n = 63 one spans five.
+WALK_STREAM_DIGESTS = {
+    (1, 1, 0, 2, 300, 200): "d6f0b205d4ff44f8",
+    (5, 3, 7, 4, 1_000, 3_000): "ae80f272e5321538",
+    (16, 7, 16, 6, 5_000, _HARVEST_CHUNK_STEPS // 7): "1e00126d5c855cfc",
+    (17, 9, 17, 24, 2_000, 0): "3d69b30b8ecc635a",
+    (63, 40, 63, 8, 3_000, 2_500): "950e1b15b664db50",
+}
+
+
+@pytest.mark.parametrize("cell", list(WALK_STREAM_DIGESTS), ids=str)
+def test_walk_stream_is_pinned(cell):
+    n, gap, seed, window, blocks, screen = cell
+    digest = hashlib.sha256()
+    count = _harvest_size(screen, gap, window, blocks)
+    for done, bounds, labels, _, steps in harvest_chunks(
+        _hash_label, n, gap, seed, count, screen, window // 2
+    ):
+        first = 1 if done == 0 else 2  # the boundaries new in this chunk
+        for part in (bounds[first:].tobytes(), labels[first:].tobytes(), steps.to_bytes(8, "little")):
+            digest.update(part)
+    harvest = harvest_refresh_pairs(_hash_label, n, screen, gap, seed, window, blocks)
+    digest.update(harvest.lags.diff.tobytes())
+    digest.update(harvest.lags.prod.tobytes())
+    digest.update(harvest.walk_steps.to_bytes(8, "little"))
+    assert digest.hexdigest()[:16] == WALK_STREAM_DIGESTS[cell]
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
