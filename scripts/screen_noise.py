@@ -110,7 +110,9 @@ def main(argv=None) -> int:
         "--cells", nargs="*", type=_cell, default=[(8, 1), (12, 2), (16, 2), (16, 3)],
         metavar="N:K", help="(n, k) cells whose irrelevant contrasts are measured",
     )
-    parser.add_argument("--pairs", type=int, default=300_000, help="screen pairs per cell and seed")
+    parser.add_argument(
+        "--pairs", type=int, default=300_000, help="screen pairs per cell and seed"
+    )
     parser.add_argument("--instance-seed", type=int, default=4000)
     args = parser.parse_args(argv)
     first, stop = args.seeds

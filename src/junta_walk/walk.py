@@ -206,8 +206,8 @@ class RefreshHarvest:
 # cells), into B word-wide rows of uint8 flip counts and, inside the screen,
 # of flipped-set bools (<= 128 B per half-block), and labels its boundaries
 # in a B + 1 point uint64 buffer; these buffers are allocated once per
-# harvest.  The screen's tally keys a chunk's
-# pairs in one pass (9 B a pair), so the chunk bounds the screen's memory too.
+# harvest.  The screen's tally keys a chunk's pairs in one pass (9 B a pair),
+# so the chunk bounds the screen's memory too.
 _HARVEST_CHUNK_STEPS = 100_000
 
 
@@ -250,8 +250,7 @@ def harvest_chunks(
     flipped set and yields ``sel`` None.  The arrays are views of buffers the
     next chunk overwrites.
     """
-    # the walk's stream is child 0 of the seed, as it was when a second
-    # child drew no-op coins
+    # the walk's stream is the seed's child 0, whose walks the tests pin
     walk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     # a cell takes Poisson(gap_steps/(4n)) flips; at a mean of at most 1 its
     # uint8 count reaches 256 with probability below 1/256!, so its flipped

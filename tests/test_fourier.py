@@ -634,7 +634,8 @@ def test_rescaled_contrast_is_the_updating_walk_contrast_exactly(n, pi):
     # contrast is sum over T owning i of fhat(T)^2 pi^(2(|T| - 1)), the
     # contrast of an updating walk at refresh density 1 - pi^2, in exact
     # rational arithmetic for every coordinate
-    for f in (and_table(n, [1, 2]), parity_table(n, [1, 3]), random_table(n, np.random.default_rng(n))):
+    tables = (and_table(n, [1, 2]), parity_table(n, [1, 3]))
+    for f in (*tables, random_table(n, np.random.default_rng(n))):
         values = [int(v) for v in f.values]
         coeffs = [Fraction(int(c), 1 << n) for c in wht(f.values)]
         got = _flip_law_contrasts(values, n, pi)

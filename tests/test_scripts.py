@@ -71,5 +71,6 @@ def test_screen_noise(capsys):
     assert [(cell["n"], cell["k"]) for cell in printed["cells"]] == [(8, 1), (6, 2)]
     for cell in printed["cells"]:
         assert cell["irrelevant"] == cell["n"] - cell["k"]
-        assert cell["sd_over_sigma_min"] <= cell["sd_over_sigma_median"] <= cell["sd_over_sigma_max"]
+        ratios = [cell[f"sd_over_sigma_{name}"] for name in ("min", "median", "max")]
+        assert ratios == sorted(ratios)
         assert cell["pooled"] > 0 and cell["max_abs_z"] >= 0
