@@ -795,7 +795,9 @@ WALK_STREAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("cell", list(WALK_STREAM_DIGESTS), ids=str)
+@pytest.mark.parametrize(
+    "cell", list(WALK_STREAM_DIGESTS), ids=[f"n{c[0]}-gap{c[1]}" for c in WALK_STREAM_DIGESTS]
+)
 def test_walk_stream_is_pinned(cell):
     n, gap, seed, window, blocks, screen = cell
     digest = hashlib.sha256()
