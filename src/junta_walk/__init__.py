@@ -27,7 +27,6 @@ from .learner import (
     LearnOutcome,
     LearnParams,
     learn_outcome,
-    relevant_pool,
     theta_for,
 )
 from .oracle_bruteforce import (
@@ -97,7 +96,6 @@ __all__ = [
     "harvest_refresh_pairs",
     "learn_outcome",
     "make_instance",
-    "relevant_pool",
     "run_suite",
     "run_trial",
     "sample_size_concentration",

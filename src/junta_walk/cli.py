@@ -124,7 +124,10 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         budgets = practical_budgets(params, f.n, args.screen_pairs, args.estimate_blocks)
         warn_practical(f"sieve runs {budgets}")
     oracle = RandomWalkOracle(f, f.n, seed=args.seed)
-    _write_json(bounded_sieve(oracle, params, budgets).to_dict(), args.out)
+    record = bounded_sieve(oracle, params, budgets).to_dict()
+    # the budgets were chosen here, so the mode is reported here
+    record["mode"] = "certified" if budgets is None else "practical"
+    _write_json(record, args.out)
     return 0
 
 

@@ -1,28 +1,26 @@
 """Agnostic learning of k-juntas from a labeled-walk oracle.
 
-Pipeline: pick a squared-coefficient threshold from (k, epsilon), run the
-bounded sieve at level k to find every heavy set, pool the returned
-coordinates, then minimize empirical disagreement over all k-subsets of the
-pool on a fresh walk whose length makes disagreement means concentrate
-uniformly over the finite hypothesis class.  That is the certified run.  A
-practical run stops the sieve after its screen and minimizes over the
-screened pool: estimating theta-sized coefficients within theta/8 takes a
-Hoeffding count of lag samples whose harvest, 1e8 to 6e10 steps at n <= 16,
-k <= 3, eps = 0.25 and delta = 0.1, is far past any practical budget, and
-below it the keep rule decides on noise.  :func:`best_support` scores
-every support from the walk's signed subcube label sums, and exact opt in
-``oracle_bruteforce`` from the truth table's.
-
-The threshold theta = (1 - 1/sqrt(2))^2 * 2^(1-k) * eps^2 guarantees that the
-best k-junta's coordinate set survives the sieve whenever its distance
-advantage is at least eps/2, and the pool stays within 12 k 2^k / eps^2
-coordinates, which the pipeline asserts at runtime.
+Pipeline: pick a squared-coefficient threshold theta from (k, epsilon),
+screen the coordinates with the bounded sieve's phase one at level k, then
+minimize empirical disagreement over all k-subsets of the screened pool on a
+fresh walk.  The threshold theta = (1 - 1/sqrt(2))^2 * 2^(1-k) * eps^2
+makes every set the spectrum lemma needs heavy, so a pool that holds every
+coordinate of every S with |S| <= k and fhat(S)^2 >= theta holds a k-junta
+within eps/2 of opt.  The screen gives that pool at certified budgets: each
+member of such an S has contrast at least theta (1-p)^(k-1), twice the
+screen's threshold.  So no run estimates coefficients (phase two), and a
+run's mode only picks its sizes: a certified run screens the certified
+count of refresh pairs and draws an ERM walk long enough for disagreement
+means to concentrate uniformly over the juntas on its pool; a practical run
+sets both sizes itself.  :func:`best_support` scores every support from the
+walk's signed subcube label sums, and exact opt in ``oracle_bruteforce``
+from the truth table's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -38,7 +36,14 @@ from .hypercube import (
     restriction_indices,  # noqa: F401 - the benchmark's tracer reads this name
     signed_sums,
 )
-from .sieve import SieveParams, SieveResult, _masks_up_to, bounded_sieve, practical_budgets
+from .sieve import (
+    SieveParams,
+    SieveResult,
+    _masks_up_to,
+    bounded_sieve,
+    certified_budgets,
+    practical_budgets,
+)
 from .walk import RandomWalkOracle, sample_size_erm
 
 GAP_CONSTANT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -49,13 +54,6 @@ def theta_for(k: int, epsilon: float) -> float:
     _check_integer("k", k, 1)
     _check_real("epsilon", epsilon, "(0, 1]")
     return GAP_CONSTANT**2 * 2.0 ** (1 - k) * epsilon**2
-
-
-def pool_bound(k: int, epsilon: float) -> int:
-    """Runtime cap 12 k 2^k / eps^2 on the relevant-coordinate pool."""
-    _check_integer("k", k, 1)
-    _check_real("epsilon", epsilon, "(0, 1]")
-    return math.ceil(12.0 * k * 2.0**k / epsilon**2)
 
 
 def log_junta_class_size(pool_size: int, k: int) -> float:
@@ -71,10 +69,10 @@ class LearnParams:
     """Target junta arity and the (epsilon, delta) agnostic guarantee.
 
     A run is certified or practical as a whole.  Leaving both budget fields
-    at None requests certified sample sizes for every phase, which are only
-    feasible for very small k; a practical run sets both the refresh pairs
-    its sieve screens and its ERM walk length.  Setting only one raises
-    ValueError.
+    at None requests certified sizes for the screen and the ERM walk, which
+    are only feasible for very small k; a practical run sets both the
+    refresh pairs its sieve screens and its ERM walk length.  Setting only
+    one raises ValueError.
     """
 
     k: int
@@ -104,14 +102,6 @@ def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
     """The learner's sieve: level k, threshold theta_for(k, epsilon), and half
     of the failure probability delta."""
     return SieveParams(level=k, theta=theta_for(k, epsilon), delta=delta / 2.0)
-
-
-def relevant_pool(result: SieveResult) -> IndexSet:
-    """Union of the sets a sieve run returned."""
-    mask = 0
-    for s in result.sets:
-        mask |= s.mask
-    return IndexSet(result.n, mask)
 
 
 def pad_pool(pool: IndexSet, k: int) -> IndexSet:
@@ -193,10 +183,12 @@ def best_junta(
 
     ``subcube_sums`` gives every support's signed subcube label sums from the
     sums over sets T of pool coordinates: an exact transform of the sample
-    binned onto a pool of at most BULK_WHT_MAX_N coordinates, or popcounts
-    of bit columns (``_character_sums``) for a larger one.  :func:`best_support`
-    scores them, ties going to the smallest coordinate-set mask, so reruns on
-    the same sample are reproducible.  Labels are +-1 in an integer dtype.
+    binned onto a pool of at most BULK_WHT_MAX_N coordinates, or onto a
+    larger pool whose sets of <= k positions are at least half of all its
+    sets, else popcounts of bit columns (``_character_sums``).
+    :func:`best_support` scores them, ties going to the smallest
+    coordinate-set mask, so reruns on the same sample are reproducible.
+    Labels are +-1 in an integer dtype.
     """
     points = np.asarray(points, dtype=np.uint64)
     labels = np.asarray(labels)
@@ -210,7 +202,9 @@ def best_junta(
         raise ValueError("sample labels must all be +1 or -1 integers")
     if len(pool) < k:
         raise ValueError(f"pool has {len(pool)} coordinates, need {k}")
-    if len(pool) > BULK_WHT_MAX_N:
+    # the bit columns pay once per set of <= k positions; from 2k >= |pool| - 1
+    # on, those sets are at least half of the 2^|pool| cells the transform fills
+    if len(pool) > BULK_WHT_MAX_N and 2 * k < len(pool) - 1:
         coeffs = _character_sums(points, labels, pool, k)
     else:
         coeffs = wht(signed_sums(pool, points, labels)).__getitem__
@@ -233,12 +227,16 @@ class LearnOutcome:
 
 
 def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome:
-    """Run the sieve-then-ERM pipeline, keeping all run diagnostics.
+    """Run the screen-then-ERM pipeline, keeping all run diagnostics.
 
-    A certified run pools the sets the full sieve keeps at certified budgets;
-    a practical run screens ``screen_pairs`` refresh pairs, stops the sieve
-    there (zero estimate blocks, so no lag samples), and pools the screened
-    coordinates.
+    The sieve stops after its screen (zero estimate blocks, so no lag
+    samples), and ERM runs over the screened pool padded to k coordinates.
+    The mode picks only the sizes: a certified run screens the pairs of
+    :func:`certified_budgets` and draws the certified ERM walk over its
+    pool; a practical run draws ``screen_pairs`` and ``erm_sample``.
+    ``certified_budgets`` still prices the full sieve, lag samples included,
+    against its step ceiling, so a certified run is refused wherever the
+    certified sieve would be.
     """
     n = oracle.n
     if params.k > n:
@@ -246,19 +244,11 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
     served_before = oracle.steps_served
     sieve_params = sieve_params_for(params.k, params.epsilon, params.delta)
     if params.mode == "certified":
-        result = bounded_sieve(oracle, sieve_params)
-        pool = relevant_pool(result)
+        budgets = replace(certified_budgets(sieve_params, n), estimate_blocks=0)
     else:
         budgets = practical_budgets(sieve_params, n, params.screen_pairs, estimate_blocks=0)
-        result = bounded_sieve(oracle, sieve_params, budgets)
-        pool = result.pool
-    pool = pad_pool(pool, params.k)
-    cap = pool_bound(params.k, params.epsilon)
-    if len(pool) > cap:
-        raise RuntimeError(
-            f"relevant pool has {len(pool)} coordinates, exceeding the "
-            f"12 k 2^k / eps^2 = {cap} bound; sieve output is inconsistent"
-        )
+    result = bounded_sieve(oracle, sieve_params, budgets)
+    pool = pad_pool(result.pool, params.k)
 
     m = params.erm_sample
     if m is None:
@@ -275,4 +265,3 @@ def learn_outcome(oracle: RandomWalkOracle, params: LearnParams) -> LearnOutcome
         sample_size=m,
         walk_steps=oracle.steps_served - served_before,
     )
-

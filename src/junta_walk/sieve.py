@@ -226,7 +226,8 @@ def _pool_cap(params: SieveParams) -> int:
 class SieveResult:
     """Returned sets with their estimates, plus phase diagnostics;
     ``walk_steps`` counts the oracle steps this run drew, not those the
-    oracle served before it."""
+    oracle served before it.  ``budgets`` are the sizes the run drew, not
+    who chose them: the entry point that chose them reports the run's mode."""
 
     n: int
     sets: tuple[IndexSet, ...]
@@ -237,7 +238,6 @@ class SieveResult:
     truncated: bool
     walk_steps: int
     budgets: SieveBudgets
-    mode: str  # "certified" when bounded_sieve derived the budgets, else "practical"
 
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
@@ -253,7 +253,6 @@ class SieveResult:
             "candidates": self.candidates,
             "truncated": self.truncated,
             "walk_steps": self.walk_steps,
-            "mode": self.mode,
         }
 
 
@@ -298,7 +297,6 @@ def bounded_sieve(
     """
     n = oracle.n
     served_before = oracle.steps_served
-    mode = "certified" if budgets is None else "practical"
     if budgets is None:
         budgets = certified_budgets(params, n)
 
@@ -370,7 +368,6 @@ def bounded_sieve(
         truncated=truncated,
         walk_steps=oracle.steps_served - served_before,
         budgets=budgets,
-        mode=mode,
     )
 
 

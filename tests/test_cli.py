@@ -12,12 +12,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from junta_walk import cli
-from junta_walk.functions import and_table, parity_table
+from junta_walk.functions import and_table, flip_labels_iid, parity_table
 from junta_walk.harness import Corruption, InstanceSpec
 from junta_walk.hypercube import TruthTable
+from junta_walk.sieve import SieveBudgets
 
 
 def write_instance(path, table: TruthTable) -> str:
@@ -119,12 +121,9 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
     obj = json.loads(out)
     assert obj["excess"] == "0"
     assert obj["hypothesis"]["J"] == [1]
-    # a certified run estimates, so its stdout is the one recorded before the
-    # learner could skip estimation (erm_sample 12 559), but for its walk
-    # steps: this unscreened run reads its lag samples off one harvest of
-    # 12-half-block windows at gap 2 (26 033 970 steps when they had a lag
-    # walk of their own)
-    assert obj["walk_steps"] == 22_779_102
+    # an unscreened certified run pools [n] and draws only its ERM walk
+    assert obj["pool"] == [1, 2]
+    assert (obj["erm_sample"], obj["walk_steps"]) == (15_549, 15_548)
     # the run's mode was added to that record; a file without a recipe
     # reports none, so the record is hashed without those two fields
     assert obj["mode"] == "certified"
@@ -133,7 +132,7 @@ def test_learn_certified_flag_on_tiny_instance(tmp_path, capsys, caplog):
         {key: v for key, v in obj.items() if key not in ("mode", "instance_spec")}, indent=2
     )
     digest = hashlib.sha256(recorded.encode()).hexdigest()
-    assert digest == "3b52191f98d640de659053762a3581d74bae5dfe0bf44f87f309918cdb32420f"
+    assert digest == "35984361786397e1d8d3f1657786d0dbeecb9ecdfaa1af8e99086230be323372"
 
 
 # ru_maxrss survives exec, so a learn spawned by the test process would
@@ -149,14 +148,14 @@ print(f"exit={code} maxrss={maxrss}", file=sys.stderr)
 
 
 def test_learn_certified_peaks_under_100_mib(tmp_path):
-    # the certified learn above draws 22 779 102 walk steps; its harvest
-    # holds a chunk and the lag samples at a time, not the walk (330 MiB
-    # when it kept every boundary, label and mask)
-    inst = write_instance(tmp_path / "dictator.json", parity_table(2, [1]))
+    # a certified learn that screens: 26 804 422 walk steps, nearly all of
+    # them the screen's harvest, which holds a chunk at a time, not the walk
+    noisy = flip_labels_iid(parity_table(8, [1]), 0.1, np.random.default_rng(8))
+    inst = write_instance(tmp_path / "noisy_dictator.json", noisy)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    argv = ["learn", "--instance", inst, "-k", "1", "--eps", "0.4", "--delta", "0.3"]
+    argv = ["learn", "--instance", inst, "-k", "1", "--eps", "0.5", "--delta", "0.2"]
     run = subprocess.run(
         [sys.executable, "-c", _PEAK_SNIPPET, *argv, "--certified"],
         env=env,
@@ -165,7 +164,7 @@ def test_learn_certified_peaks_under_100_mib(tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout)["walk_steps"] == 22_779_102
+    assert json.loads(run.stdout)["walk_steps"] == 26_804_422
     code, maxrss = re.search(r"exit=(\d+) maxrss=(\d+)", run.stderr).groups()
     # ru_maxrss is in bytes on macOS and in KiB elsewhere
     peak_mib = int(maxrss) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
@@ -206,6 +205,24 @@ def test_sieve_finds_parity_support(tmp_path, capsys, caplog):
     obj = json.loads(out)
     assert obj["sets"] == [[2, 5]]
     assert obj["pool"] == [2, 5]
+
+
+def test_run_mode_follows_who_chose_the_budgets(tmp_path, capsys):
+    # a sieve run is certified exactly when the command leaves its budgets
+    # to certified_budgets; neither the result nor the budgets carry a mode,
+    # so the command appends it as the record's last key
+    inst = write_instance(tmp_path / "dictator.json", parity_table(6, [1]))
+    argv = ["sieve", "--instance", inst, "--theta", "0.5", "--level", "1", "--delta", "0.1"]
+    for budgets, mode in (
+        ([], "certified"),
+        (["--screen-pairs", "500", "--estimate-blocks", "200"], "practical"),
+    ):
+        code, out = run(capsys, *argv, "--seed", "12", *budgets)
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj)[-1] == "mode" and obj["mode"] == mode
+    with pytest.raises(TypeError):
+        SieveBudgets(screen_pairs=10, estimate_blocks=5, lag=2, gap_steps=3, mode="certified")
 
 
 def _reject(name):

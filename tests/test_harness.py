@@ -35,7 +35,7 @@ from junta_walk.harness import (
     thread_count,
 )
 from junta_walk.hypercube import JuntaHypothesis, distance_exact
-from junta_walk.learner import LearnParams, pool_bound, theta_for
+from junta_walk.learner import LearnParams, theta_for
 
 
 def small_params(k, epsilon=0.25, delta=0.2, screen=20_000, sample=8_000):
@@ -171,8 +171,6 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         (lambda: default_learn_params(8.0, 2, 0.25, 0.2), TypeError, "n=8.0"),
         (lambda: theta_for(2.5, 0.1), TypeError, "k=2.5"),
         (lambda: theta_for(True, 0.1), TypeError, "k=True"),
-        (lambda: pool_bound(2.5, 0.25), TypeError, "k=2.5"),
-        (lambda: pool_bound(True, 0.25), TypeError, "k=True"),
     ],
     ids=[
         "iid-with-fraction",
@@ -200,8 +198,6 @@ def test_corruption_dict_refuses_the_other_models_field(d, key):
         "float-default-n",
         "float-theta-k",
         "bool-theta-k",
-        "float-pool-k",
-        "bool-pool-k",
     ],
 )
 def test_refuses_a_bad_argument_naming_it(build, error, named):

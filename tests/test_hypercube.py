@@ -31,7 +31,7 @@ from junta_walk.hypercube import (
     restriction_indices,
     signed_sums,
 )
-from junta_walk.learner import LearnParams, log_junta_class_size, pool_bound, theta_for
+from junta_walk.learner import LearnParams, log_junta_class_size, theta_for
 from junta_walk.oracle_bruteforce import (
     coefficient_bound,
     counterexample_fixtures,
@@ -349,7 +349,7 @@ def test_every_package_export_resolves():
 
 
 F3 = parity_table(3, [1])
-EMPTY_RESULT = SieveResult(3, (), (), IndexSet(3), (), 0, False, 0, SieveBudgets(1, 0, 1, 1), "")
+EMPTY_RESULT = SieveResult(3, (), (), IndexSet(3), (), 0, False, 0, SieveBudgets(1, 0, 1, 1))
 
 
 def _rng():
@@ -391,7 +391,6 @@ NUMERIC_ARGUMENTS = [
     ("Corruption", "iid rate", float, lambda v: Corruption(kind="iid", rate=v)),
     ("Corruption", "planted fraction", float, lambda v: Corruption(kind="planted", fraction=v)),
     ("theta_for", "epsilon", float, lambda v: theta_for(2, v)),
-    ("pool_bound", "epsilon", float, lambda v: pool_bound(2, v)),
     ("coefficient_bound", "epsilon", float, lambda v: coefficient_bound(2, v)),
     ("LearnParams", "epsilon", float, lambda v: LearnParams(2, v, 0.2)),
     ("LearnParams", "delta", float, lambda v: LearnParams(2, 0.25, v)),
@@ -436,10 +435,7 @@ def test_numeric_refusals_state_the_interval():
         sample_size_erm(0.1, 0.1, 8, math.inf)
     with pytest.raises(ValueError, match=re.escape("k=4 outside [1, 3]")):
         exact_opt(F3, 4)
-    # each was computed from the bad value: ZeroDivisionError, -0.62, -6.0 and
-    # "negative shift count"
-    with pytest.raises(ValueError, match=re.escape("epsilon=0 outside (0, 1]")):
-        pool_bound(2, 0)
+    # each was computed from the bad value: -0.62, -6.0 and "negative shift count"
     with pytest.raises(ValueError, match=re.escape("epsilon=-3 outside (0, 1]")):
         coefficient_bound(2, -3)
     with pytest.raises(ValueError, match=re.escape("refresh density p=7.0 outside [0, 1]")):

@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from junta_walk import learner
-from junta_walk.fourier import BULK_WHT_MAX_N
+from junta_walk.fourier import BULK_WHT_MAX_N, wht
 from junta_walk.functions import and_table, flip_labels_iid, parity_table
 from junta_walk.harness import default_learn_params
 from junta_walk.hypercube import (
@@ -27,17 +28,10 @@ from junta_walk.learner import (
     learn_outcome,
     log_junta_class_size,
     pad_pool,
-    pool_bound,
-    relevant_pool,
     theta_for,
 )
-from junta_walk.sieve import (
-    SieveBudgets,
-    SieveParams,
-    SieveResult,
-    bounded_sieve,
-    practical_budgets,
-)
+from junta_walk.oracle_bruteforce import exact_opt
+from junta_walk.sieve import SieveParams, bounded_sieve, practical_budgets
 from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
 
 
@@ -68,10 +62,6 @@ def test_theta_monotone_in_epsilon(k, eps):
     assert theta_for(k + 1, eps) < theta_for(k, eps)
 
 
-def test_pool_bound_value():
-    assert pool_bound(3, 0.25) == 4608
-
-
 def test_log_class_size():
     assert log_junta_class_size(9, 3) == pytest.approx(9.975994243322877, rel=1e-12)
     assert log_junta_class_size(3, 3) == pytest.approx(8 * math.log(2))
@@ -81,9 +71,6 @@ def test_log_class_size():
 
 # ---------------------------------------------------------------------------
 # Parameter modes
-
-
-TINY_BUDGETS = SieveBudgets(screen_pairs=1, estimate_blocks=1, lag=1, gap_steps=1)
 
 
 def test_mode_derivation():
@@ -142,39 +129,6 @@ def test_mode_conflicts_rejected():
 
 # ---------------------------------------------------------------------------
 # Pool assembly
-
-
-def _sieve_result(n, sets):
-    return SieveResult(
-        n=n,
-        sets=tuple(sets),
-        estimates=tuple(1.0 for _ in sets),
-        pool=IndexSet.full(n),
-        influences=(),
-        candidates=len(sets),
-        truncated=False,
-        walk_steps=0,
-        budgets=TINY_BUDGETS,
-        mode="practical",
-    )
-
-
-def test_relevant_pool_unions_sets():
-    sets = [IndexSet.of(6, [1, 3]), IndexSet.of(6, [3, 5])]
-    assert relevant_pool(_sieve_result(6, sets)).coords() == (1, 3, 5)
-
-
-def test_relevant_pool_empty_needs_dimension():
-    # the result carries the dimension, so an empty family still has one
-    assert relevant_pool(_sieve_result(4, [])) == IndexSet(4, 0)
-
-
-def test_relevant_pool_accepts_sieve_result():
-    f = parity_table(6, [2, 4])
-    params = SieveParams(level=2, theta=0.5, delta=0.2)
-    budgets = practical_budgets(params, 6, screen_pairs=20_000, estimate_blocks=4_000)
-    res = bounded_sieve(RandomWalkOracle(f, 6, seed=3), params, budgets=budgets)
-    assert relevant_pool(res).coords() == (2, 4)
 
 
 def test_pad_pool():
@@ -296,7 +250,8 @@ def _per_support_best_junta(points, labels, pool, k):
         (BULK_WHT_MAX_N + 1, 2, 300),  # the smallest pool read off bit columns
         (BULK_WHT_MAX_N + 2, 3, 500),
         (BULK_WHT_MAX_N + 2, 4, 1_000),
-        (BULK_WHT_MAX_N + 1, BULK_WHT_MAX_N, 300),  # nearly every set of the pool
+        # nearly every set of the pool: 2k >= |pool| - 1 bins it onto 2^|pool| cells
+        (BULK_WHT_MAX_N + 1, BULK_WHT_MAX_N, 300),
     ],
 )
 def test_best_junta_matches_per_support_tallies(pool_size, k, m):
@@ -450,34 +405,58 @@ def test_learn_pads_pool_for_degenerate_targets():
 
 
 def test_learn_certified_tiny_case():
-    # n=2 skips screening, so fully certified budgets stay affordable
+    # n=2 skips screening, so the pool is [n] and the sieve draws nothing
     f = parity_table(2, [2])
     params = LearnParams(k=1, epsilon=0.5, delta=0.25)
     assert params.mode == "certified"
     outcome = learn_outcome(RandomWalkOracle(f, 2, seed=20), params)
-    assert outcome.sieve.mode == "certified"
     log_size = log_junta_class_size(len(outcome.pool), 1)
     assert outcome.sample_size == sample_size_erm(0.25, 0.125, 2, log_size).m
     assert distance_exact(f, outcome.hypothesis) == 0
-    # a certified run estimates, so its outputs are the ones recorded before
-    # practical runs stopped the sieve after its screen, but for the walk
-    # steps: the lag samples are read off a harvest of 12-half-block windows
-    # at gap 2 (9 681 241 sieve steps when they had a walk of their own)
-    assert outcome.sieve.estimates == (1.0,)
+    # a certified run stops the sieve after its screen, as a practical one does
     assert outcome.hypothesis.to_dict() == {"J": [2], "table": [1, -1]}
-    assert outcome.pool.coords() == (2,)
-    assert (outcome.disagreements, outcome.sample_size) == (0, 8271)
-    assert outcome.walk_steps == 8_305_136
+    assert outcome.pool.coords() == (1, 2)
+    assert (outcome.disagreements, outcome.sample_size) == (0, 11_270)
+    assert outcome.walk_steps == 11_269
     assert outcome.sieve.to_dict() == {
-        "n": 2, "sets": [[2]], "estimates": [1.0], "pool": [1, 2],
+        "n": 2, "sets": [], "estimates": [], "pool": [1, 2],
         "influences": [None, None], "candidates": 3, "truncated": False,
-        "walk_steps": 8296866, "mode": "certified",
+        "walk_steps": 0,
     }
 
 
-def test_stock_preset_skips_the_estimation_walk(monkeypatch):
-    # a practical run stops the sieve after its screen and reads no lag
-    # sample, so its walk steps are the screen's plus the ERM walk's
+def _heavy_sets(f, k, theta):
+    """Masks of the sets S with |S| <= k and fhat(S)^2 >= theta, decided
+    exactly: fhat(S) = w / 2^n for the integer transform entry w."""
+    w = wht(f.values)
+    bound = Fraction(theta) * 4**f.n
+    return [s for s in range(1 << f.n) if s.bit_count() <= k and int(w[s]) ** 2 >= bound]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("noise_seed", [None, 50])
+def test_certified_pool_covers_every_heavy_set(n, noise_seed):
+    # the screen at certified budgets pools every member of every heavy set,
+    # so ERM over the pool has a k-junta within eps/2 of opt to find
+    k, eps = 1, 0.5
+    f = parity_table(n, [n])
+    if noise_seed is not None:
+        f = flip_labels_iid(f, 0.1, np.random.default_rng(noise_seed + n))
+    outcome = learn_outcome(RandomWalkOracle(f, n, seed=60 + n), LearnParams(k, eps, 0.2))
+    heavy = _heavy_sets(f, k, theta_for(k, eps))
+    assert heavy and all(s & outcome.pool.mask == s for s in heavy)
+    excess = distance_exact(f, outcome.hypothesis) - exact_opt(f, k).opt
+    assert 0 <= excess <= Fraction(eps)
+
+
+@pytest.mark.parametrize(
+    "mode, n, k, eps, target",
+    [("practical", 12, 2, 0.25, [4, 9]), ("certified", 4, 1, 0.5, [3])],
+    ids=["practical", "certified"],
+)
+def test_stock_preset_skips_the_estimation_walk(monkeypatch, mode, n, k, eps, target):
+    # either mode stops the sieve after its screen and reads no lag sample,
+    # so a run's walk steps are the screen's plus the ERM walk's
     harvests = []
     draw = RandomWalkOracle.refresh_pairs
 
@@ -486,15 +465,16 @@ def test_stock_preset_skips_the_estimation_walk(monkeypatch):
         return harvests[-1]
 
     monkeypatch.setattr(RandomWalkOracle, "refresh_pairs", record)
-    n, k = 12, 2
-    f = flip_labels_iid(and_table(n, [4, 9]), 0.1, np.random.default_rng(40))
-    params = default_learn_params(n, k, 0.25, 0.2)
+    f = flip_labels_iid(and_table(n, target), 0.1, np.random.default_rng(40))
+    params = default_learn_params(n, k, eps, 0.2)
+    if mode == "certified":
+        params = LearnParams(k, eps, 0.2)
     outcome = learn_outcome(RandomWalkOracle(f, n, seed=41), params)
     assert [h.lags for h in harvests] == [None]
     assert outcome.sieve.sets == () and outcome.sieve.estimates == ()
     assert outcome.pool == pad_pool(outcome.sieve.pool, k)
-    assert outcome.walk_steps == outcome.sieve.walk_steps + params.erm_sample - 1
-    assert set(outcome.hypothesis.J.coords()) == {4, 9}
+    assert outcome.walk_steps == outcome.sieve.walk_steps + outcome.sample_size - 1
+    assert set(outcome.hypothesis.J.coords()) == set(target)
 
 
 def test_walk_steps_count_only_the_run_on_a_used_oracle():
