@@ -58,6 +58,7 @@ def theta_for(k: int, epsilon: float) -> float:
 
 def log_junta_class_size(pool_size: int, k: int) -> float:
     """ln of the number of k-juntas over a pool: C(pool, k) tables of 2^k bits."""
+    _check_integer("pool_size", pool_size, 0)
     _check_integer("k", k, 1)
     if pool_size < k:
         raise ValueError(f"pool of {pool_size} coordinates cannot host a {k}-junta")
@@ -106,6 +107,7 @@ def sieve_params_for(k: int, epsilon: float, delta: float) -> SieveParams:
 
 def pad_pool(pool: IndexSet, k: int) -> IndexSet:
     """Extend a pool below size k with the lowest-index absent coordinates."""
+    _check_integer("k", k, 1)
     if len(pool) >= k:
         return pool
     if k > pool.n:

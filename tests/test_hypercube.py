@@ -31,7 +31,7 @@ from junta_walk.hypercube import (
     restriction_indices,
     signed_sums,
 )
-from junta_walk.learner import LearnParams, log_junta_class_size, theta_for
+from junta_walk.learner import LearnParams, log_junta_class_size, pad_pool, theta_for
 from junta_walk.oracle_bruteforce import (
     coefficient_bound,
     counterexample_fixtures,
@@ -377,6 +377,8 @@ NUMERIC_ARGUMENTS = [
         lambda v: expected_bounded_influence(Spectrum.from_table(F3), 1, v),
     ),
     ("log_junta_class_size", "k", int, lambda v: log_junta_class_size(3, v)),
+    ("log_junta_class_size", "pool_size", int, lambda v: log_junta_class_size(v, 1)),
+    ("pad_pool", "k", int, lambda v: pad_pool(IndexSet.of(3, [1]), v)),
     ("verify_spectrum_lemma", "k", "int or None", lambda v: verify_spectrum_lemma(F3, F3, 0.5, v)),
     ("default_lag", "theta", float, lambda v: default_lag(8, v)),
     ("blocks_for", "accuracy", float, lambda v: blocks_for(v, 0.1)),
@@ -442,6 +444,8 @@ def test_numeric_refusals_state_the_interval():
         expected_bounded_influence(Spectrum.from_table(F3), 1, 7.0)
     with pytest.raises(ValueError, match=re.escape("k=-1 must be >= 1")):
         log_junta_class_size(3, -1)
+    with pytest.raises(ValueError, match=re.escape("pool_size=-1 must be >= 0")):
+        log_junta_class_size(-1, 1)
     with pytest.raises(TypeError, match=re.escape("k=1.5 must be an integer")):
         verify_spectrum_lemma(F3, F3, 0.5, k=1.5)
     # numpy scalars, integers for a real and exact fractions pass
