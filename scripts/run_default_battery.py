@@ -10,7 +10,6 @@ same arguments reproduces the artifacts bit-for-bit.
 import argparse
 import json
 import logging
-import os
 import sys
 
 from junta_walk.harness import default_battery, run_suite
@@ -21,12 +20,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="results/battery", help="artifact directory")
     parser.add_argument("--master-seed", type=int, default=20240817)
     parser.add_argument("--repetitions", type=int, default=3, help="trials per cell")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (overrides JUNTA_WALK_THREADS for this run)",
-    )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -34,8 +27,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads is not None:
-        os.environ["JUNTA_WALK_THREADS"] = str(args.threads)
 
     config = default_battery(master_seed=args.master_seed, repetitions=args.repetitions)
     result = run_suite(config, args.out_dir)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .hypercube import (
-    IndexSet, TruthTable, _check_integer, _check_real, parity_sign_u64, signed_sums
+    IndexSet, TruthTable, _check_dim, _check_integer, _check_real, parity_sign_u64, signed_sums
 )
 from .walk import LagSamples, ScreenTally
 
@@ -177,6 +177,7 @@ def subcube_projection_exact(s: Spectrum, R: IndexSet) -> float:
 def default_lag(n: int, theta: float) -> int:
     """Least mean flip count (lag) putting the estimator's systematic
     error below theta/8."""
+    _check_dim(n)
     _check_real("theta", theta, "(0, 1]")
     return max(1, math.ceil((n / 2) * math.log(8.0 / theta)))
 

@@ -10,7 +10,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypercube import IndexSet, JuntaHypothesis, TruthTable, _check_real, parity_sign_u64
+from .hypercube import (
+    IndexSet, JuntaHypothesis, TruthTable, _check_dim, _check_integer, _check_real, parity_sign_u64
+)
 
 
 def parity_table(n: int, coords: Iterable[int]) -> TruthTable:
@@ -38,6 +40,8 @@ def random_table(n: int, rng: np.random.Generator) -> TruthTable:
 
 def random_junta(n: int, k: int, rng: np.random.Generator) -> JuntaHypothesis:
     """Uniform k-subset of [n] with a uniform 2^k sign table."""
+    _check_dim(n)
+    _check_integer("k", k, 0, n)
     coords = sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist())
     table = rng.choice(np.array([-1, 1], dtype=np.int8), size=1 << k)
     return JuntaHypothesis(IndexSet.of(n, coords), table)

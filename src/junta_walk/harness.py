@@ -15,10 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -99,20 +97,6 @@ def _check_seeds(**seeds: int | None) -> None:
 def warn_practical(what: str) -> None:
     """Log, for an entry point, that ``what`` uses practical sample sizes."""
     logger.warning("%s at practical sizes; the guarantee is not certified there", what)
-
-
-def thread_count() -> int:
-    """Worker cap from JUNTA_WALK_THREADS; defaults to 1."""
-    raw = os.environ.get("JUNTA_WALK_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        logger.warning("ignoring non-integer JUNTA_WALK_THREADS=%r", raw)
-        return 1
-    if threads < 1:
-        logger.warning("ignoring JUNTA_WALK_THREADS=%r below 1", raw)
-        return 1
-    return threads
 
 
 @dataclass(frozen=True)
@@ -552,9 +536,9 @@ def _summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
 def run_suite(config: ExperimentConfig, out_dir: str | Path) -> SuiteResult:
     """Execute every (cell, repetition) trial and write CSV/JSON artifacts.
 
-    Trials run independently (thread pool capped by JUNTA_WALK_THREADS); the
-    collector writes all files from this thread, in trial order.  One warning
-    per call reports the cells whose budgets are practical, not certified.
+    Trials run in order on the calling thread, and the files list them in
+    that order.  One warning per call reports the cells whose budgets are
+    practical, not certified.
     """
     practical = sum(cell.learn.mode == "practical" for cell in config.cells)
     if practical:
@@ -566,12 +550,7 @@ def run_suite(config: ExperimentConfig, out_dir: str | Path) -> SuiteResult:
         for ci, cell in enumerate(config.cells)
         for rep in range(config.repetitions)
     ]
-    workers = thread_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: _run_trial_safe(*t), tasks))
-    else:
-        reports = [_run_trial_safe(*t) for t in tasks]
+    reports = [_run_trial_safe(*t) for t in tasks]
 
     csv_path = out / "trials.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -69,6 +69,7 @@ def exact_opt(f: TruthTable, k: int, include_per_set: bool = False) -> OptResult
 
 def coefficient_bound(k: int, epsilon: float) -> float:
     """Magnitude floor (1 - 1/sqrt(2)) 2^(-(k-1)/2) eps for a witness coefficient."""
+    _check_integer("k", k, 1)
     _check_real("epsilon", epsilon, "(0, 1]")
     return GAP_CONSTANT * 2.0 ** (-(k - 1) / 2.0) * epsilon
 
@@ -132,7 +133,7 @@ def verify_spectrum_lemma(
     f: TruthTable,
     g: TruthTable,
     epsilon: float,
-    k: int | None = None,
+    k: int,
 ) -> LemmaWitness | None:
     """Search for a restriction g' of g with <f,g'> >= <f,g> - epsilon whose
     every relevant variable belongs to a set S, |S| <= k, with
@@ -148,10 +149,8 @@ def verify_spectrum_lemma(
         raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
     if f.n > MAX_LEMMA_N:
         raise ValueError(f"n={f.n} exceeds the verifier cap {MAX_LEMMA_N}")
-    rel_g = sorted(relevant_coords(g).coords())
-    if k is None:
-        k = len(rel_g)
     _check_integer("k", k, 0)
+    rel_g = sorted(relevant_coords(g).coords())
     if len(rel_g) > k:
         raise ValueError(f"g depends on {len(rel_g)} variables, more than k={k}")
     _check_real("epsilon", epsilon, "(0, 1]")

@@ -117,6 +117,8 @@ def generate_walk(
     from a uniform start, each step flipping one uniform coordinate."""
     _check_source(f, n)
     _check_integer("length", length, 1)
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     points = np.empty(length, dtype=np.uint64)
     points[0] = rng.integers(0, 1 << n, dtype=np.uint64)
@@ -141,7 +143,12 @@ def lag_window(lag: int, gap_steps: int) -> int:
 
 
 def lag_pairs(window: int, blocks: int) -> int:
-    """Pairs whose (blocks + 1) window/2 half-blocks hold ``blocks`` lag samples."""
+    """Pairs whose (blocks + 1) window/2 half-blocks hold ``blocks`` lag
+    samples of an even ``window`` of half-blocks."""
+    _check_integer("window", window, 2)
+    _check_integer("blocks", blocks, 0)
+    if window % 2:
+        raise ValueError(f"window={window} must be even")
     return (blocks + 1) * (window // 2) - 1
 
 
@@ -326,13 +333,10 @@ def _harvest_size(screen_pairs: int, gap_steps: int, window: int, blocks: int) -
     """Check a harvest's sizes and return the pairs its walk spans."""
     _check_integer("screen_pairs", screen_pairs, 0)
     _check_integer("gap_steps", gap_steps, 1)
-    _check_integer("window", window, 2)
-    _check_integer("blocks", blocks, 0)
-    if window % 2:
-        raise ValueError(f"window={window} must be even")
+    lags = lag_pairs(window, blocks)
     if not screen_pairs and not blocks:
         raise ValueError("screen_pairs=0 and blocks=0: a harvest reads at least one pair")
-    return max(screen_pairs, lag_pairs(window, blocks) if blocks else 0)
+    return max(screen_pairs, lags if blocks else 0)
 
 
 def harvest_refresh_pairs(
@@ -399,6 +403,7 @@ def harvest_refresh_pairs(
     each), not the walk's length.
     """
     _check_source(f, n)
+    _check_integer("seed", seed, 0)
     pair_count = _harvest_size(screen_pairs, gap_steps, window, blocks)
     word = np.dtype(_word(n)).newbyteorder("<")
     half = window // 2
@@ -482,6 +487,7 @@ def sample_size_concentration(epsilon: float, delta: float, n: int) -> SampleSiz
     """
     _check_real("epsilon", epsilon, "(0, 1]")
     _check_real("delta", delta, "(0, 1)")
+    _check_dim(n)
     N = math.ceil(n * math.log(n / delta))
     m = math.ceil((2 * N / epsilon**2) * math.log(2 * N / delta))
     return SampleSizePlan(n, epsilon, delta, 0.0, N, m)
@@ -497,6 +503,7 @@ def sample_size_erm(
     """
     _check_real("epsilon", epsilon, "(0, 1]")
     _check_real("delta", delta, "(0, 1)")
+    _check_dim(n)
     _check_real("log_class_size", log_class_size, "[0, inf)")
     N = math.ceil(n * (math.log(2 * n / delta) + log_class_size))
     m = math.ceil((8 * N / epsilon**2) * (math.log(2 * N / delta) + log_class_size))

@@ -244,14 +244,14 @@ def test_lemma_certifies_opt_witnesses(seed):
 def test_lemma_validation():
     f = parity_table(4, [1])
     with pytest.raises(ValueError):
-        verify_spectrum_lemma(f, parity_table(5, [1]), epsilon=0.2)
+        verify_spectrum_lemma(f, parity_table(5, [1]), epsilon=0.2, k=1)
     with pytest.raises(ValueError):
         verify_spectrum_lemma(f, parity_table(4, [1, 2]), epsilon=0.2, k=1)
     with pytest.raises(ValueError):
-        verify_spectrum_lemma(f, f, epsilon=0.0)
+        verify_spectrum_lemma(f, f, epsilon=0.0, k=1)
     big = TruthTable(13, np.ones(1 << 13, dtype=np.int8))
     with pytest.raises(ValueError):
-        verify_spectrum_lemma(big, big, epsilon=0.2)
+        verify_spectrum_lemma(big, big, epsilon=0.2, k=1)
 
 
 def test_lemma_witness_json():

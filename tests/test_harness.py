@@ -32,7 +32,6 @@ from junta_walk.harness import (
     run_suite,
     run_trial,
     _summarize,
-    thread_count,
 )
 from junta_walk.hypercube import JuntaHypothesis, distance_exact
 from junta_walk.learner import LearnParams, theta_for
@@ -40,36 +39,6 @@ from junta_walk.learner import LearnParams, theta_for
 
 def small_params(k, epsilon=0.25, delta=0.2, screen=20_000, sample=8_000):
     return LearnParams(k, epsilon, delta, screen_pairs=screen, erm_sample=sample)
-
-
-# ---------------------------------------------------------------------------
-# Environment knobs
-
-
-def test_thread_count_default(monkeypatch):
-    monkeypatch.delenv("JUNTA_WALK_THREADS", raising=False)
-    assert thread_count() == 1
-
-
-def test_thread_count_reads_env(monkeypatch):
-    monkeypatch.setenv("JUNTA_WALK_THREADS", "4")
-    assert thread_count() == 4
-
-
-def test_thread_count_floors_at_one(monkeypatch, caplog):
-    for raw in ("0", "-3"):
-        monkeypatch.setenv("JUNTA_WALK_THREADS", raw)
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="junta_walk.harness"):
-            assert thread_count() == 1
-        assert f"JUNTA_WALK_THREADS={raw!r}" in caplog.text
-
-
-def test_thread_count_warns_on_garbage(monkeypatch, caplog):
-    monkeypatch.setenv("JUNTA_WALK_THREADS", "two")
-    with caplog.at_level("WARNING", logger="junta_walk.harness"):
-        assert thread_count() == 1
-    assert "non-integer" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -776,18 +745,23 @@ def test_run_suite_warns_once_per_call_about_practical_cells(tmp_path, caplog):
     assert all(w.startswith("2 of 2 cells run at practical sizes") for w in warnings)
 
 
-def test_run_suite_is_thread_invariant(tmp_path, monkeypatch):
-    monkeypatch.setenv("JUNTA_WALK_THREADS", "1")
-    serial = run_suite(tiny_config(), tmp_path / "serial")
-    monkeypatch.setenv("JUNTA_WALK_THREADS", "3")
-    threaded = run_suite(tiny_config(), tmp_path / "threaded")
+def test_any_trial_replays_alone_bit_for_bit(tmp_path):
+    # a trial is a function of (master seed, cell, repetition) alone, so each
+    # one run by itself, in reverse order, reproduces the suite's row
+    config = tiny_config()
+    suite = run_suite(config, tmp_path / "suite")
+    wall = CSV_COLUMNS.index("wall_ms")
 
     def stable(report):
         row = report.to_csv()
-        del row[11]  # wall time is the one legitimately noisy column
+        del row[wall]  # wall time is the one legitimately noisy column
         return row
 
-    assert [stable(r) for r in serial.reports] == [stable(r) for r in threaded.reports]
+    for trial_id in reversed(range(len(suite.reports))):
+        ci, rep = divmod(trial_id, config.repetitions)
+        cell = config.cells[ci]
+        alone = run_trial(cell.instance, cell.learn, config.trial_seed(ci, rep), trial_id)
+        assert stable(alone) == stable(suite.reports[trial_id])
 
 
 _BLAS_SNIPPET = """
@@ -819,7 +793,7 @@ def test_transforms_and_trials_are_blas_thread_invariant():
     src = str(Path(junta_walk.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, JUNTA_WALK_THREADS="1")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         run = subprocess.run(
             [sys.executable, "-c", _BLAS_SNIPPET],
@@ -832,25 +806,6 @@ def test_transforms_and_trials_are_blas_thread_invariant():
         digests.append(run.stdout.split())
     assert len(digests[0]) == 4
     assert digests[0] == digests[1]
-
-
-def test_run_suite_trials_json_is_thread_invariant_at_n16(tmp_path, monkeypatch):
-    cell = Cell(
-        instance=InstanceSpec(n=16, k=3, corruption=Corruption(kind="iid", rate=0.1)),
-        learn=small_params(3, screen=20_000, sample=4_000),
-    )
-    config = ExperimentConfig(cells=(cell,), repetitions=4, master_seed=23)
-
-    def trials_without_wall_time(threads):
-        monkeypatch.setenv("JUNTA_WALK_THREADS", str(threads))
-        with open(run_suite(config, tmp_path / str(threads)).json_path) as fh:
-            trials = json.load(fh)
-        for trial in trials:
-            assert trial["error"] is None
-            del trial["wall_ms"]
-        return trials
-
-    assert trials_without_wall_time(1) == trials_without_wall_time(2)
 
 
 def test_run_suite_survives_a_failing_trial(tmp_path, caplog):

@@ -19,6 +19,7 @@ from junta_walk.functions import (
     flip_labels_iid,
     flip_labels_region,
     parity_table,
+    random_junta,
     random_table,
 )
 from junta_walk.harness import Corruption
@@ -39,7 +40,14 @@ from junta_walk.oracle_bruteforce import (
     verify_spectrum_lemma,
 )
 from junta_walk.sieve import SieveBudgets, SieveParams, SieveResult, certify_result
-from junta_walk.walk import gap_for_density, sample_size_concentration, sample_size_erm
+from junta_walk.walk import (
+    gap_for_density,
+    generate_walk,
+    harvest_refresh_pairs,
+    lag_pairs,
+    sample_size_concentration,
+    sample_size_erm,
+)
 
 
 @st.composite
@@ -356,8 +364,7 @@ def _rng():
     return np.random.default_rng(0)
 
 
-# (entry, the parameter's name in the error, its kind, a call passing the value as it);
-# an "int or None" parameter takes None for its default
+# (entry, the parameter's name in the error, its kind, a call passing the value as it)
 NUMERIC_ARGUMENTS = [
     ("IndexSet", "dimension n", int, lambda v: IndexSet(v)),
     ("IndexSet.of", "coordinate", int, lambda v: IndexSet.of(3, [v])),
@@ -379,10 +386,12 @@ NUMERIC_ARGUMENTS = [
     ("log_junta_class_size", "k", int, lambda v: log_junta_class_size(3, v)),
     ("log_junta_class_size", "pool_size", int, lambda v: log_junta_class_size(v, 1)),
     ("pad_pool", "k", int, lambda v: pad_pool(IndexSet.of(3, [1]), v)),
-    ("verify_spectrum_lemma", "k", "int or None", lambda v: verify_spectrum_lemma(F3, F3, 0.5, v)),
+    ("verify_spectrum_lemma", "k", int, lambda v: verify_spectrum_lemma(F3, F3, 0.5, v)),
+    ("default_lag", "dimension n", int, lambda v: default_lag(v, 0.1)),
     ("default_lag", "theta", float, lambda v: default_lag(8, v)),
     ("blocks_for", "accuracy", float, lambda v: blocks_for(v, 0.1)),
     ("blocks_for", "delta", float, lambda v: blocks_for(0.5, v)),
+    ("random_junta", "k", int, lambda v: random_junta(3, v, _rng())),
     ("flip_labels_iid", "flip rate", float, lambda v: flip_labels_iid(F3, v, _rng())),
     (
         "flip_labels_region",
@@ -393,10 +402,11 @@ NUMERIC_ARGUMENTS = [
     ("Corruption", "iid rate", float, lambda v: Corruption(kind="iid", rate=v)),
     ("Corruption", "planted fraction", float, lambda v: Corruption(kind="planted", fraction=v)),
     ("theta_for", "epsilon", float, lambda v: theta_for(2, v)),
+    ("coefficient_bound", "k", int, lambda v: coefficient_bound(v, 0.5)),
     ("coefficient_bound", "epsilon", float, lambda v: coefficient_bound(2, v)),
     ("LearnParams", "epsilon", float, lambda v: LearnParams(2, v, 0.2)),
     ("LearnParams", "delta", float, lambda v: LearnParams(2, 0.25, v)),
-    ("verify_spectrum_lemma", "epsilon", float, lambda v: verify_spectrum_lemma(F3, F3, v)),
+    ("verify_spectrum_lemma", "epsilon", float, lambda v: verify_spectrum_lemma(F3, F3, v, 3)),
     ("SieveParams", "theta", float, lambda v: SieveParams(2, v, 0.1)),
     ("SieveParams", "delta", float, lambda v: SieveParams(2, 0.5, v)),
     (
@@ -405,11 +415,22 @@ NUMERIC_ARGUMENTS = [
         float,
         lambda v: certify_result(EMPTY_RESULT, Spectrum.from_table(F3), v, 2),
     ),
+    ("generate_walk", "seed", int, lambda v: generate_walk(F3, 3, 4, v)),
+    ("lag_pairs", "window", int, lambda v: lag_pairs(v, 3)),
+    ("lag_pairs", "blocks", int, lambda v: lag_pairs(2, v)),
+    ("harvest_refresh_pairs", "seed", int, lambda v: harvest_refresh_pairs(F3, 3, 10, 2, v)),
     ("gap_for_density", "refresh density p", float, lambda v: gap_for_density(4, v)),
     ("sample_size_concentration", "epsilon", float, lambda v: sample_size_concentration(v, 0.1, 8)),
     ("sample_size_concentration", "delta", float, lambda v: sample_size_concentration(0.1, v, 8)),
+    (
+        "sample_size_concentration",
+        "dimension n",
+        int,
+        lambda v: sample_size_concentration(0.1, 0.1, v),
+    ),
     ("sample_size_erm", "epsilon", float, lambda v: sample_size_erm(v, 0.1, 8, 1.0)),
     ("sample_size_erm", "delta", float, lambda v: sample_size_erm(0.1, v, 8, 1.0)),
+    ("sample_size_erm", "dimension n", int, lambda v: sample_size_erm(0.1, 0.1, v, 1.0)),
     ("sample_size_erm", "log_class_size", float, lambda v: sample_size_erm(0.1, 0.1, 8, v)),
 ]
 
@@ -419,9 +440,6 @@ NUMERIC_ARGUMENTS = [
     "entry, name, kind, call", NUMERIC_ARGUMENTS, ids=[f"{r[0]}-{r[1]}" for r in NUMERIC_ARGUMENTS]
 )
 def test_numeric_arguments_refuse_bools_and_non_numbers_by_name(entry, name, kind, call, value):
-    if value is None and kind == "int or None":
-        call(value)
-        return
     # NaN is a real number, outside every interval, but not an integer
     error = ValueError if kind is float and isinstance(value, float) else TypeError
     with pytest.raises(error, match=re.escape(f"{name}={value!r}")):
@@ -448,6 +466,27 @@ def test_numeric_refusals_state_the_interval():
         log_junta_class_size(-1, 1)
     with pytest.raises(TypeError, match=re.escape("k=1.5 must be an integer")):
         verify_spectrum_lemma(F3, F3, 0.5, k=1.5)
+    # each once returned 0.207, 1, -1 and -1, or raised an unnamed error:
+    # math's domain error twice, then numpy's for the sample and the seeds
+    with pytest.raises(ValueError, match=re.escape("k=0 must be >= 1")):
+        coefficient_bound(0, 0.5)
+    with pytest.raises(ValueError, match=re.escape("dimension n=-4 outside [1, 63]")):
+        default_lag(-4, 0.1)
+    with pytest.raises(ValueError, match=re.escape("window=0 must be >= 2")):
+        lag_pairs(0, 3)
+    with pytest.raises(ValueError, match=re.escape("blocks=-1 must be >= 0")):
+        lag_pairs(2, -1)
+    with pytest.raises(ValueError, match=re.escape("dimension n=0 outside [1, 63]")):
+        sample_size_erm(0.1, 0.1, 0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("dimension n=0 outside [1, 63]")):
+        sample_size_concentration(0.1, 0.1, 0)
+    with pytest.raises(ValueError, match=re.escape("k=4 outside [0, 3]")):
+        random_junta(3, 4, _rng())
+    with pytest.raises(ValueError, match=re.escape("seed=-1 must be >= 0")):
+        harvest_refresh_pairs(F3, 3, 10, 2, -1)
+    with pytest.raises(ValueError, match=re.escape("seed=-1 must be >= 0")):
+        generate_walk(F3, 3, 4, -1)
+    assert len(generate_walk(F3, 3, 4, np.random.SeedSequence(5)).points) == 4
     # numpy scalars, integers for a real and exact fractions pass
     assert LearnParams(np.int64(2), np.float64(0.25), Fraction(1, 5)).epsilon == 0.25
     assert SieveParams(2, 1, 0.1).theta == 1

@@ -384,7 +384,7 @@ def test_learn_under_noise_stays_close():
 
 
 def test_learn_logs_nothing(caplog):
-    # budget warnings come from the entry points, so threaded trials stay silent
+    # budget warnings come from the entry points, so suite trials stay silent
     params = practical_params(2, 0.5, 0.2, screen=5_000, sample=4_000)
     with caplog.at_level(logging.DEBUG):
         learn_outcome(RandomWalkOracle(parity_table(6, [2, 5]), 6, seed=22), params)

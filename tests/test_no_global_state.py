@@ -1,12 +1,14 @@
-"""No function of the library mutates module-level state.
+"""No function of the library mutates module-level state or reads the environment.
 
 Each module of ``src/junta_walk`` is parsed with ``ast``.  Inside any
 function, a module-level name must not be mutated by a method call such as
 ``.add`` or ``.append``, by subscript assignment or deletion, or through a
 ``global`` statement; a function's own parameters and locals may shadow it.
-Process-global state would be shared by every trial of a process and by the
-threads of a suite, so a run's results and warnings could depend on earlier
-runs.
+No module may touch the process environment (``os.environ``, ``os.getenv``,
+``os.putenv``, or ``environ``/``getenv``/``putenv`` imported from ``os``).
+Process-global state would be shared by every trial of a process, so a
+run's results and warnings could depend on earlier runs or on the shell
+that started them.
 """
 
 import ast
@@ -69,6 +71,22 @@ def global_mutations(path: Path) -> list[str]:
     return sorted(found)
 
 
+ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def environment_reads(path: Path) -> list[str]:
+    """``module:line`` of each place a module touches the process environment."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append(f"{path.stem}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return sorted(found)
+
+
 def test_no_function_mutates_module_level_state():
     found = [name for path in sorted(PACKAGE.glob("*.py")) for name in global_mutations(path)]
     assert not found, f"module-level names mutated by functions: {found}"
@@ -85,3 +103,20 @@ def test_the_guard_sees_each_kind_of_mutation(tmp_path):
         "def local():\n    _kept = []\n    _kept.append(1)\n"
     )
     assert global_mutations(source) == ["probe._cache", "probe._count", "probe._seen"]
+
+
+def test_no_module_reads_the_environment():
+    found = [site for path in sorted(PACKAGE.glob("*.py")) for site in environment_reads(path)]
+    assert not found, f"environment reads: {found}"
+
+
+def test_the_environment_guard_sees_each_form(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import os\nfrom os import environ\nfrom os import getenv as ge\n"
+        "a = os.environ.get('A')\nb = os.getenv('B')\nos.putenv('C', '1')\n"
+        "d = os.path.join('x', 'y')\n"
+    )
+    assert environment_reads(source) == [
+        "probe:2", "probe:3", "probe:4", "probe:5", "probe:6",
+    ]
