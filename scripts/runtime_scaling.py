@@ -6,6 +6,11 @@ time and the median walk steps (the paper's cost measure) per n, and fits a
 log-log slope to the wall times.  At the stock budgets the dominant costs are
 walk generation and screening, so the slope should land well under 3;
 anything above that flags a vectorization regression.
+
+Time it with BLAS on one thread, as the benchmark does, since a small
+transform runs slower on OpenBLAS's default threads:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/runtime_scaling.py --ns 8 12 16
 """
 
 import argparse

@@ -49,11 +49,19 @@ def _write_json(obj, out: str | None) -> None:
 
 
 def _write_spectrum_csv(spec: Spectrum, fh: TextIO) -> None:
-    """Write ``mask,coords,coefficient`` rows, ordered by mask."""
+    """Write ``mask,coords,coefficient`` rows, ordered by mask.  The
+    coordinate strings of the 2^12 low masks are built once, and each block
+    of 2^12 rows joins them with its high coordinates, so one block's text
+    is held at a time."""
     fh.write("mask,coords,coefficient\n")
-    for mask in range(1 << spec.n):
-        coords = "|".join(str(c) for c in IndexSet(spec.n, mask))
-        fh.write(f"{mask},{coords},{float(spec.coeffs[mask])!r}\n")
+    low_bits = min(spec.n, 12)
+    low = ["|".join(map(str, IndexSet(low_bits, m))) for m in range(1 << low_bits)]
+    for base in range(0, 1 << spec.n, 1 << low_bits):
+        high = "|".join(map(str, IndexSet(spec.n, base)))
+        coords = [f"{c}|{high}" if c else high for c in low] if high else low
+        coeffs = spec.coeffs[base : base + len(low)].tolist()
+        rows = zip(range(base, base + len(coeffs)), coords, coeffs)
+        fh.write("".join(f"{mask},{c},{v!r}\n" for mask, c, v in rows))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -240,10 +240,6 @@ def estimator_bias_bound(n: int, mean_flips: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# _BYTE_BITS[b, j] is bit j of the byte value b
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
-
-
 def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled contrast of the label product over pairs that left each
     coordinate unflipped and pairs that flipped it, and its standard-error
@@ -264,8 +260,8 @@ def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarr
     The products are +-1, so each conditional mean is an exact integer sum,
     (pairs - 2 disagreeing pairs), divided once by its pair count, and their
     difference is divided once by 1 + pi.  All n counts, split by
-    disagreement, are read off the tally's per-byte histograms, which a
-    harvest fills chunk by chunk as it draws its walk.  The same counts give
+    disagreement, are read off the tally (:meth:`ScreenTally.counts`), which
+    a harvest fills chunk by chunk as it draws its walk.  The same counts give
     sigma_i = sqrt(1/unflipped_i + 1/flipped_i) / (1 + pi), which bounds
     the contrast's standard deviation when the pairs are iid: each mean
     averages values in [-1, 1].  Harvested pairs share half-blocks with
@@ -273,11 +269,8 @@ def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarr
     not a bound.  A coordinate flipped in none or all of the pairs has no
     contrast sample and reads +inf in both arrays.
     """
-    hists = tally.hists
-    agree, dis_hists = hists[:, :256], hists[:, 256:]
-    flipped = ((agree + dis_hists) @ _BYTE_BITS).reshape(-1)[: tally.n]
-    flipped_dis = (dis_hists @ _BYTE_BITS).reshape(-1)[: tally.n]
-    unflipped, unflipped_dis = len(tally) - flipped, int(dis_hists[0].sum()) - flipped_dis
+    flipped, flipped_dis, disagreeing = tally.counts()
+    unflipped, unflipped_dis = len(tally) - flipped, disagreeing - flipped_dis
     scale = 1.0 + tally.pi
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (unflipped - 2 * unflipped_dis) / unflipped

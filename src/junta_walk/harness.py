@@ -313,8 +313,10 @@ def run_trial(
 ) -> TrialReport:
     """One fully seeded trial: build instance, learn, score exactly.
 
-    ``passed`` compares the exact excess against the exact binary value of the
-    float epsilon, so the verdict is reproducible arithmetic, not a tolerance.
+    ``opt`` and ``excess`` are over juntas of the learn ``params.k``, which
+    may differ from the instance's k.  ``passed`` compares the exact excess
+    against the exact binary value of the float epsilon, so the verdict is
+    reproducible arithmetic, not a tolerance.
     Wall time covers the learner only (instance construction and the exact
     optimum are oracle overhead, not part of the algorithm under test).
     """
@@ -324,6 +326,10 @@ def run_trial(
     start = time.perf_counter()
     outcome: LearnOutcome = learn_outcome(oracle, params)
     wall_ms = (time.perf_counter() - start) * 1e3
+    # scored against the best junta of the learn k, once the learner has
+    # refused a k above n in its own words
+    if params.k != resolved.k:
+        opt_result = exact_opt(f, params.k)
     delta_hf = distance_exact(f, outcome.hypothesis)
     excess = delta_hf - opt_result.opt
     return TrialReport(

@@ -24,8 +24,8 @@ length cannot deliver these independent counts: it changes parity every
 step, so its endpoints carry a deterministic parity constraint; a Poisson
 number of flips lifts it.)  The estimator's lag samples are read off the
 same chain of boundaries.  Each chunk is consumed as soon as it is drawn:
-its screened pairs are tallied (``ScreenTally``) and its lag samples cut, so
-a harvest keeps no array as long as its walk (``RefreshHarvest``).
+its screened pairs are tallied (``ScreenTally``) and its lag boundaries
+kept, so a harvest keeps no array as long as its walk (``RefreshHarvest``).
 
 Plain walks draw their steps through one kernel, ``_draw_steps``, in the
 narrowest unsigned word that holds n bits.  Harvested points and masks stay
@@ -152,12 +152,16 @@ def lag_pairs(window: int, blocks: int) -> int:
     return (blocks + 1) * (window // 2) - 1
 
 
+# _BYTE_BITS[b, j] is bit j of the byte value b
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
 class ScreenTally:
     """The screen's counts over refresh pairs harvested at ``gap_steps``,
     from which :func:`~junta_walk.fourier.estimate_bounded_influence` reads
-    each coordinate's contrast: ``hists[b]`` counts, for byte b of the pairs'
-    flipped masks, the key byte | disagree << 8 in [0, 512), where disagree
-    is label_x != label_y.  ``pi`` = e^(-gap_steps/(2n)) is the
+    each coordinate's :meth:`counts`: ``hists[b]`` counts, for byte b of the
+    pairs' flipped masks, the key byte | disagree << 8 in [0, 512), where
+    disagree is label_x != label_y.  ``pi`` = e^(-gap_steps/(2n)) is the
     probability that a pair leaves a coordinate unflipped, by which the
     contrast is rescaled.  ``len`` is the number of pairs added.
     """
@@ -176,18 +180,25 @@ class ScreenTally:
     def add(self, masks: np.ndarray, label_x: np.ndarray, label_y: np.ndarray) -> None:
         """Count pairs given as parallel arrays: flipped masks of any
         unsigned width (their bytes are read little-endian) and +-1 labels.
-        They are keyed in one pass with an intp key and a bool per pair, so a
-        harvest, which adds one chunk at a time, bounds that scratch."""
+        The disagreement is shifted into a uint16 once and each mask byte is
+        ORed onto it: 13 B of scratch a pair, bincount's intp copy of the key
+        included, which a harvest bounds by adding one chunk at a time."""
         octets = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
         octets = octets.view(np.uint8).reshape(-1, masks.dtype.itemsize)
-        dis = np.not_equal(label_x, label_y)
-        keys = np.empty(len(masks), dtype=np.intp)
+        high = np.left_shift(np.not_equal(label_x, label_y), 8, dtype=np.uint16)
+        keys = np.empty(len(masks), dtype=np.uint16)
         for b, hist in enumerate(self.hists):
-            # shifted in intp: a bool or uint8 shift by 8 would wrap to 0
-            np.left_shift(dis, 8, out=keys, dtype=np.intp)
-            keys |= octets[:, b]
+            np.bitwise_or(high, octets[:, b], out=keys)
             hist += np.bincount(keys, minlength=512)
         self.pairs += len(masks)
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Pairs that flipped coordinate i (entry i-1), those of them whose
+        labels disagree, both int64, and the number of disagreeing pairs."""
+        agree, dis = self.hists[:, :256], self.hists[:, 256:]
+        flipped = ((agree + dis) @ _BYTE_BITS).reshape(-1)[: self.n]
+        flipped_dis = (dis @ _BYTE_BITS).reshape(-1)[: self.n]
+        return flipped, flipped_dis, int(dis[0].sum())
 
 
 @dataclass(frozen=True)
@@ -210,11 +221,11 @@ class RefreshHarvest:
 # Half-blocks per chunk of refresh-pair harvesting: a chunk of B =
 # _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
 # flip cells, about 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4
-# cells), into B word-wide rows of uint8 flip counts and, inside the screen,
-# of flipped-set bools (<= 128 B per half-block), and labels its boundaries
-# in a B + 1 point uint64 buffer; these buffers are allocated once per
-# harvest.  The screen's tally keys a chunk's pairs in one pass (9 B a pair),
-# so the chunk bounds the screen's memory too.
+# cells), into one buffer of B word-wide rows of uint8 flip counts (<= 64 B
+# per half-block), off which both the flipped sets and the moves are packed,
+# and labels its boundaries in a B + 1 point uint64 buffer; these buffers are
+# allocated once per harvest.  The screen's tally keys a chunk's pairs with
+# 13 B of scratch a pair, so the chunk bounds the screen's memory too.
 _HARVEST_CHUNK_STEPS = 100_000
 
 
@@ -255,14 +266,15 @@ def harvest_chunks(
     are labelled; past it only every ``stride``-th boundary is, and the rest
     read label 0.  A chunk that holds no screened pair's half-block packs no
     flipped set and yields ``sel`` None.  The arrays are views of buffers the
-    next chunk overwrites.
+    next chunk overwrites.  ``sel`` and the moves are packed off one buffer
+    of uint8 flip counts.
     """
     # the walk's stream is the seed's child 0, whose walks the tests pin
     walk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     # a cell takes Poisson(gap_steps/(4n)) flips; at a mean of at most 1 its
     # uint8 count reaches 256 with probability below 1/256!, so its flipped
-    # bit is read off the count, and at a larger mean, where the count could
-    # wrap to 0, it is scattered from the cells themselves
+    # bit is packed off the count, and at a larger mean, where the count
+    # could wrap to 0, it is marked from the cells themselves
     scatter = gap_steps > 4 * n
     word = np.dtype(_word(n)).newbyteorder("<")
     width = word.itemsize * 8
@@ -270,7 +282,6 @@ def harvest_chunks(
     last_screened = screen_pairs + 1 if screen_pairs else -1
     per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
     flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
-    hit_rows = np.empty(per_chunk * width, dtype=bool) if screen_pairs else None
     # every label source reads uint64 points: a chunk's boundaries are
     # widened into this buffer and labelled there
     points = np.empty(per_chunk + 1, dtype=np.uint64)
@@ -291,18 +302,16 @@ def harvest_chunks(
         cells = _draw_cells(walk_rng, mean, halves, n, width)
         np.add.at(flips, cells, np.uint8(1))
         screened = done < last_screened
-        if screened:
-            hit = hit_rows[: halves * width]
-            if scatter:
-                hit.fill(False)
-                hit[cells] = True
-            else:
-                np.not_equal(flips, 0, out=hit)
-            # little-endian bits and bytes: element j of a row is bit j of its word
-            sel[1 : halves + 1] = np.packbits(hit, bitorder="little").view(word)
+        # packbits packs a nonzero cell as 1, in little-endian bits and
+        # bytes: element j of a row is bit j of its word
+        if screened and not scatter:
+            sel[1 : halves + 1] = np.packbits(flips, bitorder="little").view(word)
         # only bit 0 of a count is read, and it is exact under the mod-256 wrap
         np.bitwise_and(flips, np.uint8(1), out=flips)
-        moves = np.packbits(flips.view(bool), bitorder="little").view(word)
+        moves = np.packbits(flips, bitorder="little").view(word)
+        if screened and scatter:
+            flips[cells] = 1
+            sel[1 : halves + 1] = np.packbits(flips, bitorder="little").view(word)
         chain = bounds[2 : halves + 2]
         np.bitwise_xor.accumulate(moves, out=chain)
         chain ^= bounds[1]
@@ -396,11 +405,12 @@ def harvest_refresh_pairs(
     narrowest unsigned word with n bits, where each chunk's moves
     xor-accumulate, and are widened into a uint64 buffer to be labelled, so
     the label source sees uint64 points.  Each chunk's screened pairs go
-    into the tally and its lag samples are cut as soon as their ends are
-    drawn, carrying two boundaries to the next chunk; past the screen a
-    chunk packs no flipped set and labels only the boundaries a lag sample
-    reads.  Memory is a chunk's buffers plus the lag samples (word + 1 bytes
-    each), not the walk's length.
+    into the tally and its lag boundaries into one preallocated array of
+    blocks + 2, with their labels, as soon as they are drawn; past the
+    screen a chunk packs no flipped set and labels only the boundaries a
+    lag sample reads.  The lag samples are cut from those boundaries once,
+    after the walk.  Memory is a chunk's buffers plus the lag boundaries and
+    then the samples (word + 1 bytes each), not the walk's length.
     """
     _check_source(f, n)
     _check_integer("seed", seed, 0)
@@ -408,10 +418,9 @@ def harvest_refresh_pairs(
     word = np.dtype(_word(n)).newbyteorder("<")
     half = window // 2
     tally = ScreenTally(n, gap_steps) if screen_pairs else None
-    diff, prod = np.empty(blocks, dtype=word), np.empty(blocks, dtype=np.int8)
-    # the last two lag boundaries read, and their labels
-    ends, end_labels = np.empty(0, dtype=word), np.empty(0, dtype=np.int8)
-    cut = steps = 0
+    # lag boundaries m w/2, m <= blocks + 1, and their labels
+    ends, end_labels = np.empty(blocks + 2, dtype=word), np.empty(blocks + 2, dtype=np.int8)
+    steps = 0
     for done, bounds, labels, sel, drawn in harvest_chunks(
         f, n, gap_steps, seed, pair_count, screen_pairs, half
     ):
@@ -425,17 +434,12 @@ def harvest_refresh_pairs(
         first = -(-(done + (done > 0)) // half) * half
         last = min(done + halves, (blocks + 1) * half)
         if blocks and first <= last:
+            at = slice(first // half, last // half + 1)
             pick = slice(first - done + 1, last - done + 2, half)
-            ends = np.concatenate((ends, bounds[pick]))
-            end_labels = np.concatenate((end_labels, labels[pick]))
-            new = len(ends) - 2
-            if new > 0:
-                np.bitwise_xor(ends[:-2], ends[2:], out=diff[cut : cut + new])
-                np.multiply(end_labels[:-2], end_labels[2:], out=prod[cut : cut + new])
-                cut += new
-            ends, end_labels = ends[-2:], end_labels[-2:]
+            ends[at], end_labels[at] = bounds[pick], labels[pick]
     lags = None
     if blocks:
+        diff, prod = ends[:-2] ^ ends[2:], end_labels[:-2] * end_labels[2:]
         for arr in (diff, prod):
             arr.setflags(write=False)
         lags = LagSamples(n, diff, prod)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from junta_walk import cli
+from junta_walk.fourier import Spectrum
 from junta_walk.functions import and_table, flip_labels_iid, parity_table
 from junta_walk.harness import Corruption, InstanceSpec
-from junta_walk.hypercube import TruthTable
+from junta_walk.hypercube import IndexSet, TruthTable
 from junta_walk.sieve import SieveBudgets
 
 
@@ -338,6 +339,21 @@ def test_wht_csv_output(tmp_path, capsys):
     assert len(rows) == 5
     assert rows[1] == ["0", "", "0.5"]
     assert rows[4] == ["3", "1|2", "-0.5"]
+
+
+@pytest.mark.parametrize("n", [1, 12, 13])
+def test_wht_rows_match_the_per_mask_formula(tmp_path, capsys, n):
+    # one block of low masks at n <= 12, two blocks joined with a high
+    # coordinate at 13
+    table = TruthTable(n, np.random.default_rng(n).choice([-1, 1], size=1 << n))
+    code, out = run(capsys, "wht", "--instance", write_instance(tmp_path / "f.json", table))
+    assert code == 0
+    spec = Spectrum.from_table(table)
+    want = ["mask,coords,coefficient"] + [
+        f"{mask},{'|'.join(str(c) for c in IndexSet(n, mask))},{float(spec.coeffs[mask])!r}"
+        for mask in range(1 << n)
+    ]
+    assert out.splitlines() == want
 
 
 def test_opt_reports_witness_and_per_set(tmp_path, capsys):

@@ -737,9 +737,10 @@ def test_sigmas_match_per_coordinate_counts():
         assert sigmas.tolist() == want
 
 
-def _reference_tally(pairs: RawPairs, gap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contrasts and sigmas from a direct count of each mask bit, split by
-    whether the pair's labels disagree, over 1 + pi at the harvest's gap."""
+def _reference_tally(pairs: RawPairs, gap: int) -> tuple[tuple, tuple]:
+    """A direct count of each mask bit, split by whether the pair's labels
+    disagree, as ``ScreenTally.counts`` returns it, and the contrasts and
+    sigmas it gives over 1 + pi at the harvest's gap."""
     masks = pairs.flipped_masks.astype(np.uint64)
     disagree = pairs.label_x != pairs.label_y
     bits = [(masks >> np.uint64(i)) & np.uint64(1) for i in range(pairs.n)]
@@ -753,14 +754,15 @@ def _reference_tally(pairs: RawPairs, gap: int) -> tuple[np.ndarray, np.ndarray]
     empty = (hit == 0) | (kept == 0)
     contrasts[empty] = np.inf
     sigmas[empty] = np.inf
-    return contrasts, sigmas
+    return (hit, hit_dis, int(np.count_nonzero(disagree))), (contrasts, sigmas)
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 33, 63])
 def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
     # pair counts around a harvest's chunk at n = 16 (the most pairs one
     # call keys at once), masks in uint64 and in the harvest's narrow word,
-    # added at once or in two calls: the same pairs must give the same bytes
+    # added at once or in two calls: the same pairs must give the same counts
+    # and bytes
     gap = gap_for_density(16, 1 / 3)
     chunk = _HARVEST_CHUNK_STEPS // gap
     rng = np.random.default_rng(330 + n)
@@ -769,7 +771,9 @@ def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
         masks = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         masks &= rng.integers(0, 1 << n, size=count, dtype=np.uint64)
         label_x, label_y = rng.choice(signs, size=count), rng.choice(signs, size=count)
-        want = _reference_tally(RawPairs(n, masks, masks, label_x, label_y, masks, 0), gap)
+        (hit, hit_dis, disagreeing), want = _reference_tally(
+            RawPairs(n, masks, masks, label_x, label_y, masks, 0), gap
+        )
         narrow = masks.astype(_word(n))
         for stored in (masks, narrow):
             whole = tally_of(RawPairs(n, stored, stored, label_x, label_y, stored, 0), gap)
@@ -779,6 +783,11 @@ def test_tally_matches_per_coordinate_counts_across_chunks_and_words(n):
             split.add(stored[cut:], label_x[cut:], label_y[cut:])
             assert len(whole) == len(split) == count
             for tally in (whole, split):
+                flipped, flipped_dis, dis = tally.counts()
+                for g, w in ((flipped, hit), (flipped_dis, hit_dis)):
+                    assert g.dtype == np.int64 and g.shape == (n,)
+                    assert g.tolist() == w.tolist()
+                assert type(dis) is int and dis == disagreeing
                 for g, w in zip(estimate_bounded_influence(tally), want):
                     assert g.dtype == np.float64 and g.shape == (n,)
                     assert g.tobytes() == w.tobytes()

@@ -35,6 +35,7 @@ from junta_walk.harness import (
 )
 from junta_walk.hypercube import JuntaHypothesis, distance_exact
 from junta_walk.learner import LearnParams, theta_for
+from junta_walk.oracle_bruteforce import exact_opt
 
 
 def small_params(k, epsilon=0.25, delta=0.2, screen=20_000, sample=8_000):
@@ -412,6 +413,19 @@ def test_run_trial_noiseless_and_reproducible():
     assert again.pool == first.pool
     assert again.hypothesis.J == first.hypothesis.J
     assert np.array_equal(again.hypothesis.table, first.hypothesis.table)
+
+
+def test_run_trial_scores_against_the_learn_k():
+    # a 2-junta instance learned as a 1-junta: opt and excess are over
+    # 1-juntas, the class the learner searched, not over the instance's k
+    spec = InstanceSpec(n=8, k=2, corruption=Corruption(kind="iid", rate=0.1))
+    report = run_trial(spec, default_learn_params(8, 1, 0.2, 0.2), trial_seed=1)
+    f, _, _ = make_instance(report.spec)
+    assert report.opt == exact_opt(f, 1).opt == Fraction(75, 256)
+    assert report.delta_hf == Fraction(75, 256)
+    assert report.excess == 0 and report.passed
+    row = _read_row(report.to_csv())
+    assert row[6] == report.opt and row[8] == 0
 
 
 def test_run_trial_row_matches_report():

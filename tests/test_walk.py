@@ -476,9 +476,10 @@ def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_harvest_matches_per_cell_reference_bit_for_bit(n):
     f = _top_bit_labels(n)
-    # past gap 4n a cell's mean flip count exceeds 1 and the kernel scatters
-    # its flipped sets from the cells rather than reading the counts
-    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n, 5 * n}):
+    # past gap 4n a cell's mean flip count exceeds 1 and the kernel marks
+    # its flipped sets from the cells rather than packing the counts: 4n is
+    # the largest gap read off the counts and 4n + 1 the smallest marked
+    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n, 4 * n, 4 * n + 1, 5 * n}):
         # gap 1 leaves empty blocks at the head and the tail of a chunk
         for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
             seed = 1000 * n + gap + count
