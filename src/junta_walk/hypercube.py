@@ -161,7 +161,7 @@ class TruthTable:
             raise ValueError(f"expected {1 << self.n} values, got {len(self.values)}")
 
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an array of packed points."""
+        """The +-1 (int8) values at packed points of any unsigned word."""
         return self.values[bits.astype(np.int64)]
 
 
@@ -191,6 +191,7 @@ class JuntaHypothesis:
         return len(self.J)
 
     def label_bits(self, bits: np.ndarray) -> np.ndarray:
+        """The +-1 (int8) values at packed points of any unsigned word."""
         return self.table[restriction_indices(self.J, bits)]
 
     def to_truth_table(self) -> TruthTable:

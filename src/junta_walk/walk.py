@@ -29,39 +29,35 @@ kept, so a harvest keeps no array as long as its walk (``RefreshHarvest``).
 
 Plain walks draw their steps through one kernel, ``_draw_steps``, in the
 narrowest unsigned word that holds n bits.  Harvested points and masks stay
-in that word; label sources always receive uint64 packed points.
+in that word, and are labelled in it.  A label source is a table: a
+``TruthTable`` (n <= 24) or a ``JuntaHypothesis`` (any n <= 63, so the only
+source of a walk over n > 24); both read packed points of any unsigned word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
-from .hypercube import JuntaHypothesis, TruthTable, _check_dim, _check_integer, _check_real
-
-LabelSource = Union[TruthTable, JuntaHypothesis, Callable[[np.ndarray], np.ndarray]]
+from .hypercube import BooleanFunction, _check_dim, _check_integer, _check_real
 
 
-def labels_for(f: LabelSource, bits: np.ndarray) -> np.ndarray:
-    """Evaluate a label source over an array of packed points."""
-    if hasattr(f, "label_bits"):
-        out = f.label_bits(bits)
-    else:
-        out = np.asarray(f(bits))
-    # checked before the int8 cast, which would truncate 1.5, 257 or True to a sign
-    signs = out.dtype != bool and np.all((out == 1) | (out == -1))
-    if out.shape != bits.shape or not signs:
-        raise ValueError("label source must map packed points to +1/-1 labels")
-    return out.astype(np.int8)
+def labels_for(f: BooleanFunction, bits: np.ndarray) -> np.ndarray:
+    """The +-1 (int8) labels of an array of packed points; both tables
+    checked their values once, when they were built."""
+    return f.label_bits(bits)
 
 
-def _check_source(f: LabelSource, n: int) -> None:
-    """Refuse n outside [1, 63] and a table or hypothesis over another n."""
+def _check_source(f: BooleanFunction, n: int) -> None:
+    """Refuse n outside [1, 63], a label source that is not a table, and a
+    table over another n."""
     _check_dim(n)
-    if isinstance(f, (TruthTable, JuntaHypothesis)) and f.n != n:
+    if not isinstance(f, BooleanFunction):
+        raise TypeError(f"label source {type(f).__name__} must be a TruthTable or JuntaHypothesis")
+    if f.n != n:
         raise ValueError(f"label source over n={f.n}, walk over n={n}")
 
 
@@ -111,7 +107,7 @@ def _draw_steps(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 
 
 def generate_walk(
-    f: LabelSource, n: int, length: int, seed: int | np.random.SeedSequence
+    f: BooleanFunction, n: int, length: int, seed: int | np.random.SeedSequence
 ) -> LabeledWalk:
     """Run the labeled-walk oracle: ``length`` points (so length - 1 steps)
     from a uniform start, each step flipping one uniform coordinate."""
@@ -208,7 +204,6 @@ class RefreshHarvest:
     screen), its lag samples (None without any) and the flips it charged.
     ``len`` is the number of pairs its walk spans."""
 
-    n: int
     pair_count: int
     screen: ScreenTally | None
     lags: LagSamples | None
@@ -222,10 +217,10 @@ class RefreshHarvest:
 # _HARVEST_CHUNK_STEPS // gap_steps half-blocks draws Poisson(B gap_steps / 4)
 # flip cells, about 0.2 MB of intp indices (mean _HARVEST_CHUNK_STEPS / 4
 # cells), into one buffer of B word-wide rows of uint8 flip counts (<= 64 B
-# per half-block), off which both the flipped sets and the moves are packed,
-# and labels its boundaries in a B + 1 point uint64 buffer; these buffers are
-# allocated once per harvest.  The screen's tally keys a chunk's pairs with
-# 13 B of scratch a pair, so the chunk bounds the screen's memory too.
+# per half-block), off which both the flipped sets and the moves are packed;
+# this buffer is allocated once per harvest.  The screen's tally keys a
+# chunk's pairs with 13 B of scratch a pair, so the chunk bounds the screen's
+# memory too.
 _HARVEST_CHUNK_STEPS = 100_000
 
 
@@ -244,7 +239,7 @@ def _draw_cells(
 
 
 def harvest_chunks(
-    f: LabelSource,
+    f: BooleanFunction,
     n: int,
     gap_steps: int,
     seed: int,
@@ -267,24 +262,19 @@ def harvest_chunks(
     read label 0.  A chunk that holds no screened pair's half-block packs no
     flipped set and yields ``sel`` None.  The arrays are views of buffers the
     next chunk overwrites.  ``sel`` and the moves are packed off one buffer
-    of uint8 flip counts.
+    of uint8 flip counts: at gap_steps <= 4n a cell's mean flip count is at
+    most 1, so its count reaches 256, and wraps to 0, with probability below
+    1/256!, and any nonzero count packs as a flipped bit.  Boundaries are
+    labelled in the narrow word, one ``labels_for`` call per chunk.
     """
     # the walk's stream is the seed's child 0, whose walks the tests pin
     walk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    # a cell takes Poisson(gap_steps/(4n)) flips; at a mean of at most 1 its
-    # uint8 count reaches 256 with probability below 1/256!, so its flipped
-    # bit is packed off the count, and at a larger mean, where the count
-    # could wrap to 0, it is marked from the cells themselves
-    scatter = gap_steps > 4 * n
     word = np.dtype(_word(n)).newbyteorder("<")
     width = word.itemsize * 8
     halves_total = pair_count + 1
     last_screened = screen_pairs + 1 if screen_pairs else -1
     per_chunk = min(max(1, _HARVEST_CHUNK_STEPS // gap_steps), halves_total)
     flip_rows = np.empty(per_chunk * width, dtype=np.uint8)
-    # every label source reads uint64 points: a chunk's boundaries are
-    # widened into this buffer and labelled there
-    points = np.empty(per_chunk + 1, dtype=np.uint64)
     bounds = np.zeros(per_chunk + 2, dtype=word)
     labels = np.zeros(per_chunk + 2, dtype=np.int8)
     sel = np.zeros(per_chunk + 1, dtype=word)
@@ -304,14 +294,11 @@ def harvest_chunks(
         screened = done < last_screened
         # packbits packs a nonzero cell as 1, in little-endian bits and
         # bytes: element j of a row is bit j of its word
-        if screened and not scatter:
+        if screened:
             sel[1 : halves + 1] = np.packbits(flips, bitorder="little").view(word)
         # only bit 0 of a count is read, and it is exact under the mod-256 wrap
         np.bitwise_and(flips, np.uint8(1), out=flips)
         moves = np.packbits(flips, bitorder="little").view(word)
-        if screened and scatter:
-            flips[cells] = 1
-            sel[1 : halves + 1] = np.packbits(flips, bitorder="little").view(word)
         chain = bounds[2 : halves + 2]
         np.bitwise_xor.accumulate(moves, out=chain)
         chain ^= bounds[1]
@@ -325,9 +312,7 @@ def harvest_chunks(
         labels[head.stop :] = 0
         a, b = len(bounds[head]), len(bounds[tail])
         if a + b:
-            fresh = points[: a + b]
-            fresh[:a], fresh[a:] = bounds[head], bounds[tail]
-            fresh = labels_for(f, fresh)
+            fresh = labels_for(f, np.concatenate((bounds[head], bounds[tail])))
             labels[head], labels[tail] = fresh[:a], fresh[a:]
         yield (
             done,
@@ -338,10 +323,10 @@ def harvest_chunks(
         )
 
 
-def _harvest_size(screen_pairs: int, gap_steps: int, window: int, blocks: int) -> int:
-    """Check a harvest's sizes and return the pairs its walk spans."""
+def _harvest_size(n: int, screen_pairs: int, gap_steps: int, window: int, blocks: int) -> int:
+    """Check a harvest's sizes over n coordinates; return the pairs its walk spans."""
     _check_integer("screen_pairs", screen_pairs, 0)
-    _check_integer("gap_steps", gap_steps, 1)
+    _check_integer("gap_steps", gap_steps, 1, 4 * n)
     lags = lag_pairs(window, blocks)
     if not screen_pairs and not blocks:
         raise ValueError("screen_pairs=0 and blocks=0: a harvest reads at least one pair")
@@ -349,7 +334,7 @@ def _harvest_size(screen_pairs: int, gap_steps: int, window: int, blocks: int) -
 
 
 def harvest_refresh_pairs(
-    f: LabelSource,
+    f: BooleanFunction,
     n: int,
     screen_pairs: int,
     gap_steps: int,
@@ -401,20 +386,23 @@ def harvest_refresh_pairs(
     gap_steps / 4) flips into uniform (half-block, coordinate) cells.  A
     half-block's flipped set is the coordinates of its cells, and its move
     is the parity of its flip counts, so every boundary is a point of the
-    plain walk.  ``walk_steps`` sums the F.  Boundaries are kept in the
-    narrowest unsigned word with n bits, where each chunk's moves
-    xor-accumulate, and are widened into a uint64 buffer to be labelled, so
-    the label source sees uint64 points.  Each chunk's screened pairs go
-    into the tally and its lag boundaries into one preallocated array of
-    blocks + 2, with their labels, as soon as they are drawn; past the
-    screen a chunk packs no flipped set and labels only the boundaries a
-    lag sample reads.  The lag samples are cut from those boundaries once,
-    after the walk.  Memory is a chunk's buffers plus the lag boundaries and
-    then the samples (word + 1 bytes each), not the walk's length.
+    plain walk.  ``walk_steps`` sums the F.  ``gap_steps`` is at most 4n
+    (any refresh density up to 1/2 takes a gap of at most ceil(n ln 2)), so
+    a cell's mean flip count is at most 1 and its flipped bit is read off a
+    byte-wide count.  Boundaries are kept, and labelled, in the narrowest unsigned
+    word with n bits, where each chunk's moves xor-accumulate; the label
+    source is a table, a ``JuntaHypothesis`` above n = 24.  Each chunk's
+    screened pairs go into the tally and its lag boundaries into one
+    preallocated array of blocks + 2, with their labels, as soon as they
+    are drawn; past the screen a chunk packs no flipped set and labels only
+    the boundaries a lag sample reads.  The lag samples are cut from those
+    boundaries once, after the walk.  Memory is a chunk's buffers plus the
+    lag boundaries and then the samples (word + 1 bytes each), not the
+    walk's length.
     """
     _check_source(f, n)
     _check_integer("seed", seed, 0)
-    pair_count = _harvest_size(screen_pairs, gap_steps, window, blocks)
+    pair_count = _harvest_size(n, screen_pairs, gap_steps, window, blocks)
     word = np.dtype(_word(n)).newbyteorder("<")
     half = window // 2
     tally = ScreenTally(n, gap_steps) if screen_pairs else None
@@ -443,7 +431,7 @@ def harvest_refresh_pairs(
         for arr in (diff, prod):
             arr.setflags(write=False)
         lags = LagSamples(n, diff, prod)
-    return RefreshHarvest(n, pair_count, tally, lags, steps)
+    return RefreshHarvest(pair_count, tally, lags, steps)
 
 
 def effective_refresh_density(n: int, gap_steps: int) -> float:
@@ -526,7 +514,7 @@ class RandomWalkOracle:
     fixed request sequence reproduces exactly.
     """
 
-    def __init__(self, f: LabelSource, n: int, seed: int) -> None:
+    def __init__(self, f: BooleanFunction, n: int, seed: int) -> None:
         _check_source(f, n)
         _check_integer("seed", seed, 0)
         self.f = f
@@ -551,8 +539,9 @@ class RandomWalkOracle:
     ) -> RefreshHarvest:
         """One harvest (:func:`harvest_refresh_pairs`): a screen of
         ``screen_pairs`` pairs and ``blocks`` lag samples of ``window``
-        half-blocks, read off one walk."""
-        _harvest_size(screen_pairs, gap_steps, window, blocks)
+        half-blocks, read off one walk.  Sizes, ``gap_steps`` <= 4n among
+        them, are checked before the request draws its child seed."""
+        _harvest_size(self.n, screen_pairs, gap_steps, window, blocks)
         seed = int(self._child_seed().generate_state(1, np.uint64)[0])
         harvest = harvest_refresh_pairs(
             self.f, self.n, screen_pairs, gap_steps, seed, window, blocks

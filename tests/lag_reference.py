@@ -12,13 +12,15 @@ takes sample b one at a time at boundaries b w/2 and b w/2 + w of a window of
 w half-blocks, each read by that rule, with the label product taken over
 Python ints.  Tests use it as the reference that a harvest's lag samples must
 reproduce bit for bit, and ``harvested_lag_samples`` to draw samples for the
-estimator as the sieve does.
+estimator as the sieve does.  ``hash_labels`` is the label source of tests
+that want a target depending on many coordinates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from junta_walk.hypercube import MAX_TABLE_N, IndexSet, JuntaHypothesis, TruthTable
 from junta_walk.walk import (
     LagSamples,
     RandomWalkOracle,
@@ -110,3 +112,22 @@ def harvested_lag_samples(f, n: int, lag: int, blocks: int, gap_steps: int, seed
     harvest = RandomWalkOracle(f, n, seed).refresh_pairs(0, gap_steps, window, blocks)
     assert len(harvest) == lag_pairs(window, blocks)
     return harvest.lags, window * gap_steps / 4
+
+
+def _hash_signs(bits: np.ndarray) -> np.ndarray:
+    # the top bit of a multiplicative (Fibonacci) hash of each uint64 word
+    top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
+    return (1 - 2 * top).astype(np.int8)
+
+
+def hash_labels(n: int) -> TruthTable | JuntaHypothesis:
+    """A deterministic +-1 target: the hash sign of the packed point, as a
+    table over the whole cube up to n = 24; above, the hash sign of the
+    restriction to 20 coordinates, 2, 5, 11, 17 and the 16 highest others."""
+    if n <= MAX_TABLE_N:
+        return TruthTable(n, _hash_signs(np.arange(1 << n, dtype=np.uint64)))
+    low = (2, 5, 11, 17)
+    high = [c for c in range(n, 0, -1) if c not in low][:16]
+    return JuntaHypothesis(
+        IndexSet.of(n, [*low, *high]), _hash_signs(np.arange(1 << 20, dtype=np.uint64))
+    )

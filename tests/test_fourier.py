@@ -28,7 +28,7 @@ from junta_walk.fourier import (
 )
 from junta_walk.functions import and_table, parity_table, random_table
 from junta_walk import hypercube
-from junta_walk.hypercube import IndexSet, TruthTable, restriction_indices
+from junta_walk.hypercube import IndexSet, JuntaHypothesis, TruthTable, restriction_indices
 from junta_walk.walk import (
     _HARVEST_CHUNK_STEPS,
     RandomWalkOracle,
@@ -42,6 +42,7 @@ from junta_walk.walk import (
 from lag_reference import (
     RawPairs,
     harvested_lag_samples,
+    hash_labels,
     lag_samples_from_pairs,
     oracle_pairs,
     raw_pairs,
@@ -433,12 +434,9 @@ def test_bulk_on_pool_matches_dense_reference_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [21, 40])
 def test_bulk_on_pool_matches_per_set_above_n_cap(n):
-    def label(bits):  # a deterministic +-1 label depending on every coordinate
-        top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
-        return (1 - 2 * top).astype(np.int8)
-
+    # a target depending on every pool coordinate
     gap = gap_for_density(n, 1 / 3)
-    samples, _ = harvested_lag_samples(label, n, default_lag(n, 0.2), 1_500, gap, n)
+    samples, _ = harvested_lag_samples(hash_labels(n), n, default_lag(n, 0.2), 1_500, gap, n)
     pool = IndexSet.of(n, [2, 5, 11, 17, n - 1, n])
     tracemalloc.start()
     try:
@@ -480,7 +478,7 @@ def test_bulk_bins_each_lag_on_its_own():
 def test_bulk_rejects_large_n():
     # the cap is on the binned pool, whatever n is; the pool must match the walk
     n = BULK_WHT_MAX_N + 1
-    samples, _ = harvested_lag_samples(lambda bits: np.ones(bits.shape, np.int8), n, 1, 1, 2, 0)
+    samples, _ = harvested_lag_samples(JuntaHypothesis(IndexSet(n), [1]), n, 1, 1, 2, 0)
     with pytest.raises(ValueError, match="pool of <= 20"):
         estimate_sq_coeff_bulk(samples, IndexSet.full(n))
     largest = IndexSet.of(n, range(2, n + 1))

@@ -26,13 +26,19 @@ from junta_walk.walk import (
     generate_walk,
     harvest_chunks,
     harvest_refresh_pairs,
-    labels_for,
     lag_pairs,
     lag_window,
     sample_size_concentration,
     sample_size_erm,
 )
-from lag_reference import boundary, lag_samples_from_pairs, oracle_pairs, raw_pairs, tally_of
+from lag_reference import (
+    boundary,
+    hash_labels,
+    lag_samples_from_pairs,
+    oracle_pairs,
+    raw_pairs,
+    tally_of,
+)
 
 XOR2 = parity_table(6, [1, 2])
 
@@ -49,9 +55,7 @@ def _step_coords(w):
 
 
 def test_walk_layer_enforces_the_packed_cap():
-    def f(bits):
-        return np.ones(bits.shape, dtype=np.int8)
-
+    f = JuntaHypothesis(IndexSet(63), [1])
     for n in (0, 64):
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
             generate_walk(f, n, 5, 1)
@@ -106,21 +110,18 @@ def test_oracle_walk_is_generate_walk_at_the_child_seed():
     assert oracle.steps_served == 999
 
 
-def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
-    # the packed-word cap: bit 62 is coordinate 63, and labels come from a callable
+def test_walk_and_refresh_pairs_at_n63_with_junta_labels():
+    # the packed-word cap: bit 62 is coordinate 63, which labels the points
     n = 63
     top = np.uint64(62)
-
-    def f(bits):
-        return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
-
+    f = _top_bit_labels(n)
     oracle = RandomWalkOracle(f, n, seed=63)
     walks = [oracle.walk(20_000) for _ in range(2)]
     assert not np.array_equal(walks[0].points, walks[1].points)  # fresh child seeds
     for w in walks:
         coords = _step_coords(w)
         assert coords.min() == 1 and coords.max() == n
-        np.testing.assert_array_equal(w.labels, f(w.points))
+        np.testing.assert_array_equal(w.labels, 1 - 2 * (w.points >> top).astype(np.int8))
         assert np.any(w.labels == 1) and np.any(w.labels == -1)
     harvest = oracle.refresh_pairs(5_000, gap_steps=40)
     pairs = oracle_pairs(f, n, 63, 5_000, 40, request=2)
@@ -128,8 +129,8 @@ def test_walk_and_refresh_pairs_at_n63_with_callable_labels():
     assert harvest.screen.hists.tobytes() == tally_of(pairs, 40).hists.tobytes()
     assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.flipped_masks == 0)
     assert np.all(pairs.y_bits[:-2] == pairs.x_bits[2:])  # one walk, cut into half-blocks
-    np.testing.assert_array_equal(pairs.label_x, f(pairs.x_bits))
-    np.testing.assert_array_equal(pairs.label_y, f(pairs.y_bits))
+    np.testing.assert_array_equal(pairs.label_x, 1 - 2 * (pairs.x_bits >> top).astype(np.int8))
+    np.testing.assert_array_equal(pairs.label_y, 1 - 2 * (pairs.y_bits >> top).astype(np.int8))
     assert np.any(pairs.flipped_masks >> top)
     assert oracle.steps_served == 2 * 19_999 + pairs.walk_steps
 
@@ -285,29 +286,13 @@ def test_harvest_reads_a_plain_walk_and_charges_its_flips():
         oracle = RandomWalkOracle(_top_bit_labels(n), n, seed=seed)
         oracle.walk(1 + seed)
         served = oracle.steps_served
-        count, gap = 1 + seed % 50, 1 + seed % 9
+        count, gap = 1 + seed % 50, min(1 + seed % 9, 4 * n)
         harvest = oracle.refresh_pairs(count, gap_steps=gap)
         assert oracle.steps_served - served == harvest.walk_steps
         pairs = oracle_pairs(_top_bit_labels(n), n, seed, count, gap, request=1)
         assert pairs.walk_steps == harvest.walk_steps
         moved = int(np.bitwise_count(pairs.x_bits[0] ^ pairs.y_bits[-1]))
         assert moved % 2 == pairs.walk_steps % 2
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_harvest_selection_survives_counts_past_a_byte(n):
-    # Poisson(256) flips per (half-block, coordinate) cell: a flipped set
-    # read off a byte-wide count would drop the cells whose count wraps to
-    # 0, about 1 in 40, and miss both half-blocks of two dozen or more pairs
-    # per coordinate here.  Every pair flips every coordinate, and each
-    # half-block's move is a fair bit per coordinate.
-    count, gap = 40_000, 1024 * n
-    pairs = raw_pairs(_top_bit_labels(n), n, count, gap, seed=n)
-    assert np.all(pairs.flipped_masks == (1 << n) - 1)
-    moves = pairs.x_bits[1:] ^ pairs.x_bits[:-1]
-    for i in range(n):
-        ones = float(np.mean((moves >> np.uint64(i)) & np.uint64(1)))
-        assert abs(ones - 0.5) <= 5 * 0.5 / math.sqrt(len(moves))
 
 
 def test_harvest_determinism():
@@ -380,8 +365,8 @@ def _reference_pairs(f, out_b, out_r, steps_used):
     return {
         "x_bits": x_bits,
         "y_bits": y_bits,
-        "label_x": labels_for(f, x_bits),
-        "label_y": labels_for(f, y_bits),
+        "label_x": f.label_bits(x_bits),
+        "label_y": f.label_bits(y_bits),
         "flipped_masks": sel[:-1] | sel[1:],
         "walk_steps": steps_used,
     }
@@ -453,12 +438,8 @@ def _assert_same_bytes(got, want):
 
 
 def _top_bit_labels(n):
-    top = np.uint64(n - 1)
-
-    def f(bits):
-        return (1 - 2 * ((bits >> top) & np.uint64(1)).astype(np.int8)).astype(np.int8)
-
-    return f
+    # -1 exactly where coordinate n, the word's top bit, is set
+    return JuntaHypothesis(IndexSet.of(n, [n]), [1, -1])
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
@@ -476,10 +457,9 @@ def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_harvest_matches_per_cell_reference_bit_for_bit(n):
     f = _top_bit_labels(n)
-    # past gap 4n a cell's mean flip count exceeds 1 and the kernel marks
-    # its flipped sets from the cells rather than packing the counts: 4n is
-    # the largest gap read off the counts and 4n + 1 the smallest marked
-    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n, 4 * n, 4 * n + 1, 5 * n}):
+    # 4n, the largest gap a harvest takes, is the largest mean flip count,
+    # 1, that a cell's byte-wide count is read at
+    for gap in sorted({1, gap_for_density(n, 0.5), 3 * n, 4 * n}):
         # gap 1 leaves empty blocks at the head and the tail of a chunk
         for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
             seed = 1000 * n + gap + count
@@ -496,29 +476,31 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [5, 16, 40])
-def test_label_sources_read_uint64_points_from_narrow_pairs(n):
-    # pairs are stored in the narrow word, but every label source still
-    # receives uint64 packed points, each screened boundary exactly once per
-    # harvest, and past the screen only the boundaries a lag sample reads
+def test_label_sources_read_the_narrow_points_of_narrow_pairs(n, monkeypatch):
+    # pairs are stored in the narrow word and labelled in it, each screened
+    # boundary exactly once per harvest, and past the screen only the
+    # boundaries a lag sample reads; the labels are those of uint64 points
     top = _top_bit_labels(n)
+    label_bits = JuntaHypothesis.label_bits
     seen = []
 
-    def source(bits):
-        assert bits.dtype == np.uint64
+    def spy(self, bits):
+        assert bits.dtype == _word(n)
         seen.append(len(bits))
-        return top(bits)
+        return label_bits(self, bits)
 
+    monkeypatch.setattr(JuntaHypothesis, "label_bits", spy)
     gap = gap_for_density(n, 1 / 3)
     count = 3 * (_HARVEST_CHUNK_STEPS // gap) + 5
-    harvested = harvest_refresh_pairs(source, n, count, gap, seed=n)
-    served = RandomWalkOracle(source, n, seed=n).refresh_pairs(count, gap)
+    harvested = harvest_refresh_pairs(top, n, count, gap, seed=n)
+    served = RandomWalkOracle(top, n, seed=n).refresh_pairs(count, gap)
     assert sum(seen) == 2 * (count + 2)
     pairs = raw_pairs(top, n, count, gap, seed=n)
     assert served.walk_steps == oracle_pairs(top, n, n, count, gap).walk_steps
     for name in ("x_bits", "y_bits", "flipped_masks"):
         assert getattr(pairs, name).dtype == _word(n)
     for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
-        want = labels_for(top, points.astype(np.uint64))
+        want = label_bits(top, points.astype(np.uint64))
         assert labels.tobytes() == want.tobytes()
     assert harvested.screen.hists.tobytes() == tally_of(pairs, gap).hists.tobytes()
     assert harvested.walk_steps == pairs.walk_steps
@@ -526,7 +508,7 @@ def test_label_sources_read_uint64_points_from_narrow_pairs(n):
     seen.clear()
     blocks = 2 * count // 3
     screen = count // 4
-    harvest_refresh_pairs(source, n, screen, gap, n, 6, blocks)
+    harvest_refresh_pairs(top, n, screen, gap, n, 6, blocks)
     past = blocks + 2 - (screen + 1) // 3 - 1  # lag boundaries 3m > screen + 1
     assert sum(seen) == screen + 2 + past
 
@@ -544,9 +526,10 @@ def _screen_harvest_peak(n, count, gap, seed):
 def test_screen_harvest_peak_is_one_chunk_at_any_length():
     # a screen-only harvest holds one chunk's buffers whatever its length.
     # Per half-block of the B = _HARVEST_CHUNK_STEPS // gap in a chunk:
-    # word-wide rows of uint8 flip counts and bool flipped sets, a uint64
-    # point, its boundary, label and flipped-set words, and as many words
-    # built per chunk (moves, packed flipped sets, labels); per flip drawn
+    # word-wide rows of uint8 flip counts and bool flipped sets, the int64
+    # index its label is read at, its boundary, label and flipped-set words,
+    # and as many words built per chunk (moves, packed flipped sets, labels);
+    # per flip drawn
     # (mean B gap / 4): its int32 cell and the intp cell it is widened to,
     # held through the chunk; and per pair of the chunk, which the tally
     # keys at once, an intp key, a bool and the pair's flipped-set word,
@@ -570,7 +553,7 @@ def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
     # carrying two boundaries and a selection word across each chunk edge:
     # screens and lag walks that end one pair before an edge, at it and one
     # pair after it give the bytes read off the raw chunks concatenated
-    gap = 50
+    f, gap = hash_labels(n), 4 * n
     edge = _HARVEST_CHUNK_STEPS // gap  # half-blocks per chunk
     for half in (1, 3):
         window = 2 * half
@@ -581,8 +564,8 @@ def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
                 if not screen and not blocks:
                     continue
                 seed = 10 * screen + blocks + half
-                harvest = harvest_refresh_pairs(_hash_label, n, screen, gap, seed, window, blocks)
-                pairs = raw_pairs(_hash_label, n, len(harvest), gap, seed)
+                harvest = harvest_refresh_pairs(f, n, screen, gap, seed, window, blocks)
+                pairs = raw_pairs(f, n, len(harvest), gap, seed)
                 assert harvest.walk_steps == pairs.walk_steps
                 if screen:
                     want = ScreenTally(n, gap)
@@ -670,22 +653,22 @@ def test_gap_for_density_rejects_bad_density():
         gap_for_density(4, 1.0)
 
 
-def test_labels_for_accepts_callables_and_validates():
-    bits = np.arange(8, dtype=np.uint64)
-    out = labels_for(lambda b: np.where(b & 1, -1, 1), bits)
-    np.testing.assert_array_equal(out, [1, -1] * 4)
-    with pytest.raises(ValueError):
-        labels_for(lambda b: np.zeros_like(b, dtype=np.int8), bits)
-    bad_sources = (
-        lambda b: np.full(b.shape, 1.5),
-        lambda b: np.full(b.shape, 257),
-        lambda b: np.full(b.shape, True),
-        lambda b: np.where(b & 1, -1.2, 1.9),
-    )
-    for source in bad_sources:  # none may be truncated to +-1 by the int8 cast
-        with pytest.raises(ValueError):
-            labels_for(source, bits)
-    assert labels_for(lambda b: np.where(b & 1, -1.0, 1.0), bits).dtype == np.int8
+@pytest.mark.parametrize("entry", ["oracle", "harvest", "walk"])
+def test_label_sources_other_than_tables_are_refused(entry):
+    # a table checks its +-1 values once, when it is built; a callable, an
+    # array of labels or no source at all is refused by name before any draw
+    for name, source in (
+        ("function", lambda bits: np.ones(bits.shape, np.int8)),
+        ("ndarray", XOR2.values),
+        ("NoneType", None),
+    ):
+        with pytest.raises(TypeError, match=f"label source {name} must be a TruthTable"):
+            if entry == "oracle":
+                RandomWalkOracle(source, 6, seed=1)
+            elif entry == "harvest":
+                harvest_refresh_pairs(source, 6, screen_pairs=5, gap_steps=3, seed=1)
+            else:
+                generate_walk(source, 6, 5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +748,7 @@ def test_rejected_requests_do_not_consume_a_seed():
         ("walk", (-3,), "length=-3"),
         ("refresh_pairs", (0, 3), "screen_pairs=0"),
         ("refresh_pairs", (5, 0), "gap_steps=0"),
+        ("refresh_pairs", (5, 33), "gap_steps=33"),
     )
     for name, args, message in bad_requests:
         oracle = RandomWalkOracle(f, 8, seed=99)
@@ -775,24 +759,20 @@ def test_rejected_requests_do_not_consume_a_seed():
         np.testing.assert_array_equal(oracle.walk(50).points, fresh.walk(50).points)
 
 
-def _hash_label(bits):
-    # a deterministic +-1 label that depends on every coordinate
-    top = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(63)
-    return (1 - 2 * top).astype(np.int8)
-
-
 # (n, gap, seed, window, blocks, screen) -> digest of the walk's stream: the
 # chunks' boundaries, labels and flip totals, and the harvest's lag samples
-# and flips charged.  Pinned when the harvest still drew a second stream of
-# no-op coins, which read none of these: the n = 16 screen ends at the first
-# chunk's edge, the n = 17 harvest is lag samples alone over three chunks,
-# and the n = 63 one spans five.
+# and flips charged, labelled by hash_labels(n).  Pinned when the harvest
+# still drew a second stream of no-op coins, which read none of these: the
+# n = 16 screen ends at the first chunk's edge, the n = 17 harvest is lag
+# samples alone over three chunks, and the n = 63 one spans five.  The n = 63
+# digest was re-pinned when its labels became a 20-coordinate junta of the
+# hash; the harvest that still labelled uint64 points gave the same digest.
 WALK_STREAM_DIGESTS = {
     (1, 1, 0, 2, 300, 200): "d6f0b205d4ff44f8",
     (5, 3, 7, 4, 1_000, 3_000): "ae80f272e5321538",
     (16, 7, 16, 6, 5_000, _HARVEST_CHUNK_STEPS // 7): "1e00126d5c855cfc",
     (17, 9, 17, 24, 2_000, 0): "3d69b30b8ecc635a",
-    (63, 40, 63, 8, 3_000, 2_500): "950e1b15b664db50",
+    (63, 40, 63, 8, 3_000, 2_500): "e110c0e466b719af",
 }
 
 
@@ -802,15 +782,16 @@ WALK_STREAM_DIGESTS = {
 def test_walk_stream_is_pinned(cell):
     n, gap, seed, window, blocks, screen = cell
     digest = hashlib.sha256()
-    count = _harvest_size(screen, gap, window, blocks)
+    f = hash_labels(n)
+    count = _harvest_size(n, screen, gap, window, blocks)
     for done, bounds, labels, _, steps in harvest_chunks(
-        _hash_label, n, gap, seed, count, screen, window // 2
+        f, n, gap, seed, count, screen, window // 2
     ):
         first = 1 if done == 0 else 2  # the boundaries new in this chunk
         digest.update(bounds[first:].tobytes())
         digest.update(labels[first:].tobytes())
         digest.update(steps.to_bytes(8, "little"))
-    harvest = harvest_refresh_pairs(_hash_label, n, screen, gap, seed, window, blocks)
+    harvest = harvest_refresh_pairs(f, n, screen, gap, seed, window, blocks)
     digest.update(harvest.lags.diff.tobytes())
     digest.update(harvest.lags.prod.tobytes())
     digest.update(harvest.walk_steps.to_bytes(8, "little"))
@@ -822,13 +803,13 @@ def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
     # the harvest skips every step between its half-block boundaries; the
     # reference reader takes each sample's two boundaries from x_bits and
     # y_bits one at a time, and the lag samples match it bit for bit
-    gap = gap_for_density(n, 1 / 3)
+    f, gap = hash_labels(n), gap_for_density(n, 1 / 3)
     for window in sorted({2, 4, 6, lag_window(default_lag(n, 0.05), gap)}):
         for blocks in (1, 2, 7, 20_000):
-            oracle = RandomWalkOracle(_hash_label, n, 100 * n + window)
+            oracle = RandomWalkOracle(f, n, 100 * n + window)
             harvest = oracle.refresh_pairs(0, gap, window, blocks)
             got = harvest.lags
-            pairs = oracle_pairs(_hash_label, n, 100 * n + window, lag_pairs(window, blocks), gap)
+            pairs = oracle_pairs(f, n, 100 * n + window, lag_pairs(window, blocks), gap)
             want = lag_samples_from_pairs(pairs, window, blocks)
             assert (got.n, len(got)) == (n, blocks)
             _assert_same_bytes(got.diff, want.diff)
@@ -873,9 +854,9 @@ def test_lag_sample_ends_where_the_sample_two_later_starts(lag):
     # end is half-window boundary b + 2, which is sample b + 2's start, and
     # adjacent samples share a half-window
     n, blocks, gap = 9, 50, 3
-    window = lag_window(lag, gap)
-    drawn = RandomWalkOracle(_hash_label, n, seed=lag).refresh_pairs(0, gap, window, blocks).lags
-    pairs = oracle_pairs(_hash_label, n, lag, lag_pairs(window, blocks), gap)
+    window, f = lag_window(lag, gap), hash_labels(n)
+    drawn = RandomWalkOracle(f, n, seed=lag).refresh_pairs(0, gap, window, blocks).lags
+    pairs = oracle_pairs(f, n, lag, lag_pairs(window, blocks), gap)
     half = window // 2
     starts = np.array([boundary(pairs, b * half)[0] for b in range(blocks + 2)], np.uint64)
     labels = np.array([boundary(pairs, b * half)[1] for b in range(blocks + 2)])
