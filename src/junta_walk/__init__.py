@@ -52,8 +52,6 @@ from .walk import (
     RefreshHarvest,
     SampleSizePlan,
     ScreenTally,
-    generate_walk,
-    harvest_refresh_pairs,
     sample_size_concentration,
     sample_size_erm,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "estimate_sq_coeff",
     "estimate_sq_coeff_bulk",
     "exact_opt",
-    "generate_walk",
-    "harvest_refresh_pairs",
     "learn_outcome",
     "make_instance",
     "run_suite",

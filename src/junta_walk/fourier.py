@@ -253,7 +253,7 @@ def estimate_bounded_influence(tally: ScreenTally) -> tuple[np.ndarray, np.ndarr
     given i flipped, and the contrast has expectation exactly
     sum_{T owns i} fhat(T)^2 pi^(2(|T|-1)) =
     sum_{T owns i} fhat(T)^2 (1-p)^(|T|-1) at the refresh density p =
-    1 - pi^2 (:func:`~junta_walk.walk.harvest_refresh_pairs` derives it): a
+    1 - pi^2 (the harvest, :func:`~junta_walk.walk._harvest`, derives it): a
     screened influence that is large for every member of a heavy low-degree
     set.  The density only sets callers' thresholds.
 

@@ -17,7 +17,7 @@ import json
 import logging
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,12 +140,7 @@ class Corruption:
         return 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "fraction": self.fraction,
-            "adversary_seed": self.adversary_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Corruption":
@@ -181,13 +176,7 @@ class InstanceSpec:
         _check_seeds(junta_seed=self.junta_seed, instance_seed=self.instance_seed)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "corruption": self.corruption.to_dict(),
-            "junta_seed": self.junta_seed,
-            "instance_seed": self.instance_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceSpec":
@@ -258,12 +247,12 @@ class TrialReport:
     eps: float
     delta: float
     seed: int
-    opt: Fraction | None
-    delta_hf: Fraction | None
-    excess: Fraction | None
-    passed: bool
-    wall_ms: float
-    walk_steps: int
+    opt: Fraction | None = None
+    delta_hf: Fraction | None = None
+    excess: Fraction | None = None
+    passed: bool = False
+    wall_ms: float = 0.0
+    walk_steps: int = 0
     hypothesis: JuntaHypothesis | None = None
     pool: tuple[int, ...] = ()
     erm_sample: int = 0
@@ -482,12 +471,6 @@ def _run_trial_safe(
             eps=cell.learn.epsilon,
             delta=cell.learn.delta,
             seed=trial_seed,
-            opt=None,
-            delta_hf=None,
-            excess=None,
-            passed=False,
-            wall_ms=0.0,
-            walk_steps=0,
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -166,17 +166,19 @@ def verify_spectrum_lemma(
     floor = next((c for c in levels if _clears_floor(c, max(k, 1), scale)), size + 1)
     heavy_masks = masks[small & (mags >= floor)]
 
-    def witness_for(i: int) -> tuple[IndexSet, Fraction] | None:
+    # the witness of each of g's relevant coordinates that has one: its
+    # heaviest set (the smallest mask among ties); a restriction's relevant
+    # coordinates are g's, less those it fixes or drops
+    witnesses: dict[int, tuple[IndexSet, Fraction]] = {}
+    for i in rel_g:
         holding = heavy_masks[(heavy_masks >> np.uint64(i - 1)) & np.uint64(1) == 1]
-        if holding.size == 0:
-            return None
-        vals = np.abs(coeffs_f[holding.astype(np.int64)])
-        order = np.lexsort((holding, -vals))
-        m = int(holding[order[0]])
-        return IndexSet(f.n, m), Fraction(int(coeffs_f[m]), size)
+        if holding.size:
+            vals = np.abs(coeffs_f[holding.astype(np.int64)])
+            m = int(holding[np.lexsort((holding, -vals))[0]])
+            witnesses[i] = IndexSet(f.n, m), Fraction(int(coeffs_f[m]), size)
 
-    dot_g = int(np.dot(f.values.astype(np.int64), g.values))
     fv = f.values.astype(np.int64)
+    dot_g = int(np.dot(fv, g.values))
     for fix_count in range(len(rel_g) + 1):
         for combo in combinations(rel_g, fix_count):
             for signs in product((1, -1), repeat=fix_count):
@@ -185,19 +187,12 @@ def verify_spectrum_lemma(
                 dot_gp = int(np.dot(fv, gp.values))
                 if dot_g - dot_gp > epsilon * size:
                     continue
-                certificate: dict[int, tuple[IndexSet, Fraction]] = {}
-                ok = True
-                for i in relevant_coords(gp):
-                    w = witness_for(i)
-                    if w is None:
-                        ok = False
-                        break
-                    certificate[i] = w
-                if ok:
+                rel_gp = relevant_coords(gp)
+                if all(i in witnesses for i in rel_gp):
                     return LemmaWitness(
                         g_prime=gp,
                         fixed=tuple(sorted(fixed.items())),
-                        witnesses=certificate,
+                        witnesses={i: witnesses[i] for i in rel_gp},
                         inner_original=Fraction(dot_g, size),
                         inner_restricted=Fraction(dot_gp, size),
                         bound=coefficient_bound(max(k, 1), epsilon),

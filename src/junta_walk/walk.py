@@ -1,10 +1,11 @@
 """Labeled random walks on the hypercube and refresh-pair harvesting.
 
-The plain walk flips one uniformly random coordinate per step; it is the
-learner's oracle, and both of its entry points, ``generate_walk`` and
-``RandomWalkOracle.walk``, draw through ``generate_walk``.
+``RandomWalkOracle`` is the layer's one entry: it checks its label source
+and every request, then draws through two private kernels that trust those
+checks and read n from their table.  The plain walk (``_draw_walk``) flips
+one uniformly random coordinate per step.
 
-``harvest_refresh_pairs`` reads endpoint pairs annotated with flipped
+The harvest (``_harvest``) reads endpoint pairs annotated with flipped
 coordinate sets off a walk it consumes as it draws.  It cuts a single plain
 walk into half-blocks of Poisson(gap/4) steps and reads each two adjacent
 half-blocks as one pair: its endpoints and the set F of coordinates the pair
@@ -49,16 +50,6 @@ def labels_for(f: BooleanFunction, bits: np.ndarray) -> np.ndarray:
     """The +-1 (int8) labels of an array of packed points; both tables
     checked their values once, when they were built."""
     return f.label_bits(bits)
-
-
-def _check_source(f: BooleanFunction, n: int) -> None:
-    """Refuse n outside [1, 63], a label source that is not a table, and a
-    table over another n."""
-    _check_dim(n)
-    if not isinstance(f, BooleanFunction):
-        raise TypeError(f"label source {type(f).__name__} must be a TruthTable or JuntaHypothesis")
-    if f.n != n:
-        raise ValueError(f"label source over n={f.n}, walk over n={n}")
 
 
 @dataclass(frozen=True)
@@ -106,15 +97,12 @@ def _draw_steps(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return np.left_shift(word(1), coords - 1, dtype=word, casting="unsafe")
 
 
-def generate_walk(
-    f: BooleanFunction, n: int, length: int, seed: int | np.random.SeedSequence
-) -> LabeledWalk:
-    """Run the labeled-walk oracle: ``length`` points (so length - 1 steps)
-    from a uniform start, each step flipping one uniform coordinate."""
-    _check_source(f, n)
-    _check_integer("length", length, 1)
-    if not isinstance(seed, np.random.SeedSequence):
-        _check_integer("seed", seed, 0)
+def _draw_walk(f: BooleanFunction, length: int, seed: int | np.random.SeedSequence) -> LabeledWalk:
+    """The plain-walk kernel: ``length`` points (so length - 1 steps) over
+    f.n coordinates from a uniform start, each step flipping one uniform
+    coordinate.  ``seed`` is anything ``np.random.default_rng`` takes;
+    nothing is checked here (:meth:`RandomWalkOracle.walk` checks)."""
+    n = f.n
     rng = np.random.default_rng(seed)
     points = np.empty(length, dtype=np.uint64)
     points[0] = rng.integers(0, 1 << n, dtype=np.uint64)
@@ -240,16 +228,15 @@ def _draw_cells(
 
 def harvest_chunks(
     f: BooleanFunction,
-    n: int,
     gap_steps: int,
     seed: int,
     pair_count: int,
     screen_pairs: int,
     stride: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, int]]:
-    """Draw the walk behind ``pair_count`` refresh pairs chunk by chunk: the
-    one kernel every harvest reads (see :func:`harvest_refresh_pairs` for the
-    law).
+    """Draw the walk behind ``pair_count`` refresh pairs over f.n
+    coordinates chunk by chunk: the one kernel every harvest reads (see
+    :func:`_harvest` for the law).
 
     Each chunk of B half-blocks starting at half-block ``done`` is yielded as
     ``(done, bounds, labels, sel, steps)``: element k of ``bounds`` and
@@ -267,6 +254,7 @@ def harvest_chunks(
     1/256!, and any nonzero count packs as a flipped bit.  Boundaries are
     labelled in the narrow word, one ``labels_for`` call per chunk.
     """
+    n = f.n
     # the walk's stream is the seed's child 0, whose walks the tests pin
     walk_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     word = np.dtype(_word(n)).newbyteorder("<")
@@ -333,22 +321,22 @@ def _harvest_size(n: int, screen_pairs: int, gap_steps: int, window: int, blocks
     return max(screen_pairs, lags if blocks else 0)
 
 
-def harvest_refresh_pairs(
+def _harvest(
     f: BooleanFunction,
-    n: int,
+    pair_count: int,
     screen_pairs: int,
     gap_steps: int,
     seed: int,
-    window: int = 2,
-    blocks: int = 0,
+    window: int,
+    blocks: int,
 ) -> RefreshHarvest:
-    """Cut one fresh plain walk into consecutive half-blocks of
-    Poisson(``gap_steps`` / 4) steps and read each two adjacent half-blocks
-    as a refresh pair: the endpoint pair they span with the set F of
-    coordinates it flips at least once.  The first ``screen_pairs`` pairs
-    are tallied for the screen (:class:`ScreenTally`), and ``blocks`` lag
-    samples of ``window`` half-blocks are read off the chain of half-block
-    boundaries.
+    """The harvest kernel: cut one fresh plain walk over f.n coordinates
+    into consecutive half-blocks of Poisson(``gap_steps`` / 4) steps and
+    read each two adjacent half-blocks as a refresh pair: the endpoint pair
+    they span with the set F of coordinates it flips at least once.  The
+    first ``screen_pairs`` pairs are tallied for the screen
+    (:class:`ScreenTally`), and ``blocks`` lag samples of ``window``
+    half-blocks are read off the chain of half-block boundaries.
 
     Per half-block, coordinate i takes a Poisson(gap_steps/(4n)) number of
     flips, independently across coordinates and half-blocks, so a pair,
@@ -379,7 +367,9 @@ def harvest_refresh_pairs(
     Lag sample b joins boundaries b w/2 and b w/2 + w for an even window of
     w half-blocks, so adjacent samples share half a window: at gap g its
     flip count is Poisson(w g / 4), whatever came before.  The walk spans
-    max(screen_pairs, lag_pairs(window, blocks)) pairs.
+    ``pair_count`` = max(screen_pairs, lag_pairs(window, blocks)) pairs,
+    which :meth:`RandomWalkOracle.refresh_pairs` computes with every other
+    check (:func:`_harvest_size`); nothing is checked here.
 
     The walk is drawn and read a chunk of B half-blocks at a time
     (:func:`harvest_chunks`): the walk's stream draws F ~ Poisson(B
@@ -400,9 +390,7 @@ def harvest_refresh_pairs(
     lag boundaries and then the samples (word + 1 bytes each), not the
     walk's length.
     """
-    _check_source(f, n)
-    _check_integer("seed", seed, 0)
-    pair_count = _harvest_size(n, screen_pairs, gap_steps, window, blocks)
+    n = f.n
     word = np.dtype(_word(n)).newbyteorder("<")
     half = window // 2
     tally = ScreenTally(n, gap_steps) if screen_pairs else None
@@ -410,7 +398,7 @@ def harvest_refresh_pairs(
     ends, end_labels = np.empty(blocks + 2, dtype=word), np.empty(blocks + 2, dtype=np.int8)
     steps = 0
     for done, bounds, labels, sel, drawn in harvest_chunks(
-        f, n, gap_steps, seed, pair_count, screen_pairs, half
+        f, gap_steps, seed, pair_count, screen_pairs, half
     ):
         steps += drawn
         halves = len(bounds) - 2
@@ -441,7 +429,7 @@ def effective_refresh_density(n: int, gap_steps: int) -> float:
     with probability p, independently, and its contrast is the one a
     harvested pair's rescaled contrast estimates: p = 1 - pi^2, where pi =
     exp(-gap_steps/(2n)) is the probability that a pair leaves a coordinate
-    unflipped (see :func:`harvest_refresh_pairs`).
+    unflipped (see :func:`_harvest`).
     """
     _check_dim(n)
     _check_integer("gap_steps", gap_steps, 1)
@@ -464,10 +452,6 @@ def gap_for_density(n: int, p: float) -> int:
 class SampleSizePlan:
     """Walk length m and block length N backing a concentration claim."""
 
-    n: int
-    epsilon: float
-    delta: float
-    log_class_size: float
     N: int
     m: int
 
@@ -482,7 +466,7 @@ def sample_size_concentration(epsilon: float, delta: float, n: int) -> SampleSiz
     _check_dim(n)
     N = math.ceil(n * math.log(n / delta))
     m = math.ceil((2 * N / epsilon**2) * math.log(2 * N / delta))
-    return SampleSizePlan(n, epsilon, delta, 0.0, N, m)
+    return SampleSizePlan(N, m)
 
 
 def sample_size_erm(
@@ -499,7 +483,7 @@ def sample_size_erm(
     _check_real("log_class_size", log_class_size, "[0, inf)")
     N = math.ceil(n * (math.log(2 * n / delta) + log_class_size))
     m = math.ceil((8 * N / epsilon**2) * (math.log(2 * N / delta) + log_class_size))
-    return SampleSizePlan(n, epsilon, delta, log_class_size, N, m)
+    return SampleSizePlan(N, m)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +499,13 @@ class RandomWalkOracle:
     """
 
     def __init__(self, f: BooleanFunction, n: int, seed: int) -> None:
-        _check_source(f, n)
+        # the walk layer's only checks of n, the label source and the seed
+        _check_dim(n)
+        if not isinstance(f, BooleanFunction):
+            kind = type(f).__name__
+            raise TypeError(f"label source {kind} must be a TruthTable or JuntaHypothesis")
+        if f.n != n:
+            raise ValueError(f"label source over n={f.n}, walk over n={n}")
         _check_integer("seed", seed, 0)
         self.f = f
         self.n = n
@@ -530,21 +520,19 @@ class RandomWalkOracle:
 
     def walk(self, length: int) -> LabeledWalk:
         _check_integer("length", length, 1)
-        walk = generate_walk(self.f, self.n, length, self._child_seed())
+        walk = _draw_walk(self.f, length, self._child_seed())
         self.steps_served += length - 1
         return walk
 
     def refresh_pairs(
         self, screen_pairs: int, gap_steps: int, window: int = 2, blocks: int = 0
     ) -> RefreshHarvest:
-        """One harvest (:func:`harvest_refresh_pairs`): a screen of
-        ``screen_pairs`` pairs and ``blocks`` lag samples of ``window``
-        half-blocks, read off one walk.  Sizes, ``gap_steps`` <= 4n among
-        them, are checked before the request draws its child seed."""
-        _harvest_size(self.n, screen_pairs, gap_steps, window, blocks)
+        """One harvest (:func:`_harvest`): a screen of ``screen_pairs``
+        pairs and ``blocks`` lag samples of ``window`` half-blocks, read off
+        one walk.  Sizes, ``gap_steps`` <= 4n among them, are checked before
+        the request draws its child seed."""
+        pair_count = _harvest_size(self.n, screen_pairs, gap_steps, window, blocks)
         seed = int(self._child_seed().generate_state(1, np.uint64)[0])
-        harvest = harvest_refresh_pairs(
-            self.f, self.n, screen_pairs, gap_steps, seed, window, blocks
-        )
+        harvest = _harvest(self.f, pair_count, screen_pairs, gap_steps, seed, window, blocks)
         self.steps_served += harvest.walk_steps
         return harvest

@@ -5,6 +5,8 @@ samples gathered from them one at a time.
 ``walk.harvest_chunks``, read with every pair screened, into parallel arrays
 (pair i joins chain boundaries i and i + 2).  ``oracle_pairs`` does the same
 for the harvest a fresh ``RandomWalkOracle`` serves first.
+``seeded_harvest`` runs the harvest kernel at a seed of the test's own,
+sized as the oracle sizes it.  Each reads n from its table.
 
 A harvest of P pairs is a chain of half-block boundaries: boundary j is pair
 j's x for j < P and pair j - 2's y for j >= 2.  ``lag_samples_from_pairs``
@@ -24,7 +26,10 @@ from junta_walk.hypercube import MAX_TABLE_N, IndexSet, JuntaHypothesis, TruthTa
 from junta_walk.walk import (
     LagSamples,
     RandomWalkOracle,
+    RefreshHarvest,
     ScreenTally,
+    _harvest,
+    _harvest_size,
     harvest_chunks,
     lag_pairs,
     lag_window,
@@ -49,13 +54,11 @@ class RawPairs:
         return len(self.x_bits)
 
 
-def raw_pairs(f, n: int, pair_count: int, gap_steps: int, seed: int) -> RawPairs:
+def raw_pairs(f, pair_count: int, gap_steps: int, seed: int) -> RawPairs:
     """The ``pair_count`` pairs of the harvest at ``seed``, as the kernel
     yields them chunk by chunk with every pair screened."""
     bounds, labels, sel, steps = [], [], [], 0
-    for done, b, lab, s, drawn in harvest_chunks(
-        f, n, gap_steps, seed, pair_count, pair_count, 1
-    ):
+    for done, b, lab, s, drawn in harvest_chunks(f, gap_steps, seed, pair_count, pair_count, 1):
         # element 0 is boundary done - 1 and half-block done - 1: the
         # previous chunk's, or none in the first chunk
         first = 1 if done == 0 else 2
@@ -65,18 +68,27 @@ def raw_pairs(f, n: int, pair_count: int, gap_steps: int, seed: int) -> RawPairs
         steps += drawn
     bounds, labels, sel = map(np.concatenate, (bounds, labels, sel))
     return RawPairs(
-        n, bounds[:-2], bounds[2:], labels[:-2], labels[2:], sel[:-1] | sel[1:], steps
+        f.n, bounds[:-2], bounds[2:], labels[:-2], labels[2:], sel[:-1] | sel[1:], steps
     )
 
 
 def oracle_pairs(
-    f, n: int, oracle_seed: int, pair_count: int, gap_steps: int, request: int = 0
+    f, oracle_seed: int, pair_count: int, gap_steps: int, request: int = 0
 ) -> RawPairs:
     """The raw pairs of the harvest a ``RandomWalkOracle`` at ``oracle_seed``
     serves as its ``request``-th request, whose child seed is drawn here as
     the oracle draws it."""
     child = np.random.SeedSequence(entropy=oracle_seed, spawn_key=(request,))
-    return raw_pairs(f, n, pair_count, gap_steps, int(child.generate_state(1, np.uint64)[0]))
+    return raw_pairs(f, pair_count, gap_steps, int(child.generate_state(1, np.uint64)[0]))
+
+
+def seeded_harvest(
+    f, screen_pairs: int, gap_steps: int, seed: int, window: int = 2, blocks: int = 0
+) -> RefreshHarvest:
+    """The harvest the kernel draws at ``seed`` (not an oracle's child
+    seed), sized as ``RandomWalkOracle.refresh_pairs`` sizes it."""
+    pair_count = _harvest_size(f.n, screen_pairs, gap_steps, window, blocks)
+    return _harvest(f, pair_count, screen_pairs, gap_steps, seed, window, blocks)
 
 
 def tally_of(pairs, gap_steps: int) -> ScreenTally:

@@ -35,8 +35,8 @@ from junta_walk.oracle_bruteforce import (
 from junta_walk.sieve import SieveParams, bounded_sieve, certify_result, practical_budgets
 from junta_walk.walk import (
     RandomWalkOracle,
+    _draw_walk,
     gap_for_density,
-    generate_walk,
     lag_window,
     sample_size_concentration,
 )
@@ -179,7 +179,7 @@ def test_gate_05_harvested_pairs_follow_the_flipped_set_law():
     t0 = time.perf_counter()
     n = 3
     gap = gap_for_density(n, SieveParams(level=2, theta=0.1, delta=0.1).density)
-    pairs = oracle_pairs(parity_table(n, [1]), n, 53, 1_600_000, gap)
+    pairs = oracle_pairs(parity_table(n, [1]), 53, 1_600_000, gap)
     # Pair i spans half-blocks i and i + 1, so the even pairs share no
     # half-block and their (F, y xor x) cells are independent draws.
     picks = np.arange(0, len(pairs), 2)
@@ -221,7 +221,7 @@ def test_gate_06_walk_mean_concentrates_at_planned_length():
     exact = float(disagree.mean())
     within = 0
     for i in range(100):
-        walk = generate_walk(clean, 16, plan.m, 6000 + i)
+        walk = _draw_walk(clean, plan.m, 6000 + i)
         within += abs(float(disagree[walk.points].mean()) - exact) <= 0.1
     assert within >= 95
     assert elapsed_since(t0) <= 180.0

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junta_walk.functions import and_table, constant_table, parity_table, random_table
+from junta_walk.functions import (
+    and_table,
+    constant_table,
+    parity_table,
+    random_junta,
+    random_table,
+)
 from junta_walk.hypercube import (
     IndexSet,
     TruthTable,
@@ -239,6 +245,28 @@ def test_lemma_certifies_opt_witnesses(seed):
     w = verify_spectrum_lemma(f, g, epsilon=0.25, k=2)
     assert w is not None
     assert float(w.inner_restricted) >= float(w.inner_original) - 0.25 - 1e-9
+
+
+def test_lemma_witnesses_lose_at_most_epsilon_on_random_juntas():
+    # g is a random k-junta rather than f's best one, so the cheapest
+    # restrictions often lose more than epsilon of <f, g> and must be skipped
+    rng = np.random.default_rng(2024)
+    found = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(1, 4))
+        epsilon = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
+        f = random_table(n, rng)
+        g = random_junta(n, k, rng).to_truth_table()
+        w = verify_spectrum_lemma(f, g, epsilon, k)
+        if w is None:
+            continue
+        found += 1
+        assert w.inner_original - w.inner_restricted <= Fraction(epsilon)
+        assert set(w.witnesses) == set(relevant_coords(w.g_prime))
+        for i, (S, coeff) in w.witnesses.items():
+            assert i in S and abs(float(coeff)) >= w.bound - 1e-9
+    assert found >= 100
 
 
 def test_lemma_validation():

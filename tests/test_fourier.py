@@ -35,7 +35,6 @@ from junta_walk.walk import (
     ScreenTally,
     _word,
     gap_for_density,
-    harvest_refresh_pairs,
     lag_pairs,
     lag_window,
 )
@@ -46,6 +45,7 @@ from lag_reference import (
     lag_samples_from_pairs,
     oracle_pairs,
     raw_pairs,
+    seeded_harvest,
     tally_of,
 )
 
@@ -498,7 +498,7 @@ def test_oracle_lag_samples_give_the_walk_estimates_bit_for_bit(n):
     for window in (2, 6, lag_window(default_lag(n, 0.1), gap)):
         for blocks in (1, 3_000):
             drawn = RandomWalkOracle(f, n, seed=77).refresh_pairs(0, gap, window, blocks).lags
-            pairs = oracle_pairs(f, n, 77, lag_pairs(window, blocks), gap)
+            pairs = oracle_pairs(f, 77, lag_pairs(window, blocks), gap)
             read = lag_samples_from_pairs(pairs, window, blocks)
             assert estimate_sq_coeff_bulk(drawn, pool).tobytes() == (
                 estimate_sq_coeff_bulk(read, pool).tobytes()
@@ -575,12 +575,12 @@ def test_contrast_examples_from_harvested_pairs():
     p = effective_refresh_density(n, gap)
     tol = 6 / math.sqrt(m / 4)
 
-    pairs = harvest_refresh_pairs(parity_table(n, [1]), n, m, gap, seed=20)
+    pairs = seeded_harvest(parity_table(n, [1]), m, gap, seed=20)
     contrasts, _ = estimate_bounded_influence(pairs.screen)
     assert contrasts[0] == pytest.approx(1.0, abs=tol)
     assert contrasts[1] == pytest.approx(0.0, abs=tol)
 
-    pairs = harvest_refresh_pairs(and_table(n, [1, 2]), n, m, gap, seed=21)
+    pairs = seeded_harvest(and_table(n, [1, 2]), m, gap, seed=21)
     want = 0.25 + 0.25 * (1 - p)
     assert estimate_bounded_influence(pairs.screen)[0][0] == pytest.approx(want, abs=tol)
 
@@ -592,7 +592,7 @@ def test_contrast_matches_exact_value_statistically():
     f = random_table(n, np.random.default_rng(22))
     spec = Spectrum.from_table(f)
     p = effective_refresh_density(n, gap)
-    pairs = harvest_refresh_pairs(f, n, m, gap, seed=23)
+    pairs = seeded_harvest(f, m, gap, seed=23)
     contrasts, _ = estimate_bounded_influence(pairs.screen)
     for i in (1, 3, 5):
         got = contrasts[i - 1]
@@ -685,9 +685,9 @@ def test_contrasts_match_per_coordinate_reference_bit_for_bit():
     for n in range(4, 21):
         f = random_table(n, np.random.default_rng(300 + n))
         gap = gap_for_density(n, 1 / 3)
-        pairs = raw_pairs(f, n, 20_000, gap, seed=n)
+        pairs = raw_pairs(f, 20_000, gap, seed=n)
         _assert_contrasts_bit_identical(pairs, gap)
-        harvest = harvest_refresh_pairs(f, n, 20_000, gap, seed=n)
+        harvest = seeded_harvest(f, 20_000, gap, seed=n)
         assert harvest.screen.hists.tobytes() == tally_of(pairs, gap).hists.tobytes()
     # exhaustive sets: alone every coordinate is undefined, merged all defined
     f = random_table(4, np.random.default_rng(13))
@@ -728,7 +728,7 @@ def test_sigmas_match_per_coordinate_counts():
     for n in (5, 12, 20):
         f = random_table(n, np.random.default_rng(320 + n))
         gap = gap_for_density(n, 1 / 3)
-        cases.append((raw_pairs(f, n, 10_000, gap, seed=n), gap))
+        cases.append((raw_pairs(f, 10_000, gap, seed=n), gap))
     for pairs, gap in cases:
         _, sigmas = estimate_bounded_influence(tally_of(pairs, gap))
         want = [_reference_sigma(pairs, i, gap) for i in range(1, pairs.n + 1)]

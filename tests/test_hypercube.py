@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import junta_walk
 from junta_walk.cli import _load_instance
-from junta_walk.fourier import Spectrum, blocks_for, default_lag, expected_bounded_influence
+from junta_walk.fourier import (
+    Spectrum,
+    blocks_for,
+    default_lag,
+    expected_bounded_influence,
+    expected_sq_estimate,
+    subcube_projection_exact,
+)
 from junta_walk.functions import (
     and_table,
     flip_labels_iid,
@@ -22,7 +29,7 @@ from junta_walk.functions import (
     random_junta,
     random_table,
 )
-from junta_walk.harness import Corruption
+from junta_walk.harness import Corruption, ExperimentConfig, InstanceSpec, make_instance
 from junta_walk.hypercube import (
     IndexSet,
     JuntaHypothesis,
@@ -41,9 +48,8 @@ from junta_walk.oracle_bruteforce import (
 )
 from junta_walk.sieve import SieveBudgets, SieveParams, SieveResult, certify_result
 from junta_walk.walk import (
+    RandomWalkOracle,
     gap_for_density,
-    generate_walk,
-    harvest_refresh_pairs,
     lag_pairs,
     sample_size_concentration,
     sample_size_erm,
@@ -415,10 +421,9 @@ NUMERIC_ARGUMENTS = [
         float,
         lambda v: certify_result(EMPTY_RESULT, Spectrum.from_table(F3), v, 2),
     ),
-    ("generate_walk", "seed", int, lambda v: generate_walk(F3, 3, 4, v)),
+    ("RandomWalkOracle", "seed", int, lambda v: RandomWalkOracle(F3, 3, v)),
     ("lag_pairs", "window", int, lambda v: lag_pairs(v, 3)),
     ("lag_pairs", "blocks", int, lambda v: lag_pairs(2, v)),
-    ("harvest_refresh_pairs", "seed", int, lambda v: harvest_refresh_pairs(F3, 3, 10, 2, v)),
     ("gap_for_density", "refresh density p", float, lambda v: gap_for_density(4, v)),
     ("sample_size_concentration", "epsilon", float, lambda v: sample_size_concentration(v, 0.1, 8)),
     ("sample_size_concentration", "delta", float, lambda v: sample_size_concentration(0.1, v, 8)),
@@ -483,10 +488,57 @@ def test_numeric_refusals_state_the_interval():
     with pytest.raises(ValueError, match=re.escape("k=4 outside [0, 3]")):
         random_junta(3, 4, _rng())
     with pytest.raises(ValueError, match=re.escape("seed=-1 must be >= 0")):
-        harvest_refresh_pairs(F3, 3, 10, 2, -1)
-    with pytest.raises(ValueError, match=re.escape("seed=-1 must be >= 0")):
-        generate_walk(F3, 3, 4, -1)
-    assert len(generate_walk(F3, 3, 4, np.random.SeedSequence(5)).points) == 4
+        RandomWalkOracle(F3, 3, -1)
     # numpy scalars, integers for a real and exact fractions pass
     assert LearnParams(np.int64(2), np.float64(0.25), Fraction(1, 5)).epsilon == 0.25
     assert SieveParams(2, 1, 0.1).theta == 1
+
+
+# ---------------------------------------------------------------------------
+# Shape, dimension and seed refusals
+
+PLANTED_UNSEEDED = InstanceSpec(
+    4, 2, Corruption(kind="planted", fraction=0.1), junta_seed=1, instance_seed=2
+)
+
+# (what is refused, the refused call, the message it must state)
+SHAPE_REFUSALS = [
+    ("ragged table", lambda: TruthTable(1, [[1], [1, -1]]), "a flat sequence of +1 and -1"),
+    (
+        "junta table size",
+        lambda: JuntaHypothesis(IndexSet.of(3, [1, 2]), [1, -1, 1]),
+        "expected 4 table entries, got 3",
+    ),
+    (
+        "junta table past the cap",
+        lambda: JuntaHypothesis(IndexSet.of(25, [1]), [1, -1]).to_truth_table(),
+        "n=25 too large to materialize",
+    ),
+    ("spectrum size", lambda: Spectrum(3, np.zeros(4)), "expected 8 coefficients, got (4,)"),
+    (
+        "projection dimension",
+        lambda: subcube_projection_exact(Spectrum.from_table(F3), IndexSet(4)),
+        "index set over n=4, spectrum over n=3",
+    ),
+    (
+        "estimate dimension",
+        lambda: expected_sq_estimate(Spectrum.from_table(F3), IndexSet(2), 1.0),
+        "index set over n=2, spectrum over n=3",
+    ),
+    (
+        "planted instance without an adversary seed",
+        lambda: make_instance(PLANTED_UNSEEDED),
+        "planted corruption needs an adversary seed",
+    ),
+    (
+        "config that is not an object",
+        lambda: ExperimentConfig.from_json("[1]"),
+        "config must be a JSON object, got list",
+    ),
+]
+
+
+@pytest.mark.parametrize("what, call, message", SHAPE_REFUSALS, ids=[r[0] for r in SHAPE_REFUSALS])
+def test_shapes_dimensions_and_seeds_are_refused_by_message(what, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

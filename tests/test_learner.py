@@ -32,7 +32,7 @@ from junta_walk.learner import (
 )
 from junta_walk.oracle_bruteforce import exact_opt
 from junta_walk.sieve import SieveParams, bounded_sieve, practical_budgets
-from junta_walk.walk import RandomWalkOracle, generate_walk, sample_size_erm
+from junta_walk.walk import RandomWalkOracle, _draw_walk, sample_size_erm
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_tally_unseen_buckets_default_positive():
 
 def test_tally_accepts_labeled_walk():
     f = parity_table(5, [2])
-    walk = generate_walk(f, 5, 200, 4)
+    walk = _draw_walk(f, 200, 4)
     h, err = best_junta(walk.points, walk.labels, IndexSet.of(5, [2]), 1)
     assert err == 0
     assert distance_exact(f, h) == 0

@@ -19,13 +19,12 @@ from junta_walk.walk import (
     RandomWalkOracle,
     ScreenTally,
     _draw_steps,
+    _draw_walk,
     _harvest_size,
     _word,
     effective_refresh_density,
     gap_for_density,
-    generate_walk,
     harvest_chunks,
-    harvest_refresh_pairs,
     lag_pairs,
     lag_window,
     sample_size_concentration,
@@ -37,6 +36,7 @@ from lag_reference import (
     lag_samples_from_pairs,
     oracle_pairs,
     raw_pairs,
+    seeded_harvest,
     tally_of,
 )
 
@@ -55,55 +55,48 @@ def _step_coords(w):
 
 
 def test_walk_layer_enforces_the_packed_cap():
+    # the oracle is the walk layer's one door; its kernels take n from f
     f = JuntaHypothesis(IndexSet(63), [1])
     for n in (0, 64):
         with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
-            generate_walk(f, n, 5, 1)
-        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
             RandomWalkOracle(f, n, seed=1)
-        with pytest.raises(ValueError, match=r"outside \[1, 63\]"):
-            harvest_refresh_pairs(f, n, screen_pairs=5, gap_steps=3, seed=1)
-    assert len(generate_walk(f, 63, 5, 1)) == 5
-    assert len(RandomWalkOracle(f, 63, seed=1).refresh_pairs(5, gap_steps=3)) == 5
+    oracle = RandomWalkOracle(f, 63, seed=1)
+    assert len(oracle.walk(5)) == 5
+    assert len(oracle.refresh_pairs(5, gap_steps=3)) == 5
 
 
 @pytest.mark.parametrize("delta", [-4, -1, 1, 4])
-@pytest.mark.parametrize("entry", ["oracle", "harvest", "walk"])
-def test_label_source_of_another_dimension_is_refused(entry, delta):
+def test_label_source_of_another_dimension_is_refused(delta):
     n = 8
     table = random_table(n + delta, np.random.default_rng(n + delta))
     hypothesis = JuntaHypothesis(IndexSet.of(n + delta, [1, 2]), [1, -1, -1, 1])
     for f in (table, hypothesis):
         with pytest.raises(ValueError, match=f"n={n + delta}.*n={n}"):
-            if entry == "oracle":
-                RandomWalkOracle(f, n, seed=1)
-            elif entry == "harvest":
-                harvest_refresh_pairs(f, n, screen_pairs=5, gap_steps=3, seed=1)
-            else:
-                generate_walk(f, n, 5, 1)
+            RandomWalkOracle(f, n, seed=1)
 
 
 def test_length_counts_points_not_steps():
-    w = generate_walk(XOR2, 6, 1, 3)
+    oracle = RandomWalkOracle(XOR2, 6, seed=3)
+    w = oracle.walk(1)
     assert len(w) == 1 and _step_coords(w).size == 0
-    w = generate_walk(XOR2, 6, 10, 3)
+    w = oracle.walk(10)
     assert len(w) == 10 and _step_coords(w).size == 9
     for length in (0, -1):
         with pytest.raises(ValueError, match="length"):
-            generate_walk(XOR2, 6, length, 3)
+            oracle.walk(length)
 
 
 def test_plain_walk_changes_exactly_the_recorded_coordinate():
     # every step flips exactly one coordinate, and all six occur
-    w = generate_walk(XOR2, 6, 500, 11)
+    w = _draw_walk(XOR2, 500, 11)
     assert set(_step_coords(w).tolist()) == set(range(1, 7))
 
 
-def test_oracle_walk_is_generate_walk_at_the_child_seed():
+def test_oracle_walk_is_the_kernel_at_the_child_seed():
     f = random_table(7, np.random.default_rng(3))
     oracle = RandomWalkOracle(f, 7, seed=41)
     got = oracle.walk(1_000)
-    want = generate_walk(f, 7, 1_000, np.random.SeedSequence(41, spawn_key=(0,)))
+    want = _draw_walk(f, 1_000, np.random.SeedSequence(41, spawn_key=(0,)))
     assert got.n == want.n == 7
     for g, w in ((got.points, want.points), (got.labels, want.labels)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -124,7 +117,7 @@ def test_walk_and_refresh_pairs_at_n63_with_junta_labels():
         np.testing.assert_array_equal(w.labels, 1 - 2 * (w.points >> top).astype(np.int8))
         assert np.any(w.labels == 1) and np.any(w.labels == -1)
     harvest = oracle.refresh_pairs(5_000, gap_steps=40)
-    pairs = oracle_pairs(f, n, 63, 5_000, 40, request=2)
+    pairs = oracle_pairs(f, 63, 5_000, 40, request=2)
     assert pairs.walk_steps == harvest.walk_steps
     assert harvest.screen.hists.tobytes() == tally_of(pairs, 40).hists.tobytes()
     assert np.all((pairs.x_bits ^ pairs.y_bits) & ~pairs.flipped_masks == 0)
@@ -137,29 +130,29 @@ def test_walk_and_refresh_pairs_at_n63_with_junta_labels():
 
 def test_n1_plain_walk_alternates():
     f = parity_table(1, [1])
-    w = generate_walk(f, 1, 64, 9)
+    w = _draw_walk(f, 64, 9)
     assert np.all(w.points[1:] != w.points[:-1])
     assert set(np.unique(w.points).tolist()) <= {0, 1}
 
 
 def test_walk_labels_match_function():
     f = random_table(7, np.random.default_rng(2))
-    w = generate_walk(f, 7, 300, 5)
+    w = _draw_walk(f, 300, 5)
     np.testing.assert_array_equal(w.labels, f.values[w.points.astype(np.int64)])
 
 
 def test_same_seed_reproduces_walk():
-    a = generate_walk(XOR2, 6, 100, 21)
-    b = generate_walk(XOR2, 6, 100, 21)
+    a = _draw_walk(XOR2, 100, 21)
+    b = _draw_walk(XOR2, 100, 21)
     np.testing.assert_array_equal(a.points, b.points)
     np.testing.assert_array_equal(a.labels, b.labels)
-    c = generate_walk(XOR2, 6, 100, 22)
+    c = _draw_walk(XOR2, 100, 22)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_flip_coordinate_frequencies_uniform():
     f = parity_table(8, [1])
-    w = generate_walk(f, 8, 100_001, 1)
+    w = _draw_walk(f, 100_001, 1)
     counts = np.bincount(_step_coords(w), minlength=9)[1:]
     expect = 100_000 / 8
     sigma = math.sqrt(100_000 * (1 / 8) * (7 / 8))
@@ -167,7 +160,7 @@ def test_flip_coordinate_frequencies_uniform():
 
 
 def test_start_points_uniform():
-    starts = [int(generate_walk(parity_table(2, [1]), 2, 1, s).points[0]) for s in range(2000)]
+    starts = [int(_draw_walk(parity_table(2, [1]), 1, s).points[0]) for s in range(2000)]
     _, pvalue = scipy.stats.chisquare(np.bincount(starts, minlength=4))
     assert pvalue > 1e-4
 
@@ -177,13 +170,11 @@ def test_start_points_uniform():
 
 
 ENTRIES = {
-    "generate_walk": lambda *args: generate_walk(XOR2, *args),
-    "harvest_refresh_pairs": lambda *args: harvest_refresh_pairs(XOR2, *args),
     "RandomWalkOracle": lambda n: RandomWalkOracle(XOR2, n, seed=1),
     "oracle_seed": lambda seed: RandomWalkOracle(XOR2, 6, seed=seed),
     "walk": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).walk(*args),
     "refresh_pairs": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(*args),
-    "lag_samples": lambda window, blocks: harvest_refresh_pairs(XOR2, 6, 0, 3, 1, window, blocks),
+    "lag_samples": lambda *args: RandomWalkOracle(XOR2, 6, seed=1).refresh_pairs(0, 3, *args),
     "lag_window": lag_window,
     "effective_refresh_density": effective_refresh_density,
     "gap_for_density": gap_for_density,
@@ -191,12 +182,7 @@ ENTRIES = {
 
 # (entry, arguments, error, the name and value the error must state)
 REFUSALS = [
-    ("generate_walk", (True, 3, 1), TypeError, "n=True"),
-    ("generate_walk", (6.0, 3, 1), TypeError, "n=6.0"),
-    ("generate_walk", (6, 2.5, 1), TypeError, "length=2.5"),
-    ("generate_walk", (6, True, 1), TypeError, "length=True"),
-    ("harvest_refresh_pairs", (6, 10, 1.5, 1), TypeError, "gap_steps=1.5"),
-    ("harvest_refresh_pairs", (6, True, 3, 1), TypeError, "screen_pairs=True"),
+    ("RandomWalkOracle", (True,), TypeError, "n=True"),
     ("RandomWalkOracle", (6.0,), TypeError, "n=6.0"),
     ("oracle_seed", (-1,), ValueError, "seed=-1"),
     ("oracle_seed", (1.5,), TypeError, "seed=1.5"),
@@ -234,16 +220,9 @@ def test_walk_sizes_are_refused_by_name(entry, args, error, name):
 # Refresh-pair harvesting
 
 
-def test_harvest_validation():
-    with pytest.raises(ValueError):
-        harvest_refresh_pairs(XOR2, 6, screen_pairs=10, gap_steps=0, seed=1)
-    with pytest.raises(ValueError):
-        harvest_refresh_pairs(XOR2, 6, screen_pairs=0, gap_steps=3, seed=1)
-
-
 def test_harvest_pairs_chain_into_one_walk():
-    pairs = raw_pairs(XOR2, 6, 5000, 3, seed=2)
-    harvest = harvest_refresh_pairs(XOR2, 6, screen_pairs=5000, gap_steps=3, seed=2)
+    pairs = raw_pairs(XOR2, 5000, 3, seed=2)
+    harvest = seeded_harvest(XOR2, screen_pairs=5000, gap_steps=3, seed=2)
     assert len(pairs) == len(harvest) == len(harvest.screen) == 5000
     assert harvest.walk_steps == pairs.walk_steps
     # pair i spans half-blocks i and i + 1: it ends where pair i + 2 starts
@@ -255,7 +234,7 @@ def test_harvest_pairs_chain_into_one_walk():
 def test_harvest_pairs_overlap_in_one_half_block():
     # x[i + 1] ^ x[i] is half-block i's move, which both pairs i - 1 and i flip
     for n, gap in ((6, 3), (16, 7), (63, 40)):
-        pairs = raw_pairs(_top_bit_labels(n), n, 5000, gap, seed=n)
+        pairs = raw_pairs(_top_bit_labels(n), 5000, gap, seed=n)
         x, masks = pairs.x_bits, pairs.flipped_masks
         move = x[2:] ^ x[1:-1]
         assert np.all(move & ~(masks[1:-1] & masks[:-2]) == 0)
@@ -263,13 +242,13 @@ def test_harvest_pairs_overlap_in_one_half_block():
 
 
 def test_harvest_moves_only_refreshed_coordinates():
-    pairs = raw_pairs(XOR2, 6, 5000, 4, seed=3)
+    pairs = raw_pairs(XOR2, 5000, 4, seed=3)
     diff = pairs.x_bits ^ pairs.y_bits
     assert np.all(diff & ~pairs.flipped_masks == 0)
 
 
 def test_harvest_empty_blocks_keep_the_point():
-    pairs = raw_pairs(XOR2, 6, 20_000, 2, seed=4)
+    pairs = raw_pairs(XOR2, 20_000, 2, seed=4)
     empty = pairs.flipped_masks == 0
     # P[no flip in a pair] = e^(-gap/2) = e^-1, so about 7358 of 20000; the
     # overlapping pairs' count has sd about 90
@@ -289,17 +268,17 @@ def test_harvest_reads_a_plain_walk_and_charges_its_flips():
         count, gap = 1 + seed % 50, min(1 + seed % 9, 4 * n)
         harvest = oracle.refresh_pairs(count, gap_steps=gap)
         assert oracle.steps_served - served == harvest.walk_steps
-        pairs = oracle_pairs(_top_bit_labels(n), n, seed, count, gap, request=1)
+        pairs = oracle_pairs(_top_bit_labels(n), seed, count, gap, request=1)
         assert pairs.walk_steps == harvest.walk_steps
         moved = int(np.bitwise_count(pairs.x_bits[0] ^ pairs.y_bits[-1]))
         assert moved % 2 == pairs.walk_steps % 2
 
 
 def test_harvest_determinism():
-    a, b = (raw_pairs(XOR2, 6, 100, 3, seed=5) for _ in range(2))
+    a, b = (raw_pairs(XOR2, 100, 3, seed=5) for _ in range(2))
     np.testing.assert_array_equal(a.x_bits, b.x_bits)
     np.testing.assert_array_equal(a.flipped_masks, b.flipped_masks)
-    a, b = (harvest_refresh_pairs(XOR2, 6, 100, 3, 5, 4, 30) for _ in range(2))
+    a, b = (seeded_harvest(XOR2, 100, 3, 5, 4, 30) for _ in range(2))
     np.testing.assert_array_equal(a.screen.hists, b.screen.hists)
     np.testing.assert_array_equal(a.lags.diff, b.lags.diff)
 
@@ -310,7 +289,7 @@ def test_unrefreshed_parity_product_is_exactly_one():
     # a Poisson(gap/(2n)) count given count >= 1, of mean -pi
     n, gap = 4, 3
     f = parity_table(n, [1])
-    pairs = raw_pairs(f, n, 30_000, gap, seed=6)
+    pairs = raw_pairs(f, 30_000, gap, seed=6)
     prod = pairs.label_x.astype(np.int32) * pairs.label_y
     hit = (pairs.flipped_masks & np.uint64(1)) != 0
     assert np.all(prod[~hit] == 1)
@@ -324,7 +303,7 @@ def test_refresh_membership_matches_density_formula():
     # e^(-gap/(2n)), where the refresh density is 1 - pi^2; the even pairs
     # share no half-block, so their memberships are iid
     n, gap = 6, 4
-    pairs = raw_pairs(XOR2, n, 40_000, gap, seed=7)
+    pairs = raw_pairs(XOR2, 40_000, gap, seed=7)
     pi = math.exp(-gap / (2 * n))
     assert effective_refresh_density(n, gap) == pytest.approx(1 - pi * pi, rel=1e-15)
     even = pairs.flipped_masks[::2]
@@ -335,7 +314,7 @@ def test_refresh_membership_matches_density_formula():
 
 def test_refresh_memberships_are_independent_across_coordinates():
     # joint frequency of {1 refreshed, 2 refreshed} factorizes
-    pairs = raw_pairs(XOR2, 6, 60_000, 4, seed=8)
+    pairs = raw_pairs(XOR2, 60_000, 4, seed=8)
     a = ((pairs.flipped_masks >> np.uint64(0)) & np.uint64(1)).astype(float)
     b = ((pairs.flipped_masks >> np.uint64(1)) & np.uint64(1)).astype(float)
     joint = float(np.mean(a * b))
@@ -446,7 +425,7 @@ def _top_bit_labels(n):
 def test_step_kernel_matches_uint64_reference_bit_for_bit(n):
     f = _top_bit_labels(n)
     for count in (1, 2, 5_000):
-        got = generate_walk(f, n, count, n).points
+        got = _draw_walk(f, count, n).points
         _assert_same_bytes(got, _reference_walk_points(np.random.default_rng(n), n, count))
         # the step bits themselves, widened from the narrow word
         got = _draw_steps(np.random.default_rng(n), n, count)
@@ -463,7 +442,7 @@ def test_harvest_matches_per_cell_reference_bit_for_bit(n):
         # gap 1 leaves empty blocks at the head and the tail of a chunk
         for count in (1, 7, _HARVEST_CHUNK_STEPS // gap + 3):
             seed = 1000 * n + gap + count
-            pairs = raw_pairs(f, n, count, gap, seed)
+            pairs = raw_pairs(f, count, gap, seed)
             want = _reference_cell_harvest(f, n, count, gap, seed)
             assert pairs.walk_steps == want.pop("walk_steps")
             for name, ref in want.items():
@@ -492,11 +471,11 @@ def test_label_sources_read_the_narrow_points_of_narrow_pairs(n, monkeypatch):
     monkeypatch.setattr(JuntaHypothesis, "label_bits", spy)
     gap = gap_for_density(n, 1 / 3)
     count = 3 * (_HARVEST_CHUNK_STEPS // gap) + 5
-    harvested = harvest_refresh_pairs(top, n, count, gap, seed=n)
+    harvested = seeded_harvest(top, count, gap, seed=n)
     served = RandomWalkOracle(top, n, seed=n).refresh_pairs(count, gap)
     assert sum(seen) == 2 * (count + 2)
-    pairs = raw_pairs(top, n, count, gap, seed=n)
-    assert served.walk_steps == oracle_pairs(top, n, n, count, gap).walk_steps
+    pairs = raw_pairs(top, count, gap, seed=n)
+    assert served.walk_steps == oracle_pairs(top, n, count, gap).walk_steps
     for name in ("x_bits", "y_bits", "flipped_masks"):
         assert getattr(pairs, name).dtype == _word(n)
     for points, labels in ((pairs.x_bits, pairs.label_x), (pairs.y_bits, pairs.label_y)):
@@ -508,7 +487,7 @@ def test_label_sources_read_the_narrow_points_of_narrow_pairs(n, monkeypatch):
     seen.clear()
     blocks = 2 * count // 3
     screen = count // 4
-    harvest_refresh_pairs(top, n, screen, gap, n, 6, blocks)
+    seeded_harvest(top, screen, gap, n, 6, blocks)
     past = blocks + 2 - (screen + 1) // 3 - 1  # lag boundaries 3m > screen + 1
     assert sum(seen) == screen + 2 + past
 
@@ -517,7 +496,7 @@ def _screen_harvest_peak(n, count, gap, seed):
     f = random_table(n, np.random.default_rng(seed))
     tracemalloc.start()
     try:
-        harvest_refresh_pairs(f, n, count, gap, seed)
+        seeded_harvest(f, count, gap, seed)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -564,8 +543,8 @@ def test_screens_and_lag_windows_at_chunk_edges_read_the_raw_chunks(n):
                 if not screen and not blocks:
                     continue
                 seed = 10 * screen + blocks + half
-                harvest = harvest_refresh_pairs(f, n, screen, gap, seed, window, blocks)
-                pairs = raw_pairs(f, n, len(harvest), gap, seed)
+                harvest = seeded_harvest(f, screen, gap, seed, window, blocks)
+                pairs = raw_pairs(f, len(harvest), gap, seed)
                 assert harvest.walk_steps == pairs.walk_steps
                 if screen:
                     want = ScreenTally(n, gap)
@@ -611,7 +590,7 @@ def test_harvest_follows_the_refresh_law(n, gap, kernel):
     count, seed = 200_000, 100 * n + gap
     f = _top_bit_labels(n)
     if kernel == "blocks":
-        pairs = raw_pairs(f, n, count, gap, seed)
+        pairs = raw_pairs(f, count, gap, seed)
         r, d, steps = pairs.flipped_masks, pairs.x_bits ^ pairs.y_bits, pairs.walk_steps
     else:
         want = _reference_harvest(f, n, count, gap, seed)
@@ -653,8 +632,7 @@ def test_gap_for_density_rejects_bad_density():
         gap_for_density(4, 1.0)
 
 
-@pytest.mark.parametrize("entry", ["oracle", "harvest", "walk"])
-def test_label_sources_other_than_tables_are_refused(entry):
+def test_label_sources_other_than_tables_are_refused():
     # a table checks its +-1 values once, when it is built; a callable, an
     # array of labels or no source at all is refused by name before any draw
     for name, source in (
@@ -663,12 +641,7 @@ def test_label_sources_other_than_tables_are_refused(entry):
         ("NoneType", None),
     ):
         with pytest.raises(TypeError, match=f"label source {name} must be a TruthTable"):
-            if entry == "oracle":
-                RandomWalkOracle(source, 6, seed=1)
-            elif entry == "harvest":
-                harvest_refresh_pairs(source, 6, screen_pairs=5, gap_steps=3, seed=1)
-            else:
-                generate_walk(source, 6, 5, 1)
+            RandomWalkOracle(source, 6, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +758,13 @@ def test_walk_stream_is_pinned(cell):
     f = hash_labels(n)
     count = _harvest_size(n, screen, gap, window, blocks)
     for done, bounds, labels, _, steps in harvest_chunks(
-        f, n, gap, seed, count, screen, window // 2
+        f, gap, seed, count, screen, window // 2
     ):
         first = 1 if done == 0 else 2  # the boundaries new in this chunk
         digest.update(bounds[first:].tobytes())
         digest.update(labels[first:].tobytes())
         digest.update(steps.to_bytes(8, "little"))
-    harvest = harvest_refresh_pairs(f, n, screen, gap, seed, window, blocks)
+    harvest = seeded_harvest(f, screen, gap, seed, window, blocks)
     digest.update(harvest.lags.diff.tobytes())
     digest.update(harvest.lags.prod.tobytes())
     digest.update(harvest.walk_steps.to_bytes(8, "little"))
@@ -809,7 +782,7 @@ def test_lag_samples_match_the_walk_they_skip_bit_for_bit(n):
             oracle = RandomWalkOracle(f, n, 100 * n + window)
             harvest = oracle.refresh_pairs(0, gap, window, blocks)
             got = harvest.lags
-            pairs = oracle_pairs(f, n, 100 * n + window, lag_pairs(window, blocks), gap)
+            pairs = oracle_pairs(f, 100 * n + window, lag_pairs(window, blocks), gap)
             want = lag_samples_from_pairs(pairs, window, blocks)
             assert (got.n, len(got)) == (n, blocks)
             _assert_same_bytes(got.diff, want.diff)
@@ -856,7 +829,7 @@ def test_lag_sample_ends_where_the_sample_two_later_starts(lag):
     n, blocks, gap = 9, 50, 3
     window, f = lag_window(lag, gap), hash_labels(n)
     drawn = RandomWalkOracle(f, n, seed=lag).refresh_pairs(0, gap, window, blocks).lags
-    pairs = oracle_pairs(f, n, lag, lag_pairs(window, blocks), gap)
+    pairs = oracle_pairs(f, lag, lag_pairs(window, blocks), gap)
     half = window // 2
     starts = np.array([boundary(pairs, b * half)[0] for b in range(blocks + 2)], np.uint64)
     labels = np.array([boundary(pairs, b * half)[1] for b in range(blocks + 2)])
