@@ -421,6 +421,7 @@ NUMERIC_ARGUMENTS = [
         float,
         lambda v: certify_result(EMPTY_RESULT, Spectrum.from_table(F3), v, 2),
     ),
+    ("RandomWalkOracle", "dimension n", int, lambda v: RandomWalkOracle(F3, v, 1)),
     ("RandomWalkOracle", "seed", int, lambda v: RandomWalkOracle(F3, 3, v)),
     ("lag_pairs", "window", int, lambda v: lag_pairs(v, 3)),
     ("lag_pairs", "blocks", int, lambda v: lag_pairs(2, v)),

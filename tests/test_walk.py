@@ -75,6 +75,25 @@ def test_label_source_of_another_dimension_is_refused(delta):
             RandomWalkOracle(f, n, seed=1)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 24, 33, 63])
+@pytest.mark.parametrize("kernel", ["walk", "harvest"])
+def test_kernels_take_n_from_their_table(kernel, n):
+    # neither kernel is told n: every coordinate of f, and none past it, moves
+    f = hash_labels(n)
+    if kernel == "walk":
+        w = _draw_walk(f, 2_000, n)
+        assert w.n == n
+        assert set(_step_coords(w).tolist()) == set(range(1, n + 1))
+        np.testing.assert_array_equal(w.labels, f.label_bits(w.points))
+    else:
+        pairs = raw_pairs(f, 2_000, 2 * n, seed=n)
+        assert pairs.n == n and pairs.x_bits.dtype == _word(n)
+        assert int(np.bitwise_or.reduce(pairs.flipped_masks)) == (1 << n) - 1
+        harvest = seeded_harvest(f, 2_000, 2 * n, n, 4, 30)
+        assert harvest.screen.n == harvest.lags.n == n
+        assert harvest.screen.hists.tobytes() == tally_of(pairs, 2 * n).hists.tobytes()
+
+
 def test_length_counts_points_not_steps():
     oracle = RandomWalkOracle(XOR2, 6, seed=3)
     w = oracle.walk(1)
@@ -218,6 +237,17 @@ def test_walk_sizes_are_refused_by_name(entry, args, error, name):
 
 # ---------------------------------------------------------------------------
 # Refresh-pair harvesting
+
+
+def test_harvest_validation():
+    oracle = RandomWalkOracle(XOR2, 6, seed=1)
+    with pytest.raises(ValueError, match="gap_steps=0"):
+        oracle.refresh_pairs(screen_pairs=10, gap_steps=0)
+    with pytest.raises(ValueError, match="screen_pairs=0 and blocks=0"):
+        oracle.refresh_pairs(screen_pairs=0, gap_steps=3)
+    # lag samples alone are a harvest, without a screen
+    harvest = oracle.refresh_pairs(0, 3, 4, 5)
+    assert harvest.screen is None and len(harvest.lags) == 5
 
 
 def test_harvest_pairs_chain_into_one_walk():
